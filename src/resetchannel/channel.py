@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonians import hermitian_eigensystem, joint_constrained_maps
-from .spin_ops import ChainLayout, DenseOperator, sz_of_index
+from .spin_ops import ChainLayout, DenseOperator, site_signs
 
 UNITARITY_ATOL = 1e-9
 COMPLETENESS_ATOL = 1e-9
@@ -63,7 +63,6 @@ class SuperoperatorMatrix:
     """
 
     mat: np.ndarray
-    convention: str = "row"
     form: str = "plain"
     meta: dict = field(default_factory=dict)
 
@@ -167,17 +166,9 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(d, d)
 
 
-def transpose_swap(op_dim: int) -> np.ndarray:
-    """Permutation S with S vec(rho) = vec(rho^T)."""
-    s = np.zeros((op_dim * op_dim, op_dim * op_dim))
-    for i in range(op_dim):
-        for j in range(op_dim):
-            s[i * op_dim + j, j * op_dim + i] = 1.0
-    return s
-
-
 def reversal_form(sop: SuperoperatorMatrix) -> SuperoperatorMatrix:
-    """Channel composed with computational-basis transposition, M . S.
+    """Channel composed with computational-basis transposition, M . S, where
+    S vec(rho) = vec(rho^T); the product is a gather of M's columns.
 
     Transposition implements time reversal for the real-symmetric chain
     Hamiltonians used here. The composition strips the dynamical phase
@@ -191,12 +182,9 @@ def reversal_form(sop: SuperoperatorMatrix) -> SuperoperatorMatrix:
     """
     if sop.form != "plain":
         raise ValueError("reversal_form expects the plain channel matrix")
-    return SuperoperatorMatrix(
-        sop.mat @ transpose_swap(sop.op_dim),
-        convention=sop.convention,
-        form="reversal",
-        meta=dict(sop.meta),
-    )
+    dim, d = sop.dim, sop.op_dim
+    gathered = sop.mat.reshape(dim, d, d).transpose(0, 2, 1).reshape(dim, dim)
+    return SuperoperatorMatrix(gathered, form="reversal", meta=dict(sop.meta))
 
 
 def extend_with_ancilla(kraus: KrausSet) -> KrausSet:
@@ -213,8 +201,7 @@ def magnetization_grading(layout: ChainLayout) -> np.ndarray:
     element |i><j|, in vec ordering."""
     if layout.constrained:
         raise ValueError("magnetization grading applies to the full qubit basis")
-    n, d = layout.n_s, layout.dim_s
-    sz = np.array([sz_of_index(i, n) for i in range(d)])
+    sz = site_signs(np.arange(layout.dim_s), layout.n_s).sum(axis=0)
     return (sz[:, None] + sz[None, :]).reshape(-1)
 
 

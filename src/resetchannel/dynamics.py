@@ -15,7 +15,15 @@ import numpy as np
 from .channel import KrausSet, apply_channel, extend_with_ancilla
 from .hamiltonians import ConstrainedBasis, joint_constrained_maps
 from .spectra import EigenMode
-from .spin_ops import ChainLayout, DenseOperator, ghz_state, neel_state, partial_trace, qubit_basis
+from .spin_ops import (
+    ChainLayout,
+    DenseOperator,
+    ghz_state,
+    neel_state,
+    partial_trace,
+    qubit_basis,
+    site_signs,
+)
 
 QMI_MONOTONE_ATOL = 1e-9
 
@@ -125,31 +133,33 @@ def scar_overlap_avg(mode: EigenMode, scar_states: np.ndarray, layout: ChainLayo
     return float(np.mean(xis))
 
 
-def renyi2_qmi(rho_as: np.ndarray, n_system_qubits: int) -> float:
-    """Renyi-2 mutual information S = -ln Tr(rho_a^2) - ln Tr(rho_s^2)
-    + ln Tr(rho_as^2) between a single leading ancilla qubit and the system."""
+def _ancilla_purities(rho_as: np.ndarray, n_system_qubits: int):
+    """System marginal of an (ancilla + system) state and the purities
+    (Tr rho_a^2, Tr rho_s^2, Tr rho_as^2)."""
     n_tot = 1 + n_system_qubits
     op = DenseOperator(np.asarray(rho_as, dtype=complex), qubit_basis(n_tot))
     rho_a = partial_trace(op, [0], n_tot).mat
     rho_s = partial_trace(op, list(range(1, n_tot)), n_tot).mat
-    purities = (
-        float(np.real(np.trace(rho_a @ rho_a))),
-        float(np.real(np.trace(rho_s @ rho_s))),
-        float(np.real(np.trace(op.mat @ op.mat))),
-    )
+    purities = tuple(float(np.real(np.trace(r @ r))) for r in (rho_a, rho_s, op.mat))
+    return rho_s, purities
+
+
+def _renyi2(purities) -> float:
+    return -np.log(purities[0]) - np.log(purities[1]) + np.log(purities[2])
+
+
+def renyi2_qmi(rho_as: np.ndarray, n_system_qubits: int) -> float:
+    """Renyi-2 mutual information S = -ln Tr(rho_a^2) - ln Tr(rho_s^2)
+    + ln Tr(rho_as^2) between a single leading ancilla qubit and the system."""
+    _, purities = _ancilla_purities(rho_as, n_system_qubits)
     if min(purities) <= 0:
         raise ValueError(f"non-positive purity {purities}; state is numerically invalid")
-    return -np.log(purities[0]) - np.log(purities[1]) + np.log(purities[2])
+    return _renyi2(purities)
 
 
 def _site_sz_diagonals(n_sites: int) -> np.ndarray:
     """Row m holds the diagonal of sigma_m^z / 2."""
-    idx = np.arange(2 ** n_sites)
-    out = np.zeros((n_sites, 2 ** n_sites))
-    for m in range(n_sites):
-        bit = (idx >> (n_sites - 1 - m)) & 1
-        out[m] = 0.5 * (1.0 - 2.0 * bit)
-    return out
+    return 0.5 * site_signs(np.arange(2 ** n_sites), n_sites)
 
 
 def imbalance(rho_t: np.ndarray, rho_0: np.ndarray, n_sites: int) -> float:
@@ -182,23 +192,17 @@ def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
     records: list[TrajectoryRecord] = []
     rho_s0 = None
     for n in range(n_max + 1):
-        op = DenseOperator(rho, qubit_basis(1 + n_s))
-        rho_a = partial_trace(op, [0], 1 + n_s).mat
-        rho_s = partial_trace(op, list(range(1, 1 + n_s)), 1 + n_s).mat
+        rho_s, purities = _ancilla_purities(rho, n_s)
         if rho_s0 is None:
             rho_s0 = rho_s
-        purity_a = float(np.real(np.trace(rho_a @ rho_a)))
-        purity_s = float(np.real(np.trace(rho_s @ rho_s)))
-        purity_as = float(np.real(np.trace(rho @ rho)))
-        s_val = -np.log(purity_a) - np.log(purity_s) + np.log(purity_as)
         records.append(TrajectoryRecord(
             n_k=n,
-            qmi=float(s_val),
+            qmi=float(_renyi2(purities)),
             imbalance=imbalance(rho_s, rho_s0, n_s),
             sz=float(2.0 * (sz @ np.real(np.diag(rho_s))).sum()),
-            purity_a=purity_a,
-            purity_s=purity_s,
-            purity_as=purity_as,
+            purity_a=purities[0],
+            purity_s=purities[1],
+            purity_as=purities[2],
         ))
         if n < n_max:
             rho = apply_channel(extended, rho)

@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spin_ops import (
-    DenseOperator,
-    PAULI,
-    _embed_single_site,
-    fibonacci_basis_tag,
-    qubit_basis,
-)
+from .spin_ops import DenseOperator, fibonacci_basis_tag, pauli_sum, qubit_basis
 
 GOLDEN_OMEGA = 2 * np.pi * (np.sqrt(5) - 1) / 2  # inverse golden ratio modulation
 
@@ -68,54 +62,39 @@ class PxpParams:
             raise ValueError("omega_rabi must be positive")
 
 
-def _two_site_terms(n_sites: int, jxx: float, jyy: float, jzz: float) -> np.ndarray:
-    dim = 2 ** n_sites
-    h = np.zeros((dim, dim), dtype=complex)
-    for m in range(n_sites - 1):
-        for coeff, axis in ((jxx, "x"), (jyy, "y"), (jzz, "z")):
-            if coeff != 0.0:
-                a = _embed_single_site(PAULI[axis], m, n_sites)
-                b = _embed_single_site(PAULI[axis], m + 1, n_sites)
-                h += coeff * (a @ b)
-    return h
-
-
-def _field_terms(n_sites: int, jz: float, omega: float) -> np.ndarray:
-    diag = np.zeros(2 ** n_sites)
-    for m in range(n_sites):
-        z = _embed_single_site(PAULI["z"], m, n_sites)
-        diag += jz * np.cos(omega * m) * np.real(np.diag(z))
-    return np.diag(diag).astype(complex)
+def _chain(n_sites: int, jxx: float, jyy: float, jzz: float, jz: float, omega: float,
+           jxxx: float = 0.0) -> DenseOperator:
+    bonds = [(coeff, axis * 2, (m, m + 1))
+             for m in range(n_sites - 1)
+             for coeff, axis in ((jxx, "x"), (jyy, "y"), (jzz, "z")) if coeff != 0.0]
+    if jxxx != 0.0:
+        bonds += [(jxxx, "xxx", (m - 1, m, m + 1)) for m in range(1, n_sites - 1)]
+    field = [(jz * np.cos(omega * m), "z", (m,)) for m in range(n_sites)]
+    h = pauli_sum(bonds, n_sites)
+    h += pauli_sum(field, n_sites)  # summing the field apart fixes the diagonal's rounding
+    return DenseOperator(h, qubit_basis(n_sites))
 
 
 def build_aah(params: AahParams, n_sites: int) -> DenseOperator:
     """Quasiperiodic XY chain; commutes with total sigma^z."""
     if n_sites < 2:
         raise ValueError("chain needs at least 2 sites")
-    h = _two_site_terms(n_sites, params.j2, params.j2, params.jzz)
-    h += _field_terms(n_sites, params.jz, params.omega)
-    return DenseOperator(h, qubit_basis(n_sites))
+    return _chain(n_sites, params.j2, params.j2, params.jzz, params.jz, params.omega)
 
 
 def build_xxx(params: XxxParams, n_sites: int) -> DenseOperator:
     """AAH chain plus the three-site XXX term on interior sites."""
     if n_sites < 3:
         raise ValueError("three-site coupling needs at least 3 sites")
-    h = build_aah(params.aah, n_sites).mat
-    if params.jxxx != 0.0:
-        xs = [_embed_single_site(PAULI["x"], m, n_sites) for m in range(n_sites)]
-        for m in range(1, n_sites - 1):
-            h += params.jxxx * (xs[m - 1] @ xs[m] @ xs[m + 1])
-    return DenseOperator(h, qubit_basis(n_sites))
+    p = params.aah
+    return _chain(n_sites, p.j2, p.j2, p.jzz, p.jz, p.omega, params.jxxx)
 
 
 def build_xx(params: XxParams, n_sites: int) -> DenseOperator:
     """Anisotropic chain; reduces to the AAH chain at jxx == jyy == j2."""
     if n_sites < 2:
         raise ValueError("chain needs at least 2 sites")
-    h = _two_site_terms(n_sites, params.jxx, params.jyy, params.jzz)
-    h += _field_terms(n_sites, params.jz, params.omega)
-    return DenseOperator(h, qubit_basis(n_sites))
+    return _chain(n_sites, params.jxx, params.jyy, params.jzz, params.jz, params.omega)
 
 
 class ConstrainedBasis:
@@ -160,44 +139,18 @@ def joint_constrained_maps(n_s: int, n_b: int):
     return sys_basis, bath_basis, joint_basis, joint_index
 
 
-def build_pxp(params: PxpParams, n_sites: int, basis: str = "constrained") -> DenseOperator:
+def build_pxp(params: PxpParams, n_sites: int) -> DenseOperator:
     """Blockaded spin-flip Hamiltonian with open boundaries (edge projectors
-    replaced by identity).
+    replaced by identity), on the blockade subspace.
 
-    ``basis="full"`` builds the projector-dressed operator on the full qubit
-    space; ``basis="constrained"`` builds its restriction to the blockade
-    subspace directly from bit operations.
+    Restricted to the blockade subspace, (Omega/2) sum_m X_m equals the
+    projector-dressed sum_m P0_{m-1} X_m P0_{m+1}.
     """
     if n_sites < 2:
         raise ValueError("chain needs at least 2 sites")
-    half = params.omega_rabi / 2
-    if basis == "full":
-        dim = 2 ** n_sites
-        h = np.zeros((dim, dim), dtype=complex)
-        for m in range(n_sites):
-            term = _embed_single_site(PAULI["x"], m, n_sites)
-            if m > 0:
-                term = _proj0(m - 1, n_sites) @ term
-            if m < n_sites - 1:
-                term = term @ _proj0(m + 1, n_sites)
-            h += half * term
-        return DenseOperator(h, qubit_basis(n_sites))
-    if basis == "constrained":
-        cb = ConstrainedBasis(n_sites)
-        h = np.zeros((cb.dim, cb.dim), dtype=complex)
-        for b in cb.states:
-            for m in range(n_sites):
-                pos = n_sites - 1 - m
-                left_clear = m == 0 or not (b >> (pos + 1)) & 1
-                right_clear = m == n_sites - 1 or not (b >> (pos - 1)) & 1
-                if left_clear and right_clear:
-                    h[cb.index[b ^ (1 << pos)], cb.index[b]] += half
-        return DenseOperator(h, cb.tag)
-    raise ValueError(f"basis must be 'full' or 'constrained', got {basis!r}")
-
-
-def _proj0(site: int, n_sites: int) -> np.ndarray:
-    return _embed_single_site(np.diag([1.0, 0.0]).astype(complex), site, n_sites)
+    cb = ConstrainedBasis(n_sites)
+    terms = [(params.omega_rabi / 2, "x", (m,)) for m in range(n_sites)]
+    return DenseOperator(pauli_sum(terms, n_sites, cb.states), cb.tag)
 
 
 def hermitian_eigensystem(h: DenseOperator, tol: float = 1e-10):

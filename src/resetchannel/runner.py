@@ -76,7 +76,7 @@ def build_hamiltonian(model: str, params: dict, n_sites: int):
     if model == "xx":
         return build_xx(XxParams(**params), n_sites)
     if model == "pxp":
-        return build_pxp(PxpParams(**params), n_sites, basis="constrained")
+        return build_pxp(PxpParams(**params), n_sites)
     raise ValueError(f"unknown model {model!r}")
 
 

@@ -1,5 +1,6 @@
-"""Elementary qubit-chain operators and states: Pauli algebra, projectors,
-partial trace, and canonical initial states.
+"""Elementary qubit-chain operators and states: the Pauli-sum assembler that
+builds every operator, projectors, partial trace, and canonical initial
+states.
 
 Conventions, fixed package-wide:
 
@@ -13,14 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-IDENTITY_2 = np.eye(2, dtype=complex)
-PROJ_0 = np.diag([1.0, 0.0]).astype(complex)
 
 NORM_ATOL = 1e-12
 
@@ -129,24 +122,60 @@ class PureState:
         return DenseOperator(np.outer(self.vec, self.vec.conj()), self.basis)
 
 
-def _embed_single_site(op2: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    if not 0 <= site < n_sites:
-        raise ValueError(f"site {site} out of range for {n_sites} sites")
-    left = np.eye(2 ** site, dtype=complex)
-    right = np.eye(2 ** (n_sites - site - 1), dtype=complex)
-    return np.kron(np.kron(left, op2), right)
+def site_signs(states, n_sites: int) -> np.ndarray:
+    """sigma^z eigenvalues, +1 for |0> and -1 for |1>: row m holds site m's
+    sign on each basis state. Site 0 is the most significant bit."""
+    states = np.asarray(states)
+    shifts = np.arange(n_sites - 1, -1, -1)
+    return 1 - 2 * ((states[None, :] >> shifts[:, None]) & 1)
+
+
+def pauli_sum(terms, n_sites: int, states=None) -> np.ndarray:
+    """Dense matrix of sum_k c_k P_k on a sorted list of basis states
+    (default: all ``2**n_sites`` qubit states).
+
+    Each term is ``(c, axes, sites)``, e.g. ``(0.5, "xx", (2, 3))``. Terms
+    are accumulated in the given order. On a subspace, matrix elements that
+    leave ``states`` are dropped, so the result is the restriction.
+    """
+    states = np.arange(2 ** n_sites) if states is None else np.asarray(states)
+    signs = site_signs(states, n_sites)
+    dim = len(states)
+    by_flip: dict[int, np.ndarray] = {}
+    for coeff, axes, sites in terms:
+        flip, n_y, sign = 0, 0, np.ones(dim, dtype=int)
+        for axis, site in zip(axes, sites, strict=True):
+            if axis not in ("x", "y", "z"):
+                raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
+            if not 0 <= site < n_sites:
+                raise ValueError(f"site {site} out of range for {n_sites} sites")
+            if axis != "z":
+                flip ^= 1 << (n_sites - 1 - site)
+            if axis != "x":
+                sign = sign * signs[site]
+            n_y += axis == "y"
+        # Y|b> = i (-1)^b |1-b>, Z|b> = (-1)^b |b>
+        acc = by_flip.setdefault(flip, np.zeros(dim, dtype=complex))
+        acc += coeff * 1j ** n_y * sign
+    h = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    for flip, vals in by_flip.items():
+        targets = states ^ flip
+        rows = np.minimum(np.searchsorted(states, targets), dim - 1)
+        inside = states[rows] == targets
+        h[rows[inside], cols[inside]] = vals[inside]
+    return h
 
 
 def pauli_on_site(axis: str, site: int, n_sites: int) -> DenseOperator:
     """Pauli operator on one site of an ``n_sites`` qubit chain."""
-    if axis not in PAULI:
-        raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
-    return DenseOperator(_embed_single_site(PAULI[axis], site, n_sites), qubit_basis(n_sites))
+    return DenseOperator(pauli_sum([(1.0, axis, (site,))], n_sites), qubit_basis(n_sites))
 
 
 def projector0_on_site(site: int, n_sites: int) -> DenseOperator:
     """Projector onto |0> at one site, identity elsewhere."""
-    return DenseOperator(_embed_single_site(PROJ_0, site, n_sites), qubit_basis(n_sites))
+    terms = [(0.5, "", ()), (0.5, "z", (site,))]
+    return DenseOperator(pauli_sum(terms, n_sites), qubit_basis(n_sites))
 
 
 def product_state(bits: str) -> PureState:
@@ -193,11 +222,10 @@ def partial_trace(op: DenseOperator, keep: list[int] | tuple[int, ...], n_sites:
 
 def total_sz(n_sites: int) -> DenseOperator:
     """Diagonal total magnetization sum_m sigma_m^z."""
-    idx = np.arange(2 ** n_sites)
-    popcount = np.array([bin(i).count("1") for i in idx])
-    return DenseOperator(np.diag(n_sites - 2.0 * popcount).astype(complex), qubit_basis(n_sites))
+    return DenseOperator(np.diag(site_signs(np.arange(2 ** n_sites), n_sites).sum(axis=0)),
+                         qubit_basis(n_sites))
 
 
 def sz_of_index(index: int, n_sites: int) -> int:
     """Magnetization eigenvalue of one computational basis state."""
-    return n_sites - 2 * bin(index).count("1")
+    return int(site_signs([index], n_sites).sum())

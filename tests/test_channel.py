@@ -13,12 +13,22 @@ from resetchannel.channel import (
     propagate,
     reversal_form,
     superoperator_matrix,
-    transpose_swap,
     unvec,
     vec,
 )
+from resetchannel.config import preset_config
 from resetchannel.hamiltonians import PxpParams, build_pxp
+from resetchannel.runner import analysis_matrix, build_channel
 from resetchannel.spin_ops import ChainLayout, DenseOperator, pauli_on_site
+
+
+def transpose_swap(op_dim):
+    """Permutation S with S vec(rho) = vec(rho^T), the reversal_form oracle."""
+    s = np.zeros((op_dim * op_dim, op_dim * op_dim))
+    for i in range(op_dim):
+        for j in range(op_dim):
+            s[i * op_dim + j, j * op_dim + i] = 1.0
+    return s
 
 
 class TestPropagate:
@@ -163,6 +173,23 @@ class TestSuperoperator:
         sop = reversal_form(superoperator_matrix(small_channel))
         with pytest.raises(ValueError):
             reversal_form(sop)
+
+    def test_reversal_form_equals_swap_product(self, small_channel):
+        sop = superoperator_matrix(small_channel)
+        expected = sop.mat @ transpose_swap(sop.op_dim)
+        assert np.array_equal(reversal_form(sop).mat, expected)
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig5", "fig8"])
+    def test_u1_reversal_spectrum_closed_form(self, preset):
+        # With U(1) symmetry the reversal-form eigenvalues are exactly
+        # {s_a^2} and {+/- s_a s_b, a < b} for the singular values s of K_0.
+        kraus = build_channel(preset_config(preset))
+        lam = np.linalg.eigvals(analysis_matrix(kraus).mat)
+        s = np.linalg.svd(kraus.ops[0], compute_uv=False)
+        a, b = np.triu_indices(len(s), k=1)
+        expected = np.sort(np.concatenate([s ** 2, s[a] * s[b], -s[a] * s[b]]))
+        assert np.max(np.abs(np.sort(lam.real) - expected)) <= 1e-12
+        assert np.max(np.abs(lam.imag)) <= 1e-12
 
     def test_transpose_swap_involution(self):
         s = transpose_swap(3)

@@ -19,10 +19,73 @@ from resetchannel.spin_ops import DenseOperator, projector0_on_site, total_sz
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+P0 = np.diag([1.0, 0.0]).astype(complex)
 
 
 def comm_norm(a, b):
     return np.linalg.norm(a @ b - b @ a)
+
+
+# Kronecker-product oracle: every term is embedded as a dense 2^n matrix
+# and accumulated in the same order as the bitwise assembler.
+
+def kron_site(op2, site, n):
+    return np.kron(np.kron(np.eye(2 ** site), op2), np.eye(2 ** (n - site - 1)))
+
+
+def kron_model(n, jxx, jyy, jzz, jz, omega, jxxx=0.0):
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for m in range(n - 1):
+        for coeff, op2 in ((jxx, SX), (jyy, SY), (jzz, SZ)):
+            if coeff != 0.0:
+                h += coeff * (kron_site(op2, m, n) @ kron_site(op2, m + 1, n))
+    if jxxx != 0.0:
+        xs = [kron_site(SX, m, n) for m in range(n)]
+        for m in range(1, n - 1):
+            h += jxxx * (xs[m - 1] @ xs[m] @ xs[m + 1])
+    diag = np.zeros(2 ** n)
+    for m in range(n):
+        diag += jz * np.cos(omega * m) * np.real(np.diag(kron_site(SZ, m, n)))
+    return h + np.diag(diag)
+
+
+def kron_pxp(omega_rabi, n):
+    """Projector-dressed sum_m P0_{m-1} X_m P0_{m+1} on the full qubit space."""
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for m in range(n):
+        term = kron_site(SX, m, n)
+        if m > 0:
+            term = kron_site(P0, m - 1, n) @ term
+        if m < n - 1:
+            term = term @ kron_site(P0, m + 1, n)
+        h += omega_rabi / 2 * term
+    return h
+
+
+class TestKronOracle:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_aah(self, n):
+        p = AahParams(j2=0.9, jzz=0.3, jz=0.7)
+        expected = kron_model(n, p.j2, p.j2, p.jzz, p.jz, p.omega)
+        assert np.array_equal(build_aah(p, n).mat, expected)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_xxx(self, n):
+        p = XxxParams(AahParams(jzz=0.1, jz=0.1), 2.0)
+        expected = kron_model(n, 1.0, 1.0, 0.1, 0.1, p.aah.omega, jxxx=2.0)
+        assert np.array_equal(build_xxx(p, n).mat, expected)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_xx(self, n):
+        p = XxParams(jxx=0.8, jyy=1.1, jzz=0.3, jz=0.5)
+        expected = kron_model(n, p.jxx, p.jyy, p.jzz, p.jz, p.omega)
+        assert np.array_equal(build_xx(p, n).mat, expected)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_pxp_is_restriction(self, n):
+        states = ConstrainedBasis(n).states
+        expected = kron_pxp(1.3, n)[np.ix_(states, states)]
+        assert np.array_equal(build_pxp(PxpParams(omega_rabi=1.3), n).mat, expected)
 
 
 class TestAah:
@@ -119,7 +182,7 @@ class TestPxp:
 
     def test_full_basis_commutes_with_blockade_projectors(self):
         n = 4
-        h = build_pxp(PxpParams(), n, basis="full").mat
+        h = kron_pxp(1.0, n)
         for m in range(n - 1):
             blockade = projector0_on_site(m, n).mat + (
                 np.eye(2 ** n) - projector0_on_site(m, n).mat
@@ -130,20 +193,16 @@ class TestPxp:
     def test_constrained_equals_projected_full(self):
         n = 5
         basis = ConstrainedBasis(n)
-        h_full = build_pxp(PxpParams(omega_rabi=1.3), n, basis="full").mat
+        h_full = kron_pxp(1.3, n)
         h_proj = h_full[np.ix_(basis.states, basis.states)]
         assert np.allclose(build_pxp(PxpParams(omega_rabi=1.3), n).mat, h_proj)
 
     def test_full_basis_preserves_constrained_subspace(self):
         n = 4
         basis = ConstrainedBasis(n)
-        h_full = build_pxp(PxpParams(), n, basis="full").mat
+        h_full = kron_pxp(1.0, n)
         outside = [b for b in range(2 ** n) if b not in basis.index]
         assert np.allclose(h_full[np.ix_(outside, basis.states)], 0.0)
-
-    def test_bad_basis_name(self):
-        with pytest.raises(ValueError):
-            build_pxp(PxpParams(), 3, basis="momentum")
 
 
 class TestEigensystem:

@@ -9,6 +9,7 @@ from resetchannel.spin_ops import (
     neel_state,
     partial_trace,
     pauli_on_site,
+    pauli_sum,
     product_state,
     projector0_on_site,
     sz_of_index,
@@ -62,6 +63,23 @@ class TestPauli:
     def test_bad_axis(self):
         with pytest.raises(ValueError, match="axis"):
             pauli_on_site("w", 0, 2)
+
+
+class TestPauliSum:
+    @pytest.mark.parametrize("axes,sites", [
+        ("", ()), ("y", (3,)), ("yy", (1, 2)), ("xyz", (0, 1, 3)), ("zxy", (0, 2, 3)),
+    ])
+    def test_string_matches_kron_oracle(self, axes, sites):
+        ops = [np.eye(2)] * 4
+        for axis, site in zip(axes, sites):
+            ops[site] = {"x": SX, "y": SY, "z": SZ}[axis]
+        assert np.array_equal(pauli_sum([(0.7, axes, sites)], 4), 0.7 * kron_chain(ops))
+
+    def test_subspace_gives_restriction(self):
+        even = [0b000, 0b011, 0b101, 0b110]
+        terms = [(1.0, "xx", (0, 1)), (0.5, "y", (2,)), (0.3, "zz", (0, 2))]
+        full = pauli_sum(terms, 3)
+        assert np.array_equal(pauli_sum(terms, 3, even), full[np.ix_(even, even)])
 
 
 class TestProjector:
