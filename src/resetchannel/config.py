@@ -123,6 +123,13 @@ _SWEEPABLE = {
 }
 
 
+# the config section each analysis reads
+_ANALYSIS_SECTION = {
+    "bands": "sweep", "complex_count": "sweep", "anisotropy_compare": "sweep",
+    "ep": "ep", "qmi": "qmi", "phase": "phase",
+}
+
+
 def _expect(cond: bool, path: str, msg: str) -> None:
     if not cond:
         raise ConfigError(f"{path}: {msg}")
@@ -225,6 +232,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if "qmi" in raw:
         sec, path = raw["qmi"], "config.qmi"
         _check_keys(sec, {"n_k", "cases"}, {"n_k", "cases"}, path)
+        lacking = {"jxxx", "jz"} - _PARAM_KEYS[model]
+        _expect(not lacking, path, f"cases set {sorted(lacking)}, which model {model!r} lacks")
         _expect(isinstance(sec["cases"], list) and sec["cases"], f"{path}.cases",
                 "must be a non-empty list")
         cases = []
@@ -242,6 +251,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         _check_keys(sec, {"parameter", "start", "stop", "points", "n_k", "log_grid"},
                     {"parameter", "start", "stop", "points", "n_k"}, path)
         _expect(sec["parameter"] == "jz", f"{path}.parameter", "only jz scans are supported")
+        _expect("jz" in _PARAM_KEYS[model], f"{path}.parameter",
+                f"model {model!r} has no field 'jz' to scan")
         phase = PhaseSection(
             parameter=sec["parameter"],
             start=_number(sec, "start", path, positive=True),
@@ -250,6 +261,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
             n_k=_integer(sec, "n_k", path, 1),
             log_grid=bool(sec.get("log_grid", True)),
         )
+
+    sections = {"sweep": sweep, "ep": ep, "qmi": qmi, "phase": phase}
+    for a in analyses:
+        name = _ANALYSIS_SECTION.get(a)
+        _expect(name is None or sections[name] is not None, f"config.{name}",
+                f"section missing; analysis {a!r} needs it")
+    if "anisotropy_compare" in analyses:
+        _expect(model == "xx" and sweep.parameter in ("jxx", "jyy"), "config.sweep.parameter",
+                f"anisotropy_compare needs model 'xx' swept in 'jxx' or 'jyy', "
+                f"got {sweep.parameter!r} on {model!r}")
 
     tol_im = None
     if "tolerances" in raw:

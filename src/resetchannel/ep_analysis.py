@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .channel import SuperoperatorMatrix
-from .spectra import Spectrum, full_spectrum
+from .spectra import full_spectrum
 
 EP_TOL_FACTOR = 1e-6         # looser than the realness tolerance: splitting is gradual
 DEFAULT_RESOLUTION = 1e-4
@@ -31,13 +31,15 @@ class SweepGrid:
     """One-parameter family of channel matrices.
 
     ``build`` maps a parameter value to the matrix whose spectrum is swept
-    (the reversal-form channel matrix for the physical presets).
+    (the reversal-form channel matrix for the physical presets). The grid
+    memoizes :meth:`eigvals`, so the EP bisection and the sqrt fit on one
+    grid never solve the same parameter value twice.
     """
 
     parameter: str
     values: np.ndarray
     build: Callable[[float], np.ndarray]
-    form: str = "reversal"
+    _eigvals: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -47,11 +49,21 @@ class SweepGrid:
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sweep values must be strictly monotone")
 
+    def eigvals(self, value: float) -> np.ndarray:
+        """Eigenvalues of ``build(value)``, solved once per value."""
+        key = float(value)
+        if key not in self._eigvals:
+            self._eigvals[key] = np.linalg.eigvals(np.asarray(self.build(key), dtype=complex))
+        return self._eigvals[key]
+
 
 @dataclass
 class SweepResult:
+    """Eigenvalues per grid point, in :func:`full_spectrum` order; ``None``
+    where the point failed."""
+
     grid: SweepGrid
-    spectra: list
+    eigenvalues: list[np.ndarray | None]
     failures: list[tuple[int, str]] = field(default_factory=list)
 
 
@@ -105,35 +117,24 @@ class JordanChain:
 
 
 def sweep_spectrum(grid: SweepGrid, n_workers: int = 1) -> SweepResult:
-    """One full spectrum per grid point; per-point failures are recorded and
+    """Eigenvalues at every grid point; per-point failures are recorded and
     the sweep continues."""
 
-    def one(idx: int):
+    def one(value: float):
         try:
-            mat = grid.build(float(grid.values[idx]))
-            sop = SuperoperatorMatrix(
-                np.asarray(mat, dtype=complex), form=grid.form,
-                meta={"parameter": grid.parameter, "value": float(grid.values[idx])},
-            )
-            return idx, full_spectrum(sop), None
+            sop = SuperoperatorMatrix(np.asarray(grid.build(value), dtype=complex))
+            return full_spectrum(sop).eigenvalues, None
         except Exception as exc:  # sweep robustness: record and move on
-            return idx, None, f"{type(exc).__name__}: {exc}"
+            return None, f"{type(exc).__name__}: {exc}"
 
-    results = [None] * len(grid.values)
-    failures = []
+    values = [float(v) for v in grid.values]
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for idx, spectrum, err in pool.map(one, range(len(grid.values))):
-                results[idx] = spectrum
-                if err:
-                    failures.append((idx, err))
+            results = list(pool.map(one, values))
     else:
-        for i in range(len(grid.values)):
-            idx, spectrum, err = one(i)
-            results[idx] = spectrum
-            if err:
-                failures.append((idx, err))
-    return SweepResult(grid, results, failures)
+        results = list(map(one, values))
+    failures = [(i, err) for i, (_, err) in enumerate(results) if err]
+    return SweepResult(grid, [lam for lam, _ in results], failures)
 
 
 def _match_step(prev: np.ndarray, cur: np.ndarray, method: str) -> np.ndarray:
@@ -163,12 +164,12 @@ def track_bands(sweep: SweepResult, select: str = "all", method: str = "greedy")
     Re lambda at the sweep start (the slowly decaying bands where coalescence
     is visible); large matching distances are recorded, not raised.
     """
-    spectra = [s for s in sweep.spectra]
-    if any(s is None for s in spectra):
+    spectra = sweep.eigenvalues
+    if any(lam is None for lam in spectra):
         raise ValueError("cannot track bands across failed sweep points")
     if len(spectra) < 2:
         raise ValueError("band tracking needs at least 2 sweep points")
-    lam0 = spectra[0].eigenvalues
+    lam0 = spectra[0]
     order0 = np.argsort(-lam0.real)
     if select == "top_re_decile":
         n_bands = max(2, len(lam0) // 10)
@@ -179,17 +180,16 @@ def track_bands(sweep: SweepResult, select: str = "all", method: str = "greedy")
     bands[0] = lam0[order0]
     dists = np.zeros(len(spectra) - 1)
     for g in range(1, len(spectra)):
-        cur = spectra[g].eigenvalues
+        cur = spectra[g]
         cols = _match_step(bands[g - 1], cur, method)
         bands[g] = cur[cols]
         dists[g - 1] = float(np.max(np.abs(bands[g] - bands[g - 1])))
     return BandTrack(sweep.grid.parameter, sweep.grid.values.copy(), bands, dists, select)
 
 
-def count_complex(spectrum: Spectrum, tol_im: float | None = None) -> int:
+def count_complex(lam: np.ndarray, tol_im: float | None = None) -> int:
     """Number of eigenvalues with |Im| above tolerance; even by conjugate
     closure (an odd count is flagged as an anomaly)."""
-    lam = spectrum.eigenvalues
     tol = EP_TOL_FACTOR * float(np.max(np.abs(lam))) if tol_im is None else tol_im
     n = int(np.sum(np.abs(lam.imag) > tol))
     if n % 2:
@@ -226,7 +226,6 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float = DEFAULT_RE
     """
     if tol_im is None:
         tol_im = EP_TOL_FACTOR * float(np.max(np.abs(track.bands[0])))
-    eigvals_at = _eig_cache(grid)
     records: list[EpRecord] = []
     for g in range(len(track.grid_values) - 1):
         newly = [
@@ -249,25 +248,13 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float = DEFAULT_RE
             paired |= {k, partner}
             pair = np.array([track.bands[g + 1, k], track.bands[g + 1, partner]])
             rec = _bisect_pair(
-                eigvals_at, float(track.grid_values[g]), float(track.grid_values[g + 1]),
+                grid.eigvals, float(track.grid_values[g]), float(track.grid_values[g + 1]),
                 pair, tol_im, resolution, track.parameter, (k, partner),
             )
             records.append(rec)
             if max_eps is not None and len(records) >= max_eps:
                 return records
     return records
-
-
-def _eig_cache(grid: SweepGrid):
-    cache: dict[float, np.ndarray] = {}
-
-    def eigvals_at(value: float) -> np.ndarray:
-        key = float(value)
-        if key not in cache:
-            cache[key] = np.linalg.eigvals(np.asarray(grid.build(key), dtype=complex))
-        return cache[key]
-
-    return eigvals_at
 
 
 def _bisect_pair(eigvals_at, lo: float, hi: float, pair_hi: np.ndarray, tol_im: float,
@@ -311,14 +298,13 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float | None = None
     bracket_width = max(ep.bracket[1] - ep.bracket[0], 1e-12)
     if delta0 is None:
         delta0 = 30.0 * bracket_width
-    eigvals_at = _eig_cache(grid)
     if tol_im is None:
-        tol_im = EP_TOL_FACTOR * float(np.max(np.abs(eigvals_at(ep.bracket[1]))))
+        tol_im = EP_TOL_FACTOR * float(np.max(np.abs(grid.eigvals(ep.bracket[1]))))
     pair = np.array([ep.lambda_star, np.conj(ep.lambda_star)])
     deltas, ims = [], []
     d = delta0
     while len(deltas) < max_points:
-        lam = eigvals_at(ep.j_star + d)
+        lam = grid.eigvals(ep.j_star + d)
         p, is_pair, gap = _pair_probe(lam, pair, tol_im)
         split = abs(p[0] - p[1])
         if not is_pair or split > gap:
@@ -501,10 +487,13 @@ def write_eps_csv(records: list[EpRecord], path) -> None:
             ])
 
 
-def write_complex_count_csv(parameter: str, values: np.ndarray, counts: list[int], path) -> None:
-    """Columns: value, n_complex."""
+def write_complex_count_csv(parameter: str, values: np.ndarray, counts: list[int], path,
+                            isotropic: int | None = None) -> None:
+    """Columns: value, n_complex, plus n_complex_isotropic (the same count on
+    every row) when an isotropic reference count is given."""
+    extra = [] if isotropic is None else [isotropic]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([parameter, "n_complex"])
+        writer.writerow([parameter, "n_complex"] + (["n_complex_isotropic"] if extra else []))
         for v, c in zip(values, counts):
-            writer.writerow([f"{v:.17g}", c])
+            writer.writerow([f"{v:.17g}", c] + extra)

@@ -36,6 +36,7 @@ from .dynamics import (
 )
 from .ep_analysis import (
     SweepGrid,
+    SweepResult,
     count_complex,
     fit_sqrt_exponent,
     locate_eps,
@@ -107,7 +108,9 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     """Execute every enabled analysis; returns the manifest dictionary.
 
     CSV outputs are deterministic for a fixed config; the manifest includes
-    the config hash, library versions, and per-analysis runtimes.
+    the config hash, library versions, and runtimes per analysis plus the
+    shared stages ``"channel"`` (the configured channel's spectrum) and
+    ``"sweep"`` (the spectra of the ``sweep`` grid).
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -127,15 +130,21 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
         "failures": [],
     }
 
-    needs_channel = {"spectrum", "histogram", "overlaps", "scar_overlaps"}
-    spectrum = None
-    if needs_channel & set(config.analyses):
-        kraus = build_channel(config)
-        spectrum = full_spectrum(analysis_matrix(kraus))
+    analyses = set(config.analyses)
+    spectrum = sweep = None
+    if analyses & {"spectrum", "histogram", "overlaps", "scar_overlaps"}:
+        started = _time.perf_counter()
+        spectrum = full_spectrum(analysis_matrix(build_channel(config)))
+        manifest["runtimes"]["channel"] = round(_time.perf_counter() - started, 3)
+    # one sweep of the configured grid feeds every analysis that reads it
+    if analyses & {"bands", "complex_count", "anisotropy_compare"}:
+        started = _time.perf_counter()
+        sweep = _sweep(config, config.sweep_values(), manifest, "sweep", n_workers)
+        manifest["runtimes"]["sweep"] = round(_time.perf_counter() - started, 3)
 
     for analysis in config.analyses:
         started = _time.perf_counter()
-        files = _run_one(analysis, config, spectrum, out, manifest, n_workers)
+        files = _run_one(analysis, config, spectrum, sweep, out, manifest, n_workers)
         manifest["runtimes"][analysis] = round(_time.perf_counter() - started, 3)
         manifest["outputs"].extend(files)
 
@@ -144,8 +153,20 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     return manifest
 
 
-def _run_one(analysis: str, config: ExperimentConfig, spectrum, out: Path,
-             manifest: dict, n_workers: int) -> list[str]:
+def _sweep(config: ExperimentConfig, values: np.ndarray, manifest: dict, label: str,
+           n_workers: int) -> SweepResult:
+    """Eigenvalues of the swept family on ``values``; failed points are
+    recorded in the manifest under ``label``."""
+    grid = SweepGrid(config.sweep.parameter, values,
+                     spectral_matrix_factory(config, config.sweep.parameter))
+    sweep = sweep_spectrum(grid, n_workers)
+    manifest["failures"].extend(
+        {"analysis": label, "point": i, "error": err} for i, err in sweep.failures)
+    return sweep
+
+
+def _run_one(analysis: str, config: ExperimentConfig, spectrum, sweep: SweepResult | None,
+             out: Path, manifest: dict, n_workers: int) -> list[str]:
     if analysis == "spectrum":
         path = out / "spectrum.csv"
         write_spectrum_csv(spectrum, path)
@@ -165,14 +186,9 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, out: Path,
         return _scar_overlaps(config, spectrum, out)
 
     if analysis in ("complex_count", "anisotropy_compare"):
-        return _complex_counts(analysis, config, out, manifest, n_workers)
+        return _complex_counts(analysis, config, sweep, out)
 
     if analysis == "bands":
-        grid = SweepGrid(config.sweep.parameter, config.sweep_values(),
-                         spectral_matrix_factory(config, config.sweep.parameter))
-        sweep = sweep_spectrum(grid, n_workers)
-        manifest["failures"].extend(
-            {"analysis": "bands", "point": i, "error": err} for i, err in sweep.failures)
         track = track_bands(sweep, select="top_re_decile")
         path = out / "bands.csv"
         write_bands_csv(track, path)
@@ -235,30 +251,26 @@ def _scar_overlaps(config: ExperimentConfig, spectrum, out: Path) -> list[str]:
     return [path.name]
 
 
-def _complex_counts(analysis: str, config: ExperimentConfig, out: Path,
-                    manifest: dict, n_workers: int) -> list[str]:
-    grid = SweepGrid(config.sweep.parameter, config.sweep_values(),
-                     spectral_matrix_factory(config, config.sweep.parameter))
-    sweep = sweep_spectrum(grid, n_workers)
-    manifest["failures"].extend(
-        {"analysis": analysis, "point": i, "error": err} for i, err in sweep.failures)
-    counts = [count_complex(s, tol_im=config.tol_im) if s is not None else -1
-              for s in sweep.spectra]
-    path = out / "complex_count.csv"
+def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,
+                    out: Path) -> list[str]:
+    counts = [count_complex(lam, tol_im=config.tol_im) if lam is not None else -1
+              for lam in sweep.eigenvalues]
+    iso_count = None
     if analysis == "anisotropy_compare":
-        # isotropic reference: the same grid length at the symmetric point
-        iso_params = dict(config.params)
-        iso_value = iso_params.get("jyy", 1.0)
-        iso_kraus = build_channel(config, {config.sweep.parameter: iso_value})
-        iso_count = count_complex(full_spectrum(analysis_matrix(iso_kraus)),
-                                  tol_im=config.tol_im)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([config.sweep.parameter, "n_complex", "n_complex_isotropic"])
-            for v, c in zip(grid.values, counts):
-                writer.writerow([f"{v:.17g}", c, iso_count])
-    else:
-        write_complex_count_csv(config.sweep.parameter, grid.values, counts, path)
+        # isotropic reference: the swept coupling set equal to the other one
+        # (validation admits only jxx/jyy sweeps of the xx model)
+        parameter = config.sweep.parameter
+        other = "jyy" if parameter == "jxx" else "jxx"
+        iso_value = config.params.get(other, getattr(XxParams(), other))
+        on_grid = np.flatnonzero(sweep.grid.values == iso_value)
+        if on_grid.size:
+            iso_count = counts[on_grid[0]]
+        else:
+            iso_kraus = build_channel(config, {parameter: iso_value})
+            iso_count = count_complex(full_spectrum(analysis_matrix(iso_kraus)).eigenvalues,
+                                      tol_im=config.tol_im)
+    path = out / "complex_count.csv"
+    write_complex_count_csv(config.sweep.parameter, sweep.grid.values, counts, path, iso_count)
     return [path.name]
 
 
@@ -266,18 +278,14 @@ def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict,
                  n_workers: int) -> list[str]:
     ep_cfg = config.ep
     values = np.linspace(ep_cfg.start, ep_cfg.stop, ep_cfg.points)
-    grid = SweepGrid(config.sweep.parameter, values,
-                     spectral_matrix_factory(config, config.sweep.parameter))
-    sweep = sweep_spectrum(grid, n_workers)
-    manifest["failures"].extend(
-        {"analysis": "ep", "point": i, "error": err} for i, err in sweep.failures)
+    sweep = _sweep(config, values, manifest, "ep", n_workers)
     track = track_bands(sweep, select="top_re_decile")
-    records = locate_eps(grid, track, resolution=ep_cfg.resolution,
+    records = locate_eps(sweep.grid, track, resolution=ep_cfg.resolution,
                          tol_im=config.tol_im, max_eps=ep_cfg.max_eps)
     fits = {}
     for rec in records:
         try:
-            fit = fit_sqrt_exponent(grid, rec, tol_im=config.tol_im)
+            fit = fit_sqrt_exponent(sweep.grid, rec, tol_im=config.tol_im)
             rec.exponent, rec.fit_r2, rec.fit_points = fit.exponent, fit.r2, len(fit.deltas)
             fits[rec.j_star] = fit
         except ValueError as exc:

@@ -42,7 +42,6 @@ class Spectrum:
     """All eigenmodes of a channel matrix, sorted by |lambda| descending."""
 
     modes: list[EigenMode]
-    form: str
     meta: dict = field(default_factory=dict)
     defectivity_global: float = 0.0
 
@@ -131,7 +130,6 @@ def full_spectrum(sop: SuperoperatorMatrix) -> Spectrum:
         )
     return Spectrum(
         modes=modes,
-        form=sop.form,
         meta=dict(sop.meta),
         defectivity_global=float(1.0 / sigma_min),
     )

@@ -148,7 +148,7 @@ def test_criterion_02_oracle_equivalence(preset_channels, plain_superops):
 
 def test_criterion_03_ergodic_realness(ergodic_reversal_spectrum):
     radius = ergodic_reversal_spectrum.spectral_radius
-    n_complex = count_complex(ergodic_reversal_spectrum, tol_im=1e-6 * radius)
+    n_complex = count_complex(ergodic_reversal_spectrum.eigenvalues, tol_im=1e-6 * radius)
     assert n_complex == 0
     report(3, "symmetry-constrained channel has an entirely real spectrum (tol 1e-6)")
 
@@ -234,8 +234,10 @@ def test_criterion_07_ep_pipeline(fig4_grid, fig4_eps):
     good = [r for r in records if r.exponent is not None and abs(r.exponent - 0.5) <= 0.1]
     assert good, f"no clean sqrt splitting among {[(r.j_star, r.exponent) for r in records]}"
 
-    at0 = count_complex(full_spectrum(analysis_matrix(build_channel(config, {"jxxx": 0.0}))))
-    at01 = count_complex(full_spectrum(analysis_matrix(build_channel(config, {"jxxx": 0.1}))))
+    at0 = count_complex(
+        full_spectrum(analysis_matrix(build_channel(config, {"jxxx": 0.0}))).eigenvalues)
+    at01 = count_complex(
+        full_spectrum(analysis_matrix(build_channel(config, {"jxxx": 0.1}))).eigenvalues)
     assert at0 == 0 and at01 > 0
     report(7, f"analytic EP at {rec.j_star:.5f} (exp {fit.exponent:.3f}); preset EPs "
               f"{[round(r.j_star, 5) for r in records]} with exponents "
@@ -418,7 +420,7 @@ def test_criterion_13_anisotropy_ep_count():
 
     grid = SweepGrid("jxx", config.sweep_values(), spectral_matrix_factory(config, "jxx"))
     sweep = sweep_spectrum(grid)
-    counts = [count_complex(s) for s in sweep.spectra]
+    counts = [count_complex(lam) for lam in sweep.eigenvalues]
     births = sum(max(0, b - a) // 2 for a, b in zip(counts, counts[1:]))
     iso_count = counts[0]  # grid starts at the symmetric point
     aniso_count = counts[-1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from conftest import make_channel, random_density_matrix, swap_unitary
 from resetchannel.channel import (
@@ -190,6 +191,23 @@ class TestSuperoperator:
         expected = np.sort(np.concatenate([s ** 2, s[a] * s[b], -s[a] * s[b]]))
         assert np.max(np.abs(np.sort(lam.real) - expected)) <= 1e-12
         assert np.max(np.abs(lam.imag)) <= 1e-12
+
+    @pytest.mark.parametrize("jxx", [1.0, 0.9, 0.8])
+    def test_xx_parity_sectors(self, jxx):
+        # Every xx term flips 0 or 2 spins, so the channel keeps the parity of
+        # popcount(i) + popcount(j) of |i><j|: two decoupled equal sectors.
+        mat = analysis_matrix(build_channel(preset_config("fig9"), {"jxx": jxx})).mat
+        pop = np.array([bin(i).count("1") for i in range(int(round(np.sqrt(len(mat)))))])
+        parity = ((pop[:, None] + pop[None, :]) % 2).reshape(-1)
+        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+        assert len(even) == len(odd) == 128
+        assert np.max(np.abs(mat[np.ix_(even, odd)])) <= 1e-12
+        assert np.max(np.abs(mat[np.ix_(odd, even)])) <= 1e-12
+        sectors = np.concatenate([np.linalg.eigvals(mat[np.ix_(idx, idx)])
+                                  for idx in (even, odd)])
+        full = np.linalg.eigvals(mat)
+        rows, cols = linear_sum_assignment(np.abs(full[:, None] - sectors[None, :]))
+        assert np.max(np.abs(full[rows] - sectors[cols])) <= 1e-10
 
     def test_transpose_swap_involution(self):
         s = transpose_swap(3)

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from resetchannel import runner
 from resetchannel.cli import main
 from resetchannel.config import (
     ConfigError,
@@ -11,8 +13,10 @@ from resetchannel.config import (
     preset_config,
     validate_config,
 )
+from resetchannel.ep_analysis import count_complex
 from resetchannel.plots import emit_plots
-from resetchannel.runner import run_experiment
+from resetchannel.runner import analysis_matrix, build_channel, run_experiment
+from resetchannel.spectra import full_spectrum
 
 TINY_CONFIG = {
     "name": "tiny",
@@ -82,6 +86,36 @@ class TestValidation:
         with pytest.raises(ConfigError, match="config.tolerances"):
             validate_config(dict(TINY_CONFIG, tolerances={"tol_re": 1.0}))
 
+    @pytest.mark.parametrize("raw, path", [
+        (dict(TINY_CONFIG, analyses=["bands"]), "config.sweep"),
+        (dict(TINY_CONFIG, analyses=["complex_count"]), "config.sweep"),
+        (dict(TINY_CONFIG, analyses=["ep"]), "config.ep"),
+        (dict(TINY_CONFIG, analyses=["qmi"]), "config.qmi"),
+        (dict(TINY_CONFIG, analyses=["phase"]), "config.phase"),
+        (dict(TINY_CONFIG, qmi={"n_k": 2, "cases": [{"name": "c", "jxxx": 1.0, "jz": 0.1}]}),
+         "config.qmi"),
+        ({"model": "pxp", "layout": {"n_s": 2, "n_b": 2}, "time": 10.0,
+          "params": {"omega_rabi": 1.0}, "analyses": ["phase"],
+          "phase": {"parameter": "jz", "start": 0.1, "stop": 1.0, "points": 3, "n_k": 2}},
+         "config.phase.parameter"),
+    ], ids=["bands-no-sweep", "complex-count-no-sweep", "ep-no-ep", "qmi-no-qmi",
+            "phase-no-phase", "qmi-on-aah", "phase-on-pxp"])
+    def test_config_that_cannot_run_is_rejected(self, raw, path):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
+            validate_config(raw)
+
+    @pytest.mark.parametrize("model, params, sweep", [
+        ("xxx", {"jxxx": 0.0}, {"parameter": "jxxx", "start": 0.0, "stop": 0.2, "points": 3}),
+        ("xx", {"jxx": 0.8}, {"parameter": "jz", "start": 0.1, "stop": 0.3, "points": 3}),
+        ("xx", {"jxx": 0.8}, None),
+    ], ids=["xxx-jxxx-sweep", "xx-jz-sweep", "xx-no-sweep"])
+    def test_anisotropy_compare_needs_xx_coupling_sweep(self, model, params, sweep):
+        raw = dict(XX_CONFIG, model=model, params=params, sweep=sweep)
+        if sweep is None:
+            del raw["sweep"]
+        with pytest.raises(ConfigError, match=r"^config\.sweep"):
+            validate_config(raw)
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"model": "aah",\n  broken\n}')
@@ -116,6 +150,53 @@ SWEEP_CONFIG = {
     "analyses": ["complex_count", "bands"],
     "sweep": {"parameter": "jxxx", "start": 0.0, "stop": 0.2, "points": 5},
 }
+
+
+# fig9's analyses on a 2+2 chain; at t=10 the isotropic point jyy = jxx is
+# fully real while jyy = 1.0 has 8 complex eigenvalues
+XX_CONFIG = {
+    "name": "tinyxx",
+    "model": "xx",
+    "layout": {"n_s": 2, "n_b": 2},
+    "time": 10.0,
+    "params": {"jxx": 0.8, "jyy": 1.0, "jzz": 0.1, "jz": 0.1},
+    "analyses": ["anisotropy_compare", "bands"],
+    "sweep": {"parameter": "jyy", "start": 0.95, "stop": 0.55, "points": 5},
+}
+
+
+class TestSharedSweep:
+    def test_one_channel_build_per_grid_point(self, tmp_path, monkeypatch):
+        calls = []
+        original = runner.build_channel
+        monkeypatch.setattr(runner, "build_channel",
+                            lambda *args: calls.append(args) or original(*args))
+        # the grid starts at the isotropic point jxx = jyy
+        raw = dict(XX_CONFIG, params=dict(XX_CONFIG["params"], jyy=0.8),
+                   sweep={"parameter": "jxx", "start": 0.8, "stop": 1.0, "points": 5})
+        run_experiment(validate_config(raw), tmp_path)
+        assert len(calls) == 5
+        rows = (tmp_path / "complex_count.csv").read_text().splitlines()
+        assert rows[0] == "jxx,n_complex,n_complex_isotropic"
+        assert rows[1] == "0.80000000000000004,0,0"
+        assert all(row.endswith(",0") for row in rows[1:])
+
+    def test_isotropic_reference_off_grid_jyy_sweep(self, tmp_path):
+        config = validate_config(XX_CONFIG)
+        run_experiment(config, tmp_path)
+        iso = count_complex(full_spectrum(analysis_matrix(
+            build_channel(config, {"jyy": 0.8}))).eigenvalues)
+        assert iso == 0
+        rows = (tmp_path / "complex_count.csv").read_text().splitlines()[1:]
+        assert len(rows) == 5
+        assert all(row.split(",")[2] == "0" for row in rows)
+        assert any(int(row.split(",")[1]) > 0 for row in rows)
+
+    def test_manifest_times_shared_stages(self, tmp_path):
+        raw = dict(SWEEP_CONFIG, analyses=["spectrum", "complex_count", "bands"])
+        manifest = run_experiment(validate_config(raw), tmp_path)
+        assert {"channel", "sweep", "spectrum", "complex_count", "bands"} <= set(
+            manifest["runtimes"])
 
 
 class TestCli:

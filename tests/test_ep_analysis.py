@@ -41,8 +41,8 @@ class TestSweep:
         grid = SweepGrid("j", np.linspace(0.01, 0.09, 5), build)
         s1 = sweep_spectrum(grid)
         s2 = sweep_spectrum(grid)
-        for a, b in zip(s1.spectra, s2.spectra):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        for a, b in zip(s1.eigenvalues, s2.eigenvalues):
+            assert np.array_equal(a, b)
 
     def test_failures_recorded_and_sweep_continues(self):
         def build(j):
@@ -54,15 +54,15 @@ class TestSweep:
         result = sweep_spectrum(grid)
         assert len(result.failures) == 1
         assert result.failures[0][0] == 5
-        assert sum(s is None for s in result.spectra) == 1
+        assert sum(s is None for s in result.eigenvalues) == 1
 
     def test_threaded_matches_serial(self):
         build = analytic_family()
         grid = SweepGrid("j", np.linspace(0.01, 0.09, 9), build)
         serial = sweep_spectrum(grid, n_workers=1)
         threaded = sweep_spectrum(grid, n_workers=4)
-        for a, b in zip(serial.spectra, threaded.spectra):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        for a, b in zip(serial.eigenvalues, threaded.eigenvalues):
+            assert np.array_equal(a, b)
 
 
 class TestTrackBands:
@@ -124,10 +124,10 @@ class TestPhysicalSweep:
         grid = SweepGrid("jxxx", np.array([0.0, 0.05, 0.1]), chain_grid)
         sweep = sweep_spectrum(grid)
         assert not sweep.failures
-        assert all(s.dim == 64 for s in sweep.spectra)
+        assert all(s.size == 64 for s in sweep.eigenvalues)
         # the symmetric point is entirely real; chaos admits conjugate pairs
-        assert count_complex(sweep.spectra[0]) == 0
-        assert count_complex(sweep.spectra[2]) > 0
+        assert count_complex(sweep.eigenvalues[0]) == 0
+        assert count_complex(sweep.eigenvalues[2]) > 0
 
     def test_matching_distance_shrinks_under_grid_refinement(self, chain_grid):
         # spectrum continuity: with optimal assignment the largest matched
@@ -145,16 +145,16 @@ class TestCountComplex:
     def test_hand_built(self):
         sop = SuperoperatorMatrix(np.diag([1.0, 0.5j, -0.5j, 0.1]).astype(complex),
                                   meta={"bath_dim": 2})
-        assert count_complex(full_spectrum(sop)) == 2
+        assert count_complex(full_spectrum(sop).eigenvalues) == 2
 
     def test_odd_count_warns(self):
         sop = SuperoperatorMatrix(np.diag([1.0, 0.5j, 0.1, 0.1]).astype(complex),
                                   meta={"bath_dim": 2})
         with pytest.warns(RuntimeWarning, match="odd"):
-            count_complex(full_spectrum(sop))
+            count_complex(full_spectrum(sop).eigenvalues)
 
     def test_ergodic_channel_is_fully_real(self, ergodic_reversal_spectrum):
-        assert count_complex(ergodic_reversal_spectrum) == 0
+        assert count_complex(ergodic_reversal_spectrum.eigenvalues) == 0
 
 
 class TestLocateEps:
@@ -183,6 +183,22 @@ class TestLocateEps:
         grid = SweepGrid("j", np.linspace(0.01, 0.05, 5), build)
         track = track_bands(sweep_spectrum(grid))
         assert locate_eps(grid, track) == []
+
+    def test_bisection_and_fit_share_the_grid_cache(self):
+        probed = []
+        build = analytic_family(gap=0.05)
+
+        def counting_build(j):
+            probed.append(j)
+            return build(j)
+
+        grid = SweepGrid("j", np.linspace(0.03, 0.07, 5), counting_build)
+        track = track_bands(sweep_spectrum(grid))
+        probed.clear()
+        rec = locate_eps(grid, track, resolution=1e-5)[0]
+        fit_sqrt_exponent(grid, rec)
+        assert probed
+        assert len(probed) == len(set(probed))
 
     def test_sqrt_exponent_on_analytic_family(self):
         gap = 0.05
