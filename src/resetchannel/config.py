@@ -253,13 +253,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
         _expect(sec["parameter"] == "jz", f"{path}.parameter", "only jz scans are supported")
         _expect("jz" in _PARAM_KEYS[model], f"{path}.parameter",
                 f"model {model!r} has no field 'jz' to scan")
+        log_grid = sec.get("log_grid", True)
+        _expect(isinstance(log_grid, bool), f"{path}.log_grid",
+                f"must be true or false, got {log_grid!r}")
         phase = PhaseSection(
             parameter=sec["parameter"],
             start=_number(sec, "start", path, positive=True),
             stop=_number(sec, "stop", path, positive=True),
             points=_integer(sec, "points", path, 3),
             n_k=_integer(sec, "n_k", path, 1),
-            log_grid=bool(sec.get("log_grid", True)),
+            log_grid=log_grid,
         )
 
     sections = {"sweep": sweep, "ep": ep, "qmi": qmi, "phase": phase}

@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.linalg import ArpackError, eigs
 
 from .channel import SuperoperatorMatrix
 from .spectra import full_spectrum
@@ -20,10 +21,59 @@ from .spectra import full_spectrum
 EP_TOL_FACTOR = 1e-6         # looser than the realness tolerance: splitting is gradual
 DEFAULT_RESOLUTION = 1e-4
 MAX_BISECTIONS = 64
+PROBE_MODES = 6              # eigenvalues a shift-invert probe solves for
 
 
 class JordanChainError(RuntimeError):
     """Requested chain extends past the numerical Jordan block."""
+
+
+@dataclass
+class _Solved:
+    """Eigenvalues solved at one parameter value: either the whole spectrum
+    (``sigma`` is None) or the ``PROBE_MODES`` nearest ``sigma``, which all
+    lie within ``radius`` of it while every other eigenvalue lies at least
+    ``radius`` away."""
+
+    lam: np.ndarray
+    sigma: complex | None = None
+    radius: float = 0.0
+
+    def pair_probe(self, guess: np.ndarray, tol_im: float):
+        """:func:`_pair_probe` on these eigenvalues, or None when they cannot
+        prove that the whole spectrum gives the same answer.
+
+        The proof is geometric: every mode at least as close to ``guess[0]``
+        as the chosen ``a`` (to ``guess[1]`` as ``b``, to the pair's midpoint
+        as the gap) lies inside the solved disc, so it was solved.
+        """
+        result = _pair_probe(self.lam, guess, tol_im)
+        if self.sigma is None:
+            return result
+        (a, b), _, gap = result
+        s, r = self.sigma, self.radius
+        certified = (abs(guess[0] - s) + abs(a - guess[0]) < r
+                     and abs(guess[1] - s) + abs(b - guess[1]) < r
+                     and abs(0.5 * (a + b) - s) + gap < r)
+        return result if certified else None
+
+
+def _near_solve(mat: np.ndarray, sigma: complex) -> _Solved | None:
+    """The ``PROBE_MODES`` eigenvalues of ``mat`` nearest ``sigma``, by
+    shift-invert Arnoldi (ARPACK); None when the matrix is too small for
+    ARPACK (it needs k < n - 1) or the solve fails."""
+    n = mat.shape[0]
+    if n <= PROBE_MODES + 2:
+        return None
+    # a fixed start vector: ARPACK's own random state persists across calls
+    v0 = np.random.default_rng(0).standard_normal((2, n)).T @ np.array([1.0, 1.0j])
+    try:
+        lam = eigs(mat, k=PROBE_MODES, sigma=sigma, v0=v0, return_eigenvectors=False)
+    except ArpackError:  # includes ArpackNoConvergence
+        return None
+    if not np.all(np.isfinite(lam)):
+        return None
+    return _Solved(lam, sigma, float(np.max(np.abs(lam - sigma))))
 
 
 @dataclass
@@ -32,14 +82,18 @@ class SweepGrid:
 
     ``build`` maps a parameter value to the matrix whose spectrum is swept
     (the reversal-form channel matrix for the physical presets). The grid
-    memoizes :meth:`eigvals`, so the EP bisection and the sqrt fit on one
-    grid never solve the same parameter value twice.
+    memoizes what it solved at each value for :meth:`probe` and
+    :meth:`eigvals`, so the EP bisection and the sqrt fit on one grid share
+    their solves; ``probe_counts`` tallies the probes answered from a
+    shift-invert solve (``"near"``) and from a full spectrum (``"full"``).
     """
 
     parameter: str
     values: np.ndarray
     build: Callable[[float], np.ndarray]
-    _eigvals: dict[float, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    probe_counts: dict[str, int] = field(
+        default_factory=lambda: {"near": 0, "full": 0}, init=False, repr=False)
+    _solved: dict[float, _Solved] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -49,12 +103,40 @@ class SweepGrid:
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sweep values must be strictly monotone")
 
+    def _matrix(self, key: float) -> np.ndarray:
+        return np.asarray(self.build(key), dtype=complex)
+
     def eigvals(self, value: float) -> np.ndarray:
-        """Eigenvalues of ``build(value)``, solved once per value."""
+        """All eigenvalues of ``build(value)``, solved once per value."""
         key = float(value)
-        if key not in self._eigvals:
-            self._eigvals[key] = np.linalg.eigvals(np.asarray(self.build(key), dtype=complex))
-        return self._eigvals[key]
+        solved = self._solved.get(key)
+        if solved is None or solved.sigma is not None:
+            solved = self._solved[key] = _Solved(np.linalg.eigvals(self._matrix(key)))
+        return solved.lam
+
+    def probe(self, value: float, guess: np.ndarray, tol_im: float):
+        """:func:`_pair_probe` of the full spectrum at ``value``, served from
+        the eigenvalues nearest the guessed pair.
+
+        A shift-invert Arnoldi solve at sigma = mean(guess) is used when it
+        certifies the answer (:meth:`_Solved.pair_probe`); otherwise, and when
+        ARPACK fails, the full ``eigvals`` of the same matrix answers. A
+        repeat probe is served from the memo when that certifies for the new
+        guess, and is solved afresh otherwise.
+        """
+        key = float(value)
+        solved = self._solved.get(key)
+        result = None if solved is None else solved.pair_probe(guess, tol_im)
+        if result is None:
+            mat = self._matrix(key)
+            solved = _near_solve(mat, complex(np.mean(guess)))
+            result = None if solved is None else solved.pair_probe(guess, tol_im)
+            if result is None:
+                solved = _Solved(np.linalg.eigvals(mat))
+                result = solved.pair_probe(guess, tol_im)
+            self._solved[key] = solved
+        self.probe_counts["full" if solved.sigma is None else "near"] += 1
+        return result
 
 
 @dataclass
@@ -187,10 +269,16 @@ def track_bands(sweep: SweepResult, select: str = "all", method: str = "greedy")
     return BandTrack(sweep.grid.parameter, sweep.grid.values.copy(), bands, dists, select)
 
 
+def split_tolerance(lam: np.ndarray) -> float:
+    """Default |Im lambda| above which a mode counts as split off the real
+    axis: ``EP_TOL_FACTOR`` times the largest |lambda| in ``lam``."""
+    return EP_TOL_FACTOR * float(np.max(np.abs(lam)))
+
+
 def count_complex(lam: np.ndarray, tol_im: float | None = None) -> int:
     """Number of eigenvalues with |Im| above tolerance; even by conjugate
     closure (an odd count is flagged as an anomaly)."""
-    tol = EP_TOL_FACTOR * float(np.max(np.abs(lam))) if tol_im is None else tol_im
+    tol = split_tolerance(lam) if tol_im is None else tol_im
     n = int(np.sum(np.abs(lam.imag) > tol))
     if n % 2:
         warnings.warn(f"odd complex count {n}; conjugate pairing is broken", RuntimeWarning)
@@ -225,7 +313,7 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float = DEFAULT_RE
     ``resolution``.
     """
     if tol_im is None:
-        tol_im = EP_TOL_FACTOR * float(np.max(np.abs(track.bands[0])))
+        tol_im = split_tolerance(track.bands[0])
     records: list[EpRecord] = []
     for g in range(len(track.grid_values) - 1):
         newly = [
@@ -248,7 +336,7 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float = DEFAULT_RE
             paired |= {k, partner}
             pair = np.array([track.bands[g + 1, k], track.bands[g + 1, partner]])
             rec = _bisect_pair(
-                grid.eigvals, float(track.grid_values[g]), float(track.grid_values[g + 1]),
+                grid.probe, float(track.grid_values[g]), float(track.grid_values[g + 1]),
                 pair, tol_im, resolution, track.parameter, (k, partner),
             )
             records.append(rec)
@@ -257,7 +345,7 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float = DEFAULT_RE
     return records
 
 
-def _bisect_pair(eigvals_at, lo: float, hi: float, pair_hi: np.ndarray, tol_im: float,
+def _bisect_pair(probe, lo: float, hi: float, pair_hi: np.ndarray, tol_im: float,
                  resolution: float, parameter: str, band_pair: tuple[int, int]) -> EpRecord:
     pair = pair_hi.copy()
     converged = True
@@ -265,7 +353,7 @@ def _bisect_pair(eigvals_at, lo: float, hi: float, pair_hi: np.ndarray, tol_im: 
         if hi - lo <= resolution:
             break
         mid = 0.5 * (lo + hi)
-        p, is_pair, _ = _pair_probe(eigvals_at(mid), pair, tol_im)
+        p, is_pair, _ = probe(mid, pair, tol_im)
         if is_pair:
             hi, pair = mid, p
         else:
@@ -299,13 +387,12 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float | None = None
     if delta0 is None:
         delta0 = 30.0 * bracket_width
     if tol_im is None:
-        tol_im = EP_TOL_FACTOR * float(np.max(np.abs(grid.eigvals(ep.bracket[1]))))
+        tol_im = split_tolerance(grid.eigvals(ep.bracket[1]))
     pair = np.array([ep.lambda_star, np.conj(ep.lambda_star)])
     deltas, ims = [], []
     d = delta0
     while len(deltas) < max_points:
-        lam = grid.eigvals(ep.j_star + d)
-        p, is_pair, gap = _pair_probe(lam, pair, tol_im)
+        p, is_pair, gap = grid.probe(ep.j_star + d, pair, tol_im)
         split = abs(p[0] - p[1])
         if not is_pair or split > gap:
             break

@@ -40,6 +40,7 @@ from .ep_analysis import (
     count_complex,
     fit_sqrt_exponent,
     locate_eps,
+    split_tolerance,
     sweep_spectrum,
     track_bands,
     write_bands_csv,
@@ -280,17 +281,20 @@ def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict,
     values = np.linspace(ep_cfg.start, ep_cfg.stop, ep_cfg.points)
     sweep = _sweep(config, values, manifest, "ep", n_workers)
     track = track_bands(sweep, select="top_re_decile")
+    # the fit reuses the bisection's tolerance, so it needs no full solve
+    tol_im = split_tolerance(track.bands[0]) if config.tol_im is None else config.tol_im
     records = locate_eps(sweep.grid, track, resolution=ep_cfg.resolution,
-                         tol_im=config.tol_im, max_eps=ep_cfg.max_eps)
+                         tol_im=tol_im, max_eps=ep_cfg.max_eps)
     fits = {}
     for rec in records:
         try:
-            fit = fit_sqrt_exponent(sweep.grid, rec, tol_im=config.tol_im)
+            fit = fit_sqrt_exponent(sweep.grid, rec, tol_im=tol_im)
             rec.exponent, rec.fit_r2, rec.fit_points = fit.exponent, fit.r2, len(fit.deltas)
             fits[rec.j_star] = fit
         except ValueError as exc:
             manifest["failures"].append(
                 {"analysis": "ep", "j_star": rec.j_star, "error": str(exc)})
+    manifest["ep_probes"] = dict(sweep.grid.probe_counts)
     path = out / "eps.csv"
     write_eps_csv(records, path)
     fit_path = out / "ep_fit_points.csv"

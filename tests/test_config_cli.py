@@ -13,7 +13,7 @@ from resetchannel.config import (
     preset_config,
     validate_config,
 )
-from resetchannel.ep_analysis import count_complex
+from resetchannel.ep_analysis import SweepGrid, count_complex
 from resetchannel.plots import emit_plots
 from resetchannel.runner import analysis_matrix, build_channel, run_experiment
 from resetchannel.spectra import full_spectrum
@@ -98,8 +98,12 @@ class TestValidation:
           "params": {"omega_rabi": 1.0}, "analyses": ["phase"],
           "phase": {"parameter": "jz", "start": 0.1, "stop": 1.0, "points": 3, "n_k": 2}},
          "config.phase.parameter"),
+        (dict(TINY_CONFIG, analyses=["phase"],
+              phase={"parameter": "jz", "start": 0.1, "stop": 1.0, "points": 3, "n_k": 2,
+                     "log_grid": "false"}),
+         "config.phase.log_grid"),
     ], ids=["bands-no-sweep", "complex-count-no-sweep", "ep-no-ep", "qmi-no-qmi",
-            "phase-no-phase", "qmi-on-aah", "phase-on-pxp"])
+            "phase-no-phase", "qmi-on-aah", "phase-on-pxp", "phase-log-grid-string"])
     def test_config_that_cannot_run_is_rejected(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
             validate_config(raw)
@@ -197,6 +201,23 @@ class TestSharedSweep:
         manifest = run_experiment(validate_config(raw), tmp_path)
         assert {"channel", "sweep", "spectrum", "complex_count", "bands"} <= set(
             manifest["runtimes"])
+
+
+class TestEpPipeline:
+    def test_manifest_counts_ep_probes(self, tmp_path, monkeypatch):
+        probes = []
+        original = SweepGrid.probe
+        monkeypatch.setattr(SweepGrid, "probe",
+                            lambda *args: probes.append(args[1]) or original(*args))
+        raw = dict(SWEEP_CONFIG, layout={"n_s": 3, "n_b": 3}, time=50.0, analyses=["ep"],
+                   ep={"start": 0.0, "stop": 0.1, "points": 11, "resolution": 1e-6,
+                       "max_eps": 2})
+        manifest = run_experiment(validate_config(raw), tmp_path)
+        assert not manifest["failures"]
+        counts = manifest["ep_probes"]
+        assert set(counts) == {"near", "full"}
+        assert counts["near"] > 0
+        assert counts["near"] + counts["full"] == len(probes)
 
 
 class TestCli:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigs
 
 from resetchannel.channel import SuperoperatorMatrix
 from resetchannel.ep_analysis import (
+    PROBE_MODES,
     EpRecord,
     JordanChainError,
     SweepGrid,
@@ -15,6 +17,7 @@ from resetchannel.ep_analysis import (
     locate_eps,
     sweep_spectrum,
     track_bands,
+    _pair_probe,
 )
 from resetchannel.spectra import full_spectrum
 
@@ -27,6 +30,28 @@ def analytic_family(level=0.5, gap=0.05):
         return np.array([[level + gap, j], [-j, level - gap]], dtype=complex)
 
     return build
+
+
+def random_family(n=24, seed=3):
+    """Real non-normal family A + j B: conjugate pairs form and split as j
+    varies."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2, n, n)) / np.sqrt(n)
+    return lambda j: (a + j * b).astype(complex)
+
+
+def assert_probe_matches_full_solve(grid, value, guess, tol_im, full=None):
+    """``grid.probe`` agrees with :func:`_pair_probe` on the full spectrum
+    ``full`` (default: eigvals of ``grid.build(value)``)."""
+    pair, is_pair, gap = grid.probe(value, guess, tol_im)
+    if full is None:
+        full = np.linalg.eigvals(grid.build(value))
+    want_pair, want_is_pair, want_gap = _pair_probe(full, guess, tol_im)
+    assert is_pair == want_is_pair
+    assert abs(gap - want_gap) <= 1e-10
+    assert min(np.max(np.abs(pair - want_pair)),
+               np.max(np.abs(pair[::-1] - want_pair))) <= 1e-10
+    return is_pair
 
 
 class TestSweep:
@@ -230,6 +255,116 @@ class TestLocateEps:
         rec = EpRecord("j", 0.0, 0.45 + 0j, (0, 1), (0.0, 1e-6))
         with pytest.raises(ValueError, match="probe points"):
             fit_sqrt_exponent(grid, rec)
+
+
+class TestProbe:
+    def test_matches_full_eigvals_on_fig4_ep_grid(self):
+        from resetchannel.config import preset_config
+        from resetchannel.runner import spectral_matrix_factory
+
+        config = preset_config("fig4")
+        grid = SweepGrid("jxxx", np.linspace(config.ep.start, config.ep.stop, config.ep.points),
+                         spectral_matrix_factory(config, "jxxx"))
+        # two EPs of the shipped preset, probed as the bisection and the fit
+        # do: below the EP, and on the fit's ladder above it
+        verdicts = []
+        for j_star, lam_star in ((0.0025181274414062494, 0.52380340422807348),
+                                 (0.0034303588867187502, 0.46350063105477501)):
+            guess = np.array([lam_star, lam_star], dtype=complex)
+            for d in (-1e-5, 3.7e-6, 1.5e-5, 6e-5):
+                verdicts.append(
+                    assert_probe_matches_full_solve(grid, j_star + d, guess, 1e-6))
+        assert any(verdicts) and not all(verdicts)
+        assert grid.probe_counts == {"near": 8, "full": 0}
+
+    def test_matches_full_eigvals_on_random_family(self):
+        build = random_family()
+        # generic guesses: a guess exactly equidistant from two conjugate
+        # modes is a tie that either solve breaks by its storage order
+        rng = np.random.default_rng(7)
+        verdicts, counts = [], {"near": 0, "full": 0}
+        for j in (0.0, 0.3, 0.6):
+            lam = np.linalg.eigvals(build(j - 0.01))
+            for mu in lam:
+                nearest = lam[np.argsort(np.abs(lam - mu))[1]]
+                for guess in ([mu, np.conj(mu)], [mu, nearest]):
+                    guess = np.array(guess) + 1e-3 * (rng.random(2) + 1j * rng.random(2))
+                    grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
+                    verdicts.append(assert_probe_matches_full_solve(grid, j, guess, 1e-6))
+                    counts = {k: counts[k] + grid.probe_counts[k] for k in counts}
+        assert any(verdicts) and not all(verdicts)
+        # widely split pairs cannot be certified from their midpoint
+        assert counts["near"] > 0 and counts["full"] > 0
+
+    def test_repeat_probe_served_from_memo_when_certified(self):
+        built = []
+        family = random_family()
+
+        def build(j):
+            built.append(j)
+            return family(j)
+
+        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
+        full = np.linalg.eigvals(family(0.3))
+        close = full[np.argsort(np.abs(full - full[0]))[:2]]
+        assert_probe_matches_full_solve(grid, 0.3, close, 1e-6, full)
+        assert_probe_matches_full_solve(grid, 0.3, close[::-1], 1e-6, full)
+        assert len(built) == 1
+        assert grid.probe_counts == {"near": 2, "full": 0}
+        # a guess the stored modes cannot certify is solved afresh
+        far = full[np.argsort(np.abs(full - close[0]))[-2:]]
+        assert_probe_matches_full_solve(grid, 0.3, far, 1e-6, full)
+        assert len(built) == 2
+
+    def test_small_matrix_falls_back_to_full_solve(self):
+        build = random_family(n=PROBE_MODES + 2)
+        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
+        lam = np.linalg.eigvals(build(0.5))
+        assert_probe_matches_full_solve(grid, 0.5, lam[:2], 1e-6)
+        assert grid.probe_counts == {"near": 0, "full": 1}
+
+    def test_uncertified_guess_falls_back_to_full_solve(self):
+        # a guess spanning the whole spectrum: its midpoint's nearest modes
+        # cannot prove which modes lie nearest the two far-apart guesses
+        build = random_family()
+        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
+        lam = np.linalg.eigvals(build(0.5))
+        guess = np.array([lam[np.argmin(lam.real)], lam[np.argmax(lam.real)]])
+        assert_probe_matches_full_solve(grid, 0.5, guess, 1e-6)
+        assert grid.probe_counts == {"near": 0, "full": 1}
+
+    def test_gap_neighbour_outside_solved_disc_falls_back(self):
+        # the guess sits 0.1 right of the pair, so the solved disc (the six
+        # modes nearest 0.6) misses the mode at 0.33 that sets the pair's gap
+        lam = np.array([0.5 + 0.01j, 0.5 - 0.01j, 0.72, 0.73, 0.74, 0.75, 0.33,
+                        -0.3, -0.4, -0.5, -0.6, -0.7])
+        rng = np.random.default_rng(11)
+        s = np.eye(lam.size) + 0.1 * rng.standard_normal((lam.size, lam.size))
+        mat = s @ np.diag(lam) @ np.linalg.inv(s)
+        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), lambda j: mat)
+        _, is_pair, gap = grid.probe(0.5, lam[:2] + 0.1, 1e-6)
+        assert is_pair and abs(gap - 0.17) < 1e-10
+        assert grid.probe_counts == {"near": 0, "full": 1}
+
+    def test_bisection_and_fit_are_deterministic(self, chain_grid):
+        def run():
+            grid = SweepGrid("jxxx", np.linspace(0.0, 0.1, 11), chain_grid)
+            track = track_bands(sweep_spectrum(grid), select="top_re_decile")
+            records = locate_eps(grid, track, resolution=1e-6, max_eps=2)
+            fits = [fit_sqrt_exponent(grid, rec) for rec in records]
+            assert grid.probe_counts["near"] > 0
+            return records, fits
+
+        records, fits = run()
+        assert len(records) == 2
+        # an unrelated ARPACK solve moves ARPACK's own random state
+        eigs(random_family(n=30)(0.0), k=3, return_eigenvectors=False)
+        again, fits_again = run()
+        assert again == records
+        for a, b in zip(fits, fits_again):
+            assert (a.exponent, a.r2) == (b.exponent, b.r2)
+            assert np.array_equal(a.deltas, b.deltas)
+            assert np.array_equal(a.im_values, b.im_values)
 
 
 class TestJordan:
