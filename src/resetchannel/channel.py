@@ -24,10 +24,13 @@ class CompletenessError(RuntimeError):
 
 @dataclass
 class Propagator:
-    """Unitary evolution operator for one Floquet period."""
+    """Unitary evolution operator for one Floquet period, with the energies
+    and eigenvectors of the Hamiltonian it was made from, when known."""
 
     u: DenseOperator
     t: float
+    hamiltonian_eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False)
 
     def __post_init__(self):
         dev = np.linalg.norm(self.u.mat.conj().T @ self.u.mat - np.eye(self.u.dim))
@@ -37,12 +40,19 @@ class Propagator:
 
 @dataclass
 class KrausSet:
-    """System-space Kraus operators of the bath-reset channel."""
+    """System-space Kraus operators of the bath-reset channel.
+
+    ``hamiltonian_eigensystem`` holds the joint Hamiltonian's energies and
+    eigenvectors where the builder attaches them (``runner.build_channel``
+    does for the configured channel).
+    """
 
     ops: list[np.ndarray]
     layout: ChainLayout
     bath_reset_index: int = 0
     meta: dict = field(default_factory=dict)
+    hamiltonian_eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -79,7 +89,7 @@ def propagate(h: DenseOperator, t: float) -> Propagator:
     """exp(-i H t) via the Hermitian eigensystem."""
     vals, vecs = hermitian_eigensystem(h)
     u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-    return Propagator(DenseOperator(u, h.basis), t)
+    return Propagator(DenseOperator(u, h.basis), t, (vals, vecs))
 
 
 def kraus_from_unitary(prop: Propagator, layout: ChainLayout, reset_index: int = 0) -> KrausSet:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -15,8 +16,9 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import ArpackError, eigs
 
-from .channel import SuperoperatorMatrix
-from .spectra import full_spectrum
+# full_spectrum is not called here; the benchmark's span tracer
+# (benchmarks/spans.py) wraps it under this module's name
+from .spectra import full_spectrum, sorted_eig  # noqa: F401
 
 EP_TOL_FACTOR = 1e-6         # looser than the realness tolerance: splitting is gradual
 DEFAULT_RESOLUTION = 1e-4
@@ -94,6 +96,8 @@ class SweepGrid:
     probe_counts: dict[str, int] = field(
         default_factory=lambda: {"near": 0, "full": 0}, init=False, repr=False)
     _solved: dict[float, _Solved] = field(default_factory=dict, init=False, repr=False)
+    _sharing: bool = field(default=False, init=False, repr=False)
+    _last: tuple[float, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -104,7 +108,23 @@ class SweepGrid:
             raise ValueError("sweep values must be strictly monotone")
 
     def _matrix(self, key: float) -> np.ndarray:
-        return np.asarray(self.build(key), dtype=complex)
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
+        self._last = None  # never hold two matrices
+        mat = np.asarray(self.build(key), dtype=complex)
+        if self._sharing:
+            self._last = (key, mat)
+        return mat
+
+    @contextmanager
+    def _shared_builds(self):
+        """Within this block, solves at the value last built reuse its
+        matrix; at most one matrix is held, and only until the block ends."""
+        self._sharing = True
+        try:
+            yield
+        finally:
+            self._sharing, self._last = False, None
 
     def eigvals(self, value: float) -> np.ndarray:
         """All eigenvalues of ``build(value)``, solved once per value."""
@@ -141,8 +161,8 @@ class SweepGrid:
 
 @dataclass
 class SweepResult:
-    """Eigenvalues per grid point, in :func:`full_spectrum` order; ``None``
-    where the point failed."""
+    """Eigenvalues per grid point, in :func:`sorted_eig` order (that of
+    :func:`full_spectrum`); ``None`` where the point failed."""
 
     grid: SweepGrid
     eigenvalues: list[np.ndarray | None]
@@ -198,14 +218,18 @@ class JordanChain:
         return len(self.vectors)
 
 
-def sweep_spectrum(grid: SweepGrid, n_workers: int = 1) -> SweepResult:
+def sweep_spectrum(grid: SweepGrid, n_workers: int = 1,
+                   known: dict[float, np.ndarray] | None = None) -> SweepResult:
     """Eigenvalues at every grid point; per-point failures are recorded and
-    the sweep continues."""
+    the sweep continues. ``known`` maps values to eigenvalues another sweep
+    of the same family already solved there; those points are not rebuilt."""
+    known = known or {}
 
     def one(value: float):
+        if value in known:
+            return known[value], None
         try:
-            sop = SuperoperatorMatrix(np.asarray(grid.build(value), dtype=complex))
-            return full_spectrum(sop).eigenvalues, None
+            return sorted_eig(np.asarray(grid.build(value), dtype=complex))[0], None
         except Exception as exc:  # sweep robustness: record and move on
             return None, f"{type(exc).__name__}: {exc}"
 
@@ -310,7 +334,8 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float = DEFAULT_RE
     Each real-to-complex flip between adjacent grid points is refined by
     bisection that follows only the coalescing conjugate pair (never the full
     matching problem), until the parameter bracket is narrower than
-    ``resolution``.
+    ``resolution``. Pairs flagged in the same grid interval are bisected in
+    lockstep, so a value they both probe is built once.
     """
     if tol_im is None:
         tol_im = split_tolerance(track.bands[0])
@@ -322,7 +347,10 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float = DEFAULT_RE
             and abs(track.bands[g, k].imag) <= tol_im
         ]
         paired: set[int] = set()
+        band_pairs: list[tuple[int, int]] = []
         for k in newly:
+            if max_eps is not None and len(records) + len(band_pairs) >= max_eps:
+                break
             if k in paired:
                 continue
             partner = next(
@@ -334,40 +362,45 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float = DEFAULT_RE
             if partner is None:
                 continue
             paired |= {k, partner}
-            pair = np.array([track.bands[g + 1, k], track.bands[g + 1, partner]])
-            rec = _bisect_pair(
-                grid.probe, float(track.grid_values[g]), float(track.grid_values[g + 1]),
-                pair, tol_im, resolution, track.parameter, (k, partner),
-            )
-            records.append(rec)
-            if max_eps is not None and len(records) >= max_eps:
-                return records
+            band_pairs.append((k, partner))
+        records += _bisect_pairs(
+            grid, float(track.grid_values[g]), float(track.grid_values[g + 1]),
+            track.bands[g + 1], band_pairs, tol_im, resolution, track.parameter,
+        )
+        if max_eps is not None and len(records) >= max_eps:
+            return records
     return records
 
 
-def _bisect_pair(probe, lo: float, hi: float, pair_hi: np.ndarray, tol_im: float,
-                 resolution: float, parameter: str, band_pair: tuple[int, int]) -> EpRecord:
-    pair = pair_hi.copy()
-    converged = True
-    for _ in range(MAX_BISECTIONS):
-        if hi - lo <= resolution:
-            break
-        mid = 0.5 * (lo + hi)
-        p, is_pair, _ = probe(mid, pair, tol_im)
-        if is_pair:
-            hi, pair = mid, p
-        else:
-            lo = mid
-    else:
-        converged = False
-    return EpRecord(
-        parameter=parameter,
-        j_star=0.5 * (lo + hi),
-        lambda_star=complex(pair.mean()),
-        band_pair=band_pair,
-        bracket=(lo, hi),
-        converged=converged,
-    )
+def _bisect_pairs(grid: SweepGrid, lo: float, hi: float, bands_hi: np.ndarray,
+                  band_pairs: list[tuple[int, int]], tol_im: float, resolution: float,
+                  parameter: str) -> list[EpRecord]:
+    """Bisect the EP of each band pair, a conjugate pair in ``bands_hi`` at
+    ``hi``, within [lo, hi]. Each pair keeps its own bracket; pairs whose
+    brackets still coincide probe the same value one after the other, so its
+    matrix is built once."""
+    brackets = [(lo, hi, bands_hi[list(band_pair)]) for band_pair in band_pairs]
+    active = list(range(len(brackets)))
+    with grid._shared_builds():
+        for _ in range(MAX_BISECTIONS):
+            active = [i for i in active if brackets[i][1] - brackets[i][0] > resolution]
+            for i in active:
+                b_lo, b_hi, pair = brackets[i]
+                mid = 0.5 * (b_lo + b_hi)
+                p, is_pair, _ = grid.probe(mid, pair, tol_im)
+                brackets[i] = (b_lo, mid, p) if is_pair else (mid, b_hi, pair)
+    # a pair still active after the last round used every bisection
+    return [
+        EpRecord(
+            parameter=parameter,
+            j_star=0.5 * (b_lo + b_hi),
+            lambda_star=complex(pair.mean()),
+            band_pair=band_pair,
+            bracket=(b_lo, b_hi),
+            converged=i not in active,
+        )
+        for i, ((b_lo, b_hi, pair), band_pair) in enumerate(zip(brackets, band_pairs))
+    ]
 
 
 def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float | None = None,

@@ -57,11 +57,12 @@ from .hamiltonians import (
     build_pxp,
     build_xx,
     build_xxx,
-    hermitian_eigensystem,
+    hermitian_eigensystem,  # noqa: F401  (not called here; benchmarks/spans.py wraps it)
 )
 from .spectra import (
     full_spectrum,
     magnitude_histogram,
+    sorted_eig,
     write_histogram_csv,
     write_spectrum_csv,
 )
@@ -84,13 +85,20 @@ def build_hamiltonian(model: str, params: dict, n_sites: int):
 
 def build_channel(config: ExperimentConfig, param_overrides: dict | None = None) -> KrausSet:
     """Kraus set of the configured channel, optionally with some couplings
-    replaced (used by sweeps and scans)."""
+    replaced (used by sweeps and scans). Without overrides it carries the
+    Hamiltonian's eigensystem from its propagator, which the overlap
+    analyses read; channels with overrides drop it, so that it does not
+    live on through a sweep or a channel iteration."""
     params = dict(config.params)
     if param_overrides:
         params.update(param_overrides)
     layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
     h = build_hamiltonian(config.model, params, layout.n_h)
-    return kraus_from_unitary(propagate(h, config.time), layout)
+    prop = propagate(h, config.time)
+    kraus = kraus_from_unitary(prop, layout)
+    if not param_overrides:
+        kraus.hamiltonian_eigensystem = prop.hamiltonian_eigensystem
+    return kraus
 
 
 def analysis_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
@@ -111,7 +119,9 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     CSV outputs are deterministic for a fixed config; the manifest includes
     the config hash, library versions, and runtimes per analysis plus the
     shared stages ``"channel"`` (the configured channel's spectrum) and
-    ``"sweep"`` (the spectra of the ``sweep`` grid).
+    ``"sweep"`` (the spectra of the ``sweep`` grid). ``"health"`` holds the
+    configured channel's Kraus completeness residual and its largest
+    eigen-residual, when its spectrum is computed.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,14 +139,20 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
         "outputs": [],
         "runtimes": {},
         "failures": [],
+        "health": {},
     }
 
     analyses = set(config.analyses)
-    spectrum = sweep = None
+    spectrum = eigensystem = sweep = None
     if analyses & {"spectrum", "histogram", "overlaps", "scar_overlaps"}:
         started = _time.perf_counter()
-        spectrum = full_spectrum(analysis_matrix(build_channel(config)))
+        spectrum, eigensystem = _configured_spectrum(
+            config, keep_hamiltonian=bool(analyses & {"overlaps", "scar_overlaps"}))
         manifest["runtimes"]["channel"] = round(_time.perf_counter() - started, 3)
+        manifest["health"] = {
+            "completeness_residual": spectrum.meta["completeness_residual"],
+            "max_eigen_residual": max(m.residual for m in spectrum.modes),
+        }
     # one sweep of the configured grid feeds every analysis that reads it
     if analyses & {"bands", "complex_count", "anisotropy_compare"}:
         started = _time.perf_counter()
@@ -145,7 +161,8 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
 
     for analysis in config.analyses:
         started = _time.perf_counter()
-        files = _run_one(analysis, config, spectrum, sweep, out, manifest, n_workers)
+        files = _run_one(analysis, config, spectrum, eigensystem, sweep, out, manifest,
+                         n_workers)
         manifest["runtimes"][analysis] = round(_time.perf_counter() - started, 3)
         manifest["outputs"].extend(files)
 
@@ -154,20 +171,32 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     return manifest
 
 
+def _configured_spectrum(config: ExperimentConfig, keep_hamiltonian: bool):
+    """Spectrum of the configured channel, plus the eigensystem of its
+    Hamiltonian (as its propagator computed it) when ``keep_hamiltonian``."""
+    kraus = build_channel(config)
+    eigensystem = kraus.hamiltonian_eigensystem if keep_hamiltonian else None
+    sop = analysis_matrix(kraus)
+    del kraus  # the Hamiltonian's eigenvectors need not outlive the eigensolve's peak
+    return full_spectrum(sop), eigensystem
+
+
 def _sweep(config: ExperimentConfig, values: np.ndarray, manifest: dict, label: str,
-           n_workers: int) -> SweepResult:
-    """Eigenvalues of the swept family on ``values``; failed points are
-    recorded in the manifest under ``label``."""
+           n_workers: int, known: dict[float, np.ndarray] | None = None) -> SweepResult:
+    """Eigenvalues of the swept family on ``values``, reusing those ``known``
+    from another sweep; failed points are recorded in the manifest under
+    ``label``."""
     grid = SweepGrid(config.sweep.parameter, values,
                      spectral_matrix_factory(config, config.sweep.parameter))
-    sweep = sweep_spectrum(grid, n_workers)
+    sweep = sweep_spectrum(grid, n_workers, known)
     manifest["failures"].extend(
         {"analysis": label, "point": i, "error": err} for i, err in sweep.failures)
     return sweep
 
 
-def _run_one(analysis: str, config: ExperimentConfig, spectrum, sweep: SweepResult | None,
-             out: Path, manifest: dict, n_workers: int) -> list[str]:
+def _run_one(analysis: str, config: ExperimentConfig, spectrum, eigensystem,
+             sweep: SweepResult | None, out: Path, manifest: dict,
+             n_workers: int) -> list[str]:
     if analysis == "spectrum":
         path = out / "spectrum.csv"
         write_spectrum_csv(spectrum, path)
@@ -181,10 +210,10 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, sweep: SweepResu
         return [path.name]
 
     if analysis == "overlaps":
-        return _overlaps(config, spectrum, out)
+        return _overlaps(config, spectrum, eigensystem[1], out)
 
     if analysis == "scar_overlaps":
-        return _scar_overlaps(config, spectrum, out)
+        return _scar_overlaps(config, spectrum, *eigensystem, out)
 
     if analysis in ("complex_count", "anisotropy_compare"):
         return _complex_counts(analysis, config, sweep, out)
@@ -196,7 +225,7 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, sweep: SweepResu
         return [path.name]
 
     if analysis == "ep":
-        return _ep_pipeline(config, out, manifest, n_workers)
+        return _ep_pipeline(config, sweep, out, manifest, n_workers)
 
     if analysis == "qmi":
         records = {}
@@ -219,10 +248,8 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, sweep: SweepResu
     raise ValueError(f"unknown analysis {analysis!r}")
 
 
-def _overlaps(config: ExperimentConfig, spectrum, out: Path) -> list[str]:
+def _overlaps(config: ExperimentConfig, spectrum, vecs: np.ndarray, out: Path) -> list[str]:
     layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
-    h = build_hamiltonian(config.model, config.params, layout.n_h)
-    _, vecs = hermitian_eigensystem(h)
     dim = vecs.shape[1]
     refs = {"ground": 0, "median": dim // 2, "top": dim - 1}
     records = []
@@ -236,10 +263,9 @@ def _overlaps(config: ExperimentConfig, spectrum, out: Path) -> list[str]:
     return [path.name]
 
 
-def _scar_overlaps(config: ExperimentConfig, spectrum, out: Path) -> list[str]:
+def _scar_overlaps(config: ExperimentConfig, spectrum, vals: np.ndarray, vecs: np.ndarray,
+                   out: Path) -> list[str]:
     layout = ChainLayout(config.n_s, config.n_b, constrained=True)
-    h = build_hamiltonian(config.model, config.params, layout.n_h)
-    vals, vecs = hermitian_eigensystem(h)
     basis = ConstrainedBasis(layout.n_h)
     scars = scar_candidates(vals, vecs, basis)
     records = [
@@ -268,18 +294,22 @@ def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,
             iso_count = counts[on_grid[0]]
         else:
             iso_kraus = build_channel(config, {parameter: iso_value})
-            iso_count = count_complex(full_spectrum(analysis_matrix(iso_kraus)).eigenvalues,
+            iso_count = count_complex(sorted_eig(analysis_matrix(iso_kraus).mat)[0],
                                       tol_im=config.tol_im)
     path = out / "complex_count.csv"
     write_complex_count_csv(config.sweep.parameter, sweep.grid.values, counts, path, iso_count)
     return [path.name]
 
 
-def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict,
-                 n_workers: int) -> list[str]:
+def _ep_pipeline(config: ExperimentConfig, shared: SweepResult | None, out: Path,
+                 manifest: dict, n_workers: int) -> list[str]:
     ep_cfg = config.ep
     values = np.linspace(ep_cfg.start, ep_cfg.stop, ep_cfg.points)
-    sweep = _sweep(config, values, manifest, "ep", n_workers)
+    # both grids sweep the same family, so values they share are solved once
+    known = {} if shared is None else {
+        float(v): lam for v, lam in zip(shared.grid.values, shared.eigenvalues)
+        if lam is not None}
+    sweep = _sweep(config, values, manifest, "ep", n_workers, known)
     track = track_bands(sweep, select="top_re_decile")
     # the fit reuses the bisection's tolerance, so it needs no full solve
     tol_im = split_tolerance(track.bands[0]) if config.tol_im is None else config.tol_im

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,19 +27,73 @@ class DefectiveSpectrumError(RuntimeError):
     """Eigenbasis too ill-conditioned for a plain mode expansion."""
 
 
-@dataclass
+class _Eigenbasis:
+    """The unit-norm right-eigenvector matrix of one spectrum, shared by its
+    modes, with what is derived from it computed on first use and kept.
+
+    It holds no reference to the modes or the spectrum, so dropping the
+    spectrum frees every array by reference counting alone.
+    """
+
+    def __init__(self, vecs: np.ndarray):
+        self.vecs = vecs
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Rows are the left eigenvectors, paired with the columns of vecs."""
+        return np.linalg.inv(self.vecs)
+
+    @cached_property
+    def defectivity(self) -> float:
+        """1/sigma_min of vecs."""
+        return float(1.0 / np.linalg.svd(self.vecs, compute_uv=False)[-1])
+
+
 class EigenMode:
     """One eigenvalue with its biorthonormal right/left eigenoperators.
 
     Normalization: Tr(right^dag right) = 1 and Tr(left^dag right) = 1, so a
     state decomposes as rho = sum_m Tr(left_m^dag rho) right_m.
+
+    Modes made by :func:`full_spectrum` derive ``left`` and
+    ``defectivity_score`` (|left|_F, the eigenvalue condition number) from
+    the inverse of the spectrum's eigenvector matrix, which is computed the
+    first time any of its modes is asked for either.
     """
 
-    lam: complex
-    right: np.ndarray
-    left: np.ndarray
-    residual: float
-    defectivity_score: float
+    def __init__(self, lam: complex, right: np.ndarray, left: np.ndarray,
+                 residual: float, defectivity_score: float):
+        self.lam = lam
+        self.right = right
+        self.residual = residual
+        self._left = left
+        self._score = defectivity_score
+        self._basis: _Eigenbasis | None = None
+        self._index = 0
+
+    @classmethod
+    def _of_basis(cls, lam: complex, right: np.ndarray, residual: float,
+                  basis: _Eigenbasis, index: int) -> "EigenMode":
+        """Mode ``index`` of ``basis``; its left side is read from the basis
+        when asked for."""
+        mode = cls(lam, right, None, residual, None)
+        mode._basis, mode._index = basis, index
+        return mode
+
+    def _left_row(self) -> np.ndarray:
+        return self._basis.inverse[self._index, :]
+
+    @property
+    def left(self) -> np.ndarray:
+        if self._basis is None:
+            return self._left
+        return self._left_row().conj().reshape(self.right.shape)
+
+    @property
+    def defectivity_score(self) -> float:
+        if self._basis is None:
+            return self._score
+        return float(np.linalg.norm(self._left_row()))
 
 
 @dataclass
@@ -47,7 +102,7 @@ class Spectrum:
 
     modes: list[EigenMode]
     meta: dict = field(default_factory=dict)
-    defectivity_global: float = 0.0
+    _basis: _Eigenbasis | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -60,6 +115,12 @@ class Spectrum:
     @property
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
+
+    @property
+    def defectivity_global(self) -> float:
+        """1/sigma_min of the unit-norm eigenvector matrix; one SVD, on
+        first access."""
+        return self._basis.defectivity
 
     def real_tolerance(self, tol_im: float | None = None) -> float:
         return REAL_TOL_FACTOR * self.spectral_radius if tol_im is None else tol_im
@@ -96,6 +157,22 @@ class SpectralStats:
     reference: TriangularLaw
 
 
+def sorted_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of ``mat`` sorted by |lambda|, then Re, then Im, each
+    descending, with the matching right eigenvectors as columns (not
+    normalized).
+
+    :func:`full_spectrum` and the parameter sweeps both solve through here,
+    so a sweep point and the full spectrum of the same matrix give the same
+    eigenvalues in the same order, bit for bit.
+    """
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("channel matrix contains non-finite entries")
+    vals, vecs = np.linalg.eig(mat)
+    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
+    return vals[order], vecs[:, order]
+
+
 def full_spectrum(sop: SuperoperatorMatrix) -> Spectrum:
     """Complete eigendecomposition of a channel matrix.
 
@@ -103,43 +180,26 @@ def full_spectrum(sop: SuperoperatorMatrix) -> Spectrum:
     eigenoperators come from the inverse of the right-eigenvector matrix, so
     biorthonormality holds structurally and its conditioning is monitored via
     the per-mode defectivity score |left_m|_F (the eigenvalue condition
-    number) and the global score 1/sigma_min.
+    number) and the global score 1/sigma_min. The inverse and the SVD behind
+    these are computed on first access (see :class:`EigenMode`).
     """
     mat = sop.mat
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("channel matrix contains non-finite entries")
-    vals, vecs = np.linalg.eig(mat)
-    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = sorted_eig(mat)
     vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
     residuals = np.empty(vals.shape[0])
     for j in range(0, vals.shape[0], RESIDUAL_BLOCK):
         cols = slice(j, j + RESIDUAL_BLOCK)
         residuals[cols] = np.linalg.norm(mat @ vecs[:, cols] - vecs[:, cols] * vals[cols], axis=0)
-    sigma_min = np.linalg.svd(vecs, compute_uv=False)[-1]
-    left = np.linalg.inv(vecs)  # rows pair with columns of vecs
+    basis = _Eigenbasis(vecs)
     d = sop.op_dim
     # synthetic (non-square-dimensional) matrices keep column-vector modes
     shape = (d, d) if d * d == mat.shape[0] else (mat.shape[0], 1)
-    modes = []
-    for k in range(vals.shape[0]):
-        v = vecs[:, k]
-        w = left[k, :]
-        modes.append(
-            EigenMode(
-                lam=complex(vals[k]),
-                right=v.reshape(shape),
-                left=w.conj().reshape(shape),
-                residual=float(residuals[k]),
-                defectivity_score=float(np.linalg.norm(w)),
-            )
-        )
-    return Spectrum(
-        modes=modes,
-        meta=dict(sop.meta),
-        defectivity_global=float(1.0 / sigma_min),
-    )
+    modes = [
+        EigenMode._of_basis(complex(vals[k]), vecs[:, k].reshape(shape), float(residuals[k]),
+                            basis, k)
+        for k in range(vals.shape[0])
+    ]
+    return Spectrum(modes=modes, meta=dict(sop.meta), _basis=basis)
 
 
 def decompose_state(spectrum: Spectrum, rho0: np.ndarray,

@@ -137,6 +137,43 @@ class TestRunner:
         assert manifest["config_hash"] == config.config_hash()
         assert set(manifest["outputs"]) == {"spectrum.csv", "histogram.csv"}
 
+    def test_manifest_records_channel_health(self, tmp_path):
+        manifest = run_experiment(validate_config(TINY_CONFIG), tmp_path)
+        health = manifest["health"]
+        assert set(health) == {"completeness_residual", "max_eigen_residual"}
+        assert 0.0 <= health["completeness_residual"] < 1e-9
+        assert 0.0 <= health["max_eigen_residual"] < 1e-9
+
+    def test_fig2_reads_no_inverse_or_svd(self, tmp_path, monkeypatch):
+        # spectrum, histogram and overlaps read eigenvalues, right
+        # eigenoperators and residuals only: the left side stays unbuilt
+        from resetchannel import spectra
+
+        class Proxy:
+            def __init__(self, target, **overrides):
+                self._target, self._overrides = target, overrides
+
+            def __getattr__(self, name):
+                if name in self._overrides:
+                    return self._overrides[name]
+                return getattr(self._target, name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("inverse or SVD of the eigenvector matrix computed")
+
+        np_ = spectra.np
+        monkeypatch.setattr(spectra, "np", Proxy(np_, linalg=Proxy(np_.linalg, inv=refuse,
+                                                                  svd=refuse)))
+        builds = []
+        original = runner.build_hamiltonian
+        monkeypatch.setattr(runner, "build_hamiltonian",
+                            lambda *args: builds.append(args) or original(*args))
+        manifest = run_experiment(preset_config("fig2"), tmp_path)
+        assert not manifest["failures"]
+        assert set(manifest["outputs"]) == {"spectrum.csv", "histogram.csv", "overlaps.csv"}
+        # the overlaps reuse the eigensystem the channel's propagator computed
+        assert len(builds) == 1
+
     def test_rerun_is_byte_identical(self, tmp_path):
         config = validate_config(TINY_CONFIG)
         run_experiment(config, tmp_path / "a")
@@ -218,6 +255,19 @@ class TestEpPipeline:
         assert set(counts) == {"near", "full"}
         assert counts["near"] > 0
         assert counts["near"] + counts["full"] == len(probes)
+
+
+    def test_values_shared_by_sweep_and_ep_grids_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = runner.build_channel
+        monkeypatch.setattr(runner, "build_channel",
+                            lambda *args: calls.append(repr(args[1:])) or original(*args))
+        # the grids share jxxx = 0.0, 0.05 and 0.1
+        raw = dict(SWEEP_CONFIG, analyses=["bands", "ep"],
+                   ep={"start": 0.0, "stop": 0.1, "points": 5, "resolution": 1e-3})
+        run_experiment(validate_config(raw), tmp_path)
+        assert len(calls) >= 7
+        assert len(calls) == len(set(calls))
 
 
 class TestCli:

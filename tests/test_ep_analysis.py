@@ -81,6 +81,31 @@ class TestSweep:
         assert result.failures[0][0] == 5
         assert sum(s is None for s in result.eigenvalues) == 1
 
+    def test_non_finite_matrix_recorded_as_failure(self):
+        def build(j):
+            return np.full((4, 4), np.nan) if j == 0.5 else np.eye(4) * j
+
+        result = sweep_spectrum(SweepGrid("j", np.linspace(0.0, 1.0, 3), build))
+        assert result.failures == [(1, "ValueError: channel matrix contains non-finite entries")]
+        assert result.eigenvalues[1] is None
+        assert result.eigenvalues[0] is not None and result.eigenvalues[2] is not None
+
+    @pytest.mark.parametrize("preset", ["fig4", "fig9"])
+    def test_eigenvalues_match_full_spectrum_on_preset_grid(self, preset):
+        from resetchannel.config import preset_config
+        from resetchannel.runner import spectral_matrix_factory
+
+        config = preset_config(preset)
+        factory = spectral_matrix_factory(config, config.sweep.parameter)
+        built = {}
+        values = config.sweep_values()
+        grid = SweepGrid(config.sweep.parameter, values[[0, len(values) // 2, -1]],
+                         lambda v: built.setdefault(v, factory(v)))
+        sweep = sweep_spectrum(grid)
+        assert not sweep.failures
+        for value, lam in zip(grid.values, sweep.eigenvalues):
+            assert np.array_equal(lam, full_spectrum(SuperoperatorMatrix(built[value])).eigenvalues)
+
     def test_threaded_matches_serial(self):
         build = analytic_family()
         grid = SweepGrid("j", np.linspace(0.01, 0.09, 9), build)
@@ -224,6 +249,31 @@ class TestLocateEps:
         fit_sqrt_exponent(grid, rec)
         assert probed
         assert len(probed) == len(set(probed))
+
+    def test_pairs_flagged_in_one_interval_build_each_value_once(self):
+        # two EPs (j = 0.052 and 0.056) in the grid interval [0.05, 0.06]; real
+        # modes around the first pair keep the second one out of the modes a
+        # shift-invert probe of the first pair solves, so the memo cannot serve
+        # the second pair and only a shared build avoids building twice
+        fillers = [0.40, 0.42, 0.58, 0.60, 0.62, -0.3, -0.5]
+        probed = []
+
+        def build(j):
+            probed.append(j)
+            mat = np.diag(np.array([0.0] * 4 + fillers, dtype=complex))
+            mat[:2, :2] = analytic_family(0.5, 0.052)(j)
+            mat[2:4, 2:4] = analytic_family(0.3, 0.056)(j)
+            return mat
+
+        grid = SweepGrid("j", np.linspace(0.03, 0.07, 5), build)
+        track = track_bands(sweep_spectrum(grid))
+        probed.clear()
+        records = locate_eps(grid, track, resolution=1e-6)
+        assert sorted(round(rec.j_star, 4) for rec in records) == [0.052, 0.056]
+        assert all(rec.converged for rec in records)
+        assert all(0.05 <= rec.bracket[0] < rec.bracket[1] <= 0.06 for rec in records)
+        assert probed and len(probed) == len(set(probed))
+        assert sum(grid.probe_counts.values()) > len(probed)
 
     def test_sqrt_exponent_on_analytic_family(self):
         gap = 0.05

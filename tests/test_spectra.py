@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,30 @@ class TestFullSpectrum:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             full_spectrum(diag_sop([np.nan, 1, 1, 1]))
+
+    def test_lazy_left_side_equals_eager_inverse(self, chaotic_reversal_spectrum):
+        spec = chaotic_reversal_spectrum
+        vecs = np.column_stack([m.right.reshape(-1) for m in spec.modes])
+        left = np.linalg.inv(vecs)
+        for k, mode in enumerate(spec.modes):
+            assert np.array_equal(mode.left, left[k].conj().reshape(mode.right.shape))
+            assert mode.defectivity_score == float(np.linalg.norm(left[k]))
+        sigma_min = np.linalg.svd(vecs, compute_uv=False)[-1]
+        assert spec.defectivity_global == float(1.0 / sigma_min)
+
+    def test_dropping_spectrum_frees_its_arrays(self, small_channel):
+        # the modes share their eigenvector matrix without pointing back at
+        # the spectrum, so reference counting alone frees it
+        gc.disable()
+        try:
+            spec = full_spectrum(superoperator_matrix(small_channel))
+            assert spec.modes[1].left.shape == spec.modes[1].right.shape
+            assert spec.defectivity_global >= 1.0
+            arrays = [weakref.ref(spec._basis.vecs), weakref.ref(spec._basis.inverse)]
+            del spec
+            assert all(ref() is None for ref in arrays)
+        finally:
+            gc.enable()
 
 
 class TestDecomposition:
