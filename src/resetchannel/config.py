@@ -274,6 +274,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         _expect(model == "xx" and sweep.parameter in ("jxx", "jyy"), "config.sweep.parameter",
                 f"anisotropy_compare needs model 'xx' swept in 'jxx' or 'jyy', "
                 f"got {sweep.parameter!r} on {model!r}")
+    if "scar_overlaps" in analyses:
+        _expect(model == "pxp", "config.model",
+                f"scar_overlaps needs the blockaded model 'pxp', got {model!r}")
 
     tol_im = None
     if "tolerances" in raw:

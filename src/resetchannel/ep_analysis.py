@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import ArpackError, eigs
 
 # full_spectrum is not called here; the benchmark's span tracer
 # (benchmarks/spans.py) wraps it under this module's name
@@ -67,6 +65,10 @@ def _near_solve(mat: np.ndarray, sigma: complex) -> _Solved | None:
     n = mat.shape[0]
     if n <= PROBE_MODES + 2:
         return None
+    # imported here: only EP probes need ARPACK, and its import is most of
+    # the package's start-up
+    from scipy.sparse.linalg import ArpackError, eigs
+
     # a fixed start vector: ARPACK's own random state persists across calls
     v0 = np.random.default_rng(0).standard_normal((2, n)).T @ np.array([1.0, 1.0j])
     try:
@@ -246,6 +248,8 @@ def sweep_spectrum(grid: SweepGrid, n_workers: int = 1,
 def _match_step(prev: np.ndarray, cur: np.ndarray, method: str) -> np.ndarray:
     """Indices into ``cur`` pairing each entry of ``prev`` bijectively."""
     if method == "optimal":
+        from scipy.optimize import linear_sum_assignment
+
         cost = np.abs(cur[None, :] - prev[:, None])
         rows, cols = linear_sum_assignment(cost)
         out = np.empty(len(prev), dtype=int)

@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import platform
 import time as _time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +115,21 @@ def spectral_matrix_factory(config: ExperimentConfig, parameter: str):
     return build
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment(n_workers: int) -> dict:
+    """The settings that decide whether a run reproduces bit for bit: the
+    BLAS that numpy links, the BLAS thread variables as set (None when
+    unset) and the sweep worker count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "n_workers": n_workers,
+    }
+
+
 def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> dict:
     """Execute every enabled analysis; returns the manifest dictionary.
 
@@ -121,7 +138,9 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     shared stages ``"channel"`` (the configured channel's spectrum) and
     ``"sweep"`` (the spectra of the ``sweep`` grid). ``"health"`` holds the
     configured channel's Kraus completeness residual and its largest
-    eigen-residual, when its spectrum is computed.
+    eigen-residual, when its spectrum is computed. ``"environment"`` holds
+    the reproducibility settings and ``"warnings"`` the warnings the run
+    raised, as ``"Category: message"``; they are issued again after the run.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -135,13 +154,28 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
             "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
+        "environment": _environment(n_workers),
         "seed": config.seed,
         "outputs": [],
         "runtimes": {},
         "failures": [],
         "health": {},
     }
+    caught: list[warnings.WarningMessage] = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            _run_analyses(config, out, manifest, n_workers)
+        manifest["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+        with open(out / "manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+    finally:
+        # issued again, from where they were raised, also when the run fails
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return manifest
 
+
+def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers: int) -> None:
     analyses = set(config.analyses)
     spectrum = eigensystem = sweep = None
     if analyses & {"spectrum", "histogram", "overlaps", "scar_overlaps"}:
@@ -165,10 +199,6 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
                          n_workers)
         manifest["runtimes"][analysis] = round(_time.perf_counter() - started, 3)
         manifest["outputs"].extend(files)
-
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return manifest
 
 
 def _configured_spectrum(config: ExperimentConfig, keep_hamiltonian: bool):

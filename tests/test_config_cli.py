@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 
@@ -102,8 +103,10 @@ class TestValidation:
               phase={"parameter": "jz", "start": 0.1, "stop": 1.0, "points": 3, "n_k": 2,
                      "log_grid": "false"}),
          "config.phase.log_grid"),
+        (dict(TINY_CONFIG, analyses=["scar_overlaps"]), "config.model"),
     ], ids=["bands-no-sweep", "complex-count-no-sweep", "ep-no-ep", "qmi-no-qmi",
-            "phase-no-phase", "qmi-on-aah", "phase-on-pxp", "phase-log-grid-string"])
+            "phase-no-phase", "qmi-on-aah", "phase-on-pxp", "phase-log-grid-string",
+            "scar-overlaps-on-aah"])
     def test_config_that_cannot_run_is_rejected(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
             validate_config(raw)
@@ -143,6 +146,40 @@ class TestRunner:
         assert set(health) == {"completeness_residual", "max_eigen_residual"}
         assert 0.0 <= health["completeness_residual"] < 1e-9
         assert 0.0 <= health["max_eigen_residual"] < 1e-9
+
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        manifest = run_experiment(validate_config(TINY_CONFIG), tmp_path, n_workers=2)
+        env = manifest["environment"]
+        assert set(env) == {"blas", "blas_threads", "n_workers"}
+        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS"}
+        assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+        assert env["n_workers"] == 2
+        assert manifest["warnings"] == []
+        on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        assert on_disk["environment"] == env and on_disk["warnings"] == []
+
+    def test_run_warnings_go_to_manifest_and_are_reissued(self, tmp_path, monkeypatch):
+        original = runner.count_complex
+        seen = []
+
+        def warning_count(lam, tol_im=None):
+            seen.append(None)
+            warnings.warn(f"odd complex count at point {len(seen)}", RuntimeWarning)
+            return original(lam, tol_im=tol_im)
+
+        monkeypatch.setattr(runner, "count_complex", warning_count)
+        raw = dict(SWEEP_CONFIG, analyses=["complex_count"])
+        with pytest.warns(RuntimeWarning) as reissued:
+            manifest = run_experiment(validate_config(raw), tmp_path)
+        expected = [f"RuntimeWarning: odd complex count at point {i}" for i in range(1, 6)]
+        assert manifest["warnings"] == expected
+        assert json.loads((tmp_path / "manifest.json").read_text())["warnings"] == expected
+        assert [f"RuntimeWarning: {w.message}" for w in reissued] == expected
 
     def test_fig2_reads_no_inverse_or_svd(self, tmp_path, monkeypatch):
         # spectrum, histogram and overlaps read eigenvalues, right

@@ -1,0 +1,90 @@
+"""Start-up footprint: importing the package and running analyses that need
+no EP probe load neither ARPACK nor scipy's optimizers or dense linalg.
+
+Each check runs in a fresh interpreter, because this test session has
+already imported ``scipy.stats`` (and with it the modules checked here).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import resetchannel
+
+SRC = Path(resetchannel.__file__).resolve().parents[1]
+
+# loads the package, runs each named config in order and prints, after the
+# import and after each run, which deferred scipy modules are loaded
+PROBE = """
+import json, sys, tempfile
+import resetchannel
+from resetchannel.config import validate_config
+from resetchannel.runner import run_experiment
+
+DEFERRED = ("scipy.sparse", "scipy.optimize", "scipy.linalg")
+
+def deferred_loaded():
+    return sorted(m for m in sys.modules
+                  if any(m == p or m.startswith(p + ".") for p in DEFERRED))
+
+report = {"import": {"loaded": deferred_loaded()}}
+with tempfile.TemporaryDirectory() as tmp:
+    for label, raw in json.loads(sys.argv[1]):
+        manifest = run_experiment(validate_config(raw), f"{tmp}/{label}")
+        report[label] = {"loaded": deferred_loaded(),
+                         "ep_probes": manifest.get("ep_probes"),
+                         "failures": manifest["failures"]}
+print(json.dumps(report))
+"""
+
+CHAIN = {"model": "xxx", "layout": {"n_s": 2, "n_b": 2}, "time": 10.0,
+         "params": {"j2": 1.0, "jzz": 0.1, "jz": 0.1, "jxxx": 0.0}}
+SWEEP = {"parameter": "jxxx", "start": 0.0, "stop": 0.2, "points": 5}
+
+NO_EP_RUNS = [
+    ("spectrum", dict(CHAIN, model="aah", params={"j2": 1.0, "jzz": 0.2, "jz": 0.3},
+                      analyses=["spectrum", "histogram"])),
+    ("qmi", dict(CHAIN, analyses=["qmi"],
+                 qmi={"n_k": 3, "cases": [{"name": "chaotic", "jxxx": 2.0, "jz": 0.1}]})),
+    ("bands", dict(CHAIN, analyses=["bands"], sweep=SWEEP)),
+]
+# the small EP pipeline of tests/test_config_cli.py::TestEpPipeline
+EP_RUN = ("ep", dict(CHAIN, layout={"n_s": 3, "n_b": 3}, time=50.0, analyses=["ep"],
+                     sweep=SWEEP, ep={"start": 0.0, "stop": 0.1, "points": 11,
+                                      "resolution": 1e-6, "max_eps": 2}))
+
+
+def _probe(runs) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", PROBE, json.dumps(runs)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def report():
+    return _probe(NO_EP_RUNS + [EP_RUN])
+
+
+def test_import_loads_no_deferred_scipy_module(report):
+    assert report["import"]["loaded"] == []
+
+
+@pytest.mark.parametrize("label", [label for label, _ in NO_EP_RUNS])
+def test_run_without_ep_loads_no_deferred_scipy_module(report, label):
+    assert report[label]["failures"] == []
+    assert report[label]["loaded"] == []
+
+
+def test_ep_run_loads_arpack(report):
+    # positive control: the probe would notice a deferred import
+    ep = report["ep"]
+    assert ep["failures"] == []
+    assert ep["ep_probes"]["near"] > 0
+    assert "scipy.sparse.linalg" in ep["loaded"]
