@@ -25,17 +25,20 @@ class CompletenessError(RuntimeError):
 @dataclass
 class Propagator:
     """Unitary evolution operator for one Floquet period, with the energies
-    and eigenvectors of the Hamiltonian it was made from, when known."""
+    and eigenvectors of the Hamiltonian it was made from, when known, and
+    its unitarity deviation |U^dag U - I| (Frobenius norm)."""
 
     u: DenseOperator
     t: float
     hamiltonian_eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False)
+    unitarity_deviation: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        dev = np.linalg.norm(self.u.mat.conj().T @ self.u.mat - np.eye(self.u.dim))
+        dev = float(np.linalg.norm(self.u.mat.conj().T @ self.u.mat - np.eye(self.u.dim)))
         if dev > UNITARITY_ATOL:
             raise ValueError(f"propagator is not unitary: |U^dag U - I| = {dev:.2e}")
+        self.unitarity_deviation = dev
 
 
 @dataclass
@@ -85,9 +88,10 @@ class SuperoperatorMatrix:
         return int(round(np.sqrt(self.mat.shape[0])))
 
 
-def propagate(h: DenseOperator, t: float) -> Propagator:
-    """exp(-i H t) via the Hermitian eigensystem."""
-    vals, vecs = hermitian_eigensystem(h)
+def propagate(h: DenseOperator, t: float, real: bool = False) -> Propagator:
+    """exp(-i H t) via the Hermitian eigensystem, solved in real arithmetic
+    when ``real`` (see :func:`hermitian_eigensystem`)."""
+    vals, vecs = hermitian_eigensystem(h, real=real)
     u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
     return Propagator(DenseOperator(u, h.basis), t, (vals, vecs))
 
@@ -111,7 +115,8 @@ def kraus_from_unitary(prop: Propagator, layout: ChainLayout, reset_index: int =
             raise ValueError(f"reset index {reset_index} out of range for bath dim {db}")
         u4 = u.mat.reshape(ds, db, ds, db)
         ops = [np.ascontiguousarray(u4[:, m, :, reset_index]) for m in range(db)]
-    kraus = KrausSet(ops, layout, reset_index, meta={"t": prop.t})
+    kraus = KrausSet(ops, layout, reset_index,
+                     meta={"t": prop.t, "unitarity_deviation": prop.unitarity_deviation})
     residual = kraus.completeness_residual()
     if residual > COMPLETENESS_ATOL:
         raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.2e}")

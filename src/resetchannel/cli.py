@@ -23,7 +23,11 @@ EXIT_NUMERICAL = 2
 def _thread_count(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
-    return max(1, int(os.environ.get("RESETCHANNEL_THREADS", "1")))
+    raw = os.environ.get("RESETCHANNEL_THREADS", "1")
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"RESETCHANNEL_THREADS: expected an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -85,16 +85,19 @@ class SweepGrid:
     """One-parameter family of channel matrices.
 
     ``build`` maps a parameter value to the matrix whose spectrum is swept
-    (the reversal-form channel matrix for the physical presets). The grid
-    memoizes what it solved at each value for :meth:`probe` and
-    :meth:`eigvals`, so the EP bisection and the sqrt fit on one grid share
-    their solves; ``probe_counts`` tallies the probes answered from a
+    (the reversal-form channel matrix for the physical presets).
+    ``probe_build``, when given, builds the matrices that :meth:`probe` and
+    :meth:`eigvals` solve instead; it may differ from ``build`` at rounding
+    level. The grid memoizes what it solved at each value for those two
+    methods, so the EP bisection and the sqrt fit on one grid share their
+    solves; ``probe_counts`` tallies the probes answered from a
     shift-invert solve (``"near"``) and from a full spectrum (``"full"``).
     """
 
     parameter: str
     values: np.ndarray
     build: Callable[[float], np.ndarray]
+    probe_build: Callable[[float], np.ndarray] | None = None
     probe_counts: dict[str, int] = field(
         default_factory=lambda: {"near": 0, "full": 0}, init=False, repr=False)
     _solved: dict[float, _Solved] = field(default_factory=dict, init=False, repr=False)
@@ -113,7 +116,7 @@ class SweepGrid:
         if self._last is not None and self._last[0] == key:
             return self._last[1]
         self._last = None  # never hold two matrices
-        mat = np.asarray(self.build(key), dtype=complex)
+        mat = np.asarray((self.probe_build or self.build)(key), dtype=complex)
         if self._sharing:
             self._last = (key, mat)
         return mat

@@ -153,11 +153,17 @@ def build_pxp(params: PxpParams, n_sites: int) -> DenseOperator:
     return DenseOperator(pauli_sum(terms, n_sites, cb.states), cb.tag)
 
 
-def hermitian_eigensystem(h: DenseOperator, tol: float = 1e-10):
+def hermitian_eigensystem(h: DenseOperator, tol: float = 1e-10, real: bool = False):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
-    operator; rejects inputs that are not Hermitian within ``tol``."""
+    operator; rejects inputs that are not Hermitian within ``tol``.
+
+    ``real`` solves the real part of the matrix with a real symmetric
+    ``eigh`` instead of the complex Hermitian one. That is exact only for a
+    matrix whose imaginary part is zero, which the caller checks; the result
+    then agrees with the complex solve to rounding, not bit for bit.
+    """
     scale = max(np.linalg.norm(h.mat), 1.0)
     if np.linalg.norm(h.mat - h.mat.conj().T) > tol * scale:
         raise ValueError("operator is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(h.mat)
+    vals, vecs = np.linalg.eigh(h.mat.real if real else h.mat)
     return vals, vecs

@@ -85,18 +85,24 @@ def build_hamiltonian(model: str, params: dict, n_sites: int):
     raise ValueError(f"unknown model {model!r}")
 
 
-def build_channel(config: ExperimentConfig, param_overrides: dict | None = None) -> KrausSet:
+def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
+                  real: bool = False) -> KrausSet:
     """Kraus set of the configured channel, optionally with some couplings
     replaced (used by sweeps and scans). Without overrides it carries the
     Hamiltonian's eigensystem from its propagator, which the overlap
     analyses read; channels with overrides drop it, so that it does not
-    live on through a sweep or a channel iteration."""
+    live on through a sweep or a channel iteration.
+
+    ``real`` marks a caller that accepts a channel exact to rounding rather
+    than bit for bit (the EP probes). Such a build diagonalizes the
+    Hamiltonian in real arithmetic when its imaginary part is exactly zero,
+    and in complex arithmetic otherwise."""
     params = dict(config.params)
     if param_overrides:
         params.update(param_overrides)
     layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
     h = build_hamiltonian(config.model, params, layout.n_h)
-    prop = propagate(h, config.time)
+    prop = propagate(h, config.time, real=real and not np.any(h.mat.imag))
     kraus = kraus_from_unitary(prop, layout)
     if not param_overrides:
         kraus.hamiltonian_eigensystem = prop.hamiltonian_eigensystem
@@ -108,9 +114,12 @@ def analysis_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
     return reversal_form(superoperator_matrix(kraus))
 
 
-def spectral_matrix_factory(config: ExperimentConfig, parameter: str):
+def spectral_matrix_factory(config: ExperimentConfig, parameter: str, real: bool = False):
+    """Analysis matrix as a function of ``parameter``; ``real`` as in
+    :func:`build_channel`."""
+
     def build(value: float) -> np.ndarray:
-        return analysis_matrix(build_channel(config, {parameter: value})).mat
+        return analysis_matrix(build_channel(config, {parameter: value}, real=real)).mat
 
     return build
 
@@ -137,10 +146,13 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     the config hash, library versions, and runtimes per analysis plus the
     shared stages ``"channel"`` (the configured channel's spectrum) and
     ``"sweep"`` (the spectra of the ``sweep`` grid). ``"health"`` holds the
-    configured channel's Kraus completeness residual and its largest
-    eigen-residual, when its spectrum is computed. ``"environment"`` holds
-    the reproducibility settings and ``"warnings"`` the warnings the run
-    raised, as ``"Category: message"``; they are issued again after the run.
+    configured channel's Kraus completeness residual, its propagator's
+    unitarity deviation and its largest eigen-residual, when its spectrum is
+    computed, the largest band-matching step of ``bands``, and the bracket
+    widths, convergence and fit r^2 of ``ep``. ``"environment"`` holds the
+    reproducibility settings and ``"warnings"`` the warnings the run raised,
+    as ``"Category: message"``; they are issued again after the run. Sweep
+    workers with BLAS threads not pinned to 1 raise a ``RuntimeWarning``.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,6 +176,11 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     caught: list[warnings.WarningMessage] = []
     try:
         with warnings.catch_warnings(record=True) as caught:
+            if n_workers > 1 and "1" not in manifest["environment"]["blas_threads"].values():
+                warnings.warn(
+                    f"{n_workers} sweep workers with BLAS threads not pinned: set one of "
+                    f"{', '.join(BLAS_THREAD_VARS)} to 1, or workers and BLAS threads "
+                    "compete for the cores", RuntimeWarning)
             _run_analyses(config, out, manifest, n_workers)
         manifest["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
         with open(out / "manifest.json", "w") as fh:
@@ -183,10 +200,11 @@ def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers
         spectrum, eigensystem = _configured_spectrum(
             config, keep_hamiltonian=bool(analyses & {"overlaps", "scar_overlaps"}))
         manifest["runtimes"]["channel"] = round(_time.perf_counter() - started, 3)
-        manifest["health"] = {
+        manifest["health"].update({
             "completeness_residual": spectrum.meta["completeness_residual"],
+            "unitarity_deviation": spectrum.meta["unitarity_deviation"],
             "max_eigen_residual": max(m.residual for m in spectrum.modes),
-        }
+        })
     # one sweep of the configured grid feeds every analysis that reads it
     if analyses & {"bands", "complex_count", "anisotropy_compare"}:
         started = _time.perf_counter()
@@ -216,8 +234,11 @@ def _sweep(config: ExperimentConfig, values: np.ndarray, manifest: dict, label: 
     """Eigenvalues of the swept family on ``values``, reusing those ``known``
     from another sweep; failed points are recorded in the manifest under
     ``label``."""
-    grid = SweepGrid(config.sweep.parameter, values,
-                     spectral_matrix_factory(config, config.sweep.parameter))
+    parameter = config.sweep.parameter
+    # sweep points keep the complex eigensolve and so their bits; the EP
+    # probes' outputs are checked within tolerances, so they may go real
+    grid = SweepGrid(parameter, values, spectral_matrix_factory(config, parameter),
+                     spectral_matrix_factory(config, parameter, real=True))
     sweep = sweep_spectrum(grid, n_workers, known)
     manifest["failures"].extend(
         {"analysis": label, "point": i, "error": err} for i, err in sweep.failures)
@@ -250,6 +271,7 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, eigensystem,
 
     if analysis == "bands":
         track = track_bands(sweep, select="top_re_decile")
+        manifest["health"]["max_band_step"] = float(np.max(track.step_distances))
         path = out / "bands.csv"
         write_bands_csv(track, path)
         return [path.name]
@@ -355,6 +377,13 @@ def _ep_pipeline(config: ExperimentConfig, shared: SweepResult | None, out: Path
             manifest["failures"].append(
                 {"analysis": "ep", "j_star": rec.j_star, "error": str(exc)})
     manifest["ep_probes"] = dict(sweep.grid.probe_counts)
+    manifest["health"].update({
+        "ep_max_bracket_width": max((r.bracket[1] - r.bracket[0] for r in records),
+                                    default=None),
+        "ep_converged": {"converged": sum(r.converged for r in records),
+                         "total": len(records)},
+        "ep_min_fit_r2": min((fit.r2 for fit in fits.values()), default=None),
+    })
     path = out / "eps.csv"
     write_eps_csv(records, path)
     fit_path = out / "ep_fit_points.csv"

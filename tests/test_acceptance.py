@@ -91,7 +91,9 @@ def fig4_grid():
     from resetchannel.runner import spectral_matrix_factory
 
     values = np.linspace(config.ep.start, config.ep.stop, config.ep.points)
-    return config, SweepGrid("jxxx", values, spectral_matrix_factory(config, "jxxx"))
+    # probes built as a run builds them
+    return config, SweepGrid("jxxx", values, spectral_matrix_factory(config, "jxxx"),
+                             spectral_matrix_factory(config, "jxxx", real=True))
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from conftest import make_channel, random_density_matrix, swap_unitary
+from resetchannel import channel, runner
 from resetchannel.channel import (
     KrausSet,
     Propagator,
@@ -17,9 +18,15 @@ from resetchannel.channel import (
     unvec,
     vec,
 )
-from resetchannel.config import preset_config
+from resetchannel.config import list_presets, preset_config
 from resetchannel.hamiltonians import PxpParams, build_pxp
-from resetchannel.runner import analysis_matrix, build_channel
+from resetchannel.runner import (
+    analysis_matrix,
+    build_channel,
+    build_hamiltonian,
+    spectral_matrix_factory,
+)
+from resetchannel.spectra import sorted_eig
 from resetchannel.spin_ops import ChainLayout, DenseOperator, pauli_on_site
 
 
@@ -214,6 +221,81 @@ class TestSuperoperator:
         assert np.allclose(s @ s, np.eye(9))
         rho = np.arange(9).reshape(3, 3)
         assert np.allclose(unvec(s @ vec(rho)), rho.T)
+
+
+class TestRealProbeBuilds:
+    """EP probe builds (``real=True``) diagonalize an exactly real H in real
+    arithmetic; every other build keeps the complex solve bit for bit."""
+
+    def test_preset_hamiltonians_are_exactly_real(self):
+        models = set()
+        for name, _ in list_presets():
+            config = preset_config(name)
+            layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
+            swept = [section for section in (config.sweep, config.ep) if section is not None]
+            # the preset point, and the far end of each grid it sweeps
+            for overrides in [{}] + [{config.sweep.parameter: section.stop}
+                                     for section in swept]:
+                params = dict(config.params, **overrides)
+                h = build_hamiltonian(config.model, params, layout.n_h)
+                assert not np.any(h.mat.imag), (name, overrides)
+            models.add(config.model)
+        assert models == {"aah", "xxx", "xx", "pxp"}
+
+    def test_solver_follows_caller_and_imaginary_part(self, monkeypatch):
+        config = preset_config("fig7")
+        solves = []
+        eigensystem = channel.hermitian_eigensystem
+        monkeypatch.setattr(channel, "hermitian_eigensystem",
+                            lambda h, **kw: solves.append(kw["real"]) or eigensystem(h, **kw))
+        build_channel(config, {"jz": 0.3})
+        build_channel(config, {"jz": 0.3}, real=True)
+        assert solves == [False, True]
+
+        # a Hermitian H with a nonzero imaginary part stays on the complex path
+        hamiltonian = runner.build_hamiltonian
+
+        def complex_hamiltonian(*args):
+            h = hamiltonian(*args)
+            b = np.random.default_rng(1).standard_normal(h.mat.shape)
+            return DenseOperator(h.mat + 1e-3j * (b - b.T), h.basis)
+
+        monkeypatch.setattr(runner, "build_hamiltonian", complex_hamiltonian)
+        solves.clear()
+        exact = build_channel(config, {"jz": 0.3})
+        probe = build_channel(config, {"jz": 0.3}, real=True)
+        assert solves == [False, False]
+        for k_exact, k_probe in zip(exact.ops, probe.ops):
+            assert np.array_equal(k_exact, k_probe)
+
+    def test_fig4_probe_matrices_near_exact_and_sweep_exact(self):
+        config = preset_config("fig4")
+        # a point of the EP grid, one next to the first EP of the shipped
+        # preset (j* = 0.0025181...), and one deep in the complex regime
+        values = np.array([0.0005, 0.00251813, 0.05])
+        sweep = runner._sweep(config, values, {"failures": []}, "sweep", 1)
+        exact = spectral_matrix_factory(config, "jxxx")
+        moved = False
+        for value, lam in zip(values, sweep.eigenvalues):
+            mat = exact(value)
+            assert np.array_equal(lam, sorted_eig(mat)[0])
+            probe = sweep.grid.probe_build(value)
+            assert np.max(np.abs(probe - mat)) <= 1e-10
+            moved |= not np.array_equal(probe, mat)
+        assert moved  # the probes did take the real solve
+
+    def test_non_unitary_real_solve_raises(self, monkeypatch):
+        h = build_hamiltonian("xxx", {"jzz": 0.1, "jz": 0.1, "jxxx": 0.5}, 4)
+        eigh = np.linalg.eigh
+
+        def skewed_real_eigh(a):
+            vals, vecs = eigh(a)
+            return (vals, vecs) if np.iscomplexobj(a) else (vals, 1.01 * vecs)
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed_real_eigh)
+        propagate(h, 10.0)
+        with pytest.raises(ValueError, match="not unitary"):
+            propagate(h, 10.0, real=True)
 
 
 class TestMagnetizationStructure:

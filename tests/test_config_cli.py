@@ -2,10 +2,11 @@ import json
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from resetchannel import runner
-from resetchannel.cli import main
+from resetchannel.cli import _thread_count, build_parser, main
 from resetchannel.config import (
     ConfigError,
     apply_overrides,
@@ -143,8 +144,10 @@ class TestRunner:
     def test_manifest_records_channel_health(self, tmp_path):
         manifest = run_experiment(validate_config(TINY_CONFIG), tmp_path)
         health = manifest["health"]
-        assert set(health) == {"completeness_residual", "max_eigen_residual"}
+        assert set(health) == {"completeness_residual", "unitarity_deviation",
+                               "max_eigen_residual"}
         assert 0.0 <= health["completeness_residual"] < 1e-9
+        assert 0.0 <= health["unitarity_deviation"] < 1e-9
         assert 0.0 <= health["max_eigen_residual"] < 1e-9
 
     def test_manifest_records_environment(self, tmp_path, monkeypatch):
@@ -180,6 +183,22 @@ class TestRunner:
         assert manifest["warnings"] == expected
         assert json.loads((tmp_path / "manifest.json").read_text())["warnings"] == expected
         assert [f"RuntimeWarning: {w.message}" for w in reissued] == expected
+
+    def test_thread_policy_warning(self, tmp_path, monkeypatch):
+        config = validate_config(TINY_CONFIG)
+        for var in runner.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        with pytest.warns(RuntimeWarning, match="BLAS threads not pinned") as reissued:
+            manifest = run_experiment(config, tmp_path / "a", n_workers=2)
+        assert len(manifest["warnings"]) == 1
+        assert manifest["warnings"][0].startswith("RuntimeWarning: 2 sweep workers")
+        assert [f"RuntimeWarning: {w.message}" for w in reissued] == manifest["warnings"]
+        # one variable pinned to 1, or a single worker, never warns
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert run_experiment(config, tmp_path / "b", n_workers=2)["warnings"] == []
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        assert run_experiment(config, tmp_path / "c", n_workers=1)["warnings"] == []
 
     def test_fig2_reads_no_inverse_or_svd(self, tmp_path, monkeypatch):
         # spectrum, histogram and overlaps read eigenvalues, right
@@ -248,7 +267,8 @@ class TestSharedSweep:
         calls = []
         original = runner.build_channel
         monkeypatch.setattr(runner, "build_channel",
-                            lambda *args: calls.append(args) or original(*args))
+                            lambda *args, **kwargs: calls.append(args)
+                            or original(*args, **kwargs))
         # the grid starts at the isotropic point jxx = jyy
         raw = dict(XX_CONFIG, params=dict(XX_CONFIG["params"], jyy=0.8),
                    sweep={"parameter": "jxx", "start": 0.8, "stop": 1.0, "points": 5})
@@ -277,16 +297,23 @@ class TestSharedSweep:
             manifest["runtimes"])
 
 
+def _read_csv(path):
+    rows = path.read_text().splitlines()
+    header = rows[0].split(",")
+    return [dict(zip(header, row.split(","))) for row in rows[1:]]
+
+
 class TestEpPipeline:
+    # a 3+3 chain whose EP grid holds two EPs with sqrt fits
+    RAW = dict(SWEEP_CONFIG, layout={"n_s": 3, "n_b": 3}, time=50.0, analyses=["ep"],
+               ep={"start": 0.0, "stop": 0.1, "points": 11, "resolution": 1e-6, "max_eps": 2})
+
     def test_manifest_counts_ep_probes(self, tmp_path, monkeypatch):
         probes = []
         original = SweepGrid.probe
         monkeypatch.setattr(SweepGrid, "probe",
                             lambda *args: probes.append(args[1]) or original(*args))
-        raw = dict(SWEEP_CONFIG, layout={"n_s": 3, "n_b": 3}, time=50.0, analyses=["ep"],
-                   ep={"start": 0.0, "stop": 0.1, "points": 11, "resolution": 1e-6,
-                       "max_eps": 2})
-        manifest = run_experiment(validate_config(raw), tmp_path)
+        manifest = run_experiment(validate_config(self.RAW), tmp_path)
         assert not manifest["failures"]
         counts = manifest["ep_probes"]
         assert set(counts) == {"near", "full"}
@@ -294,11 +321,53 @@ class TestEpPipeline:
         assert counts["near"] + counts["full"] == len(probes)
 
 
+    def test_manifest_records_ep_health(self, tmp_path):
+        manifest = run_experiment(validate_config(self.RAW), tmp_path)
+        health = manifest["health"]
+        assert set(health) == {"ep_max_bracket_width", "ep_converged", "ep_min_fit_r2"}
+        eps = _read_csv(tmp_path / "eps.csv")
+        assert len(eps) == 2
+        assert health["ep_converged"] == {"converged": 2, "total": 2}
+        assert health["ep_max_bracket_width"] == max(
+            float(r["bracket_hi"]) - float(r["bracket_lo"]) for r in eps)
+        assert 0.0 < health["ep_max_bracket_width"] <= 1e-6
+        assert health["ep_min_fit_r2"] == min(float(r["r2"]) for r in eps)
+
+    def test_manifest_records_max_band_step(self, tmp_path):
+        manifest = run_experiment(validate_config(dict(SWEEP_CONFIG, analyses=["bands"])),
+                                  tmp_path)
+        assert set(manifest["health"]) == {"max_band_step"}
+        rows = _read_csv(tmp_path / "bands.csv")
+        lam = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
+        bands = lam.reshape(SWEEP_CONFIG["sweep"]["points"], -1)
+        assert manifest["health"]["max_band_step"] == pytest.approx(
+            np.max(np.abs(np.diff(bands, axis=0))), rel=1e-12)
+
+    def test_real_probes_match_exact_probes(self, tmp_path, monkeypatch):
+        config = validate_config(self.RAW)
+        run_experiment(config, tmp_path / "real")
+        original = runner.build_channel
+        monkeypatch.setattr(runner, "build_channel",
+                            lambda config, overrides=None, real=False: original(config, overrides))
+        run_experiment(config, tmp_path / "exact")
+        for name, same, close in (
+                ("eps.csv", ("j_star", "bracket_lo", "bracket_hi", "converged"),
+                 {"re_lambda_star": 1e-10, "exponent": 1e-6, "r2": 1e-6}),
+                ("ep_fit_points.csv", ("j_star", "delta"), {"im": 1e-10})):
+            real, exact = _read_csv(tmp_path / "real" / name), _read_csv(tmp_path / "exact" / name)
+            assert len(real) == len(exact) > 0
+            for got, want in zip(real, exact):
+                assert [got[c] for c in same] == [want[c] for c in same]
+                for column, tol in close.items():
+                    assert abs(float(got[column]) - float(want[column])) <= tol * max(
+                        1.0, abs(float(want[column])))
+
     def test_values_shared_by_sweep_and_ep_grids_built_once(self, tmp_path, monkeypatch):
         calls = []
         original = runner.build_channel
         monkeypatch.setattr(runner, "build_channel",
-                            lambda *args: calls.append(repr(args[1:])) or original(*args))
+                            lambda *args, **kwargs: calls.append(repr(args[1:]))
+                            or original(*args, **kwargs))
         # the grids share jxxx = 0.0, 0.05 and 0.1
         raw = dict(SWEEP_CONFIG, analyses=["bands", "ep"],
                    ep={"start": 0.0, "stop": 0.1, "points": 5, "resolution": 1e-3})
@@ -351,6 +420,18 @@ class TestCli:
 
     def test_unknown_preset_is_config_error(self, capsys):
         assert main(["preset", "fig99"]) == 1
+
+    def test_malformed_thread_variable_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RESETCHANNEL_THREADS", "abc")
+        out = tmp_path / "out"
+        assert main(["preset", "fig3", "--out", str(out)]) == 1
+        assert "RESETCHANNEL_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+        # integers keep the clamp to at least one worker
+        args = build_parser().parse_args(["run", "config.json"])
+        for raw, workers in (("0", 1), ("-3", 1), ("3", 3)):
+            monkeypatch.setenv("RESETCHANNEL_THREADS", raw)
+            assert _thread_count(args) == workers
 
 
 class TestPlots:
