@@ -90,7 +90,7 @@ class SuperoperatorMatrix:
 
 def propagate(h: DenseOperator, t: float, real: bool = False) -> Propagator:
     """exp(-i H t) via the Hermitian eigensystem, solved in real arithmetic
-    when ``real`` (see :func:`hermitian_eigensystem`)."""
+    when ``real`` and H is exactly real (see :func:`hermitian_eigensystem`)."""
     vals, vecs = hermitian_eigensystem(h, real=real)
     u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
     return Propagator(DenseOperator(u, h.basis), t, (vals, vecs))

@@ -81,12 +81,11 @@ class ExperimentConfig:
     phase: PhaseSection | None = None
     histogram_bins: int = 60
     cluster_window: float = 0.15
-    tol_im: float | None = None
     seed: int = 7
 
     def to_dict(self) -> dict:
         out = asdict(self)
-        for key in ("sweep", "ep", "qmi", "phase", "tol_im"):
+        for key in ("sweep", "ep", "qmi", "phase"):
             if out[key] is None:
                 del out[key]
         return out
@@ -164,7 +163,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _expect(isinstance(raw, dict), "config", "must be a JSON object")
     top_allowed = {"name", "model", "layout", "time", "params", "analyses", "sweep",
                    "ep", "qmi", "phase", "histogram_bins", "cluster_window",
-                   "tolerances", "seed", "n_s", "n_b"}
+                   "seed", "n_s", "n_b"}
     _check_keys(raw, top_allowed, {"model", "time", "params", "analyses"}, "config")
 
     model = raw["model"]
@@ -223,8 +222,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
             stop=_number(sec, "stop", path),
             points=_integer(sec, "points", path, 3),
             resolution=_number(sec, "resolution", path, positive=True)
-            if "resolution" in sec else 1e-6,
-            max_eps=_integer(sec, "max_eps", path, 1) if "max_eps" in sec else 4,
+            if "resolution" in sec else EpSection.resolution,
+            max_eps=_integer(sec, "max_eps", path, 1) if "max_eps" in sec else EpSection.max_eps,
         )
         _expect("sweep" in raw, path, "ep analysis needs a sweep section for the parameter name")
 
@@ -253,7 +252,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         _expect(sec["parameter"] == "jz", f"{path}.parameter", "only jz scans are supported")
         _expect("jz" in _PARAM_KEYS[model], f"{path}.parameter",
                 f"model {model!r} has no field 'jz' to scan")
-        log_grid = sec.get("log_grid", True)
+        log_grid = sec.get("log_grid", PhaseSection.log_grid)
         _expect(isinstance(log_grid, bool), f"{path}.log_grid",
                 f"must be true or false, got {log_grid!r}")
         phase = PhaseSection(
@@ -278,13 +277,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
         _expect(model == "pxp", "config.model",
                 f"scar_overlaps needs the blockaded model 'pxp', got {model!r}")
 
-    tol_im = None
-    if "tolerances" in raw:
-        sec = raw["tolerances"]
-        _check_keys(sec, {"tol_im"}, set(), "config.tolerances")
-        if "tol_im" in sec:
-            tol_im = _number(sec, "tol_im", "config.tolerances", positive=True)
-
     return ExperimentConfig(
         name=str(raw.get("name", "custom")),
         model=model,
@@ -298,11 +290,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
         qmi=qmi,
         phase=phase,
         histogram_bins=_integer(raw, "histogram_bins", "config", 10)
-        if "histogram_bins" in raw else 60,
+        if "histogram_bins" in raw else ExperimentConfig.histogram_bins,
         cluster_window=_number(raw, "cluster_window", "config", positive=True)
-        if "cluster_window" in raw else 0.15,
-        tol_im=tol_im,
-        seed=_integer(raw, "seed", "config", 0) if "seed" in raw else 7,
+        if "cluster_window" in raw else ExperimentConfig.cluster_window,
+        seed=_integer(raw, "seed", "config", 0) if "seed" in raw else ExperimentConfig.seed,
     )
 
 

@@ -14,12 +14,18 @@ from typing import Callable
 
 import numpy as np
 
+from .spectra import (
+    BAND_PAIR_RTOL,
+    DEFECTIVITY_THRESHOLD,
+    PROBE_PAIR_RTOL,
+    SPLIT_TOL_FACTOR,
+    relative_tolerance,
+    sorted_eig,
+)
 # full_spectrum is not called here; the benchmark's span tracer
 # (benchmarks/spans.py) wraps it under this module's name
-from .spectra import full_spectrum, sorted_eig  # noqa: F401
+from .spectra import full_spectrum  # noqa: F401
 
-EP_TOL_FACTOR = 1e-6         # looser than the realness tolerance: splitting is gradual
-DEFAULT_RESOLUTION = 1e-4
 MAX_BISECTIONS = 64
 PROBE_MODES = 6              # eigenvalues a shift-invert probe solves for
 
@@ -86,12 +92,12 @@ class SweepGrid:
 
     ``build`` maps a parameter value to the matrix whose spectrum is swept
     (the reversal-form channel matrix for the physical presets).
-    ``probe_build``, when given, builds the matrices that :meth:`probe` and
-    :meth:`eigvals` solve instead; it may differ from ``build`` at rounding
-    level. The grid memoizes what it solved at each value for those two
-    methods, so the EP bisection and the sqrt fit on one grid share their
-    solves; ``probe_counts`` tallies the probes answered from a
-    shift-invert solve (``"near"``) and from a full spectrum (``"full"``).
+    ``probe_build``, when given, builds the matrices that :meth:`probe`
+    solves instead; it may differ from ``build`` at rounding level. The grid
+    memoizes what it solved at each value, so the EP bisection and the sqrt
+    fit on one grid share their solves; ``probe_counts`` tallies the probes
+    answered from a shift-invert solve (``"near"``) and from a full spectrum
+    (``"full"``).
     """
 
     parameter: str
@@ -130,14 +136,6 @@ class SweepGrid:
             yield
         finally:
             self._sharing, self._last = False, None
-
-    def eigvals(self, value: float) -> np.ndarray:
-        """All eigenvalues of ``build(value)``, solved once per value."""
-        key = float(value)
-        solved = self._solved.get(key)
-        if solved is None or solved.sigma is not None:
-            solved = self._solved[key] = _Solved(np.linalg.eigvals(self._matrix(key)))
-        return solved.lam
 
     def probe(self, value: float, guess: np.ndarray, tol_im: float):
         """:func:`_pair_probe` of the full spectrum at ``value``, served from
@@ -215,7 +213,6 @@ class JordanChain:
 
     lam: complex
     vectors: list[np.ndarray]
-    left_vectors: list[np.ndarray]
     residuals: list[float]
 
     @property
@@ -300,16 +297,11 @@ def track_bands(sweep: SweepResult, select: str = "all", method: str = "greedy")
     return BandTrack(sweep.grid.parameter, sweep.grid.values.copy(), bands, dists, select)
 
 
-def split_tolerance(lam: np.ndarray) -> float:
-    """Default |Im lambda| above which a mode counts as split off the real
-    axis: ``EP_TOL_FACTOR`` times the largest |lambda| in ``lam``."""
-    return EP_TOL_FACTOR * float(np.max(np.abs(lam)))
-
-
 def count_complex(lam: np.ndarray, tol_im: float | None = None) -> int:
-    """Number of eigenvalues with |Im| above tolerance; even by conjugate
-    closure (an odd count is flagged as an anomaly)."""
-    tol = split_tolerance(lam) if tol_im is None else tol_im
+    """Number of eigenvalues with |Im| above tolerance (default:
+    ``SPLIT_TOL_FACTOR`` of the largest |lambda|); even by conjugate closure
+    (an odd count is flagged as an anomaly)."""
+    tol = relative_tolerance(lam, SPLIT_TOL_FACTOR) if tol_im is None else tol_im
     n = int(np.sum(np.abs(lam.imag) > tol))
     if n % 2:
         warnings.warn(f"odd complex count {n}; conjugate pairing is broken", RuntimeWarning)
@@ -327,14 +319,14 @@ def _pair_probe(lam: np.ndarray, guess: np.ndarray, tol_im: float):
     is_pair = (
         abs(a.imag) > tol_im
         and abs(b.imag) > tol_im
-        and abs(a - np.conj(b)) < 1e-4 * max(1.0, abs(a))
+        and abs(a - np.conj(b)) < PROBE_PAIR_RTOL * max(1.0, abs(a))
     )
     others = np.delete(lam, [i0, i1])
     gap = float(np.min(np.abs(others - 0.5 * (a + b)))) if others.size else np.inf
     return np.array([a, b]), is_pair, gap
 
 
-def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float = DEFAULT_RESOLUTION,
+def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float,
                tol_im: float | None = None, max_eps: int | None = None) -> list[EpRecord]:
     """Localize exceptional points where tracked bands turn complex.
 
@@ -342,10 +334,11 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float = DEFAULT_RE
     bisection that follows only the coalescing conjugate pair (never the full
     matching problem), until the parameter bracket is narrower than
     ``resolution``. Pairs flagged in the same grid interval are bisected in
-    lockstep, so a value they both probe is built once.
+    lockstep, so a value they both probe is built once. ``tol_im`` defaults
+    to ``SPLIT_TOL_FACTOR`` of the largest |lambda| at the first grid point.
     """
     if tol_im is None:
-        tol_im = split_tolerance(track.bands[0])
+        tol_im = relative_tolerance(track.bands[0], SPLIT_TOL_FACTOR)
     records: list[EpRecord] = []
     for g in range(len(track.grid_values) - 1):
         newly = [
@@ -363,7 +356,7 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float = DEFAULT_RE
             partner = next(
                 (j for j in newly if j != k and j not in paired
                  and abs(track.bands[g + 1, j] - np.conj(track.bands[g + 1, k]))
-                 < 1e-6 * max(1.0, abs(track.bands[g + 1, k]))),
+                 < BAND_PAIR_RTOL * max(1.0, abs(track.bands[g + 1, k]))),
                 None,
             )
             if partner is None:
@@ -410,11 +403,13 @@ def _bisect_pairs(grid: SweepGrid, lo: float, hi: float, bands_hi: np.ndarray,
     ]
 
 
-def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float | None = None,
+def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float,
                       min_points: int = 5, max_points: int = 16,
                       ladder: float = 1.6, delta0: float | None = None) -> FitResult:
     """Fit the splitting exponent log|Im lambda| vs log(J - J*) just above an
-    exceptional point; 0.5 for a generic second-order EP.
+    exceptional point; 0.5 for a generic second-order EP. ``tol_im`` is the
+    |Im| above which a probed pair counts as split; pass the one that located
+    ``ep``.
 
     Probes climb a geometric ladder from ``delta0`` and stop once the pair
     re-merges or stops being isolated; the fit uses the prefix of at least
@@ -426,8 +421,6 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float | None = None
     bracket_width = max(ep.bracket[1] - ep.bracket[0], 1e-12)
     if delta0 is None:
         delta0 = 30.0 * bracket_width
-    if tol_im is None:
-        tol_im = split_tolerance(grid.eigvals(ep.bracket[1]))
     pair = np.array([ep.lambda_star, np.conj(ep.lambda_star)])
     deltas, ims = [], []
     d = delta0
@@ -487,15 +480,7 @@ def jordan_chain(mat: np.ndarray, lam: complex, order: int,
             )
         vectors.append(x)
         residuals.append(res)
-    adj = shifted.conj().T
-    _, _, vh_l = np.linalg.svd(adj)
-    left = [vh_l[-1].conj()]
-    left_res = [float(np.linalg.norm(adj @ left[0]))]
-    for _ in range(1, order):
-        x, *_ = np.linalg.lstsq(adj, left[-1], rcond=None)
-        left.append(x)
-        left_res.append(float(np.linalg.norm(adj @ x - left[-1]) / np.linalg.norm(left[-1])))
-    return JordanChain(complex(lam), vectors, left, residuals)
+    return JordanChain(complex(lam), vectors, residuals)
 
 
 def iterate_jordan(chains: list[JordanChain], coeffs: list[np.ndarray], n_r: int) -> np.ndarray:
@@ -530,7 +515,7 @@ def _binomial(n: int, k: int) -> float:
     return out
 
 
-def generalized_modes(mat: np.ndarray, defect_threshold: float = 1e6,
+def generalized_modes(mat: np.ndarray, defect_threshold: float = DEFECTIVITY_THRESHOLD,
                       cluster_tol: float = 1e-5,
                       residual_tol: float = 1e-3) -> list[JordanChain]:
     """Complete generalized eigenbasis of a matrix.
@@ -542,8 +527,7 @@ def generalized_modes(mat: np.ndarray, defect_threshold: float = 1e6,
     mat = np.asarray(mat, dtype=complex)
     vals, vecs = np.linalg.eig(mat)
     vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-    left = np.linalg.inv(vecs)
-    cond = np.linalg.norm(left, axis=1)
+    cond = np.linalg.norm(np.linalg.inv(vecs), axis=1)
     bad = np.where(cond > defect_threshold)[0]
     clusters: list[list[int]] = []
     for i in sorted(bad, key=lambda i: vals[i].real):
@@ -559,7 +543,7 @@ def generalized_modes(mat: np.ndarray, defect_threshold: float = 1e6,
     for i in range(len(vals)):
         if i not in clustered:
             chains.append(JordanChain(
-                complex(vals[i]), [vecs[:, i]], [left[i, :].conj()],
+                complex(vals[i]), [vecs[:, i]],
                 [float(np.linalg.norm(mat @ vecs[:, i] - vals[i] * vecs[:, i]))],
             ))
     for cl in clusters:

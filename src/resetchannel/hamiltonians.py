@@ -157,13 +157,14 @@ def hermitian_eigensystem(h: DenseOperator, tol: float = 1e-10, real: bool = Fal
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
     operator; rejects inputs that are not Hermitian within ``tol``.
 
-    ``real`` solves the real part of the matrix with a real symmetric
-    ``eigh`` instead of the complex Hermitian one. That is exact only for a
-    matrix whose imaginary part is zero, which the caller checks; the result
-    then agrees with the complex solve to rounding, not bit for bit.
+    ``real`` solves a matrix whose imaginary part is exactly zero with a
+    real symmetric ``eigh`` instead of the complex Hermitian one; the result
+    then agrees with the complex solve to rounding, not bit for bit. Any
+    other matrix takes the complex solve whatever ``real`` says.
     """
     scale = max(np.linalg.norm(h.mat), 1.0)
     if np.linalg.norm(h.mat - h.mat.conj().T) > tol * scale:
         raise ValueError("operator is not Hermitian within tolerance")
+    real = real and not np.any(h.mat.imag)
     vals, vecs = np.linalg.eigh(h.mat.real if real else h.mat)
     return vals, vecs

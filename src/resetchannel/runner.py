@@ -42,7 +42,6 @@ from .ep_analysis import (
     count_complex,
     fit_sqrt_exponent,
     locate_eps,
-    split_tolerance,
     sweep_spectrum,
     track_bands,
     write_bands_csv,
@@ -62,8 +61,10 @@ from .hamiltonians import (
     hermitian_eigensystem,  # noqa: F401  (not called here; benchmarks/spans.py wraps it)
 )
 from .spectra import (
+    SPLIT_TOL_FACTOR,
     full_spectrum,
     magnitude_histogram,
+    relative_tolerance,
     sorted_eig,
     write_histogram_csv,
     write_spectrum_csv,
@@ -94,15 +95,13 @@ def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
     live on through a sweep or a channel iteration.
 
     ``real`` marks a caller that accepts a channel exact to rounding rather
-    than bit for bit (the EP probes). Such a build diagonalizes the
-    Hamiltonian in real arithmetic when its imaginary part is exactly zero,
-    and in complex arithmetic otherwise."""
+    than bit for bit (the EP probes); see :func:`hermitian_eigensystem`."""
     params = dict(config.params)
     if param_overrides:
         params.update(param_overrides)
     layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
     h = build_hamiltonian(config.model, params, layout.n_h)
-    prop = propagate(h, config.time, real=real and not np.any(h.mat.imag))
+    prop = propagate(h, config.time, real=real)
     kraus = kraus_from_unitary(prop, layout)
     if not param_overrides:
         kraus.hamiltonian_eigensystem = prop.hamiltonian_eigensystem
@@ -332,8 +331,7 @@ def _scar_overlaps(config: ExperimentConfig, spectrum, vals: np.ndarray, vecs: n
 
 def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,
                     out: Path) -> list[str]:
-    counts = [count_complex(lam, tol_im=config.tol_im) if lam is not None else -1
-              for lam in sweep.eigenvalues]
+    counts = [count_complex(lam) if lam is not None else -1 for lam in sweep.eigenvalues]
     iso_count = None
     if analysis == "anisotropy_compare":
         # isotropic reference: the swept coupling set equal to the other one
@@ -346,8 +344,7 @@ def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,
             iso_count = counts[on_grid[0]]
         else:
             iso_kraus = build_channel(config, {parameter: iso_value})
-            iso_count = count_complex(sorted_eig(analysis_matrix(iso_kraus).mat)[0],
-                                      tol_im=config.tol_im)
+            iso_count = count_complex(sorted_eig(analysis_matrix(iso_kraus).mat)[0])
     path = out / "complex_count.csv"
     write_complex_count_csv(config.sweep.parameter, sweep.grid.values, counts, path, iso_count)
     return [path.name]
@@ -363,8 +360,8 @@ def _ep_pipeline(config: ExperimentConfig, shared: SweepResult | None, out: Path
         if lam is not None}
     sweep = _sweep(config, values, manifest, "ep", n_workers, known)
     track = track_bands(sweep, select="top_re_decile")
-    # the fit reuses the bisection's tolerance, so it needs no full solve
-    tol_im = split_tolerance(track.bands[0]) if config.tol_im is None else config.tol_im
+    # the bisection and the fit split pairs at one tolerance
+    tol_im = relative_tolerance(track.bands[0], SPLIT_TOL_FACTOR)
     records = locate_eps(sweep.grid, track, resolution=ep_cfg.resolution,
                          tol_im=tol_im, max_eps=ep_cfg.max_eps)
     fits = {}

@@ -14,13 +14,26 @@ import numpy as np
 
 from .channel import SuperoperatorMatrix
 
-REAL_TOL_FACTOR = 1e-8       # |Im| threshold relative to the spectral radius
-PAIRING_ATOL = 1e-8
-DEFECTIVITY_THRESHOLD = 1e6
+# The tolerance policy: every threshold that decides whether an eigenvalue is
+# real, split off the real axis, or the conjugate of another is defined here.
+# A factor is relative to the largest |lambda| of the eigenvalues classified
+# (:func:`relative_tolerance`); a conjugate match is relative to
+# max(1, |lambda|).
+REAL_TOL_FACTOR = 1e-8       # real: spectrum.csv is_real, histogram, outliers, cluster
+SPLIT_TOL_FACTOR = 1e-6      # split: complex counts, EP onset and probes; splitting is gradual
+PAIRING_ATOL = 1e-8          # classify_real's conjugate partner, plus this absolute term
+PROBE_PAIR_RTOL = 1e-4       # an EP probe's two modes form a conjugate pair
+BAND_PAIR_RTOL = 1e-6        # two bands turning complex together are conjugate partners
+DEFECTIVITY_THRESHOLD = 1e6  # eigenvalue condition number beyond which a mode is defective
 # Eigen-residuals are matrix products over blocks of this many columns; one
 # full-width product was no faster at dimension 1024 and raised the peak
 # memory of the n_s=5 presets by 15 MB.
 RESIDUAL_BLOCK = 128
+
+
+def relative_tolerance(lam: np.ndarray, factor: float) -> float:
+    """``factor`` times the largest |lambda| in ``lam``."""
+    return factor * float(np.max(np.abs(lam)))
 
 
 class DefectiveSpectrumError(RuntimeError):
@@ -123,7 +136,7 @@ class Spectrum:
         return self._basis.defectivity
 
     def real_tolerance(self, tol_im: float | None = None) -> float:
-        return REAL_TOL_FACTOR * self.spectral_radius if tol_im is None else tol_im
+        return relative_tolerance(self.eigenvalues, REAL_TOL_FACTOR) if tol_im is None else tol_im
 
 
 @dataclass

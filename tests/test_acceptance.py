@@ -102,9 +102,11 @@ def fig4_eps(fig4_grid):
     track = track_bands(sweep_spectrum(grid), select="top_re_decile")
     records = locate_eps(grid, track, resolution=config.ep.resolution,
                          max_eps=config.ep.max_eps)
+    # the fit splits pairs at the bisection's |Im| threshold
+    tol_im = 1e-6 * np.max(np.abs(track.bands[0]))
     for rec in records:
         try:
-            fit = fit_sqrt_exponent(grid, rec)
+            fit = fit_sqrt_exponent(grid, rec, tol_im)
             rec.exponent, rec.fit_r2, rec.fit_points = fit.exponent, fit.r2, len(fit.deltas)
         except ValueError:
             pass
@@ -226,7 +228,7 @@ def test_criterion_07_ep_pipeline(fig4_grid, fig4_eps):
     track = track_bands(sweep_spectrum(grid))
     rec = locate_eps(grid, track, resolution=1e-5)[0]
     assert abs(rec.j_star - gap) < 1e-4
-    fit = fit_sqrt_exponent(grid, rec)
+    fit = fit_sqrt_exponent(grid, rec, 1e-6 * np.max(np.abs(track.bands[0])))
     assert abs(fit.exponent - 0.5) < 0.02
 
     config, _ = fig4_grid

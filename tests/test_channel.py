@@ -4,7 +4,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from conftest import make_channel, random_density_matrix, swap_unitary
-from resetchannel import channel, runner
+from resetchannel import runner
 from resetchannel.channel import (
     KrausSet,
     Propagator,
@@ -27,7 +27,7 @@ from resetchannel.runner import (
     spectral_matrix_factory,
 )
 from resetchannel.spectra import sorted_eig
-from resetchannel.spin_ops import ChainLayout, DenseOperator, pauli_on_site
+from resetchannel.spin_ops import ChainLayout, DenseOperator, pauli_on_site, pauli_sum
 
 
 def transpose_swap(op_dim):
@@ -244,10 +244,10 @@ class TestRealProbeBuilds:
 
     def test_solver_follows_caller_and_imaginary_part(self, monkeypatch):
         config = preset_config("fig7")
-        solves = []
-        eigensystem = channel.hermitian_eigensystem
-        monkeypatch.setattr(channel, "hermitian_eigensystem",
-                            lambda h, **kw: solves.append(kw["real"]) or eigensystem(h, **kw))
+        solves = []  # True where the Hamiltonian is solved in real arithmetic
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: solves.append(not np.iscomplexobj(a)) or eigh(a))
         build_channel(config, {"jz": 0.3})
         build_channel(config, {"jz": 0.3}, real=True)
         assert solves == [False, True]
@@ -267,6 +267,14 @@ class TestRealProbeBuilds:
         assert solves == [False, False]
         for k_exact, k_probe in zip(exact.ops, probe.ops):
             assert np.array_equal(k_exact, k_probe)
+
+    def test_real_request_on_complex_hamiltonian_is_exact(self):
+        # the Y term makes H complex; solving Re(H) instead would propagate
+        # another Hamiltonian
+        terms = [(1.0, "xx", (0, 1)), (0.4, "z", (0,)), (0.6, "y", (1,))]
+        h = DenseOperator(pauli_sum(terms, 2), "qubits:2")
+        assert np.any(h.mat.imag)
+        assert np.array_equal(propagate(h, 1.3, real=True).u.mat, propagate(h, 1.3).u.mat)
 
     def test_fig4_probe_matrices_near_exact_and_sweep_exact(self):
         config = preset_config("fig4")

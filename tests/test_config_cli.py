@@ -1,6 +1,9 @@
+import importlib.util
 import json
 import re
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,9 @@ TINY_CONFIG = {
     "params": {"j2": 1.0, "jzz": 0.2, "jz": 0.3},
     "analyses": ["spectrum", "histogram"],
 }
+
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 class TestValidation:
@@ -82,11 +88,19 @@ class TestValidation:
         c3 = validate_config(apply_overrides(TINY_CONFIG, ["params.jz=0.4"]))
         assert c3.config_hash() != c1.config_hash()
 
-    def test_tolerance_overrides(self):
-        raw = dict(TINY_CONFIG, tolerances={"tol_im": 1e-7})
-        assert validate_config(raw).tol_im == 1e-7
-        with pytest.raises(ConfigError, match="config.tolerances"):
-            validate_config(dict(TINY_CONFIG, tolerances={"tol_re": 1.0}))
+    def test_benchmark_reference_hashes(self, monkeypatch):
+        # the benchmark compares a run with its reference outputs only where
+        # the config hashes agree, so a changed hash turns the check off
+        spec = importlib.util.spec_from_file_location("workloads", BENCH_DIR / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+        spec.loader.exec_module(workloads)
+        configs = {run.label: config for name in workloads.WORKLOADS
+                   for run, config in workloads.generate(name, 0)}
+        index = json.loads((BENCH_DIR / "reference" / "index.json").read_text())
+        assert index and set(index) <= set(configs)
+        for label, ref in index.items():
+            assert configs[label].config_hash() == ref["config_hash"], label
 
     @pytest.mark.parametrize("raw, path", [
         (dict(TINY_CONFIG, analyses=["bands"]), "config.sweep"),
@@ -105,9 +119,10 @@ class TestValidation:
                      "log_grid": "false"}),
          "config.phase.log_grid"),
         (dict(TINY_CONFIG, analyses=["scar_overlaps"]), "config.model"),
+        (dict(TINY_CONFIG, tolerances={"tol_im": 1e-7}), "config"),
     ], ids=["bands-no-sweep", "complex-count-no-sweep", "ep-no-ep", "qmi-no-qmi",
             "phase-no-phase", "qmi-on-aah", "phase-on-pxp", "phase-log-grid-string",
-            "scar-overlaps-on-aah"])
+            "scar-overlaps-on-aah", "tolerances-key"])
     def test_config_that_cannot_run_is_rejected(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
             validate_config(raw)

@@ -19,7 +19,7 @@ from resetchannel.ep_analysis import (
     track_bands,
     _pair_probe,
 )
-from resetchannel.spectra import full_spectrum
+from resetchannel.spectra import SPLIT_TOL_FACTOR, full_spectrum, relative_tolerance
 
 
 def analytic_family(level=0.5, gap=0.05):
@@ -38,6 +38,12 @@ def random_family(n=24, seed=3):
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((2, n, n)) / np.sqrt(n)
     return lambda j: (a + j * b).astype(complex)
+
+
+def split_tol(lam):
+    """The split threshold :func:`locate_eps` applies by default to
+    eigenvalues ``lam`` at the first grid point."""
+    return relative_tolerance(lam, SPLIT_TOL_FACTOR)
 
 
 def assert_probe_matches_full_solve(grid, value, guess, tol_im, full=None):
@@ -232,7 +238,7 @@ class TestLocateEps:
         build = analytic_family(gap=0.5)  # EP far outside the grid
         grid = SweepGrid("j", np.linspace(0.01, 0.05, 5), build)
         track = track_bands(sweep_spectrum(grid))
-        assert locate_eps(grid, track) == []
+        assert locate_eps(grid, track, resolution=1e-4) == []
 
     def test_bisection_and_fit_share_the_grid_cache(self):
         probed = []
@@ -246,7 +252,7 @@ class TestLocateEps:
         track = track_bands(sweep_spectrum(grid))
         probed.clear()
         rec = locate_eps(grid, track, resolution=1e-5)[0]
-        fit_sqrt_exponent(grid, rec)
+        fit_sqrt_exponent(grid, rec, split_tol(track.bands[0]))
         assert probed
         assert len(probed) == len(set(probed))
 
@@ -281,7 +287,7 @@ class TestLocateEps:
         grid = SweepGrid("j", np.linspace(0.03, 0.07, 5), build)
         track = track_bands(sweep_spectrum(grid))
         rec = locate_eps(grid, track, resolution=1e-5)[0]
-        fit = fit_sqrt_exponent(grid, rec)
+        fit = fit_sqrt_exponent(grid, rec, split_tol(track.bands[0]))
         assert abs(fit.exponent - 0.5) < 0.02
         assert fit.r2 > 0.999
 
@@ -293,7 +299,8 @@ class TestLocateEps:
 
         grid = SweepGrid("j", np.linspace(0.0, 0.01, 5), build)
         rec = EpRecord("j", 0.0, 0.5 + 0j, (0, 1), (0.0, 1e-6))
-        fit = fit_sqrt_exponent(grid, rec, delta0=1e-4)
+        tol_im = split_tol(np.linalg.eigvals(build(0.0)))
+        fit = fit_sqrt_exponent(grid, rec, tol_im, delta0=1e-4)
         assert abs(fit.exponent - 0.5) < 1e-6
         assert fit.r2 > 1 - 1e-12
 
@@ -304,7 +311,7 @@ class TestLocateEps:
         grid = SweepGrid("j", np.linspace(0.0, 0.01, 3), build)
         rec = EpRecord("j", 0.0, 0.45 + 0j, (0, 1), (0.0, 1e-6))
         with pytest.raises(ValueError, match="probe points"):
-            fit_sqrt_exponent(grid, rec)
+            fit_sqrt_exponent(grid, rec, split_tol(np.linalg.eigvals(build(0.0))))
 
 
 class TestProbe:
@@ -401,7 +408,7 @@ class TestProbe:
             grid = SweepGrid("jxxx", np.linspace(0.0, 0.1, 11), chain_grid)
             track = track_bands(sweep_spectrum(grid), select="top_re_decile")
             records = locate_eps(grid, track, resolution=1e-6, max_eps=2)
-            fits = [fit_sqrt_exponent(grid, rec) for rec in records]
+            fits = [fit_sqrt_exponent(grid, rec, split_tol(track.bands[0])) for rec in records]
             assert grid.probe_counts["near"] > 0
             return records, fits
 

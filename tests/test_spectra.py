@@ -12,8 +12,16 @@ from resetchannel.channel import (
     kraus_from_unitary,
     superoperator_matrix,
 )
+from resetchannel.ep_analysis import BandTrack, SweepGrid, _pair_probe, count_complex, locate_eps
 from resetchannel.spectra import (
+    BAND_PAIR_RTOL,
+    PAIRING_ATOL,
+    PROBE_PAIR_RTOL,
+    REAL_TOL_FACTOR,
+    SPLIT_TOL_FACTOR,
     DefectiveSpectrumError,
+    EigenMode,
+    Spectrum,
     classify_real,
     decompose_state,
     find_outliers,
@@ -252,3 +260,73 @@ class TestHistogram:
         write_histogram_csv(stats, hist_path)
         header = hist_path.read_text().splitlines()[0]
         assert header == "bin_left,bin_right,density,reference_density"
+
+
+class TestTolerancePolicy:
+    """Each classification follows its documented threshold: modes sit just
+    inside (factor IN) and just outside (factor OUT) of each one."""
+
+    IN, OUT = 1 - 1e-3, 1 + 1e-3
+    REAL, SPLIT = 1j * REAL_TOL_FACTOR, 1j * SPLIT_TOL_FACTOR  # spectral radius 1
+
+    def spectrum(self):
+        r, s, p = self.REAL, self.SPLIT, 2 * PAIRING_ATOL  # |lambda| < 1: p is absolute
+        lam = [1.0, 0.1, -0.2,
+               0.9 + self.IN * r, 0.9 - self.IN * r,        # real
+               0.8 + self.OUT * r, 0.8 - self.OUT * r,      # not real, not split
+               0.7 + self.IN * s, 0.7 - self.IN * s,        # not real, not split
+               0.6 + self.OUT * s, 0.6 - self.OUT * s,      # split
+               -0.9 + self.IN * r, -0.9 - self.IN * r,      # in the -1 cluster, real
+               -0.95 + self.OUT * r, -0.95 - self.OUT * r,  # in the -1 cluster, not real
+               0.65 + 2 * s, 0.65 + self.IN * p - 2 * s,    # conjugates within pairing
+               0.55 + 2 * s, 0.55 + self.OUT * p - 2 * s]   # conjugates beyond pairing
+        modes = [EigenMode(complex(x), np.zeros((1, 1)), np.zeros((1, 1)), 0.0, 1.0)
+                 for x in lam]
+        return Spectrum(modes, meta={"bath_dim": 4})
+
+    def test_real_threshold(self, tmp_path):
+        spec = self.spectrum()
+        lam = spec.eigenvalues
+        real = [0, 1, 2, 3, 4, 11, 12]
+        write_spectrum_csv(spec, tmp_path / "spectrum.csv")
+        rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+        assert [i for i, row in enumerate(rows) if row.split(",")[5] == "1"] == real
+        stats = magnitude_histogram(spec, bins=10)
+        assert stats.real_fraction == len(real) / len(lam)
+        idx, is_real = find_outliers(spec)
+        assert idx == [i for i in range(len(lam)) if abs(lam[i]) > 0.5]
+        assert [i for i, flag in zip(idx, is_real) if flag] == [i for i in real if i in idx]
+        assert [(c.index, c.is_real) for c in minus_one_cluster(spec)] == [
+            (11, True), (12, True), (13, False), (14, False)]
+        assert classify_real(spec).real_indices == real
+
+    def test_pairing_threshold(self):
+        split = classify_real(self.spectrum())
+        assert sorted(split.pairs) == [(5, 6), (7, 8), (9, 10), (13, 14), (15, 16)]
+        assert sorted(split.anomalies) == [17, 18]
+
+    def test_split_threshold(self):
+        lam = self.spectrum().eigenvalues
+        assert count_complex(lam) == 6  # the split pair and both pairing pairs
+
+    @pytest.mark.parametrize("factor, matched", [(IN, True), (OUT, False)],
+                             ids=["inside", "outside"])
+    def test_probe_conjugate_match(self, factor, matched):
+        d = factor * PROBE_PAIR_RTOL  # relative to max(1, |a|) = 1
+        lam = np.array([0.5 + 0.01j, 0.5 + d - 0.01j, 0.1])
+        _, is_pair, _ = _pair_probe(lam, lam[:2], 1e-6)
+        assert is_pair == matched
+
+    @pytest.mark.parametrize("factor, matched", [(IN, True), (OUT, False)],
+                             ids=["inside", "outside"])
+    def test_band_partner_match(self, factor, matched):
+        d = factor * BAND_PAIR_RTOL  # relative to max(1, |lambda|) = 1
+        s = 1j * SPLIT_TOL_FACTOR
+        bands = np.array([[1.0, 0.5, 0.5, 0.3, 0.3],
+                          [1.0, 0.5 + 0.01j, 0.5 + d - 0.01j,
+                           0.3 + self.IN * s, 0.3 - self.IN * s]])  # the last two stay real
+        track = BandTrack("j", np.array([0.0, 1.0]), bands, np.zeros(1))
+        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), lambda j: pytest.fail("probed"))
+        # a resolution wider than the interval: the pair is matched, never probed
+        records = locate_eps(grid, track, resolution=2.0)
+        assert [rec.band_pair for rec in records] == ([(1, 2)] if matched else [])
