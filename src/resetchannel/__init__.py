@@ -39,7 +39,6 @@ from .channel import (
     Propagator,
     SuperoperatorMatrix,
     apply_channel,
-    extend_with_ancilla,
     kraus_from_unitary,
     magnetization_violation,
     propagate,

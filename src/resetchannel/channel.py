@@ -8,6 +8,7 @@ the channel matrix is M = sum_m K_m (x) conj(K_m).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,14 @@ class KrausSet:
     def completeness_residual(self) -> float:
         acc = sum(k.conj().T @ k for k in self.ops)
         return float(np.max(np.abs(acc - np.eye(self.dim))))
+
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
+        """[K_0 ... K_{m-1}] and [K_0^dag ... K_{m-1}^dag], each side by side
+        as one (d, m d) matrix; made on first use by :func:`apply_channel`."""
+        ops = np.asarray(self.ops, dtype=complex)
+        adjoints = ops.conj().transpose(0, 2, 1)
+        return tuple(a.transpose(1, 0, 2).reshape(self.dim, -1) for a in (ops, adjoints))
 
 
 @dataclass
@@ -143,15 +152,20 @@ def _constrained_kraus(u: np.ndarray, layout: ChainLayout, reset_index: int) -> 
     return ops
 
 
-def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
-    """One application sum_m K_m rho K_m^dag."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (kraus.dim, kraus.dim):
-        raise ValueError(f"state shape {rho.shape} does not match channel dim {kraus.dim}")
-    out = np.zeros_like(rho)
-    for k in kraus.ops:
-        out += k @ rho @ k.conj().T
-    return out
+def apply_channel(kraus: KrausSet, x: np.ndarray) -> np.ndarray:
+    """One application X -> sum_m K_m X K_m^dag, of one (d, d) matrix or of
+    each matrix in a (b, d, d) stack, in two products: X [K_0^dag ...]
+    holds every X K_m^dag side by side, and [K_0 ...] times those blocks,
+    stacked, is the sum."""
+    x = np.asarray(x, dtype=complex)
+    d = kraus.dim
+    if x.ndim not in (2, 3) or x.shape[-2:] != (d, d):
+        raise ValueError(f"state shape {x.shape} does not match channel dim {d}")
+    k_row, kdag_row = kraus.stacked
+    b = 1 if x.ndim == 2 else x.shape[0]
+    y = (x.reshape(b * d, d) @ kdag_row).reshape(b, d, -1, d)
+    out = k_row @ y.transpose(2, 1, 0, 3).reshape(-1, b * d)
+    return out.reshape(d, b, d).transpose(1, 0, 2).reshape(x.shape)
 
 
 def superoperator_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
@@ -200,15 +214,6 @@ def reversal_form(sop: SuperoperatorMatrix) -> SuperoperatorMatrix:
     dim, d = sop.dim, sop.op_dim
     gathered = sop.mat.reshape(dim, d, d).transpose(0, 2, 1).reshape(dim, dim)
     return SuperoperatorMatrix(gathered, form="reversal", meta=dict(sop.meta))
-
-
-def extend_with_ancilla(kraus: KrausSet) -> KrausSet:
-    """Tensor an untouched ancilla qubit onto each Kraus operator."""
-    eye2 = np.eye(2, dtype=complex)
-    ops = [np.kron(eye2, k) for k in kraus.ops]
-    out = KrausSet(ops, kraus.layout, kraus.bath_reset_index, dict(kraus.meta))
-    out.meta["ancilla"] = True
-    return out
 
 
 def magnetization_grading(layout: ChainLayout) -> np.ndarray:

@@ -240,6 +240,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
             cpath = f"{path}.cases[{i}]"
             _check_keys(case, {"name", "jxxx", "jz"}, {"name", "jxxx", "jz"}, cpath)
             _expect(isinstance(case["name"], str), f"{cpath}.name", "must be a string")
+            _expect(case["name"] not in {c.name for c in cases}, f"{cpath}.name",
+                    f"duplicate case name {case['name']!r}; qmi.csv keys its rows by name")
             cases.append(QmiCase(case["name"], _number(case, "jxxx", cpath),
                                  _number(case, "jz", cpath)))
         qmi = QmiSection(n_k=_integer(sec, "n_k", path, 1), cases=cases)

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import KrausSet, apply_channel, extend_with_ancilla
+from .channel import KrausSet, apply_channel
 from .hamiltonians import ConstrainedBasis, joint_constrained_maps
 from .spectra import EigenMode
 from .spin_ops import (
@@ -133,17 +133,6 @@ def scar_overlap_avg(mode: EigenMode, scar_states: np.ndarray, layout: ChainLayo
     return float(np.mean(xis))
 
 
-def _ancilla_purities(rho_as: np.ndarray, n_system_qubits: int):
-    """System marginal of an (ancilla + system) state and the purities
-    (Tr rho_a^2, Tr rho_s^2, Tr rho_as^2)."""
-    n_tot = 1 + n_system_qubits
-    op = DenseOperator(np.asarray(rho_as, dtype=complex), qubit_basis(n_tot))
-    rho_a = partial_trace(op, [0], n_tot).mat
-    rho_s = partial_trace(op, list(range(1, n_tot)), n_tot).mat
-    purities = tuple(float(np.real(np.trace(r @ r))) for r in (rho_a, rho_s, op.mat))
-    return rho_s, purities
-
-
 def _renyi2(purities) -> float:
     return -np.log(purities[0]) - np.log(purities[1]) + np.log(purities[2])
 
@@ -151,7 +140,11 @@ def _renyi2(purities) -> float:
 def renyi2_qmi(rho_as: np.ndarray, n_system_qubits: int) -> float:
     """Renyi-2 mutual information S = -ln Tr(rho_a^2) - ln Tr(rho_s^2)
     + ln Tr(rho_as^2) between a single leading ancilla qubit and the system."""
-    _, purities = _ancilla_purities(rho_as, n_system_qubits)
+    n_tot = 1 + n_system_qubits
+    op = DenseOperator(np.asarray(rho_as, dtype=complex), qubit_basis(n_tot))
+    rho_a = partial_trace(op, [0], n_tot).mat
+    rho_s = partial_trace(op, list(range(1, n_tot)), n_tot).mat
+    purities = tuple(float(np.real(np.trace(r @ r))) for r in (rho_a, rho_s, op.mat))
     if min(purities) <= 0:
         raise ValueError(f"non-positive purity {purities}; state is numerically invalid")
     return _renyi2(purities)
@@ -175,37 +168,49 @@ def imbalance(rho_t: np.ndarray, rho_0: np.ndarray, n_sites: int) -> float:
     return float(now @ init)
 
 
-def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
-    """Iterate the ancilla-extended channel from an (ancilla + system) GHZ
-    state, recording mutual information, imbalance, magnetization, and
-    purities at every step.
+def _purity(rho: np.ndarray) -> float:
+    """Tr rho^2 = sum |rho_ij|^2 of a Hermitian rho, given whole or as
+    blocks."""
+    return float(np.vdot(rho, rho).real)
 
-    Monotonicity violations of the mutual information (beyond 1e-9) are
-    logged as warnings, not raised.
+
+def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
+    """Iterate the channel on the system of an (ancilla + system) GHZ state,
+    the ancilla untouched, recording mutual information, imbalance,
+    magnetization, and purities at every step.
+
+    The state is kept as its four system blocks rho_ab = <a|rho|b>, a and b
+    ancilla states; the channel maps them as one stack, and the marginals
+    and purities are read off the blocks. Monotonicity violations of the
+    mutual information (beyond 1e-9) are logged as warnings, not raised.
     """
     if kraus.layout.constrained:
         raise ValueError("mutual-information trajectories assume the full qubit basis")
     n_s = kraus.layout.n_s
-    extended = extend_with_ancilla(kraus)
+    d = kraus.dim
     rho = ghz_state(1 + n_s).density_matrix().mat
+    blocks = rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3).reshape(4, d, d)
     sz = _site_sz_diagonals(n_s)
     records: list[TrajectoryRecord] = []
-    rho_s0 = None
+    sz_0 = None
     for n in range(n_max + 1):
-        rho_s, purities = _ancilla_purities(rho, n_s)
-        if rho_s0 is None:
-            rho_s0 = rho_s
+        rho_a = np.trace(blocks, axis1=1, axis2=2)
+        rho_s = blocks[0] + blocks[3]
+        sz_n = sz @ np.real(np.diag(rho_s))
+        if sz_0 is None:
+            sz_0 = sz_n
+        purities = (_purity(rho_a), _purity(rho_s), _purity(blocks))
         records.append(TrajectoryRecord(
             n_k=n,
             qmi=float(_renyi2(purities)),
-            imbalance=imbalance(rho_s, rho_s0, n_s),
-            sz=float(2.0 * (sz @ np.real(np.diag(rho_s))).sum()),
+            imbalance=float(sz_n @ sz_0),
+            sz=float(2.0 * sz_n.sum()),
             purity_a=purities[0],
             purity_s=purities[1],
             purity_as=purities[2],
         ))
         if n < n_max:
-            rho = apply_channel(extended, rho)
+            blocks = apply_channel(kraus, blocks)
     for prev, cur in zip(records, records[1:]):
         if cur.qmi > prev.qmi + QMI_MONOTONE_ATOL:
             warnings.warn(

@@ -9,7 +9,6 @@ from resetchannel.channel import (
     KrausSet,
     Propagator,
     apply_channel,
-    extend_with_ancilla,
     kraus_from_unitary,
     magnetization_violation,
     propagate,
@@ -19,6 +18,7 @@ from resetchannel.channel import (
     vec,
 )
 from resetchannel.config import list_presets, preset_config
+from resetchannel.dynamics import imbalance, qmi_trajectory, renyi2_qmi
 from resetchannel.hamiltonians import PxpParams, build_pxp
 from resetchannel.runner import (
     analysis_matrix,
@@ -27,7 +27,14 @@ from resetchannel.runner import (
     spectral_matrix_factory,
 )
 from resetchannel.spectra import sorted_eig
-from resetchannel.spin_ops import ChainLayout, DenseOperator, pauli_on_site, pauli_sum
+from resetchannel.spin_ops import (
+    ChainLayout,
+    DenseOperator,
+    ghz_state,
+    partial_trace,
+    pauli_on_site,
+    pauli_sum,
+)
 
 
 def transpose_swap(op_dim):
@@ -147,6 +154,24 @@ class TestApplyChannel:
     def test_dimension_mismatch(self, small_channel):
         with pytest.raises(ValueError, match="shape"):
             apply_channel(small_channel, np.eye(3))
+        with pytest.raises(ValueError, match="shape"):
+            apply_channel(small_channel, np.zeros((3, 4, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            apply_channel(small_channel, np.zeros((2, 2, 4, 4)))
+
+    def test_stack_and_single_equal_operator_loop(self):
+        # operators that are neither unitary nor complete
+        rng = np.random.default_rng(11)
+        ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(5)]
+        kraus = KrausSet(ops, ChainLayout(2, 1))
+        xs = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        loop = np.array([sum(k @ x @ k.conj().T for k in ops) for x in xs])
+        stacked = apply_channel(kraus, xs)
+        assert stacked.shape == (3, 4, 4)
+        assert np.max(np.abs(stacked - loop)) <= 1e-13
+        single = apply_channel(kraus, xs[1])
+        assert single.shape == (4, 4)
+        assert np.max(np.abs(single - loop[1])) <= 1e-13
 
 
 class TestSuperoperator:
@@ -317,6 +342,14 @@ class TestMagnetizationStructure:
         assert magnetization_violation(sop, kraus.layout) > 1e-3
 
 
+def extend_with_ancilla(kraus):
+    """Oracle: the doubled Kraus set 1 (x) K_m, an untouched ancilla qubit
+    tensored onto each operator."""
+    eye2 = np.eye(2, dtype=complex)
+    return KrausSet([np.kron(eye2, k) for k in kraus.ops], kraus.layout,
+                    kraus.bath_reset_index, dict(kraus.meta))
+
+
 class TestAncillaExtension:
     def test_identity_extends_to_identity(self):
         kraus = KrausSet([np.eye(2)], ChainLayout(1, 1))
@@ -327,8 +360,6 @@ class TestAncillaExtension:
         assert extended.completeness_residual() < 1e-9
 
     def test_product_ancilla_stays_uncorrelated(self, small_channel):
-        from resetchannel.dynamics import renyi2_qmi
-
         extended = extend_with_ancilla(small_channel)
         d = small_channel.dim
         rho_s = random_density_matrix(np.random.default_rng(4), d)
@@ -336,6 +367,27 @@ class TestAncillaExtension:
         for _ in range(3):
             rho = apply_channel(extended, rho)
             assert abs(renyi2_qmi(rho, small_channel.layout.n_s)) < 1e-10
+
+
+    @pytest.mark.parametrize("case", ["small", "fig7-mbl"])
+    def test_qmi_trajectory_equals_extended_iteration(self, case, request):
+        if case == "small":
+            kraus = request.getfixturevalue("small_channel")
+        else:
+            kraus = build_channel(preset_config("fig7"), {"jxxx": 0.0, "jz": 5.0})
+        n_s, n_k = kraus.layout.n_s, 10
+        extended = extend_with_ancilla(kraus)
+        rho = ghz_state(1 + n_s).density_matrix().mat
+        records = qmi_trajectory(kraus, n_k)
+        rho_s0 = None
+        for n in range(n_k + 1):
+            rho_s = partial_trace(DenseOperator(rho, f"qubits:{1 + n_s}"),
+                                  list(range(1, 1 + n_s)), 1 + n_s).mat
+            rho_s0 = rho_s if rho_s0 is None else rho_s0
+            assert abs(records[n].qmi - renyi2_qmi(rho, n_s)) <= 1e-12, n
+            assert abs(records[n].imbalance - imbalance(rho_s, rho_s0, n_s)) <= 1e-12, n
+            assert abs(records[n].purity_as - np.trace(rho @ rho).real) <= 1e-12, n
+            rho = apply_channel(extended, rho)
 
 
 class TestPositivity:

@@ -36,6 +36,15 @@ TINY_CONFIG = {
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
+def _bench_module(name, monkeypatch):
+    """``benchmarks/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestValidation:
     def test_presets_all_validate(self):
         names = [name for name, _ in list_presets()]
@@ -91,10 +100,7 @@ class TestValidation:
     def test_benchmark_reference_hashes(self, monkeypatch):
         # the benchmark compares a run with its reference outputs only where
         # the config hashes agree, so a changed hash turns the check off
-        spec = importlib.util.spec_from_file_location("workloads", BENCH_DIR / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-        spec.loader.exec_module(workloads)
+        workloads = _bench_module("workloads", monkeypatch)
         configs = {run.label: config for name in workloads.WORKLOADS
                    for run, config in workloads.generate(name, 0)}
         index = json.loads((BENCH_DIR / "reference" / "index.json").read_text())
@@ -120,9 +126,14 @@ class TestValidation:
          "config.phase.log_grid"),
         (dict(TINY_CONFIG, analyses=["scar_overlaps"]), "config.model"),
         (dict(TINY_CONFIG, tolerances={"tol_im": 1e-7}), "config"),
+        (dict(TINY_CONFIG, model="xxx", params={"jzz": 0.1, "jz": 0.1},
+              analyses=["qmi"], qmi={"n_k": 2, "cases": [
+                  {"name": "a", "jxxx": 1.0, "jz": 0.1},
+                  {"name": "a", "jxxx": 0.0, "jz": 5.0}]}),
+         "config.qmi.cases[1].name"),
     ], ids=["bands-no-sweep", "complex-count-no-sweep", "ep-no-ep", "qmi-no-qmi",
             "phase-no-phase", "qmi-on-aah", "phase-on-pxp", "phase-log-grid-string",
-            "scar-overlaps-on-aah", "tolerances-key"])
+            "scar-overlaps-on-aah", "tolerances-key", "qmi-duplicate-case-name"])
     def test_config_that_cannot_run_is_rejected(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
             validate_config(raw)
@@ -244,6 +255,55 @@ class TestRunner:
         assert set(manifest["outputs"]) == {"spectrum.csv", "histogram.csv", "overlaps.csv"}
         # the overlaps reuse the eigensystem the channel's propagator computed
         assert len(builds) == 1
+
+    def test_tracer_targets_resolve(self, monkeypatch):
+        # the benchmark's traced run wraps these names; one missing name
+        # fails every traced run before its first pass
+        spans = _bench_module("spans", monkeypatch)
+        targets = spans.program_targets()
+        assert targets
+        for module, attr, _, _ in targets:
+            assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+    @pytest.mark.parametrize("preset, csv_name", [("fig7", "qmi.csv"),
+                                                  ("fig8", "phase_scan.csv")])
+    def test_iterated_channels_real_solve_matches_complex(self, preset, csv_name, tmp_path,
+                                                          monkeypatch):
+        check = _bench_module("check", monkeypatch)
+        config = preset_config(preset)
+        builds = []
+        original = runner.build_channel
+        monkeypatch.setattr(runner, "build_channel",
+                            lambda *args, **kwargs: builds.append(kwargs.get("real"))
+                            or original(*args, **kwargs))
+        manifest = run_experiment(config, tmp_path / "real")
+        assert builds and all(builds)  # every iterated channel took the real solve
+        monkeypatch.setattr(runner, "build_channel",
+                            lambda config, overrides=None, real=False: original(config, overrides))
+        run_experiment(config, tmp_path / "exact")
+        real, exact = tmp_path / "real" / csv_name, tmp_path / "exact" / csv_name
+        assert check.compare_csv(real, exact, config) == []
+        assert real.read_bytes() != exact.read_bytes()  # the real solve did run
+        assert not manifest["failures"]
+
+    @pytest.mark.parametrize("preset, n_builds", [("fig7", 3), ("fig8", 13)])
+    def test_manifest_records_iterated_channel_health(self, preset, n_builds, tmp_path,
+                                                      monkeypatch):
+        metas = []
+        original = runner.build_channel
+
+        def recording(*args, **kwargs):
+            kraus = original(*args, **kwargs)
+            metas.append(kraus.meta)
+            return kraus
+
+        monkeypatch.setattr(runner, "build_channel", recording)
+        health = run_experiment(preset_config(preset), tmp_path)["health"]
+        assert len(metas) == n_builds
+        assert set(health) == {"completeness_residual", "unitarity_deviation"}
+        for key in health:
+            assert health[key] == max(meta[key] for meta in metas)
+            assert 0.0 <= health[key] < 1e-9
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = validate_config(TINY_CONFIG)
