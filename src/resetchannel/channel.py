@@ -8,11 +8,11 @@ the channel matrix is M = sum_m K_m (x) conj(K_m).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .hamiltonians import hermitian_eigensystem, joint_constrained_maps
+from .hamiltonians import ConstrainedBasis, hermitian_eigensystem
 from .spin_ops import ChainLayout, DenseOperator, site_signs
 
 UNITARITY_ATOL = 1e-9
@@ -25,21 +25,27 @@ class CompletenessError(RuntimeError):
 
 @dataclass
 class Propagator:
-    """Unitary evolution operator for one Floquet period, with the energies
-    and eigenvectors of the Hamiltonian it was made from, when known, and
-    its unitarity deviation |U^dag U - I| (Frobenius norm)."""
+    """Evolution operator U = V exp(-i E t) V^dag for one Floquet period,
+    held as the energies ``vals`` and eigenvectors ``vecs`` of the
+    Hamiltonian; U itself is never formed (see :meth:`columns`). Its
+    unitarity deviation is |V^dag V - I| (Frobenius norm) of the
+    eigenvectors."""
 
-    u: DenseOperator
+    vals: np.ndarray
+    vecs: np.ndarray = field(repr=False)
     t: float
-    hamiltonian_eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False)
+    basis: str
     unitarity_deviation: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        dev = float(np.linalg.norm(self.u.mat.conj().T @ self.u.mat - np.eye(self.u.dim)))
+        dev = float(np.linalg.norm(self.vecs.conj().T @ self.vecs - np.eye(len(self.vals))))
         if dev > UNITARITY_ATOL:
-            raise ValueError(f"propagator is not unitary: |U^dag U - I| = {dev:.2e}")
+            raise ValueError(f"propagator is not unitary: |V^dag V - I| = {dev:.2e}")
         self.unitarity_deviation = dev
+
+    def columns(self, idx) -> np.ndarray:
+        """U[:, idx], and only those columns of U."""
+        return (self.vecs * np.exp(-1j * self.vals * self.t)) @ self.vecs[idx].conj().T
 
 
 @dataclass
@@ -77,15 +83,10 @@ class KrausSet:
 
 @dataclass
 class SuperoperatorMatrix:
-    """Channel as a matrix on vectorized operators.
-
-    ``form`` records whether this is the plain channel action ("plain") or
-    the channel composed with basis transposition ("reversal"); see
-    :func:`reversal_form`.
-    """
+    """Channel as a matrix on vectorized operators: the plain channel
+    action, or its :func:`reversal_form`."""
 
     mat: np.ndarray
-    form: str = "plain"
     meta: dict = field(default_factory=dict)
 
     @property
@@ -98,58 +99,60 @@ class SuperoperatorMatrix:
 
 
 def propagate(h: DenseOperator, t: float, real: bool = False) -> Propagator:
-    """exp(-i H t) via the Hermitian eigensystem, solved in real arithmetic
-    when ``real`` and H is exactly real (see :func:`hermitian_eigensystem`)."""
+    """exp(-i H t) as the Hermitian eigensystem of H, solved in real
+    arithmetic when ``real`` and H is exactly real (see
+    :func:`hermitian_eigensystem`)."""
     vals, vecs = hermitian_eigensystem(h, real=real)
-    u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
-    return Propagator(DenseOperator(u, h.basis), t, (vals, vecs))
+    return Propagator(vals, vecs, t, h.basis)
+
+
+@cache
+def joint_index_table(layout: ChainLayout) -> np.ndarray:
+    """Joint-basis index of system state s with bath state b at entry
+    [b, s] of a (dim_b, dim_s) table, or -1 where the pair breaks the
+    blockade at the system/bath cut (constrained layouts only). Made once
+    per layout and read-only."""
+
+    def states(n_sites: int) -> np.ndarray:
+        return (np.array(ConstrainedBasis(n_sites).states) if layout.constrained
+                else np.arange(2 ** n_sites))
+
+    joint = states(layout.n_h)
+    bits = (states(layout.n_s)[None, :] << layout.n_b) | states(layout.n_b)[:, None]
+    idx = np.minimum(np.searchsorted(joint, bits), len(joint) - 1)
+    table = np.where(joint[idx] == bits, idx, -1)
+    table.flags.writeable = False
+    return table
 
 
 def kraus_from_unitary(prop: Propagator, layout: ChainLayout, reset_index: int = 0) -> KrausSet:
     """Extract the bath-reset Kraus set K_m = <m|U|reset> from a joint
     propagator.
 
-    For a constrained layout, joint configurations whose system/bath boundary
-    violates the blockade carry zero amplitude; the Kraus list runs over the
-    constrained bath configurations.
+    Only the d_s columns of U with the bath in its reset state are formed.
+    For a constrained layout, joint configurations whose system/bath
+    boundary violates the blockade carry zero amplitude; the Kraus list runs
+    over the constrained bath configurations.
     """
-    u = prop.u
-    if u.basis != layout.basis_joint:
-        raise ValueError(f"propagator basis {u.basis} does not match layout {layout.basis_joint}")
-    if layout.constrained:
-        ops = _constrained_kraus(u.mat, layout, reset_index)
-    else:
-        ds, db = layout.dim_s, layout.dim_b
-        if not 0 <= reset_index < db:
-            raise ValueError(f"reset index {reset_index} out of range for bath dim {db}")
-        u4 = u.mat.reshape(ds, db, ds, db)
-        ops = [np.ascontiguousarray(u4[:, m, :, reset_index]) for m in range(db)]
-    kraus = KrausSet(ops, layout, reset_index,
+    if prop.basis != layout.basis_joint:
+        raise ValueError(f"propagator basis {prop.basis} does not match layout "
+                         f"{layout.basis_joint}")
+    if not 0 <= reset_index < layout.dim_b:
+        raise ValueError(f"reset index {reset_index} out of range for bath dim {layout.dim_b}")
+    table = joint_index_table(layout)
+    reset_cols = table[reset_index]
+    if np.any(reset_cols < 0):
+        raise ValueError("bath reset configuration clashes with the blockade")
+    w = prop.columns(reset_cols)
+    # a zero last row, read wherever the table holds -1
+    w = np.vstack([w, np.zeros((1, layout.dim_s))])
+    kraus = KrausSet(list(w[table]), layout, reset_index,
                      meta={"t": prop.t, "unitarity_deviation": prop.unitarity_deviation})
     residual = kraus.completeness_residual()
     if residual > COMPLETENESS_ATOL:
         raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.2e}")
     kraus.meta["completeness_residual"] = residual
     return kraus
-
-
-def _constrained_kraus(u: np.ndarray, layout: ChainLayout, reset_index: int) -> list[np.ndarray]:
-    sys_basis, bath_basis, _, joint_index = joint_constrained_maps(layout.n_s, layout.n_b)
-    ds = sys_basis.dim
-    if not 0 <= reset_index < bath_basis.dim:
-        raise ValueError(f"reset index {reset_index} out of range for bath dim {bath_basis.dim}")
-    in_idx = [joint_index(si, reset_index) for si in range(ds)]
-    if any(j is None for j in in_idx):
-        raise ValueError("bath reset configuration clashes with the blockade")
-    ops = []
-    for bi in range(bath_basis.dim):
-        k = np.zeros((ds, ds), dtype=complex)
-        for so in range(ds):
-            jo = joint_index(so, bi)
-            if jo is not None:
-                k[so, :] = u[jo, in_idx]
-        ops.append(k)
-    return ops
 
 
 def apply_channel(kraus: KrausSet, x: np.ndarray) -> np.ndarray:
@@ -209,11 +212,9 @@ def reversal_form(sop: SuperoperatorMatrix) -> SuperoperatorMatrix:
     this package are computed in this form; dynamical predictions (state
     evolution, mode powering) use the plain form.
     """
-    if sop.form != "plain":
-        raise ValueError("reversal_form expects the plain channel matrix")
     dim, d = sop.dim, sop.op_dim
     gathered = sop.mat.reshape(dim, d, d).transpose(0, 2, 1).reshape(dim, dim)
-    return SuperoperatorMatrix(gathered, form="reversal", meta=dict(sop.meta))
+    return SuperoperatorMatrix(gathered, meta=dict(sop.meta))
 
 
 def magnetization_grading(layout: ChainLayout) -> np.ndarray:

@@ -170,6 +170,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _expect(model in MODELS, "config.model", f"must be one of {MODELS}, got {model!r}")
 
     if "layout" in raw:
+        both = sorted({"n_s", "n_b"} & set(raw))
+        _expect(not both, "config", f"top-level {both} next to 'layout'; give n_s and n_b "
+                "either in 'layout' or at the top level, not in both")
         _check_keys(raw["layout"], {"n_s", "n_b"}, {"n_s", "n_b"}, "config.layout")
         n_s = _integer(raw["layout"], "n_s", "config.layout", 1)
         n_b = _integer(raw["layout"], "n_b", "config.layout", 1)
@@ -225,6 +228,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             if "resolution" in sec else EpSection.resolution,
             max_eps=_integer(sec, "max_eps", path, 1) if "max_eps" in sec else EpSection.max_eps,
         )
+        _expect(ep.stop != ep.start, f"{path}.stop", "must differ from start")
         _expect("sweep" in raw, path, "ep analysis needs a sweep section for the parameter name")
 
     qmi = None
@@ -279,6 +283,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
         _expect(model == "pxp", "config.model",
                 f"scar_overlaps needs the blockaded model 'pxp', got {model!r}")
 
+    cluster_window = (_number(raw, "cluster_window", "config", positive=True)
+                      if "cluster_window" in raw else ExperimentConfig.cluster_window)
+    _expect(cluster_window < 0.5, "config.cluster_window",
+            f"must lie in (0, 0.5), got {cluster_window}")
+
     return ExperimentConfig(
         name=str(raw.get("name", "custom")),
         model=model,
@@ -293,8 +302,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         phase=phase,
         histogram_bins=_integer(raw, "histogram_bins", "config", 10)
         if "histogram_bins" in raw else ExperimentConfig.histogram_bins,
-        cluster_window=_number(raw, "cluster_window", "config", positive=True)
-        if "cluster_window" in raw else ExperimentConfig.cluster_window,
+        cluster_window=cluster_window,
         seed=_integer(raw, "seed", "config", 0) if "seed" in raw else ExperimentConfig.seed,
     )
 

@@ -12,8 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import KrausSet, apply_channel
-from .hamiltonians import ConstrainedBasis, joint_constrained_maps
+from .channel import KrausSet, apply_channel, joint_index_table
+from .hamiltonians import ConstrainedBasis
 from .spectra import EigenMode
 from .spin_ops import (
     ChainLayout,
@@ -63,14 +63,9 @@ class ScarCandidates:
 def bath_vacuum_projection(psi: np.ndarray, layout: ChainLayout) -> np.ndarray:
     """System-space amplitudes <s, 0_b|psi> of a joint state."""
     psi = np.asarray(psi, dtype=complex)
-    if layout.constrained:
-        sys_basis, _, joint_basis, joint_index = joint_constrained_maps(layout.n_s, layout.n_b)
-        if psi.shape[0] != joint_basis.dim:
-            raise ValueError(f"state dim {psi.shape[0]} != joint constrained dim {joint_basis.dim}")
-        return np.array([psi[joint_index(si, 0)] for si in range(sys_basis.dim)])
     if psi.shape[0] != layout.dim_joint:
         raise ValueError(f"state dim {psi.shape[0]} != joint dim {layout.dim_joint}")
-    return psi.reshape(layout.dim_s, layout.dim_b)[:, 0].copy()
+    return psi[joint_index_table(layout)[0]]
 
 
 def eigen_overlap(mode: EigenMode, psi: np.ndarray, layout: ChainLayout) -> float:

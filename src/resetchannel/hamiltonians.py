@@ -120,25 +120,6 @@ class ConstrainedBasis:
         return full
 
 
-def joint_constrained_maps(n_s: int, n_b: int):
-    """Factorization helpers for a blockaded chain split into a system block
-    (first ``n_s`` sites) and bath block (last ``n_b`` sites).
-
-    Returns (system basis, bath basis, joint basis, joint_index) where
-    joint_index(si, bi) gives the joint constrained index or None when the
-    boundary pair would violate the blockade.
-    """
-    sys_basis = ConstrainedBasis(n_s)
-    bath_basis = ConstrainedBasis(n_b)
-    joint_basis = ConstrainedBasis(n_s + n_b)
-
-    def joint_index(si: int, bi: int):
-        joint_bits = (sys_basis.states[si] << n_b) | bath_basis.states[bi]
-        return joint_basis.index.get(joint_bits)
-
-    return sys_basis, bath_basis, joint_basis, joint_index
-
-
 def build_pxp(params: PxpParams, n_sites: int) -> DenseOperator:
     """Blockaded spin-flip Hamiltonian with open boundaries (edge projectors
     replaced by identity), on the blockade subspace.

@@ -104,7 +104,7 @@ def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
     prop = propagate(h, config.time, real=real)
     kraus = kraus_from_unitary(prop, layout)
     if not param_overrides:
-        kraus.hamiltonian_eigensystem = prop.hamiltonian_eigensystem
+        kraus.hamiltonian_eigensystem = (prop.vals, prop.vecs)
     return kraus
 
 

@@ -104,8 +104,7 @@ def ergodic_reversal_spectrum(ergodic_channel):
 
 
 def swap_unitary():
-    """Two-qubit SWAP as a DenseOperator on the 1+1 joint chain."""
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = u[3, 3] = 1.0
-    u[1, 2] = u[2, 1] = 1.0
-    return DenseOperator(u, "qubits:2")
+    """Two-qubit SWAP on the 1+1 joint chain, as the propagator of
+    H = (pi/2)(I - SWAP) over t = 1."""
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    return propagate(DenseOperator(np.pi / 2 * (np.eye(4) - swap), "qubits:2"), 1.0)

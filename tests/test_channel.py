@@ -6,6 +6,7 @@ from scipy.optimize import linear_sum_assignment
 from conftest import make_channel, random_density_matrix, swap_unitary
 from resetchannel import runner
 from resetchannel.channel import (
+    CompletenessError,
     KrausSet,
     Propagator,
     apply_channel,
@@ -19,7 +20,7 @@ from resetchannel.channel import (
 )
 from resetchannel.config import list_presets, preset_config
 from resetchannel.dynamics import imbalance, qmi_trajectory, renyi2_qmi
-from resetchannel.hamiltonians import PxpParams, build_pxp
+from resetchannel.hamiltonians import ConstrainedBasis, PxpParams, build_pxp, hermitian_eigensystem
 from resetchannel.runner import (
     analysis_matrix,
     build_channel,
@@ -46,20 +47,48 @@ def transpose_swap(op_dim):
     return s
 
 
+def kraus_oracle(h, t, layout, real):
+    """K_m = <m|U|0_b> gathered entry by entry from the full propagator U."""
+    vals, vecs = hermitian_eigensystem(h, real=real)
+    u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+    ds, db = layout.dim_s, layout.dim_b
+    if not layout.constrained:
+        u4 = u.reshape(ds, db, ds, db)
+        return [u4[:, m, :, 0] for m in range(db)]
+    sys_states = ConstrainedBasis(layout.n_s).states
+    bath_states = ConstrainedBasis(layout.n_b).states
+    joint = ConstrainedBasis(layout.n_h).index
+
+    def joint_index(si, bi):
+        return joint.get((sys_states[si] << layout.n_b) | bath_states[bi])
+
+    in_idx = [joint_index(si, 0) for si in range(ds)]
+    ops = []
+    for bi in range(db):
+        k = np.zeros((ds, ds), dtype=complex)
+        for so in range(ds):
+            jo = joint_index(so, bi)
+            if jo is not None:
+                k[so, :] = u[jo, in_idx]
+        ops.append(k)
+    return ops
+
+
 class TestPropagate:
     def test_zero_hamiltonian(self):
         h = DenseOperator(np.zeros((4, 4)), "qubits:2")
-        assert np.allclose(propagate(h, 3.0).u.mat, np.eye(4))
+        assert np.allclose(propagate(h, 3.0).columns(np.arange(4)), np.eye(4))
 
     def test_pauli_z_quarter_period(self):
         prop = propagate(pauli_on_site("z", 0, 1), np.pi / 2)
-        assert np.allclose(prop.u.mat, np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]))
+        assert np.allclose(prop.columns(np.arange(2)),
+                           np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)]))
 
     def test_matches_scaling_and_squaring_oracle(self):
         rng = np.random.default_rng(11)
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         h = (a + a.conj().T) / 2
-        got = propagate(DenseOperator(h, "qubits:4"), 1.0).u.mat
+        got = propagate(DenseOperator(h, "qubits:4"), 1.0).columns(np.arange(16))
         expected = scipy.linalg.expm(-1j * h)
         assert np.linalg.norm(got - expected) < 1e-9
 
@@ -69,20 +98,28 @@ class TestPropagate:
 
     def test_propagator_validates_unitarity(self):
         with pytest.raises(ValueError, match="unitary"):
-            Propagator(DenseOperator(np.diag([1.0, 0.5]), "qubits:1"), 1.0)
+            Propagator(np.zeros(2), np.diag([1.0, 0.5]), 1.0, "qubits:1")
+
+    def test_corrupted_eigenvector_raises(self):
+        h = build_hamiltonian("xxx", {"jzz": 0.1, "jz": 0.1, "jxxx": 0.5}, 4)
+        vals, vecs = hermitian_eigensystem(h)
+        assert Propagator(vals, vecs, 10.0, h.basis).unitarity_deviation < 1e-12
+        vecs[:, 3] += 1e-6 * vecs[:, 4]
+        with pytest.raises(ValueError, match="not unitary"):
+            Propagator(vals, vecs, 10.0, h.basis)
 
 
 class TestKrausExtraction:
     def test_identity_unitary(self):
         layout = ChainLayout(1, 1)
-        prop = Propagator(DenseOperator(np.eye(4), "qubits:2"), 0.0)
+        prop = Propagator(np.zeros(4), np.eye(4), 0.0, "qubits:2")
         kraus = kraus_from_unitary(prop, layout)
         assert np.allclose(kraus.ops[0], np.eye(2))
         assert np.allclose(kraus.ops[1], 0.0)
 
     def test_swap_gives_reset_channel(self):
         layout = ChainLayout(1, 1)
-        kraus = kraus_from_unitary(Propagator(swap_unitary(), 1.0), layout)
+        kraus = kraus_from_unitary(swap_unitary(), layout)
         for m in range(2):
             expected = np.zeros((2, 2))
             expected[0, m] = 1.0  # |0><m|
@@ -98,17 +135,42 @@ class TestKrausExtraction:
         assert kraus.completeness_residual() < 1e-9
         assert len(kraus.ops) == layout.dim_b
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("preset", ["fig3", "fig2", "fig9", "fig6"],
+                             ids=["aah", "xxx", "xx", "pxp"])
+    def test_preset_kraus_match_full_unitary_oracle(self, preset, real):
+        config = preset_config(preset)
+        layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
+        h = build_hamiltonian(config.model, config.params, layout.n_h)
+        expected = kraus_oracle(h, config.time, layout, real)
+        got = build_channel(config, real=real).ops
+        assert len(got) == len(expected) == layout.dim_b
+        assert max(np.max(np.abs(k - e)) for k, e in zip(got, expected)) <= 1e-14
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig6"])
+    def test_scaled_reset_column_raises(self, preset, monkeypatch):
+        columns = Propagator.columns
+
+        def skewed(self, idx):
+            w = columns(self, idx)
+            w[:, 1] *= 1 + 1e-6
+            return w
+
+        monkeypatch.setattr(Propagator, "columns", skewed)
+        with pytest.raises(CompletenessError):
+            build_channel(preset_config(preset))
+
     def test_completeness_violation_raises(self):
         layout = ChainLayout(1, 1)
         bad = KrausSet([np.eye(2) * 0.5], layout)
         assert bad.completeness_residual() > 0.5
-        prop = Propagator(DenseOperator(np.eye(4), "qubits:2"), 0.0)
+        prop = Propagator(np.zeros(4), np.eye(4), 0.0, "qubits:2")
         with pytest.raises(ValueError):
             kraus_from_unitary(prop, ChainLayout(2, 2))  # basis mismatch
 
     def test_configurable_reset_index(self):
         layout = ChainLayout(1, 1)
-        kraus = kraus_from_unitary(Propagator(swap_unitary(), 1.0), layout, reset_index=1)
+        kraus = kraus_from_unitary(swap_unitary(), layout, reset_index=1)
         for m in range(2):
             expected = np.zeros((2, 2))
             expected[1, m] = 1.0  # |1><m|: channel resets the system to |1>
@@ -117,7 +179,7 @@ class TestKrausExtraction:
 
     def test_bad_reset_index(self):
         layout = ChainLayout(1, 1)
-        prop = Propagator(DenseOperator(np.eye(4), "qubits:2"), 0.0)
+        prop = Propagator(np.zeros(4), np.eye(4), 0.0, "qubits:2")
         with pytest.raises(ValueError, match="reset index"):
             kraus_from_unitary(prop, layout, reset_index=5)
 
@@ -130,7 +192,7 @@ class TestApplyChannel:
 
     def test_swap_resets_any_state(self):
         layout = ChainLayout(1, 1)
-        kraus = kraus_from_unitary(Propagator(swap_unitary(), 1.0), layout)
+        kraus = kraus_from_unitary(swap_unitary(), layout)
         rho = random_density_matrix(np.random.default_rng(1), 2)
         out = apply_channel(kraus, rho)
         assert np.allclose(out, np.diag([1.0, 0.0]))
@@ -181,7 +243,7 @@ class TestSuperoperator:
 
     def test_swap_reset_eigenvalues(self):
         layout = ChainLayout(1, 1)
-        kraus = kraus_from_unitary(Propagator(swap_unitary(), 1.0), layout)
+        kraus = kraus_from_unitary(swap_unitary(), layout)
         lam = np.sort_complex(np.linalg.eigvals(superoperator_matrix(kraus).mat))
         assert np.allclose(lam, [0, 0, 0, 1], atol=1e-12)
 
@@ -200,12 +262,6 @@ class TestSuperoperator:
         lam = np.linalg.eigvals(sop.mat)
         assert np.max(np.abs(lam)) <= 1 + 1e-8
         assert np.min(np.abs(lam - 1.0)) < 1e-8
-        assert sop.form == "reversal"
-
-    def test_reversal_rejects_double_application(self, small_channel):
-        sop = reversal_form(superoperator_matrix(small_channel))
-        with pytest.raises(ValueError):
-            reversal_form(sop)
 
     def test_reversal_form_equals_swap_product(self, small_channel):
         sop = superoperator_matrix(small_channel)
@@ -299,7 +355,9 @@ class TestRealProbeBuilds:
         terms = [(1.0, "xx", (0, 1)), (0.4, "z", (0,)), (0.6, "y", (1,))]
         h = DenseOperator(pauli_sum(terms, 2), "qubits:2")
         assert np.any(h.mat.imag)
-        assert np.array_equal(propagate(h, 1.3, real=True).u.mat, propagate(h, 1.3).u.mat)
+        cols = np.arange(4)
+        assert np.array_equal(propagate(h, 1.3, real=True).columns(cols),
+                              propagate(h, 1.3).columns(cols))
 
     def test_fig4_probe_matrices_near_exact_and_sweep_exact(self):
         config = preset_config("fig4")

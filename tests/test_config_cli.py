@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import resetchannel
 from resetchannel import runner
 from resetchannel.cli import _thread_count, build_parser, main
 from resetchannel.config import (
@@ -131,9 +134,15 @@ class TestValidation:
                   {"name": "a", "jxxx": 1.0, "jz": 0.1},
                   {"name": "a", "jxxx": 0.0, "jz": 5.0}]}),
          "config.qmi.cases[1].name"),
+        (dict(TINY_CONFIG, cluster_window=0.7), "config.cluster_window"),
+        (dict(TINY_CONFIG, analyses=["ep"],
+              sweep={"parameter": "jz", "start": 0.1, "stop": 0.3, "points": 3},
+              ep={"start": 0.2, "stop": 0.2, "points": 5}), "config.ep.stop"),
+        (dict(TINY_CONFIG, n_s=5), "config"),
     ], ids=["bands-no-sweep", "complex-count-no-sweep", "ep-no-ep", "qmi-no-qmi",
             "phase-no-phase", "qmi-on-aah", "phase-on-pxp", "phase-log-grid-string",
-            "scar-overlaps-on-aah", "tolerances-key", "qmi-duplicate-case-name"])
+            "scar-overlaps-on-aah", "tolerances-key", "qmi-duplicate-case-name",
+            "cluster-window-too-wide", "ep-equal-endpoints", "n-s-next-to-layout"])
     def test_config_that_cannot_run_is_rejected(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
             validate_config(raw)
@@ -305,12 +314,42 @@ class TestRunner:
             assert health[key] == max(meta[key] for meta in metas)
             assert 0.0 <= health[key] < 1e-9
 
+    def test_presets_match_reference_outputs(self, tmp_path, monkeypatch):
+        # fig6 is the only blockade (pxp) reference, fig7 and fig8 the
+        # iterated-channel ones. The references were written with BLAS at one
+        # thread, and at two fig6's spectrum.csv reorders conjugate pairs, so
+        # the presets run in a fresh interpreter with BLAS pinned.
+        check = _bench_module("check", monkeypatch)
+        presets = ("fig6", "fig7", "fig8")
+        env = dict(os.environ, **{var: "1" for var in runner.BLAS_THREAD_VARS})
+        src = str(Path(resetchannel.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", REFERENCE_RUNS, str(tmp_path), *presets],
+                             env=env, capture_output=True, text=True, timeout=600)
+        assert res.returncode == 0, res.stderr
+        index = check.load_index()
+        for name in presets:
+            config, out = preset_config(name), tmp_path / name
+            assert index[name]["config_hash"] == config.config_hash(), name
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert check.check_run(name, config, out, manifest, index) == [], name
+
     def test_rerun_is_byte_identical(self, tmp_path):
         config = validate_config(TINY_CONFIG)
         run_experiment(config, tmp_path / "a")
         run_experiment(config, tmp_path / "b")
         for name in ("spectrum.csv", "histogram.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# runs each named preset into <argv[1]>/<name> with one sweep worker
+REFERENCE_RUNS = """
+import sys
+from resetchannel.config import preset_config
+from resetchannel.runner import run_experiment
+for name in sys.argv[2:]:
+    run_experiment(preset_config(name), f"{sys.argv[1]}/{name}", 1)
+"""
 
 
 SWEEP_CONFIG = {

@@ -12,9 +12,9 @@ from resetchannel.hamiltonians import (
     build_xx,
     build_xxx,
     hermitian_eigensystem,
-    joint_constrained_maps,
 )
-from resetchannel.spin_ops import DenseOperator, projector0_on_site, total_sz
+from resetchannel.channel import joint_index_table
+from resetchannel.spin_ops import ChainLayout, DenseOperator, projector0_on_site, total_sz
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -161,16 +161,30 @@ class TestConstrainedBasis:
         assert basis.states == sorted(basis.states)
         assert all((b & (b >> 1)) == 0 for b in basis.states)
 
-    def test_joint_maps_respect_boundary(self):
-        sys_b, bath_b, joint_b, joint_index = joint_constrained_maps(2, 2)
-        # system ...1 with bath 1... violates the blockade at the cut
-        si = sys_b.index[0b01]
-        bi = bath_b.index[0b10]
-        assert joint_index(si, bi) is None
-        assert joint_index(sys_b.index[0b10], bi) is not None
-        covered = sum(joint_index(s, b) is not None
-                      for s in range(sys_b.dim) for b in range(bath_b.dim))
-        assert covered == joint_b.dim
+    def test_joint_index_table_respects_boundary(self):
+        for layout in (ChainLayout(2, 2, True), ChainLayout(3, 4, True), ChainLayout(5, 5, True),
+                       ChainLayout(2, 3), ChainLayout(4, 4)):
+            table = joint_index_table(layout)
+            assert table.shape == (layout.dim_b, layout.dim_s)
+            # every joint state exactly once
+            assert np.array_equal(np.sort(table[table >= 0]), np.arange(layout.dim_joint))
+            if layout.constrained:
+                sys_states = np.array(ConstrainedBasis(layout.n_s).states)
+                bath_states = np.array(ConstrainedBasis(layout.n_b).states)
+                joint_states = np.array(ConstrainedBasis(layout.n_h).states)
+            else:
+                sys_states, bath_states = np.arange(layout.dim_s), np.arange(layout.dim_b)
+                joint_states = np.arange(layout.dim_joint)
+            # -1 exactly where system ...1 meets bath 1... at the cut
+            clash = (bath_states[:, None] >> (layout.n_b - 1)) & sys_states[None, :] & 1
+            assert np.array_equal(table < 0, clash.astype(bool) & layout.constrained)
+            b, s = np.nonzero(table >= 0)
+            assert np.array_equal(joint_states[table[b, s]],
+                                  (sys_states[s] << layout.n_b) | bath_states[b])
+        table = joint_index_table(ChainLayout(2, 2, True))
+        pair = ConstrainedBasis(2).index
+        assert table[pair[0b10], pair[0b01]] == -1
+        assert table[pair[0b10], pair[0b10]] == ConstrainedBasis(4).index[0b1010]
 
 
 class TestPxp:

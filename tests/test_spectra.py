@@ -6,7 +6,6 @@ import pytest
 
 from conftest import random_density_matrix, swap_unitary
 from resetchannel.channel import (
-    Propagator,
     SuperoperatorMatrix,
     apply_channel,
     kraus_from_unitary,
@@ -54,7 +53,7 @@ class TestFullSpectrum:
         assert all(m.residual < 1e-12 for m in spec.modes)
 
     def test_swap_reset_channel_modes(self):
-        kraus = kraus_from_unitary(Propagator(swap_unitary(), 1.0), ChainLayout(1, 1))
+        kraus = kraus_from_unitary(swap_unitary(), ChainLayout(1, 1))
         spec = full_spectrum(superoperator_matrix(kraus))
         assert np.allclose(sorted(np.abs(spec.eigenvalues)), [0, 0, 0, 1])
         top = spec.modes[0]
@@ -125,7 +124,7 @@ class TestFullSpectrum:
 
 class TestDecomposition:
     def test_eigenoperator_gives_unit_vector(self):
-        kraus = kraus_from_unitary(Propagator(swap_unitary(), 1.0), ChainLayout(1, 1))
+        kraus = kraus_from_unitary(swap_unitary(), ChainLayout(1, 1))
         spec = full_spectrum(superoperator_matrix(kraus))
         rho = np.diag([1.0, 0.0]).astype(complex)  # the lambda=1 eigenoperator
         coeffs = decompose_state(spec, rho)
@@ -204,7 +203,7 @@ class TestTriangularLaw:
 
 class TestOutliers:
     def test_swap_channel_flags_fixed_point(self):
-        kraus = kraus_from_unitary(Propagator(swap_unitary(), 1.0), ChainLayout(1, 1))
+        kraus = kraus_from_unitary(swap_unitary(), ChainLayout(1, 1))
         spec = full_spectrum(superoperator_matrix(kraus))
         idx, is_real = find_outliers(spec, n_bath_states=2)
         assert idx == [0]
