@@ -47,7 +47,6 @@ from .channel import (
 )
 from .spectra import (
     DefectiveSpectrumError,
-    EigenMode,
     Spectrum,
     SpectralStats,
     classify_real,

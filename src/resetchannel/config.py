@@ -163,23 +163,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _expect(isinstance(raw, dict), "config", "must be a JSON object")
     top_allowed = {"name", "model", "layout", "time", "params", "analyses", "sweep",
                    "ep", "qmi", "phase", "histogram_bins", "cluster_window",
-                   "seed", "n_s", "n_b"}
-    _check_keys(raw, top_allowed, {"model", "time", "params", "analyses"}, "config")
+                   "seed"}
+    _check_keys(raw, top_allowed, {"model", "layout", "time", "params", "analyses"}, "config")
 
     model = raw["model"]
     _expect(model in MODELS, "config.model", f"must be one of {MODELS}, got {model!r}")
 
-    if "layout" in raw:
-        both = sorted({"n_s", "n_b"} & set(raw))
-        _expect(not both, "config", f"top-level {both} next to 'layout'; give n_s and n_b "
-                "either in 'layout' or at the top level, not in both")
-        _check_keys(raw["layout"], {"n_s", "n_b"}, {"n_s", "n_b"}, "config.layout")
-        n_s = _integer(raw["layout"], "n_s", "config.layout", 1)
-        n_b = _integer(raw["layout"], "n_b", "config.layout", 1)
-    else:
-        _check_keys(raw, top_allowed, {"n_s", "n_b"}, "config")
-        n_s = _integer(raw, "n_s", "config", 1)
-        n_b = _integer(raw, "n_b", "config", 1)
+    _check_keys(raw["layout"], {"n_s", "n_b"}, {"n_s", "n_b"}, "config.layout")
+    n_s = _integer(raw["layout"], "n_s", "config.layout", 1)
+    n_b = _integer(raw["layout"], "n_b", "config.layout", 1)
 
     time = _number(raw, "time", "config", positive=True)
 

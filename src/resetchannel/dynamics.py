@@ -14,7 +14,6 @@ import numpy as np
 
 from .channel import KrausSet, apply_channel, joint_index_table
 from .hamiltonians import ConstrainedBasis
-from .spectra import EigenMode
 from .spin_ops import (
     ChainLayout,
     DenseOperator,
@@ -68,20 +67,21 @@ def bath_vacuum_projection(psi: np.ndarray, layout: ChainLayout) -> np.ndarray:
     return psi[joint_index_table(layout)[0]]
 
 
-def eigen_overlap(mode: EigenMode, psi: np.ndarray, layout: ChainLayout) -> float:
-    """Rescaled overlap xi = N_s |Tr(rho_psi right_m)| between a channel
-    eigenmode and a Hamiltonian eigenstate.
+def eigen_overlap(right: np.ndarray, psi: np.ndarray, layout: ChainLayout) -> np.ndarray:
+    """Rescaled overlaps xi_k = N_s |Tr(rho_psi right_k)| between every
+    channel eigenmode (the columns of ``right``, row-stacked unit-norm
+    eigenoperators) and one Hamiltonian eigenstate.
 
     rho_psi is the bath-vacuum projection of |psi><psi|, trace-normalized;
-    the mode's right eigenoperator carries unit Frobenius norm. Bulk modes of
-    scrambled dynamics sit near xi ~ 1; anomalously slow modes show xi >> 1
-    against the states they are built from.
+    it is formed once and contracted with all modes in one product. Bulk
+    modes of scrambled dynamics sit near xi ~ 1; anomalously slow modes show
+    xi >> 1 against the states they are built from.
     """
     v = bath_vacuum_projection(psi, layout)
     norm2 = float(np.real(v.conj() @ v))
     if norm2 < 1e-12:
         raise UndefinedOverlapError("eigenstate has no weight on the bath reset configuration")
-    return float(layout.dim_s * abs(v.conj() @ mode.right @ v) / norm2)
+    return layout.dim_s * np.abs(np.kron(v.conj(), v) @ right) / norm2
 
 
 def half_chain_renyi2(vec: np.ndarray, basis: ConstrainedBasis) -> float:
@@ -122,10 +122,12 @@ def scar_candidates(energies: np.ndarray, eigenvectors: np.ndarray, basis: Const
     )
 
 
-def scar_overlap_avg(mode: EigenMode, scar_states: np.ndarray, layout: ChainLayout) -> float:
-    """Arithmetic mean of the rescaled overlaps against each scar state."""
-    xis = [eigen_overlap(mode, scar_states[:, j], layout) for j in range(scar_states.shape[1])]
-    return float(np.mean(xis))
+def scar_overlap_avg(right: np.ndarray, scar_states: np.ndarray,
+                     layout: ChainLayout) -> np.ndarray:
+    """Per-mode arithmetic mean of the rescaled overlaps against each scar
+    state."""
+    xis = [eigen_overlap(right, scar_states[:, j], layout) for j in range(scar_states.shape[1])]
+    return np.mean(xis, axis=0)
 
 
 def _renyi2(purities) -> float:

@@ -245,16 +245,9 @@ def sweep_spectrum(grid: SweepGrid, n_workers: int = 1,
     return SweepResult(grid, [lam for lam, _ in results], failures)
 
 
-def _match_step(prev: np.ndarray, cur: np.ndarray, method: str) -> np.ndarray:
-    """Indices into ``cur`` pairing each entry of ``prev`` bijectively."""
-    if method == "optimal":
-        from scipy.optimize import linear_sum_assignment
-
-        cost = np.abs(cur[None, :] - prev[:, None])
-        rows, cols = linear_sum_assignment(cost)
-        out = np.empty(len(prev), dtype=int)
-        out[rows] = cols
-        return out
+def _match_step(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
+    """Indices into ``cur`` pairing each entry of ``prev`` bijectively,
+    greedily, the largest |lambda| of ``prev`` first."""
     used = np.zeros(len(cur), dtype=bool)
     out = np.empty(len(prev), dtype=int)
     for i in np.argsort(-np.abs(prev)):
@@ -266,7 +259,7 @@ def _match_step(prev: np.ndarray, cur: np.ndarray, method: str) -> np.ndarray:
     return out
 
 
-def track_bands(sweep: SweepResult, select: str = "all", method: str = "greedy") -> BandTrack:
+def track_bands(sweep: SweepResult, select: str = "all") -> BandTrack:
     """Match eigenvalues between consecutive sweep points into bands.
 
     Bands are labeled by their ordering at the first point (descending
@@ -291,7 +284,7 @@ def track_bands(sweep: SweepResult, select: str = "all", method: str = "greedy")
     dists = np.zeros(len(spectra) - 1)
     for g in range(1, len(spectra)):
         cur = spectra[g]
-        cols = _match_step(bands[g - 1], cur, method)
+        cols = _match_step(bands[g - 1], cur)
         bands[g] = cur[cols]
         dists[g - 1] = float(np.max(np.abs(bands[g] - bands[g - 1])))
     return BandTrack(sweep.grid.parameter, sweep.grid.values.copy(), bands, dists, select)

@@ -204,7 +204,7 @@ def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers
         manifest["health"].update({
             "completeness_residual": spectrum.meta["completeness_residual"],
             "unitarity_deviation": spectrum.meta["unitarity_deviation"],
-            "max_eigen_residual": max(m.residual for m in spectrum.modes),
+            "max_eigen_residual": float(np.max(spectrum.residuals)),
         })
     # one sweep of the configured grid feeds every analysis that reads it
     if analyses & {"bands", "complex_count", "anisotropy_compare"}:
@@ -317,12 +317,12 @@ def _overlaps(config: ExperimentConfig, spectrum, vecs: np.ndarray, out: Path) -
     layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
     dim = vecs.shape[1]
     refs = {"ground": 0, "median": dim // 2, "top": dim - 1}
+    # builtin abs(complex) per value: np.abs may differ in the last bit
+    mags = [abs(lam) for lam in spectrum.eigenvalues.tolist()]
     records = []
     for label, k in refs.items():
-        psi = vecs[:, k]
-        for i, mode in enumerate(spectrum.modes):
-            records.append(OverlapRecord(i, abs(mode.lam),
-                                         eigen_overlap(mode, psi, layout), label))
+        xis = eigen_overlap(spectrum.right, vecs[:, k], layout).tolist()
+        records += [OverlapRecord(i, mag, xi, label) for i, (mag, xi) in enumerate(zip(mags, xis))]
     path = out / "overlaps.csv"
     write_overlaps_csv(records, path)
     return [path.name]
@@ -333,11 +333,9 @@ def _scar_overlaps(config: ExperimentConfig, spectrum, vals: np.ndarray, vecs: n
     layout = ChainLayout(config.n_s, config.n_b, constrained=True)
     basis = ConstrainedBasis(layout.n_h)
     scars = scar_candidates(vals, vecs, basis)
-    records = [
-        OverlapRecord(i, abs(mode.lam), scar_overlap_avg(mode, scars.states, layout),
-                      "scar_avg")
-        for i, mode in enumerate(spectrum.modes)
-    ]
+    xis = scar_overlap_avg(spectrum.right, scars.states, layout).tolist()
+    records = [OverlapRecord(i, abs(lam), xi, "scar_avg")
+               for i, (lam, xi) in enumerate(zip(spectrum.eigenvalues.tolist(), xis))]
     path = out / "scar_overlaps.csv"
     write_overlaps_csv(records, path)
     return [path.name]

@@ -7,6 +7,7 @@ cluster).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,100 +41,50 @@ class DefectiveSpectrumError(RuntimeError):
     """Eigenbasis too ill-conditioned for a plain mode expansion."""
 
 
-class _Eigenbasis:
-    """The unit-norm right-eigenvector matrix of one spectrum, shared by its
-    modes, with what is derived from it computed on first use and kept.
-
-    It holds no reference to the modes or the spectrum, so dropping the
-    spectrum frees every array by reference counting alone.
-    """
-
-    def __init__(self, vecs: np.ndarray):
-        self.vecs = vecs
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        """Rows are the left eigenvectors, paired with the columns of vecs."""
-        return np.linalg.inv(self.vecs)
-
-    @cached_property
-    def defectivity(self) -> float:
-        """1/sigma_min of vecs."""
-        return float(1.0 / np.linalg.svd(self.vecs, compute_uv=False)[-1])
-
-
-class EigenMode:
-    """One eigenvalue with its biorthonormal right/left eigenoperators.
-
-    Normalization: Tr(right^dag right) = 1 and Tr(left^dag right) = 1, so a
-    state decomposes as rho = sum_m Tr(left_m^dag rho) right_m.
-
-    Modes made by :func:`full_spectrum` derive ``left`` and
-    ``defectivity_score`` (|left|_F, the eigenvalue condition number) from
-    the inverse of the spectrum's eigenvector matrix, which is computed the
-    first time any of its modes is asked for either.
-    """
-
-    def __init__(self, lam: complex, right: np.ndarray, left: np.ndarray,
-                 residual: float, defectivity_score: float):
-        self.lam = lam
-        self.right = right
-        self.residual = residual
-        self._left = left
-        self._score = defectivity_score
-        self._basis: _Eigenbasis | None = None
-        self._index = 0
-
-    @classmethod
-    def _of_basis(cls, lam: complex, right: np.ndarray, residual: float,
-                  basis: _Eigenbasis, index: int) -> "EigenMode":
-        """Mode ``index`` of ``basis``; its left side is read from the basis
-        when asked for."""
-        mode = cls(lam, right, None, residual, None)
-        mode._basis, mode._index = basis, index
-        return mode
-
-    def _left_row(self) -> np.ndarray:
-        return self._basis.inverse[self._index, :]
-
-    @property
-    def left(self) -> np.ndarray:
-        if self._basis is None:
-            return self._left
-        return self._left_row().conj().reshape(self.right.shape)
-
-    @property
-    def defectivity_score(self) -> float:
-        if self._basis is None:
-            return self._score
-        return float(np.linalg.norm(self._left_row()))
-
-
 @dataclass
 class Spectrum:
-    """All eigenmodes of a channel matrix, sorted by |lambda| descending."""
+    """The eigen-data of a channel matrix as arrays, in :func:`sorted_eig`
+    order (|lambda| descending).
 
-    modes: list[EigenMode]
+    ``right`` holds the unit-norm right eigenvectors as columns, each one a
+    row-stacked (d, d) operator, and ``residuals`` their eigen-residuals
+    |M r_k - lambda_k r_k|. ``left`` is the inverse of ``right``, computed on
+    first use: row k is mode k's covector, so ``left @ right`` is the
+    identity and a state decomposes as vec(rho) = right @ (left @ vec(rho)).
+    """
+
+    eigenvalues: np.ndarray
+    right: np.ndarray
+    residuals: np.ndarray
     meta: dict = field(default_factory=dict)
-    _basis: _Eigenbasis | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.modes)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([m.lam for m in self.modes])
+        return len(self.eigenvalues)
 
     @property
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues)))
 
+    @cached_property
+    def left(self) -> np.ndarray:
+        return np.linalg.inv(self.right)
+
     @property
+    def defectivity_scores(self) -> np.ndarray:
+        """|left_k|, the condition number of each eigenvalue."""
+        return np.linalg.norm(self.left, axis=1)
+
+    @cached_property
     def defectivity_global(self) -> float:
         """1/sigma_min of the unit-norm eigenvector matrix; one SVD, on
         first access."""
-        return self._basis.defectivity
+        return float(1.0 / np.linalg.svd(self.right, compute_uv=False)[-1])
+
+    def right_operator(self, k: int) -> np.ndarray:
+        """Mode k's right eigenoperator as a (d, d) matrix."""
+        d = math.isqrt(self.dim)
+        return self.right[:, k].reshape(d, d)
 
     def real_tolerance(self, tol_im: float | None = None) -> float:
         return relative_tolerance(self.eigenvalues, REAL_TOL_FACTOR) if tol_im is None else tol_im
@@ -187,57 +138,46 @@ def sorted_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def full_spectrum(sop: SuperoperatorMatrix) -> Spectrum:
-    """Complete eigendecomposition of a channel matrix.
+    """Complete eigendecomposition of a channel matrix on (d, d) operators.
 
-    Right eigenvectors are normalized to unit Frobenius norm; left
-    eigenoperators come from the inverse of the right-eigenvector matrix, so
-    biorthonormality holds structurally and its conditioning is monitored via
-    the per-mode defectivity score |left_m|_F (the eigenvalue condition
-    number) and the global score 1/sigma_min. The inverse and the SVD behind
-    these are computed on first access (see :class:`EigenMode`).
+    Right eigenvectors are normalized to unit Frobenius norm; the left side
+    is the inverse of the right-eigenvector matrix, so biorthonormality holds
+    structurally and its conditioning is monitored via the per-mode
+    defectivity scores (the eigenvalue condition numbers) and the global
+    score 1/sigma_min. The inverse and the SVD behind these are computed on
+    first access (see :class:`Spectrum`).
     """
     mat = sop.mat
+    if sop.op_dim ** 2 != mat.shape[0]:
+        raise ValueError(f"channel matrix dimension {mat.shape[0]} is not a perfect square")
     vals, vecs = sorted_eig(mat)
     vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
     residuals = np.empty(vals.shape[0])
     for j in range(0, vals.shape[0], RESIDUAL_BLOCK):
         cols = slice(j, j + RESIDUAL_BLOCK)
         residuals[cols] = np.linalg.norm(mat @ vecs[:, cols] - vecs[:, cols] * vals[cols], axis=0)
-    basis = _Eigenbasis(vecs)
-    d = sop.op_dim
-    # synthetic (non-square-dimensional) matrices keep column-vector modes
-    shape = (d, d) if d * d == mat.shape[0] else (mat.shape[0], 1)
-    modes = [
-        EigenMode._of_basis(complex(vals[k]), vecs[:, k].reshape(shape), float(residuals[k]),
-                            basis, k)
-        for k in range(vals.shape[0])
-    ]
-    return Spectrum(modes=modes, meta=dict(sop.meta), _basis=basis)
+    return Spectrum(vals, vecs, residuals, meta=dict(sop.meta))
 
 
 def decompose_state(spectrum: Spectrum, rho0: np.ndarray,
                     defectivity_threshold: float = DEFECTIVITY_THRESHOLD) -> np.ndarray:
-    """Mode coefficients c_m = Tr(left_m^dag rho0).
+    """Mode coefficients c = left @ vec(rho0).
 
     Requires a non-defective spectrum; near an exceptional point use the
     Jordan-chain machinery instead.
     """
-    worst = max(m.defectivity_score for m in spectrum.modes)
+    worst = float(np.max(spectrum.defectivity_scores))
     if worst > defectivity_threshold:
         raise DefectiveSpectrumError(
             f"defectivity score {worst:.2e} exceeds {defectivity_threshold:.0e}"
         )
-    rho0 = np.asarray(rho0, dtype=complex)
-    return np.array([np.sum(m.left.conj() * rho0) for m in spectrum.modes])
+    return spectrum.left @ np.asarray(rho0, dtype=complex).reshape(-1)
 
 
 def reconstruct_state(spectrum: Spectrum, coeffs: np.ndarray, power: int = 0) -> np.ndarray:
     """sum_m lambda_m^power c_m right_m; power=0 reconstructs the state."""
-    d = spectrum.modes[0].right.shape[0]
-    out = np.zeros((d, d), dtype=complex)
-    for c, mode in zip(coeffs, spectrum.modes):
-        out += (mode.lam ** power) * c * mode.right
-    return out
+    d = math.isqrt(spectrum.dim)
+    return (spectrum.right @ (spectrum.eigenvalues ** power * coeffs)).reshape(d, d)
 
 
 @dataclass
@@ -385,14 +325,15 @@ def write_spectrum_csv(spectrum: Spectrum, path, n_bath_states: int | None = Non
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "re", "im", "abs", "residual", "is_real", "is_outlier"])
-        for i, mode in enumerate(spectrum.modes):
-            lam = mode.lam
+        # builtin abs(complex) per value: np.abs may differ in the last bit
+        for i, (lam, residual) in enumerate(zip(spectrum.eigenvalues.tolist(),
+                                                spectrum.residuals.tolist())):
             writer.writerow([
                 i,
                 f"{lam.real:.17g}",
                 f"{lam.imag:.17g}",
                 f"{abs(lam):.17g}",
-                f"{mode.residual:.17g}",
+                f"{residual:.17g}",
                 int(abs(lam.imag) <= tol),
                 int(abs(lam) > thr),
             ])

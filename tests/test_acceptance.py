@@ -205,12 +205,11 @@ def test_criterion_06_overlap_diagnostics(preset_channels, chaotic_analysis):
     tol = 1e-6 * chaotic_analysis.spectral_radius
     bulk = [i for i in range(len(lam)) if abs(lam[i]) <= thr]
     real_out = [i for i in range(len(lam)) if abs(lam[i]) > thr and abs(lam[i].imag) <= tol]
-    xi_median = [eigen_overlap(chaotic_analysis.modes[i], median, layout) for i in bulk]
+    xi_median = eigen_overlap(chaotic_analysis.right, median, layout)[bulk]
     assert 0.5 <= np.mean(xi_median) <= 2.0, f"bulk mean {np.mean(xi_median):.3f}"
-    xi_ground_bulk = np.mean(
-        [eigen_overlap(chaotic_analysis.modes[i], ground, layout) for i in bulk])
-    xi_ground_out = max(
-        eigen_overlap(chaotic_analysis.modes[i], ground, layout) for i in real_out)
+    xi_ground = eigen_overlap(chaotic_analysis.right, ground, layout)
+    xi_ground_bulk = np.mean(xi_ground[bulk])
+    xi_ground_out = np.max(xi_ground[real_out])
     assert xi_ground_out >= 2.0 * xi_ground_bulk, (
         f"outlier {xi_ground_out:.2f} vs bulk {xi_ground_bulk:.2f}")
     report(6, f"bulk overlap mean {np.mean(xi_median):.2f} in [0.5, 2]; ground-state "
@@ -321,8 +320,7 @@ def test_criterion_10_scar_modes(preset_channels):
     real_idx = [i for i in range(len(lam)) if abs(lam[i].imag) <= tol]
     assert len(real_idx) >= 10
     top_real = sorted(real_idx, key=lambda i: -abs(lam[i]))[:10]
-    xi_scar = {i: scar_overlap_avg(spectrum.modes[i], scars.states, layout)
-               for i in range(len(lam))}
+    xi_scar = scar_overlap_avg(spectrum.right, scars.states, layout)
     top_mean = np.mean([xi_scar[i] for i in top_real])
     bulk_mean = np.mean([xi_scar[i] for i in range(len(lam)) if i not in top_real])
     assert top_mean > bulk_mean

@@ -139,10 +139,13 @@ class TestValidation:
               sweep={"parameter": "jz", "start": 0.1, "stop": 0.3, "points": 3},
               ep={"start": 0.2, "stop": 0.2, "points": 5}), "config.ep.stop"),
         (dict(TINY_CONFIG, n_s=5), "config"),
+        ({k: v for k, v in dict(TINY_CONFIG, n_s=2, n_b=2).items() if k != "layout"},
+         "config"),
     ], ids=["bands-no-sweep", "complex-count-no-sweep", "ep-no-ep", "qmi-no-qmi",
             "phase-no-phase", "qmi-on-aah", "phase-on-pxp", "phase-log-grid-string",
             "scar-overlaps-on-aah", "tolerances-key", "qmi-duplicate-case-name",
-            "cluster-window-too-wide", "ep-equal-endpoints", "n-s-next-to-layout"])
+            "cluster-window-too-wide", "ep-equal-endpoints", "n-s-next-to-layout",
+            "top-level-n-s-n-b"])
     def test_config_that_cannot_run_is_rejected(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
             validate_config(raw)
@@ -315,24 +318,27 @@ class TestRunner:
             assert 0.0 <= health[key] < 1e-9
 
     def test_presets_match_reference_outputs(self, tmp_path, monkeypatch):
-        # fig6 is the only blockade (pxp) reference, fig7 and fig8 the
-        # iterated-channel ones. The references were written with BLAS at one
-        # thread, and at two fig6's spectrum.csv reorders conjugate pairs, so
-        # the presets run in a fresh interpreter with BLAS pinned.
+        # fig6 is the only blockade (pxp) reference, fig2-ns5 the only
+        # overlaps.csv one, fig7 and fig8 the iterated-channel ones. The
+        # references were written with BLAS at one thread, and at two fig6's
+        # spectrum.csv reorders conjugate pairs, so the presets run in a
+        # fresh interpreter with BLAS pinned.
         check = _bench_module("check", monkeypatch)
-        presets = ("fig6", "fig7", "fig8")
+        runs = {"fig2-ns5": ["fig2", ["layout.n_s=5"]], "fig6": ["fig6", []],
+                "fig7": ["fig7", []], "fig8": ["fig8", []]}
         env = dict(os.environ, **{var: "1" for var in runner.BLAS_THREAD_VARS})
         src = str(Path(resetchannel.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        res = subprocess.run([sys.executable, "-c", REFERENCE_RUNS, str(tmp_path), *presets],
+        res = subprocess.run([sys.executable, "-c", REFERENCE_RUNS, str(tmp_path),
+                              json.dumps(runs)],
                              env=env, capture_output=True, text=True, timeout=600)
         assert res.returncode == 0, res.stderr
         index = check.load_index()
-        for name in presets:
-            config, out = preset_config(name), tmp_path / name
-            assert index[name]["config_hash"] == config.config_hash(), name
+        for label, (name, overrides) in runs.items():
+            config, out = preset_config(name, overrides), tmp_path / label
+            assert index[label]["config_hash"] == config.config_hash(), label
             manifest = json.loads((out / "manifest.json").read_text())
-            assert check.check_run(name, config, out, manifest, index) == [], name
+            assert check.check_run(label, config, out, manifest, index) == [], label
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = validate_config(TINY_CONFIG)
@@ -342,13 +348,14 @@ class TestRunner:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-# runs each named preset into <argv[1]>/<name> with one sweep worker
+# runs each preset of the JSON {label: [preset, overrides]} in argv[2] into
+# <argv[1]>/<label> with one sweep worker
 REFERENCE_RUNS = """
-import sys
+import json, sys
 from resetchannel.config import preset_config
 from resetchannel.runner import run_experiment
-for name in sys.argv[2:]:
-    run_experiment(preset_config(name), f"{sys.argv[1]}/{name}", 1)
+for label, (name, overrides) in json.loads(sys.argv[2]).items():
+    run_experiment(preset_config(name, overrides), f"{sys.argv[1]}/{label}", 1)
 """
 
 

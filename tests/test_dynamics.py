@@ -24,16 +24,34 @@ from resetchannel.dynamics import (
     scar_overlap_avg,
 )
 from resetchannel.hamiltonians import ConstrainedBasis, PxpParams, build_pxp, hermitian_eigensystem
-from resetchannel.runner import build_channel, build_hamiltonian
-from resetchannel.spectra import EigenMode
+from resetchannel.runner import analysis_matrix, build_channel, build_hamiltonian
+from resetchannel.spectra import full_spectrum
 from resetchannel.spin_ops import ChainLayout, ghz_state, neel_state, product_state
 
 
 def pure_mode(vec):
-    """EigenMode whose right eigenoperator is the normalized projector on vec."""
+    """One-column right-eigenvector matrix: the normalized projector on vec,
+    row-stacked."""
     rho = np.outer(vec, vec.conj())
     rho = rho / np.linalg.norm(rho)
-    return EigenMode(lam=1.0, right=rho, left=rho, residual=0.0, defectivity_score=1.0)
+    return rho.reshape(-1, 1)
+
+
+def per_mode_overlaps(spectrum, psi, layout):
+    """The rescaled overlap formula applied one mode at a time,
+    N_s |v^dag R_k v| / |v|^2: the oracle for the all-modes product."""
+    v = bath_vacuum_projection(psi, layout)
+    norm2 = float(np.real(v.conj() @ v))
+    return np.array([layout.dim_s * abs(v.conj() @ spectrum.right_operator(k) @ v) / norm2
+                     for k in range(spectrum.dim)])
+
+
+@pytest.fixture(scope="module", params=["fig2", "fig6"])
+def preset_spectrum(request):
+    """Configured channel spectrum of a preset, with its layout and the
+    Hamiltonian eigensystem."""
+    kraus = build_channel(preset_config(request.param))
+    return full_spectrum(analysis_matrix(kraus)), kraus.layout, kraus.hamiltonian_eigensystem
 
 
 class TestEigenOverlap:
@@ -42,7 +60,7 @@ class TestEigenOverlap:
         psi = np.kron(np.array([0.6, 0.8, 0.0, 0.0]), np.array([1, 0, 0, 0]))
         v = bath_vacuum_projection(psi, layout)
         mode = pure_mode(v / np.linalg.norm(v))
-        assert abs(eigen_overlap(mode, psi, layout) - layout.dim_s) < 1e-12
+        assert abs(eigen_overlap(mode, psi, layout)[0] - layout.dim_s) < 1e-12
 
     def test_bath_projection_full_layout(self):
         layout = ChainLayout(1, 1)
@@ -72,8 +90,16 @@ class TestEigenOverlap:
         _, vecs = hermitian_eigensystem(h)
         layout = chaotic_channel.layout
         psi = vecs[:, vecs.shape[1] // 2]
-        xis = [eigen_overlap(m, psi, layout) for m in chaotic_reversal_spectrum.modes[50:150]]
+        xis = eigen_overlap(chaotic_reversal_spectrum.right[:, 50:150], psi, layout)
         assert 0.3 < np.mean(xis) < 3.0
+
+    def test_all_modes_match_per_mode_formula(self, preset_spectrum):
+        spectrum, layout, (_, vecs) = preset_spectrum
+        for k in (0, vecs.shape[1] // 2, vecs.shape[1] - 1):
+            xi = eigen_overlap(spectrum.right, vecs[:, k], layout)
+            expected = per_mode_overlaps(spectrum, vecs[:, k], layout)
+            assert xi.shape == (spectrum.dim,)
+            assert np.all(np.abs(xi - expected) <= 1e-13 * np.maximum(1.0, expected))
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +142,19 @@ class TestScars:
         psi = np.array([1.0, 0.0, 0.0, 0.0])
         states = np.column_stack([psi, psi, psi, psi])
         mode = pure_mode(np.array([1.0, 0.0]))
-        single = eigen_overlap(mode, psi, layout)
-        assert abs(scar_overlap_avg(mode, states, layout) - single) < 1e-12
+        single = eigen_overlap(mode, psi, layout)[0]
+        assert abs(scar_overlap_avg(mode, states, layout)[0] - single) < 1e-12
+
+    def test_scar_average_matches_per_mode_formula(self):
+        config = preset_config("fig6")
+        kraus = build_channel(config)
+        spectrum = full_spectrum(analysis_matrix(kraus))
+        vals, vecs = kraus.hamiltonian_eigensystem
+        scars = scar_candidates(vals, vecs, ConstrainedBasis(kraus.layout.n_h))
+        avg = scar_overlap_avg(spectrum.right, scars.states, kraus.layout)
+        expected = np.mean([per_mode_overlaps(spectrum, psi, kraus.layout)
+                            for psi in scars.states.T], axis=0)
+        assert np.all(np.abs(avg - expected) <= 1e-13 * np.maximum(1.0, expected))
 
 
 class TestRenyiQmi:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import eigs
 
 from resetchannel.channel import SuperoperatorMatrix
@@ -30,6 +31,18 @@ def analytic_family(level=0.5, gap=0.05):
         return np.array([[level + gap, j], [-j, level - gap]], dtype=complex)
 
     return build
+
+
+def optimal_track(sweep):
+    """Bands and step distances of ``sweep`` (all bands) matched by optimal
+    (Hungarian) assignment: the oracle for greedy ``track_bands``."""
+    lam0 = sweep.eigenvalues[0]
+    bands = [lam0[np.argsort(-lam0.real)]]
+    for cur in sweep.eigenvalues[1:]:
+        _, cols = linear_sum_assignment(np.abs(cur[None, :] - bands[-1][:, None]))
+        bands.append(cur[cols])
+    bands = np.array(bands)
+    return bands, np.max(np.abs(np.diff(bands, axis=0)), axis=1)
 
 
 def random_family(n=24, seed=3):
@@ -156,9 +169,9 @@ class TestTrackBands:
 
         grid = SweepGrid("j", np.linspace(0, 0.1, 5), build)
         sweep = sweep_spectrum(grid)
-        greedy = track_bands(sweep, method="greedy")
-        optimal = track_bands(sweep, method="optimal")
-        assert np.allclose(greedy.bands, optimal.bands)
+        greedy = track_bands(sweep)
+        optimal, _ = optimal_track(sweep)
+        assert np.allclose(greedy.bands, optimal)
 
 
 @pytest.fixture(scope="module")
@@ -192,8 +205,8 @@ class TestPhysicalSweep:
         maxima = []
         for pts in (5, 9, 17, 33):
             grid = SweepGrid("jxxx", np.linspace(0.0, 0.04, pts), chain_grid)
-            track = track_bands(sweep_spectrum(grid), method="optimal")
-            maxima.append(np.max(track.step_distances))
+            _, step_distances = optimal_track(sweep_spectrum(grid))
+            maxima.append(np.max(step_distances))
         assert all(b < a for a, b in zip(maxima, maxima[1:]))
 
 

@@ -19,7 +19,6 @@ from resetchannel.spectra import (
     REAL_TOL_FACTOR,
     SPLIT_TOL_FACTOR,
     DefectiveSpectrumError,
-    EigenMode,
     Spectrum,
     classify_real,
     decompose_state,
@@ -50,46 +49,44 @@ class TestFullSpectrum:
     def test_identity_matrix(self):
         spec = full_spectrum(diag_sop([1, 1, 1, 1]))
         assert np.allclose(spec.eigenvalues, 1.0)
-        assert all(m.residual < 1e-12 for m in spec.modes)
+        assert np.all(spec.residuals < 1e-12)
 
     def test_swap_reset_channel_modes(self):
         kraus = kraus_from_unitary(swap_unitary(), ChainLayout(1, 1))
         spec = full_spectrum(superoperator_matrix(kraus))
         assert np.allclose(sorted(np.abs(spec.eigenvalues)), [0, 0, 0, 1])
-        top = spec.modes[0]
-        assert abs(top.lam - 1.0) < 1e-12
+        top = spec.right_operator(0)
+        assert abs(spec.eigenvalues[0] - 1.0) < 1e-12
         expected = np.diag([1.0, 0.0])
-        phase = np.vdot(expected, top.right)
-        assert np.allclose(top.right * np.conj(phase) / abs(phase), expected, atol=1e-10)
+        phase = np.vdot(expected, top)
+        assert np.allclose(top * np.conj(phase) / abs(phase), expected, atol=1e-10)
 
     def test_sorted_by_magnitude(self, small_spectrum):
         mags = np.abs(small_spectrum.eigenvalues)
         assert np.all(np.diff(mags) <= 1e-14)
 
     def test_right_eigenoperators_unit_norm(self, small_spectrum):
-        for mode in small_spectrum.modes:
-            assert abs(np.linalg.norm(mode.right) - 1.0) < 1e-12
+        for k in range(small_spectrum.dim):
+            assert abs(np.linalg.norm(small_spectrum.right_operator(k)) - 1.0) < 1e-12
 
     def test_biorthonormality(self, small_spectrum):
-        modes = small_spectrum.modes
-        gram = np.array([[np.sum(mi.left.conj() * mj.right) for mj in modes] for mi in modes])
-        assert np.max(np.abs(gram - np.eye(len(modes)))) < 1e-6
+        gram = small_spectrum.left @ small_spectrum.right
+        assert np.max(np.abs(gram - np.eye(small_spectrum.dim))) < 1e-6
 
     def test_eigen_residuals(self, small_spectrum):
-        assert max(m.residual for m in small_spectrum.modes) < 1e-7
+        assert np.max(small_spectrum.residuals) < 1e-7
 
     def test_resolution_of_identity(self, small_channel, small_spectrum):
         d = small_channel.dim
         recon = np.zeros((d * d, d * d), dtype=complex)
-        for mode in small_spectrum.modes:
-            recon += mode.lam * np.outer(mode.right.reshape(-1),
-                                         mode.left.conj().reshape(-1))
+        for k, lam in enumerate(small_spectrum.eigenvalues):
+            recon += lam * np.outer(small_spectrum.right[:, k], small_spectrum.left[k])
         assert np.linalg.norm(recon - superoperator_matrix(small_channel).mat) < 1e-6
 
     def test_fixed_point_mode_is_state(self, small_spectrum):
-        top = small_spectrum.modes[0]
-        assert abs(top.lam - 1.0) < 1e-8
-        rho = (top.right + top.right.conj().T) / 2
+        top = small_spectrum.right_operator(0)
+        assert abs(small_spectrum.eigenvalues[0] - 1.0) < 1e-8
+        rho = (top + top.conj().T) / 2
         rho /= np.trace(rho)
         assert np.linalg.eigvalsh(rho).min() > -1e-8
 
@@ -97,25 +94,30 @@ class TestFullSpectrum:
         with pytest.raises(ValueError):
             full_spectrum(diag_sop([np.nan, 1, 1, 1]))
 
-    def test_lazy_left_side_equals_eager_inverse(self, chaotic_reversal_spectrum):
+    def test_rejects_non_square_dimension(self):
+        # a 3x3 matrix acts on no (d, d) operator space
+        with pytest.raises(ValueError, match="perfect square"):
+            full_spectrum(diag_sop([1.0, 0.5, 0.2]))
+
+    def test_left_side_equals_eager_inverse(self, chaotic_reversal_spectrum):
         spec = chaotic_reversal_spectrum
-        vecs = np.column_stack([m.right.reshape(-1) for m in spec.modes])
+        assert np.max(np.abs(spec.left @ spec.right - np.eye(spec.dim))) < 1e-8
+        vecs = spec.right.copy()
         left = np.linalg.inv(vecs)
-        for k, mode in enumerate(spec.modes):
-            assert np.array_equal(mode.left, left[k].conj().reshape(mode.right.shape))
-            assert mode.defectivity_score == float(np.linalg.norm(left[k]))
+        assert np.array_equal(spec.left, left)
+        assert np.array_equal(spec.defectivity_scores, np.linalg.norm(left, axis=1))
         sigma_min = np.linalg.svd(vecs, compute_uv=False)[-1]
         assert spec.defectivity_global == float(1.0 / sigma_min)
 
     def test_dropping_spectrum_frees_its_arrays(self, small_channel):
-        # the modes share their eigenvector matrix without pointing back at
-        # the spectrum, so reference counting alone frees it
+        # the spectrum holds its arrays without reference cycles, so
+        # reference counting alone frees them
         gc.disable()
         try:
             spec = full_spectrum(superoperator_matrix(small_channel))
-            assert spec.modes[1].left.shape == spec.modes[1].right.shape
+            assert spec.left.shape == spec.right.shape
             assert spec.defectivity_global >= 1.0
-            arrays = [weakref.ref(spec._basis.vecs), weakref.ref(spec._basis.inverse)]
+            arrays = [weakref.ref(spec.right), weakref.ref(spec.left)]
             del spec
             assert all(ref() is None for ref in arrays)
         finally:
@@ -129,7 +131,7 @@ class TestDecomposition:
         rho = np.diag([1.0, 0.0]).astype(complex)  # the lambda=1 eigenoperator
         coeffs = decompose_state(spec, rho)
         expected = np.zeros(4)
-        expected[0] = np.sum(spec.modes[0].left.conj() * rho).real
+        expected[0] = (spec.left[0] @ rho.reshape(-1)).real
         assert abs(coeffs[0]) > 0.99
         recon = reconstruct_state(spec, coeffs)
         assert np.linalg.norm(recon - rho) < 1e-10
@@ -279,9 +281,9 @@ class TestTolerancePolicy:
                -0.95 + self.OUT * r, -0.95 - self.OUT * r,  # in the -1 cluster, not real
                0.65 + 2 * s, 0.65 + self.IN * p - 2 * s,    # conjugates within pairing
                0.55 + 2 * s, 0.55 + self.OUT * p - 2 * s]   # conjugates beyond pairing
-        modes = [EigenMode(complex(x), np.zeros((1, 1)), np.zeros((1, 1)), 0.0, 1.0)
-                 for x in lam]
-        return Spectrum(modes, meta={"bath_dim": 4})
+        n = len(lam)
+        return Spectrum(np.array(lam, dtype=complex), np.eye(n), np.zeros(n),
+                        meta={"bath_dim": 4})
 
     def test_real_threshold(self, tmp_path):
         spec = self.spectrum()
