@@ -59,7 +59,6 @@ class KrausSet:
 
     ops: list[np.ndarray]
     layout: ChainLayout
-    bath_reset_index: int = 0
     meta: dict = field(default_factory=dict)
     hamiltonian_eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False)
@@ -125,28 +124,24 @@ def joint_index_table(layout: ChainLayout) -> np.ndarray:
     return table
 
 
-def kraus_from_unitary(prop: Propagator, layout: ChainLayout, reset_index: int = 0) -> KrausSet:
-    """Extract the bath-reset Kraus set K_m = <m|U|reset> from a joint
-    propagator.
+def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:
+    """Extract the bath-reset Kraus set K_m = <m|U|0...0> from a joint
+    propagator: the bath resets to all |0>.
 
-    Only the d_s columns of U with the bath in its reset state are formed.
-    For a constrained layout, joint configurations whose system/bath
-    boundary violates the blockade carry zero amplitude; the Kraus list runs
-    over the constrained bath configurations.
+    Only the d_s columns of U with the bath in its reset state are formed
+    (row 0 of :func:`joint_index_table`; the all-|0> bath never breaks the
+    blockade). For a constrained layout, joint configurations whose
+    system/bath boundary violates the blockade carry zero amplitude; the
+    Kraus list runs over the constrained bath configurations.
     """
     if prop.basis != layout.basis_joint:
         raise ValueError(f"propagator basis {prop.basis} does not match layout "
                          f"{layout.basis_joint}")
-    if not 0 <= reset_index < layout.dim_b:
-        raise ValueError(f"reset index {reset_index} out of range for bath dim {layout.dim_b}")
     table = joint_index_table(layout)
-    reset_cols = table[reset_index]
-    if np.any(reset_cols < 0):
-        raise ValueError("bath reset configuration clashes with the blockade")
-    w = prop.columns(reset_cols)
+    w = prop.columns(table[0])
     # a zero last row, read wherever the table holds -1
     w = np.vstack([w, np.zeros((1, layout.dim_s))])
-    kraus = KrausSet(list(w[table]), layout, reset_index,
+    kraus = KrausSet(list(w[table]), layout,
                      meta={"t": prop.t, "unitarity_deviation": prop.unitarity_deviation})
     residual = kraus.completeness_residual()
     if residual > COMPLETENESS_ATOL:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -135,6 +136,7 @@ def _expect(cond: bool, path: str, msg: str) -> None:
 
 
 def _check_keys(section: dict, allowed: set[str], required: set[str], path: str) -> None:
+    _expect(isinstance(section, dict), path, f"must be an object, got {type(section).__name__}")
     unknown = set(section) - allowed
     _expect(not unknown, path, f"unknown keys {sorted(unknown)}")
     missing = required - set(section)
@@ -145,6 +147,7 @@ def _number(section: dict, key: str, path: str, positive: bool = False) -> float
     value = section[key]
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             f"{path}.{key}", f"must be a number, got {value!r}")
+    _expect(abs(value) <= sys.float_info.max, f"{path}.{key}", f"must be finite, got {value!r}")
     if positive:
         _expect(value > 0, f"{path}.{key}", f"must be positive, got {value}")
     return float(value)
@@ -160,7 +163,6 @@ def _integer(section: dict, key: str, path: str, minimum: int) -> int:
 
 def validate_config(raw: dict) -> ExperimentConfig:
     """Parse and validate a raw configuration dictionary."""
-    _expect(isinstance(raw, dict), "config", "must be a JSON object")
     top_allowed = {"name", "model", "layout", "time", "params", "analyses", "sweep",
                    "ep", "qmi", "phase", "histogram_bins", "cluster_window",
                    "seed"}
@@ -176,9 +178,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     time = _number(raw, "time", "config", positive=True)
 
     params = raw["params"]
-    _expect(isinstance(params, dict), "config.params", "must be an object")
-    allowed = _PARAM_KEYS[model]
-    _check_keys(params, allowed, set(), "config.params")
+    _check_keys(params, _PARAM_KEYS[model], set(), "config.params")
     parsed_params = {k: _number(params, k, "config.params") for k in params}
     if model in ("aah", "xxx"):
         _expect(parsed_params.get("j2", 1.0) > 0, "config.params.j2", "must be positive")

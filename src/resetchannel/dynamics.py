@@ -25,6 +25,8 @@ from .spin_ops import (
 )
 
 QMI_MONOTONE_ATOL = 1e-9
+SCAR_COUNT = 4               # scar candidates picked per spectrum
+SCAR_EDGE_FRACTION = 1 / 6   # fraction of the energy spectrum skipped at each edge
 
 
 class UndefinedOverlapError(ValueError):
@@ -96,22 +98,23 @@ def half_chain_renyi2(vec: np.ndarray, basis: ConstrainedBasis) -> float:
     return -np.log(purity)
 
 
-def scar_candidates(energies: np.ndarray, eigenvectors: np.ndarray, basis: ConstrainedBasis,
-                    count: int = 4, edge_fraction: float = 1 / 6) -> ScarCandidates:
+def scar_candidates(energies: np.ndarray, eigenvectors: np.ndarray,
+                    basis: ConstrainedBasis) -> ScarCandidates:
     """Lowest-entanglement eigenstates in the middle of the spectrum.
 
-    Scans eigenstates in the central (1 - 2*edge_fraction) band of the energy
-    spectrum and returns the ``count`` with the smallest half-chain Renyi-2
-    entropy -- the anomalously thermalization-resistant states.
+    Scans eigenstates in the central (1 - 2*SCAR_EDGE_FRACTION) band of the
+    energy spectrum and returns the ``SCAR_COUNT`` with the smallest
+    half-chain Renyi-2 entropy -- the anomalously thermalization-resistant
+    states.
     """
     dim = len(energies)
-    lo = int(dim * edge_fraction)
+    lo = int(dim * SCAR_EDGE_FRACTION)
     hi = dim - lo
-    if hi - lo <= count:
+    if hi - lo <= SCAR_COUNT:
         raise ValueError(f"spectrum too small to exclude edges: bulk has {hi - lo} states")
     bulk = np.arange(lo, hi)
     entropies = np.array([half_chain_renyi2(eigenvectors[:, k], basis) for k in bulk])
-    order = np.argsort(entropies, kind="stable")[:count]
+    order = np.argsort(entropies, kind="stable")[:SCAR_COUNT]
     picked = bulk[order]
     return ScarCandidates(
         indices=[int(k) for k in picked],

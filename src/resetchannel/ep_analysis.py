@@ -6,6 +6,7 @@ Jordan-chain machinery for (near-)defective eigenvalues.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -28,6 +29,16 @@ from .spectra import full_spectrum  # noqa: F401
 
 MAX_BISECTIONS = 64
 PROBE_MODES = 6              # eigenvalues a shift-invert probe solves for
+# The sqrt fit's probe ladder: it starts FIT_START_WIDTHS EP bracket widths
+# above J*, so the localization error stays small against the offsets (or it
+# biases the fitted slope low), and grows by FIT_LADDER per probe.
+FIT_MIN_POINTS = 5
+FIT_MAX_POINTS = 16
+FIT_LADDER = 1.6
+FIT_START_WIDTHS = 30.0
+# A Jordan-chain link whose relative residual exceeds this is past the
+# numerical Jordan block.
+CHAIN_RESIDUAL_TOL = 1e-3
 
 
 class JordanChainError(RuntimeError):
@@ -180,7 +191,13 @@ class BandTrack:
     grid_values: np.ndarray
     bands: np.ndarray                 # (n_points, n_bands), band b = column
     step_distances: np.ndarray        # max matching distance per step
-    selection: str = "all"
+
+    @property
+    def split_tolerance(self) -> float:
+        """|Im| above which a band counts as split: ``SPLIT_TOL_FACTOR`` of
+        the largest |lambda| at the first grid point. The EP bisection and
+        the sqrt fit both split pairs at it."""
+        return relative_tolerance(self.bands[0], SPLIT_TOL_FACTOR)
 
 
 @dataclass
@@ -287,14 +304,14 @@ def track_bands(sweep: SweepResult, select: str = "all") -> BandTrack:
         cols = _match_step(bands[g - 1], cur)
         bands[g] = cur[cols]
         dists[g - 1] = float(np.max(np.abs(bands[g] - bands[g - 1])))
-    return BandTrack(sweep.grid.parameter, sweep.grid.values.copy(), bands, dists, select)
+    return BandTrack(sweep.grid.parameter, sweep.grid.values.copy(), bands, dists)
 
 
-def count_complex(lam: np.ndarray, tol_im: float | None = None) -> int:
-    """Number of eigenvalues with |Im| above tolerance (default:
-    ``SPLIT_TOL_FACTOR`` of the largest |lambda|); even by conjugate closure
-    (an odd count is flagged as an anomaly)."""
-    tol = relative_tolerance(lam, SPLIT_TOL_FACTOR) if tol_im is None else tol_im
+def count_complex(lam: np.ndarray) -> int:
+    """Number of eigenvalues with |Im| above ``SPLIT_TOL_FACTOR`` of the
+    largest |lambda|; even by conjugate closure (an odd count is flagged as
+    an anomaly)."""
+    tol = relative_tolerance(lam, SPLIT_TOL_FACTOR)
     n = int(np.sum(np.abs(lam.imag) > tol))
     if n % 2:
         warnings.warn(f"odd complex count {n}; conjugate pairing is broken", RuntimeWarning)
@@ -320,18 +337,17 @@ def _pair_probe(lam: np.ndarray, guess: np.ndarray, tol_im: float):
 
 
 def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float,
-               tol_im: float | None = None, max_eps: int | None = None) -> list[EpRecord]:
+               max_eps: int | None = None) -> list[EpRecord]:
     """Localize exceptional points where tracked bands turn complex.
 
     Each real-to-complex flip between adjacent grid points is refined by
     bisection that follows only the coalescing conjugate pair (never the full
     matching problem), until the parameter bracket is narrower than
     ``resolution``. Pairs flagged in the same grid interval are bisected in
-    lockstep, so a value they both probe is built once. ``tol_im`` defaults
-    to ``SPLIT_TOL_FACTOR`` of the largest |lambda| at the first grid point.
+    lockstep, so a value they both probe is built once. A band is split
+    above ``track.split_tolerance``.
     """
-    if tol_im is None:
-        tol_im = relative_tolerance(track.bands[0], SPLIT_TOL_FACTOR)
+    tol_im = track.split_tolerance
     records: list[EpRecord] = []
     for g in range(len(track.grid_values) - 1):
         newly = [
@@ -396,28 +412,22 @@ def _bisect_pairs(grid: SweepGrid, lo: float, hi: float, bands_hi: np.ndarray,
     ]
 
 
-def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float,
-                      min_points: int = 5, max_points: int = 16,
-                      ladder: float = 1.6, delta0: float | None = None) -> FitResult:
+def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float) -> FitResult:
     """Fit the splitting exponent log|Im lambda| vs log(J - J*) just above an
     exceptional point; 0.5 for a generic second-order EP. ``tol_im`` is the
     |Im| above which a probed pair counts as split; pass the one that located
-    ``ep``.
+    ``ep`` (:attr:`BandTrack.split_tolerance`).
 
-    Probes climb a geometric ladder from ``delta0`` and stop once the pair
+    Probes climb the ``FIT_*`` geometric ladder and stop once the pair
     re-merges or stops being isolated; the fit uses the prefix of at least
-    ``min_points`` probes with the best r^2, so a nearby second EP cannot
-    contaminate the scaling window. ``delta0`` defaults to 30 bracket widths:
-    the J* localization error must stay small against the probe offsets or it
-    biases the fitted slope low.
+    ``FIT_MIN_POINTS`` probes with the best r^2, so a nearby second EP cannot
+    contaminate the scaling window.
     """
     bracket_width = max(ep.bracket[1] - ep.bracket[0], 1e-12)
-    if delta0 is None:
-        delta0 = 30.0 * bracket_width
     pair = np.array([ep.lambda_star, np.conj(ep.lambda_star)])
     deltas, ims = [], []
-    d = delta0
-    while len(deltas) < max_points:
+    d = FIT_START_WIDTHS * bracket_width
+    while len(deltas) < FIT_MAX_POINTS:
         p, is_pair, gap = grid.probe(ep.j_star + d, pair, tol_im)
         split = abs(p[0] - p[1])
         if not is_pair or split > gap:
@@ -425,15 +435,15 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float,
         deltas.append(d)
         ims.append(0.5 * (abs(p[0].imag) + abs(p[1].imag)))
         pair = p
-        d *= ladder
-    if len(deltas) < min_points:
+        d *= FIT_LADDER
+    if len(deltas) < FIT_MIN_POINTS:
         raise ValueError(
-            f"only {len(deltas)} valid probe points above the EP; need {min_points}"
+            f"only {len(deltas)} valid probe points above the EP; need {FIT_MIN_POINTS}"
         )
     deltas = np.array(deltas)
     ims = np.array(ims)
     best = None
-    for npts in range(min_points, len(deltas) + 1):
+    for npts in range(FIT_MIN_POINTS, len(deltas) + 1):
         x = np.log(deltas[:npts])
         y = np.log(ims[:npts])
         a = np.vstack([x, np.ones(npts)]).T
@@ -447,13 +457,12 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float,
     return FitResult(best[0], best[1], deltas[:best[2]], ims[:best[2]])
 
 
-def jordan_chain(mat: np.ndarray, lam: complex, order: int,
-                 residual_tol: float = 1e-3) -> JordanChain:
+def jordan_chain(mat: np.ndarray, lam: complex, order: int) -> JordanChain:
     """Generalized eigenvector chain at a (near-)defective eigenvalue.
 
     The root vector comes from the SVD null space of (M - lambda); higher
     links solve (M - lambda) x = previous by minimum-norm least squares.
-    A link whose relative residual exceeds ``residual_tol`` means the
+    A link whose relative residual exceeds ``CHAIN_RESIDUAL_TOL`` means the
     requested order exceeds the numerical Jordan block.
     """
     mat = np.asarray(mat, dtype=complex)
@@ -466,9 +475,9 @@ def jordan_chain(mat: np.ndarray, lam: complex, order: int,
     for _ in range(1, order):
         x, *_ = np.linalg.lstsq(shifted, vectors[-1], rcond=None)
         res = float(np.linalg.norm(shifted @ x - vectors[-1]) / np.linalg.norm(vectors[-1]))
-        if res > residual_tol:
+        if res > CHAIN_RESIDUAL_TOL:
             raise JordanChainError(
-                f"chain link residual {res:.2e} exceeds {residual_tol:.0e}; "
+                f"chain link residual {res:.2e} exceeds {CHAIN_RESIDUAL_TOL:.0e}; "
                 f"Jordan block shorter than requested order {order}"
             )
         vectors.append(x)
@@ -494,23 +503,15 @@ def iterate_jordan(chains: list[JordanChain], coeffs: list[np.ndarray], n_r: int
         for d in range(o):
             acc = 0.0 + 0.0j
             for dd in range(0, min(o - 1 - d, n_r) + 1):
-                binom = _binomial(n_r, dd)
+                binom = math.comb(n_r, dd)
                 lam_pow = chain.lam ** (n_r - dd) if (n_r - dd) > 0 else (1.0 + 0.0j)
                 acc += binom * lam_pow * c[d + dd]
             out += acc * chain.vectors[d]
     return out
 
 
-def _binomial(n: int, k: int) -> float:
-    out = 1.0
-    for i in range(k):
-        out *= (n - i) / (i + 1)
-    return out
-
-
 def generalized_modes(mat: np.ndarray, defect_threshold: float = DEFECTIVITY_THRESHOLD,
-                      cluster_tol: float = 1e-5,
-                      residual_tol: float = 1e-3) -> list[JordanChain]:
+                      cluster_tol: float = 1e-5) -> list[JordanChain]:
     """Complete generalized eigenbasis of a matrix.
 
     Well-conditioned eigenvalues become order-1 chains; clusters of
@@ -541,7 +542,7 @@ def generalized_modes(mat: np.ndarray, defect_threshold: float = DEFECTIVITY_THR
             ))
     for cl in clusters:
         lam = complex(np.mean(vals[cl]))
-        chains.append(jordan_chain(mat, lam, len(cl), residual_tol))
+        chains.append(jordan_chain(mat, lam, len(cl)))
     return chains
 
 

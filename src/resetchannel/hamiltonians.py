@@ -15,6 +15,7 @@ import numpy as np
 from .spin_ops import DenseOperator, fibonacci_basis_tag, pauli_sum, qubit_basis
 
 GOLDEN_OMEGA = 2 * np.pi * (np.sqrt(5) - 1) / 2  # inverse golden ratio modulation
+HERMITIAN_RTOL = 1e-10  # |H - H^dag| relative to max(|H|, 1)
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,10 @@ def build_pxp(params: PxpParams, n_sites: int) -> DenseOperator:
     return DenseOperator(pauli_sum(terms, n_sites, cb.states), cb.tag)
 
 
-def hermitian_eigensystem(h: DenseOperator, tol: float = 1e-10, real: bool = False):
+def hermitian_eigensystem(h: DenseOperator, real: bool = False):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
-    operator; rejects inputs that are not Hermitian within ``tol``.
+    operator; rejects inputs that are not Hermitian within
+    ``HERMITIAN_RTOL``.
 
     ``real`` solves a matrix whose imaginary part is exactly zero with a
     real symmetric ``eigh`` instead of the complex Hermitian one; the result
@@ -144,7 +146,7 @@ def hermitian_eigensystem(h: DenseOperator, tol: float = 1e-10, real: bool = Fal
     other matrix takes the complex solve whatever ``real`` says.
     """
     scale = max(np.linalg.norm(h.mat), 1.0)
-    if np.linalg.norm(h.mat - h.mat.conj().T) > tol * scale:
+    if np.linalg.norm(h.mat - h.mat.conj().T) > HERMITIAN_RTOL * scale:
         raise ValueError("operator is not Hermitian within tolerance")
     real = real and not np.any(h.mat.imag)
     vals, vecs = np.linalg.eigh(h.mat.real if real else h.mat)

@@ -61,10 +61,8 @@ from .hamiltonians import (
     hermitian_eigensystem,  # noqa: F401  (not called here; benchmarks/spans.py wraps it)
 )
 from .spectra import (
-    SPLIT_TOL_FACTOR,
     full_spectrum,
     magnitude_histogram,
-    relative_tolerance,
     sorted_eig,
     write_histogram_csv,
     write_spectrum_csv,
@@ -372,14 +370,12 @@ def _ep_pipeline(config: ExperimentConfig, shared: SweepResult | None, out: Path
         if lam is not None}
     sweep = _sweep(config, values, manifest, "ep", n_workers, known)
     track = track_bands(sweep, select="top_re_decile")
-    # the bisection and the fit split pairs at one tolerance
-    tol_im = relative_tolerance(track.bands[0], SPLIT_TOL_FACTOR)
     records = locate_eps(sweep.grid, track, resolution=ep_cfg.resolution,
-                         tol_im=tol_im, max_eps=ep_cfg.max_eps)
+                         max_eps=ep_cfg.max_eps)
     fits = {}
     for rec in records:
         try:
-            fit = fit_sqrt_exponent(sweep.grid, rec, tol_im=tol_im)
+            fit = fit_sqrt_exponent(sweep.grid, rec, track.split_tolerance)
             rec.exponent, rec.fit_r2, rec.fit_points = fit.exponent, fit.r2, len(fit.deltas)
             fits[rec.j_star] = fit
         except ValueError as exc:

@@ -86,8 +86,8 @@ class Spectrum:
         d = math.isqrt(self.dim)
         return self.right[:, k].reshape(d, d)
 
-    def real_tolerance(self, tol_im: float | None = None) -> float:
-        return relative_tolerance(self.eigenvalues, REAL_TOL_FACTOR) if tol_im is None else tol_im
+    def real_tolerance(self) -> float:
+        return relative_tolerance(self.eigenvalues, REAL_TOL_FACTOR)
 
 
 @dataclass
@@ -113,8 +113,6 @@ class SpectralStats:
     bin_edges: np.ndarray
     densities: np.ndarray
     real_fraction: float
-    outlier_indices: list[int]
-    outlier_is_real: list[bool]
     ks_distance: float
     cluster: list["ClusterMode"]
     cluster_window: float
@@ -159,17 +157,16 @@ def full_spectrum(sop: SuperoperatorMatrix) -> Spectrum:
     return Spectrum(vals, vecs, residuals, meta=dict(sop.meta))
 
 
-def decompose_state(spectrum: Spectrum, rho0: np.ndarray,
-                    defectivity_threshold: float = DEFECTIVITY_THRESHOLD) -> np.ndarray:
+def decompose_state(spectrum: Spectrum, rho0: np.ndarray) -> np.ndarray:
     """Mode coefficients c = left @ vec(rho0).
 
     Requires a non-defective spectrum; near an exceptional point use the
     Jordan-chain machinery instead.
     """
     worst = float(np.max(spectrum.defectivity_scores))
-    if worst > defectivity_threshold:
+    if worst > DEFECTIVITY_THRESHOLD:
         raise DefectiveSpectrumError(
-            f"defectivity score {worst:.2e} exceeds {defectivity_threshold:.0e}"
+            f"defectivity score {worst:.2e} exceeds {DEFECTIVITY_THRESHOLD:.0e}"
         )
     return spectrum.left @ np.asarray(rho0, dtype=complex).reshape(-1)
 
@@ -187,15 +184,14 @@ class RealComplexSplit:
     anomalies: list[int]
 
 
-def classify_real(spectrum: Spectrum, tol_im: float | None = None,
-                  pairing_atol: float = PAIRING_ATOL) -> RealComplexSplit:
+def classify_real(spectrum: Spectrum) -> RealComplexSplit:
     """Split modes into real ones and conjugate pairs.
 
     Complex modes are matched greedily to their nearest conjugate partner;
     unmatched ones beyond the pairing tolerance are reported as anomalies.
     """
     lam = spectrum.eigenvalues
-    tol = spectrum.real_tolerance(tol_im)
+    tol = spectrum.real_tolerance()
     real_idx = [i for i in range(len(lam)) if abs(lam[i].imag) <= tol]
     complex_idx = [i for i in range(len(lam)) if abs(lam[i].imag) > tol]
     pairs: list[tuple[int, int]] = []
@@ -212,7 +208,7 @@ def classify_real(spectrum: Spectrum, tol_im: float | None = None,
         dist = [abs(lam[j] - np.conj(lam[i])) for j in cands]
         k = int(np.argmin(dist))
         scale = max(abs(lam[i]), 1.0)
-        if dist[k] <= pairing_atol * scale + pairing_atol:
+        if dist[k] <= PAIRING_ATOL * scale + PAIRING_ATOL:
             pairs.append((min(i, cands[k]), max(i, cands[k])))
             used |= {i, cands[k]}
         else:
@@ -231,13 +227,11 @@ def outlier_threshold(n_bath_states: int) -> float:
     return 1.0 / np.sqrt(n_bath_states)
 
 
-def find_outliers(spectrum: Spectrum, n_bath_states: int | None = None,
-                  tol_im: float | None = None) -> tuple[list[int], list[bool]]:
+def find_outliers(spectrum: Spectrum) -> tuple[list[int], list[bool]]:
     """Indices of modes beyond the bulk radius 1/sqrt(N_b), each annotated
     with whether it is real within tolerance."""
-    nb = _bath_states(spectrum, n_bath_states)
-    thr = outlier_threshold(nb)
-    tol = spectrum.real_tolerance(tol_im)
+    thr = outlier_threshold(_bath_states(spectrum))
+    tol = spectrum.real_tolerance()
     lam = spectrum.eigenvalues
     idx = [i for i in range(len(lam)) if abs(lam[i]) > thr]
     return idx, [abs(lam[i].imag) <= tol for i in idx]
@@ -250,14 +244,13 @@ class ClusterMode:
     is_real: bool
 
 
-def minus_one_cluster(spectrum: Spectrum, window: float = 0.15,
-                      tol_im: float | None = None) -> list[ClusterMode]:
+def minus_one_cluster(spectrum: Spectrum, window: float = 0.15) -> list[ClusterMode]:
     """Modes within ``window`` of lambda = -1 (the period-doubling cluster),
     reported with their magnitudes and realness."""
     if not 0 < window < 0.5:
         raise ValueError(f"window must lie in (0, 0.5), got {window}")
     lam = spectrum.eigenvalues
-    tol = spectrum.real_tolerance(tol_im)
+    tol = spectrum.real_tolerance()
     return [
         ClusterMode(i, float(abs(lam[i])), bool(abs(lam[i].imag) <= tol))
         for i in range(len(lam))
@@ -278,29 +271,25 @@ def ks_distance(samples: np.ndarray, law: TriangularLaw) -> float:
 
 
 def magnitude_histogram(spectrum: Spectrum, bins: int = 60,
-                        n_bath_states: int | None = None,
                         cluster_window: float = 0.15) -> SpectralStats:
     """Histogram of |lambda| (probability density per unit magnitude) plus
     regime diagnostics; outliers are excluded from the KS comparison."""
     if bins < 10:
         raise ValueError(f"need at least 10 bins, got {bins}")
-    nb = _bath_states(spectrum, n_bath_states)
     lam = spectrum.eigenvalues
     mags = np.abs(lam)
     edges = np.linspace(0.0, mags.max(), bins + 1)
     counts, _ = np.histogram(mags, bins=edges)
     widths = np.diff(edges)
     densities = counts / (counts.sum() * widths)
-    law = triangular_reference(nb)
-    out_idx, out_real = find_outliers(spectrum, nb)
+    law = triangular_reference(_bath_states(spectrum))
+    out_idx, _ = find_outliers(spectrum)
     bulk = np.delete(mags, out_idx)
     tol = spectrum.real_tolerance()
     return SpectralStats(
         bin_edges=edges,
         densities=densities,
         real_fraction=float(np.mean(np.abs(lam.imag) <= tol)),
-        outlier_indices=out_idx,
-        outlier_is_real=out_real,
         ks_distance=ks_distance(bulk, law),
         cluster=minus_one_cluster(spectrum, cluster_window),
         cluster_window=cluster_window,
@@ -308,19 +297,16 @@ def magnitude_histogram(spectrum: Spectrum, bins: int = 60,
     )
 
 
-def _bath_states(spectrum: Spectrum, n_bath_states: int | None) -> int:
-    if n_bath_states is not None:
-        return n_bath_states
+def _bath_states(spectrum: Spectrum) -> int:
     nb = spectrum.meta.get("bath_dim")
     if nb is None:
-        raise ValueError("bath dimension unknown; pass n_bath_states")
+        raise ValueError("bath dimension unknown: spectrum.meta has no 'bath_dim'")
     return int(nb)
 
 
-def write_spectrum_csv(spectrum: Spectrum, path, n_bath_states: int | None = None) -> None:
+def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     """Columns: index, re, im, abs, residual, is_real, is_outlier."""
-    nb = _bath_states(spectrum, n_bath_states)
-    thr = outlier_threshold(nb)
+    thr = outlier_threshold(_bath_states(spectrum))
     tol = spectrum.real_tolerance()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

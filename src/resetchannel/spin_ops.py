@@ -52,11 +52,6 @@ class ChainLayout:
         return self.n_s + self.n_b
 
     @property
-    def bath_block(self) -> range:
-        """Bath sites: the last ``n_b`` sites of the chain."""
-        return range(self.n_s, self.n_h)
-
-    @property
     def dim_s(self) -> int:
         return _fibonacci(self.n_s + 2) if self.constrained else 2 ** self.n_s
 
@@ -67,10 +62,6 @@ class ChainLayout:
     @property
     def dim_joint(self) -> int:
         return _fibonacci(self.n_h + 2) if self.constrained else 2 ** self.n_h
-
-    @property
-    def basis_system(self) -> str:
-        return fibonacci_basis_tag(self.n_s) if self.constrained else qubit_basis(self.n_s)
 
     @property
     def basis_joint(self) -> str:
@@ -224,8 +215,3 @@ def total_sz(n_sites: int) -> DenseOperator:
     """Diagonal total magnetization sum_m sigma_m^z."""
     return DenseOperator(np.diag(site_signs(np.arange(2 ** n_sites), n_sites).sum(axis=0)),
                          qubit_basis(n_sites))
-
-
-def sz_of_index(index: int, n_sites: int) -> int:
-    """Magnetization eigenvalue of one computational basis state."""
-    return int(site_signs([index], n_sites).sum())

@@ -50,7 +50,7 @@ def haar_channel(n_s, n_b, seed):
     ds, db = layout.dim_s, layout.dim_b
     u4 = u.reshape(ds, db, ds, db)
     ops = [np.ascontiguousarray(u4[:, m, :, 0]) for m in range(db)]
-    return KrausSet(ops, layout, 0, {"seed": seed})
+    return KrausSet(ops, layout, {"seed": seed})
 
 
 def ghz_coherence_eigenvalue(kraus):

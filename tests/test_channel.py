@@ -168,21 +168,6 @@ class TestKrausExtraction:
         with pytest.raises(ValueError):
             kraus_from_unitary(prop, ChainLayout(2, 2))  # basis mismatch
 
-    def test_configurable_reset_index(self):
-        layout = ChainLayout(1, 1)
-        kraus = kraus_from_unitary(swap_unitary(), layout, reset_index=1)
-        for m in range(2):
-            expected = np.zeros((2, 2))
-            expected[1, m] = 1.0  # |1><m|: channel resets the system to |1>
-            assert np.allclose(kraus.ops[m], expected)
-        assert kraus.completeness_residual() < 1e-12
-
-    def test_bad_reset_index(self):
-        layout = ChainLayout(1, 1)
-        prop = Propagator(np.zeros(4), np.eye(4), 0.0, "qubits:2")
-        with pytest.raises(ValueError, match="reset index"):
-            kraus_from_unitary(prop, layout, reset_index=5)
-
 
 class TestApplyChannel:
     def test_identity_kraus(self):
@@ -404,8 +389,7 @@ def extend_with_ancilla(kraus):
     """Oracle: the doubled Kraus set 1 (x) K_m, an untouched ancilla qubit
     tensored onto each operator."""
     eye2 = np.eye(2, dtype=complex)
-    return KrausSet([np.kron(eye2, k) for k in kraus.ops], kraus.layout,
-                    kraus.bath_reset_index, dict(kraus.meta))
+    return KrausSet([np.kron(eye2, k) for k in kraus.ops], kraus.layout, dict(kraus.meta))
 
 
 class TestAncillaExtension:

@@ -141,11 +141,29 @@ class TestValidation:
         (dict(TINY_CONFIG, n_s=5), "config"),
         ({k: v for k, v in dict(TINY_CONFIG, n_s=2, n_b=2).items() if k != "layout"},
          "config"),
+        ([TINY_CONFIG], "config"),
+        (dict(TINY_CONFIG, layout=5), "config.layout"),
+        (dict(TINY_CONFIG, layout=[2, 2]), "config.layout"),
+        (dict(TINY_CONFIG, params=5), "config.params"),
+        (dict(TINY_CONFIG, sweep=5), "config.sweep"),
+        (dict(TINY_CONFIG, ep=5), "config.ep"),
+        (dict(TINY_CONFIG, qmi=5), "config.qmi"),
+        (dict(TINY_CONFIG, model="xxx", params={"jzz": 0.1, "jz": 0.1},
+              analyses=["qmi"], qmi={"n_k": 2, "cases": [5]}), "config.qmi.cases[0]"),
+        (dict(TINY_CONFIG, phase=5), "config.phase"),
+        (dict(TINY_CONFIG, time=float("inf")), "config.time"),
+        (dict(TINY_CONFIG, time=10 ** 400), "config.time"),
+        (dict(TINY_CONFIG, params={"j2": 1.0, "jz": float("nan")}), "config.params.jz"),
+        (dict(TINY_CONFIG, analyses=["bands"],
+              sweep={"parameter": "jz", "start": 0.1, "stop": float("-inf"), "points": 3}),
+         "config.sweep.stop"),
     ], ids=["bands-no-sweep", "complex-count-no-sweep", "ep-no-ep", "qmi-no-qmi",
             "phase-no-phase", "qmi-on-aah", "phase-on-pxp", "phase-log-grid-string",
             "scar-overlaps-on-aah", "tolerances-key", "qmi-duplicate-case-name",
             "cluster-window-too-wide", "ep-equal-endpoints", "n-s-next-to-layout",
-            "top-level-n-s-n-b"])
+            "top-level-n-s-n-b", "config-not-object", "layout-int", "layout-list",
+            "params-int", "sweep-int", "ep-int", "qmi-int", "qmi-case-int", "phase-int",
+            "time-infinite", "time-beyond-float", "params-jz-nan", "sweep-stop-infinite"])
     def test_config_that_cannot_run_is_rejected(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
             validate_config(raw)
@@ -208,10 +226,10 @@ class TestRunner:
         original = runner.count_complex
         seen = []
 
-        def warning_count(lam, tol_im=None):
+        def warning_count(lam):
             seen.append(None)
             warnings.warn(f"odd complex count at point {len(seen)}", RuntimeWarning)
-            return original(lam, tol_im=tol_im)
+            return original(lam)
 
         monkeypatch.setattr(runner, "count_complex", warning_count)
         raw = dict(SWEEP_CONFIG, analyses=["complex_count"])
@@ -319,13 +337,16 @@ class TestRunner:
 
     def test_presets_match_reference_outputs(self, tmp_path, monkeypatch):
         # fig6 is the only blockade (pxp) reference, fig2-ns5 the only
-        # overlaps.csv one, fig7 and fig8 the iterated-channel ones. The
-        # references were written with BLAS at one thread, and at two fig6's
-        # spectrum.csv reorders conjugate pairs, so the presets run in a
+        # overlaps.csv one, fig7 and fig8 the iterated-channel ones, fig4
+        # the only eps.csv and ep_fit_points.csv one, and fig4 and fig9 the
+        # complex_count.csv and bands.csv ones. The references were written
+        # with BLAS at one thread, and at two fig6's spectrum.csv reorders
+        # conjugate pairs and fig9's bands move, so the presets run in a
         # fresh interpreter with BLAS pinned.
         check = _bench_module("check", monkeypatch)
-        runs = {"fig2-ns5": ["fig2", ["layout.n_s=5"]], "fig6": ["fig6", []],
-                "fig7": ["fig7", []], "fig8": ["fig8", []]}
+        runs = {"fig2-ns5": ["fig2", ["layout.n_s=5"]], "fig4": ["fig4", []],
+                "fig6": ["fig6", []], "fig7": ["fig7", []], "fig8": ["fig8", []],
+                "fig9": ["fig9", []]}
         env = dict(os.environ, **{var: "1" for var in runner.BLAS_THREAD_VARS})
         src = str(Path(resetchannel.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -521,6 +542,14 @@ class TestCli:
 
     def test_plots_on_empty_dir_fails(self, tmp_path, capsys):
         assert main(["plots", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, str(tmp_path), *extra]) == 1  # a directory, not a file
+        assert "Is a directory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_custom_sweep_config(self, tmp_path):
         cfg = tmp_path / "sweep.json"

@@ -126,11 +126,6 @@ class TestScars:
         gram = scars.states.conj().T @ scars.states
         assert np.allclose(gram, np.eye(4), atol=1e-9)
 
-    def test_zero_count_gives_empty(self, pxp_eigensystem):
-        vals, vecs, basis = pxp_eigensystem
-        scars = scar_candidates(vals, vecs, basis, count=0)
-        assert scars.indices == []
-
     def test_entropy_of_product_state_is_zero(self):
         basis = ConstrainedBasis(4)
         vec = np.zeros(basis.dim)

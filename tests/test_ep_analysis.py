@@ -313,7 +313,7 @@ class TestLocateEps:
         grid = SweepGrid("j", np.linspace(0.0, 0.01, 5), build)
         rec = EpRecord("j", 0.0, 0.5 + 0j, (0, 1), (0.0, 1e-6))
         tol_im = split_tol(np.linalg.eigvals(build(0.0)))
-        fit = fit_sqrt_exponent(grid, rec, tol_im, delta0=1e-4)
+        fit = fit_sqrt_exponent(grid, rec, tol_im)
         assert abs(fit.exponent - 0.5) < 1e-6
         assert fit.r2 > 1 - 1e-12
 

@@ -169,17 +169,17 @@ class TestClassifyReal:
         assert not split.anomalies
 
     def test_ergodic_channel_all_real(self, ergodic_reversal_spectrum):
-        split = classify_real(ergodic_reversal_spectrum, tol_im=1e-6)
+        split = classify_real(ergodic_reversal_spectrum)
         assert not split.pairs
         assert not split.anomalies
 
     def test_chaotic_channel_has_pairs(self, chaotic_reversal_spectrum):
-        split = classify_real(chaotic_reversal_spectrum, tol_im=1e-6)
+        split = classify_real(chaotic_reversal_spectrum)
         assert len(split.pairs) > 0
 
     def test_unpaired_mode_is_anomaly(self):
         spec = full_spectrum(diag_sop([1.0, 0.3 + 0.1j, 0.0, 0.0]))
-        split = classify_real(spec, pairing_atol=1e-10)
+        split = classify_real(spec)
         assert split.anomalies
 
 
@@ -207,7 +207,7 @@ class TestOutliers:
     def test_swap_channel_flags_fixed_point(self):
         kraus = kraus_from_unitary(swap_unitary(), ChainLayout(1, 1))
         spec = full_spectrum(superoperator_matrix(kraus))
-        idx, is_real = find_outliers(spec, n_bath_states=2)
+        idx, is_real = find_outliers(spec)
         assert idx == [0]
         assert is_real == [True]
 

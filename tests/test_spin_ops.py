@@ -12,7 +12,6 @@ from resetchannel.spin_ops import (
     pauli_sum,
     product_state,
     projector0_on_site,
-    sz_of_index,
     total_sz,
 )
 
@@ -174,17 +173,12 @@ class TestTotalSz:
         assert vals.max() == 5 and vals.min() == -5
         assert np.all((vals - 5) % 2 == 0)
 
-    def test_sz_of_index(self):
-        assert sz_of_index(0, 3) == 3
-        assert sz_of_index(int("101", 2), 3) == -1
-
 
 class TestLayout:
     def test_dimensions(self):
         layout = ChainLayout(3, 4)
         assert layout.n_h == 7
         assert (layout.dim_s, layout.dim_b, layout.dim_joint) == (8, 16, 128)
-        assert list(layout.bath_block) == [3, 4, 5, 6]
 
     def test_constrained_dimensions_are_fibonacci(self):
         layout = ChainLayout(5, 5, constrained=True)
