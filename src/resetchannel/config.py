@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass, field, asdict
 
@@ -168,6 +169,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
                    "seed"}
     _check_keys(raw, top_allowed, {"model", "layout", "time", "params", "analyses"}, "config")
 
+    name = raw.get("name", "custom")
+    # cli writes to runs/<name> by default, so the name must stay inside runs/
+    _expect(isinstance(name, str) and name not in ("", ".", "..")
+            and not any(sep and sep in name for sep in (os.sep, os.altsep)),
+            "config.name", f"must be a non-empty string that is one path component, "
+            f"got {name!r}")
+
     model = raw["model"]
     _expect(model in MODELS, "config.model", f"must be one of {MODELS}, got {model!r}")
 
@@ -197,6 +205,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         sec, path = raw["sweep"], "config.sweep"
         _check_keys(sec, {"parameter", "start", "stop", "points"},
                     {"parameter", "start", "stop", "points"}, path)
+        _expect(isinstance(sec["parameter"], str), f"{path}.parameter",
+                f"must be a string, got {sec['parameter']!r}")
         _expect(sec["parameter"] in _SWEEPABLE[model], f"{path}.parameter",
                 f"cannot sweep {sec['parameter']!r} for model {model!r}")
         sweep = SweepSection(
@@ -264,8 +274,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     sections = {"sweep": sweep, "ep": ep, "qmi": qmi, "phase": phase}
     for a in analyses:
-        name = _ANALYSIS_SECTION.get(a)
-        _expect(name is None or sections[name] is not None, f"config.{name}",
+        needed = _ANALYSIS_SECTION.get(a)
+        _expect(needed is None or sections[needed] is not None, f"config.{needed}",
                 f"section missing; analysis {a!r} needs it")
     if "anisotropy_compare" in analyses:
         _expect(model == "xx" and sweep.parameter in ("jxx", "jyy"), "config.sweep.parameter",
@@ -281,7 +291,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
             f"must lie in (0, 0.5), got {cluster_window}")
 
     return ExperimentConfig(
-        name=str(raw.get("name", "custom")),
+        name=name,
         model=model,
         n_s=n_s,
         n_b=n_b,

@@ -169,9 +169,42 @@ def imbalance(rho_t: np.ndarray, rho_0: np.ndarray, n_sites: int) -> float:
 
 
 def _purity(rho: np.ndarray) -> float:
-    """Tr rho^2 = sum |rho_ij|^2 of a Hermitian rho, given whole or as
-    blocks."""
+    """Tr rho^2 = sum |rho_ij|^2 of a Hermitian rho."""
     return float(np.vdot(rho, rho).real)
+
+
+def _ghz_blocks(kraus: KrausSet) -> np.ndarray:
+    """The system blocks (rho_00, rho_01, rho_11), rho_ab = <a|rho|b> with
+    a and b ancilla states, of the (ancilla + system) GHZ state; rho_10 =
+    rho_01^dag, and the channel keeps it so."""
+    if kraus.layout.constrained:
+        raise ValueError("mutual-information trajectories assume the full qubit basis")
+    d = kraus.dim
+    rho = ghz_state(1 + kraus.layout.n_s).density_matrix().mat
+    return rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3).reshape(4, d, d)[[0, 1, 3]]
+
+
+def _block_purities(blocks: np.ndarray) -> tuple[np.ndarray, tuple[float, float, float]]:
+    """The system marginal rho_s = rho_00 + rho_11 and the purities of
+    rho_a, rho_s and rho_as, read off the blocks (rho_00, rho_01, rho_11):
+    rho_a = [[tr rho_00, tr rho_01], [conj(tr rho_01), tr rho_11]] and
+    Tr rho_as^2 = |rho_00|^2 + 2 |rho_01|^2 + |rho_11|^2."""
+    t00, t01, t11 = np.trace(blocks, axis1=1, axis2=2)
+    rho_s = blocks[0] + blocks[2]
+    purity_a = float(abs(t00) ** 2 + 2 * abs(t01) ** 2 + abs(t11) ** 2)
+    purity_as = _purity(blocks[0]) + 2 * _purity(blocks[1]) + _purity(blocks[2])
+    return rho_s, (purity_a, _purity(rho_s), purity_as)
+
+
+def _warn_on_qmi_rise(qmis: list[float]) -> None:
+    """Monotonicity violations of the mutual information (beyond
+    ``QMI_MONOTONE_ATOL``) are logged as warnings, not raised."""
+    for n in range(1, len(qmis)):
+        if qmis[n] > qmis[n - 1] + QMI_MONOTONE_ATOL:
+            warnings.warn(
+                f"mutual information rose by {qmis[n] - qmis[n - 1]:.2e} "
+                f"at step {n}", RuntimeWarning,
+            )
 
 
 def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
@@ -179,27 +212,19 @@ def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
     the ancilla untouched, recording mutual information, imbalance,
     magnetization, and purities at every step.
 
-    The state is kept as its four system blocks rho_ab = <a|rho|b>, a and b
-    ancilla states; the channel maps them as one stack, and the marginals
-    and purities are read off the blocks. Monotonicity violations of the
-    mutual information (beyond 1e-9) are logged as warnings, not raised.
+    The state is kept as its system blocks (rho_00, rho_01, rho_11); the
+    channel maps them as one stack, and the marginals and purities are read
+    off the blocks. A rise of the mutual information is warned about.
     """
-    if kraus.layout.constrained:
-        raise ValueError("mutual-information trajectories assume the full qubit basis")
-    n_s = kraus.layout.n_s
-    d = kraus.dim
-    rho = ghz_state(1 + n_s).density_matrix().mat
-    blocks = rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3).reshape(4, d, d)
-    sz = _site_sz_diagonals(n_s)
+    blocks = _ghz_blocks(kraus)
+    sz = _site_sz_diagonals(kraus.layout.n_s)
     records: list[TrajectoryRecord] = []
     sz_0 = None
     for n in range(n_max + 1):
-        rho_a = np.trace(blocks, axis1=1, axis2=2)
-        rho_s = blocks[0] + blocks[3]
+        rho_s, purities = _block_purities(blocks)
         sz_n = sz @ np.real(np.diag(rho_s))
         if sz_0 is None:
             sz_0 = sz_n
-        purities = (_purity(rho_a), _purity(rho_s), _purity(blocks))
         records.append(TrajectoryRecord(
             n_k=n,
             qmi=float(_renyi2(purities)),
@@ -211,12 +236,7 @@ def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
         ))
         if n < n_max:
             blocks = apply_channel(kraus, blocks)
-    for prev, cur in zip(records, records[1:]):
-        if cur.qmi > prev.qmi + QMI_MONOTONE_ATOL:
-            warnings.warn(
-                f"mutual information rose by {cur.qmi - prev.qmi:.2e} "
-                f"at step {cur.n_k}", RuntimeWarning,
-            )
+    _warn_on_qmi_rise([r.qmi for r in records])
     return records
 
 
@@ -244,25 +264,30 @@ class PhaseScanPoint:
 
 def phase_scan(channel_factory: Callable[[float], KrausSet], values: np.ndarray,
                n_k: int) -> tuple[list[PhaseScanPoint], list[tuple[int, str]]]:
-    """Final mutual information (from the GHZ protocol) and final imbalance
-    + 1 (from the alternating product state) after ``n_k`` channel rounds,
-    for each parameter value. Per-point failures are recorded and skipped.
+    """Final mutual information (from the GHZ protocol of
+    :func:`qmi_trajectory`) and final imbalance + 1 (from the alternating
+    product state) after ``n_k`` channel rounds, for each parameter value.
+    Each point iterates the GHZ blocks and the product state as one stack.
+    Per-point failures are recorded and skipped.
     """
     points: list[PhaseScanPoint] = []
     failures: list[tuple[int, str]] = []
     for i, value in enumerate(np.asarray(values, dtype=float)):
         try:
             kraus = channel_factory(float(value))
-            n_s = kraus.layout.n_s
-            traj = qmi_trajectory(kraus, n_k)
-            rho0 = neel_state(n_s).density_matrix().mat
-            rho = rho0
-            for _ in range(n_k):
-                rho = apply_channel(kraus, rho)
+            rho0 = neel_state(kraus.layout.n_s).density_matrix().mat
+            stack = np.concatenate([_ghz_blocks(kraus), rho0[None]])
+            qmis = []
+            for n in range(n_k + 1):
+                _, purities = _block_purities(stack[:3])
+                qmis.append(float(_renyi2(purities)))
+                if n < n_k:
+                    stack = apply_channel(kraus, stack)
+            _warn_on_qmi_rise(qmis)
             points.append(PhaseScanPoint(
                 value=float(value),
-                qmi=traj[-1].qmi,
-                imbalance_plus_one=1.0 + imbalance(rho, rho0, n_s),
+                qmi=qmis[-1],
+                imbalance_plus_one=1.0 + imbalance(stack[3], rho0, kraus.layout.n_s),
             ))
         except Exception as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))

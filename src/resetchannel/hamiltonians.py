@@ -9,6 +9,7 @@ for PXP); hbar = 1. Chains are open.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -135,6 +136,56 @@ def build_pxp(params: PxpParams, n_sites: int) -> DenseOperator:
     return DenseOperator(pauli_sum(terms, n_sites, cb.states), cb.tag)
 
 
+@dataclass(frozen=True)
+class MagnetizationSectors:
+    """The qubit basis of a chain grouped by total S_z: sector k, the basis
+    indices with k 1 bits in ascending order, is ``order[lo:hi]`` for
+    ``(lo, hi) = spans[k]``. ``same_size`` groups the sector numbers by
+    size, C(n, k) = C(n, n - k), for stacked solves."""
+
+    order: np.ndarray
+    spans: tuple[tuple[int, int], ...]
+    same_size: tuple[tuple[int, ...], ...]
+
+
+@cache
+def magnetization_sectors(n_sites: int) -> MagnetizationSectors:
+    """Made once per chain size and read-only."""
+    labels = np.array([bin(b).count("1") for b in range(2 ** n_sites)])
+    order = np.argsort(labels, kind="stable")
+    order.flags.writeable = False
+    bounds = np.searchsorted(labels[order], np.arange(n_sites + 2)).tolist()
+    spans = tuple(zip(bounds[:-1], bounds[1:]))
+    same_size: dict[int, tuple[int, ...]] = {}
+    for k, (lo, hi) in enumerate(spans):
+        same_size[hi - lo] = same_size.get(hi - lo, ()) + (k,)
+    return MagnetizationSectors(order, spans, tuple(same_size.values()))
+
+
+def _sector_eigensystem(h: np.ndarray, sectors: MagnetizationSectors):
+    """Eigensystem of a real symmetric ``h`` solved sector by sector, or
+    None when an entry between two different sectors is not exactly zero."""
+    members = [sectors.order[lo:hi] for lo, hi in sectors.spans]
+    blocks = [h[np.ix_(idx, idx)] for idx in members]
+    if np.count_nonzero(h) != sum(np.count_nonzero(b) for b in blocks):
+        return None
+    dim = len(sectors.order)
+    vals = np.empty(dim)  # in sector order
+    vecs = [None] * len(blocks)
+    for ks in sectors.same_size:
+        block_vals, block_vecs = np.linalg.eigh(np.stack([blocks[k] for k in ks]))
+        for k, w, v in zip(ks, block_vals, block_vecs):
+            lo, hi = sectors.spans[k]
+            vals[lo:hi], vecs[k] = w, v
+    ascending = np.argsort(vals, kind="stable")
+    column = np.empty(dim, dtype=int)
+    column[ascending] = np.arange(dim)
+    out = np.zeros((dim, dim))
+    for idx, (lo, hi), v in zip(members, sectors.spans, vecs):
+        out[np.ix_(idx, column[lo:hi])] = v
+    return vals[ascending], out
+
+
 def hermitian_eigensystem(h: DenseOperator, real: bool = False):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
     operator; rejects inputs that are not Hermitian within
@@ -143,11 +194,21 @@ def hermitian_eigensystem(h: DenseOperator, real: bool = False):
     ``real`` solves a matrix whose imaginary part is exactly zero with a
     real symmetric ``eigh`` instead of the complex Hermitian one; the result
     then agrees with the complex solve to rounding, not bit for bit. Any
-    other matrix takes the complex solve whatever ``real`` says.
+    other matrix takes the complex solve whatever ``real`` says. A real
+    solve on a qubit basis whose entries between different total-S_z
+    sectors are all exactly zero solves each sector on its own (see
+    :func:`magnetization_sectors`), with the eigenvectors embedded in the
+    full basis; no tolerance decides that, so a Hamiltonian that breaks the
+    symmetry by any amount takes the full solve.
     """
     scale = max(np.linalg.norm(h.mat), 1.0)
     if np.linalg.norm(h.mat - h.mat.conj().T) > HERMITIAN_RTOL * scale:
         raise ValueError("operator is not Hermitian within tolerance")
     real = real and not np.any(h.mat.imag)
+    n_sites = h.dim.bit_length() - 1  # of a qubit basis, whose dim is 2**n_sites
+    if real and h.basis == qubit_basis(n_sites) and h.dim == 1 << n_sites:
+        solved = _sector_eigensystem(h.mat.real, magnetization_sectors(n_sites))
+        if solved is not None:
+            return solved
     vals, vecs = np.linalg.eigh(h.mat.real if real else h.mat)
     return vals, vecs

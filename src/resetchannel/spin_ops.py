@@ -12,6 +12,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -121,19 +122,25 @@ def site_signs(states, n_sites: int) -> np.ndarray:
     return 1 - 2 * ((states[None, :] >> shifts[:, None]) & 1)
 
 
-def pauli_sum(terms, n_sites: int, states=None) -> np.ndarray:
-    """Dense matrix of sum_k c_k P_k on a sorted list of basis states
-    (default: all ``2**n_sites`` qubit states).
+@dataclass(frozen=True)
+class _PauliStructure:
+    """What a list of Pauli strings fixes on a basis, whatever their
+    coefficients: per term its flip mask, phase i^{n_y} and sign array, and
+    per flip mask the flat positions and source columns of its scatter."""
 
-    Each term is ``(c, axes, sites)``, e.g. ``(0.5, "xx", (2, 3))``. Terms
-    are accumulated in the given order. On a subspace, matrix elements that
-    leave ``states`` are dropped, so the result is the restriction.
-    """
-    states = np.arange(2 ** n_sites) if states is None else np.asarray(states)
+    dim: int
+    terms: tuple[tuple[int, complex, np.ndarray], ...]
+    scatter: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+@lru_cache(maxsize=64)
+def _pauli_structure(n_sites: int, states: tuple[int, ...] | None,
+                     strings: tuple[tuple[str, tuple[int, ...]], ...]) -> _PauliStructure:
+    states = np.arange(2 ** n_sites) if states is None else np.asarray(states, dtype=int)
     signs = site_signs(states, n_sites)
     dim = len(states)
-    by_flip: dict[int, np.ndarray] = {}
-    for coeff, axes, sites in terms:
+    terms = []
+    for axes, sites in strings:
         flip, n_y, sign = 0, 0, np.ones(dim, dtype=int)
         for axis, site in zip(axes, sites, strict=True):
             if axis not in ("x", "y", "z"):
@@ -145,16 +152,43 @@ def pauli_sum(terms, n_sites: int, states=None) -> np.ndarray:
             if axis != "x":
                 sign = sign * signs[site]
             n_y += axis == "y"
+        sign.flags.writeable = False
         # Y|b> = i (-1)^b |1-b>, Z|b> = (-1)^b |b>
-        acc = by_flip.setdefault(flip, np.zeros(dim, dtype=complex))
-        acc += coeff * 1j ** n_y * sign
-    h = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    for flip, vals in by_flip.items():
+        terms.append((flip, 1j ** n_y, sign))
+    scatter = {}
+    for flip in dict.fromkeys(flip for flip, _, _ in terms):
         targets = states ^ flip
         rows = np.minimum(np.searchsorted(states, targets), dim - 1)
-        inside = states[rows] == targets
-        h[rows[inside], cols[inside]] = vals[inside]
+        cols = np.flatnonzero(states[rows] == targets)
+        flat = rows[cols] * dim + cols
+        flat.flags.writeable = cols.flags.writeable = False
+        scatter[flip] = (flat, cols)
+    return _PauliStructure(dim, tuple(terms), scatter)
+
+
+def pauli_sum(terms, n_sites: int, states=None) -> np.ndarray:
+    """Dense matrix of sum_k c_k P_k on a sorted list of basis states
+    (default: all ``2**n_sites`` qubit states).
+
+    Each term is ``(c, axes, sites)``, e.g. ``(0.5, "xx", (2, 3))``. Terms
+    are accumulated in the given order. On a subspace, matrix elements that
+    leave ``states`` are dropped, so the result is the restriction. The
+    structure the Pauli strings fix (flip masks, phases, signs, scatter
+    positions) is cached, so a call with new coefficients does only the
+    accumulation and the scatter.
+    """
+    terms = list(terms)
+    structure = _pauli_structure(
+        n_sites, None if states is None else tuple(np.asarray(states).tolist()),
+        tuple((axes, tuple(sites)) for _, axes, sites in terms))
+    dim = structure.dim
+    by_flip = {flip: np.zeros(dim, dtype=complex) for flip in structure.scatter}
+    for (coeff, _, _), (flip, phase, sign) in zip(terms, structure.terms):
+        by_flip[flip] += coeff * phase * sign
+    h = np.zeros((dim, dim), dtype=complex)
+    flat_h = h.reshape(-1)
+    for flip, (flat, cols) in structure.scatter.items():
+        flat_h[flat] = by_flip[flip][cols]
     return h
 
 

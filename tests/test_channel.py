@@ -315,8 +315,11 @@ class TestRealProbeBuilds:
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: solves.append(not np.iscomplexobj(a)) or eigh(a))
         build_channel(config, {"jz": 0.3})
+        assert solves == [False]
+        solves.clear()
+        # the real build may solve sector by sector: one or more real solves
         build_channel(config, {"jz": 0.3}, real=True)
-        assert solves == [False, True]
+        assert solves and all(solves)
 
         # a Hermitian H with a nonzero imaginary part stays on the complex path
         hamiltonian = runner.build_hamiltonian

@@ -157,13 +157,28 @@ class TestValidation:
         (dict(TINY_CONFIG, analyses=["bands"],
               sweep={"parameter": "jz", "start": 0.1, "stop": float("-inf"), "points": 3}),
          "config.sweep.stop"),
+        (dict(TINY_CONFIG, analyses=["bands"],
+              sweep={"parameter": ["jz"], "start": 0.1, "stop": 0.3, "points": 3}),
+         "config.sweep.parameter"),
+        (dict(TINY_CONFIG, name={"a": 1}), "config.name"),
+        (dict(TINY_CONFIG, name=5), "config.name"),
+        (dict(TINY_CONFIG, name=None), "config.name"),
+        (dict(TINY_CONFIG, name=""), "config.name"),
+        (dict(TINY_CONFIG, name="."), "config.name"),
+        (dict(TINY_CONFIG, name=".."), "config.name"),
+        (dict(TINY_CONFIG, name="../x"), "config.name"),
+        (dict(TINY_CONFIG, name="/tmp/abs"), "config.name"),
+        (dict(TINY_CONFIG, name="a/b"), "config.name"),
     ], ids=["bands-no-sweep", "complex-count-no-sweep", "ep-no-ep", "qmi-no-qmi",
             "phase-no-phase", "qmi-on-aah", "phase-on-pxp", "phase-log-grid-string",
             "scar-overlaps-on-aah", "tolerances-key", "qmi-duplicate-case-name",
             "cluster-window-too-wide", "ep-equal-endpoints", "n-s-next-to-layout",
             "top-level-n-s-n-b", "config-not-object", "layout-int", "layout-list",
             "params-int", "sweep-int", "ep-int", "qmi-int", "qmi-case-int", "phase-int",
-            "time-infinite", "time-beyond-float", "params-jz-nan", "sweep-stop-infinite"])
+            "time-infinite", "time-beyond-float", "params-jz-nan", "sweep-stop-infinite",
+            "sweep-parameter-list", "name-object", "name-int", "name-null", "name-empty",
+            "name-dot", "name-dotdot", "name-parent-path", "name-absolute-path",
+            "name-two-components"])
     def test_config_that_cannot_run_is_rejected(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
             validate_config(raw)
@@ -550,6 +565,21 @@ class TestCli:
         assert main([command, str(tmp_path), *extra]) == 1  # a directory, not a file
         assert "Is a directory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["../escaped", "absolute", ""])
+    def test_name_outside_runs_is_config_error(self, tmp_path, monkeypatch, capsys, name):
+        # without --out the run goes to runs/<name>, which must stay below runs/
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        if name == "absolute":
+            name = str(tmp_path / "escaped")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, name=name)))
+        assert main(["run", str(cfg)]) == 1
+        assert "config.name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cwd"]
+        assert not any(cwd.iterdir())
 
     def test_custom_sweep_config(self, tmp_path):
         cfg = tmp_path / "sweep.json"

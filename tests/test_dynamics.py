@@ -8,7 +8,7 @@ from conftest import (
     random_density_matrix,
     random_product_density,
 )
-from resetchannel.channel import KrausSet
+from resetchannel.channel import KrausSet, apply_channel
 from resetchannel.config import preset_config
 from resetchannel.dynamics import (
     UndefinedOverlapError,
@@ -188,6 +188,15 @@ class TestQmiTrajectory:
         assert abs(rec.qmi - 2 * np.log(2)) < 1e-12
         assert abs(rec.purity_as - 1.0) < 1e-12
 
+    def test_qmi_rise_warns(self):
+        # X -> X / 4 is no channel; it divides every purity by 16, so the
+        # mutual information rises by ln 16 per round
+        kraus = KrausSet([0.5 * np.eye(4)], ChainLayout(2, 1))
+        with pytest.warns(RuntimeWarning, match="mutual information rose") as caught:
+            qmi_trajectory(kraus, 2)
+        assert [str(w.message) for w in caught] == [
+            f"mutual information rose by {np.log(16):.2e} at step {n}" for n in (1, 2)]
+
     def test_fig7_localized_matches_explicit_joint_evolution(self):
         """Oracle: (ancilla, system, bath) evolved under 1 (x) U with the
         bath reset to |0...0> each round, partial traces by einsum."""
@@ -264,6 +273,31 @@ class TestPhaseScan:
         for p in points:
             assert abs(p.qmi - 2 * np.log(2)) < 1e-12
             assert abs(p.imbalance_plus_one - (1 + 3 / 4)) < 1e-12
+
+    def test_fig8_points_match_trajectory_and_separate_neel_iteration(self):
+        config = preset_config("fig8")
+        factory = lambda jz: build_channel(config, {"jz": jz}, real=True)
+        values, n_k = config.phase_values(), config.phase.n_k
+        points, failures = phase_scan(factory, values, n_k)
+        assert not failures and len(points) == len(values)
+        for value, point in zip(values, points):
+            kraus = factory(value)
+            rho0 = neel_state(config.n_s).density_matrix().mat
+            rho = rho0
+            for _ in range(n_k):
+                rho = apply_channel(kraus, rho)
+            assert point.value == value
+            assert abs(point.qmi - qmi_trajectory(kraus, n_k)[-1].qmi) <= 1e-12, value
+            assert abs(point.imbalance_plus_one
+                       - (1.0 + imbalance(rho, rho0, config.n_s))) <= 1e-12, value
+
+    def test_qmi_rise_warns(self):
+        factory = lambda jz: KrausSet([0.5 * np.eye(4)], ChainLayout(2, 1))
+        with pytest.warns(RuntimeWarning, match="mutual information rose") as caught:
+            points, failures = phase_scan(factory, np.array([0.1, 0.2]), 1)
+        assert not failures and len(points) == 2
+        assert [str(w.message) for w in caught] == [
+            f"mutual information rose by {np.log(16):.2e} at step 1"] * 2
 
     def test_failures_recorded(self):
         def factory(jz):

@@ -12,8 +12,9 @@ from resetchannel.hamiltonians import (
     build_xx,
     build_xxx,
     hermitian_eigensystem,
+    magnetization_sectors,
 )
-from resetchannel.channel import joint_index_table
+from resetchannel.channel import Propagator, joint_index_table
 from resetchannel.spin_ops import ChainLayout, DenseOperator, projector0_on_site, total_sz
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -241,6 +242,86 @@ class TestEigensystem:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigensystem(DenseOperator(np.array([[0, 1], [0, 0]], dtype=complex), "x"))
+
+
+def solve_shapes(monkeypatch, h):
+    """The real-path eigensystem of ``h`` and the shapes of the arrays that
+    ``np.linalg.eigh`` was called on to get it."""
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    result = hermitian_eigensystem(h, real=True)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return result, shapes
+
+
+# the fig3 and fig8 chains at 7 sites, fig3's at 8, and fig7's ergodic case.
+# At the localized field jz = 5 the two solves' U at t = 100 differ by up to
+# 3e-12: both round the phases E t, |E| up to 26; against a 40-digit solve of
+# four columns the sector solve was off by 4.7e-13 and the full one by 8.3e-13
+SECTOR_CASES = {
+    "aah-7": lambda: build_aah(AahParams(jzz=0.3, jz=0.1), 7),
+    "aah-7-fig8": lambda: build_aah(AahParams(jzz=0.1, jz=0.1), 7),
+    "aah-8": lambda: build_aah(AahParams(jzz=0.3, jz=0.1), 8),
+    "xxx-jxxx-0": lambda: build_xxx(XxxParams(AahParams(jzz=0.1, jz=0.1), 0.0), 8),
+}
+
+
+class TestSectorEigensystem:
+    """A real solve of an H that conserves total S_z exactly goes sector by
+    sector; anything else takes one full solve."""
+
+    def test_sectors_group_by_number_of_up_bits(self):
+        sectors = magnetization_sectors(5)
+        assert sectors.spans == ((0, 1), (1, 6), (6, 16), (16, 26), (26, 31), (31, 32))
+        for k, (lo, hi) in enumerate(sectors.spans):
+            members = sectors.order[lo:hi].tolist()
+            assert members == sorted(members)
+            assert all(bin(b).count("1") == k for b in members)
+        assert sorted(sectors.order.tolist()) == list(range(32))
+        assert not sectors.order.flags.writeable
+        assert sectors.same_size == ((0, 5), (1, 4), (2, 3))
+
+    @pytest.mark.parametrize("case", SECTOR_CASES)
+    def test_matches_full_real_solve(self, case, monkeypatch):
+        h = SECTOR_CASES[case]()
+        (vals, vecs), shapes = solve_shapes(monkeypatch, h)
+        assert all(len(shape) == 3 and shape[1] < h.dim for shape in shapes)  # sector path
+        full_vals, full_vecs = np.linalg.eigh(h.mat.real)
+        assert vecs.dtype == float and vecs.shape == (h.dim, h.dim)
+        assert np.all(np.diff(vals) >= 0)
+        assert np.max(np.abs(vals - full_vals)) < 1e-12
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(h.dim)) < 1e-12
+        cols = np.arange(h.dim)
+        u = Propagator(vals, vecs, 100.0, h.basis).columns(cols)
+        u_full = Propagator(full_vals, full_vecs, 100.0, h.basis).columns(cols)
+        assert np.max(np.abs(u - u_full)) < 1e-12
+
+    @pytest.mark.parametrize("case", ["xxx-jxxx-2", "pxp", "complex"])
+    def test_other_hamiltonians_take_one_full_solve(self, case, monkeypatch):
+        if case == "xxx-jxxx-2":
+            h = build_xxx(XxxParams(AahParams(jzz=0.1, jz=0.1), 2.0), 8)
+        elif case == "pxp":
+            h = build_pxp(PxpParams(), 10)
+        else:
+            rng = np.random.default_rng(3)
+            a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+            h = DenseOperator((a + a.conj().T) / 2, "qubits:5")
+        (vals, vecs), shapes = solve_shapes(monkeypatch, h)
+        assert shapes == [(h.dim, h.dim)]
+        recon = (vecs * vals) @ vecs.conj().T
+        assert np.linalg.norm(recon - h.mat) < 1e-12 * np.linalg.norm(h.mat)
+
+    def test_planted_off_sector_entry_forces_full_solve(self, monkeypatch):
+        # no tolerance decides the path: one entry of 1e-300 between two
+        # sectors is enough to leave it
+        h = build_aah(AahParams(jzz=0.3, jz=0.1), 7)
+        i, j = 0, 3  # |0000000> (no 1 bits) and |0000011> (two)
+        assert h.mat[i, j] == 0.0
+        h.mat[i, j] = h.mat[j, i] = 1e-300
+        (vals, vecs), shapes = solve_shapes(monkeypatch, h)
+        assert shapes == [(h.dim, h.dim)]
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(h.dim)) < 1e-12
 
 
 class TestParamValidation:

@@ -1,6 +1,18 @@
 import numpy as np
 import pytest
 
+from resetchannel import hamiltonians
+from resetchannel.hamiltonians import (
+    AahParams,
+    ConstrainedBasis,
+    PxpParams,
+    XxParams,
+    XxxParams,
+    build_aah,
+    build_pxp,
+    build_xx,
+    build_xxx,
+)
 from resetchannel.spin_ops import (
     BasisMismatchError,
     ChainLayout,
@@ -12,6 +24,7 @@ from resetchannel.spin_ops import (
     pauli_sum,
     product_state,
     projector0_on_site,
+    site_signs,
     total_sz,
 )
 
@@ -79,6 +92,90 @@ class TestPauliSum:
         terms = [(1.0, "xx", (0, 1)), (0.5, "y", (2,)), (0.3, "zz", (0, 2))]
         full = pauli_sum(terms, 3)
         assert np.array_equal(pauli_sum(terms, 3, even), full[np.ix_(even, even)])
+
+
+def uncached_pauli_sum(terms, n_sites, states=None):
+    """Oracle: the assembler as it was before its structure was cached, which
+    derives every flip mask, sign and scatter position on each call."""
+    states = np.arange(2 ** n_sites) if states is None else np.asarray(states)
+    signs = site_signs(states, n_sites)
+    dim = len(states)
+    by_flip = {}
+    for coeff, axes, sites in terms:
+        flip, n_y, sign = 0, 0, np.ones(dim, dtype=int)
+        for axis, site in zip(axes, sites, strict=True):
+            if axis != "z":
+                flip ^= 1 << (n_sites - 1 - site)
+            if axis != "x":
+                sign = sign * signs[site]
+            n_y += axis == "y"
+        acc = by_flip.setdefault(flip, np.zeros(dim, dtype=complex))
+        acc += coeff * 1j ** n_y * sign
+    h = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    for flip, vals in by_flip.items():
+        targets = states ^ flip
+        rows = np.minimum(np.searchsorted(states, targets), dim - 1)
+        inside = states[rows] == targets
+        h[rows[inside], cols[inside]] = vals[inside]
+    return h
+
+
+class TestCachedPauliSum:
+    def test_models_byte_identical_to_uncached_assembler(self, monkeypatch):
+        compared = []
+
+        def both(terms, n_sites, states=None):
+            h = pauli_sum(terms, n_sites, states)
+            expected = uncached_pauli_sum(terms, n_sites, states)
+            assert h.tobytes() == expected.tobytes()
+            compared.append(n_sites)
+            return h
+
+        monkeypatch.setattr(hamiltonians, "pauli_sum", both)
+        rng = np.random.default_rng(11)
+        for _ in range(3):  # the second and third draws hit the cache
+            c = rng.uniform(-2.0, 2.0, size=5)
+            for n in (3, 6, 8):
+                build_aah(AahParams(j2=abs(c[0]), jzz=c[1], jz=c[2]), n)
+                build_xxx(XxxParams(AahParams(jzz=c[1], jz=c[2]), c[3]), n)
+                build_xx(XxParams(jxx=c[0], jyy=c[3], jzz=c[1], jz=c[2], omega=c[4]), n)
+                build_pxp(PxpParams(omega_rabi=abs(c[4])), n)
+            # single-valued couplings drop terms, which changes the structure
+            build_aah(AahParams(jzz=0.0, jz=0.0), 5)
+            build_xx(XxParams(jxx=0.0, jyy=c[3]), 5)
+        assert len(compared) == 3 * (3 * 7 + 4)  # a chain is two sums, pxp one
+
+    def test_constrained_basis_byte_identical(self):
+        rng = np.random.default_rng(12)
+        states = ConstrainedBasis(7).states
+        axes = ["x", "y", "z", "xx", "yy", "zz", "xyz"]
+        for _ in range(2):
+            terms = [(rng.normal(), a, tuple(range(m, m + len(a))))
+                     for a in axes for m in range(7 - len(a) + 1)]
+            assert (pauli_sum(terms, 7, states).tobytes()
+                    == uncached_pauli_sum(terms, 7, states).tobytes())
+
+    def test_returned_matrix_is_callers_own(self):
+        terms = [(1.0, "xx", (0, 1)), (0.5, "yy", (1, 2)), (0.3, "z", (2,))]
+        first = pauli_sum(terms, 3)
+        expected = first.copy()
+        first[:] = 7.0
+        assert np.array_equal(pauli_sum(terms, 3), expected)
+        h = build_aah(AahParams(jzz=0.3, jz=0.1), 4)
+        expected = h.mat.copy()
+        h.mat[0, 0] = 99.0
+        assert np.array_equal(build_aah(AahParams(jzz=0.3, jz=0.1), 4).mat, expected)
+
+    @pytest.mark.parametrize("term, match", [
+        ((1.0, "xw", (0, 1)), "axis"),
+        ((1.0, "xx", (1, 3)), "out of range"),
+        ((1.0, "xx", (0,)), "shorter|longer"),
+    ])
+    def test_bad_term_raises_every_time(self, term, match):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                pauli_sum([(1.0, "z", (0,)), term], 3)
 
 
 class TestProjector:
