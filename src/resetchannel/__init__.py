@@ -49,7 +49,6 @@ from .spectra import (
     DefectiveSpectrumError,
     Spectrum,
     SpectralStats,
-    classify_real,
     decompose_state,
     find_outliers,
     full_spectrum,

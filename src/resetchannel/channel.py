@@ -39,7 +39,7 @@ class Propagator:
 
     def __post_init__(self):
         dev = float(np.linalg.norm(self.vecs.conj().T @ self.vecs - np.eye(len(self.vals))))
-        if dev > UNITARITY_ATOL:
+        if not dev <= UNITARITY_ATOL:  # NaN fails too
             raise ValueError(f"propagator is not unitary: |V^dag V - I| = {dev:.2e}")
         self.unitarity_deviation = dev
 
@@ -144,7 +144,7 @@ def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:
     kraus = KrausSet(list(w[table]), layout,
                      meta={"t": prop.t, "unitarity_deviation": prop.unitarity_deviation})
     residual = kraus.completeness_residual()
-    if residual > COMPLETENESS_ATOL:
+    if not residual <= COMPLETENESS_ATOL:  # NaN fails too
         raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.2e}")
     kraus.meta["completeness_residual"] = residual
     return kraus

@@ -9,7 +9,6 @@ import csv
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,40 +44,30 @@ class JordanChainError(RuntimeError):
     """Requested chain extends past the numerical Jordan block."""
 
 
-@dataclass
-class _Solved:
-    """Eigenvalues solved at one parameter value: either the whole spectrum
-    (``sigma`` is None) or the ``PROBE_MODES`` nearest ``sigma``, which all
-    lie within ``radius`` of it while every other eigenvalue lies at least
-    ``radius`` away."""
+def _certified_probe(lam: np.ndarray, radius: float, sigma: complex,
+                     guess: np.ndarray, tol_im: float):
+    """:func:`_pair_probe` on the eigenvalues ``lam`` nearest ``sigma``, all
+    within ``radius`` of it while every other eigenvalue lies at least
+    ``radius`` away; None when they cannot prove that the whole spectrum
+    gives the same answer.
 
-    lam: np.ndarray
-    sigma: complex | None = None
-    radius: float = 0.0
-
-    def pair_probe(self, guess: np.ndarray, tol_im: float):
-        """:func:`_pair_probe` on these eigenvalues, or None when they cannot
-        prove that the whole spectrum gives the same answer.
-
-        The proof is geometric: every mode at least as close to ``guess[0]``
-        as the chosen ``a`` (to ``guess[1]`` as ``b``, to the pair's midpoint
-        as the gap) lies inside the solved disc, so it was solved.
-        """
-        result = _pair_probe(self.lam, guess, tol_im)
-        if self.sigma is None:
-            return result
-        (a, b), _, gap = result
-        s, r = self.sigma, self.radius
-        certified = (abs(guess[0] - s) + abs(a - guess[0]) < r
-                     and abs(guess[1] - s) + abs(b - guess[1]) < r
-                     and abs(0.5 * (a + b) - s) + gap < r)
-        return result if certified else None
+    The proof is geometric: every mode at least as close to ``guess[0]`` as
+    the chosen ``a`` (to ``guess[1]`` as ``b``, to the pair's midpoint as the
+    gap) lies inside the solved disc, so it was solved.
+    """
+    result = _pair_probe(lam, guess, tol_im)
+    (a, b), _, gap = result
+    certified = (abs(guess[0] - sigma) + abs(a - guess[0]) < radius
+                 and abs(guess[1] - sigma) + abs(b - guess[1]) < radius
+                 and abs(0.5 * (a + b) - sigma) + gap < radius)
+    return result if certified else None
 
 
-def _near_solve(mat: np.ndarray, sigma: complex) -> _Solved | None:
+def _near_solve(mat: np.ndarray, sigma: complex) -> tuple[np.ndarray, float] | None:
     """The ``PROBE_MODES`` eigenvalues of ``mat`` nearest ``sigma``, by
-    shift-invert Arnoldi (ARPACK); None when the matrix is too small for
-    ARPACK (it needs k < n - 1) or the solve fails."""
+    shift-invert Arnoldi (ARPACK), and the radius about ``sigma`` they lie
+    within; None when the matrix is too small for ARPACK (it needs
+    k < n - 1) or the solve fails."""
     n = mat.shape[0]
     if n <= PROBE_MODES + 2:
         return None
@@ -94,7 +83,7 @@ def _near_solve(mat: np.ndarray, sigma: complex) -> _Solved | None:
         return None
     if not np.all(np.isfinite(lam)):
         return None
-    return _Solved(lam, sigma, float(np.max(np.abs(lam - sigma))))
+    return lam, float(np.max(np.abs(lam - sigma)))
 
 
 @dataclass
@@ -104,11 +93,9 @@ class SweepGrid:
     ``build`` maps a parameter value to the matrix whose spectrum is swept
     (the reversal-form channel matrix for the physical presets).
     ``probe_build``, when given, builds the matrices that :meth:`probe`
-    solves instead; it may differ from ``build`` at rounding level. The grid
-    memoizes what it solved at each value, so the EP bisection and the sqrt
-    fit on one grid share their solves; ``probe_counts`` tallies the probes
-    answered from a shift-invert solve (``"near"``) and from a full spectrum
-    (``"full"``).
+    solves instead; it may differ from ``build`` at rounding level.
+    ``probe_counts`` tallies the guessed pairs answered from a shift-invert
+    solve (``"near"``) and from a full spectrum (``"full"``).
     """
 
     parameter: str
@@ -117,9 +104,6 @@ class SweepGrid:
     probe_build: Callable[[float], np.ndarray] | None = None
     probe_counts: dict[str, int] = field(
         default_factory=lambda: {"near": 0, "full": 0}, init=False, repr=False)
-    _solved: dict[float, _Solved] = field(default_factory=dict, init=False, repr=False)
-    _sharing: bool = field(default=False, init=False, repr=False)
-    _last: tuple[float, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -129,48 +113,33 @@ class SweepGrid:
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sweep values must be strictly monotone")
 
-    def _matrix(self, key: float) -> np.ndarray:
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
-        self._last = None  # never hold two matrices
-        mat = np.asarray((self.probe_build or self.build)(key), dtype=complex)
-        if self._sharing:
-            self._last = (key, mat)
-        return mat
+    def probe(self, value: float, guesses: list[np.ndarray], tol_im: float) -> list[tuple]:
+        """:func:`_pair_probe` of the full spectrum at ``value`` for each
+        guessed pair, all answered from one build of the matrix there.
 
-    @contextmanager
-    def _shared_builds(self):
-        """Within this block, solves at the value last built reuse its
-        matrix; at most one matrix is held, and only until the block ends."""
-        self._sharing = True
-        try:
-            yield
-        finally:
-            self._sharing, self._last = False, None
-
-    def probe(self, value: float, guess: np.ndarray, tol_im: float):
-        """:func:`_pair_probe` of the full spectrum at ``value``, served from
-        the eigenvalues nearest the guessed pair.
-
-        A shift-invert Arnoldi solve at sigma = mean(guess) is used when it
-        certifies the answer (:meth:`_Solved.pair_probe`); otherwise, and when
-        ARPACK fails, the full ``eigvals`` of the same matrix answers. A
-        repeat probe is served from the memo when that certifies for the new
-        guess, and is solved afresh otherwise.
+        A guess is answered by a shift-invert Arnoldi solve at sigma =
+        mean(guess) when that certifies the answer (:func:`_certified_probe`);
+        otherwise, and when ARPACK fails, by the full ``eigvals`` of the same
+        matrix, which is solved at most once and then answers every later
+        guess.
         """
-        key = float(value)
-        solved = self._solved.get(key)
-        result = None if solved is None else solved.pair_probe(guess, tol_im)
-        if result is None:
-            mat = self._matrix(key)
-            solved = _near_solve(mat, complex(np.mean(guess)))
-            result = None if solved is None else solved.pair_probe(guess, tol_im)
+        mat = np.asarray((self.probe_build or self.build)(float(value)), dtype=complex)
+        full = None
+        results = []
+        for guess in guesses:
+            result = None
+            if full is None:
+                sigma = complex(np.mean(guess))
+                near = _near_solve(mat, sigma)
+                if near is not None:
+                    result = _certified_probe(*near, sigma, guess, tol_im)
             if result is None:
-                solved = _Solved(np.linalg.eigvals(mat))
-                result = solved.pair_probe(guess, tol_im)
-            self._solved[key] = solved
-        self.probe_counts["full" if solved.sigma is None else "near"] += 1
-        return result
+                if full is None:
+                    full = np.linalg.eigvals(mat)
+                result = _pair_probe(full, guess, tol_im)
+            self.probe_counts["near" if full is None else "full"] += 1
+            results.append(result)
+        return results
 
 
 @dataclass
@@ -212,7 +181,6 @@ class EpRecord:
     converged: bool = True
     exponent: float | None = None
     fit_r2: float | None = None
-    fit_points: int = 0
 
 
 @dataclass
@@ -344,8 +312,8 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float,
     bisection that follows only the coalescing conjugate pair (never the full
     matching problem), until the parameter bracket is narrower than
     ``resolution``. Pairs flagged in the same grid interval are bisected in
-    lockstep, so a value they both probe is built once. A band is split
-    above ``track.split_tolerance``.
+    lockstep, and a midpoint that several of them share is built once. A
+    band is split above ``track.split_tolerance``.
     """
     tol_im = track.split_tolerance
     records: list[EpRecord] = []
@@ -385,18 +353,20 @@ def _bisect_pairs(grid: SweepGrid, lo: float, hi: float, bands_hi: np.ndarray,
                   band_pairs: list[tuple[int, int]], tol_im: float, resolution: float,
                   parameter: str) -> list[EpRecord]:
     """Bisect the EP of each band pair, a conjugate pair in ``bands_hi`` at
-    ``hi``, within [lo, hi]. Each pair keeps its own bracket; pairs whose
-    brackets still coincide probe the same value one after the other, so its
-    matrix is built once."""
+    ``hi``, within [lo, hi]. Each pair keeps its own bracket; each round
+    makes one probe per distinct midpoint, answering every pair that bisects
+    there from one build."""
     brackets = [(lo, hi, bands_hi[list(band_pair)]) for band_pair in band_pairs]
     active = list(range(len(brackets)))
-    with grid._shared_builds():
-        for _ in range(MAX_BISECTIONS):
-            active = [i for i in active if brackets[i][1] - brackets[i][0] > resolution]
-            for i in active:
+    for _ in range(MAX_BISECTIONS):
+        active = [i for i in active if brackets[i][1] - brackets[i][0] > resolution]
+        by_mid: dict[float, list[int]] = {}
+        for i in active:
+            by_mid.setdefault(0.5 * (brackets[i][0] + brackets[i][1]), []).append(i)
+        for mid, members in by_mid.items():
+            probes = grid.probe(mid, [brackets[i][2] for i in members], tol_im)
+            for i, (p, is_pair, _) in zip(members, probes):
                 b_lo, b_hi, pair = brackets[i]
-                mid = 0.5 * (b_lo + b_hi)
-                p, is_pair, _ = grid.probe(mid, pair, tol_im)
                 brackets[i] = (b_lo, mid, p) if is_pair else (mid, b_hi, pair)
     # a pair still active after the last round used every bisection
     return [
@@ -428,7 +398,7 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float) -> FitResult
     deltas, ims = [], []
     d = FIT_START_WIDTHS * bracket_width
     while len(deltas) < FIT_MAX_POINTS:
-        p, is_pair, gap = grid.probe(ep.j_star + d, pair, tol_im)
+        [(p, is_pair, gap)] = grid.probe(ep.j_star + d, [pair], tol_im)
         split = abs(p[0] - p[1])
         if not is_pair or split > gap:
             break

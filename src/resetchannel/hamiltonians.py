@@ -202,7 +202,8 @@ def hermitian_eigensystem(h: DenseOperator, real: bool = False):
     symmetry by any amount takes the full solve.
     """
     scale = max(np.linalg.norm(h.mat), 1.0)
-    if np.linalg.norm(h.mat - h.mat.conj().T) > HERMITIAN_RTOL * scale:
+    # NaN fails too
+    if not np.linalg.norm(h.mat - h.mat.conj().T) <= HERMITIAN_RTOL * scale:
         raise ValueError("operator is not Hermitian within tolerance")
     real = real and not np.any(h.mat.imag)
     n_sites = h.dim.bit_length() - 1  # of a qubit basis, whose dim is 2**n_sites

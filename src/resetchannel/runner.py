@@ -376,7 +376,7 @@ def _ep_pipeline(config: ExperimentConfig, shared: SweepResult | None, out: Path
     for rec in records:
         try:
             fit = fit_sqrt_exponent(sweep.grid, rec, track.split_tolerance)
-            rec.exponent, rec.fit_r2, rec.fit_points = fit.exponent, fit.r2, len(fit.deltas)
+            rec.exponent, rec.fit_r2 = fit.exponent, fit.r2
             fits[rec.j_star] = fit
         except ValueError as exc:
             manifest["failures"].append(

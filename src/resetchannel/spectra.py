@@ -22,7 +22,6 @@ from .channel import SuperoperatorMatrix
 # max(1, |lambda|).
 REAL_TOL_FACTOR = 1e-8       # real: spectrum.csv is_real, histogram, outliers, cluster
 SPLIT_TOL_FACTOR = 1e-6      # split: complex counts, EP onset and probes; splitting is gradual
-PAIRING_ATOL = 1e-8          # classify_real's conjugate partner, plus this absolute term
 PROBE_PAIR_RTOL = 1e-4       # an EP probe's two modes form a conjugate pair
 BAND_PAIR_RTOL = 1e-6        # two bands turning complex together are conjugate partners
 DEFECTIVITY_THRESHOLD = 1e6  # eigenvalue condition number beyond which a mode is defective
@@ -175,46 +174,6 @@ def reconstruct_state(spectrum: Spectrum, coeffs: np.ndarray, power: int = 0) ->
     """sum_m lambda_m^power c_m right_m; power=0 reconstructs the state."""
     d = math.isqrt(spectrum.dim)
     return (spectrum.right @ (spectrum.eigenvalues ** power * coeffs)).reshape(d, d)
-
-
-@dataclass
-class RealComplexSplit:
-    real_indices: list[int]
-    pairs: list[tuple[int, int]]
-    anomalies: list[int]
-
-
-def classify_real(spectrum: Spectrum) -> RealComplexSplit:
-    """Split modes into real ones and conjugate pairs.
-
-    Complex modes are matched greedily to their nearest conjugate partner;
-    unmatched ones beyond the pairing tolerance are reported as anomalies.
-    """
-    lam = spectrum.eigenvalues
-    tol = spectrum.real_tolerance()
-    real_idx = [i for i in range(len(lam)) if abs(lam[i].imag) <= tol]
-    complex_idx = [i for i in range(len(lam)) if abs(lam[i].imag) > tol]
-    pairs: list[tuple[int, int]] = []
-    anomalies: list[int] = []
-    unmatched = sorted(complex_idx, key=lambda i: -abs(lam[i].imag))
-    used: set[int] = set()
-    for i in unmatched:
-        if i in used:
-            continue
-        cands = [j for j in complex_idx if j not in used and j != i]
-        if not cands:
-            anomalies.append(i)
-            continue
-        dist = [abs(lam[j] - np.conj(lam[i])) for j in cands]
-        k = int(np.argmin(dist))
-        scale = max(abs(lam[i]), 1.0)
-        if dist[k] <= PAIRING_ATOL * scale + PAIRING_ATOL:
-            pairs.append((min(i, cands[k]), max(i, cands[k])))
-            used |= {i, cands[k]}
-        else:
-            anomalies.append(i)
-            used.add(i)
-    return RealComplexSplit(real_idx, pairs, anomalies)
 
 
 def triangular_reference(n_bath_states: int) -> TriangularLaw:

@@ -100,6 +100,10 @@ class TestPropagate:
         with pytest.raises(ValueError, match="unitary"):
             Propagator(np.zeros(2), np.diag([1.0, 0.5]), 1.0, "qubits:1")
 
+    def test_propagator_rejects_nan_eigenvectors(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            Propagator(np.zeros(2), np.array([[1.0, np.nan], [0.0, 1.0]]), 1.0, "qubits:1")
+
     def test_corrupted_eigenvector_raises(self):
         h = build_hamiltonian("xxx", {"jzz": 0.1, "jz": 0.1, "jxxx": 0.5}, 4)
         vals, vecs = hermitian_eigensystem(h)
@@ -167,6 +171,12 @@ class TestKrausExtraction:
         prop = Propagator(np.zeros(4), np.eye(4), 0.0, "qubits:2")
         with pytest.raises(ValueError):
             kraus_from_unitary(prop, ChainLayout(2, 2))  # basis mismatch
+
+    def test_nan_energy_raises(self):
+        # unitary eigenvectors, so only the completeness check sees the NaN
+        prop = Propagator(np.array([np.nan, 0.0, 0.0, 0.0]), np.eye(4), 1.0, "qubits:2")
+        with pytest.raises(CompletenessError):
+            kraus_from_unitary(prop, ChainLayout(1, 1))
 
 
 class TestApplyChannel:

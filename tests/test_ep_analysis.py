@@ -59,18 +59,21 @@ def split_tol(lam):
     return relative_tolerance(lam, SPLIT_TOL_FACTOR)
 
 
-def assert_probe_matches_full_solve(grid, value, guess, tol_im, full=None):
-    """``grid.probe`` agrees with :func:`_pair_probe` on the full spectrum
-    ``full`` (default: eigvals of ``grid.build(value)``)."""
-    pair, is_pair, gap = grid.probe(value, guess, tol_im)
-    if full is None:
-        full = np.linalg.eigvals(grid.build(value))
-    want_pair, want_is_pair, want_gap = _pair_probe(full, guess, tol_im)
-    assert is_pair == want_is_pair
-    assert abs(gap - want_gap) <= 1e-10
-    assert min(np.max(np.abs(pair - want_pair)),
-               np.max(np.abs(pair[::-1] - want_pair))) <= 1e-10
-    return is_pair
+def assert_probe_matches_full_solve(grid, value, guesses, tol_im):
+    """One ``grid.probe`` call answers each guessed pair as
+    :func:`_pair_probe` does on the full eigvals of ``grid.build(value)``;
+    returns the verdicts."""
+    full = np.linalg.eigvals(grid.build(value))
+    verdicts = []
+    for guess, (pair, is_pair, gap) in zip(guesses, grid.probe(value, guesses, tol_im),
+                                          strict=True):
+        want_pair, want_is_pair, want_gap = _pair_probe(full, guess, tol_im)
+        assert is_pair == want_is_pair
+        assert abs(gap - want_gap) <= 1e-10
+        assert min(np.max(np.abs(pair - want_pair)),
+                   np.max(np.abs(pair[::-1] - want_pair))) <= 1e-10
+        verdicts.append(is_pair)
+    return verdicts
 
 
 class TestSweep:
@@ -253,7 +256,7 @@ class TestLocateEps:
         track = track_bands(sweep_spectrum(grid))
         assert locate_eps(grid, track, resolution=1e-4) == []
 
-    def test_bisection_and_fit_share_the_grid_cache(self):
+    def test_bisection_and_fit_build_each_value_once(self):
         probed = []
         build = analytic_family(gap=0.05)
 
@@ -270,29 +273,34 @@ class TestLocateEps:
         assert len(probed) == len(set(probed))
 
     def test_pairs_flagged_in_one_interval_build_each_value_once(self):
-        # two EPs (j = 0.052 and 0.056) in the grid interval [0.05, 0.06]; real
-        # modes around the first pair keep the second one out of the modes a
-        # shift-invert probe of the first pair solves, so the memo cannot serve
-        # the second pair and only a shared build avoids building twice
+        # EPs of two and of three (level, j*) blocks in the grid interval
+        # [0.05, 0.06], with real modes around them. In the three-block
+        # family the middle pair (by band order) leaves the others' bracket
+        # after the first round and bisects elsewhere, so the outer two pairs
+        # probe a shared midpoint with another value probed in between.
         fillers = [0.40, 0.42, 0.58, 0.60, 0.62, -0.3, -0.5]
-        probed = []
+        for blocks in (((0.5, 0.052), (0.3, 0.056)),
+                       ((0.5, 0.052), (0.3, 0.058), (0.1, 0.053))):
+            probed = []
 
-        def build(j):
-            probed.append(j)
-            mat = np.diag(np.array([0.0] * 4 + fillers, dtype=complex))
-            mat[:2, :2] = analytic_family(0.5, 0.052)(j)
-            mat[2:4, 2:4] = analytic_family(0.3, 0.056)(j)
-            return mat
+            def build(j):
+                probed.append(j)
+                n = 2 * len(blocks)
+                mat = np.diag(np.array([0.0] * n + fillers, dtype=complex))
+                for b, (level, gap) in enumerate(blocks):
+                    mat[2 * b:2 * b + 2, 2 * b:2 * b + 2] = analytic_family(level, gap)(j)
+                return mat
 
-        grid = SweepGrid("j", np.linspace(0.03, 0.07, 5), build)
-        track = track_bands(sweep_spectrum(grid))
-        probed.clear()
-        records = locate_eps(grid, track, resolution=1e-6)
-        assert sorted(round(rec.j_star, 4) for rec in records) == [0.052, 0.056]
-        assert all(rec.converged for rec in records)
-        assert all(0.05 <= rec.bracket[0] < rec.bracket[1] <= 0.06 for rec in records)
-        assert probed and len(probed) == len(set(probed))
-        assert sum(grid.probe_counts.values()) > len(probed)
+            grid = SweepGrid("j", np.linspace(0.03, 0.07, 5), build)
+            track = track_bands(sweep_spectrum(grid))
+            probed.clear()
+            records = locate_eps(grid, track, resolution=1e-6)
+            assert (sorted(round(rec.j_star, 4) for rec in records)
+                    == sorted(gap for _, gap in blocks))
+            assert all(rec.converged for rec in records)
+            assert all(0.05 <= rec.bracket[0] < rec.bracket[1] <= 0.06 for rec in records)
+            assert probed and len(probed) == len(set(probed))
+            assert sum(grid.probe_counts.values()) > len(probed)
 
     def test_sqrt_exponent_on_analytic_family(self):
         gap = 0.05
@@ -342,8 +350,7 @@ class TestProbe:
                                  (0.0034303588867187502, 0.46350063105477501)):
             guess = np.array([lam_star, lam_star], dtype=complex)
             for d in (-1e-5, 3.7e-6, 1.5e-5, 6e-5):
-                verdicts.append(
-                    assert_probe_matches_full_solve(grid, j_star + d, guess, 1e-6))
+                verdicts += assert_probe_matches_full_solve(grid, j_star + d, [guess], 1e-6)
         assert any(verdicts) and not all(verdicts)
         assert grid.probe_counts == {"near": 8, "full": 0}
 
@@ -360,38 +367,34 @@ class TestProbe:
                 for guess in ([mu, np.conj(mu)], [mu, nearest]):
                     guess = np.array(guess) + 1e-3 * (rng.random(2) + 1j * rng.random(2))
                     grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
-                    verdicts.append(assert_probe_matches_full_solve(grid, j, guess, 1e-6))
+                    verdicts += assert_probe_matches_full_solve(grid, j, [guess], 1e-6)
                     counts = {k: counts[k] + grid.probe_counts[k] for k in counts}
         assert any(verdicts) and not all(verdicts)
         # widely split pairs cannot be certified from their midpoint
         assert counts["near"] > 0 and counts["full"] > 0
 
-    def test_repeat_probe_served_from_memo_when_certified(self):
-        built = []
-        family = random_family()
-
-        def build(j):
-            built.append(j)
-            return family(j)
-
-        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
-        full = np.linalg.eigvals(family(0.3))
-        close = full[np.argsort(np.abs(full - full[0]))[:2]]
-        assert_probe_matches_full_solve(grid, 0.3, close, 1e-6, full)
-        assert_probe_matches_full_solve(grid, 0.3, close[::-1], 1e-6, full)
-        assert len(built) == 1
-        assert grid.probe_counts == {"near": 2, "full": 0}
-        # a guess the stored modes cannot certify is solved afresh
-        far = full[np.argsort(np.abs(full - close[0]))[-2:]]
-        assert_probe_matches_full_solve(grid, 0.3, far, 1e-6, full)
-        assert len(built) == 2
-
     def test_small_matrix_falls_back_to_full_solve(self):
         build = random_family(n=PROBE_MODES + 2)
         grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
         lam = np.linalg.eigvals(build(0.5))
-        assert_probe_matches_full_solve(grid, 0.5, lam[:2], 1e-6)
+        assert_probe_matches_full_solve(grid, 0.5, [lam[:2]], 1e-6)
         assert grid.probe_counts == {"near": 0, "full": 1}
+
+    def test_guesses_in_one_call_share_one_full_solve(self, monkeypatch):
+        build = random_family(n=PROBE_MODES + 2)
+        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
+        lam = np.linalg.eigvals(build(0.5))
+        solved = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a) or eigvals(a))
+        results = grid.probe(0.5, [lam[:2], lam[2:4]], 1e-6)
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        assert len(solved) == 1
+        assert grid.probe_counts == {"near": 0, "full": 2}
+        for guess, (pair, is_pair, gap) in zip([lam[:2], lam[2:4]], results, strict=True):
+            want_pair, want_is_pair, want_gap = _pair_probe(lam, guess, 1e-6)
+            assert np.array_equal(pair, want_pair)
+            assert (is_pair, gap) == (want_is_pair, want_gap)
 
     def test_uncertified_guess_falls_back_to_full_solve(self):
         # a guess spanning the whole spectrum: its midpoint's nearest modes
@@ -400,7 +403,7 @@ class TestProbe:
         grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
         lam = np.linalg.eigvals(build(0.5))
         guess = np.array([lam[np.argmin(lam.real)], lam[np.argmax(lam.real)]])
-        assert_probe_matches_full_solve(grid, 0.5, guess, 1e-6)
+        assert_probe_matches_full_solve(grid, 0.5, [guess], 1e-6)
         assert grid.probe_counts == {"near": 0, "full": 1}
 
     def test_gap_neighbour_outside_solved_disc_falls_back(self):
@@ -412,7 +415,7 @@ class TestProbe:
         s = np.eye(lam.size) + 0.1 * rng.standard_normal((lam.size, lam.size))
         mat = s @ np.diag(lam) @ np.linalg.inv(s)
         grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), lambda j: mat)
-        _, is_pair, gap = grid.probe(0.5, lam[:2] + 0.1, 1e-6)
+        [(_, is_pair, gap)] = grid.probe(0.5, [lam[:2] + 0.1], 1e-6)
         assert is_pair and abs(gap - 0.17) < 1e-10
         assert grid.probe_counts == {"near": 0, "full": 1}
 

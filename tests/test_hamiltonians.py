@@ -243,6 +243,13 @@ class TestEigensystem:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigensystem(DenseOperator(np.array([[0, 1], [0, 0]], dtype=complex), "x"))
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_rejects_nan(self, real):
+        h = np.eye(4, dtype=complex)
+        h[0, 1] = h[1, 0] = np.nan
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigensystem(DenseOperator(h, "qubits:2"), real=real)
+
 
 def solve_shapes(monkeypatch, h):
     """The real-path eigensystem of ``h`` and the shapes of the arrays that

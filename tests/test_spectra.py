@@ -14,13 +14,11 @@ from resetchannel.channel import (
 from resetchannel.ep_analysis import BandTrack, SweepGrid, _pair_probe, count_complex, locate_eps
 from resetchannel.spectra import (
     BAND_PAIR_RTOL,
-    PAIRING_ATOL,
     PROBE_PAIR_RTOL,
     REAL_TOL_FACTOR,
     SPLIT_TOL_FACTOR,
     DefectiveSpectrumError,
     Spectrum,
-    classify_real,
     decompose_state,
     find_outliers,
     full_spectrum,
@@ -160,29 +158,6 @@ class TestDecomposition:
             decompose_state(spec, np.eye(2))
 
 
-class TestClassifyReal:
-    def test_hand_built_pair(self):
-        spec = full_spectrum(diag_sop([1.0, 0.3 + 0.1j, 0.3 - 0.1j, 0.0]))
-        split = classify_real(spec)
-        assert len(split.pairs) == 1
-        assert len(split.real_indices) == 2
-        assert not split.anomalies
-
-    def test_ergodic_channel_all_real(self, ergodic_reversal_spectrum):
-        split = classify_real(ergodic_reversal_spectrum)
-        assert not split.pairs
-        assert not split.anomalies
-
-    def test_chaotic_channel_has_pairs(self, chaotic_reversal_spectrum):
-        split = classify_real(chaotic_reversal_spectrum)
-        assert len(split.pairs) > 0
-
-    def test_unpaired_mode_is_anomaly(self):
-        spec = full_spectrum(diag_sop([1.0, 0.3 + 0.1j, 0.0, 0.0]))
-        split = classify_real(spec)
-        assert split.anomalies
-
-
 class TestTriangularLaw:
     def test_radius_and_density(self):
         law = triangular_reference(4)
@@ -271,16 +246,14 @@ class TestTolerancePolicy:
     REAL, SPLIT = 1j * REAL_TOL_FACTOR, 1j * SPLIT_TOL_FACTOR  # spectral radius 1
 
     def spectrum(self):
-        r, s, p = self.REAL, self.SPLIT, 2 * PAIRING_ATOL  # |lambda| < 1: p is absolute
+        r, s = self.REAL, self.SPLIT
         lam = [1.0, 0.1, -0.2,
                0.9 + self.IN * r, 0.9 - self.IN * r,        # real
                0.8 + self.OUT * r, 0.8 - self.OUT * r,      # not real, not split
                0.7 + self.IN * s, 0.7 - self.IN * s,        # not real, not split
                0.6 + self.OUT * s, 0.6 - self.OUT * s,      # split
                -0.9 + self.IN * r, -0.9 - self.IN * r,      # in the -1 cluster, real
-               -0.95 + self.OUT * r, -0.95 - self.OUT * r,  # in the -1 cluster, not real
-               0.65 + 2 * s, 0.65 + self.IN * p - 2 * s,    # conjugates within pairing
-               0.55 + 2 * s, 0.55 + self.OUT * p - 2 * s]   # conjugates beyond pairing
+               -0.95 + self.OUT * r, -0.95 - self.OUT * r]  # in the -1 cluster, not real
         n = len(lam)
         return Spectrum(np.array(lam, dtype=complex), np.eye(n), np.zeros(n),
                         meta={"bath_dim": 4})
@@ -299,16 +272,10 @@ class TestTolerancePolicy:
         assert [i for i, flag in zip(idx, is_real) if flag] == [i for i in real if i in idx]
         assert [(c.index, c.is_real) for c in minus_one_cluster(spec)] == [
             (11, True), (12, True), (13, False), (14, False)]
-        assert classify_real(spec).real_indices == real
-
-    def test_pairing_threshold(self):
-        split = classify_real(self.spectrum())
-        assert sorted(split.pairs) == [(5, 6), (7, 8), (9, 10), (13, 14), (15, 16)]
-        assert sorted(split.anomalies) == [17, 18]
 
     def test_split_threshold(self):
         lam = self.spectrum().eigenvalues
-        assert count_complex(lam) == 6  # the split pair and both pairing pairs
+        assert count_complex(lam) == 2  # the split pair
 
     @pytest.mark.parametrize("factor, matched", [(IN, True), (OUT, False)],
                              ids=["inside", "outside"])
