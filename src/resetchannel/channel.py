@@ -212,6 +212,52 @@ def reversal_form(sop: SuperoperatorMatrix) -> SuperoperatorMatrix:
     return SuperoperatorMatrix(gathered, meta=dict(sop.meta))
 
 
+@cache
+def _hermitian_basis_gather(d: int) -> np.ndarray:
+    """Flat indices into G = A A^dag (see :func:`real_reversal_form`) of the
+    reversal-form entries R[x, y], rows x = (i, i) then (i, j) for i < j,
+    columns y = (k, k), (k, l) for k < l, then (l, k) for k < l. The
+    transpose is folded in: R[(i, j), (k, l)] = G[(i, l), (j, k)]. Made once
+    per operator dimension and read-only."""
+    diag = np.arange(d)
+    upper, lower = np.triu_indices(d, 1)
+    rows_i, rows_j = np.concatenate([diag, upper]), np.concatenate([diag, lower])
+    cols_k, cols_l = np.concatenate([diag, upper, lower]), np.concatenate([diag, lower, upper])
+    gather = ((rows_i[:, None] * d + cols_l) * (d * d) + rows_j[:, None] * d + cols_k)
+    gather.flags.writeable = False
+    return gather
+
+
+def real_reversal_form(kraus: KrausSet) -> np.ndarray:
+    """The reversal form M . S of :func:`reversal_form`, as the real matrix
+    T R T^dag in the orthonormal Hermitian operator basis: |i><i| for each
+    i, then (|i><j| + |j><i|)/sqrt(2) and then i(|i><j| - |j><i|)/sqrt(2)
+    for each i < j in row-major order.
+
+    A channel that maps Hermitian operators to Hermitian operators is real
+    in that basis, and so is its composition with the transpose. With
+    A[(i, l), m] = K_m[i, l], G = A A^dag holds every entry of R (one
+    product); a cached gather picks R's rows of the diagonal and upper
+    elements, sums and differences of its columns make R T^dag there, and
+    the real and imaginary parts of those rows make T R T^dag.
+
+    The result is similar to the reversal form, so it has the same
+    eigenvalues; its eigenvectors are coefficient vectors in that basis, not
+    row-stacked operators, so it is returned as a plain array and never as a
+    :class:`SuperoperatorMatrix`.
+    """
+    d = kraus.dim
+    n = d * (d - 1) // 2
+    a = np.asarray(kraus.ops).reshape(len(kraus.ops), d * d).T
+    r = (a @ a.conj().T).ravel()[_hermitian_basis_gather(d)]
+    upper, lower = r[:, d:d + n], r[:, d + n:]
+    # R T^dag, on the rows of the diagonal and the upper elements
+    y = np.hstack([r[:, :d], (upper + lower) / np.sqrt(2), 1j * (upper - lower) / np.sqrt(2)])
+    # each column of R T^dag is a Hermitian operator: its (j, i) row is the
+    # conjugate of its (i, j) row, so T's rows reduce to real and imaginary parts
+    return np.vstack([y[:d].real, np.sqrt(2) * y[d:].real, np.sqrt(2) * y[d:].imag])
+
+
 def magnetization_grading(layout: ChainLayout) -> np.ndarray:
     """Grading g(i, j) = S_z(i) + S_z(j) of each vectorized operator-basis
     element |i><j|, in vec ordering."""

@@ -67,7 +67,8 @@ def _near_solve(mat: np.ndarray, sigma: complex) -> tuple[np.ndarray, float] | N
     """The ``PROBE_MODES`` eigenvalues of ``mat`` nearest ``sigma``, by
     shift-invert Arnoldi (ARPACK), and the radius about ``sigma`` they lie
     within; None when the matrix is too small for ARPACK (it needs
-    k < n - 1) or the solve fails."""
+    k < n - 1) or the solve fails. A real ``mat`` with a real ``sigma``
+    takes ARPACK's real mode, with a real LU of ``mat - sigma``."""
     n = mat.shape[0]
     if n <= PROBE_MODES + 2:
         return None
@@ -76,7 +77,8 @@ def _near_solve(mat: np.ndarray, sigma: complex) -> tuple[np.ndarray, float] | N
     from scipy.sparse.linalg import ArpackError, eigs
 
     # a fixed start vector: ARPACK's own random state persists across calls
-    v0 = np.random.default_rng(0).standard_normal((2, n)).T @ np.array([1.0, 1.0j])
+    v0 = np.random.default_rng(0).standard_normal((2, n))
+    v0 = v0[0] + 1j * v0[1] if np.iscomplexobj(mat) else v0[0]
     try:
         lam = eigs(mat, k=PROBE_MODES, sigma=sigma, v0=v0, return_eigenvectors=False)
     except ArpackError:  # includes ArpackNoConvergence
@@ -93,7 +95,9 @@ class SweepGrid:
     ``build`` maps a parameter value to the matrix whose spectrum is swept
     (the reversal-form channel matrix for the physical presets).
     ``probe_build``, when given, builds the matrices that :meth:`probe`
-    solves instead; it may differ from ``build`` at rounding level.
+    solves instead: a matrix similar to ``build``'s, possibly in another
+    basis (the runner's is real), whose eigenvalues agree with it to
+    rounding.
     ``probe_counts`` tallies the guessed pairs answered from a shift-invert
     solve (``"near"``) and from a full spectrum (``"full"``).
     """
@@ -121,15 +125,20 @@ class SweepGrid:
         mean(guess) when that certifies the answer (:func:`_certified_probe`);
         otherwise, and when ARPACK fails, by the full ``eigvals`` of the same
         matrix, which is solved at most once and then answers every later
-        guess.
+        guess. A real matrix stays real: sigma is Re mean(guess), and both
+        solves run in real arithmetic, so the eigenvalues they return come
+        in exact conjugate pairs.
         """
-        mat = np.asarray((self.probe_build or self.build)(float(value)), dtype=complex)
+        mat = np.asarray((self.probe_build or self.build)(float(value)))
+        real = not np.iscomplexobj(mat)
+        mat = mat.astype(float if real else complex, copy=False)
         full = None
         results = []
         for guess in guesses:
             result = None
             if full is None:
-                sigma = complex(np.mean(guess))
+                # a real shift keeps a real matrix's solve real
+                sigma = float(np.mean(guess).real) if real else complex(np.mean(guess))
                 near = _near_solve(mat, sigma)
                 if near is not None:
                     result = _certified_probe(*near, sigma, guess, tol_im)

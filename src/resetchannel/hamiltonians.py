@@ -201,15 +201,18 @@ def hermitian_eigensystem(h: DenseOperator, real: bool = False):
     full basis; no tolerance decides that, so a Hamiltonian that breaks the
     symmetry by any amount takes the full solve.
     """
-    scale = max(np.linalg.norm(h.mat), 1.0)
+    exactly_real = not np.any(h.mat.imag)
+    # an exactly real H is Hermitian when its real part is symmetric
+    mat = h.mat.real if exactly_real else h.mat
+    scale = max(np.linalg.norm(mat), 1.0)
     # NaN fails too
-    if not np.linalg.norm(h.mat - h.mat.conj().T) <= HERMITIAN_RTOL * scale:
+    if not np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_RTOL * scale:
         raise ValueError("operator is not Hermitian within tolerance")
-    real = real and not np.any(h.mat.imag)
+    real = real and exactly_real
     n_sites = h.dim.bit_length() - 1  # of a qubit basis, whose dim is 2**n_sites
     if real and h.basis == qubit_basis(n_sites) and h.dim == 1 << n_sites:
-        solved = _sector_eigensystem(h.mat.real, magnetization_sectors(n_sites))
+        solved = _sector_eigensystem(mat, magnetization_sectors(n_sites))
         if solved is not None:
             return solved
-    vals, vecs = np.linalg.eigh(h.mat.real if real else h.mat)
+    vals, vecs = np.linalg.eigh(mat if real else h.mat)
     return vals, vecs

@@ -21,6 +21,7 @@ from .channel import (
     SuperoperatorMatrix,
     kraus_from_unitary,
     propagate,
+    real_reversal_form,
     reversal_form,
     superoperator_matrix,
 )
@@ -112,11 +113,15 @@ def analysis_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
 
 
 def spectral_matrix_factory(config: ExperimentConfig, parameter: str, real: bool = False):
-    """Analysis matrix as a function of ``parameter``; ``real`` as in
-    :func:`build_channel`."""
+    """Analysis matrix as a function of ``parameter``. With ``real`` (the EP
+    probes) it is the :func:`real_reversal_form` of a channel built with
+    ``real=True`` (see :func:`build_channel`): a real matrix similar to the
+    analysis matrix, in another basis."""
 
     def build(value: float) -> np.ndarray:
-        return analysis_matrix(build_channel(config, {parameter: value}, real=real)).mat
+        if real:
+            return real_reversal_form(build_channel(config, {parameter: value}, real=True))
+        return analysis_matrix(build_channel(config, {parameter: value})).mat
 
     return build
 
@@ -234,8 +239,9 @@ def _sweep(config: ExperimentConfig, values: np.ndarray, manifest: dict, label: 
     from another sweep; failed points are recorded in the manifest under
     ``label``."""
     parameter = config.sweep.parameter
-    # sweep points keep the complex eigensolve and so their bits; the EP
-    # probes' outputs are checked within tolerances, so they may go real
+    # sweep points keep the complex path and so their bits (the reference
+    # bands and spectra follow its rounding); the EP probes' outputs are
+    # checked within tolerances, so they solve the real Hermitian-basis form
     grid = SweepGrid(parameter, values, spectral_matrix_factory(config, parameter),
                      spectral_matrix_factory(config, parameter, real=True))
     sweep = sweep_spectrum(grid, n_workers, known)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from conftest import make_channel, random_density_matrix, swap_unitary
+from conftest import haar_channel, make_channel, random_density_matrix, swap_unitary
 from resetchannel import runner
 from resetchannel.channel import (
     CompletenessError,
@@ -13,6 +13,7 @@ from resetchannel.channel import (
     kraus_from_unitary,
     magnetization_violation,
     propagate,
+    real_reversal_form,
     reversal_form,
     superoperator_matrix,
     unvec,
@@ -45,6 +46,25 @@ def transpose_swap(op_dim):
         for j in range(op_dim):
             s[i * op_dim + j, j * op_dim + i] = 1.0
     return s
+
+
+def hermitian_basis(op_dim):
+    """Unitary T whose row a is vec(B_a)^dag, for the orthonormal Hermitian
+    basis B: |i><i|, then (|i><j| + |j><i|)/sqrt(2), then
+    i(|i><j| - |j><i|)/sqrt(2), each i < j in row-major order; built entry
+    by entry, the real_reversal_form oracle."""
+    pairs = [(i, j) for i in range(op_dim) for j in range(i + 1, op_dim)]
+    basis = []
+    for i in range(op_dim):
+        b = np.zeros((op_dim, op_dim), dtype=complex)
+        b[i, i] = 1.0
+        basis.append(b)
+    for phase in (1.0, 1j):
+        for i, j in pairs:
+            b = np.zeros((op_dim, op_dim), dtype=complex)
+            b[i, j], b[j, i] = phase / np.sqrt(2), np.conj(phase) / np.sqrt(2)
+            basis.append(b)
+    return np.array([vec(b).conj() for b in basis])
 
 
 def kraus_oracle(h, t, layout, real):
@@ -301,7 +321,8 @@ class TestSuperoperator:
 
 class TestRealProbeBuilds:
     """EP probe builds (``real=True``) diagonalize an exactly real H in real
-    arithmetic; every other build keeps the complex solve bit for bit."""
+    arithmetic and return the real Hermitian-basis form; every other build
+    keeps the complex solve and the kron form bit for bit."""
 
     def test_preset_hamiltonians_are_exactly_real(self):
         models = set()
@@ -364,14 +385,14 @@ class TestRealProbeBuilds:
         values = np.array([0.0005, 0.00251813, 0.05])
         sweep = runner._sweep(config, values, {"failures": []}, "sweep", 1)
         exact = spectral_matrix_factory(config, "jxxx")
-        moved = False
+        t = hermitian_basis(16)
         for value, lam in zip(values, sweep.eigenvalues):
             mat = exact(value)
             assert np.array_equal(lam, sorted_eig(mat)[0])
+            # the probe matrix is the exact one in the Hermitian basis
             probe = sweep.grid.probe_build(value)
-            assert np.max(np.abs(probe - mat)) <= 1e-10
-            moved |= not np.array_equal(probe, mat)
-        assert moved  # the probes did take the real solve
+            assert probe.dtype == np.float64
+            assert np.max(np.abs(probe - t @ mat @ t.conj().T)) <= 1e-10
 
     def test_non_unitary_real_solve_raises(self, monkeypatch):
         h = build_hamiltonian("xxx", {"jzz": 0.1, "jz": 0.1, "jxxx": 0.5}, 4)
@@ -385,6 +406,32 @@ class TestRealProbeBuilds:
         propagate(h, 10.0)
         with pytest.raises(ValueError, match="not unitary"):
             propagate(h, 10.0, real=True)
+
+
+class TestRealReversalForm:
+    """The reversal form in the Hermitian basis, against T R T^dag with R
+    from the kron superoperator and T built entry by entry."""
+
+    @pytest.fixture(params=["fig4", "fig9", "fig6", "haar"])
+    def kraus(self, request):
+        if request.param == "haar":
+            return haar_channel(3, 2, seed=11)
+        overrides = {"fig4": {"jxxx": 0.0025}}.get(request.param, {})
+        return build_channel(preset_config(request.param), overrides)
+
+    def test_matches_basis_changed_kron_form(self, kraus):
+        t = hermitian_basis(kraus.dim)
+        assert np.allclose(t @ t.conj().T, np.eye(kraus.dim ** 2), atol=1e-15)
+        want = t @ reversal_form(superoperator_matrix(kraus)).mat @ t.conj().T
+        got = real_reversal_form(kraus)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_same_spectrum_as_complex_form(self, kraus):
+        got = np.linalg.eigvals(real_reversal_form(kraus))
+        want = np.linalg.eigvals(reversal_form(superoperator_matrix(kraus)).mat)
+        rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+        assert np.max(np.abs(got[rows] - want[cols])) <= 1e-12
 
 
 class TestMagnetizationStructure:

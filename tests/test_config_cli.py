@@ -503,9 +503,10 @@ class TestEpPipeline:
     def test_real_probes_match_exact_probes(self, tmp_path, monkeypatch):
         config = validate_config(self.RAW)
         run_experiment(config, tmp_path / "real")
-        original = runner.build_channel
-        monkeypatch.setattr(runner, "build_channel",
-                            lambda config, overrides=None, real=False: original(config, overrides))
+        # exact probes: the sweep points' complex matrix and solve
+        original = runner.spectral_matrix_factory
+        monkeypatch.setattr(runner, "spectral_matrix_factory",
+                            lambda config, parameter, real=False: original(config, parameter))
         run_experiment(config, tmp_path / "exact")
         for name, same, close in (
                 ("eps.csv", ("j_star", "bracket_lo", "bracket_hi", "converged"),
@@ -518,6 +519,28 @@ class TestEpPipeline:
                 for column, tol in close.items():
                     assert abs(float(got[column]) - float(want[column])) <= tol * max(
                         1.0, abs(float(want[column])))
+
+    def test_fig4_builds_kron_form_only_at_sweep_points(self, tmp_path, monkeypatch):
+        # the 21 + 11 sweep points, less the 2 the grids share, take the
+        # kron superoperator; every EP probe builds the real Hermitian-basis
+        # form, so a probe that goes back to kron fails here
+        calls = {}
+
+        def counting(name):
+            original = getattr(runner, name)
+
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            return counted
+
+        for name in ("superoperator_matrix", "real_reversal_form"):
+            monkeypatch.setattr(runner, name, counting(name))
+        manifest = run_experiment(preset_config("fig4"), tmp_path)
+        assert not manifest["failures"]
+        assert calls == {"superoperator_matrix": 30, "real_reversal_form": 84}
+        assert manifest["ep_probes"] == {"near": 88, "full": 0}
 
     def test_values_shared_by_sweep_and_ep_grids_built_once(self, tmp_path, monkeypatch):
         calls = []

@@ -18,6 +18,7 @@ from resetchannel.ep_analysis import (
     locate_eps,
     sweep_spectrum,
     track_bands,
+    _near_solve,
     _pair_probe,
 )
 from resetchannel.spectra import SPLIT_TOL_FACTOR, full_spectrum, relative_tolerance
@@ -337,12 +338,22 @@ class TestLocateEps:
 
 class TestProbe:
     def test_matches_full_eigvals_on_fig4_ep_grid(self):
+        self.check_fig4_ep_grid(real=False)
+
+    def test_real_probe_build_matches_full_eigvals_on_fig4_ep_grid(self):
+        # probes of the real Hermitian-basis matrix, as a run makes them,
+        # against the full eigvals of the complex one
+        self.check_fig4_ep_grid(real=True)
+
+    @staticmethod
+    def check_fig4_ep_grid(real):
         from resetchannel.config import preset_config
         from resetchannel.runner import spectral_matrix_factory
 
         config = preset_config("fig4")
         grid = SweepGrid("jxxx", np.linspace(config.ep.start, config.ep.stop, config.ep.points),
-                         spectral_matrix_factory(config, "jxxx"))
+                         spectral_matrix_factory(config, "jxxx"),
+                         spectral_matrix_factory(config, "jxxx", real=True) if real else None)
         # two EPs of the shipped preset, probed as the bisection and the fit
         # do: below the EP, and on the fit's ladder above it
         verdicts = []
@@ -418,6 +429,36 @@ class TestProbe:
         [(_, is_pair, gap)] = grid.probe(0.5, [lam[:2] + 0.1], 1e-6)
         assert is_pair and abs(gap - 0.17) < 1e-10
         assert grid.probe_counts == {"near": 0, "full": 1}
+
+    def test_real_matrix_with_pair_split_at_solved_disc_edge(self):
+        # a real matrix: its 6th and 7th modes nearest the real shift 0.5
+        # are one conjugate pair, so the solve keeps one half of it, and the
+        # other lies on the solved disc's edge
+        lam = np.array([0.5 + 0.01j, 0.5 - 0.01j, 0.53, 0.46, 0.55, 0.5 + 0.08j, 0.5 - 0.08j,
+                        -0.3, -0.4, -0.5, -0.6, -0.7, 0.9, 0.95])
+        blocks = np.zeros((lam.size, lam.size))
+        for i in range(lam.size):
+            blocks[i, i] = lam[i].real
+            if lam[i].imag > 0:
+                blocks[i, i + 1], blocks[i + 1, i] = lam[i].imag, -lam[i].imag
+        rng = np.random.default_rng(5)
+        s = np.eye(lam.size) + 0.1 * rng.standard_normal((lam.size, lam.size))
+        mat = s @ blocks @ np.linalg.inv(s)
+        guess = lam[:2] + 1e-3 * (rng.random(2) + 1j * rng.random(2))
+        sigma = float(np.mean(guess).real)
+        near, radius = _near_solve(mat, sigma)
+        assert near.size == PROBE_MODES
+        assert abs(radius - abs(lam[5] - sigma)) <= 1e-10
+        assert np.sum(np.abs(near - lam[5]) <= 1e-10) + np.sum(np.abs(near - lam[6]) <= 1e-10) == 1
+
+        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), lambda j: mat)
+        [(pair, is_pair, gap)] = grid.probe(0.5, [guess], 1e-6)
+        assert grid.probe_counts == {"near": 1, "full": 0}
+        want_pair, want_is_pair, want_gap = _pair_probe(np.linalg.eigvals(mat), guess, 1e-6)
+        assert is_pair and want_is_pair
+        assert abs(gap - want_gap) <= 1e-10
+        assert np.max(np.abs(pair - want_pair)) <= 1e-10
+        assert pair[0] == np.conj(pair[1])  # real arithmetic: exactly conjugate
 
     def test_bisection_and_fit_are_deterministic(self, chain_grid):
         def run():

@@ -243,6 +243,15 @@ class TestEigensystem:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eigensystem(DenseOperator(np.array([[0, 1], [0, 0]], dtype=complex), "x"))
 
+    @pytest.mark.parametrize("h", [
+        np.array([[0.0, 1j], [1j, 0.0]]),  # symmetric, so only the complex check sees it
+        np.array([[0.0, 1.0], [0.0, 0.0]]),  # a real dtype
+        np.array([[0.0, complex(0, np.nan)], [complex(0, -np.nan), 0.0]]),
+    ], ids=["complex-symmetric", "real-dtype", "nan-imaginary"])
+    def test_rejects_non_hermitian_on_either_check(self, h):
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eigensystem(DenseOperator(h, "qubits:1"), real=True)
+
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_rejects_nan(self, real):
         h = np.eye(4, dtype=complex)
