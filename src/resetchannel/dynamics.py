@@ -5,7 +5,6 @@ trajectories, imbalance, and the localization phase scan.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -31,14 +30,6 @@ SCAR_EDGE_FRACTION = 1 / 6   # fraction of the energy spectrum skipped at each e
 
 class UndefinedOverlapError(ValueError):
     """Eigenstate has (numerically) no weight in the bath reset sector."""
-
-
-@dataclass
-class OverlapRecord:
-    mode_index: int
-    magnitude: float
-    xi: float
-    reference: str
 
 
 @dataclass
@@ -292,36 +283,3 @@ def phase_scan(channel_factory: Callable[[float], KrausSet], values: np.ndarray,
         except Exception as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))
     return points, failures
-
-
-def write_trajectory_csv(records_by_case: dict[str, list[TrajectoryRecord]], path) -> None:
-    """Columns: case, n_k, qmi, imbalance, sz, purity_a, purity_s, purity_as."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case", "n_k", "qmi", "imbalance", "sz",
-                         "purity_a", "purity_s", "purity_as"])
-        for case, records in records_by_case.items():
-            for r in records:
-                writer.writerow([
-                    case, r.n_k, f"{r.qmi:.17g}", f"{r.imbalance:.17g}", f"{r.sz:.17g}",
-                    f"{r.purity_a:.17g}", f"{r.purity_s:.17g}", f"{r.purity_as:.17g}",
-                ])
-
-
-def write_phase_scan_csv(parameter: str, points: list[PhaseScanPoint], path) -> None:
-    """Columns: value, qmi, imbalance_plus_one."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([parameter, "qmi", "imbalance_plus_one"])
-        for p in points:
-            writer.writerow([f"{p.value:.17g}", f"{p.qmi:.17g}",
-                             f"{p.imbalance_plus_one:.17g}"])
-
-
-def write_overlaps_csv(records: list[OverlapRecord], path) -> None:
-    """Columns: mode, abs_lambda, xi, reference."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "abs_lambda", "xi", "reference"])
-        for r in records:
-            writer.writerow([r.mode_index, f"{r.magnitude:.17g}", f"{r.xi:.17g}", r.reference])

@@ -5,7 +5,6 @@ Jordan-chain machinery for (near-)defective eigenvalues.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -540,44 +539,3 @@ def decompose_generalized(chains: list[JordanChain], v0: np.ndarray) -> list[np.
         out.append(coeffs[pos:pos + ch.order])
         pos += ch.order
     return out
-
-
-def write_bands_csv(track: BandTrack, path) -> None:
-    """Columns: value, band, re, im."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([track.parameter, "band", "re", "im"])
-        for g, value in enumerate(track.grid_values):
-            for b in range(track.bands.shape[1]):
-                lam = track.bands[g, b]
-                writer.writerow([f"{value:.17g}", b, f"{lam.real:.17g}", f"{lam.imag:.17g}"])
-
-
-def write_eps_csv(records: list[EpRecord], path) -> None:
-    """Columns: j_star, re_lambda_star, exponent, r2, bracket_lo, bracket_hi."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j_star", "re_lambda_star", "exponent", "r2",
-                         "bracket_lo", "bracket_hi", "converged"])
-        for rec in records:
-            writer.writerow([
-                f"{rec.j_star:.17g}",
-                f"{rec.lambda_star.real:.17g}",
-                "" if rec.exponent is None else f"{rec.exponent:.17g}",
-                "" if rec.fit_r2 is None else f"{rec.fit_r2:.17g}",
-                f"{rec.bracket[0]:.17g}",
-                f"{rec.bracket[1]:.17g}",
-                int(rec.converged),
-            ])
-
-
-def write_complex_count_csv(parameter: str, values: np.ndarray, counts: list[int], path,
-                            isotropic: int | None = None) -> None:
-    """Columns: value, n_complex, plus n_complex_isotropic (the same count on
-    every row) when an isotropic reference count is given."""
-    extra = [] if isotropic is None else [isotropic]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([parameter, "n_complex"] + (["n_complex_isotropic"] if extra else []))
-        for v, c in zip(values, counts):
-            writer.writerow([f"{v:.17g}", c] + extra)

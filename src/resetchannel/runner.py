@@ -27,15 +27,11 @@ from .channel import (
 )
 from .config import ExperimentConfig
 from .dynamics import (
-    OverlapRecord,
     eigen_overlap,
     phase_scan,
     qmi_trajectory,
     scar_candidates,
     scar_overlap_avg,
-    write_overlaps_csv,
-    write_phase_scan_csv,
-    write_trajectory_csv,
 )
 from .ep_analysis import (
     SweepGrid,
@@ -45,9 +41,6 @@ from .ep_analysis import (
     locate_eps,
     sweep_spectrum,
     track_bands,
-    write_bands_csv,
-    write_complex_count_csv,
-    write_eps_csv,
 )
 from .hamiltonians import (
     AahParams,
@@ -62,11 +55,11 @@ from .hamiltonians import (
     hermitian_eigensystem,  # noqa: F401  (not called here; benchmarks/spans.py wraps it)
 )
 from .spectra import (
+    _bath_states,
     full_spectrum,
     magnitude_histogram,
+    outlier_threshold,
     sorted_eig,
-    write_histogram_csv,
-    write_spectrum_csv,
 )
 from .spin_ops import ChainLayout
 
@@ -125,6 +118,8 @@ def spectral_matrix_factory(config: ExperimentConfig, parameter: str, real: bool
 
     return build
 
+
+OVERLAP_HEADER = ["mode", "abs_lambda", "xi", "reference"]
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -250,20 +245,40 @@ def _sweep(config: ExperimentConfig, values: np.ndarray, manifest: dict, label: 
     return sweep
 
 
+def _write_csv(out: Path, name: str, header: list[str], rows) -> list[str]:
+    """Write ``rows`` under ``header`` to ``out / name``; returns ``[name]``.
+    Every output CSV follows this one rule: reals as ``.17g`` (they parse
+    back bit for bit), None as an empty cell, everything else as is."""
+    with open(out / name, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                         for row in rows)
+    return [name]
+
+
 def _run_one(analysis: str, config: ExperimentConfig, spectrum, eigensystem,
              sweep: SweepResult | None, out: Path, manifest: dict,
              n_workers: int) -> list[str]:
     if analysis == "spectrum":
-        path = out / "spectrum.csv"
-        write_spectrum_csv(spectrum, path)
-        return [path.name]
+        thr = outlier_threshold(_bath_states(spectrum))
+        tol = spectrum.real_tolerance()
+        # builtin abs(complex) per value: np.abs may differ in the last bit
+        rows = [[i, lam.real, lam.imag, abs(lam), residual, int(abs(lam.imag) <= tol),
+                 int(abs(lam) > thr)]
+                for i, (lam, residual) in enumerate(zip(spectrum.eigenvalues.tolist(),
+                                                        spectrum.residuals.tolist()))]
+        return _write_csv(out, "spectrum.csv",
+                          ["index", "re", "im", "abs", "residual", "is_real", "is_outlier"], rows)
 
     if analysis == "histogram":
         stats = magnitude_histogram(spectrum, bins=config.histogram_bins,
                                     cluster_window=config.cluster_window)
-        path = out / "histogram.csv"
-        write_histogram_csv(stats, path)
-        return [path.name]
+        edges = stats.bin_edges
+        rows = zip(edges[:-1], edges[1:], stats.densities,
+                   stats.reference.pdf(0.5 * (edges[:-1] + edges[1:])))
+        return _write_csv(out, "histogram.csv",
+                          ["bin_left", "bin_right", "density", "reference_density"], rows)
 
     if analysis == "overlaps":
         return _overlaps(config, spectrum, eigensystem[1], out)
@@ -277,30 +292,31 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, eigensystem,
     if analysis == "bands":
         track = track_bands(sweep, select="top_re_decile")
         manifest["health"]["max_band_step"] = float(np.max(track.step_distances))
-        path = out / "bands.csv"
-        write_bands_csv(track, path)
-        return [path.name]
+        rows = [[value, b, lam.real, lam.imag]
+                for value, lams in zip(track.grid_values, track.bands)
+                for b, lam in enumerate(lams)]
+        return _write_csv(out, "bands.csv", [track.parameter, "band", "re", "im"], rows)
 
     if analysis == "ep":
         return _ep_pipeline(config, sweep, out, manifest, n_workers)
 
     if analysis == "qmi":
-        records = {}
+        rows = []
         for case in config.qmi.cases:
             kraus = _iterated_channel(config, {"jxxx": case.jxxx, "jz": case.jz}, manifest)
-            records[case.name] = qmi_trajectory(kraus, config.qmi.n_k)
-        path = out / "qmi.csv"
-        write_trajectory_csv(records, path)
-        return [path.name]
+            rows += [[case.name, r.n_k, r.qmi, r.imbalance, r.sz, r.purity_a, r.purity_s,
+                      r.purity_as] for r in qmi_trajectory(kraus, config.qmi.n_k)]
+        return _write_csv(out, "qmi.csv", ["case", "n_k", "qmi", "imbalance", "sz", "purity_a",
+                                           "purity_s", "purity_as"], rows)
 
     if analysis == "phase":
         factory = lambda jz: _iterated_channel(config, {"jz": jz}, manifest)
         points, failures = phase_scan(factory, config.phase_values(), config.phase.n_k)
         manifest["failures"].extend(
             {"analysis": "phase", "point": i, "error": err} for i, err in failures)
-        path = out / "phase_scan.csv"
-        write_phase_scan_csv(config.phase.parameter, points, path)
-        return [path.name]
+        return _write_csv(out, "phase_scan.csv",
+                          [config.phase.parameter, "qmi", "imbalance_plus_one"],
+                          [[p.value, p.qmi, p.imbalance_plus_one] for p in points])
 
     raise ValueError(f"unknown analysis {analysis!r}")
 
@@ -323,13 +339,11 @@ def _overlaps(config: ExperimentConfig, spectrum, vecs: np.ndarray, out: Path) -
     refs = {"ground": 0, "median": dim // 2, "top": dim - 1}
     # builtin abs(complex) per value: np.abs may differ in the last bit
     mags = [abs(lam) for lam in spectrum.eigenvalues.tolist()]
-    records = []
+    rows = []
     for label, k in refs.items():
         xis = eigen_overlap(spectrum.right, vecs[:, k], layout).tolist()
-        records += [OverlapRecord(i, mag, xi, label) for i, (mag, xi) in enumerate(zip(mags, xis))]
-    path = out / "overlaps.csv"
-    write_overlaps_csv(records, path)
-    return [path.name]
+        rows += [[i, mag, xi, label] for i, (mag, xi) in enumerate(zip(mags, xis))]
+    return _write_csv(out, "overlaps.csv", OVERLAP_HEADER, rows)
 
 
 def _scar_overlaps(config: ExperimentConfig, spectrum, vals: np.ndarray, vecs: np.ndarray,
@@ -338,32 +352,29 @@ def _scar_overlaps(config: ExperimentConfig, spectrum, vals: np.ndarray, vecs: n
     basis = ConstrainedBasis(layout.n_h)
     scars = scar_candidates(vals, vecs, basis)
     xis = scar_overlap_avg(spectrum.right, scars.states, layout).tolist()
-    records = [OverlapRecord(i, abs(lam), xi, "scar_avg")
-               for i, (lam, xi) in enumerate(zip(spectrum.eigenvalues.tolist(), xis))]
-    path = out / "scar_overlaps.csv"
-    write_overlaps_csv(records, path)
-    return [path.name]
+    rows = [[i, abs(lam), xi, "scar_avg"]
+            for i, (lam, xi) in enumerate(zip(spectrum.eigenvalues.tolist(), xis))]
+    return _write_csv(out, "scar_overlaps.csv", OVERLAP_HEADER, rows)
 
 
 def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,
                     out: Path) -> list[str]:
     counts = [count_complex(lam) if lam is not None else -1 for lam in sweep.eigenvalues]
-    iso_count = None
+    header = [config.sweep.parameter, "n_complex"]
+    rows = [[v, c] for v, c in zip(sweep.grid.values, counts)]
     if analysis == "anisotropy_compare":
         # isotropic reference: the swept coupling set equal to the other one
         # (validation admits only jxx/jyy sweeps of the xx model)
-        parameter = config.sweep.parameter
-        other = "jyy" if parameter == "jxx" else "jxx"
+        other = "jyy" if config.sweep.parameter == "jxx" else "jxx"
         iso_value = config.params.get(other, getattr(XxParams(), other))
         on_grid = np.flatnonzero(sweep.grid.values == iso_value)
         if on_grid.size:
             iso_count = counts[on_grid[0]]
         else:
-            iso_kraus = build_channel(config, {parameter: iso_value})
-            iso_count = count_complex(sorted_eig(analysis_matrix(iso_kraus).mat)[0])
-    path = out / "complex_count.csv"
-    write_complex_count_csv(config.sweep.parameter, sweep.grid.values, counts, path, iso_count)
-    return [path.name]
+            iso_count = count_complex(sorted_eig(sweep.grid.build(iso_value))[0])
+        header.append("n_complex_isotropic")
+        rows = [row + [iso_count] for row in rows]
+    return _write_csv(out, "complex_count.csv", header, rows)
 
 
 def _ep_pipeline(config: ExperimentConfig, shared: SweepResult | None, out: Path,
@@ -395,13 +406,11 @@ def _ep_pipeline(config: ExperimentConfig, shared: SweepResult | None, out: Path
                          "total": len(records)},
         "ep_min_fit_r2": min((fit.r2 for fit in fits.values()), default=None),
     })
-    path = out / "eps.csv"
-    write_eps_csv(records, path)
-    fit_path = out / "ep_fit_points.csv"
-    with open(fit_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j_star", "delta", "im"])
-        for j_star, fit in fits.items():
-            for delta, im in zip(fit.deltas, fit.im_values):
-                writer.writerow([f"{j_star:.17g}", f"{delta:.17g}", f"{im:.17g}"])
-    return [path.name, fit_path.name]
+    # a failed fit leaves its exponent and r2 cells empty
+    eps = [[r.j_star, r.lambda_star.real, r.exponent, r.fit_r2, *r.bracket, int(r.converged)]
+           for r in records]
+    fit_points = [[j_star, delta, im] for j_star, fit in fits.items()
+                  for delta, im in zip(fit.deltas, fit.im_values)]
+    return (_write_csv(out, "eps.csv", ["j_star", "re_lambda_star", "exponent", "r2",
+                                        "bracket_lo", "bracket_hi", "converged"], eps)
+            + _write_csv(out, "ep_fit_points.csv", ["j_star", "delta", "im"], fit_points))

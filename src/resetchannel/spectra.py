@@ -6,7 +6,6 @@ cluster).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -261,36 +260,3 @@ def _bath_states(spectrum: Spectrum) -> int:
     if nb is None:
         raise ValueError("bath dimension unknown: spectrum.meta has no 'bath_dim'")
     return int(nb)
-
-
-def write_spectrum_csv(spectrum: Spectrum, path) -> None:
-    """Columns: index, re, im, abs, residual, is_real, is_outlier."""
-    thr = outlier_threshold(_bath_states(spectrum))
-    tol = spectrum.real_tolerance()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im", "abs", "residual", "is_real", "is_outlier"])
-        # builtin abs(complex) per value: np.abs may differ in the last bit
-        for i, (lam, residual) in enumerate(zip(spectrum.eigenvalues.tolist(),
-                                                spectrum.residuals.tolist())):
-            writer.writerow([
-                i,
-                f"{lam.real:.17g}",
-                f"{lam.imag:.17g}",
-                f"{abs(lam):.17g}",
-                f"{residual:.17g}",
-                int(abs(lam.imag) <= tol),
-                int(abs(lam) > thr),
-            ])
-
-
-def write_histogram_csv(stats: SpectralStats, path) -> None:
-    """Columns: bin_left, bin_right, density, reference_density."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "density", "reference_density"])
-        centers = 0.5 * (stats.bin_edges[:-1] + stats.bin_edges[1:])
-        ref = stats.reference.pdf(centers)
-        for left, right, dens, rd in zip(stats.bin_edges[:-1], stats.bin_edges[1:],
-                                         stats.densities, ref):
-            writer.writerow([f"{left:.17g}", f"{right:.17g}", f"{dens:.17g}", f"{rd:.17g}"])

@@ -212,6 +212,18 @@ class TestRunner:
         assert manifest["config_hash"] == config.config_hash()
         assert set(manifest["outputs"]) == {"spectrum.csv", "histogram.csv"}
 
+    def test_spectrum_csv_round_trips_bit_for_bit(self, tmp_path):
+        config = validate_config(TINY_CONFIG)
+        run_experiment(config, tmp_path)
+        lam = full_spectrum(analysis_matrix(build_channel(config))).eigenvalues.tolist()
+        rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(lam)
+        for row, want in zip(rows, lam):
+            _, re, im, mag, *_ = row.split(",")
+            # builtin abs, not np.abs; hex compares the bits, signed zeros too
+            assert [float(x).hex() for x in (re, im, mag)] == [
+                want.real.hex(), want.imag.hex(), abs(want).hex()]
+
     def test_manifest_records_channel_health(self, tmp_path):
         manifest = run_experiment(validate_config(TINY_CONFIG), tmp_path)
         health = manifest["health"]
@@ -477,6 +489,27 @@ class TestEpPipeline:
         assert counts["near"] > 0
         assert counts["near"] + counts["full"] == len(guesses)
 
+
+    def test_failed_fit_leaves_empty_cells(self, tmp_path, monkeypatch):
+        failed = []
+        original = runner.fit_sqrt_exponent
+
+        def fail_first(grid, rec, tol):
+            if not failed:
+                failed.append(rec.j_star)
+                raise ValueError("no sqrt window")
+            return original(grid, rec, tol)
+
+        monkeypatch.setattr(runner, "fit_sqrt_exponent", fail_first)
+        manifest = run_experiment(validate_config(self.RAW), tmp_path)
+        first, second = _read_csv(tmp_path / "eps.csv")
+        assert float(first["j_star"]) == failed[0]
+        assert (first["exponent"], first["r2"]) == ("", "")
+        assert float(second["exponent"]) > 0 and float(second["r2"]) > 0
+        assert manifest["failures"] == [
+            {"analysis": "ep", "j_star": failed[0], "error": "no sqrt window"}]
+        fit_rows = _read_csv(tmp_path / "ep_fit_points.csv")
+        assert fit_rows and {r["j_star"] for r in fit_rows} == {second["j_star"]}
 
     def test_manifest_records_ep_health(self, tmp_path):
         manifest = run_experiment(validate_config(self.RAW), tmp_path)

@@ -27,10 +27,19 @@ from resetchannel.spectra import (
     minus_one_cluster,
     reconstruct_state,
     triangular_reference,
-    write_histogram_csv,
-    write_spectrum_csv,
 )
+from resetchannel.config import validate_config
+from resetchannel.runner import _run_one
 from resetchannel.spin_ops import ChainLayout
+
+
+def runner_csv(analysis, spectrum, out):
+    """The lines of ``analysis``'s CSV of ``spectrum``, as a run writes it
+    (default histogram settings)."""
+    config = validate_config({"model": "aah", "layout": {"n_s": 2, "n_b": 2}, "time": 1.0,
+                              "params": {}, "analyses": [analysis]})
+    [name] = _run_one(analysis, config, spectrum, None, None, out, {}, 1)
+    return (out / name).read_text().splitlines()
 
 
 def diag_sop(values, meta=None):
@@ -226,15 +235,10 @@ class TestHistogram:
             magnitude_histogram(chaotic_reversal_spectrum, bins=5)
 
     def test_csv_exports(self, tmp_path, chaotic_reversal_spectrum):
-        spec_path = tmp_path / "spectrum.csv"
-        write_spectrum_csv(chaotic_reversal_spectrum, spec_path)
-        lines = spec_path.read_text().splitlines()
+        lines = runner_csv("spectrum", chaotic_reversal_spectrum, tmp_path)
         assert lines[0] == "index,re,im,abs,residual,is_real,is_outlier"
         assert len(lines) == chaotic_reversal_spectrum.dim + 1
-        stats = magnitude_histogram(chaotic_reversal_spectrum)
-        hist_path = tmp_path / "histogram.csv"
-        write_histogram_csv(stats, hist_path)
-        header = hist_path.read_text().splitlines()[0]
+        header = runner_csv("histogram", chaotic_reversal_spectrum, tmp_path)[0]
         assert header == "bin_left,bin_right,density,reference_density"
 
 
@@ -262,8 +266,7 @@ class TestTolerancePolicy:
         spec = self.spectrum()
         lam = spec.eigenvalues
         real = [0, 1, 2, 3, 4, 11, 12]
-        write_spectrum_csv(spec, tmp_path / "spectrum.csv")
-        rows = (tmp_path / "spectrum.csv").read_text().splitlines()[1:]
+        rows = runner_csv("spectrum", spec, tmp_path)[1:]
         assert [i for i, row in enumerate(rows) if row.split(",")[5] == "1"] == real
         stats = magnitude_histogram(spec, bins=10)
         assert stats.real_fraction == len(real) / len(lam)
