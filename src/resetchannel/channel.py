@@ -142,7 +142,7 @@ def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:
     # a zero last row, read wherever the table holds -1
     w = np.vstack([w, np.zeros((1, layout.dim_s))])
     kraus = KrausSet(list(w[table]), layout,
-                     meta={"t": prop.t, "unitarity_deviation": prop.unitarity_deviation})
+                     meta={"unitarity_deviation": prop.unitarity_deviation})
     residual = kraus.completeness_residual()
     if not residual <= COMPLETENESS_ATOL:  # NaN fails too
         raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.2e}")
@@ -173,14 +173,7 @@ def superoperator_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
     m = np.zeros((d * d, d * d), dtype=complex)
     for k in kraus.ops:
         m += np.kron(k, k.conj())
-    meta = {
-        "n_s": kraus.layout.n_s,
-        "n_b": kraus.layout.n_b,
-        "constrained": kraus.layout.constrained,
-        "bath_dim": kraus.layout.dim_b,
-        **kraus.meta,
-    }
-    return SuperoperatorMatrix(m, meta=meta)
+    return SuperoperatorMatrix(m, meta={"bath_dim": kraus.layout.dim_b, **kraus.meta})
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

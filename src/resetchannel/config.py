@@ -199,6 +199,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
             "must be a non-empty list")
     for a in analyses:
         _expect(a in ANALYSES, "config.analyses", f"unknown analysis {a!r}")
+    # each analysis writes its own CSVs, and none may be written twice
+    _expect(len(set(analyses)) == len(analyses), "config.analyses", "lists an analysis twice")
+    _expect(not {"complex_count", "anisotropy_compare"} <= set(analyses), "config.analyses",
+            "complex_count and anisotropy_compare both write complex_count.csv")
 
     sweep = None
     if "sweep" in raw:

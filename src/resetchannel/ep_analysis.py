@@ -92,11 +92,8 @@ class SweepGrid:
     """One-parameter family of channel matrices.
 
     ``build`` maps a parameter value to the matrix whose spectrum is swept
-    (the reversal-form channel matrix for the physical presets).
-    ``probe_build``, when given, builds the matrices that :meth:`probe`
-    solves instead: a matrix similar to ``build``'s, possibly in another
-    basis (the runner's is real), whose eigenvalues agree with it to
-    rounding.
+    and probed (the reversal-form channel matrix for the physical presets;
+    the runner's EP grid builds its real Hermitian-basis form).
     ``probe_counts`` tallies the guessed pairs answered from a shift-invert
     solve (``"near"``) and from a full spectrum (``"full"``).
     """
@@ -104,7 +101,6 @@ class SweepGrid:
     parameter: str
     values: np.ndarray
     build: Callable[[float], np.ndarray]
-    probe_build: Callable[[float], np.ndarray] | None = None
     probe_counts: dict[str, int] = field(
         default_factory=lambda: {"near": 0, "full": 0}, init=False, repr=False)
 
@@ -128,7 +124,7 @@ class SweepGrid:
         solves run in real arithmetic, so the eigenvalues they return come
         in exact conjugate pairs.
         """
-        mat = np.asarray((self.probe_build or self.build)(float(value)))
+        mat = np.asarray(self.build(float(value)))
         real = not np.iscomplexobj(mat)
         mat = mat.astype(float if real else complex, copy=False)
         full = None
@@ -213,18 +209,14 @@ class JordanChain:
         return len(self.vectors)
 
 
-def sweep_spectrum(grid: SweepGrid, n_workers: int = 1,
-                   known: dict[float, np.ndarray] | None = None) -> SweepResult:
+def sweep_spectrum(grid: SweepGrid, n_workers: int = 1) -> SweepResult:
     """Eigenvalues at every grid point; per-point failures are recorded and
-    the sweep continues. ``known`` maps values to eigenvalues another sweep
-    of the same family already solved there; those points are not rebuilt."""
-    known = known or {}
+    the sweep continues. A real matrix is solved in real arithmetic, so its
+    eigenvalues come in exact conjugate pairs."""
 
     def one(value: float):
-        if value in known:
-            return known[value], None
         try:
-            return sorted_eig(np.asarray(grid.build(value), dtype=complex))[0], None
+            return sorted_eig(grid.build(value))[0], None
         except Exception as exc:  # sweep robustness: record and move on
             return None, f"{type(exc).__name__}: {exc}"
 

@@ -87,7 +87,8 @@ def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
     live on through a sweep or a channel iteration.
 
     ``real`` marks a caller that accepts a channel exact to rounding rather
-    than bit for bit (the EP probes); see :func:`hermitian_eigensystem`."""
+    than bit for bit (the EP pipeline and the iterated channels); see
+    :func:`hermitian_eigensystem`."""
     params = dict(config.params)
     if param_overrides:
         params.update(param_overrides)
@@ -107,7 +108,7 @@ def analysis_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
 
 def spectral_matrix_factory(config: ExperimentConfig, parameter: str, real: bool = False):
     """Analysis matrix as a function of ``parameter``. With ``real`` (the EP
-    probes) it is the :func:`real_reversal_form` of a channel built with
+    grid and its probes) it is the :func:`real_reversal_form` of a channel built with
     ``real=True`` (see :func:`build_channel`): a real matrix similar to the
     analysis matrix, in another basis."""
 
@@ -204,10 +205,12 @@ def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers
             "unitarity_deviation": spectrum.meta["unitarity_deviation"],
             "max_eigen_residual": float(np.max(spectrum.residuals)),
         })
-    # one sweep of the configured grid feeds every analysis that reads it
+    # one sweep of the configured grid feeds every analysis that reads it; it
+    # keeps the complex path, whose bits the bands and complex counts pin
     if analyses & {"bands", "complex_count", "anisotropy_compare"}:
         started = _time.perf_counter()
-        sweep = _sweep(config, config.sweep_values(), manifest, "sweep", n_workers)
+        sweep = _sweep(config, config.sweep_values(), manifest, "sweep", n_workers,
+                       spectral_matrix_factory(config, config.sweep.parameter))
         manifest["runtimes"]["sweep"] = round(_time.perf_counter() - started, 3)
 
     for analysis in config.analyses:
@@ -229,17 +232,10 @@ def _configured_spectrum(config: ExperimentConfig, keep_hamiltonian: bool):
 
 
 def _sweep(config: ExperimentConfig, values: np.ndarray, manifest: dict, label: str,
-           n_workers: int, known: dict[float, np.ndarray] | None = None) -> SweepResult:
-    """Eigenvalues of the swept family on ``values``, reusing those ``known``
-    from another sweep; failed points are recorded in the manifest under
-    ``label``."""
-    parameter = config.sweep.parameter
-    # sweep points keep the complex path and so their bits (the reference
-    # bands and spectra follow its rounding); the EP probes' outputs are
-    # checked within tolerances, so they solve the real Hermitian-basis form
-    grid = SweepGrid(parameter, values, spectral_matrix_factory(config, parameter),
-                     spectral_matrix_factory(config, parameter, real=True))
-    sweep = sweep_spectrum(grid, n_workers, known)
+           n_workers: int, build) -> SweepResult:
+    """Eigenvalues of the matrices ``build`` makes on ``values``; failed
+    points are recorded in the manifest under ``label``."""
+    sweep = sweep_spectrum(SweepGrid(config.sweep.parameter, values, build), n_workers)
     manifest["failures"].extend(
         {"analysis": label, "point": i, "error": err} for i, err in sweep.failures)
     return sweep
@@ -298,7 +294,7 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, eigensystem,
         return _write_csv(out, "bands.csv", [track.parameter, "band", "re", "im"], rows)
 
     if analysis == "ep":
-        return _ep_pipeline(config, sweep, out, manifest, n_workers)
+        return _ep_pipeline(config, out, manifest, n_workers)
 
     if analysis == "qmi":
         rows = []
@@ -377,15 +373,14 @@ def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,
     return _write_csv(out, "complex_count.csv", header, rows)
 
 
-def _ep_pipeline(config: ExperimentConfig, shared: SweepResult | None, out: Path,
-                 manifest: dict, n_workers: int) -> list[str]:
+def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict,
+                 n_workers: int) -> list[str]:
     ep_cfg = config.ep
     values = np.linspace(ep_cfg.start, ep_cfg.stop, ep_cfg.points)
-    # both grids sweep the same family, so values they share are solved once
-    known = {} if shared is None else {
-        float(v): lam for v, lam in zip(shared.grid.values, shared.eigenvalues)
-        if lam is not None}
-    sweep = _sweep(config, values, manifest, "ep", n_workers, known)
+    # the grid, the bisection and the sqrt fit all solve the real
+    # Hermitian-basis form; their outputs are checked within tolerances
+    sweep = _sweep(config, values, manifest, "ep", n_workers,
+                   spectral_matrix_factory(config, config.sweep.parameter, real=True))
     track = track_bands(sweep, select="top_re_decile")
     records = locate_eps(sweep.grid, track, resolution=ep_cfg.resolution,
                          max_eps=ep_cfg.max_eps)

@@ -91,9 +91,8 @@ def fig4_grid():
     from resetchannel.runner import spectral_matrix_factory
 
     values = np.linspace(config.ep.start, config.ep.stop, config.ep.points)
-    # probes built as a run builds them
-    return config, SweepGrid("jxxx", values, spectral_matrix_factory(config, "jxxx"),
-                             spectral_matrix_factory(config, "jxxx", real=True))
+    # built as a run builds its EP grid and probes
+    return config, SweepGrid("jxxx", values, spectral_matrix_factory(config, "jxxx", real=True))
 
 
 @pytest.fixture(scope="module")

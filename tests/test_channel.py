@@ -383,14 +383,15 @@ class TestRealProbeBuilds:
         # a point of the EP grid, one next to the first EP of the shipped
         # preset (j* = 0.0025181...), and one deep in the complex regime
         values = np.array([0.0005, 0.00251813, 0.05])
-        sweep = runner._sweep(config, values, {"failures": []}, "sweep", 1)
         exact = spectral_matrix_factory(config, "jxxx")
+        sweep = runner._sweep(config, values, {"failures": []}, "sweep", 1, exact)
+        real = spectral_matrix_factory(config, "jxxx", real=True)
         t = hermitian_basis(16)
         for value, lam in zip(values, sweep.eigenvalues):
             mat = exact(value)
             assert np.array_equal(lam, sorted_eig(mat)[0])
             # the probe matrix is the exact one in the Hermitian basis
-            probe = sweep.grid.probe_build(value)
+            probe = real(value)
             assert probe.dtype == np.float64
             assert np.max(np.abs(probe - t @ mat @ t.conj().T)) <= 1e-10
 

@@ -48,6 +48,19 @@ def _bench_module(name, monkeypatch):
     return module
 
 
+# fig9's analyses on a 2+2 chain; at t=10 the isotropic point jyy = jxx is
+# fully real while jyy = 1.0 has 8 complex eigenvalues
+XX_CONFIG = {
+    "name": "tinyxx",
+    "model": "xx",
+    "layout": {"n_s": 2, "n_b": 2},
+    "time": 10.0,
+    "params": {"jxx": 0.8, "jyy": 1.0, "jzz": 0.1, "jz": 0.1},
+    "analyses": ["anisotropy_compare", "bands"],
+    "sweep": {"parameter": "jyy", "start": 0.95, "stop": 0.55, "points": 5},
+}
+
+
 class TestValidation:
     def test_presets_all_validate(self):
         names = [name for name, _ in list_presets()]
@@ -169,6 +182,8 @@ class TestValidation:
         (dict(TINY_CONFIG, name="../x"), "config.name"),
         (dict(TINY_CONFIG, name="/tmp/abs"), "config.name"),
         (dict(TINY_CONFIG, name="a/b"), "config.name"),
+        (dict(XX_CONFIG, analyses=["complex_count", "anisotropy_compare"]), "config.analyses"),
+        (dict(TINY_CONFIG, analyses=["spectrum", "spectrum", "histogram"]), "config.analyses"),
     ], ids=["bands-no-sweep", "complex-count-no-sweep", "ep-no-ep", "qmi-no-qmi",
             "phase-no-phase", "qmi-on-aah", "phase-on-pxp", "phase-log-grid-string",
             "scar-overlaps-on-aah", "tolerances-key", "qmi-duplicate-case-name",
@@ -178,7 +193,7 @@ class TestValidation:
             "time-infinite", "time-beyond-float", "params-jz-nan", "sweep-stop-infinite",
             "sweep-parameter-list", "name-object", "name-int", "name-null", "name-empty",
             "name-dot", "name-dotdot", "name-parent-path", "name-absolute-path",
-            "name-two-components"])
+            "name-two-components", "two-writers-of-complex-count", "analysis-twice"])
     def test_config_that_cannot_run_is_rejected(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
             validate_config(raw)
@@ -322,6 +337,44 @@ class TestRunner:
         for module, attr, _, _ in targets:
             assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
+    def test_tracer_targets_are_called(self, tmp_path, monkeypatch):
+        # a traced name that no run calls is a span that always reads 0
+        spans = _bench_module("spans", monkeypatch)
+        calls = {}
+        for module, attr, _, _ in spans.program_targets():
+            name = f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
+            calls[name] = 0
+
+            def counted(*args, _name=name, _original=getattr(module, attr), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, counted)
+        # every analysis, on small chains (the overlaps' reference eigenstates
+        # need weight on the bath reset configuration, which jxxx = 0 lacks)
+        raws = [
+            dict(SWEEP_CONFIG, params=dict(SWEEP_CONFIG["params"], jxxx=0.5),
+                 analyses=["spectrum", "histogram", "overlaps", "complex_count", "bands", "qmi"],
+                 qmi={"n_k": 2, "cases": [{"name": "c", "jxxx": 1.0, "jz": 0.1}]}),
+            dict(TINY_CONFIG, analyses=["phase"],
+                 phase={"parameter": "jz", "start": 0.1, "stop": 1.0, "points": 3, "n_k": 2}),
+            {"name": "tinypxp", "model": "pxp", "layout": {"n_s": 2, "n_b": 2}, "time": 10.0,
+             "params": {"omega_rabi": 1.0}, "analyses": ["scar_overlaps"]},
+            XX_CONFIG,
+            TestEpPipeline.RAW,
+        ]
+        for i, raw in enumerate(raws):
+            manifest = run_experiment(validate_config(raw), tmp_path / str(i))
+            assert not manifest["failures"]
+        assert {a for raw in raws for a in raw["analyses"]} == set(resetchannel.config.ANALYSES)
+        # the EP run located and fitted its EPs
+        eps = _read_csv(tmp_path / "4" / "eps.csv")
+        assert eps and all(row["exponent"] for row in eps)
+        # names kept only for the tracer: never called, so their spans read 0
+        assert {name for name, n in calls.items() if not n} == {
+            "ep_analysis.full_spectrum", "runner.hermitian_eigensystem",
+            "dynamics.partial_trace", "dynamics.qmi_trajectory"}
+
     @pytest.mark.parametrize("preset, csv_name", [("fig7", "qmi.csv"),
                                                   ("fig8", "phase_scan.csv")])
     def test_iterated_channels_real_solve_matches_complex(self, preset, csv_name, tmp_path,
@@ -415,19 +468,6 @@ SWEEP_CONFIG = {
     "params": {"j2": 1.0, "jzz": 0.1, "jz": 0.1, "jxxx": 0.0},
     "analyses": ["complex_count", "bands"],
     "sweep": {"parameter": "jxxx", "start": 0.0, "stop": 0.2, "points": 5},
-}
-
-
-# fig9's analyses on a 2+2 chain; at t=10 the isotropic point jyy = jxx is
-# fully real while jyy = 1.0 has 8 complex eigenvalues
-XX_CONFIG = {
-    "name": "tinyxx",
-    "model": "xx",
-    "layout": {"n_s": 2, "n_b": 2},
-    "time": 10.0,
-    "params": {"jxx": 0.8, "jyy": 1.0, "jzz": 0.1, "jz": 0.1},
-    "analyses": ["anisotropy_compare", "bands"],
-    "sweep": {"parameter": "jyy", "start": 0.95, "stop": 0.55, "points": 5},
 }
 
 
@@ -536,7 +576,7 @@ class TestEpPipeline:
     def test_real_probes_match_exact_probes(self, tmp_path, monkeypatch):
         config = validate_config(self.RAW)
         run_experiment(config, tmp_path / "real")
-        # exact probes: the sweep points' complex matrix and solve
+        # the exact pipeline: grid, bisection and fit on the complex matrix
         original = runner.spectral_matrix_factory
         monkeypatch.setattr(runner, "spectral_matrix_factory",
                             lambda config, parameter, real=False: original(config, parameter))
@@ -554,9 +594,9 @@ class TestEpPipeline:
                         1.0, abs(float(want[column])))
 
     def test_fig4_builds_kron_form_only_at_sweep_points(self, tmp_path, monkeypatch):
-        # the 21 + 11 sweep points, less the 2 the grids share, take the
-        # kron superoperator; every EP probe builds the real Hermitian-basis
-        # form, so a probe that goes back to kron fails here
+        # the 21 sweep points take the kron superoperator; the 11 EP-grid
+        # points and every EP probe build the real Hermitian-basis form, so
+        # an EP build that goes back to kron fails here
         calls = {}
 
         def counting(name):
@@ -572,21 +612,34 @@ class TestEpPipeline:
             monkeypatch.setattr(runner, name, counting(name))
         manifest = run_experiment(preset_config("fig4"), tmp_path)
         assert not manifest["failures"]
-        assert calls == {"superoperator_matrix": 30, "real_reversal_form": 84}
+        assert calls == {"superoperator_matrix": 21, "real_reversal_form": 95}
         assert manifest["ep_probes"] == {"near": 88, "full": 0}
 
-    def test_values_shared_by_sweep_and_ep_grids_built_once(self, tmp_path, monkeypatch):
+    def test_each_grid_builds_each_value_once_in_its_own_form(self, tmp_path, monkeypatch):
         calls = []
         original = runner.build_channel
         monkeypatch.setattr(runner, "build_channel",
-                            lambda *args, **kwargs: calls.append(repr(args[1:]))
-                            or original(*args, **kwargs))
-        # the grids share jxxx = 0.0, 0.05 and 0.1
-        raw = dict(SWEEP_CONFIG, analyses=["bands", "ep"],
-                   ep={"start": 0.0, "stop": 0.1, "points": 5, "resolution": 1e-3})
-        run_experiment(validate_config(raw), tmp_path)
-        assert len(calls) >= 7
-        assert len(calls) == len(set(calls))
+                            lambda config, overrides=None, real=False:
+                            calls.append((overrides["jxxx"], real))
+                            or original(config, overrides, real))
+        # the grids meet at jxxx = 0.0, 0.05 and 0.1; each builds them in its form
+        config = validate_config(dict(self.RAW, analyses=["bands", "ep"]))
+        run_experiment(config, tmp_path)
+        assert [v for v, real in calls if not real] == config.sweep_values().tolist()
+        ep_values = np.linspace(0.0, 0.1, 11).tolist()
+        ep_builds = [v for v, real in calls if real]
+        assert ep_builds[:11] == ep_values and len(ep_builds) > 11  # grid, then probes
+        assert all(ep_builds.count(v) == 1 for v in ep_values)
+
+    @pytest.mark.parametrize("analyses, n_workers", [(["bands", "ep"], 1), (["ep"], 2)],
+                             ids=["after-bands", "two-workers"])
+    def test_ep_outputs_independent_of_sweep_and_workers(self, tmp_path, analyses, n_workers):
+        run_experiment(validate_config(self.RAW), tmp_path / "ep")
+        run_experiment(validate_config(dict(self.RAW, analyses=analyses)),
+                       tmp_path / "variant", n_workers=n_workers)
+        for name in ("eps.csv", "ep_fit_points.csv"):
+            assert (tmp_path / "ep" / name).read_bytes() == (
+                tmp_path / "variant" / name).read_bytes()
 
 
 class TestCli:

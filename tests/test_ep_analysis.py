@@ -60,11 +60,11 @@ def split_tol(lam):
     return relative_tolerance(lam, SPLIT_TOL_FACTOR)
 
 
-def assert_probe_matches_full_solve(grid, value, guesses, tol_im):
+def assert_probe_matches_full_solve(grid, value, guesses, tol_im, exact=None):
     """One ``grid.probe`` call answers each guessed pair as
-    :func:`_pair_probe` does on the full eigvals of ``grid.build(value)``;
-    returns the verdicts."""
-    full = np.linalg.eigvals(grid.build(value))
+    :func:`_pair_probe` does on the full eigvals of ``exact(value)``
+    (default ``grid.build(value)``); returns the verdicts."""
+    full = np.linalg.eigvals((exact or grid.build)(value))
     verdicts = []
     for guess, (pair, is_pair, gap) in zip(guesses, grid.probe(value, guesses, tol_im),
                                           strict=True):
@@ -128,6 +128,18 @@ class TestSweep:
         assert not sweep.failures
         for value, lam in zip(grid.values, sweep.eigenvalues):
             assert np.array_equal(lam, full_spectrum(SuperoperatorMatrix(built[value])).eigenvalues)
+
+    def test_real_grid_spectrum_closed_under_conjugation(self):
+        from resetchannel.config import preset_config
+        from resetchannel.runner import spectral_matrix_factory
+
+        # the EP grid's real matrix at a point past fig4's first EPs
+        config = preset_config("fig4")
+        grid = SweepGrid("jxxx", [0.0045, 0.005, 0.0055],
+                         spectral_matrix_factory(config, "jxxx", real=True))
+        lam = sweep_spectrum(grid).eigenvalues[1]
+        assert np.any(lam.imag != 0)
+        assert np.array_equal(np.sort_complex(lam), np.sort_complex(lam.conj()))
 
     def test_threaded_matches_serial(self):
         build = analytic_family()
@@ -341,8 +353,8 @@ class TestProbe:
         self.check_fig4_ep_grid(real=False)
 
     def test_real_probe_build_matches_full_eigvals_on_fig4_ep_grid(self):
-        # probes of the real Hermitian-basis matrix, as a run makes them,
-        # against the full eigvals of the complex one
+        # probes of the real Hermitian-basis matrix, as a run's EP grid makes
+        # them, against the full eigvals of the complex one
         self.check_fig4_ep_grid(real=True)
 
     @staticmethod
@@ -351,9 +363,9 @@ class TestProbe:
         from resetchannel.runner import spectral_matrix_factory
 
         config = preset_config("fig4")
+        exact = spectral_matrix_factory(config, "jxxx")
         grid = SweepGrid("jxxx", np.linspace(config.ep.start, config.ep.stop, config.ep.points),
-                         spectral_matrix_factory(config, "jxxx"),
-                         spectral_matrix_factory(config, "jxxx", real=True) if real else None)
+                         spectral_matrix_factory(config, "jxxx", real=real))
         # two EPs of the shipped preset, probed as the bisection and the fit
         # do: below the EP, and on the fit's ladder above it
         verdicts = []
@@ -361,7 +373,8 @@ class TestProbe:
                                  (0.0034303588867187502, 0.46350063105477501)):
             guess = np.array([lam_star, lam_star], dtype=complex)
             for d in (-1e-5, 3.7e-6, 1.5e-5, 6e-5):
-                verdicts += assert_probe_matches_full_solve(grid, j_star + d, [guess], 1e-6)
+                verdicts += assert_probe_matches_full_solve(grid, j_star + d, [guess], 1e-6,
+                                                            exact)
         assert any(verdicts) and not all(verdicts)
         assert grid.probe_counts == {"near": 8, "full": 0}
 
