@@ -63,19 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            config = load_config(args.config)
-            out = args.out or os.path.join("runs", config.name)
-            manifest = run_experiment(config, out, _thread_count(args))
-            print(f"{config.name}: wrote {len(manifest['outputs'])} files to {out}")
+        if args.command == "preset" and (args.list or not args.name):
+            for name, note in list_presets():
+                print(f"{name}: {note}")
             return EXIT_OK
 
-        if args.command == "preset":
-            if args.list or not args.name:
-                for name, note in list_presets():
-                    print(f"{name}: {note}")
-                return EXIT_OK
-            config = preset_config(args.name, args.override)
+        if args.command in ("run", "preset"):
+            config = (load_config(args.config) if args.command == "run"
+                      else preset_config(args.name, args.override))
             out = args.out or os.path.join("runs", config.name)
             manifest = run_experiment(config, out, _thread_count(args))
             print(f"{config.name}: wrote {len(manifest['outputs'])} files to {out}")

@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,21 +28,25 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
 
 
+# The section dataclasses are the schema that validate_config reads: a
+# field's key is its name, a field without a default is required, its
+# annotation is its type, and its metadata holds its bounds ("min" for an
+# integer, "positive" for a number; "in" names the object that holds it).
 @dataclass
 class SweepSection:
     parameter: str
     start: float
     stop: float
-    points: int
+    points: int = field(metadata={"min": 3})
 
 
 @dataclass
 class EpSection:
     start: float
     stop: float
-    points: int
-    resolution: float = 1e-6
-    max_eps: int = 4
+    points: int = field(metadata={"min": 3})
+    resolution: float = field(default=1e-6, metadata={"positive": True})
+    max_eps: int = field(default=4, metadata={"min": 1})
 
 
 @dataclass
@@ -54,36 +58,38 @@ class QmiCase:
 
 @dataclass
 class QmiSection:
-    n_k: int
+    n_k: int = field(metadata={"min": 1})
     cases: list[QmiCase]
 
 
 @dataclass
 class PhaseSection:
     parameter: str
-    start: float
-    stop: float
-    points: int
-    n_k: int
+    start: float = field(metadata={"positive": True})
+    stop: float = field(metadata={"positive": True})
+    points: int = field(metadata={"min": 3})
+    n_k: int = field(metadata={"min": 1})
     log_grid: bool = True
 
 
-@dataclass
+# keyword-only, so that the optional name keeps its place first in the
+# field order, which is the key order of the manifest's config
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    name: str
+    name: str = "custom"
     model: str
-    n_s: int
-    n_b: int
-    time: float
-    params: dict
+    n_s: int = field(metadata={"min": 1, "in": "layout"})
+    n_b: int = field(metadata={"min": 1, "in": "layout"})
+    time: float = field(metadata={"positive": True})
+    params: dict[str, float]
     analyses: list[str]
     sweep: SweepSection | None = None
     ep: EpSection | None = None
     qmi: QmiSection | None = None
     phase: PhaseSection | None = None
-    histogram_bins: int = 60
-    cluster_window: float = 0.15
-    seed: int = 7
+    histogram_bins: int = field(default=60, metadata={"min": 10})
+    cluster_window: float = field(default=0.15, metadata={"positive": True})
+    seed: int = field(default=7, metadata={"min": 0})
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -144,59 +150,75 @@ def _check_keys(section: dict, allowed: set[str], required: set[str], path: str)
     _expect(not missing, path, f"missing keys {sorted(missing)}")
 
 
-def _number(section: dict, key: str, path: str, positive: bool = False) -> float:
-    value = section[key]
-    _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
-            f"{path}.{key}", f"must be a number, got {value!r}")
-    _expect(abs(value) <= sys.float_info.max, f"{path}.{key}", f"must be finite, got {value!r}")
-    if positive:
-        _expect(value > 0, f"{path}.{key}", f"must be positive, got {value}")
-    return float(value)
+# the dataclasses a field may hold, by annotation
+_SECTIONS = {cls.__name__: cls for cls in (SweepSection, EpSection, QmiCase, QmiSection,
+                                           PhaseSection)}
 
 
-def _integer(section: dict, key: str, path: str, minimum: int) -> int:
-    value = section[key]
-    _expect(isinstance(value, int) and not isinstance(value, bool),
-            f"{path}.{key}", f"must be an integer, got {value!r}")
-    _expect(value >= minimum, f"{path}.{key}", f"must be >= {minimum}, got {value}")
+def _read(cls, sec, path: str, within: str | None = None) -> dict:
+    """The fields of dataclass ``cls`` read from the JSON object ``sec`` at
+    ``path``, keyed by name; the fields marked ``"in": within`` only."""
+    specs = [f for f in fields(cls) if f.metadata.get("in") == within]
+    inner = {f.metadata["in"] for f in fields(cls) if within is None and "in" in f.metadata}
+    _check_keys(sec, {f.name for f in specs} | inner,
+                {f.name for f in specs if f.default is MISSING} | inner, path)
+    values = {f.name: _value(f.type, sec[f.name], f"{path}.{f.name}", f.metadata)
+              for f in specs if f.name in sec}
+    for key in inner:
+        values |= _read(cls, sec[key], f"{path}.{key}", key)
+    return values
+
+
+def _value(kind: str, value, path: str, bounds) -> object:
+    """``value`` checked against the annotation ``kind`` and the ``bounds``."""
+    kind = kind.removesuffix(" | None")
+    if kind in _SECTIONS:
+        return _SECTIONS[kind](**_read(_SECTIONS[kind], value, path))
+    if kind.startswith("list["):
+        _expect(isinstance(value, list) and value, path, "must be a non-empty list")
+        return [_value(kind[5:-1], v, f"{path}[{i}]", bounds) for i, v in enumerate(value)]
+    if kind.startswith("dict[str, "):
+        _expect(isinstance(value, dict), path, f"must be an object, got {type(value).__name__}")
+        return {k: _value(kind[10:-1], v, f"{path}.{k}", bounds) for k, v in value.items()}
+    if kind == "float":
+        _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
+                path, f"must be a number, got {value!r}")
+        _expect(abs(value) <= sys.float_info.max, path, f"must be finite, got {value!r}")
+        _expect(value > 0 or not bounds.get("positive"), path, f"must be positive, got {value}")
+        return float(value)
+    if kind == "int":
+        _expect(isinstance(value, int) and not isinstance(value, bool),
+                path, f"must be an integer, got {value!r}")
+        _expect(value >= bounds["min"], path, f"must be >= {bounds['min']}, got {value}")
+        return value
+    if kind == "bool":
+        _expect(isinstance(value, bool), path, f"must be true or false, got {value!r}")
+        return value
+    _expect(isinstance(value, str), path, f"must be a string, got {value!r}")  # kind "str"
     return value
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
-    """Parse and validate a raw configuration dictionary."""
-    top_allowed = {"name", "model", "layout", "time", "params", "analyses", "sweep",
-                   "ep", "qmi", "phase", "histogram_bins", "cluster_window",
-                   "seed"}
-    _check_keys(raw, top_allowed, {"model", "layout", "time", "params", "analyses"}, "config")
+    """Parse and validate a raw configuration dictionary: the dataclass
+    fields give each value's key, type and bounds, and the rules below tie
+    the values together."""
+    config = ExperimentConfig(**_read(ExperimentConfig, raw, "config"))
+    model, analyses, sweep = config.model, config.analyses, config.sweep
 
-    name = raw.get("name", "custom")
     # cli writes to runs/<name> by default, so the name must stay inside runs/
-    _expect(isinstance(name, str) and name not in ("", ".", "..")
-            and not any(sep and sep in name for sep in (os.sep, os.altsep)),
+    _expect(config.name not in ("", ".", "..")
+            and not any(sep and sep in config.name for sep in (os.sep, os.altsep)),
             "config.name", f"must be a non-empty string that is one path component, "
-            f"got {name!r}")
-
-    model = raw["model"]
+            f"got {config.name!r}")
     _expect(model in MODELS, "config.model", f"must be one of {MODELS}, got {model!r}")
 
-    _check_keys(raw["layout"], {"n_s", "n_b"}, {"n_s", "n_b"}, "config.layout")
-    n_s = _integer(raw["layout"], "n_s", "config.layout", 1)
-    n_b = _integer(raw["layout"], "n_b", "config.layout", 1)
-
-    time = _number(raw, "time", "config", positive=True)
-
-    params = raw["params"]
-    _check_keys(params, _PARAM_KEYS[model], set(), "config.params")
-    parsed_params = {k: _number(params, k, "config.params") for k in params}
+    _check_keys(config.params, _PARAM_KEYS[model], set(), "config.params")
     if model in ("aah", "xxx"):
-        _expect(parsed_params.get("j2", 1.0) > 0, "config.params.j2", "must be positive")
+        _expect(config.params.get("j2", 1.0) > 0, "config.params.j2", "must be positive")
     if model == "pxp":
-        _expect(parsed_params.get("omega_rabi", 1.0) > 0,
+        _expect(config.params.get("omega_rabi", 1.0) > 0,
                 "config.params.omega_rabi", "must be positive")
 
-    analyses = raw["analyses"]
-    _expect(isinstance(analyses, list) and analyses, "config.analyses",
-            "must be a non-empty list")
     for a in analyses:
         _expect(a in ANALYSES, "config.analyses", f"unknown analysis {a!r}")
     # each analysis writes its own CSVs, and none may be written twice
@@ -204,82 +226,34 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _expect(not {"complex_count", "anisotropy_compare"} <= set(analyses), "config.analyses",
             "complex_count and anisotropy_compare both write complex_count.csv")
 
-    sweep = None
-    if "sweep" in raw:
-        sec, path = raw["sweep"], "config.sweep"
-        _check_keys(sec, {"parameter", "start", "stop", "points"},
-                    {"parameter", "start", "stop", "points"}, path)
-        _expect(isinstance(sec["parameter"], str), f"{path}.parameter",
-                f"must be a string, got {sec['parameter']!r}")
-        _expect(sec["parameter"] in _SWEEPABLE[model], f"{path}.parameter",
-                f"cannot sweep {sec['parameter']!r} for model {model!r}")
-        sweep = SweepSection(
-            parameter=sec["parameter"],
-            start=_number(sec, "start", path),
-            stop=_number(sec, "stop", path),
-            points=_integer(sec, "points", path, 3),
-        )
-        _expect(sweep.stop != sweep.start, f"{path}.stop", "must differ from start")
+    if sweep is not None:
+        _expect(sweep.parameter in _SWEEPABLE[model], "config.sweep.parameter",
+                f"cannot sweep {sweep.parameter!r} for model {model!r}")
+        _expect(sweep.stop != sweep.start, "config.sweep.stop", "must differ from start")
 
-    ep = None
-    if "ep" in raw:
-        sec, path = raw["ep"], "config.ep"
-        _check_keys(sec, {"start", "stop", "points", "resolution", "max_eps"},
-                    {"start", "stop", "points"}, path)
-        ep = EpSection(
-            start=_number(sec, "start", path),
-            stop=_number(sec, "stop", path),
-            points=_integer(sec, "points", path, 3),
-            resolution=_number(sec, "resolution", path, positive=True)
-            if "resolution" in sec else EpSection.resolution,
-            max_eps=_integer(sec, "max_eps", path, 1) if "max_eps" in sec else EpSection.max_eps,
-        )
-        _expect(ep.stop != ep.start, f"{path}.stop", "must differ from start")
-        _expect("sweep" in raw, path, "ep analysis needs a sweep section for the parameter name")
+    if config.ep is not None:
+        _expect(config.ep.stop != config.ep.start, "config.ep.stop", "must differ from start")
+        _expect(sweep is not None, "config.ep",
+                "ep analysis needs a sweep section for the parameter name")
 
-    qmi = None
-    if "qmi" in raw:
-        sec, path = raw["qmi"], "config.qmi"
-        _check_keys(sec, {"n_k", "cases"}, {"n_k", "cases"}, path)
+    if config.qmi is not None:
         lacking = {"jxxx", "jz"} - _PARAM_KEYS[model]
-        _expect(not lacking, path, f"cases set {sorted(lacking)}, which model {model!r} lacks")
-        _expect(isinstance(sec["cases"], list) and sec["cases"], f"{path}.cases",
-                "must be a non-empty list")
-        cases = []
-        for i, case in enumerate(sec["cases"]):
-            cpath = f"{path}.cases[{i}]"
-            _check_keys(case, {"name", "jxxx", "jz"}, {"name", "jxxx", "jz"}, cpath)
-            _expect(isinstance(case["name"], str), f"{cpath}.name", "must be a string")
-            _expect(case["name"] not in {c.name for c in cases}, f"{cpath}.name",
-                    f"duplicate case name {case['name']!r}; qmi.csv keys its rows by name")
-            cases.append(QmiCase(case["name"], _number(case, "jxxx", cpath),
-                                 _number(case, "jz", cpath)))
-        qmi = QmiSection(n_k=_integer(sec, "n_k", path, 1), cases=cases)
+        _expect(not lacking, "config.qmi",
+                f"cases set {sorted(lacking)}, which model {model!r} lacks")
+        names = [case.name for case in config.qmi.cases]
+        for i, name in enumerate(names):
+            _expect(name not in names[:i], f"config.qmi.cases[{i}].name",
+                    f"duplicate case name {name!r}; qmi.csv keys its rows by name")
 
-    phase = None
-    if "phase" in raw:
-        sec, path = raw["phase"], "config.phase"
-        _check_keys(sec, {"parameter", "start", "stop", "points", "n_k", "log_grid"},
-                    {"parameter", "start", "stop", "points", "n_k"}, path)
-        _expect(sec["parameter"] == "jz", f"{path}.parameter", "only jz scans are supported")
-        _expect("jz" in _PARAM_KEYS[model], f"{path}.parameter",
+    if config.phase is not None:
+        _expect(config.phase.parameter == "jz", "config.phase.parameter",
+                "only jz scans are supported")
+        _expect("jz" in _PARAM_KEYS[model], "config.phase.parameter",
                 f"model {model!r} has no field 'jz' to scan")
-        log_grid = sec.get("log_grid", PhaseSection.log_grid)
-        _expect(isinstance(log_grid, bool), f"{path}.log_grid",
-                f"must be true or false, got {log_grid!r}")
-        phase = PhaseSection(
-            parameter=sec["parameter"],
-            start=_number(sec, "start", path, positive=True),
-            stop=_number(sec, "stop", path, positive=True),
-            points=_integer(sec, "points", path, 3),
-            n_k=_integer(sec, "n_k", path, 1),
-            log_grid=log_grid,
-        )
 
-    sections = {"sweep": sweep, "ep": ep, "qmi": qmi, "phase": phase}
     for a in analyses:
         needed = _ANALYSIS_SECTION.get(a)
-        _expect(needed is None or sections[needed] is not None, f"config.{needed}",
+        _expect(needed is None or getattr(config, needed) is not None, f"config.{needed}",
                 f"section missing; analysis {a!r} needs it")
     if "anisotropy_compare" in analyses:
         _expect(model == "xx" and sweep.parameter in ("jxx", "jyy"), "config.sweep.parameter",
@@ -289,28 +263,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
         _expect(model == "pxp", "config.model",
                 f"scar_overlaps needs the blockaded model 'pxp', got {model!r}")
 
-    cluster_window = (_number(raw, "cluster_window", "config", positive=True)
-                      if "cluster_window" in raw else ExperimentConfig.cluster_window)
-    _expect(cluster_window < 0.5, "config.cluster_window",
-            f"must lie in (0, 0.5), got {cluster_window}")
-
-    return ExperimentConfig(
-        name=name,
-        model=model,
-        n_s=n_s,
-        n_b=n_b,
-        time=time,
-        params=parsed_params,
-        analyses=list(analyses),
-        sweep=sweep,
-        ep=ep,
-        qmi=qmi,
-        phase=phase,
-        histogram_bins=_integer(raw, "histogram_bins", "config", 10)
-        if "histogram_bins" in raw else ExperimentConfig.histogram_bins,
-        cluster_window=cluster_window,
-        seed=_integer(raw, "seed", "config", 0) if "seed" in raw else ExperimentConfig.seed,
-    )
+    _expect(config.cluster_window < 0.5, "config.cluster_window",
+            f"must lie in (0, 0.5), got {config.cluster_window}")
+    return config
 
 
 def load_config(path) -> ExperimentConfig:

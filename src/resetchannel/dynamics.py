@@ -198,6 +198,14 @@ def _warn_on_qmi_rise(qmis: list[float]) -> None:
             )
 
 
+def _rounds(kraus: KrausSet, x: np.ndarray, n_max: int):
+    """``x`` and its images after each of ``n_max`` channel applications."""
+    yield x
+    for _ in range(n_max):
+        x = apply_channel(kraus, x)
+        yield x
+
+
 def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
     """Iterate the channel on the system of an (ancilla + system) GHZ state,
     the ancilla untouched, recording mutual information, imbalance,
@@ -207,11 +215,10 @@ def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
     channel maps them as one stack, and the marginals and purities are read
     off the blocks. A rise of the mutual information is warned about.
     """
-    blocks = _ghz_blocks(kraus)
     sz = _site_sz_diagonals(kraus.layout.n_s)
     records: list[TrajectoryRecord] = []
     sz_0 = None
-    for n in range(n_max + 1):
+    for n, blocks in enumerate(_rounds(kraus, _ghz_blocks(kraus), n_max)):
         rho_s, purities = _block_purities(blocks)
         sz_n = sz @ np.real(np.diag(rho_s))
         if sz_0 is None:
@@ -225,8 +232,6 @@ def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
             purity_s=purities[1],
             purity_as=purities[2],
         ))
-        if n < n_max:
-            blocks = apply_channel(kraus, blocks)
     _warn_on_qmi_rise([r.qmi for r in records])
     return records
 
@@ -235,15 +240,9 @@ def magnetization_trajectory(kraus: KrausSet, rho0: np.ndarray, n_steps: int) ->
     """Total system magnetization <sum_m sigma_m^z> along the iteration."""
     if kraus.layout.constrained:
         raise ValueError("magnetization trajectories assume the full qubit basis")
-    n_s = kraus.layout.n_s
-    sz_total = 2.0 * _site_sz_diagonals(n_s).sum(axis=0)
-    rho = np.asarray(rho0, dtype=complex)
-    out = np.zeros(n_steps + 1)
-    for n in range(n_steps + 1):
-        out[n] = float(sz_total @ np.real(np.diag(rho)))
-        if n < n_steps:
-            rho = apply_channel(kraus, rho)
-    return out
+    sz_total = 2.0 * _site_sz_diagonals(kraus.layout.n_s).sum(axis=0)
+    rhos = _rounds(kraus, np.asarray(rho0, dtype=complex), n_steps)
+    return np.array([float(sz_total @ np.real(np.diag(rho))) for rho in rhos])
 
 
 @dataclass
@@ -269,11 +268,8 @@ def phase_scan(channel_factory: Callable[[float], KrausSet], values: np.ndarray,
             rho0 = neel_state(kraus.layout.n_s).density_matrix().mat
             stack = np.concatenate([_ghz_blocks(kraus), rho0[None]])
             qmis = []
-            for n in range(n_k + 1):
-                _, purities = _block_purities(stack[:3])
-                qmis.append(float(_renyi2(purities)))
-                if n < n_k:
-                    stack = apply_channel(kraus, stack)
+            for stack in _rounds(kraus, stack, n_k):
+                qmis.append(float(_renyi2(_block_purities(stack[:3])[1])))
             _warn_on_qmi_rise(qmis)
             points.append(PhaseScanPoint(
                 value=float(value),

@@ -5,7 +5,6 @@ Jordan-chain machinery for (near-)defective eigenvalues.
 
 from __future__ import annotations
 
-import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -459,24 +458,19 @@ def iterate_jordan(chains: list[JordanChain], coeffs: list[np.ndarray], n_r: int
     """Evolve an initial vector written in a generalized eigenbasis through
     ``n_r`` channel applications.
 
-    Order-1 chains reproduce the plain eigenmode powering; for longer chains
-    the binomial ladder mixes each generalized level into the ones below it.
+    A chain spans an invariant subspace on which M acts as its Jordan block
+    lambda I + N, N the nilpotent shift, because M v[d] = lambda v[d] + v[d-1];
+    an order-1 chain reproduces the plain eigenmode powering.
     """
     if len(chains) != len(coeffs):
         raise ValueError("need one coefficient array per chain")
-    dim = chains[0].vectors[0].shape[0]
-    out = np.zeros(dim, dtype=complex)
+    out = np.zeros(chains[0].vectors[0].shape[0], dtype=complex)
     for chain, c in zip(chains, coeffs):
         o = chain.order
         if len(c) != o:
             raise ValueError(f"chain of order {o} needs {o} coefficients, got {len(c)}")
-        for d in range(o):
-            acc = 0.0 + 0.0j
-            for dd in range(0, min(o - 1 - d, n_r) + 1):
-                binom = math.comb(n_r, dd)
-                lam_pow = chain.lam ** (n_r - dd) if (n_r - dd) > 0 else (1.0 + 0.0j)
-                acc += binom * lam_pow * c[d + dd]
-            out += acc * chain.vectors[d]
+        block = chain.lam * np.eye(o, dtype=complex) + np.eye(o, k=1)
+        out += np.column_stack(chain.vectors) @ (np.linalg.matrix_power(block, n_r) @ c)
     return out
 
 

@@ -61,6 +61,29 @@ XX_CONFIG = {
 }
 
 
+# one valid config per section, each read by its analysis
+SECTION_CONFIGS = {
+    "sweep": dict(TINY_CONFIG, analyses=["bands"],
+                  sweep={"parameter": "jz", "start": 0.1, "stop": 0.3, "points": 3}),
+    "ep": dict(TINY_CONFIG, analyses=["ep"],
+               sweep={"parameter": "jz", "start": 0.1, "stop": 0.3, "points": 3},
+               ep={"start": 0.1, "stop": 0.2, "points": 3}),
+    "qmi": dict(TINY_CONFIG, model="xxx", params={"jzz": 0.1, "jz": 0.1}, analyses=["qmi"],
+                qmi={"n_k": 2, "cases": [{"name": "a", "jxxx": 1.0, "jz": 0.1}]}),
+    "phase": dict(TINY_CONFIG, analyses=["phase"],
+                  phase={"parameter": "jz", "start": 0.1, "stop": 1.0, "points": 3, "n_k": 2}),
+}
+
+
+def _section_config(section, drop=None, **changes):
+    """``SECTION_CONFIGS[section]`` with key ``drop`` taken out of its section
+    and ``changes`` put in."""
+    raw = json.loads(json.dumps(SECTION_CONFIGS[section]))
+    raw[section].pop(drop, None)
+    raw[section].update(changes)
+    return raw
+
+
 class TestValidation:
     def test_presets_all_validate(self):
         names = [name for name, _ in list_presets()]
@@ -184,6 +207,11 @@ class TestValidation:
         (dict(TINY_CONFIG, name="a/b"), "config.name"),
         (dict(XX_CONFIG, analyses=["complex_count", "anisotropy_compare"]), "config.analyses"),
         (dict(TINY_CONFIG, analyses=["spectrum", "spectrum", "histogram"]), "config.analyses"),
+        (_section_config("sweep", points=True), "config.sweep.points"),
+        (_section_config("qmi", n_k=2.0), "config.qmi.n_k"),
+        (_section_config("phase", log_grid=1), "config.phase.log_grid"),
+        (_section_config("qmi", cases=[{"name": 5, "jxxx": 1.0, "jz": 0.1}]),
+         "config.qmi.cases[0].name"),
     ], ids=["bands-no-sweep", "complex-count-no-sweep", "ep-no-ep", "qmi-no-qmi",
             "phase-no-phase", "qmi-on-aah", "phase-on-pxp", "phase-log-grid-string",
             "scar-overlaps-on-aah", "tolerances-key", "qmi-duplicate-case-name",
@@ -193,7 +221,8 @@ class TestValidation:
             "time-infinite", "time-beyond-float", "params-jz-nan", "sweep-stop-infinite",
             "sweep-parameter-list", "name-object", "name-int", "name-null", "name-empty",
             "name-dot", "name-dotdot", "name-parent-path", "name-absolute-path",
-            "name-two-components", "two-writers-of-complex-count", "analysis-twice"])
+            "name-two-components", "two-writers-of-complex-count", "analysis-twice",
+            "sweep-points-bool", "qmi-n-k-float", "phase-log-grid-int", "qmi-case-name-int"])
     def test_config_that_cannot_run_is_rejected(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
             validate_config(raw)
@@ -215,6 +244,45 @@ class TestValidation:
         path.write_text('{"model": "aah",\n  broken\n}')
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
+
+    @pytest.mark.parametrize("section", sorted(SECTION_CONFIGS))
+    def test_section_configs_validate(self, section):
+        validate_config(SECTION_CONFIGS[section])
+
+    @pytest.mark.parametrize("raw, message", [
+        (_section_config("sweep", drop="parameter"), "config.sweep: missing keys ['parameter']"),
+        (_section_config("ep", drop="points"), "config.ep: missing keys ['points']"),
+        (_section_config("qmi", drop="cases"), "config.qmi: missing keys ['cases']"),
+        (_section_config("phase", drop="n_k"), "config.phase: missing keys ['n_k']"),
+        (_section_config("sweep", extra=1), "config.sweep: unknown keys ['extra']"),
+        (_section_config("ep", extra=1), "config.ep: unknown keys ['extra']"),
+        (_section_config("qmi", extra=1), "config.qmi: unknown keys ['extra']"),
+        (_section_config("phase", extra=1), "config.phase: unknown keys ['extra']"),
+    ])
+    def test_section_key_set_is_checked(self, raw, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            validate_config(raw)
+
+    # every preset's config_hash, as shipped and at n_s=5; a moved hash means
+    # a preset, a config field or a default moved
+    PRESET_HASHES = {
+        "fig2": "1850295b7422350335fbef2e9a299b3dec6f21c530a539230ae0796fafe6a268",
+        "fig3": "23d832b57b2bd8ea5352f63295ddd9b3b64e198e8f216b5a3bc8ce294cf05431",
+        "fig4": "8982b2892f44601a63257e8bfdaa900ba7a57c5973ccecaa5123893ddbf3c92c",
+        "fig5": "4e0473455eb0fbb598c822f069a648bd4eea14c64c9957b3da1337cb5dd4eeb7",
+        "fig6": "bb91e88b742ffb8b772df321c95e99d957dbcb7a7151468710b15692baad55ec",
+        "fig7": "fdce2953a4531281396c6d06b4949d0960ae8291c676f25485233a9db7648385",
+        "fig8": "6464e83e1e40ae13e17c7f9aa44674e01797308f90f83b274ac97698b763ab0e",
+        "fig9": "4b986580bf1f65aaf2013dcc5a096c5b16a94c018460b97a0c02d52c5ffa9ab1",
+        "fig2@n_s=5": "cadeb310a0dc883b73f75c6c831c2dee1cf5adfd4d085ab7b464c99a1e2b71d0",
+        "fig5@n_s=5": "162b86c5652657341a52aec971e08a8e89119451978cfd7e17d19cd9418859f5",
+    }
+
+    @pytest.mark.parametrize("label", sorted(PRESET_HASHES))
+    def test_preset_hash_is_pinned(self, label):
+        name, _, n_s = label.partition("@")
+        config = preset_config(name, [f"layout.{n_s}"] if n_s else None)
+        assert config.config_hash() == self.PRESET_HASHES[label]
 
 
 class TestRunner:
