@@ -15,10 +15,7 @@ from .spin_ops import (
     ghz_state,
     neel_state,
     partial_trace,
-    pauli_on_site,
     product_state,
-    projector0_on_site,
-    total_sz,
 )
 from .hamiltonians import (
     AahParams,
@@ -78,7 +75,6 @@ from .dynamics import (
     magnetization_trajectory,
     phase_scan,
     qmi_trajectory,
-    renyi2_qmi,
     scar_candidates,
     scar_overlap_avg,
 )

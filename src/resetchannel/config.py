@@ -15,9 +15,9 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
-from .hamiltonians import GOLDEN_OMEGA
+from .hamiltonians import GOLDEN_OMEGA, MODEL_PARAMS
 
-MODELS = ("aah", "xxx", "xx", "pxp")
+MODELS = tuple(MODEL_PARAMS)
 ANALYSES = (
     "spectrum", "histogram", "overlaps", "scar_overlaps",
     "bands", "ep", "complex_count", "anisotropy_compare", "qmi", "phase",
@@ -32,6 +32,8 @@ class ConfigError(ValueError):
 # field's key is its name, a field without a default is required, its
 # annotation is its type, and its metadata holds its bounds ("min" for an
 # integer, "positive" for a number; "in" names the object that holds it).
+# The model's parameter dataclass in hamiltonians.py is read the same way
+# for ``params``; its "fixed" fields are the ones no sweep may vary.
 @dataclass
 class SweepSection:
     parameter: str
@@ -113,21 +115,6 @@ class ExperimentConfig:
         if self.phase.log_grid:
             return np.geomspace(self.phase.start, self.phase.stop, self.phase.points)
         return np.linspace(self.phase.start, self.phase.stop, self.phase.points)
-
-
-_PARAM_KEYS = {
-    "aah": {"j2", "jzz", "jz", "omega"},
-    "xxx": {"j2", "jzz", "jz", "omega", "jxxx"},
-    "xx": {"jxx", "jyy", "jzz", "jz", "omega"},
-    "pxp": {"omega_rabi"},
-}
-
-_SWEEPABLE = {
-    "aah": {"jz", "jzz"},
-    "xxx": {"jxxx", "jz", "jzz"},
-    "xx": {"jxx", "jyy", "jz", "jzz"},
-    "pxp": set(),
-}
 
 
 # the config section each analysis reads
@@ -212,12 +199,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
             f"got {config.name!r}")
     _expect(model in MODELS, "config.model", f"must be one of {MODELS}, got {model!r}")
 
-    _check_keys(config.params, _PARAM_KEYS[model], set(), "config.params")
-    if model in ("aah", "xxx"):
-        _expect(config.params.get("j2", 1.0) > 0, "config.params.j2", "must be positive")
-    if model == "pxp":
-        _expect(config.params.get("omega_rabi", 1.0) > 0,
-                "config.params.omega_rabi", "must be positive")
+    # the model's parameter dataclass is the schema of its params
+    _read(MODEL_PARAMS[model], config.params, "config.params")
+    couplings = {f.name: f.metadata for f in fields(MODEL_PARAMS[model])}
 
     for a in analyses:
         _expect(a in ANALYSES, "config.analyses", f"unknown analysis {a!r}")
@@ -227,8 +211,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
             "complex_count and anisotropy_compare both write complex_count.csv")
 
     if sweep is not None:
-        _expect(sweep.parameter in _SWEEPABLE[model], "config.sweep.parameter",
-                f"cannot sweep {sweep.parameter!r} for model {model!r}")
+        _expect(sweep.parameter in couplings and not couplings[sweep.parameter].get("fixed"),
+                "config.sweep.parameter", f"cannot sweep {sweep.parameter!r} for model {model!r}")
         _expect(sweep.stop != sweep.start, "config.sweep.stop", "must differ from start")
 
     if config.ep is not None:
@@ -237,7 +221,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 "ep analysis needs a sweep section for the parameter name")
 
     if config.qmi is not None:
-        lacking = {"jxxx", "jz"} - _PARAM_KEYS[model]
+        lacking = {"jxxx", "jz"} - couplings.keys()
         _expect(not lacking, "config.qmi",
                 f"cases set {sorted(lacking)}, which model {model!r} lacks")
         names = [case.name for case in config.qmi.cases]
@@ -248,7 +232,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if config.phase is not None:
         _expect(config.phase.parameter == "jz", "config.phase.parameter",
                 "only jz scans are supported")
-        _expect("jz" in _PARAM_KEYS[model], "config.phase.parameter",
+        _expect("jz" in couplings, "config.phase.parameter",
                 f"model {model!r} has no field 'jz' to scan")
 
     for a in analyses:

@@ -15,11 +15,9 @@ from .channel import KrausSet, apply_channel, joint_index_table
 from .hamiltonians import ConstrainedBasis
 from .spin_ops import (
     ChainLayout,
-    DenseOperator,
     ghz_state,
     neel_state,
-    partial_trace,
-    qubit_basis,
+    partial_trace,  # noqa: F401  (not called here; benchmarks/spans.py wraps it)
     site_signs,
 )
 
@@ -126,19 +124,6 @@ def scar_overlap_avg(right: np.ndarray, scar_states: np.ndarray,
 
 def _renyi2(purities) -> float:
     return -np.log(purities[0]) - np.log(purities[1]) + np.log(purities[2])
-
-
-def renyi2_qmi(rho_as: np.ndarray, n_system_qubits: int) -> float:
-    """Renyi-2 mutual information S = -ln Tr(rho_a^2) - ln Tr(rho_s^2)
-    + ln Tr(rho_as^2) between a single leading ancilla qubit and the system."""
-    n_tot = 1 + n_system_qubits
-    op = DenseOperator(np.asarray(rho_as, dtype=complex), qubit_basis(n_tot))
-    rho_a = partial_trace(op, [0], n_tot).mat
-    rho_s = partial_trace(op, list(range(1, n_tot)), n_tot).mat
-    purities = tuple(float(np.real(np.trace(r @ r))) for r in (rho_a, rho_s, op.mat))
-    if min(purities) <= 0:
-        raise ValueError(f"non-positive purity {purities}; state is numerically invalid")
-    return _renyi2(purities)
 
 
 def _site_sz_diagonals(n_sites: int) -> np.ndarray:

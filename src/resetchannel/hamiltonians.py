@@ -8,7 +8,7 @@ for PXP); hbar = 1. Chains are open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -19,26 +19,28 @@ GOLDEN_OMEGA = 2 * np.pi * (np.sqrt(5) - 1) / 2  # inverse golden ratio modulati
 HERMITIAN_RTOL = 1e-10  # |H - H^dag| relative to max(|H|, 1)
 
 
+# The parameter dataclasses are the schema of a config's ``params``: a
+# field's name is its key and its default the value an absent key takes.
+# Metadata "positive" bounds a field, checked here and by config validation;
+# "fixed" keeps it out of every sweep (the energy unit, the field frequency).
 @dataclass(frozen=True)
 class AahParams:
     """Quasiperiodic XY chain couplings: XY scale ``j2``, Ising ``jzz``,
     on-site cosine field amplitude ``jz`` with frequency ``omega``."""
 
-    j2: float = 1.0
+    j2: float = field(default=1.0, metadata={"positive": True, "fixed": True})
     jzz: float = 0.0
     jz: float = 0.0
-    omega: float = GOLDEN_OMEGA
+    omega: float = field(default=GOLDEN_OMEGA, metadata={"fixed": True})
 
     def __post_init__(self):
-        if self.j2 <= 0:
-            raise ValueError("j2 sets the energy unit and must be positive")
+        _check_positive(self)
 
 
 @dataclass(frozen=True)
-class XxxParams:
+class XxxParams(AahParams):
     """AAH chain plus a three-site XXX coupling that breaks U(1)."""
 
-    aah: AahParams = field(default_factory=AahParams)
     jxxx: float = 0.0
 
 
@@ -50,18 +52,26 @@ class XxParams:
     jyy: float = 1.0
     jzz: float = 0.0
     jz: float = 0.0
-    omega: float = GOLDEN_OMEGA
+    omega: float = field(default=GOLDEN_OMEGA, metadata={"fixed": True})
 
 
 @dataclass(frozen=True)
 class PxpParams:
     """Blockaded spin-flip model; ``omega_rabi`` sets the energy scale."""
 
-    omega_rabi: float = 1.0
+    omega_rabi: float = field(default=1.0, metadata={"positive": True, "fixed": True})
 
     def __post_init__(self):
-        if self.omega_rabi <= 0:
-            raise ValueError("omega_rabi must be positive")
+        _check_positive(self)
+
+
+def _check_positive(params) -> None:
+    for f in fields(params):
+        if f.metadata.get("positive") and not getattr(params, f.name) > 0:
+            raise ValueError(f"{f.name} sets the energy unit and must be positive")
+
+
+MODEL_PARAMS = {"aah": AahParams, "xxx": XxxParams, "xx": XxParams, "pxp": PxpParams}
 
 
 def _chain(n_sites: int, jxx: float, jyy: float, jzz: float, jz: float, omega: float,
@@ -88,8 +98,8 @@ def build_xxx(params: XxxParams, n_sites: int) -> DenseOperator:
     """AAH chain plus the three-site XXX term on interior sites."""
     if n_sites < 3:
         raise ValueError("three-site coupling needs at least 3 sites")
-    p = params.aah
-    return _chain(n_sites, p.j2, p.j2, p.jzz, p.jz, p.omega, params.jxxx)
+    return _chain(n_sites, params.j2, params.j2, params.jzz, params.jz, params.omega,
+                  params.jxxx)
 
 
 def build_xx(params: XxParams, n_sites: int) -> DenseOperator:
@@ -108,7 +118,6 @@ class ConstrainedBasis:
             raise ValueError("need at least one site")
         self.n_sites = n_sites
         self.states: list[int] = [b for b in range(1 << n_sites) if (b & (b >> 1)) == 0]
-        self.index: dict[int, int] = {b: i for i, b in enumerate(self.states)}
         self.tag = fibonacci_basis_tag(n_sites)
 
     @property

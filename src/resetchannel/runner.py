@@ -43,11 +43,8 @@ from .ep_analysis import (
     track_bands,
 )
 from .hamiltonians import (
-    AahParams,
     ConstrainedBasis,
-    PxpParams,
-    XxParams,
-    XxxParams,
+    MODEL_PARAMS,
     build_aah,
     build_pxp,
     build_xx,
@@ -65,17 +62,9 @@ from .spin_ops import ChainLayout
 
 
 def build_hamiltonian(model: str, params: dict, n_sites: int):
-    if model == "aah":
-        return build_aah(AahParams(**params), n_sites)
-    if model == "xxx":
-        jxxx = params.get("jxxx", 0.0)
-        aah = {k: v for k, v in params.items() if k != "jxxx"}
-        return build_xxx(XxxParams(AahParams(**aah), jxxx), n_sites)
-    if model == "xx":
-        return build_xx(XxParams(**params), n_sites)
-    if model == "pxp":
-        return build_pxp(PxpParams(**params), n_sites)
-    raise ValueError(f"unknown model {model!r}")
+    # looked up per call, in this module, where benchmarks/spans.py wraps them
+    builders = {"aah": build_aah, "xxx": build_xxx, "xx": build_xx, "pxp": build_pxp}
+    return builders[model](MODEL_PARAMS[model](**params), n_sites)
 
 
 def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
@@ -362,7 +351,7 @@ def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,
         # isotropic reference: the swept coupling set equal to the other one
         # (validation admits only jxx/jyy sweeps of the xx model)
         other = "jyy" if config.sweep.parameter == "jxx" else "jxx"
-        iso_value = config.params.get(other, getattr(XxParams(), other))
+        iso_value = getattr(MODEL_PARAMS[config.model](**config.params), other)
         on_grid = np.flatnonzero(sweep.grid.values == iso_value)
         if on_grid.size:
             iso_count = counts[on_grid[0]]

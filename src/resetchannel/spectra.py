@@ -79,11 +79,6 @@ class Spectrum:
         first access."""
         return float(1.0 / np.linalg.svd(self.right, compute_uv=False)[-1])
 
-    def right_operator(self, k: int) -> np.ndarray:
-        """Mode k's right eigenoperator as a (d, d) matrix."""
-        d = math.isqrt(self.dim)
-        return self.right[:, k].reshape(d, d)
-
     def real_tolerance(self) -> float:
         return relative_tolerance(self.eigenvalues, REAL_TOL_FACTOR)
 

@@ -1,6 +1,5 @@
 """Elementary qubit-chain operators and states: the Pauli-sum assembler that
-builds every operator, projectors, partial trace, and canonical initial
-states.
+builds every operator, partial trace, and canonical initial states.
 
 Conventions, fixed package-wide:
 
@@ -192,17 +191,6 @@ def pauli_sum(terms, n_sites: int, states=None) -> np.ndarray:
     return h
 
 
-def pauli_on_site(axis: str, site: int, n_sites: int) -> DenseOperator:
-    """Pauli operator on one site of an ``n_sites`` qubit chain."""
-    return DenseOperator(pauli_sum([(1.0, axis, (site,))], n_sites), qubit_basis(n_sites))
-
-
-def projector0_on_site(site: int, n_sites: int) -> DenseOperator:
-    """Projector onto |0> at one site, identity elsewhere."""
-    terms = [(0.5, "", ()), (0.5, "z", (site,))]
-    return DenseOperator(pauli_sum(terms, n_sites), qubit_basis(n_sites))
-
-
 def product_state(bits: str) -> PureState:
     """Computational basis state from a bit-string, site 0 first."""
     if not bits or any(c not in "01" for c in bits):
@@ -243,9 +231,3 @@ def partial_trace(op: DenseOperator, keep: list[int] | tuple[int, ...], n_sites:
         tensor = np.trace(tensor, axis1=ax, axis2=ax + n_sites - offset)
     dk = 2 ** len(keep)
     return DenseOperator(tensor.reshape(dk, dk), qubit_basis(len(keep)))
-
-
-def total_sz(n_sites: int) -> DenseOperator:
-    """Diagonal total magnetization sum_m sigma_m^z."""
-    return DenseOperator(np.diag(site_signs(np.arange(2 ** n_sites), n_sites).sum(axis=0)),
-                         qubit_basis(n_sites))

@@ -17,14 +17,45 @@ from resetchannel import (
 )
 from resetchannel.channel import reversal_form, superoperator_matrix
 from resetchannel.spectra import full_spectrum
-from resetchannel.spin_ops import DenseOperator
+from resetchannel.spin_ops import DenseOperator, partial_trace, pauli_sum, qubit_basis, site_signs
 
 
 def make_channel(n_s, n_b, t, jzz=0.0, jz=0.0, jxxx=0.0):
     layout = ChainLayout(n_s, n_b)
-    params = XxxParams(AahParams(jzz=jzz, jz=jz), jxxx)
-    h = build_xxx(params, layout.n_h) if layout.n_h >= 3 else build_aah(params.aah, layout.n_h)
+    params = XxxParams(jzz=jzz, jz=jz, jxxx=jxxx)
+    h = build_xxx(params, layout.n_h) if layout.n_h >= 3 else build_aah(params, layout.n_h)
     return kraus_from_unitary(propagate(h, t), layout)
+
+
+def pauli_on_site(axis, site, n_sites):
+    """Pauli operator on one site of an ``n_sites`` qubit chain."""
+    return DenseOperator(pauli_sum([(1.0, axis, (site,))], n_sites), qubit_basis(n_sites))
+
+
+def projector0_on_site(site, n_sites):
+    """Projector onto |0> at one site, identity elsewhere."""
+    terms = [(0.5, "", ()), (0.5, "z", (site,))]
+    return DenseOperator(pauli_sum(terms, n_sites), qubit_basis(n_sites))
+
+
+def total_sz(n_sites):
+    """Diagonal total magnetization sum_m sigma_m^z."""
+    return DenseOperator(np.diag(site_signs(np.arange(2 ** n_sites), n_sites).sum(axis=0)),
+                         qubit_basis(n_sites))
+
+
+def renyi2_qmi(rho_as, n_system_qubits):
+    """Renyi-2 mutual information S = -ln Tr(rho_a^2) - ln Tr(rho_s^2)
+    + ln Tr(rho_as^2) between a single leading ancilla qubit and the system,
+    from explicit partial traces: the oracle for the block iteration of
+    ``qmi_trajectory``."""
+    n_tot = 1 + n_system_qubits
+    op = DenseOperator(np.asarray(rho_as, dtype=complex), qubit_basis(n_tot))
+    rho_a = partial_trace(op, [0], n_tot).mat
+    rho_s = partial_trace(op, list(range(1, n_tot)), n_tot).mat
+    p_a, p_s, p_as = (float(np.real(np.trace(r @ r))) for r in (rho_a, rho_s, op.mat))
+    assert min(p_a, p_s, p_as) > 0, "non-positive purity; state is numerically invalid"
+    return -np.log(p_a) - np.log(p_s) + np.log(p_as)
 
 
 def random_density_matrix(rng, dim):

@@ -3,7 +3,14 @@ import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from conftest import haar_channel, make_channel, random_density_matrix, swap_unitary
+from conftest import (
+    haar_channel,
+    make_channel,
+    pauli_on_site,
+    random_density_matrix,
+    renyi2_qmi,
+    swap_unitary,
+)
 from resetchannel import runner
 from resetchannel.channel import (
     CompletenessError,
@@ -20,7 +27,7 @@ from resetchannel.channel import (
     vec,
 )
 from resetchannel.config import list_presets, preset_config
-from resetchannel.dynamics import imbalance, qmi_trajectory, renyi2_qmi
+from resetchannel.dynamics import imbalance, qmi_trajectory
 from resetchannel.hamiltonians import ConstrainedBasis, PxpParams, build_pxp, hermitian_eigensystem
 from resetchannel.runner import (
     analysis_matrix,
@@ -34,7 +41,6 @@ from resetchannel.spin_ops import (
     DenseOperator,
     ghz_state,
     partial_trace,
-    pauli_on_site,
     pauli_sum,
 )
 
@@ -77,7 +83,7 @@ def kraus_oracle(h, t, layout, real):
         return [u4[:, m, :, 0] for m in range(db)]
     sys_states = ConstrainedBasis(layout.n_s).states
     bath_states = ConstrainedBasis(layout.n_b).states
-    joint = ConstrainedBasis(layout.n_h).index
+    joint = {b: i for i, b in enumerate(ConstrainedBasis(layout.n_h).states)}
 
     def joint_index(si, bi):
         return joint.get((sys_states[si] << layout.n_b) | bath_states[bi])

@@ -284,6 +284,52 @@ class TestValidation:
         config = preset_config(name, [f"layout.{n_s}"] if n_s else None)
         assert config.config_hash() == self.PRESET_HASHES[label]
 
+    # the coupling keys each model takes and the ones a sweep may vary,
+    # written out apart from the parameter dataclasses that declare them
+    PARAM_KEYS = {
+        "aah": {"j2", "jzz", "jz", "omega"},
+        "xxx": {"j2", "jzz", "jz", "omega", "jxxx"},
+        "xx": {"jxx", "jyy", "jzz", "jz", "omega"},
+        "pxp": {"omega_rabi"},
+    }
+    SWEEPABLE = {
+        "aah": {"jz", "jzz"},
+        "xxx": {"jxxx", "jz", "jzz"},
+        "xx": {"jxx", "jyy", "jz", "jzz"},
+        "pxp": set(),
+    }
+    COUPLINGS = sorted(set().union(*PARAM_KEYS.values()))
+
+    @pytest.mark.parametrize("model", sorted(PARAM_KEYS))
+    @pytest.mark.parametrize("key", COUPLINGS)
+    def test_params_take_exactly_the_model_couplings(self, model, key):
+        raw = dict(TINY_CONFIG, model=model, params={key: 0.5})
+        if key in self.PARAM_KEYS[model]:
+            assert validate_config(raw).params == {key: 0.5}
+        else:
+            with pytest.raises(ConfigError, match=rf"^config\.params: unknown keys \['{key}'\]"):
+                validate_config(raw)
+
+    @pytest.mark.parametrize("model", sorted(SWEEPABLE))
+    @pytest.mark.parametrize("key", COUPLINGS)
+    def test_sweep_varies_exactly_the_sweepable_couplings(self, model, key):
+        raw = dict(TINY_CONFIG, model=model, params={}, analyses=["bands"],
+                   sweep={"parameter": key, "start": 0.5, "stop": 0.7, "points": 3})
+        if key in self.SWEEPABLE[model]:
+            assert validate_config(raw).sweep.parameter == key
+        else:
+            with pytest.raises(ConfigError, match=r"^config\.sweep\.parameter: cannot sweep"):
+                validate_config(raw)
+
+    @pytest.mark.parametrize("model, key, value", [
+        ("aah", "j2", 0), ("aah", "j2", -1), ("xxx", "j2", 0), ("xxx", "j2", -1),
+        ("pxp", "omega_rabi", 0),
+    ])
+    def test_energy_unit_must_be_positive(self, model, key, value):
+        raw = dict(TINY_CONFIG, model=model, params={key: value})
+        with pytest.raises(ConfigError, match=rf"^config\.params\.{key}: must be positive"):
+            validate_config(raw)
+
 
 class TestRunner:
     def test_tiny_run_produces_outputs(self, tmp_path):

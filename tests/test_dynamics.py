@@ -7,6 +7,7 @@ from conftest import (
     make_channel,
     random_density_matrix,
     random_product_density,
+    renyi2_qmi,
 )
 from resetchannel.channel import KrausSet, apply_channel
 from resetchannel.config import preset_config
@@ -19,7 +20,6 @@ from resetchannel.dynamics import (
     magnetization_trajectory,
     phase_scan,
     qmi_trajectory,
-    renyi2_qmi,
     scar_candidates,
     scar_overlap_avg,
 )
@@ -42,7 +42,8 @@ def per_mode_overlaps(spectrum, psi, layout):
     N_s |v^dag R_k v| / |v|^2: the oracle for the all-modes product."""
     v = bath_vacuum_projection(psi, layout)
     norm2 = float(np.real(v.conj() @ v))
-    return np.array([layout.dim_s * abs(v.conj() @ spectrum.right_operator(k) @ v) / norm2
+    d = layout.dim_s
+    return np.array([d * abs(v.conj() @ spectrum.right[:, k].reshape(d, d) @ v) / norm2
                      for k in range(spectrum.dim)])
 
 
@@ -71,10 +72,10 @@ class TestEigenOverlap:
         layout = ChainLayout(2, 2, constrained=True)
         basis = ConstrainedBasis(4)
         psi = np.zeros(basis.dim)
-        psi[basis.index[0b0100]] = 1.0  # system |01>, bath |00>
+        psi[basis.states.index(0b0100)] = 1.0  # system |01>, bath |00>
         v = bath_vacuum_projection(psi, layout)
         sys_basis = ConstrainedBasis(2)
-        assert v[sys_basis.index[0b01]] == 1.0
+        assert v[sys_basis.states.index(0b01)] == 1.0
         assert np.sum(np.abs(v)) == 1.0
 
     def test_vanishing_projection_is_error(self):
@@ -84,9 +85,9 @@ class TestEigenOverlap:
             eigen_overlap(pure_mode(np.array([1.0, 0.0])), psi, layout)
 
     def test_chaotic_bulk_near_unity(self, chaotic_channel, chaotic_reversal_spectrum):
-        from resetchannel.hamiltonians import AahParams, XxxParams, build_xxx
+        from resetchannel.hamiltonians import XxxParams, build_xxx
 
-        h = build_xxx(XxxParams(AahParams(jzz=0.1, jz=0.1), 2.0), 8)
+        h = build_xxx(XxxParams(jzz=0.1, jz=0.1, jxxx=2.0), 8)
         _, vecs = hermitian_eigensystem(h)
         layout = chaotic_channel.layout
         psi = vecs[:, vecs.shape[1] // 2]
@@ -129,7 +130,7 @@ class TestScars:
     def test_entropy_of_product_state_is_zero(self):
         basis = ConstrainedBasis(4)
         vec = np.zeros(basis.dim)
-        vec[basis.index[0b0101]] = 1.0
+        vec[basis.states.index(0b0101)] = 1.0
         assert abs(half_chain_renyi2(vec, basis)) < 1e-12
 
     def test_scar_average_of_equal_overlaps(self):

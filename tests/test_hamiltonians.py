@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import projector0_on_site, total_sz
 from resetchannel.hamiltonians import (
     AahParams,
     ConstrainedBasis,
@@ -15,7 +16,7 @@ from resetchannel.hamiltonians import (
     magnetization_sectors,
 )
 from resetchannel.channel import Propagator, joint_index_table
-from resetchannel.spin_ops import ChainLayout, DenseOperator, projector0_on_site, total_sz
+from resetchannel.spin_ops import ChainLayout, DenseOperator
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -72,8 +73,8 @@ class TestKronOracle:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_xxx(self, n):
-        p = XxxParams(AahParams(jzz=0.1, jz=0.1), 2.0)
-        expected = kron_model(n, 1.0, 1.0, 0.1, 0.1, p.aah.omega, jxxx=2.0)
+        p = XxxParams(jzz=0.1, jz=0.1, jxxx=2.0)
+        expected = kron_model(n, 1.0, 1.0, 0.1, 0.1, p.omega, jxxx=2.0)
         assert np.array_equal(build_xxx(p, n).mat, expected)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -117,16 +118,16 @@ class TestAah:
 
 class TestXxx:
     def test_reduces_to_aah(self):
-        params = XxxParams(AahParams(jzz=0.2, jz=0.4), 0.0)
-        assert np.array_equal(build_xxx(params, 4).mat, build_aah(params.aah, 4).mat)
+        params = XxxParams(jzz=0.2, jz=0.4, jxxx=0.0)
+        assert np.array_equal(build_xxx(params, 4).mat, build_aah(params, 4).mat)
 
     def test_three_site_term_matches_kron_oracle(self):
-        h = build_xxx(XxxParams(AahParams(j2=1e-30), 1.0), 3).mat
+        h = build_xxx(XxxParams(j2=1e-30, jxxx=1.0), 3).mat
         expected = np.kron(np.kron(SX, SX), SX)
         assert np.allclose(h, expected, atol=1e-12)
 
     def test_breaks_magnetization_conservation(self):
-        h = build_xxx(XxxParams(AahParams(jzz=0.1, jz=0.1), 2.0), 6).mat
+        h = build_xxx(XxxParams(jzz=0.1, jz=0.1, jxxx=2.0), 6).mat
         assert comm_norm(h, total_sz(6).mat) > 0.1
 
 
@@ -183,9 +184,10 @@ class TestConstrainedBasis:
             assert np.array_equal(joint_states[table[b, s]],
                                   (sys_states[s] << layout.n_b) | bath_states[b])
         table = joint_index_table(ChainLayout(2, 2, True))
-        pair = ConstrainedBasis(2).index
-        assert table[pair[0b10], pair[0b01]] == -1
-        assert table[pair[0b10], pair[0b10]] == ConstrainedBasis(4).index[0b1010]
+        pair = ConstrainedBasis(2).states
+        assert table[pair.index(0b10), pair.index(0b01)] == -1
+        assert (table[pair.index(0b10), pair.index(0b10)]
+                == ConstrainedBasis(4).states.index(0b1010))
 
 
 class TestPxp:
@@ -216,7 +218,7 @@ class TestPxp:
         n = 4
         basis = ConstrainedBasis(n)
         h_full = kron_pxp(1.0, n)
-        outside = [b for b in range(2 ** n) if b not in basis.index]
+        outside = [b for b in range(2 ** n) if b not in basis.states]
         assert np.allclose(h_full[np.ix_(outside, basis.states)], 0.0)
 
 
@@ -279,7 +281,7 @@ SECTOR_CASES = {
     "aah-7": lambda: build_aah(AahParams(jzz=0.3, jz=0.1), 7),
     "aah-7-fig8": lambda: build_aah(AahParams(jzz=0.1, jz=0.1), 7),
     "aah-8": lambda: build_aah(AahParams(jzz=0.3, jz=0.1), 8),
-    "xxx-jxxx-0": lambda: build_xxx(XxxParams(AahParams(jzz=0.1, jz=0.1), 0.0), 8),
+    "xxx-jxxx-0": lambda: build_xxx(XxxParams(jzz=0.1, jz=0.1, jxxx=0.0), 8),
 }
 
 
@@ -316,7 +318,7 @@ class TestSectorEigensystem:
     @pytest.mark.parametrize("case", ["xxx-jxxx-2", "pxp", "complex"])
     def test_other_hamiltonians_take_one_full_solve(self, case, monkeypatch):
         if case == "xxx-jxxx-2":
-            h = build_xxx(XxxParams(AahParams(jzz=0.1, jz=0.1), 2.0), 8)
+            h = build_xxx(XxxParams(jzz=0.1, jz=0.1, jxxx=2.0), 8)
         elif case == "pxp":
             h = build_pxp(PxpParams(), 10)
         else:

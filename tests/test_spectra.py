@@ -62,7 +62,7 @@ class TestFullSpectrum:
         kraus = kraus_from_unitary(swap_unitary(), ChainLayout(1, 1))
         spec = full_spectrum(superoperator_matrix(kraus))
         assert np.allclose(sorted(np.abs(spec.eigenvalues)), [0, 0, 0, 1])
-        top = spec.right_operator(0)
+        top = spec.right[:, 0].reshape(2, 2)
         assert abs(spec.eigenvalues[0] - 1.0) < 1e-12
         expected = np.diag([1.0, 0.0])
         phase = np.vdot(expected, top)
@@ -74,7 +74,7 @@ class TestFullSpectrum:
 
     def test_right_eigenoperators_unit_norm(self, small_spectrum):
         for k in range(small_spectrum.dim):
-            assert abs(np.linalg.norm(small_spectrum.right_operator(k)) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(small_spectrum.right[:, k].reshape(4, 4)) - 1.0) < 1e-12
 
     def test_biorthonormality(self, small_spectrum):
         gram = small_spectrum.left @ small_spectrum.right
@@ -91,7 +91,7 @@ class TestFullSpectrum:
         assert np.linalg.norm(recon - superoperator_matrix(small_channel).mat) < 1e-6
 
     def test_fixed_point_mode_is_state(self, small_spectrum):
-        top = small_spectrum.right_operator(0)
+        top = small_spectrum.right[:, 0].reshape(4, 4)
         assert abs(small_spectrum.eigenvalues[0] - 1.0) < 1e-8
         rho = (top + top.conj().T) / 2
         rho /= np.trace(rho)

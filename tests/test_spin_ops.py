@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import pauli_on_site, projector0_on_site, total_sz
 from resetchannel import hamiltonians
 from resetchannel.hamiltonians import (
     AahParams,
@@ -20,12 +21,9 @@ from resetchannel.spin_ops import (
     ghz_state,
     neel_state,
     partial_trace,
-    pauli_on_site,
     pauli_sum,
     product_state,
-    projector0_on_site,
     site_signs,
-    total_sz,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -138,7 +136,7 @@ class TestCachedPauliSum:
             c = rng.uniform(-2.0, 2.0, size=5)
             for n in (3, 6, 8):
                 build_aah(AahParams(j2=abs(c[0]), jzz=c[1], jz=c[2]), n)
-                build_xxx(XxxParams(AahParams(jzz=c[1], jz=c[2]), c[3]), n)
+                build_xxx(XxxParams(jzz=c[1], jz=c[2], jxxx=c[3]), n)
                 build_xx(XxParams(jxx=c[0], jyy=c[3], jzz=c[1], jz=c[2], omega=c[4]), n)
                 build_pxp(PxpParams(omega_rabi=abs(c[4])), n)
             # single-valued couplings drop terms, which changes the structure
