@@ -19,6 +19,7 @@ from .spectra import (
     SPLIT_TOL_FACTOR,
     relative_tolerance,
     sorted_eig,
+    sorted_eigvals,
 )
 # full_spectrum is not called here; the benchmark's span tracer
 # (benchmarks/spans.py) wraps it under this module's name
@@ -26,6 +27,9 @@ from .spectra import full_spectrum  # noqa: F401
 
 MAX_BISECTIONS = 64
 PROBE_MODES = 6              # eigenvalues a shift-invert probe solves for
+KRYLOV_MAX = 64              # Arnoldi steps before a probe gives up
+KRYLOV_RTOL = 1e-12          # Ritz residual, relative to |mu|, that a probe accepts
+KRYLOV_CHECK = 4             # Arnoldi steps between two Ritz solves
 # The sqrt fit's probe ladder: it starts FIT_START_WIDTHS EP bracket widths
 # above J*, so the localization error stays small against the offsets (or it
 # biases the fitted slope low), and grows by FIT_LADDER per probe.
@@ -63,27 +67,55 @@ def _certified_probe(lam: np.ndarray, radius: float, sigma: complex,
 
 def _near_solve(mat: np.ndarray, sigma: complex) -> tuple[np.ndarray, float] | None:
     """The ``PROBE_MODES`` eigenvalues of ``mat`` nearest ``sigma``, by
-    shift-invert Arnoldi (ARPACK), and the radius about ``sigma`` they lie
-    within; None when the matrix is too small for ARPACK (it needs
-    k < n - 1) or the solve fails. A real ``mat`` with a real ``sigma``
-    takes ARPACK's real mode, with a real LU of ``mat - sigma``."""
+    shift-invert Arnoldi, and the radius about ``sigma`` they lie within;
+    None when the matrix is too small for a probe, ``mat - sigma`` is
+    singular, or the Ritz values do not converge within ``KRYLOV_MAX`` steps.
+
+    The Krylov space of (mat - sigma)^-1 grows from a fixed start vector,
+    each new vector orthogonalized by classical Gram-Schmidt done twice.
+    Every ``KRYLOV_CHECK`` steps the Ritz values mu of the Hessenberg matrix
+    are solved; the ``PROBE_MODES`` largest |mu| are accepted once each
+    Ritz pair's residual |h_{m+1,m} y_m| is at most ``KRYLOV_RTOL`` |mu|
+    (ARPACK's test), and give lambda = sigma + 1/mu. A space that reaches
+    the full dimension, or breaks down earlier, is invariant and its Ritz
+    values are exact. A real ``mat`` with a real ``sigma`` stays in real
+    arithmetic, so the Ritz values come in exact conjugate pairs.
+    """
     n = mat.shape[0]
     if n <= PROBE_MODES + 2:
         return None
-    # imported here: only EP probes need ARPACK, and its import is most of
-    # the package's start-up
-    from scipy.sparse.linalg import ArpackError, eigs
-
-    # a fixed start vector: ARPACK's own random state persists across calls
-    v0 = np.random.default_rng(0).standard_normal((2, n))
-    v0 = v0[0] + 1j * v0[1] if np.iscomplexobj(mat) else v0[0]
     try:
-        lam = eigs(mat, k=PROBE_MODES, sigma=sigma, v0=v0, return_eigenvectors=False)
-    except ArpackError:  # includes ArpackNoConvergence
+        op = np.linalg.inv(mat - sigma * np.eye(n))
+    except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(lam)):
-        return None
-    return lam, float(np.max(np.abs(lam - sigma)))
+    start = np.random.default_rng(0).standard_normal((2, n))
+    start = start[0] + 1j * start[1] if np.iscomplexobj(op) else start[0]
+    steps = min(KRYLOV_MAX, n)
+    basis = np.zeros((steps + 1, n), dtype=op.dtype)    # orthonormal rows
+    hess = np.zeros((steps + 1, steps), dtype=op.dtype)
+    basis[0] = start / np.linalg.norm(start)
+    for j in range(steps):
+        w = op @ basis[j]
+        done = basis[:j + 1]
+        for _ in range(2):
+            h = done.conj() @ w
+            w -= h @ done
+            hess[:j + 1, j] += h
+        m = j + 1
+        beta = 0.0 if m == n else float(np.linalg.norm(w))
+        if m >= PROBE_MODES and (m % KRYLOV_CHECK == 0 or m == steps or beta == 0.0):
+            mu, y = np.linalg.eig(hess[:m, :m])
+            top = np.argsort(-np.abs(mu))[:PROBE_MODES]
+            if np.all(beta * np.abs(y[-1, top]) <= KRYLOV_RTOL * np.abs(mu[top])):
+                lam = sigma + 1.0 / mu[top]
+                if not np.all(np.isfinite(lam)):
+                    return None
+                return lam, float(np.max(np.abs(lam - sigma)))
+        if beta == 0.0:
+            return None
+        hess[m, j] = beta
+        basis[m] = w / beta
+    return None
 
 
 @dataclass
@@ -117,7 +149,7 @@ class SweepGrid:
 
         A guess is answered by a shift-invert Arnoldi solve at sigma =
         mean(guess) when that certifies the answer (:func:`_certified_probe`);
-        otherwise, and when ARPACK fails, by the full ``eigvals`` of the same
+        otherwise, and when that solve fails, by the full ``eigvals`` of the same
         matrix, which is solved at most once and then answers every later
         guess. A real matrix stays real: sigma is Re mean(guess), and both
         solves run in real arithmetic, so the eigenvalues they return come
@@ -148,7 +180,9 @@ class SweepGrid:
 @dataclass
 class SweepResult:
     """Eigenvalues per grid point, in :func:`sorted_eig` order (that of
-    :func:`full_spectrum`); ``None`` where the point failed."""
+    :func:`full_spectrum`); ``None`` where the point failed. A complex
+    point holds :func:`sorted_eig`'s bits, a real one
+    :func:`sorted_eigvals`'."""
 
     grid: SweepGrid
     eigenvalues: list[np.ndarray | None]
@@ -210,12 +244,15 @@ class JordanChain:
 
 def sweep_spectrum(grid: SweepGrid, n_workers: int = 1) -> SweepResult:
     """Eigenvalues at every grid point; per-point failures are recorded and
-    the sweep continues. A real matrix is solved in real arithmetic, so its
-    eigenvalues come in exact conjugate pairs."""
+    the sweep continues. A real matrix is solved by ``eigvals`` alone, in
+    real arithmetic, so its eigenvalues come in exact conjugate pairs. A
+    complex one keeps :func:`sorted_eig`, whose bits the ``sweep`` grid's
+    outputs pin."""
 
     def one(value: float):
         try:
-            return sorted_eig(grid.build(value))[0], None
+            mat = grid.build(value)
+            return (sorted_eig(mat)[0] if np.iscomplexobj(mat) else sorted_eigvals(mat)), None
         except Exception as exc:  # sweep robustness: record and move on
             return None, f"{type(exc).__name__}: {exc}"
 

@@ -5,6 +5,7 @@ enabled analyses, and write deterministic CSV outputs plus a JSON manifest.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
 import platform
@@ -13,7 +14,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .channel import (
@@ -112,15 +112,45 @@ def spectral_matrix_factory(config: ExperimentConfig, parameter: str, real: bool
 OVERLAP_HEADER = ["mode", "abs_lambda", "xi", "reference"]
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# where a numpy wheel bundles its 64-bit-integer OpenBLAS
+NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+
+
+def _blas_runtime(libs: Path) -> dict:
+    """The thread count and configuration string (whose kernel is the one
+    picked on this machine, not the build's) of the OpenBLAS in ``libs``,
+    read from the loaded library; None for both, with the reason under
+    ``"unread"``, where there is none or it lacks the symbols. A library
+    ``lib<prefix>64_*`` exports ``<prefix>_get_num_threads64_`` and
+    ``<prefix>_get_config64_``."""
+    found = sorted(libs.glob("lib*openblas64_*"))
+    record = {"library": found[0].name if found else None, "threads": None,
+              "config": None, "unread": None}
+    try:
+        if not found:
+            raise OSError(f"no lib*openblas64_* in {libs}")
+        lib = ctypes.CDLL(str(found[0]))
+        prefix = found[0].name[len("lib"):found[0].name.index("64_")]
+        get_threads = getattr(lib, f"{prefix}_get_num_threads64_")
+        get_config = getattr(lib, f"{prefix}_get_config64_")
+    except (OSError, AttributeError) as exc:
+        record["unread"] = f"{type(exc).__name__}: {exc}"
+        return record
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+    record.update(threads=get_threads(), config=get_config().decode())
+    return record
 
 
 def _environment(n_workers: int) -> dict:
     """The settings that decide whether a run reproduces bit for bit: the
-    BLAS that numpy links, the BLAS thread variables as set (None when
-    unset) and the sweep worker count."""
+    BLAS that numpy links, as built and as it runs (:func:`_blas_runtime`),
+    the BLAS thread variables as set (None when unset) and the sweep worker
+    count."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
-        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "runtime": _blas_runtime(NUMPY_LIBS)},
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         "n_workers": n_workers,
     }
@@ -152,7 +182,6 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
         "versions": {
             "resetchannel": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
         "environment": _environment(n_workers),

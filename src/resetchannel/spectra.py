@@ -112,20 +112,37 @@ class SpectralStats:
     reference: TriangularLaw
 
 
+def _eig_order(vals: np.ndarray) -> np.ndarray:
+    """The one eigenvalue order: |lambda|, then Re, then Im, each descending."""
+    return np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
+
+
+def _finite(mat: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("channel matrix contains non-finite entries")
+    return mat
+
+
 def sorted_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of ``mat`` sorted by |lambda|, then Re, then Im, each
     descending, with the matching right eigenvectors as columns (not
     normalized).
 
-    :func:`full_spectrum` and the parameter sweeps both solve through here,
-    so a sweep point and the full spectrum of the same matrix give the same
-    eigenvalues in the same order, bit for bit.
+    :func:`full_spectrum` and the complex ``sweep`` grid both solve through
+    here, so a sweep point and the full spectrum of the same matrix give the
+    same eigenvalues in the same order, bit for bit.
     """
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("channel matrix contains non-finite entries")
-    vals, vecs = np.linalg.eig(mat)
-    order = np.lexsort((-vals.imag, -vals.real, -np.abs(vals)))
+    vals, vecs = np.linalg.eig(_finite(mat))
+    order = _eig_order(vals)
     return vals[order], vecs[:, order]
+
+
+def sorted_eigvals(mat: np.ndarray) -> np.ndarray:
+    """The eigenvalues of ``mat`` in :func:`sorted_eig` order, from
+    ``eigvals`` alone: no eigenvectors, so their bits may differ from
+    :func:`sorted_eig`'s in the last place."""
+    vals = np.linalg.eigvals(_finite(mat))
+    return vals[_eig_order(vals)]
 
 
 def full_spectrum(sop: SuperoperatorMatrix) -> Spectrum:

@@ -368,7 +368,16 @@ class TestRunner:
         manifest = run_experiment(validate_config(TINY_CONFIG), tmp_path, n_workers=2)
         env = manifest["environment"]
         assert set(env) == {"blas", "blas_threads", "n_workers"}
-        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["blas"]) == {"name", "version", "runtime"}
+        runtime = env["blas"]["runtime"]
+        assert set(runtime) == {"library", "threads", "config", "unread"}
+        if runtime["unread"] is None:
+            # read from the loaded library: its thread count and its
+            # run-time configuration, which names the kernel in use
+            assert isinstance(runtime["threads"], int) and runtime["threads"] >= 1
+            assert runtime["config"].startswith("OpenBLAS")
+        else:
+            assert runtime["threads"] is None and runtime["config"] is None
         assert set(env["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                             "MKL_NUM_THREADS"}
         assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
@@ -377,6 +386,17 @@ class TestRunner:
         assert manifest["warnings"] == []
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk["environment"] == env and on_disk["warnings"] == []
+
+    def test_blas_runtime_unread_records_none_with_reason(self, tmp_path):
+        record = runner._blas_runtime(tmp_path)
+        assert record["library"] is None and record["threads"] is None
+        assert record["config"] is None
+        assert record["unread"].startswith("OSError: no lib*openblas64_*")
+        (tmp_path / "libopenblas64_.so").write_text("not a shared library")
+        record = runner._blas_runtime(tmp_path)
+        assert record["library"] == "libopenblas64_.so"
+        assert record["threads"] is None and record["config"] is None
+        assert record["unread"].startswith("OSError")
 
     def test_run_warnings_go_to_manifest_and_are_reissued(self, tmp_path, monkeypatch):
         original = runner.count_complex
@@ -554,6 +574,9 @@ class TestRunner:
             assert index[label]["config_hash"] == config.config_hash(), label
             manifest = json.loads((out / "manifest.json").read_text())
             assert check.check_run(label, config, out, manifest, index) == [], label
+            runtime = manifest["environment"]["blas"]["runtime"]
+            # the thread count the library runs with, as pinned at start-up
+            assert runtime["threads"] == 1 or runtime["unread"] is not None
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = validate_config(TINY_CONFIG)

@@ -3,8 +3,10 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import eigs
 
+from resetchannel import ep_analysis
 from resetchannel.channel import SuperoperatorMatrix
 from resetchannel.ep_analysis import (
+    KRYLOV_MAX,
     PROBE_MODES,
     EpRecord,
     JordanChainError,
@@ -492,6 +494,68 @@ class TestProbe:
             assert (a.exponent, a.r2) == (b.exponent, b.r2)
             assert np.array_equal(a.deltas, b.deltas)
             assert np.array_equal(a.im_values, b.im_values)
+
+
+class TestNearSolve:
+    """The shift-invert Arnoldi solve of the probes against ARPACK and
+    against full ``eigvals``."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_matches_arpack_on_fig4_probes(self, real):
+        from resetchannel.config import preset_config
+        from resetchannel.runner import spectral_matrix_factory
+
+        build = spectral_matrix_factory(preset_config("fig4"), "jxxx", real=real)
+        # the eight probes of TestProbe.check_fig4_ep_grid
+        for j_star, lam_star in ((0.0025181274414062494, 0.52380340422807348),
+                                 (0.0034303588867187502, 0.46350063105477501)):
+            for d in (-1e-5, 3.7e-6, 1.5e-5, 6e-5):
+                mat = build(j_star + d)
+                sigma = lam_star if real else complex(lam_star)
+                lam, radius = _near_solve(mat, sigma)
+                v0 = np.random.default_rng(0).standard_normal((2, mat.shape[0]))
+                v0 = v0[0] if real else v0[0] + 1j * v0[1]
+                want = eigs(mat, k=PROBE_MODES, sigma=sigma, v0=v0, return_eigenvectors=False)
+                if real:
+                    # a conjugate pair split at the disc's edge may keep
+                    # either half: compare Re + i|Im|
+                    lam, want = lam.real + 1j * np.abs(lam.imag), want.real + 1j * np.abs(want.imag)
+                assert lam.size == PROBE_MODES
+                assert max(np.min(np.abs(want - x)) for x in lam) <= 1e-10
+                assert max(np.min(np.abs(lam - x)) for x in want) <= 1e-10
+                assert abs(radius - np.max(np.abs(want - sigma))) <= 1e-10
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_small_matrix_gives_exact_eigenvalues(self, real):
+        # n < KRYLOV_MAX: the Krylov space fills the whole space, which is
+        # invariant, so the Ritz values are the eigenvalues nearest sigma
+        n = 24
+        assert n < KRYLOV_MAX
+        mat = random_family(n=n)(0.3)
+        mat = mat.real if real else mat
+        sigma = 0.1 if real else 0.1 + 0.05j
+        lam, radius = _near_solve(mat, sigma)
+        full = np.linalg.eigvals(mat)
+        want = full[np.argsort(np.abs(full - sigma))[:PROBE_MODES]]
+        if real:  # either half of a pair at the disc's edge
+            lam, want = lam.real + 1j * np.abs(lam.imag), want.real + 1j * np.abs(want.imag)
+        assert lam.size == PROBE_MODES
+        assert max(np.min(np.abs(want - x)) for x in lam) <= 1e-12
+        assert abs(radius - np.max(np.abs(want - sigma))) <= 1e-12
+
+    def test_unconverged_solve_falls_back_to_full_solve(self, monkeypatch):
+        build = random_family()
+        lam = np.linalg.eigvals(build(0.5))
+        guess = lam[np.argsort(np.abs(lam - 0.2))[:2]] + 1e-3
+        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
+        assert_probe_matches_full_solve(grid, 0.5, [guess], 1e-6)
+        assert grid.probe_counts == {"near": 1, "full": 0}
+        # too few steps for the Ritz values to converge
+        monkeypatch.setattr(ep_analysis, "KRYLOV_MAX", PROBE_MODES + 2)
+        assert _near_solve(build(0.5), complex(np.mean(guess))) is None
+        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
+        assert_probe_matches_full_solve(grid, 0.5, [guess], 1e-6)
+        assert grid.probe_counts == {"near": 0, "full": 1}
 
 
 class TestJordan:

@@ -1,5 +1,5 @@
-"""Start-up footprint: importing the package and running analyses that need
-no EP probe load neither ARPACK nor scipy's optimizers or dense linalg.
+"""Start-up footprint: importing the package and running any analysis, the
+EP probes included, loads no scipy module at all.
 
 Each check runs in a fresh interpreter, because this test session has
 already imported ``scipy.stats`` (and with it the modules checked here).
@@ -18,26 +18,27 @@ import resetchannel
 SRC = Path(resetchannel.__file__).resolve().parents[1]
 
 # loads the package, runs each named config in order and prints, after the
-# import and after each run, which deferred scipy modules are loaded
+# import and after each run, which scipy modules are loaded; then imports
+# the modules named in argv[2], the positive control
 PROBE = """
-import json, sys, tempfile
+import importlib, json, sys, tempfile
 import resetchannel
 from resetchannel.config import validate_config
 from resetchannel.runner import run_experiment
 
-DEFERRED = ("scipy.sparse", "scipy.optimize", "scipy.linalg")
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-def deferred_loaded():
-    return sorted(m for m in sys.modules
-                  if any(m == p or m.startswith(p + ".") for p in DEFERRED))
-
-report = {"import": {"loaded": deferred_loaded()}}
+report = {"import": {"loaded": scipy_loaded()}}
 with tempfile.TemporaryDirectory() as tmp:
     for label, raw in json.loads(sys.argv[1]):
         manifest = run_experiment(validate_config(raw), f"{tmp}/{label}")
-        report[label] = {"loaded": deferred_loaded(),
+        report[label] = {"loaded": scipy_loaded(),
                          "ep_probes": manifest.get("ep_probes"),
                          "failures": manifest["failures"]}
+for module in json.loads(sys.argv[2]):
+    importlib.import_module(module)
+report["control"] = {"loaded": scipy_loaded()}
 print(json.dumps(report))
 """
 
@@ -58,18 +59,18 @@ EP_RUN = ("ep", dict(CHAIN, layout={"n_s": 3, "n_b": 3}, time=50.0, analyses=["e
                                       "resolution": 1e-6, "max_eps": 2}))
 
 
-def _probe(runs) -> dict:
+def _probe(runs, control) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-c", PROBE, json.dumps(runs)], env=env,
-                         capture_output=True, text=True, timeout=300)
+    res = subprocess.run([sys.executable, "-c", PROBE, json.dumps(runs), json.dumps(control)],
+                         env=env, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout.splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
 def report():
-    return _probe(NO_EP_RUNS + [EP_RUN])
+    return _probe(NO_EP_RUNS + [EP_RUN], ["scipy.sparse.linalg"])
 
 
 def test_import_loads_no_deferred_scipy_module(report):
@@ -82,9 +83,13 @@ def test_run_without_ep_loads_no_deferred_scipy_module(report, label):
     assert report[label]["loaded"] == []
 
 
-def test_ep_run_loads_arpack(report):
-    # positive control: the probe would notice a deferred import
+def test_ep_run_loads_no_scipy_module(report):
     ep = report["ep"]
     assert ep["failures"] == []
     assert ep["ep_probes"]["near"] > 0
-    assert "scipy.sparse.linalg" in ep["loaded"]
+    assert ep["loaded"] == []
+
+
+def test_probe_reports_an_imported_scipy_module(report):
+    # positive control: the probe notices a scipy module the process imports
+    assert "scipy.sparse.linalg" in report["control"]["loaded"]
