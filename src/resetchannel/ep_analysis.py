@@ -210,7 +210,6 @@ class BandTrack:
 class EpRecord:
     """A localized exceptional point of a coalescing band pair."""
 
-    parameter: str
     j_star: float
     lambda_star: complex
     band_pair: tuple[int, int]
@@ -378,7 +377,7 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float,
             band_pairs.append((k, partner))
         records += _bisect_pairs(
             grid, float(track.grid_values[g]), float(track.grid_values[g + 1]),
-            track.bands[g + 1], band_pairs, tol_im, resolution, track.parameter,
+            track.bands[g + 1], band_pairs, tol_im, resolution,
         )
         if max_eps is not None and len(records) >= max_eps:
             return records
@@ -386,8 +385,8 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float,
 
 
 def _bisect_pairs(grid: SweepGrid, lo: float, hi: float, bands_hi: np.ndarray,
-                  band_pairs: list[tuple[int, int]], tol_im: float, resolution: float,
-                  parameter: str) -> list[EpRecord]:
+                  band_pairs: list[tuple[int, int]], tol_im: float,
+                  resolution: float) -> list[EpRecord]:
     """Bisect the EP of each band pair, a conjugate pair in ``bands_hi`` at
     ``hi``, within [lo, hi]. Each pair keeps its own bracket; each round
     makes one probe per distinct midpoint, answering every pair that bisects
@@ -407,7 +406,6 @@ def _bisect_pairs(grid: SweepGrid, lo: float, hi: float, bands_hi: np.ndarray,
     # a pair still active after the last round used every bisection
     return [
         EpRecord(
-            parameter=parameter,
             j_star=0.5 * (b_lo + b_hi),
             lambda_star=complex(pair.mean()),
             band_pair=band_pair,

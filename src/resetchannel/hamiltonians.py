@@ -9,11 +9,10 @@ for PXP); hbar = 1. Chains are open.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cache
 
 import numpy as np
 
-from .spin_ops import DenseOperator, fibonacci_basis_tag, pauli_sum, qubit_basis
+from .spin_ops import DenseOperator, fibonacci_basis_tag, pauli_sum, qubit_basis, site_signs
 
 GOLDEN_OMEGA = 2 * np.pi * (np.sqrt(5) - 1) / 2  # inverse golden ratio modulation
 HERMITIAN_RTOL = 1e-10  # |H - H^dag| relative to max(|H|, 1)
@@ -145,53 +144,28 @@ def build_pxp(params: PxpParams, n_sites: int) -> DenseOperator:
     return DenseOperator(pauli_sum(terms, n_sites, cb.states), cb.tag)
 
 
-@dataclass(frozen=True)
-class MagnetizationSectors:
-    """The qubit basis of a chain grouped by total S_z: sector k, the basis
-    indices with k 1 bits in ascending order, is ``order[lo:hi]`` for
-    ``(lo, hi) = spans[k]``. ``same_size`` groups the sector numbers by
-    size, C(n, k) = C(n, n - k), for stacked solves."""
+def _sector_eigensystem(h: np.ndarray, n_sites: int):
+    """Eigensystem of a real symmetric ``h`` on the qubit basis of ``n_sites``
+    sites, solved one total-S_z sector at a time, or None when an entry
+    between two different sectors is not exactly zero.
 
-    order: np.ndarray
-    spans: tuple[tuple[int, int], ...]
-    same_size: tuple[tuple[int, ...], ...]
-
-
-@cache
-def magnetization_sectors(n_sites: int) -> MagnetizationSectors:
-    """Made once per chain size and read-only."""
-    labels = np.array([bin(b).count("1") for b in range(2 ** n_sites)])
-    order = np.argsort(labels, kind="stable")
-    order.flags.writeable = False
-    bounds = np.searchsorted(labels[order], np.arange(n_sites + 2)).tolist()
-    spans = tuple(zip(bounds[:-1], bounds[1:]))
-    same_size: dict[int, tuple[int, ...]] = {}
-    for k, (lo, hi) in enumerate(spans):
-        same_size[hi - lo] = same_size.get(hi - lo, ()) + (k,)
-    return MagnetizationSectors(order, spans, tuple(same_size.values()))
-
-
-def _sector_eigensystem(h: np.ndarray, sectors: MagnetizationSectors):
-    """Eigensystem of a real symmetric ``h`` solved sector by sector, or
-    None when an entry between two different sectors is not exactly zero."""
-    members = [sectors.order[lo:hi] for lo, hi in sectors.spans]
+    Sectors go in ascending count of 1 bits, each with its states in
+    ascending index, and the stable sort keeps that order among equal
+    energies.
+    """
+    ones = (n_sites - site_signs(np.arange(len(h)), n_sites).sum(axis=0)) // 2
+    members = [np.flatnonzero(ones == k) for k in range(n_sites + 1)]
     blocks = [h[np.ix_(idx, idx)] for idx in members]
     if np.count_nonzero(h) != sum(np.count_nonzero(b) for b in blocks):
         return None
-    dim = len(sectors.order)
-    vals = np.empty(dim)  # in sector order
-    vecs = [None] * len(blocks)
-    for ks in sectors.same_size:
-        block_vals, block_vecs = np.linalg.eigh(np.stack([blocks[k] for k in ks]))
-        for k, w, v in zip(ks, block_vals, block_vecs):
-            lo, hi = sectors.spans[k]
-            vals[lo:hi], vecs[k] = w, v
+    solved = [np.linalg.eigh(b) for b in blocks]
+    vals = np.concatenate([w for w, _ in solved])  # in sector order
     ascending = np.argsort(vals, kind="stable")
-    column = np.empty(dim, dtype=int)
-    column[ascending] = np.arange(dim)
-    out = np.zeros((dim, dim))
-    for idx, (lo, hi), v in zip(members, sectors.spans, vecs):
-        out[np.ix_(idx, column[lo:hi])] = v
+    column = np.argsort(ascending)  # where each sector-order pair lands
+    out, lo = np.zeros(h.shape), 0
+    for idx, (_, v) in zip(members, solved):
+        out[np.ix_(idx, column[lo:lo + len(idx)])] = v
+        lo += len(idx)
     return vals[ascending], out
 
 
@@ -205,10 +179,10 @@ def hermitian_eigensystem(h: DenseOperator, real: bool = False):
     then agrees with the complex solve to rounding, not bit for bit. Any
     other matrix takes the complex solve whatever ``real`` says. A real
     solve on a qubit basis whose entries between different total-S_z
-    sectors are all exactly zero solves each sector on its own (see
-    :func:`magnetization_sectors`), with the eigenvectors embedded in the
-    full basis; no tolerance decides that, so a Hamiltonian that breaks the
-    symmetry by any amount takes the full solve.
+    sectors are all exactly zero solves each sector on its own, with the
+    eigenvectors embedded in the full basis; no tolerance decides that, so
+    a Hamiltonian that breaks the symmetry by any amount takes the full
+    solve.
     """
     exactly_real = not np.any(h.mat.imag)
     # an exactly real H is Hermitian when its real part is symmetric
@@ -220,7 +194,7 @@ def hermitian_eigensystem(h: DenseOperator, real: bool = False):
     real = real and exactly_real
     n_sites = h.dim.bit_length() - 1  # of a qubit basis, whose dim is 2**n_sites
     if real and h.basis == qubit_basis(n_sites) and h.dim == 1 << n_sites:
-        solved = _sector_eigensystem(mat, magnetization_sectors(n_sites))
+        solved = _sector_eigensystem(mat, n_sites)
         if solved is not None:
             return solved
     vals, vecs = np.linalg.eigh(mat if real else h.mat)

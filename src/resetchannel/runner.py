@@ -56,7 +56,7 @@ from .spectra import (
     full_spectrum,
     magnitude_histogram,
     outlier_threshold,
-    sorted_eig,
+    sorted_eigvals,
 )
 from .spin_ops import ChainLayout
 
@@ -286,8 +286,7 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, eigensystem,
                           ["index", "re", "im", "abs", "residual", "is_real", "is_outlier"], rows)
 
     if analysis == "histogram":
-        stats = magnitude_histogram(spectrum, bins=config.histogram_bins,
-                                    cluster_window=config.cluster_window)
+        stats = magnitude_histogram(spectrum, bins=config.histogram_bins)
         edges = stats.bin_edges
         rows = zip(edges[:-1], edges[1:], stats.densities,
                    stats.reference.pdf(0.5 * (edges[:-1] + edges[1:])))
@@ -385,7 +384,7 @@ def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,
         if on_grid.size:
             iso_count = counts[on_grid[0]]
         else:
-            iso_count = count_complex(sorted_eig(sweep.grid.build(iso_value))[0])
+            iso_count = count_complex(sorted_eigvals(sweep.grid.build(iso_value)))
         header.append("n_complex_isotropic")
         rows = [row + [iso_count] for row in rows]
     return _write_csv(out, "complex_count.csv", header, rows)

@@ -107,8 +107,6 @@ class SpectralStats:
     densities: np.ndarray
     real_fraction: float
     ks_distance: float
-    cluster: list["ClusterMode"]
-    cluster_window: float
     reference: TriangularLaw
 
 
@@ -240,8 +238,7 @@ def ks_distance(samples: np.ndarray, law: TriangularLaw) -> float:
     return float(max(np.max(np.abs(emp_hi - ref)), np.max(np.abs(emp_lo - ref))))
 
 
-def magnitude_histogram(spectrum: Spectrum, bins: int = 60,
-                        cluster_window: float = 0.15) -> SpectralStats:
+def magnitude_histogram(spectrum: Spectrum, bins: int = 60) -> SpectralStats:
     """Histogram of |lambda| (probability density per unit magnitude) plus
     regime diagnostics; outliers are excluded from the KS comparison."""
     if bins < 10:
@@ -261,8 +258,6 @@ def magnitude_histogram(spectrum: Spectrum, bins: int = 60,
         densities=densities,
         real_fraction=float(np.mean(np.abs(lam.imag) <= tol)),
         ks_distance=ks_distance(bulk, law),
-        cluster=minus_one_cluster(spectrum, cluster_window),
-        cluster_window=cluster_window,
         reference=law,
     )
 

@@ -334,7 +334,7 @@ class TestLocateEps:
             return np.array([[0.5, s], [-s, 0.5]], dtype=complex)
 
         grid = SweepGrid("j", np.linspace(0.0, 0.01, 5), build)
-        rec = EpRecord("j", 0.0, 0.5 + 0j, (0, 1), (0.0, 1e-6))
+        rec = EpRecord(0.0, 0.5 + 0j, (0, 1), (0.0, 1e-6))
         tol_im = split_tol(np.linalg.eigvals(build(0.0)))
         fit = fit_sqrt_exponent(grid, rec, tol_im)
         assert abs(fit.exponent - 0.5) < 1e-6
@@ -345,7 +345,7 @@ class TestLocateEps:
             return np.diag([0.5, 0.4]).astype(complex)  # never complex
 
         grid = SweepGrid("j", np.linspace(0.0, 0.01, 3), build)
-        rec = EpRecord("j", 0.0, 0.45 + 0j, (0, 1), (0.0, 1e-6))
+        rec = EpRecord(0.0, 0.45 + 0j, (0, 1), (0.0, 1e-6))
         with pytest.raises(ValueError, match="probe points"):
             fit_sqrt_exponent(grid, rec, split_tol(np.linalg.eigvals(build(0.0))))
 
