@@ -8,10 +8,7 @@ repeated application.
 __version__ = "0.1.0"
 
 from .spin_ops import (
-    BasisMismatchError,
     ChainLayout,
-    DenseOperator,
-    PureState,
     ghz_state,
     neel_state,
     partial_trace,

@@ -13,7 +13,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .hamiltonians import ConstrainedBasis, hermitian_eigensystem
-from .spin_ops import ChainLayout, DenseOperator, site_signs
+from .spin_ops import ChainLayout, site_signs
 
 UNITARITY_ATOL = 1e-9
 COMPLETENESS_ATOL = 1e-9
@@ -34,7 +34,6 @@ class Propagator:
     vals: np.ndarray
     vecs: np.ndarray = field(repr=False)
     t: float
-    basis: str
     unitarity_deviation: float = field(default=0.0, init=False)
 
     def __post_init__(self):
@@ -97,12 +96,12 @@ class SuperoperatorMatrix:
         return int(round(np.sqrt(self.mat.shape[0])))
 
 
-def propagate(h: DenseOperator, t: float, real: bool = False) -> Propagator:
+def propagate(h: np.ndarray, t: float, real: bool = False) -> Propagator:
     """exp(-i H t) as the Hermitian eigensystem of H, solved in real
     arithmetic when ``real`` and H is exactly real (see
     :func:`hermitian_eigensystem`)."""
     vals, vecs = hermitian_eigensystem(h, real=real)
-    return Propagator(vals, vecs, t, h.basis)
+    return Propagator(vals, vecs, t)
 
 
 @cache
@@ -134,9 +133,9 @@ def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:
     system/bath boundary violates the blockade carry zero amplitude; the
     Kraus list runs over the constrained bath configurations.
     """
-    if prop.basis != layout.basis_joint:
-        raise ValueError(f"propagator basis {prop.basis} does not match layout "
-                         f"{layout.basis_joint}")
+    if len(prop.vals) != layout.dim_joint:
+        raise ValueError(f"propagator dim {len(prop.vals)} does not match layout "
+                         f"joint dim {layout.dim_joint}")
     table = joint_index_table(layout)
     w = prop.columns(table[0])
     # a zero last row, read wherever the table holds -1

@@ -156,7 +156,8 @@ def _ghz_blocks(kraus: KrausSet) -> np.ndarray:
     if kraus.layout.constrained:
         raise ValueError("mutual-information trajectories assume the full qubit basis")
     d = kraus.dim
-    rho = ghz_state(1 + kraus.layout.n_s).density_matrix().mat
+    psi = ghz_state(1 + kraus.layout.n_s)
+    rho = np.outer(psi, psi.conj())
     return rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3).reshape(4, d, d)[[0, 1, 3]]
 
 
@@ -250,7 +251,8 @@ def phase_scan(channel_factory: Callable[[float], KrausSet], values: np.ndarray,
     for i, value in enumerate(np.asarray(values, dtype=float)):
         try:
             kraus = channel_factory(float(value))
-            rho0 = neel_state(kraus.layout.n_s).density_matrix().mat
+            psi = neel_state(kraus.layout.n_s)
+            rho0 = np.outer(psi, psi.conj())
             stack = np.concatenate([_ghz_blocks(kraus), rho0[None]])
             qmis = []
             for stack in _rounds(kraus, stack, n_k):

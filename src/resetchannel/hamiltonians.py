@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .spin_ops import DenseOperator, fibonacci_basis_tag, pauli_sum, qubit_basis, site_signs
+from .spin_ops import pauli_sum, site_signs
 
 GOLDEN_OMEGA = 2 * np.pi * (np.sqrt(5) - 1) / 2  # inverse golden ratio modulation
 HERMITIAN_RTOL = 1e-10  # |H - H^dag| relative to max(|H|, 1)
@@ -74,7 +74,7 @@ MODEL_PARAMS = {"aah": AahParams, "xxx": XxxParams, "xx": XxParams, "pxp": PxpPa
 
 
 def _chain(n_sites: int, jxx: float, jyy: float, jzz: float, jz: float, omega: float,
-           jxxx: float = 0.0) -> DenseOperator:
+           jxxx: float = 0.0) -> np.ndarray:
     bonds = [(coeff, axis * 2, (m, m + 1))
              for m in range(n_sites - 1)
              for coeff, axis in ((jxx, "x"), (jyy, "y"), (jzz, "z")) if coeff != 0.0]
@@ -83,17 +83,17 @@ def _chain(n_sites: int, jxx: float, jyy: float, jzz: float, jz: float, omega: f
     field = [(jz * np.cos(omega * m), "z", (m,)) for m in range(n_sites)]
     h = pauli_sum(bonds, n_sites)
     h += pauli_sum(field, n_sites)  # summing the field apart fixes the diagonal's rounding
-    return DenseOperator(h, qubit_basis(n_sites))
+    return h
 
 
-def build_aah(params: AahParams, n_sites: int) -> DenseOperator:
+def build_aah(params: AahParams, n_sites: int) -> np.ndarray:
     """Quasiperiodic XY chain; commutes with total sigma^z."""
     if n_sites < 2:
         raise ValueError("chain needs at least 2 sites")
     return _chain(n_sites, params.j2, params.j2, params.jzz, params.jz, params.omega)
 
 
-def build_xxx(params: XxxParams, n_sites: int) -> DenseOperator:
+def build_xxx(params: XxxParams, n_sites: int) -> np.ndarray:
     """AAH chain plus the three-site XXX term on interior sites."""
     if n_sites < 3:
         raise ValueError("three-site coupling needs at least 3 sites")
@@ -101,7 +101,7 @@ def build_xxx(params: XxxParams, n_sites: int) -> DenseOperator:
                   params.jxxx)
 
 
-def build_xx(params: XxParams, n_sites: int) -> DenseOperator:
+def build_xx(params: XxParams, n_sites: int) -> np.ndarray:
     """Anisotropic chain; reduces to the AAH chain at jxx == jyy == j2."""
     if n_sites < 2:
         raise ValueError("chain needs at least 2 sites")
@@ -117,7 +117,6 @@ class ConstrainedBasis:
             raise ValueError("need at least one site")
         self.n_sites = n_sites
         self.states: list[int] = [b for b in range(1 << n_sites) if (b & (b >> 1)) == 0]
-        self.tag = fibonacci_basis_tag(n_sites)
 
     @property
     def dim(self) -> int:
@@ -130,7 +129,7 @@ class ConstrainedBasis:
         return full
 
 
-def build_pxp(params: PxpParams, n_sites: int) -> DenseOperator:
+def build_pxp(params: PxpParams, n_sites: int) -> np.ndarray:
     """Blockaded spin-flip Hamiltonian with open boundaries (edge projectors
     replaced by identity), on the blockade subspace.
 
@@ -141,7 +140,7 @@ def build_pxp(params: PxpParams, n_sites: int) -> DenseOperator:
         raise ValueError("chain needs at least 2 sites")
     cb = ConstrainedBasis(n_sites)
     terms = [(params.omega_rabi / 2, "x", (m,)) for m in range(n_sites)]
-    return DenseOperator(pauli_sum(terms, n_sites, cb.states), cb.tag)
+    return pauli_sum(terms, n_sites, cb.states)
 
 
 def _sector_eigensystem(h: np.ndarray, n_sites: int):
@@ -169,33 +168,37 @@ def _sector_eigensystem(h: np.ndarray, n_sites: int):
     return vals[ascending], out
 
 
-def hermitian_eigensystem(h: DenseOperator, real: bool = False):
+def hermitian_eigensystem(h: np.ndarray, real: bool = False):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
-    operator; rejects inputs that are not Hermitian within
+    matrix; rejects inputs that are not Hermitian within
     ``HERMITIAN_RTOL``.
 
     ``real`` solves a matrix whose imaginary part is exactly zero with a
     real symmetric ``eigh`` instead of the complex Hermitian one; the result
     then agrees with the complex solve to rounding, not bit for bit. Any
     other matrix takes the complex solve whatever ``real`` says. A real
-    solve on a qubit basis whose entries between different total-S_z
-    sectors are all exactly zero solves each sector on its own, with the
-    eigenvectors embedded in the full basis; no tolerance decides that, so
-    a Hamiltonian that breaks the symmetry by any amount takes the full
-    solve.
+    solve of a ``2**n``-dimensional matrix whose entries between different
+    total-S_z sectors of ``n`` qubits are all exactly zero solves each
+    sector on its own, with the eigenvectors embedded in the full basis; no
+    tolerance decides that, so a Hamiltonian that breaks the symmetry by any
+    amount takes the full solve, and the split is exact for any matrix that
+    passes it.
     """
-    exactly_real = not np.any(h.mat.imag)
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"operator must be square, got shape {h.shape}")
+    exactly_real = not np.any(h.imag)
     # an exactly real H is Hermitian when its real part is symmetric
-    mat = h.mat.real if exactly_real else h.mat
+    mat = h.real if exactly_real else h
     scale = max(np.linalg.norm(mat), 1.0)
     # NaN fails too
     if not np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_RTOL * scale:
         raise ValueError("operator is not Hermitian within tolerance")
     real = real and exactly_real
-    n_sites = h.dim.bit_length() - 1  # of a qubit basis, whose dim is 2**n_sites
-    if real and h.basis == qubit_basis(n_sites) and h.dim == 1 << n_sites:
+    n_sites = len(h).bit_length() - 1
+    if real and len(h) == 1 << n_sites:
         solved = _sector_eigensystem(mat, n_sites)
         if solved is not None:
             return solved
-    vals, vecs = np.linalg.eigh(mat if real else h.mat)
+    vals, vecs = np.linalg.eigh(mat if real else h)
     return vals, vecs

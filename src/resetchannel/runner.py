@@ -11,6 +11,7 @@ import os
 import platform
 import time as _time
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -116,23 +117,29 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
 
 
+def _openblas(libs: Path, *names: str) -> list:
+    """The functions ``<prefix>_<name>64_``, one per name in ``names``, of
+    the OpenBLAS ``lib<prefix>64_*`` in ``libs``, from the loaded library;
+    raises OSError where there is none or it does not load, and
+    AttributeError where it lacks one of them."""
+    found = sorted(libs.glob("lib*openblas64_*"))
+    if not found:
+        raise OSError(f"no lib*openblas64_* in {libs}")
+    lib = ctypes.CDLL(str(found[0]))
+    prefix = found[0].name[len("lib"):found[0].name.index("64_")]
+    return [getattr(lib, f"{prefix}_{name}64_") for name in names]
+
+
 def _blas_runtime(libs: Path) -> dict:
     """The thread count and configuration string (whose kernel is the one
     picked on this machine, not the build's) of the OpenBLAS in ``libs``,
     read from the loaded library; None for both, with the reason under
-    ``"unread"``, where there is none or it lacks the symbols. A library
-    ``lib<prefix>64_*`` exports ``<prefix>_get_num_threads64_`` and
-    ``<prefix>_get_config64_``."""
+    ``"unread"``, where there is none or it lacks the symbols."""
     found = sorted(libs.glob("lib*openblas64_*"))
     record = {"library": found[0].name if found else None, "threads": None,
               "config": None, "unread": None}
     try:
-        if not found:
-            raise OSError(f"no lib*openblas64_* in {libs}")
-        lib = ctypes.CDLL(str(found[0]))
-        prefix = found[0].name[len("lib"):found[0].name.index("64_")]
-        get_threads = getattr(lib, f"{prefix}_get_num_threads64_")
-        get_config = getattr(lib, f"{prefix}_get_config64_")
+        get_threads, get_config = _openblas(libs, "get_num_threads", "get_config")
     except (OSError, AttributeError) as exc:
         record["unread"] = f"{type(exc).__name__}: {exc}"
         return record
@@ -142,11 +149,43 @@ def _blas_runtime(libs: Path) -> dict:
     return record
 
 
+@contextmanager
+def _sweep_blas_threads(n_workers: int, threads: int | None):
+    """Numpy's OpenBLAS at one thread while ``n_workers > 1`` sweep workers
+    run, so that workers and BLAS threads do not compete for the cores, and
+    back at its previous count on exit; with one worker it is left at
+    ``threads``, the count it runs with. Yields the count the body runs
+    with. Where the library cannot be set and no BLAS thread variable is
+    1, a ``RuntimeWarning`` says so."""
+    functions = None
+    if n_workers > 1:
+        try:
+            functions = _openblas(NUMPY_LIBS, "get_num_threads", "set_num_threads")
+        except (OSError, AttributeError) as exc:
+            if "1" not in (os.environ.get(var) for var in BLAS_THREAD_VARS):
+                warnings.warn(
+                    f"{n_workers} sweep workers with BLAS threads not pinned ({exc}): set "
+                    f"one of {', '.join(BLAS_THREAD_VARS)} to 1, or workers and BLAS "
+                    "threads compete for the cores", RuntimeWarning)
+    if functions is None:
+        yield threads
+        return
+    get_threads, set_threads = functions
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield 1
+    finally:
+        set_threads(before)
+
+
 def _environment(n_workers: int) -> dict:
     """The settings that decide whether a run reproduces bit for bit: the
     BLAS that numpy links, as built and as it runs (:func:`_blas_runtime`),
     the BLAS thread variables as set (None when unset) and the sweep worker
-    count."""
+    count. :func:`run_experiment` adds ``"analysis_blas_threads"``."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
@@ -170,8 +209,10 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     and the bracket widths, convergence and fit r^2 of ``ep``.
     ``"environment"`` holds the reproducibility settings and ``"warnings"``
     the warnings the run raised, as ``"Category: message"``; they are
-    issued again after the run. Sweep workers with BLAS threads not pinned
-    to 1 raise a ``RuntimeWarning``.
+    issued again after the run. With more than one sweep worker, numpy's
+    OpenBLAS runs at one thread (see :func:`_sweep_blas_threads`);
+    ``"analysis_blas_threads"`` in ``"environment"`` is the count the
+    analyses ran with.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,12 +235,11 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     caught: list[warnings.WarningMessage] = []
     try:
         with warnings.catch_warnings(record=True) as caught:
-            if n_workers > 1 and "1" not in manifest["environment"]["blas_threads"].values():
-                warnings.warn(
-                    f"{n_workers} sweep workers with BLAS threads not pinned: set one of "
-                    f"{', '.join(BLAS_THREAD_VARS)} to 1, or workers and BLAS threads "
-                    "compete for the cores", RuntimeWarning)
-            _run_analyses(config, out, manifest, n_workers)
+            environment = manifest["environment"]
+            with _sweep_blas_threads(n_workers,
+                                     environment["blas"]["runtime"]["threads"]) as threads:
+                environment["analysis_blas_threads"] = threads
+                _run_analyses(config, out, manifest, n_workers)
         manifest["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -15,20 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-NORM_ATOL = 1e-12
-
-
-class BasisMismatchError(ValueError):
-    """Operands carry different basis tags."""
-
-
-def qubit_basis(n_sites: int) -> str:
-    return f"qubits:{n_sites}"
-
-
-def fibonacci_basis_tag(n_sites: int) -> str:
-    return f"fib:{n_sites}"
-
 
 @dataclass(frozen=True)
 class ChainLayout:
@@ -63,54 +49,12 @@ class ChainLayout:
     def dim_joint(self) -> int:
         return _fibonacci(self.n_h + 2) if self.constrained else 2 ** self.n_h
 
-    @property
-    def basis_joint(self) -> str:
-        return fibonacci_basis_tag(self.n_h) if self.constrained else qubit_basis(self.n_h)
-
 
 def _fibonacci(k: int) -> int:
     a, b = 1, 1
     for _ in range(k - 2):
         a, b = b, a + b
     return b
-
-
-@dataclass
-class DenseOperator:
-    """Complex square matrix on a labeled basis."""
-
-    mat: np.ndarray
-    basis: str
-
-    def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
-        if self.mat.ndim != 2 or self.mat.shape[0] != self.mat.shape[1]:
-            raise ValueError(f"operator must be square, got shape {self.mat.shape}")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-@dataclass
-class PureState:
-    """Normalized state vector on a labeled basis."""
-
-    vec: np.ndarray
-    basis: str
-
-    def __post_init__(self):
-        self.vec = np.asarray(self.vec, dtype=complex).ravel()
-        nrm = np.linalg.norm(self.vec)
-        if abs(nrm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state not normalized: |psi| = {nrm}")
-
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
-
-    def density_matrix(self) -> DenseOperator:
-        return DenseOperator(np.outer(self.vec, self.vec.conj()), self.basis)
 
 
 def site_signs(states, n_sites: int) -> np.ndarray:
@@ -191,43 +135,46 @@ def pauli_sum(terms, n_sites: int, states=None) -> np.ndarray:
     return h
 
 
-def product_state(bits: str) -> PureState:
+def product_state(bits: str) -> np.ndarray:
     """Computational basis state from a bit-string, site 0 first."""
     if not bits or any(c not in "01" for c in bits):
         raise ValueError(f"bits must be a non-empty string over 0/1, got {bits!r}")
     n = len(bits)
     vec = np.zeros(2 ** n, dtype=complex)
     vec[int(bits, 2)] = 1.0
-    return PureState(vec, qubit_basis(n))
+    return vec
 
 
-def ghz_state(n_sites: int) -> PureState:
+def ghz_state(n_sites: int) -> np.ndarray:
     """(|00...0> + |11...1>)/sqrt(2)."""
     if n_sites < 1:
         raise ValueError("need at least one site")
     vec = np.zeros(2 ** n_sites, dtype=complex)
     vec[0] = vec[-1] = 1 / np.sqrt(2)
-    return PureState(vec, qubit_basis(n_sites))
+    return vec
 
 
-def neel_state(n_sites: int) -> PureState:
+def neel_state(n_sites: int) -> np.ndarray:
     """Alternating |0101...>."""
     if n_sites < 1:
         raise ValueError("need at least one site")
     return product_state("".join("01"[m % 2] for m in range(n_sites)))
 
 
-def partial_trace(op: DenseOperator, keep: list[int] | tuple[int, ...], n_sites: int) -> DenseOperator:
-    """Trace out all qubits not in ``keep``; preserves the total trace."""
-    if op.basis != qubit_basis(n_sites):
-        raise BasisMismatchError(f"expected {qubit_basis(n_sites)}, got {op.basis}")
+def partial_trace(op: np.ndarray, keep: list[int] | tuple[int, ...], n_sites: int) -> np.ndarray:
+    """Trace out all qubits not in ``keep`` of an operator on ``n_sites``
+    qubits; preserves the total trace."""
+    op = np.asarray(op, dtype=complex)
+    dim = 2 ** n_sites
+    if op.shape != (dim, dim):
+        raise ValueError(f"operator shape {op.shape} is not ({dim}, {dim}) of {n_sites} qubits")
     keep = sorted(keep)
     if any(not 0 <= s < n_sites for s in keep):
         raise ValueError(f"keep sites {keep} out of range for {n_sites} sites")
     traced = [s for s in range(n_sites) if s not in keep]
-    tensor = op.mat.reshape([2] * (2 * n_sites))
+    tensor = op.reshape([2] * (2 * n_sites))
     for offset, s in enumerate(traced):
         ax = s - offset  # axes shift as earlier sites are traced out
         tensor = np.trace(tensor, axis1=ax, axis2=ax + n_sites - offset)
     dk = 2 ** len(keep)
-    return DenseOperator(tensor.reshape(dk, dk), qubit_basis(len(keep)))
+    return tensor.reshape(dk, dk)

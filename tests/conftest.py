@@ -17,7 +17,7 @@ from resetchannel import (
 )
 from resetchannel.channel import reversal_form, superoperator_matrix
 from resetchannel.spectra import full_spectrum
-from resetchannel.spin_ops import DenseOperator, partial_trace, pauli_sum, qubit_basis, site_signs
+from resetchannel.spin_ops import partial_trace, pauli_sum, site_signs
 
 
 def make_channel(n_s, n_b, t, jzz=0.0, jz=0.0, jxxx=0.0):
@@ -29,19 +29,18 @@ def make_channel(n_s, n_b, t, jzz=0.0, jz=0.0, jxxx=0.0):
 
 def pauli_on_site(axis, site, n_sites):
     """Pauli operator on one site of an ``n_sites`` qubit chain."""
-    return DenseOperator(pauli_sum([(1.0, axis, (site,))], n_sites), qubit_basis(n_sites))
+    return pauli_sum([(1.0, axis, (site,))], n_sites)
 
 
 def projector0_on_site(site, n_sites):
     """Projector onto |0> at one site, identity elsewhere."""
     terms = [(0.5, "", ()), (0.5, "z", (site,))]
-    return DenseOperator(pauli_sum(terms, n_sites), qubit_basis(n_sites))
+    return pauli_sum(terms, n_sites)
 
 
 def total_sz(n_sites):
     """Diagonal total magnetization sum_m sigma_m^z."""
-    return DenseOperator(np.diag(site_signs(np.arange(2 ** n_sites), n_sites).sum(axis=0)),
-                         qubit_basis(n_sites))
+    return np.diag(site_signs(np.arange(2 ** n_sites), n_sites).sum(axis=0)).astype(complex)
 
 
 def renyi2_qmi(rho_as, n_system_qubits):
@@ -50,12 +49,17 @@ def renyi2_qmi(rho_as, n_system_qubits):
     from explicit partial traces: the oracle for the block iteration of
     ``qmi_trajectory``."""
     n_tot = 1 + n_system_qubits
-    op = DenseOperator(np.asarray(rho_as, dtype=complex), qubit_basis(n_tot))
-    rho_a = partial_trace(op, [0], n_tot).mat
-    rho_s = partial_trace(op, list(range(1, n_tot)), n_tot).mat
-    p_a, p_s, p_as = (float(np.real(np.trace(r @ r))) for r in (rho_a, rho_s, op.mat))
+    rho_as = np.asarray(rho_as, dtype=complex)
+    rho_a = partial_trace(rho_as, [0], n_tot)
+    rho_s = partial_trace(rho_as, list(range(1, n_tot)), n_tot)
+    p_a, p_s, p_as = (float(np.real(np.trace(r @ r))) for r in (rho_a, rho_s, rho_as))
     assert min(p_a, p_s, p_as) > 0, "non-positive purity; state is numerically invalid"
     return -np.log(p_a) - np.log(p_s) + np.log(p_as)
+
+
+def pure_density_matrix(psi):
+    """|psi><psi| of a state vector."""
+    return np.outer(psi, psi.conj())
 
 
 def random_density_matrix(rng, dim):
@@ -138,4 +142,4 @@ def swap_unitary():
     """Two-qubit SWAP on the 1+1 joint chain, as the propagator of
     H = (pi/2)(I - SWAP) over t = 1."""
     swap = np.eye(4)[[0, 2, 1, 3]]
-    return propagate(DenseOperator(np.pi / 2 * (np.eye(4) - swap), "qubits:2"), 1.0)
+    return propagate(np.pi / 2 * (np.eye(4) - swap), 1.0)

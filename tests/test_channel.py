@@ -7,6 +7,7 @@ from conftest import (
     haar_channel,
     make_channel,
     pauli_on_site,
+    pure_density_matrix,
     random_density_matrix,
     renyi2_qmi,
     swap_unitary,
@@ -38,7 +39,6 @@ from resetchannel.runner import (
 from resetchannel.spectra import sorted_eig
 from resetchannel.spin_ops import (
     ChainLayout,
-    DenseOperator,
     ghz_state,
     partial_trace,
     pauli_sum,
@@ -102,7 +102,7 @@ def kraus_oracle(h, t, layout, real):
 
 class TestPropagate:
     def test_zero_hamiltonian(self):
-        h = DenseOperator(np.zeros((4, 4)), "qubits:2")
+        h = np.zeros((4, 4))
         assert np.allclose(propagate(h, 3.0).columns(np.arange(4)), np.eye(4))
 
     def test_pauli_z_quarter_period(self):
@@ -114,35 +114,35 @@ class TestPropagate:
         rng = np.random.default_rng(11)
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         h = (a + a.conj().T) / 2
-        got = propagate(DenseOperator(h, "qubits:4"), 1.0).columns(np.arange(16))
+        got = propagate(h, 1.0).columns(np.arange(16))
         expected = scipy.linalg.expm(-1j * h)
         assert np.linalg.norm(got - expected) < 1e-9
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            propagate(DenseOperator(np.array([[0, 1], [0, 0]], dtype=complex), "qubits:1"), 1.0)
+            propagate(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
     def test_propagator_validates_unitarity(self):
         with pytest.raises(ValueError, match="unitary"):
-            Propagator(np.zeros(2), np.diag([1.0, 0.5]), 1.0, "qubits:1")
+            Propagator(np.zeros(2), np.diag([1.0, 0.5]), 1.0)
 
     def test_propagator_rejects_nan_eigenvectors(self):
         with pytest.raises(ValueError, match="not unitary"):
-            Propagator(np.zeros(2), np.array([[1.0, np.nan], [0.0, 1.0]]), 1.0, "qubits:1")
+            Propagator(np.zeros(2), np.array([[1.0, np.nan], [0.0, 1.0]]), 1.0)
 
     def test_corrupted_eigenvector_raises(self):
         h = build_hamiltonian("xxx", {"jzz": 0.1, "jz": 0.1, "jxxx": 0.5}, 4)
         vals, vecs = hermitian_eigensystem(h)
-        assert Propagator(vals, vecs, 10.0, h.basis).unitarity_deviation < 1e-12
+        assert Propagator(vals, vecs, 10.0).unitarity_deviation < 1e-12
         vecs[:, 3] += 1e-6 * vecs[:, 4]
         with pytest.raises(ValueError, match="not unitary"):
-            Propagator(vals, vecs, 10.0, h.basis)
+            Propagator(vals, vecs, 10.0)
 
 
 class TestKrausExtraction:
     def test_identity_unitary(self):
         layout = ChainLayout(1, 1)
-        prop = Propagator(np.zeros(4), np.eye(4), 0.0, "qubits:2")
+        prop = Propagator(np.zeros(4), np.eye(4), 0.0)
         kraus = kraus_from_unitary(prop, layout)
         assert np.allclose(kraus.ops[0], np.eye(2))
         assert np.allclose(kraus.ops[1], 0.0)
@@ -194,13 +194,22 @@ class TestKrausExtraction:
         layout = ChainLayout(1, 1)
         bad = KrausSet([np.eye(2) * 0.5], layout)
         assert bad.completeness_residual() > 0.5
-        prop = Propagator(np.zeros(4), np.eye(4), 0.0, "qubits:2")
+        prop = Propagator(np.zeros(4), np.eye(4), 0.0)
         with pytest.raises(ValueError):
-            kraus_from_unitary(prop, ChainLayout(2, 2))  # basis mismatch
+            kraus_from_unitary(prop, ChainLayout(2, 2))  # dimension mismatch
+
+    @pytest.mark.parametrize("layout", [ChainLayout(1, 1), ChainLayout(2, 2, constrained=True)],
+                             ids=["2-qubits", "4-blockade-sites"])
+    def test_dimension_mismatch_raises(self, layout):
+        # a 4-qubit propagator against 2 joint qubits and against the
+        # F(6) = 8 states of 4 blockade sites
+        prop = Propagator(np.zeros(16), np.eye(16), 0.0)
+        with pytest.raises(ValueError, match="propagator dim 16 does not match"):
+            kraus_from_unitary(prop, layout)
 
     def test_nan_energy_raises(self):
         # unitary eigenvectors, so only the completeness check sees the NaN
-        prop = Propagator(np.array([np.nan, 0.0, 0.0, 0.0]), np.eye(4), 1.0, "qubits:2")
+        prop = Propagator(np.array([np.nan, 0.0, 0.0, 0.0]), np.eye(4), 1.0)
         with pytest.raises(CompletenessError):
             kraus_from_unitary(prop, ChainLayout(1, 1))
 
@@ -341,7 +350,7 @@ class TestRealProbeBuilds:
                                      for section in swept]:
                 params = dict(config.params, **overrides)
                 h = build_hamiltonian(config.model, params, layout.n_h)
-                assert not np.any(h.mat.imag), (name, overrides)
+                assert not np.any(h.imag), (name, overrides)
             models.add(config.model)
         assert models == {"aah", "xxx", "xx", "pxp"}
 
@@ -363,8 +372,8 @@ class TestRealProbeBuilds:
 
         def complex_hamiltonian(*args):
             h = hamiltonian(*args)
-            b = np.random.default_rng(1).standard_normal(h.mat.shape)
-            return DenseOperator(h.mat + 1e-3j * (b - b.T), h.basis)
+            b = np.random.default_rng(1).standard_normal(h.shape)
+            return h + 1e-3j * (b - b.T)
 
         monkeypatch.setattr(runner, "build_hamiltonian", complex_hamiltonian)
         solves.clear()
@@ -378,8 +387,8 @@ class TestRealProbeBuilds:
         # the Y term makes H complex; solving Re(H) instead would propagate
         # another Hamiltonian
         terms = [(1.0, "xx", (0, 1)), (0.4, "z", (0,)), (0.6, "y", (1,))]
-        h = DenseOperator(pauli_sum(terms, 2), "qubits:2")
-        assert np.any(h.mat.imag)
+        h = pauli_sum(terms, 2)
+        assert np.any(h.imag)
         cols = np.arange(4)
         assert np.array_equal(propagate(h, 1.3, real=True).columns(cols),
                               propagate(h, 1.3).columns(cols))
@@ -486,12 +495,11 @@ class TestAncillaExtension:
             kraus = build_channel(preset_config("fig7"), {"jxxx": 0.0, "jz": 5.0})
         n_s, n_k = kraus.layout.n_s, 10
         extended = extend_with_ancilla(kraus)
-        rho = ghz_state(1 + n_s).density_matrix().mat
+        rho = pure_density_matrix(ghz_state(1 + n_s))
         records = qmi_trajectory(kraus, n_k)
         rho_s0 = None
         for n in range(n_k + 1):
-            rho_s = partial_trace(DenseOperator(rho, f"qubits:{1 + n_s}"),
-                                  list(range(1, 1 + n_s)), 1 + n_s).mat
+            rho_s = partial_trace(rho, list(range(1, 1 + n_s)), 1 + n_s)
             rho_s0 = rho_s if rho_s0 is None else rho_s0
             assert abs(records[n].qmi - renyi2_qmi(rho, n_s)) <= 1e-12, n
             assert abs(records[n].imbalance - imbalance(rho_s, rho_s0, n_s)) <= 1e-12, n

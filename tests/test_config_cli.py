@@ -367,7 +367,7 @@ class TestRunner:
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         manifest = run_experiment(validate_config(TINY_CONFIG), tmp_path, n_workers=2)
         env = manifest["environment"]
-        assert set(env) == {"blas", "blas_threads", "n_workers"}
+        assert set(env) == {"blas", "blas_threads", "n_workers", "analysis_blas_threads"}
         assert set(env["blas"]) == {"name", "version", "runtime"}
         runtime = env["blas"]["runtime"]
         assert set(runtime) == {"library", "threads", "config", "unread"}
@@ -383,6 +383,7 @@ class TestRunner:
         assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert env["blas_threads"]["MKL_NUM_THREADS"] is None
         assert env["n_workers"] == 2
+        assert env["analysis_blas_threads"] == (1 if runtime["unread"] is None else None)
         assert manifest["warnings"] == []
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk["environment"] == env and on_disk["warnings"] == []
@@ -420,17 +421,34 @@ class TestRunner:
         config = validate_config(TINY_CONFIG)
         for var in runner.BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        with pytest.warns(RuntimeWarning, match="BLAS threads not pinned") as reissued:
+        before = runner._blas_runtime(runner.NUMPY_LIBS)
+        during = []
+        run_analyses = runner._run_analyses
+        monkeypatch.setattr(runner, "_run_analyses", lambda *args: during.append(
+            runner._blas_runtime(runner.NUMPY_LIBS)["threads"]) or run_analyses(*args))
+        if before["unread"] is None:
+            # a settable library: sweep workers run it at one thread, with no
+            # warning, and it is back at its own count afterwards
             manifest = run_experiment(config, tmp_path / "a", n_workers=2)
+            assert manifest["warnings"] == [] and during == [1]
+            assert manifest["environment"]["analysis_blas_threads"] == 1
+            assert runner._blas_runtime(runner.NUMPY_LIBS)["threads"] == before["threads"]
+        # a single worker leaves the library as it is, and never warns
+        during.clear()
+        manifest = run_experiment(config, tmp_path / "b", n_workers=1)
+        assert manifest["warnings"] == [] and during == [before["threads"]]
+        assert manifest["environment"]["analysis_blas_threads"] == before["threads"]
+        # no library to set: the warning fires unless a variable is 1
+        monkeypatch.setattr(runner, "NUMPY_LIBS", tmp_path / "empty")
+        runner.NUMPY_LIBS.mkdir()
+        with pytest.warns(RuntimeWarning, match="BLAS threads not pinned") as reissued:
+            manifest = run_experiment(config, tmp_path / "c", n_workers=2)
         assert len(manifest["warnings"]) == 1
         assert manifest["warnings"][0].startswith("RuntimeWarning: 2 sweep workers")
         assert [f"RuntimeWarning: {w.message}" for w in reissued] == manifest["warnings"]
-        # one variable pinned to 1, or a single worker, never warns
+        assert manifest["environment"]["analysis_blas_threads"] is None
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert run_experiment(config, tmp_path / "b", n_workers=2)["warnings"] == []
-        monkeypatch.delenv("OMP_NUM_THREADS")
-        assert run_experiment(config, tmp_path / "c", n_workers=1)["warnings"] == []
+        assert run_experiment(config, tmp_path / "d", n_workers=2)["warnings"] == []
 
     def test_fig2_reads_no_inverse_or_svd(self, tmp_path, monkeypatch):
         # spectrum, histogram and overlaps read eigenvalues, right

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from conftest import (
     ghz_coherence_eigenvalue,
     make_channel,
+    pure_density_matrix,
     random_density_matrix,
     random_product_density,
     renyi2_qmi,
@@ -120,7 +121,7 @@ class TestScars:
 
     def test_candidates_are_eigenstates(self, pxp_eigensystem):
         vals, vecs, basis = pxp_eigensystem
-        h = build_pxp(PxpParams(), 8).mat
+        h = build_pxp(PxpParams(), 8)
         scars = scar_candidates(vals, vecs, basis)
         for col, energy in zip(scars.states.T, scars.energies):
             assert np.linalg.norm(h @ col - energy * col) < 1e-9
@@ -155,11 +156,11 @@ class TestScars:
 
 class TestRenyiQmi:
     def test_product_pure_state(self):
-        rho = product_state("000").density_matrix().mat
+        rho = pure_density_matrix(product_state("000"))
         assert abs(renyi2_qmi(rho, 2)) < 1e-12
 
     def test_ghz_value(self):
-        rho = ghz_state(4).density_matrix().mat
+        rho = pure_density_matrix(ghz_state(4))
         assert abs(renyi2_qmi(rho, 3) - 2 * np.log(2)) < 1e-12
 
     def test_classical_ghz_mixture(self):
@@ -207,13 +208,13 @@ class TestQmiTrajectory:
         kraus = build_channel(config, overrides)
         h = build_hamiltonian(config.model, {**config.params, **overrides},
                               config.n_s + config.n_b)
-        u_joint = np.kron(np.eye(2), expm(-1j * config.time * h.mat))
+        u_joint = np.kron(np.eye(2), expm(-1j * config.time * h))
         ds, db = 2 ** config.n_s, 2 ** config.n_b
         bath0 = np.zeros((db, db))
         bath0[0, 0] = 1.0
         lam_c = ghz_coherence_eigenvalue(kraus)
 
-        rho = ghz_state(1 + config.n_s).density_matrix().mat
+        rho = pure_density_matrix(ghz_state(1 + config.n_s))
         records = qmi_trajectory(kraus, n_k)
         for n in range(n_k + 1):
             r = rho.reshape(2, ds, 2, ds)
@@ -228,21 +229,21 @@ class TestQmiTrajectory:
 
 class TestImbalance:
     def test_neel_self_overlap(self):
-        rho = neel_state(4).density_matrix().mat
+        rho = pure_density_matrix(neel_state(4))
         assert abs(imbalance(rho, rho, 4) - 1.0) < 1e-12
 
     def test_maximally_mixed_vanishes(self):
-        rho0 = neel_state(3).density_matrix().mat
+        rho0 = pure_density_matrix(neel_state(3))
         assert abs(imbalance(np.eye(8) / 8, rho0, 3)) < 1e-12
 
     def test_sign_flip(self):
-        rho0 = neel_state(2).density_matrix().mat
-        flipped = product_state("10").density_matrix().mat
+        rho0 = pure_density_matrix(neel_state(2))
+        flipped = pure_density_matrix(product_state("10"))
         assert abs(imbalance(flipped, rho0, 2) + imbalance(rho0, rho0, 2)) < 1e-12
 
     def test_bilinearity(self):
         rng = np.random.default_rng(9)
-        rho0 = neel_state(2).density_matrix().mat
+        rho0 = pure_density_matrix(neel_state(2))
         r1 = random_density_matrix(rng, 4)
         r2 = random_density_matrix(rng, 4)
         a, b = 0.3, 0.7
@@ -261,7 +262,7 @@ class TestMagnetization:
 
     def test_fixed_point_is_top_sector(self, ergodic_channel):
         n_s = ergodic_channel.layout.n_s
-        rho = product_state("0" * n_s).density_matrix().mat
+        rho = pure_density_matrix(product_state("0" * n_s))
         traj = magnetization_trajectory(ergodic_channel, rho, 5)
         assert np.allclose(traj, n_s, atol=1e-9)
 
@@ -283,7 +284,7 @@ class TestPhaseScan:
         assert not failures and len(points) == len(values)
         for value, point in zip(values, points):
             kraus = factory(value)
-            rho0 = neel_state(config.n_s).density_matrix().mat
+            rho0 = pure_density_matrix(neel_state(config.n_s))
             rho = rho0
             for _ in range(n_k):
                 rho = apply_channel(kraus, rho)

@@ -15,7 +15,7 @@ from resetchannel.hamiltonians import (
     hermitian_eigensystem,
 )
 from resetchannel.channel import Propagator, joint_index_table
-from resetchannel.spin_ops import ChainLayout, DenseOperator
+from resetchannel.spin_ops import ChainLayout
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -68,47 +68,47 @@ class TestKronOracle:
     def test_aah(self, n):
         p = AahParams(j2=0.9, jzz=0.3, jz=0.7)
         expected = kron_model(n, p.j2, p.j2, p.jzz, p.jz, p.omega)
-        assert np.array_equal(build_aah(p, n).mat, expected)
+        assert np.array_equal(build_aah(p, n), expected)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_xxx(self, n):
         p = XxxParams(jzz=0.1, jz=0.1, jxxx=2.0)
         expected = kron_model(n, 1.0, 1.0, 0.1, 0.1, p.omega, jxxx=2.0)
-        assert np.array_equal(build_xxx(p, n).mat, expected)
+        assert np.array_equal(build_xxx(p, n), expected)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_xx(self, n):
         p = XxParams(jxx=0.8, jyy=1.1, jzz=0.3, jz=0.5)
         expected = kron_model(n, p.jxx, p.jyy, p.jzz, p.jz, p.omega)
-        assert np.array_equal(build_xx(p, n).mat, expected)
+        assert np.array_equal(build_xx(p, n), expected)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_pxp_is_restriction(self, n):
         states = ConstrainedBasis(n).states
         expected = kron_pxp(1.3, n)[np.ix_(states, states)]
-        assert np.array_equal(build_pxp(PxpParams(omega_rabi=1.3), n).mat, expected)
+        assert np.array_equal(build_pxp(PxpParams(omega_rabi=1.3), n), expected)
 
 
 class TestAah:
     def test_two_site_hopping_block(self):
-        h = build_aah(AahParams(j2=1.0), 2).mat
+        h = build_aah(AahParams(j2=1.0), 2)
         expected = np.zeros((4, 4))
         expected[1, 2] = expected[2, 1] = 2.0  # XX + YY on |01>,|10>
         assert np.allclose(h, expected)
 
     def test_onsite_coefficient_at_first_site(self):
-        h = build_aah(AahParams(jz=1.0), 2).mat
+        h = build_aah(AahParams(jz=1.0), 2)
         # site-0 contribution is jz*cos(0): average over the site-1 value
         assert abs((h[0, 0] + h[1, 1]) / 2 - 1.0) < 1e-12
 
     def test_hermitian_and_real(self):
-        h = build_aah(AahParams(jzz=0.3, jz=0.7), 5).mat
+        h = build_aah(AahParams(jzz=0.3, jz=0.7), 5)
         assert np.linalg.norm(h - h.conj().T) < 1e-12 * np.linalg.norm(h)
         assert np.linalg.norm(h.imag) < 1e-12
 
     def test_conserves_total_magnetization(self):
-        h = build_aah(AahParams(jzz=0.1, jz=0.1), 6).mat
-        assert comm_norm(h, total_sz(6).mat) < 1e-12
+        h = build_aah(AahParams(jzz=0.1, jz=0.1), 6)
+        assert comm_norm(h, total_sz(6)) < 1e-12
 
     def test_too_short_chain(self):
         with pytest.raises(ValueError):
@@ -118,38 +118,38 @@ class TestAah:
 class TestXxx:
     def test_reduces_to_aah(self):
         params = XxxParams(jzz=0.2, jz=0.4, jxxx=0.0)
-        assert np.array_equal(build_xxx(params, 4).mat, build_aah(params, 4).mat)
+        assert np.array_equal(build_xxx(params, 4), build_aah(params, 4))
 
     def test_three_site_term_matches_kron_oracle(self):
-        h = build_xxx(XxxParams(j2=1e-30, jxxx=1.0), 3).mat
+        h = build_xxx(XxxParams(j2=1e-30, jxxx=1.0), 3)
         expected = np.kron(np.kron(SX, SX), SX)
         assert np.allclose(h, expected, atol=1e-12)
 
     def test_breaks_magnetization_conservation(self):
-        h = build_xxx(XxxParams(jzz=0.1, jz=0.1, jxxx=2.0), 6).mat
-        assert comm_norm(h, total_sz(6).mat) > 0.1
+        h = build_xxx(XxxParams(jzz=0.1, jz=0.1, jxxx=2.0), 6)
+        assert comm_norm(h, total_sz(6)) > 0.1
 
 
 class TestXx:
     def test_symmetric_point_equals_aah(self):
-        h_xx = build_xx(XxParams(jxx=1.0, jyy=1.0, jzz=0.3, jz=0.2), 4).mat
-        h_aah = build_aah(AahParams(jzz=0.3, jz=0.2), 4).mat
+        h_xx = build_xx(XxParams(jxx=1.0, jyy=1.0, jzz=0.3, jz=0.2), 4)
+        h_aah = build_aah(AahParams(jzz=0.3, jz=0.2), 4)
         assert np.array_equal(h_xx, h_aah)
 
     def test_symmetric_point_conserves_sz(self):
-        h = build_xx(XxParams(jxx=0.7, jyy=0.7, jzz=0.1, jz=0.1), 4).mat
-        assert comm_norm(h, total_sz(4).mat) < 1e-12
+        h = build_xx(XxParams(jxx=0.7, jyy=0.7, jzz=0.1, jz=0.1), 4)
+        assert comm_norm(h, total_sz(4)) < 1e-12
 
     def test_anisotropy_breaks_sz(self):
-        h = build_xx(XxParams(jxx=0.8, jyy=1.0, jzz=0.1, jz=0.1), 4).mat
-        assert comm_norm(h, total_sz(4).mat) > 0.1
+        h = build_xx(XxParams(jxx=0.8, jyy=1.0, jzz=0.1, jz=0.1), 4)
+        assert comm_norm(h, total_sz(4)) > 0.1
 
     def test_two_site_matrix_vs_kron_oracle(self):
         p = XxParams(jxx=0.8, jyy=1.0, jzz=0.3, jz=0.5)
         expected = (0.8 * np.kron(SX, SX) + 1.0 * np.kron(SY, SY) + 0.3 * np.kron(SZ, SZ)
                     + 0.5 * np.cos(0) * np.kron(SZ, np.eye(2))
                     + 0.5 * np.cos(p.omega) * np.kron(np.eye(2), SZ))
-        assert np.allclose(build_xx(p, 2).mat, expected)
+        assert np.allclose(build_xx(p, 2), expected)
 
 
 class TestConstrainedBasis:
@@ -191,7 +191,7 @@ class TestConstrainedBasis:
 
 class TestPxp:
     def test_two_site_constrained_hand_enumeration(self):
-        h = build_pxp(PxpParams(omega_rabi=2.0), 2).mat
+        h = build_pxp(PxpParams(omega_rabi=2.0), 2)
         # basis order {00, 01, 10}; flips couple 00<->01 and 00<->10
         expected = np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=complex)
         assert np.allclose(h, expected)
@@ -200,9 +200,9 @@ class TestPxp:
         n = 4
         h = kron_pxp(1.0, n)
         for m in range(n - 1):
-            blockade = projector0_on_site(m, n).mat + (
-                np.eye(2 ** n) - projector0_on_site(m, n).mat
-            ) @ projector0_on_site(m + 1, n).mat
+            blockade = projector0_on_site(m, n) + (
+                np.eye(2 ** n) - projector0_on_site(m, n)
+            ) @ projector0_on_site(m + 1, n)
             # P0_m + P1_m P0_{m+1} projects onto no-double-excitation at the bond
             assert comm_norm(h, blockade) < 1e-12
 
@@ -211,7 +211,7 @@ class TestPxp:
         basis = ConstrainedBasis(n)
         h_full = kron_pxp(1.3, n)
         h_proj = h_full[np.ix_(basis.states, basis.states)]
-        assert np.allclose(build_pxp(PxpParams(omega_rabi=1.3), n).mat, h_proj)
+        assert np.allclose(build_pxp(PxpParams(omega_rabi=1.3), n), h_proj)
 
     def test_full_basis_preserves_constrained_subspace(self):
         n = 4
@@ -223,26 +223,31 @@ class TestPxp:
 
 class TestEigensystem:
     def test_diagonal_input(self):
-        vals, vecs = hermitian_eigensystem(DenseOperator(np.diag([1.0, 2.0, 3.0]), "qubits:0"))
+        vals, vecs = hermitian_eigensystem(np.diag([1.0, 2.0, 3.0]))
         assert np.allclose(vals, [1, 2, 3])
         assert np.allclose(np.abs(vecs), np.eye(3))
 
     def test_pauli_x(self):
-        vals, _ = hermitian_eigensystem(DenseOperator(SX, "qubits:1"))
+        vals, _ = hermitian_eigensystem(SX)
         assert np.allclose(vals, [-1, 1])
 
     def test_reconstruction_residual(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         h = (a + a.conj().T) / 2
-        vals, vecs = hermitian_eigensystem(DenseOperator(h, "qubits:5"))
+        vals, vecs = hermitian_eigensystem(h)
         recon = (vecs * vals) @ vecs.conj().T
         assert np.linalg.norm(recon - h) < 1e-9 * np.linalg.norm(h)
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(32)) < 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigensystem(DenseOperator(np.array([[0, 1], [0, 0]], dtype=complex), "x"))
+            hermitian_eigensystem(np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("h", [np.ones(4), np.ones((2, 3))], ids=["vector", "2x3"])
+    def test_rejects_non_square(self, h):
+        with pytest.raises(ValueError, match="must be square"):
+            hermitian_eigensystem(h, real=True)
 
     @pytest.mark.parametrize("h", [
         np.array([[0.0, 1j], [1j, 0.0]]),  # symmetric, so only the complex check sees it
@@ -251,14 +256,14 @@ class TestEigensystem:
     ], ids=["complex-symmetric", "real-dtype", "nan-imaginary"])
     def test_rejects_non_hermitian_on_either_check(self, h):
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigensystem(DenseOperator(h, "qubits:1"), real=True)
+            hermitian_eigensystem(h, real=True)
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_rejects_nan(self, real):
         h = np.eye(4, dtype=complex)
         h[0, 1] = h[1, 0] = np.nan
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigensystem(DenseOperator(h, "qubits:2"), real=real)
+            hermitian_eigensystem(h, real=real)
 
 
 def solve_shapes(monkeypatch, h):
@@ -292,15 +297,15 @@ class TestSectorEigensystem:
     def test_matches_full_real_solve(self, case, monkeypatch):
         h = SECTOR_CASES[case]()
         (vals, vecs), shapes = solve_shapes(monkeypatch, h)
-        assert shapes and all(max(shape) < h.dim for shape in shapes)  # sector path
-        full_vals, full_vecs = np.linalg.eigh(h.mat.real)
-        assert vecs.dtype == float and vecs.shape == (h.dim, h.dim)
+        assert shapes and all(max(shape) < len(h) for shape in shapes)  # sector path
+        full_vals, full_vecs = np.linalg.eigh(h.real)
+        assert vecs.dtype == float and vecs.shape == (len(h), len(h))
         assert np.all(np.diff(vals) >= 0)
         assert np.max(np.abs(vals - full_vals)) < 1e-12
-        assert np.linalg.norm(vecs.T @ vecs - np.eye(h.dim)) < 1e-12
-        cols = np.arange(h.dim)
-        u = Propagator(vals, vecs, 100.0, h.basis).columns(cols)
-        u_full = Propagator(full_vals, full_vecs, 100.0, h.basis).columns(cols)
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(len(h))) < 1e-12
+        cols = np.arange(len(h))
+        u = Propagator(vals, vecs, 100.0).columns(cols)
+        u_full = Propagator(full_vals, full_vecs, 100.0).columns(cols)
         assert np.max(np.abs(u - u_full)) < 1e-12
 
     def test_equal_energies_keep_sector_order(self, monkeypatch):
@@ -308,9 +313,9 @@ class TestSectorEigensystem:
         # |100> (one 1 bit) and |011> (two), so count order and index order
         # disagree there
         energies = [1.0, 2.0, 1.0, 0.0, 0.0, 1.0, 2.0, 1.0]
-        h = DenseOperator(np.diag(energies).astype(complex), "qubits:3")
+        h = np.diag(energies).astype(complex)
         (vals, vecs), shapes = solve_shapes(monkeypatch, h)
-        assert shapes and all(max(shape) < h.dim for shape in shapes)  # sector path
+        assert shapes and all(max(shape) < len(h) for shape in shapes)  # sector path
         assert vals.tolist() == sorted(energies)
         # among equal energies, the columns go in ascending 1-bit count
         assert np.argmax(np.abs(vecs), axis=0).tolist() == [4, 3, 0, 2, 5, 7, 1, 6]
@@ -324,22 +329,33 @@ class TestSectorEigensystem:
         else:
             rng = np.random.default_rng(3)
             a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-            h = DenseOperator((a + a.conj().T) / 2, "qubits:5")
+            h = (a + a.conj().T) / 2
         (vals, vecs), shapes = solve_shapes(monkeypatch, h)
-        assert shapes == [(h.dim, h.dim)]
+        assert shapes == [(len(h), len(h))]
         recon = (vecs * vals) @ vecs.conj().T
-        assert np.linalg.norm(recon - h.mat) < 1e-12 * np.linalg.norm(h.mat)
+        assert np.linalg.norm(recon - h) < 1e-12 * np.linalg.norm(h)
+
+    def test_blockade_hamiltonian_of_qubit_dimension_is_exact(self):
+        # 4 blockade sites span F(6) = 8 states, the dimension of 3 qubits,
+        # so the real path tries the sector split on a basis that is not a
+        # qubit basis; whichever solve answers, the eigensystem is exact
+        h = build_pxp(PxpParams(), 4)
+        assert len(h) == 8
+        vals, vecs = hermitian_eigensystem(h, real=True)
+        recon = (vecs * vals) @ vecs.conj().T
+        assert np.linalg.norm(recon - h) <= 1e-12 * np.linalg.norm(h)
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(8)) < 1e-12
 
     def test_planted_off_sector_entry_forces_full_solve(self, monkeypatch):
         # no tolerance decides the path: one entry of 1e-300 between two
         # sectors is enough to leave it
         h = build_aah(AahParams(jzz=0.3, jz=0.1), 7)
         i, j = 0, 3  # |0000000> (no 1 bits) and |0000011> (two)
-        assert h.mat[i, j] == 0.0
-        h.mat[i, j] = h.mat[j, i] = 1e-300
+        assert h[i, j] == 0.0
+        h[i, j] = h[j, i] = 1e-300
         (vals, vecs), shapes = solve_shapes(monkeypatch, h)
-        assert shapes == [(h.dim, h.dim)]
-        assert np.linalg.norm(vecs.T @ vecs - np.eye(h.dim)) < 1e-12
+        assert shapes == [(len(h), len(h))]
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(len(h))) < 1e-12
 
 
 class TestParamValidation:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import pauli_on_site, projector0_on_site, total_sz
+from conftest import pauli_on_site, projector0_on_site, pure_density_matrix, total_sz
 from resetchannel import hamiltonians
 from resetchannel.hamiltonians import (
     AahParams,
@@ -15,9 +15,7 @@ from resetchannel.hamiltonians import (
     build_xxx,
 )
 from resetchannel.spin_ops import (
-    BasisMismatchError,
     ChainLayout,
-    DenseOperator,
     ghz_state,
     neel_state,
     partial_trace,
@@ -40,21 +38,21 @@ def kron_chain(ops):
 
 class TestPauli:
     def test_single_qubit_x(self):
-        assert np.array_equal(pauli_on_site("x", 0, 1).mat, SX)
+        assert np.array_equal(pauli_on_site("x", 0, 1), SX)
 
     def test_z_on_msb_site(self):
-        assert np.allclose(pauli_on_site("z", 0, 2).mat, np.diag([1, 1, -1, -1]))
+        assert np.allclose(pauli_on_site("z", 0, 2), np.diag([1, 1, -1, -1]))
 
     def test_matches_kron_oracle(self):
         eye = np.eye(2)
         expected = kron_chain([eye, SY])
-        assert np.allclose(pauli_on_site("y", 1, 2).mat, expected)
+        assert np.allclose(pauli_on_site("y", 1, 2), expected)
         expected = kron_chain([eye, SX, eye, eye])
-        assert np.allclose(pauli_on_site("x", 1, 4).mat, expected)
+        assert np.allclose(pauli_on_site("x", 1, 4), expected)
 
     def test_unitary_hermitian_involution(self):
         for axis in "xyz":
-            op = pauli_on_site(axis, 2, 3).mat
+            op = pauli_on_site(axis, 2, 3)
             assert np.allclose(op @ op, np.eye(8))
             assert np.allclose(op, op.conj().T)
 
@@ -62,8 +60,8 @@ class TestPauli:
         rng = np.random.default_rng(0)
         for _ in range(5):
             s1, s2 = rng.choice(4, size=2, replace=False)
-            a = pauli_on_site(rng.choice(list("xyz")), s1, 4).mat
-            b = pauli_on_site(rng.choice(list("xyz")), s2, 4).mat
+            a = pauli_on_site(rng.choice(list("xyz")), s1, 4)
+            b = pauli_on_site(rng.choice(list("xyz")), s2, 4)
             assert np.linalg.norm(a @ b - b @ a) < 1e-12
 
     def test_site_out_of_range(self):
@@ -161,9 +159,9 @@ class TestCachedPauliSum:
         first[:] = 7.0
         assert np.array_equal(pauli_sum(terms, 3), expected)
         h = build_aah(AahParams(jzz=0.3, jz=0.1), 4)
-        expected = h.mat.copy()
-        h.mat[0, 0] = 99.0
-        assert np.array_equal(build_aah(AahParams(jzz=0.3, jz=0.1), 4).mat, expected)
+        expected = h.copy()
+        h[0, 0] = 99.0
+        assert np.array_equal(build_aah(AahParams(jzz=0.3, jz=0.1), 4), expected)
 
     @pytest.mark.parametrize("term, match", [
         ((1.0, "xw", (0, 1)), "axis"),
@@ -178,17 +176,17 @@ class TestCachedPauliSum:
 
 class TestProjector:
     def test_single_site(self):
-        assert np.allclose(projector0_on_site(0, 1).mat, np.diag([1, 0]))
+        assert np.allclose(projector0_on_site(0, 1), np.diag([1, 0]))
 
     def test_idempotent_hermitian_half_rank(self):
-        p = projector0_on_site(2, 4).mat
+        p = projector0_on_site(2, 4)
         assert np.allclose(p @ p, p)
         assert np.allclose(p, p.conj().T)
         assert np.linalg.matrix_rank(p) == 8
 
     def test_completeness_with_z_complement(self):
-        p = projector0_on_site(1, 3).mat
-        z = pauli_on_site("z", 1, 3).mat
+        p = projector0_on_site(1, 3)
+        z = pauli_on_site("z", 1, 3)
         complement = (np.eye(8) - z) / 2
         assert np.allclose(p + complement, np.eye(8))
 
@@ -196,19 +194,19 @@ class TestProjector:
 class TestStates:
     def test_product_state_is_basis_vector(self):
         psi = product_state("00")
-        assert np.array_equal(psi.vec, [1, 0, 0, 0])
-        assert product_state("10").vec[2] == 1.0
+        assert np.array_equal(psi, [1, 0, 0, 0])
+        assert product_state("10")[2] == 1.0
 
     def test_ghz(self):
         psi = ghz_state(2)
-        assert np.allclose(psi.vec, np.array([1, 0, 0, 1]) / np.sqrt(2))
+        assert np.allclose(psi, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
     def test_neel(self):
-        assert neel_state(3).vec[int("010", 2)] == 1.0
+        assert neel_state(3)[int("010", 2)] == 1.0
 
     def test_unit_norm(self):
         for psi in (product_state("0110"), ghz_state(3), neel_state(5)):
-            assert abs(np.linalg.norm(psi.vec) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
     def test_empty_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -221,13 +219,13 @@ class TestPartialTrace:
         rho_s = np.diag([0.25, 0.75]).astype(complex)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho_b = a @ a.conj().T
-        joint = DenseOperator(np.kron(rho_s, rho_b), "qubits:2")
+        joint = np.kron(rho_s, rho_b)
         reduced = partial_trace(joint, [0], 2)
-        assert np.allclose(reduced.mat, rho_s * np.trace(rho_b))
+        assert np.allclose(reduced, rho_s * np.trace(rho_b))
 
     def test_bell_pair_reduces_to_mixed(self):
-        rho = ghz_state(2).density_matrix()
-        assert np.allclose(partial_trace(rho, [0], 2).mat, np.eye(2) / 2)
+        rho = pure_density_matrix(ghz_state(2))
+        assert np.allclose(partial_trace(rho, [0], 2), np.eye(2) / 2)
 
     def test_matches_index_summation_oracle(self):
         rng = np.random.default_rng(2)
@@ -240,31 +238,31 @@ class TestPartialTrace:
             for j in range(4):
                 for k in range(2):
                     expected[i, j] += rho[2 * i + k, 2 * j + k]
-        got = partial_trace(DenseOperator(rho, "qubits:3"), [0, 1], 3)
-        assert np.allclose(got.mat, expected)
-        assert abs(np.trace(got.mat) - np.trace(rho)) < 1e-12
+        got = partial_trace(rho, [0, 1], 3)
+        assert np.allclose(got, expected)
+        assert abs(np.trace(got) - np.trace(rho)) < 1e-12
 
     def test_trace_preserved_nonadjacent_keep(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         rho = a @ a.conj().T
         rho /= np.trace(rho)
-        got = partial_trace(DenseOperator(rho, "qubits:4"), [0, 2], 4)
-        assert abs(np.trace(got.mat) - 1.0) < 1e-12
+        got = partial_trace(rho, [0, 2], 4)
+        assert abs(np.trace(got) - 1.0) < 1e-12
 
-    def test_basis_mismatch_rejected(self):
-        op = DenseOperator(np.eye(4), "qubits:2")
-        with pytest.raises(BasisMismatchError):
-            partial_trace(op, [0], 3)
+    def test_shape_mismatch_rejected(self):
+        for op in (np.eye(4), np.eye(8)[:4], np.ones(8)):
+            with pytest.raises(ValueError, match=r"is not \(8, 8\) of 3 qubits"):
+                partial_trace(op, [0], 3)
 
 
 class TestTotalSz:
     def test_small_chains(self):
-        assert np.allclose(total_sz(1).mat, np.diag([1, -1]))
-        assert np.allclose(total_sz(2).mat, np.diag([2, 0, 0, -2]))
+        assert np.allclose(total_sz(1), np.diag([1, -1]))
+        assert np.allclose(total_sz(2), np.diag([2, 0, 0, -2]))
 
     def test_eigenvalue_range_and_parity(self):
-        vals = np.real(np.diag(total_sz(5).mat))
+        vals = np.real(np.diag(total_sz(5)))
         assert vals.max() == 5 and vals.min() == -5
         assert np.all((vals - 5) % 2 == 0)
 
