@@ -96,12 +96,10 @@ class SuperoperatorMatrix:
         return int(round(np.sqrt(self.mat.shape[0])))
 
 
-def propagate(h: np.ndarray, t: float, real: bool = False) -> Propagator:
-    """exp(-i H t) as the Hermitian eigensystem of H, solved in real
-    arithmetic when ``real`` and H is exactly real (see
-    :func:`hermitian_eigensystem`)."""
-    vals, vecs = hermitian_eigensystem(h, real=real)
-    return Propagator(vals, vecs, t)
+def propagate(h: np.ndarray, t: float) -> Propagator:
+    """exp(-i H t) as the Hermitian eigensystem of H, solved in the
+    arithmetic of H's dtype (see :func:`hermitian_eigensystem`)."""
+    return Propagator(*hermitian_eigensystem(h), t)
 
 
 @cache

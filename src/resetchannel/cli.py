@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 configuration error, 2 numerical/runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -20,16 +19,6 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    raw = os.environ.get("RESETCHANNEL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"RESETCHANNEL_THREADS: expected an integer, got {raw!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="resetchannel",
@@ -40,8 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment from a JSON config")
     p_run.add_argument("config", help="path to a JSON configuration")
     p_run.add_argument("--out", default=None, help="output directory (default: runs/<name>)")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads for sweeps (default: RESETCHANNEL_THREADS or 1)")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="worker threads for sweeps (default: 1)")
 
     p_preset = sub.add_parser("preset", help="run a named preset")
     p_preset.add_argument("name", nargs="?", help="preset name (fig2..fig9)")
@@ -49,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--override", action="append", default=[],
                           metavar="KEY=VALUE", help="override a config entry (dotted path)")
     p_preset.add_argument("--out", default=None)
-    p_preset.add_argument("--threads", type=int, default=None)
+    p_preset.add_argument("--threads", type=int, default=1)
 
     p_val = sub.add_parser("validate", help="validate a JSON config")
     p_val.add_argument("config")
@@ -72,7 +61,7 @@ def main(argv=None) -> int:
             config = (load_config(args.config) if args.command == "run"
                       else preset_config(args.name, args.override))
             out = args.out or os.path.join("runs", config.name)
-            manifest = run_experiment(config, out, _thread_count(args))
+            manifest = run_experiment(config, out, max(1, args.threads))
             print(f"{config.name}: wrote {len(manifest['outputs'])} files to {out}")
             return EXIT_OK
 
@@ -91,7 +80,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (json.JSONDecodeError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG if args.command in ("run", "validate") else EXIT_NUMERICAL
     except Exception as exc:

@@ -254,12 +254,14 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a JSON config file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                               f"{exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config: not UTF-8 text: {exc}") from exc
     return validate_config(raw)
 
 

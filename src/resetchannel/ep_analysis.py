@@ -388,13 +388,14 @@ def _bisect_pairs(grid: SweepGrid, lo: float, hi: float, bands_hi: np.ndarray,
                   band_pairs: list[tuple[int, int]], tol_im: float,
                   resolution: float) -> list[EpRecord]:
     """Bisect the EP of each band pair, a conjugate pair in ``bands_hi`` at
-    ``hi``, within [lo, hi]. Each pair keeps its own bracket; each round
-    makes one probe per distinct midpoint, answering every pair that bisects
-    there from one build."""
+    ``hi``, between ``lo`` (real side) and ``hi`` (complex side), which run
+    in the grid's direction. Each pair keeps its own bracket, recorded as
+    (min, max); each round makes one probe per distinct midpoint, answering
+    every pair that bisects there from one build."""
     brackets = [(lo, hi, bands_hi[list(band_pair)]) for band_pair in band_pairs]
     active = list(range(len(brackets)))
     for _ in range(MAX_BISECTIONS):
-        active = [i for i in active if brackets[i][1] - brackets[i][0] > resolution]
+        active = [i for i in active if abs(brackets[i][1] - brackets[i][0]) > resolution]
         by_mid: dict[float, list[int]] = {}
         for i in active:
             by_mid.setdefault(0.5 * (brackets[i][0] + brackets[i][1]), []).append(i)
@@ -409,7 +410,7 @@ def _bisect_pairs(grid: SweepGrid, lo: float, hi: float, bands_hi: np.ndarray,
             j_star=0.5 * (b_lo + b_hi),
             lambda_star=complex(pair.mean()),
             band_pair=band_pair,
-            bracket=(b_lo, b_hi),
+            bracket=(min(b_lo, b_hi), max(b_lo, b_hi)),
             converged=i not in active,
         )
         for i, ((b_lo, b_hi, pair), band_pair) in enumerate(zip(brackets, band_pairs))
@@ -417,8 +418,9 @@ def _bisect_pairs(grid: SweepGrid, lo: float, hi: float, bands_hi: np.ndarray,
 
 
 def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float) -> FitResult:
-    """Fit the splitting exponent log|Im lambda| vs log(J - J*) just above an
-    exceptional point; 0.5 for a generic second-order EP. ``tol_im`` is the
+    """Fit the splitting exponent log|Im lambda| vs log|J - J*| just on the
+    complex side of an exceptional point, which is toward the end of the
+    grid; 0.5 for a generic second-order EP. ``tol_im`` is the
     |Im| above which a probed pair counts as split; pass the one that located
     ``ep`` (:attr:`BandTrack.split_tolerance`).
 
@@ -429,10 +431,11 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float) -> FitResult
     """
     bracket_width = max(ep.bracket[1] - ep.bracket[0], 1e-12)
     pair = np.array([ep.lambda_star, np.conj(ep.lambda_star)])
+    toward = 1.0 if grid.values[-1] > grid.values[0] else -1.0
     deltas, ims = [], []
     d = FIT_START_WIDTHS * bracket_width
     while len(deltas) < FIT_MAX_POINTS:
-        [(p, is_pair, gap)] = grid.probe(ep.j_star + d, [pair], tol_im)
+        [(p, is_pair, gap)] = grid.probe(ep.j_star + toward * d, [pair], tol_im)
         split = abs(p[0] - p[1])
         if not is_pair or split > gap:
             break
@@ -442,7 +445,7 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float) -> FitResult
         d *= FIT_LADDER
     if len(deltas) < FIT_MIN_POINTS:
         raise ValueError(
-            f"only {len(deltas)} valid probe points above the EP; need {FIT_MIN_POINTS}"
+            f"only {len(deltas)} valid probe points beyond the EP; need {FIT_MIN_POINTS}"
         )
     deltas = np.array(deltas)
     ims = np.array(ims)

@@ -168,37 +168,30 @@ def _sector_eigensystem(h: np.ndarray, n_sites: int):
     return vals[ascending], out
 
 
-def hermitian_eigensystem(h: np.ndarray, real: bool = False):
+def hermitian_eigensystem(h: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
     matrix; rejects inputs that are not Hermitian within
     ``HERMITIAN_RTOL``.
 
-    ``real`` solves a matrix whose imaginary part is exactly zero with a
-    real symmetric ``eigh`` instead of the complex Hermitian one; the result
-    then agrees with the complex solve to rounding, not bit for bit. Any
-    other matrix takes the complex solve whatever ``real`` says. A real
-    solve of a ``2**n``-dimensional matrix whose entries between different
-    total-S_z sectors of ``n`` qubits are all exactly zero solves each
-    sector on its own, with the eigenvectors embedded in the full basis; no
-    tolerance decides that, so a Hamiltonian that breaks the symmetry by any
-    amount takes the full solve, and the split is exact for any matrix that
-    passes it.
+    The dtype of ``h`` decides the arithmetic: a complex ``h`` takes the
+    complex Hermitian ``eigh``, any other is cast to float64 and takes the
+    real symmetric one, which agrees with the complex solve to rounding, not
+    bit for bit. A real ``2**n``-dimensional matrix whose entries between
+    different total-S_z sectors of ``n`` qubits are all exactly zero is
+    solved one sector at a time, with the eigenvectors embedded in the full
+    basis; no tolerance decides that, so the split is exact for any matrix
+    that passes it.
     """
-    h = np.asarray(h, dtype=complex)
+    h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"operator must be square, got shape {h.shape}")
-    exactly_real = not np.any(h.imag)
-    # an exactly real H is Hermitian when its real part is symmetric
-    mat = h.real if exactly_real else h
-    scale = max(np.linalg.norm(mat), 1.0)
+    scale = max(np.linalg.norm(h), 1.0)
     # NaN fails too
-    if not np.linalg.norm(mat - mat.conj().T) <= HERMITIAN_RTOL * scale:
+    if not np.linalg.norm(h - h.conj().T) <= HERMITIAN_RTOL * scale:
         raise ValueError("operator is not Hermitian within tolerance")
-    real = real and exactly_real
     n_sites = len(h).bit_length() - 1
-    if real and len(h) == 1 << n_sites:
-        solved = _sector_eigensystem(mat, n_sites)
+    if h.dtype == float and len(h) == 1 << n_sites:
+        solved = _sector_eigensystem(h, n_sites)
         if solved is not None:
             return solved
-    vals, vecs = np.linalg.eigh(mat if real else h)
-    return vals, vecs
+    return np.linalg.eigh(h)

@@ -77,14 +77,16 @@ def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
     live on through a sweep or a channel iteration.
 
     ``real`` marks a caller that accepts a channel exact to rounding rather
-    than bit for bit (the EP pipeline and the iterated channels); see
-    :func:`hermitian_eigensystem`."""
+    than bit for bit (the EP pipeline and the iterated channels): an H whose
+    imaginary part is exactly zero then goes to :func:`propagate` as its
+    real part, which is solved in real arithmetic. No other function
+    chooses the arithmetic of an H solve."""
     params = dict(config.params)
     if param_overrides:
         params.update(param_overrides)
     layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
     h = build_hamiltonian(config.model, params, layout.n_h)
-    prop = propagate(h, config.time, real=real)
+    prop = propagate(h.real if real and not np.any(h.imag) else h, config.time)
     kraus = kraus_from_unitary(prop, layout)
     if not param_overrides:
         kraus.hamiltonian_eigensystem = (prop.vals, prop.vecs)

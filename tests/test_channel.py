@@ -37,12 +37,7 @@ from resetchannel.runner import (
     spectral_matrix_factory,
 )
 from resetchannel.spectra import sorted_eig
-from resetchannel.spin_ops import (
-    ChainLayout,
-    ghz_state,
-    partial_trace,
-    pauli_sum,
-)
+from resetchannel.spin_ops import ChainLayout, ghz_state, partial_trace
 
 
 def transpose_swap(op_dim):
@@ -75,7 +70,7 @@ def hermitian_basis(op_dim):
 
 def kraus_oracle(h, t, layout, real):
     """K_m = <m|U|0_b> gathered entry by entry from the full propagator U."""
-    vals, vecs = hermitian_eigensystem(h, real=real)
+    vals, vecs = hermitian_eigensystem(h.real if real else h)
     u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
     ds, db = layout.dim_s, layout.dim_b
     if not layout.constrained:
@@ -367,7 +362,8 @@ class TestRealProbeBuilds:
         build_channel(config, {"jz": 0.3}, real=True)
         assert solves and all(solves)
 
-        # a Hermitian H with a nonzero imaginary part stays on the complex path
+        # build_channel hands a Hermitian H with a nonzero imaginary part
+        # over whole, so it stays on the complex path
         hamiltonian = runner.build_hamiltonian
 
         def complex_hamiltonian(*args):
@@ -382,16 +378,6 @@ class TestRealProbeBuilds:
         assert solves == [False, False]
         for k_exact, k_probe in zip(exact.ops, probe.ops):
             assert np.array_equal(k_exact, k_probe)
-
-    def test_real_request_on_complex_hamiltonian_is_exact(self):
-        # the Y term makes H complex; solving Re(H) instead would propagate
-        # another Hamiltonian
-        terms = [(1.0, "xx", (0, 1)), (0.4, "z", (0,)), (0.6, "y", (1,))]
-        h = pauli_sum(terms, 2)
-        assert np.any(h.imag)
-        cols = np.arange(4)
-        assert np.array_equal(propagate(h, 1.3, real=True).columns(cols),
-                              propagate(h, 1.3).columns(cols))
 
     def test_fig4_probe_matrices_near_exact_and_sweep_exact(self):
         config = preset_config("fig4")
@@ -421,7 +407,7 @@ class TestRealProbeBuilds:
         monkeypatch.setattr(np.linalg, "eigh", skewed_real_eigh)
         propagate(h, 10.0)
         with pytest.raises(ValueError, match="not unitary"):
-            propagate(h, 10.0, real=True)
+            propagate(h.real, 10.0)
 
 
 class TestRealReversalForm:

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import resetchannel
-from resetchannel import runner
-from resetchannel.cli import _thread_count, build_parser, main
+from resetchannel import cli, runner
+from resetchannel.cli import main
 from resetchannel.config import (
     ConfigError,
     apply_overrides,
@@ -865,17 +865,30 @@ class TestCli:
     def test_unknown_preset_is_config_error(self, capsys):
         assert main(["preset", "fig99"]) == 1
 
-    def test_malformed_thread_variable_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RESETCHANNEL_THREADS", "abc")
+    def test_thread_count_below_one_counts_as_one(self, tmp_path, monkeypatch):
+        workers = []
+
+        def run_experiment(config, out, n_workers):
+            workers.append(n_workers)
+            return {"outputs": []}
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        for raw in ("0", "-3", "3"):
+            assert main(["preset", "fig3", "--threads", raw, "--out", str(tmp_path)]) == 0
+        assert main(["preset", "fig3", "--out", str(tmp_path)]) == 0
+        assert workers == [1, 1, 3, 1]
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(json.dumps(TINY_CONFIG).encode().replace(b"tiny", b"\xff\xfe"))
         out = tmp_path / "out"
-        assert main(["preset", "fig3", "--out", str(out)]) == 1
-        assert "RESETCHANNEL_THREADS" in capsys.readouterr().err
+        argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: config: not UTF-8")
         assert not out.exists()
-        # integers keep the clamp to at least one worker
-        args = build_parser().parse_args(["run", "config.json"])
-        for raw, workers in (("0", 1), ("-3", 1), ("3", 3)):
-            monkeypatch.setenv("RESETCHANNEL_THREADS", raw)
-            assert _thread_count(args) == workers
 
 
 class TestPlots:

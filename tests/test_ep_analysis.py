@@ -327,6 +327,23 @@ class TestLocateEps:
         assert abs(fit.exponent - 0.5) < 0.02
         assert fit.r2 > 0.999
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_grid_direction(self, sign):
+        # EP at j = 0.05, complex below it: the decreasing grid meets it from
+        # the real side, as does the mirrored increasing one at j = -0.05
+        def build(j):
+            return np.array([[0.5 + j, 0.05], [-0.05, 0.5 - j]], dtype=complex)
+
+        grid = SweepGrid("j", sign * np.linspace(0.07, 0.03, 5), build)
+        track = track_bands(sweep_spectrum(grid))
+        [rec] = locate_eps(grid, track, resolution=1e-5)
+        assert rec.converged
+        assert rec.bracket[0] <= rec.bracket[1] <= rec.bracket[0] + 1e-5
+        assert rec.bracket[0] <= sign * 0.05 <= rec.bracket[1]
+        fit = fit_sqrt_exponent(grid, rec, split_tol(track.bands[0]))
+        assert abs(fit.exponent - 0.5) < 0.02
+        assert fit.r2 > 0.999
+
     def test_exact_sqrt_data_fits_half(self):
         # family built so the splitting is exactly sqrt(J): fitted slope 0.5
         def build(j):

@@ -247,7 +247,7 @@ class TestEigensystem:
     @pytest.mark.parametrize("h", [np.ones(4), np.ones((2, 3))], ids=["vector", "2x3"])
     def test_rejects_non_square(self, h):
         with pytest.raises(ValueError, match="must be square"):
-            hermitian_eigensystem(h, real=True)
+            hermitian_eigensystem(h)
 
     @pytest.mark.parametrize("h", [
         np.array([[0.0, 1j], [1j, 0.0]]),  # symmetric, so only the complex check sees it
@@ -256,23 +256,24 @@ class TestEigensystem:
     ], ids=["complex-symmetric", "real-dtype", "nan-imaginary"])
     def test_rejects_non_hermitian_on_either_check(self, h):
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigensystem(h, real=True)
+            hermitian_eigensystem(h)
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     def test_rejects_nan(self, real):
         h = np.eye(4, dtype=complex)
         h[0, 1] = h[1, 0] = np.nan
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigensystem(h, real=real)
+            hermitian_eigensystem(h.real if real else h)
 
 
 def solve_shapes(monkeypatch, h):
-    """The real-path eigensystem of ``h`` and the shapes of the arrays that
-    ``np.linalg.eigh`` was called on to get it."""
+    """The eigensystem of ``h``, solved in the arithmetic of its dtype, and
+    the shapes of the arrays that ``np.linalg.eigh`` was called on to get
+    it."""
     shapes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
-    result = hermitian_eigensystem(h, real=True)
+    result = hermitian_eigensystem(h)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     return result, shapes
 
@@ -295,10 +296,10 @@ class TestSectorEigensystem:
 
     @pytest.mark.parametrize("case", SECTOR_CASES)
     def test_matches_full_real_solve(self, case, monkeypatch):
-        h = SECTOR_CASES[case]()
+        h = SECTOR_CASES[case]().real
         (vals, vecs), shapes = solve_shapes(monkeypatch, h)
         assert shapes and all(max(shape) < len(h) for shape in shapes)  # sector path
-        full_vals, full_vecs = np.linalg.eigh(h.real)
+        full_vals, full_vecs = np.linalg.eigh(h)
         assert vecs.dtype == float and vecs.shape == (len(h), len(h))
         assert np.all(np.diff(vals) >= 0)
         assert np.max(np.abs(vals - full_vals)) < 1e-12
@@ -308,12 +309,27 @@ class TestSectorEigensystem:
         u_full = Propagator(full_vals, full_vecs, 100.0).columns(cols)
         assert np.max(np.abs(u - u_full)) < 1e-12
 
+    def test_dtype_decides_the_solve(self, monkeypatch):
+        # the builders return a complex H; its real part takes the sector
+        # solve, the complex array one complex eigh, and the two agree
+        h = SECTOR_CASES["aah-7"]()
+        assert h.dtype == complex and not np.any(h.imag)
+        (vals, vecs), shapes = solve_shapes(monkeypatch, h.real)
+        assert vecs.dtype == float
+        assert shapes and all(max(shape) < len(h) for shape in shapes)
+        (c_vals, c_vecs), c_shapes = solve_shapes(monkeypatch, h)
+        assert c_vecs.dtype == complex and c_shapes == [h.shape]
+        assert np.max(np.abs(vals - c_vals)) < 1e-12
+        cols = np.arange(len(h))
+        u = Propagator(vals, vecs, 1.0).columns(cols)
+        assert np.max(np.abs(u - Propagator(c_vals, c_vecs, 1.0).columns(cols))) < 1e-12
+
     def test_equal_energies_keep_sector_order(self, monkeypatch):
         # 3 sites; each energy is unique within its sector, and E = 0 sits on
         # |100> (one 1 bit) and |011> (two), so count order and index order
         # disagree there
         energies = [1.0, 2.0, 1.0, 0.0, 0.0, 1.0, 2.0, 1.0]
-        h = np.diag(energies).astype(complex)
+        h = np.diag(energies)
         (vals, vecs), shapes = solve_shapes(monkeypatch, h)
         assert shapes and all(max(shape) < len(h) for shape in shapes)  # sector path
         assert vals.tolist() == sorted(energies)
@@ -323,9 +339,9 @@ class TestSectorEigensystem:
     @pytest.mark.parametrize("case", ["xxx-jxxx-2", "pxp", "complex"])
     def test_other_hamiltonians_take_one_full_solve(self, case, monkeypatch):
         if case == "xxx-jxxx-2":
-            h = build_xxx(XxxParams(jzz=0.1, jz=0.1, jxxx=2.0), 8)
+            h = build_xxx(XxxParams(jzz=0.1, jz=0.1, jxxx=2.0), 8).real
         elif case == "pxp":
-            h = build_pxp(PxpParams(), 10)
+            h = build_pxp(PxpParams(), 10).real
         else:
             rng = np.random.default_rng(3)
             a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
@@ -339,9 +355,9 @@ class TestSectorEigensystem:
         # 4 blockade sites span F(6) = 8 states, the dimension of 3 qubits,
         # so the real path tries the sector split on a basis that is not a
         # qubit basis; whichever solve answers, the eigensystem is exact
-        h = build_pxp(PxpParams(), 4)
+        h = build_pxp(PxpParams(), 4).real
         assert len(h) == 8
-        vals, vecs = hermitian_eigensystem(h, real=True)
+        vals, vecs = hermitian_eigensystem(h)
         recon = (vecs * vals) @ vecs.conj().T
         assert np.linalg.norm(recon - h) <= 1e-12 * np.linalg.norm(h)
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(8)) < 1e-12
@@ -349,7 +365,7 @@ class TestSectorEigensystem:
     def test_planted_off_sector_entry_forces_full_solve(self, monkeypatch):
         # no tolerance decides the path: one entry of 1e-300 between two
         # sectors is enough to leave it
-        h = build_aah(AahParams(jzz=0.3, jz=0.1), 7)
+        h = build_aah(AahParams(jzz=0.3, jz=0.1), 7).real
         i, j = 0, 3  # |0000000> (no 1 bits) and |0000011> (two)
         assert h[i, j] == 0.0
         h[i, j] = h[j, i] = 1e-300
