@@ -25,20 +25,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra and information dynamics of reset-driven Floquet channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    running = argparse.ArgumentParser(add_help=False)  # the options of run and preset
+    running.add_argument("--out", default=None, help="output directory (default: runs/<name>)")
+    running.add_argument("--threads", type=int, default=1,
+                         help="worker threads for sweeps (default: 1)")
 
-    p_run = sub.add_parser("run", help="run an experiment from a JSON config")
+    p_run = sub.add_parser("run", parents=[running], help="run an experiment from a JSON config")
     p_run.add_argument("config", help="path to a JSON configuration")
-    p_run.add_argument("--out", default=None, help="output directory (default: runs/<name>)")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweeps (default: 1)")
 
-    p_preset = sub.add_parser("preset", help="run a named preset")
+    p_preset = sub.add_parser("preset", parents=[running], help="run a named preset")
     p_preset.add_argument("name", nargs="?", help="preset name (fig2..fig9)")
     p_preset.add_argument("--list", action="store_true", help="list available presets")
     p_preset.add_argument("--override", action="append", default=[],
                           metavar="KEY=VALUE", help="override a config entry (dotted path)")
-    p_preset.add_argument("--out", default=None)
-    p_preset.add_argument("--threads", type=int, default=1)
 
     p_val = sub.add_parser("validate", help="validate a JSON config")
     p_val.add_argument("config")

@@ -22,6 +22,7 @@ from .spin_ops import (
 )
 
 QMI_MONOTONE_ATOL = 1e-9
+OVERLAP_MIN_WEIGHT = 1e-12   # bath-vacuum weight below which an overlap is undefined
 SCAR_COUNT = 4               # scar candidates picked per spectrum
 SCAR_EDGE_FRACTION = 1 / 6   # fraction of the energy spectrum skipped at each edge
 
@@ -70,7 +71,7 @@ def eigen_overlap(right: np.ndarray, psi: np.ndarray, layout: ChainLayout) -> np
     """
     v = bath_vacuum_projection(psi, layout)
     norm2 = float(np.real(v.conj() @ v))
-    if norm2 < 1e-12:
+    if norm2 < OVERLAP_MIN_WEIGHT:
         raise UndefinedOverlapError("eigenstate has no weight on the bath reset configuration")
     return layout.dim_s * np.abs(np.kron(v.conj(), v) @ right) / norm2
 

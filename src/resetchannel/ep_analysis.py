@@ -37,9 +37,11 @@ FIT_MIN_POINTS = 5
 FIT_MAX_POINTS = 16
 FIT_LADDER = 1.6
 FIT_START_WIDTHS = 30.0
+FIT_MIN_BRACKET = 1e-12      # floor on the EP bracket width the ladder starts from
 # A Jordan-chain link whose relative residual exceeds this is past the
 # numerical Jordan block.
 CHAIN_RESIDUAL_TOL = 1e-3
+BASIS_MISFIT_RTOL = 1e-8     # lstsq misfit, relative to max(|v0|, 1), of a spanning basis
 
 
 class JordanChainError(RuntimeError):
@@ -429,7 +431,7 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float) -> FitResult
     ``FIT_MIN_POINTS`` probes with the best r^2, so a nearby second EP cannot
     contaminate the scaling window.
     """
-    bracket_width = max(ep.bracket[1] - ep.bracket[0], 1e-12)
+    bracket_width = max(ep.bracket[1] - ep.bracket[0], FIT_MIN_BRACKET)
     pair = np.array([ep.lambda_star, np.conj(ep.lambda_star)])
     toward = 1.0 if grid.values[-1] > grid.values[0] else -1.0
     deltas, ims = [], []
@@ -555,7 +557,7 @@ def decompose_generalized(chains: list[JordanChain], v0: np.ndarray) -> list[np.
     basis = np.column_stack([vec for ch in chains for vec in ch.vectors])
     coeffs, *_ = np.linalg.lstsq(basis, v0, rcond=None)
     misfit = np.linalg.norm(basis @ coeffs - v0)
-    if misfit > 1e-8 * max(np.linalg.norm(v0), 1.0):
+    if misfit > BASIS_MISFIT_RTOL * max(np.linalg.norm(v0), 1.0):
         raise ValueError(f"incomplete generalized basis: misfit {misfit:.2e}")
     out = []
     pos = 0

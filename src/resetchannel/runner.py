@@ -119,9 +119,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
 
 
-def _openblas(libs: Path, *names: str) -> list:
-    """The functions ``<prefix>_<name>64_``, one per name in ``names``, of
-    the OpenBLAS ``lib<prefix>64_*`` in ``libs``, from the loaded library;
+def _openblas(libs: Path) -> dict:
+    """The ``get_num_threads``, ``set_num_threads`` and ``get_config`` of the
+    OpenBLAS ``lib<prefix>64_*`` in ``libs``, typed, from the loaded library;
     raises OSError where there is none or it does not load, and
     AttributeError where it lacks one of them."""
     found = sorted(libs.glob("lib*openblas64_*"))
@@ -129,7 +129,13 @@ def _openblas(libs: Path, *names: str) -> list:
         raise OSError(f"no lib*openblas64_* in {libs}")
     lib = ctypes.CDLL(str(found[0]))
     prefix = found[0].name[len("lib"):found[0].name.index("64_")]
-    return [getattr(lib, f"{prefix}_{name}64_") for name in names]
+    handle = {}
+    for name, argtypes, restype in (("get_num_threads", [], ctypes.c_int),
+                                    ("set_num_threads", [ctypes.c_int], None),
+                                    ("get_config", [], ctypes.c_char_p)):
+        function = handle[name] = getattr(lib, f"{prefix}_{name}64_")
+        function.argtypes, function.restype = argtypes, restype
+    return handle
 
 
 def _blas_runtime(libs: Path) -> dict:
@@ -141,46 +147,39 @@ def _blas_runtime(libs: Path) -> dict:
     record = {"library": found[0].name if found else None, "threads": None,
               "config": None, "unread": None}
     try:
-        get_threads, get_config = _openblas(libs, "get_num_threads", "get_config")
+        blas = _openblas(libs)
     except (OSError, AttributeError) as exc:
         record["unread"] = f"{type(exc).__name__}: {exc}"
         return record
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
-    record.update(threads=get_threads(), config=get_config().decode())
+    record.update(threads=blas["get_num_threads"](), config=blas["get_config"]().decode())
     return record
 
 
 @contextmanager
-def _sweep_blas_threads(n_workers: int, threads: int | None):
-    """Numpy's OpenBLAS at one thread while ``n_workers > 1`` sweep workers
-    run, so that workers and BLAS threads do not compete for the cores, and
-    back at its previous count on exit; with one worker it is left at
-    ``threads``, the count it runs with. Yields the count the body runs
-    with. Where the library cannot be set and no BLAS thread variable is
-    1, a ``RuntimeWarning`` says so."""
-    functions = None
-    if n_workers > 1:
+def _analysis_blas_threads(threads: int | None):
+    """Numpy's OpenBLAS at one thread while the analyses run, so that their
+    outputs do not depend on the core or worker count, and back at its
+    previous count on exit; where one of ``BLAS_THREAD_VARS`` is set, that
+    choice stands and the library stays at ``threads``, its own count.
+    Yields the count the body runs with. Where the library cannot be set
+    and no variable is set, a ``RuntimeWarning`` says so."""
+    blas = None
+    if not any(var in os.environ for var in BLAS_THREAD_VARS):
         try:
-            functions = _openblas(NUMPY_LIBS, "get_num_threads", "set_num_threads")
+            blas = _openblas(NUMPY_LIBS)
         except (OSError, AttributeError) as exc:
-            if "1" not in (os.environ.get(var) for var in BLAS_THREAD_VARS):
-                warnings.warn(
-                    f"{n_workers} sweep workers with BLAS threads not pinned ({exc}): set "
-                    f"one of {', '.join(BLAS_THREAD_VARS)} to 1, or workers and BLAS "
-                    "threads compete for the cores", RuntimeWarning)
-    if functions is None:
+            warnings.warn(
+                f"BLAS threads not pinned ({exc}): set one of {', '.join(BLAS_THREAD_VARS)}, "
+                "or outputs may depend on the core count", RuntimeWarning)
+    if blas is None:
         yield threads
         return
-    get_threads, set_threads = functions
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    before = get_threads()
-    set_threads(1)
+    before = blas["get_num_threads"]()
+    blas["set_num_threads"](1)
     try:
         yield 1
     finally:
-        set_threads(before)
+        blas["set_num_threads"](before)
 
 
 def _environment(n_workers: int) -> dict:
@@ -211,10 +210,10 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     and the bracket widths, convergence and fit r^2 of ``ep``.
     ``"environment"`` holds the reproducibility settings and ``"warnings"``
     the warnings the run raised, as ``"Category: message"``; they are
-    issued again after the run. With more than one sweep worker, numpy's
-    OpenBLAS runs at one thread (see :func:`_sweep_blas_threads`);
-    ``"analysis_blas_threads"`` in ``"environment"`` is the count the
-    analyses ran with.
+    issued again after the run. Numpy's OpenBLAS runs the analyses at one
+    thread, whatever ``n_workers``, unless a BLAS thread variable is set
+    (see :func:`_analysis_blas_threads`); ``"analysis_blas_threads"`` in
+    ``"environment"`` is the count the analyses ran with.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -238,8 +237,7 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     try:
         with warnings.catch_warnings(record=True) as caught:
             environment = manifest["environment"]
-            with _sweep_blas_threads(n_workers,
-                                     environment["blas"]["runtime"]["threads"]) as threads:
+            with _analysis_blas_threads(environment["blas"]["runtime"]["threads"]) as threads:
                 environment["analysis_blas_threads"] = threads
                 _run_analyses(config, out, manifest, n_workers)
         manifest["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]

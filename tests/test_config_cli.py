@@ -383,7 +383,9 @@ class TestRunner:
         assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert env["blas_threads"]["MKL_NUM_THREADS"] is None
         assert env["n_workers"] == 2
-        assert env["analysis_blas_threads"] == (1 if runtime["unread"] is None else None)
+        # a set variable leaves the library at its own count; set here, after
+        # the library loaded, it did not choose that count
+        assert env["analysis_blas_threads"] == runtime["threads"]
         assert manifest["warnings"] == []
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk["environment"] == env and on_disk["warnings"] == []
@@ -427,28 +429,54 @@ class TestRunner:
         monkeypatch.setattr(runner, "_run_analyses", lambda *args: during.append(
             runner._blas_runtime(runner.NUMPY_LIBS)["threads"]) or run_analyses(*args))
         if before["unread"] is None:
-            # a settable library: sweep workers run it at one thread, with no
-            # warning, and it is back at its own count afterwards
-            manifest = run_experiment(config, tmp_path / "a", n_workers=2)
-            assert manifest["warnings"] == [] and during == [1]
-            assert manifest["environment"]["analysis_blas_threads"] == 1
-            assert runner._blas_runtime(runner.NUMPY_LIBS)["threads"] == before["threads"]
-        # a single worker leaves the library as it is, and never warns
-        during.clear()
-        manifest = run_experiment(config, tmp_path / "b", n_workers=1)
-        assert manifest["warnings"] == [] and during == [before["threads"]]
-        assert manifest["environment"]["analysis_blas_threads"] == before["threads"]
-        # no library to set: the warning fires unless a variable is 1
+            # a settable library and no variable set: the analyses run it at
+            # one thread whatever the worker count, with no warning, and it is
+            # back at its own count afterwards
+            for n_workers in (1, 2):
+                during.clear()
+                manifest = run_experiment(config, tmp_path / f"a{n_workers}", n_workers)
+                assert manifest["warnings"] == [] and during == [1]
+                assert manifest["environment"]["analysis_blas_threads"] == 1
+                assert runner._blas_runtime(runner.NUMPY_LIBS)["threads"] == before["threads"]
+        # a set variable is an explicit choice: the library is left as it is
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        for n_workers in (1, 2):
+            during.clear()
+            manifest = run_experiment(config, tmp_path / f"b{n_workers}", n_workers)
+            assert manifest["warnings"] == [] and during == [before["threads"]]
+            assert manifest["environment"]["analysis_blas_threads"] == before["threads"]
+        # no library to set: the warning fires, whatever the worker count,
+        # unless a variable is set
         monkeypatch.setattr(runner, "NUMPY_LIBS", tmp_path / "empty")
         runner.NUMPY_LIBS.mkdir()
-        with pytest.warns(RuntimeWarning, match="BLAS threads not pinned") as reissued:
-            manifest = run_experiment(config, tmp_path / "c", n_workers=2)
-        assert len(manifest["warnings"]) == 1
-        assert manifest["warnings"][0].startswith("RuntimeWarning: 2 sweep workers")
-        assert [f"RuntimeWarning: {w.message}" for w in reissued] == manifest["warnings"]
-        assert manifest["environment"]["analysis_blas_threads"] is None
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        for n_workers in (1, 2):
+            with pytest.warns(RuntimeWarning, match="BLAS threads not pinned") as reissued:
+                manifest = run_experiment(config, tmp_path / f"c{n_workers}", n_workers)
+            assert len(manifest["warnings"]) == 1
+            assert manifest["warnings"][0].startswith("RuntimeWarning: BLAS threads not pinned")
+            assert [f"RuntimeWarning: {w.message}" for w in reissued] == manifest["warnings"]
+            assert manifest["environment"]["analysis_blas_threads"] is None
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
         assert run_experiment(config, tmp_path / "d", n_workers=2)["warnings"] == []
+
+    def test_blas_threads_restored_when_run_raises(self, tmp_path, monkeypatch):
+        for var in runner.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        before = runner._blas_runtime(runner.NUMPY_LIBS)
+        if before["unread"] is not None:
+            pytest.skip(f"numpy's OpenBLAS cannot be set: {before['unread']}")
+        during = []
+
+        def failing(*args):
+            during.append(runner._blas_runtime(runner.NUMPY_LIBS)["threads"])
+            raise FloatingPointError("analysis failed")
+
+        monkeypatch.setattr(runner, "_run_analyses", failing)
+        with pytest.raises(FloatingPointError, match="analysis failed"):
+            run_experiment(validate_config(TINY_CONFIG), tmp_path)
+        assert during == [1]
+        assert runner._blas_runtime(runner.NUMPY_LIBS)["threads"] == before["threads"]
 
     def test_fig2_reads_no_inverse_or_svd(self, tmp_path, monkeypatch):
         # spectrum, histogram and overlaps read eigenvalues, right
@@ -575,26 +603,28 @@ class TestRunner:
         # with BLAS at one thread, and at two fig6's spectrum.csv reorders
         # conjugate pairs and fig9's bands move, so the presets run in a
         # fresh interpreter with BLAS pinned.
-        check = _bench_module("check", monkeypatch)
         runs = {"fig2-ns5": ["fig2", ["layout.n_s=5"]], "fig4": ["fig4", []],
                 "fig6": ["fig6", []], "fig7": ["fig7", []], "fig8": ["fig8", []],
                 "fig9": ["fig9", []]}
-        env = dict(os.environ, **{var: "1" for var in runner.BLAS_THREAD_VARS})
-        src = str(Path(resetchannel.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        res = subprocess.run([sys.executable, "-c", REFERENCE_RUNS, str(tmp_path),
-                              json.dumps(runs)],
-                             env=env, capture_output=True, text=True, timeout=600)
-        assert res.returncode == 0, res.stderr
-        index = check.load_index()
-        for label, (name, overrides) in runs.items():
-            config, out = preset_config(name, overrides), tmp_path / label
-            assert index[label]["config_hash"] == config.config_hash(), label
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert check.check_run(label, config, out, manifest, index) == [], label
+        manifests, _ = _reference_runs(runs, tmp_path, monkeypatch, blas_threads="1")
+        for manifest in manifests.values():
             runtime = manifest["environment"]["blas"]["runtime"]
             # the thread count the library runs with, as pinned at start-up
             assert runtime["threads"] == 1 or runtime["unread"] is not None
+
+    def test_default_run_reproduces_reference(self, tmp_path, monkeypatch):
+        # with the BLAS thread variables unset the library starts at one
+        # thread per core; the run pins it to one thread for its analyses and
+        # then restores it. On a one-core machine it starts at one thread and
+        # this test passes trivially; on more cores fig9's bands move when
+        # the library is left at its own count.
+        if runner._blas_runtime(runner.NUMPY_LIBS)["unread"] is not None:
+            pytest.skip("numpy's OpenBLAS cannot be set")
+        manifests, threads = _reference_runs({"fig9": ["fig9", []]}, tmp_path, monkeypatch,
+                                             blas_threads=None)
+        assert manifests["fig9"]["environment"]["analysis_blas_threads"] == 1
+        before, after = threads["fig9"]
+        assert after == before == manifests["fig9"]["environment"]["blas"]["runtime"]["threads"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = validate_config(TINY_CONFIG)
@@ -605,14 +635,43 @@ class TestRunner:
 
 
 # runs each preset of the JSON {label: [preset, overrides]} in argv[2] into
-# <argv[1]>/<label> with one sweep worker
+# <argv[1]>/<label> with one sweep worker; prints {label: [the library's
+# thread count before the run, after it]}
 REFERENCE_RUNS = """
 import json, sys
 from resetchannel.config import preset_config
-from resetchannel.runner import run_experiment
+from resetchannel.runner import NUMPY_LIBS, _blas_runtime, run_experiment
+threads = {}
 for label, (name, overrides) in json.loads(sys.argv[2]).items():
+    before = _blas_runtime(NUMPY_LIBS)["threads"]
     run_experiment(preset_config(name, overrides), f"{sys.argv[1]}/{label}", 1)
+    threads[label] = [before, _blas_runtime(NUMPY_LIBS)["threads"]]
+print(json.dumps(threads))
 """
+
+
+def _reference_runs(runs, tmp_path, monkeypatch, blas_threads):
+    """Run ``runs`` through ``REFERENCE_RUNS`` in a fresh interpreter with
+    every BLAS thread variable set to ``blas_threads`` (unset for None),
+    check each run against its reference, and return the manifests and the
+    printed thread counts, both by label."""
+    check = _bench_module("check", monkeypatch)
+    env = {k: v for k, v in os.environ.items() if k not in runner.BLAS_THREAD_VARS}
+    if blas_threads is not None:
+        env.update({var: blas_threads for var in runner.BLAS_THREAD_VARS})
+    src = str(Path(resetchannel.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", REFERENCE_RUNS, str(tmp_path),
+                          json.dumps(runs)],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    index, manifests = check.load_index(), {}
+    for label, (name, overrides) in runs.items():
+        config, out = preset_config(name, overrides), tmp_path / label
+        assert index[label]["config_hash"] == config.config_hash(), label
+        manifests[label] = json.loads((out / "manifest.json").read_text())
+        assert check.check_run(label, config, out, manifests[label], index) == [], label
+    return manifests, json.loads(res.stdout)
 
 
 SWEEP_CONFIG = {
@@ -861,6 +920,13 @@ class TestCli:
         assert main(["preset", "--list"]) == 0
         out = capsys.readouterr().out
         assert out.count(":") >= 8 and "fig2" in out
+        # run and preset share --out and --threads, with their help texts
+        for command in ("preset", "run"):
+            with pytest.raises(SystemExit) as exited:
+                main([command, "--help"])
+            assert exited.value.code == 0
+            usage = capsys.readouterr().out
+            assert "worker threads for sweeps" in usage and "output directory" in usage
 
     def test_unknown_preset_is_config_error(self, capsys):
         assert main(["preset", "fig99"]) == 1
