@@ -76,16 +76,17 @@ def eigen_overlap(right: np.ndarray, psi: np.ndarray, layout: ChainLayout) -> np
     return layout.dim_s * np.abs(np.kron(v.conj(), v) @ right) / norm2
 
 
-def half_chain_renyi2(vec: np.ndarray, basis: ConstrainedBasis) -> float:
+def half_chain_renyi2(vec: np.ndarray, basis: ConstrainedBasis) -> float | np.ndarray:
     """Renyi-2 entanglement entropy of the left half-chain for a
-    constrained-basis pure state."""
+    constrained-basis pure state, or for each column of a (dim, k) block of
+    them in one batched SVD."""
     full = basis.embed_vector(np.asarray(vec, dtype=complex))
     n = basis.n_sites
     half = n // 2
-    amps = full.reshape(2 ** half, 2 ** (n - half))
+    amps = np.moveaxis(full.reshape(2 ** half, 2 ** (n - half), -1), -1, 0)
     svals = np.linalg.svd(amps, compute_uv=False)
-    purity = float(np.sum(svals ** 4))
-    return -np.log(purity)
+    entropies = -np.log(np.sum(svals ** 4, axis=-1))
+    return entropies if full.ndim == 2 else float(entropies[0])
 
 
 def scar_candidates(energies: np.ndarray, eigenvectors: np.ndarray,
@@ -103,7 +104,7 @@ def scar_candidates(energies: np.ndarray, eigenvectors: np.ndarray,
     if hi - lo <= SCAR_COUNT:
         raise ValueError(f"spectrum too small to exclude edges: bulk has {hi - lo} states")
     bulk = np.arange(lo, hi)
-    entropies = np.array([half_chain_renyi2(eigenvectors[:, k], basis) for k in bulk])
+    entropies = half_chain_renyi2(eigenvectors[:, bulk], basis)
     order = np.argsort(entropies, kind="stable")[:SCAR_COUNT]
     picked = bulk[order]
     return ScarCandidates(
@@ -123,31 +124,29 @@ def scar_overlap_avg(right: np.ndarray, scar_states: np.ndarray,
     return np.mean(xis, axis=0)
 
 
-def _renyi2(purities) -> float:
-    return -np.log(purities[0]) - np.log(purities[1]) + np.log(purities[2])
+def _site_sz(rhos: np.ndarray, n_sites: int) -> np.ndarray:
+    """Tr(rho S_m^z), S_m^z = sigma_m^z / 2, for every site m (last axis)
+    of one state or of each state in a stack."""
+    diags = np.real(np.diagonal(rhos, axis1=-2, axis2=-1))
+    return diags @ (0.5 * site_signs(np.arange(2 ** n_sites), n_sites)).T
 
 
-def _site_sz_diagonals(n_sites: int) -> np.ndarray:
-    """Row m holds the diagonal of sigma_m^z / 2."""
-    return 0.5 * site_signs(np.arange(2 ** n_sites), n_sites)
-
-
-def imbalance(rho_t: np.ndarray, rho_0: np.ndarray, n_sites: int) -> float:
+def imbalance(rho_t: np.ndarray, rho_0: np.ndarray, n_sites: int) -> float | np.ndarray:
     """Memory diagnostic B = sum_i Tr(rho_t S_i^z) Tr(rho_0 S_i^z) with
-    S_i^z = sigma_i^z / 2."""
+    S_i^z = sigma_i^z / 2; a (k, d, d) stack ``rho_t`` gives the k values."""
     rho_t = np.asarray(rho_t, dtype=complex)
     rho_0 = np.asarray(rho_0, dtype=complex)
-    if rho_t.shape != rho_0.shape or rho_t.shape[0] != 2 ** n_sites:
+    dim = 2 ** n_sites
+    if rho_0.shape != (dim, dim) or rho_t.shape[-2:] != (dim, dim):
         raise ValueError("state dimensions do not match the chain size")
-    sz = _site_sz_diagonals(n_sites)
-    now = sz @ np.real(np.diag(rho_t))
-    init = sz @ np.real(np.diag(rho_0))
-    return float(now @ init)
+    b = _site_sz(rho_t, n_sites) @ _site_sz(rho_0, n_sites)
+    return float(b) if rho_t.ndim == 2 else b
 
 
-def _purity(rho: np.ndarray) -> float:
-    """Tr rho^2 = sum |rho_ij|^2 of a Hermitian rho."""
-    return float(np.vdot(rho, rho).real)
+def _purities(rhos: np.ndarray) -> np.ndarray:
+    """Tr rho^2 = sum |rho_ij|^2 of each Hermitian rho in a stack."""
+    x = rhos.reshape(*rhos.shape[:-2], -1).view(np.float64)
+    return np.einsum("...k,...k->...", x, x)
 
 
 def _ghz_blocks(kraus: KrausSet) -> np.ndarray:
@@ -162,35 +161,38 @@ def _ghz_blocks(kraus: KrausSet) -> np.ndarray:
     return rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3).reshape(4, d, d)[[0, 1, 3]]
 
 
-def _block_purities(blocks: np.ndarray) -> tuple[np.ndarray, tuple[float, float, float]]:
-    """The system marginal rho_s = rho_00 + rho_11 and the purities of
-    rho_a, rho_s and rho_as, read off the blocks (rho_00, rho_01, rho_11):
+def _ghz_readout(traj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per round of a trajectory of GHZ blocks (rho_00, rho_01, rho_11): the
+    system marginal rho_s = rho_00 + rho_11, the mutual information, and the
+    purities of rho_a, rho_s and rho_as (rows), read off the blocks:
     rho_a = [[tr rho_00, tr rho_01], [conj(tr rho_01), tr rho_11]] and
     Tr rho_as^2 = |rho_00|^2 + 2 |rho_01|^2 + |rho_11|^2."""
-    t00, t01, t11 = np.trace(blocks, axis1=1, axis2=2)
-    rho_s = blocks[0] + blocks[2]
-    purity_a = float(abs(t00) ** 2 + 2 * abs(t01) ** 2 + abs(t11) ** 2)
-    purity_as = _purity(blocks[0]) + 2 * _purity(blocks[1]) + _purity(blocks[2])
-    return rho_s, (purity_a, _purity(rho_s), purity_as)
+    t00, t01, t11 = np.abs(np.trace(traj, axis1=-2, axis2=-1).T) ** 2
+    rho_s = traj[:, 0] + traj[:, 2]
+    p00, p01, p11 = _purities(traj).T
+    purities = np.array([t00 + 2 * t01 + t11, _purities(rho_s), p00 + 2 * p01 + p11])
+    qmi = -np.log(purities[0]) - np.log(purities[1]) + np.log(purities[2])
+    return rho_s, qmi, purities
 
 
-def _warn_on_qmi_rise(qmis: list[float]) -> None:
+def _warn_on_qmi_rise(qmis: np.ndarray) -> None:
     """Monotonicity violations of the mutual information (beyond
     ``QMI_MONOTONE_ATOL``) are logged as warnings, not raised."""
-    for n in range(1, len(qmis)):
-        if qmis[n] > qmis[n - 1] + QMI_MONOTONE_ATOL:
-            warnings.warn(
-                f"mutual information rose by {qmis[n] - qmis[n - 1]:.2e} "
-                f"at step {n}", RuntimeWarning,
-            )
+    for n in np.flatnonzero(qmis[1:] > qmis[:-1] + QMI_MONOTONE_ATOL) + 1:
+        warnings.warn(
+            f"mutual information rose by {qmis[n] - qmis[n - 1]:.2e} "
+            f"at step {n}", RuntimeWarning,
+        )
 
 
-def _rounds(kraus: KrausSet, x: np.ndarray, n_max: int):
-    """``x`` and its images after each of ``n_max`` channel applications."""
-    yield x
-    for _ in range(n_max):
-        x = apply_channel(kraus, x)
-        yield x
+def _trajectory(kraus: KrausSet, x: np.ndarray, n_max: int) -> np.ndarray:
+    """The (b, d, d) stack ``x`` and its images after each of ``n_max``
+    channel applications, as one (n_max + 1, b, d, d) array."""
+    traj = np.empty((n_max + 1, *np.shape(x)), dtype=complex)
+    traj[0] = x
+    for n in range(n_max):
+        traj[n + 1] = apply_channel(kraus, traj[n])
+    return traj
 
 
 def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
@@ -199,37 +201,23 @@ def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
     magnetization, and purities at every step.
 
     The state is kept as its system blocks (rho_00, rho_01, rho_11); the
-    channel maps them as one stack, and the marginals and purities are read
-    off the blocks. A rise of the mutual information is warned about.
+    channel maps them as one stack, and every record is read off the whole
+    trajectory at once. A rise of the mutual information is warned about.
     """
-    sz = _site_sz_diagonals(kraus.layout.n_s)
-    records: list[TrajectoryRecord] = []
-    sz_0 = None
-    for n, blocks in enumerate(_rounds(kraus, _ghz_blocks(kraus), n_max)):
-        rho_s, purities = _block_purities(blocks)
-        sz_n = sz @ np.real(np.diag(rho_s))
-        if sz_0 is None:
-            sz_0 = sz_n
-        records.append(TrajectoryRecord(
-            n_k=n,
-            qmi=float(_renyi2(purities)),
-            imbalance=float(sz_n @ sz_0),
-            sz=float(2.0 * sz_n.sum()),
-            purity_a=purities[0],
-            purity_s=purities[1],
-            purity_as=purities[2],
-        ))
-    _warn_on_qmi_rise([r.qmi for r in records])
-    return records
+    n_s = kraus.layout.n_s
+    rho_s, qmi, purities = _ghz_readout(_trajectory(kraus, _ghz_blocks(kraus), n_max))
+    _warn_on_qmi_rise(qmi)
+    columns = zip(qmi, imbalance(rho_s, rho_s[0], n_s), 2.0 * _site_sz(rho_s, n_s).sum(axis=-1),
+                  *purities)
+    return [TrajectoryRecord(n, *map(float, row)) for n, row in enumerate(columns)]
 
 
 def magnetization_trajectory(kraus: KrausSet, rho0: np.ndarray, n_steps: int) -> np.ndarray:
     """Total system magnetization <sum_m sigma_m^z> along the iteration."""
     if kraus.layout.constrained:
         raise ValueError("magnetization trajectories assume the full qubit basis")
-    sz_total = 2.0 * _site_sz_diagonals(kraus.layout.n_s).sum(axis=0)
-    rhos = _rounds(kraus, np.asarray(rho0, dtype=complex), n_steps)
-    return np.array([float(sz_total @ np.real(np.diag(rho))) for rho in rhos])
+    traj = _trajectory(kraus, np.asarray(rho0)[None], n_steps)[:, 0]
+    return 2.0 * _site_sz(traj, kraus.layout.n_s).sum(axis=-1)
 
 
 @dataclass
@@ -254,15 +242,13 @@ def phase_scan(channel_factory: Callable[[float], KrausSet], values: np.ndarray,
             kraus = channel_factory(float(value))
             psi = neel_state(kraus.layout.n_s)
             rho0 = np.outer(psi, psi.conj())
-            stack = np.concatenate([_ghz_blocks(kraus), rho0[None]])
-            qmis = []
-            for stack in _rounds(kraus, stack, n_k):
-                qmis.append(float(_renyi2(_block_purities(stack[:3])[1])))
-            _warn_on_qmi_rise(qmis)
+            traj = _trajectory(kraus, np.concatenate([_ghz_blocks(kraus), rho0[None]]), n_k)
+            qmi = _ghz_readout(traj[:, :3])[1]
+            _warn_on_qmi_rise(qmi)
             points.append(PhaseScanPoint(
                 value=float(value),
-                qmi=qmis[-1],
-                imbalance_plus_one=1.0 + imbalance(stack[3], rho0, kraus.layout.n_s),
+                qmi=float(qmi[-1]),
+                imbalance_plus_one=1.0 + imbalance(traj[-1, 3], rho0, kraus.layout.n_s),
             ))
         except Exception as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))

@@ -123,8 +123,9 @@ class ConstrainedBasis:
         return len(self.states)
 
     def embed_vector(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Scatter constrained amplitudes into the full 2^n qubit space."""
-        full = np.zeros(2 ** self.n_sites, dtype=complex)
+        """Scatter constrained amplitudes, a (dim,) vector or the columns of a
+        (dim, k) block, into the full 2^n qubit space."""
+        full = np.zeros((2 ** self.n_sites, *np.shape(amplitudes)[1:]), dtype=complex)
         full[self.states] = amplitudes
         return full
 

@@ -157,7 +157,7 @@ def full_spectrum(sop: SuperoperatorMatrix) -> Spectrum:
     if sop.op_dim ** 2 != mat.shape[0]:
         raise ValueError(f"channel matrix dimension {mat.shape[0]} is not a perfect square")
     vals, vecs = sorted_eig(mat)
-    vecs = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+    vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)  # sorted_eig's own copy
     residuals = np.empty(vals.shape[0])
     for j in range(0, vals.shape[0], RESIDUAL_BLOCK):
         cols = slice(j, j + RESIDUAL_BLOCK)

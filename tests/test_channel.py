@@ -473,23 +473,37 @@ class TestAncillaExtension:
             assert abs(renyi2_qmi(rho, small_channel.layout.n_s)) < 1e-10
 
 
-    @pytest.mark.parametrize("case", ["small", "fig7-mbl"])
+    @pytest.mark.parametrize("case", ["small", "fig7-mbl", "fig7-chaotic"])
     def test_qmi_trajectory_equals_extended_iteration(self, case, request):
+        """Every record column, per round, against the doubled channel on
+        the full (ancilla + system) state with explicit partial traces."""
+        overrides = {"fig7-mbl": {"jxxx": 0.0, "jz": 5.0},
+                     "fig7-chaotic": {"jxxx": 2.0, "jz": 0.1}}
         if case == "small":
             kraus = request.getfixturevalue("small_channel")
         else:
-            kraus = build_channel(preset_config("fig7"), {"jxxx": 0.0, "jz": 5.0})
+            kraus = build_channel(preset_config("fig7"), overrides[case])
         n_s, n_k = kraus.layout.n_s, 10
+        sz_total = sum(pauli_on_site("z", m, n_s) for m in range(n_s))
         extended = extend_with_ancilla(kraus)
         rho = pure_density_matrix(ghz_state(1 + n_s))
         records = qmi_trajectory(kraus, n_k)
+        assert [r.n_k for r in records] == list(range(n_k + 1))
         rho_s0 = None
         for n in range(n_k + 1):
+            rho_a = partial_trace(rho, [0], 1 + n_s)
             rho_s = partial_trace(rho, list(range(1, 1 + n_s)), 1 + n_s)
             rho_s0 = rho_s if rho_s0 is None else rho_s0
-            assert abs(records[n].qmi - renyi2_qmi(rho, n_s)) <= 1e-12, n
-            assert abs(records[n].imbalance - imbalance(rho_s, rho_s0, n_s)) <= 1e-12, n
-            assert abs(records[n].purity_as - np.trace(rho @ rho).real) <= 1e-12, n
+            expected = {
+                "qmi": renyi2_qmi(rho, n_s),
+                "imbalance": imbalance(rho_s, rho_s0, n_s),
+                "sz": np.trace(sz_total @ rho_s).real,
+                "purity_a": np.trace(rho_a @ rho_a).real,
+                "purity_s": np.trace(rho_s @ rho_s).real,
+                "purity_as": np.trace(rho @ rho).real,
+            }
+            for column, value in expected.items():
+                assert abs(getattr(records[n], column) - value) <= 1e-12, (n, column)
             rho = apply_channel(extended, rho)
 
 

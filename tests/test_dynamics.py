@@ -5,6 +5,7 @@ from scipy.linalg import expm
 from conftest import (
     ghz_coherence_eigenvalue,
     make_channel,
+    pauli_on_site,
     pure_density_matrix,
     random_density_matrix,
     random_product_density,
@@ -134,6 +135,12 @@ class TestScars:
         vec[basis.states.index(0b0101)] = 1.0
         assert abs(half_chain_renyi2(vec, basis)) < 1e-12
 
+    def test_block_entropies_equal_per_state_calls(self, pxp_eigensystem):
+        _, vecs, basis = pxp_eigensystem
+        block = half_chain_renyi2(vecs[:, 10:20], basis)
+        assert block.shape == (10,)
+        assert list(block) == [half_chain_renyi2(vecs[:, k], basis) for k in range(10, 20)]
+
     def test_scar_average_of_equal_overlaps(self):
         layout = ChainLayout(1, 1)
         psi = np.array([1.0, 0.0, 0.0, 0.0])
@@ -251,6 +258,25 @@ class TestImbalance:
         rhs = a * imbalance(r1, rho0, 2) + b * imbalance(r2, rho0, 2)
         assert abs(lhs - rhs) < 1e-12
 
+    def test_stack_equals_per_state_calls(self):
+        rng = np.random.default_rng(11)
+        rho0 = pure_density_matrix(neel_state(3))
+        stack = np.array([random_density_matrix(rng, 8) for _ in range(4)])
+        values = imbalance(stack, rho0, 3)
+        assert values.shape == (4,)
+        for rho, value in zip(stack, values):
+            assert abs(value - imbalance(rho, rho0, 3)) <= 1e-12
+
+    @pytest.mark.parametrize("rho_t, rho_0", [
+        (np.eye(8), np.eye(4)),            # states of different chains
+        (np.eye(4), np.eye(4)),            # both of the wrong size
+        (np.ones((2, 8, 4)), np.eye(8)),   # a stack of non-square matrices
+        (np.ones(8), np.ones(8)),          # vectors, not density matrices
+    ])
+    def test_shape_mismatch_raises(self, rho_t, rho_0):
+        with pytest.raises(ValueError, match="state dimensions"):
+            imbalance(rho_t, rho_0, 3)
+
 
 class TestMagnetization:
     def test_monotone_toward_bath_sector(self, ergodic_channel):
@@ -265,6 +291,16 @@ class TestMagnetization:
         rho = pure_density_matrix(product_state("0" * n_s))
         traj = magnetization_trajectory(ergodic_channel, rho, 5)
         assert np.allclose(traj, n_s, atol=1e-9)
+
+    def test_matches_explicit_rounds(self, ergodic_channel):
+        n_s = ergodic_channel.layout.n_s
+        sz_total = sum(pauli_on_site("z", m, n_s) for m in range(n_s))
+        rho = random_product_density(np.random.default_rng(12), n_s)
+        traj = magnetization_trajectory(ergodic_channel, rho, 6)
+        assert traj.shape == (7,)
+        for n, value in enumerate(traj):
+            assert abs(value - np.trace(sz_total @ rho).real) <= 1e-12, n
+            rho = apply_channel(ergodic_channel, rho)
 
 
 class TestPhaseScan:
