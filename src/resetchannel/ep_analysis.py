@@ -127,8 +127,8 @@ class SweepGrid:
     ``build`` maps a parameter value to the matrix whose spectrum is swept
     and probed (the reversal-form channel matrix for the physical presets;
     the runner's EP grid builds its real Hermitian-basis form).
-    ``probe_counts`` tallies the guessed pairs answered from a shift-invert
-    solve (``"near"``) and from a full spectrum (``"full"``).
+    ``probe_counts`` tallies the :meth:`probe` calls answered by a
+    shift-invert solve (``"near"``) and by a full spectrum (``"full"``).
     """
 
     parameter: str
@@ -145,38 +145,25 @@ class SweepGrid:
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ValueError("sweep values must be strictly monotone")
 
-    def probe(self, value: float, guesses: list[np.ndarray], tol_im: float) -> list[tuple]:
-        """:func:`_pair_probe` of the full spectrum at ``value`` for each
-        guessed pair, all answered from one build of the matrix there.
+    def probe(self, mat: np.ndarray, guess: np.ndarray, tol_im: float) -> tuple:
+        """:func:`_pair_probe` of the full spectrum of ``mat``, a matrix
+        that :attr:`build` made, for the guessed pair ``guess``.
 
-        A guess is answered by a shift-invert Arnoldi solve at sigma =
-        mean(guess) when that certifies the answer (:func:`_certified_probe`);
-        otherwise, and when that solve fails, by the full ``eigvals`` of the same
-        matrix, which is solved at most once and then answers every later
-        guess. A real matrix stays real: sigma is Re mean(guess), and both
-        solves run in real arithmetic, so the eigenvalues they return come
-        in exact conjugate pairs.
+        A shift-invert Arnoldi solve at sigma = mean(guess) answers when it
+        certifies the answer (:func:`_certified_probe`); otherwise, and when
+        that solve fails, the full ``eigvals`` of ``mat`` does. A real
+        matrix stays real: sigma is Re mean(guess), and both solves run in
+        real arithmetic, so the eigenvalues they return come in exact
+        conjugate pairs.
         """
-        mat = np.asarray(self.build(float(value)))
-        real = not np.iscomplexobj(mat)
-        mat = mat.astype(float if real else complex, copy=False)
-        full = None
-        results = []
-        for guess in guesses:
-            result = None
-            if full is None:
-                # a real shift keeps a real matrix's solve real
-                sigma = float(np.mean(guess).real) if real else complex(np.mean(guess))
-                near = _near_solve(mat, sigma)
-                if near is not None:
-                    result = _certified_probe(*near, sigma, guess, tol_im)
-            if result is None:
-                if full is None:
-                    full = np.linalg.eigvals(mat)
-                result = _pair_probe(full, guess, tol_im)
-            self.probe_counts["near" if full is None else "full"] += 1
-            results.append(result)
-        return results
+        mat = np.asarray(mat, dtype=complex if np.iscomplexobj(mat) else float)
+        real = mat.dtype == float
+        # a real shift keeps a real matrix's solve real
+        sigma = float(np.mean(guess).real) if real else complex(np.mean(guess))
+        near = _near_solve(mat, sigma)
+        result = None if near is None else _certified_probe(*near, sigma, guess, tol_im)
+        self.probe_counts["full" if result is None else "near"] += 1
+        return _pair_probe(np.linalg.eigvals(mat), guess, tol_im) if result is None else result
 
 
 @dataclass
@@ -348,75 +335,61 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float,
     Each real-to-complex flip between adjacent grid points is refined by
     bisection that follows only the coalescing conjugate pair (never the full
     matching problem), until the parameter bracket is narrower than
-    ``resolution``. Pairs flagged in the same grid interval are bisected in
-    lockstep, and a midpoint that several of them share is built once. A
-    band is split above ``track.split_tolerance``.
+    ``resolution``. Pairs flagged in the same grid interval are bisected
+    together while they share a bracket, so a midpoint is built once and
+    probed once per pair there. A band is split above
+    ``track.split_tolerance``. Records come in band-pair order.
     """
     tol_im = track.split_tolerance
     records: list[EpRecord] = []
     for g in range(len(track.grid_values) - 1):
-        newly = [
-            k for k in range(track.bands.shape[1])
-            if abs(track.bands[g + 1, k].imag) > tol_im
-            and abs(track.bands[g, k].imag) <= tol_im
-        ]
+        lam = track.bands[g + 1]
+        newly = [k for k in range(lam.size)
+                 if abs(lam[k].imag) > tol_im and abs(track.bands[g, k].imag) <= tol_im]
         paired: set[int] = set()
         band_pairs: list[tuple[int, int]] = []
         for k in newly:
             if max_eps is not None and len(records) + len(band_pairs) >= max_eps:
                 break
-            if k in paired:
-                continue
-            partner = next(
+            partner = None if k in paired else next(
                 (j for j in newly if j != k and j not in paired
-                 and abs(track.bands[g + 1, j] - np.conj(track.bands[g + 1, k]))
-                 < BAND_PAIR_RTOL * max(1.0, abs(track.bands[g + 1, k]))),
-                None,
-            )
-            if partner is None:
-                continue
-            paired |= {k, partner}
-            band_pairs.append((k, partner))
-        records += _bisect_pairs(
-            grid, float(track.grid_values[g]), float(track.grid_values[g + 1]),
-            track.bands[g + 1], band_pairs, tol_im, resolution,
-        )
+                 and abs(lam[j] - np.conj(lam[k])) < BAND_PAIR_RTOL * max(1.0, abs(lam[k]))),
+                None)
+            if partner is not None:
+                paired |= {k, partner}
+                band_pairs.append((k, partner))
+        found = _bisect_pairs(grid, float(track.grid_values[g]), float(track.grid_values[g + 1]),
+                              {bp: lam[list(bp)] for bp in band_pairs}, tol_im, resolution)
+        records += [found[bp] for bp in band_pairs]
         if max_eps is not None and len(records) >= max_eps:
             return records
     return records
 
 
-def _bisect_pairs(grid: SweepGrid, lo: float, hi: float, bands_hi: np.ndarray,
-                  band_pairs: list[tuple[int, int]], tol_im: float,
-                  resolution: float) -> list[EpRecord]:
-    """Bisect the EP of each band pair, a conjugate pair in ``bands_hi`` at
-    ``hi``, between ``lo`` (real side) and ``hi`` (complex side), which run
-    in the grid's direction. Each pair keeps its own bracket, recorded as
-    (min, max); each round makes one probe per distinct midpoint, answering
-    every pair that bisects there from one build."""
-    brackets = [(lo, hi, bands_hi[list(band_pair)]) for band_pair in band_pairs]
-    active = list(range(len(brackets)))
-    for _ in range(MAX_BISECTIONS):
-        active = [i for i in active if abs(brackets[i][1] - brackets[i][0]) > resolution]
-        by_mid: dict[float, list[int]] = {}
-        for i in active:
-            by_mid.setdefault(0.5 * (brackets[i][0] + brackets[i][1]), []).append(i)
-        for mid, members in by_mid.items():
-            probes = grid.probe(mid, [brackets[i][2] for i in members], tol_im)
-            for i, (p, is_pair, _) in zip(members, probes):
-                b_lo, b_hi, pair = brackets[i]
-                brackets[i] = (b_lo, mid, p) if is_pair else (mid, b_hi, pair)
-    # a pair still active after the last round used every bisection
-    return [
-        EpRecord(
-            j_star=0.5 * (b_lo + b_hi),
-            lambda_star=complex(pair.mean()),
-            band_pair=band_pair,
-            bracket=(min(b_lo, b_hi), max(b_lo, b_hi)),
-            converged=i not in active,
-        )
-        for i, ((b_lo, b_hi, pair), band_pair) in enumerate(zip(brackets, band_pairs))
-    ]
+def _bisect_pairs(grid: SweepGrid, lo: float, hi: float,
+                  pairs: dict[tuple[int, int], np.ndarray], tol_im: float,
+                  resolution: float, rounds: int = MAX_BISECTIONS
+                  ) -> dict[tuple[int, int], EpRecord]:
+    """The EP record of each band pair of ``pairs``, which maps it to its
+    conjugate pair of eigenvalues at ``hi``, bisected between ``lo`` (real
+    side) and ``hi`` (complex side), which run in the grid's direction.
+
+    The matrix at the midpoint is built once and probes every pair; those
+    split there go on toward ``lo``, the others toward ``hi``. A bracket
+    is recorded as (min, max), converged unless it took the last of the
+    ``MAX_BISECTIONS`` probes."""
+    if rounds and abs(hi - lo) > resolution and pairs:
+        mid = 0.5 * (lo + hi)
+        mat = grid.build(mid)
+        probes = {bp: grid.probe(mat, pair, tol_im) for bp, pair in pairs.items()}
+        del mat  # or every level of the recursion below keeps its matrix alive
+        split = {bp: p for bp, (p, is_pair, _) in probes.items() if is_pair}
+        merged = {bp: pairs[bp] for bp, (_, is_pair, _) in probes.items() if not is_pair}
+        return {**_bisect_pairs(grid, lo, mid, split, tol_im, resolution, rounds - 1),
+                **_bisect_pairs(grid, mid, hi, merged, tol_im, resolution, rounds - 1)}
+    return {bp: EpRecord(0.5 * (lo + hi), complex(pair.mean()), bp,
+                         (min(lo, hi), max(lo, hi)), converged=rounds > 0)
+            for bp, pair in pairs.items()}
 
 
 def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float) -> FitResult:
@@ -426,10 +399,12 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float) -> FitResult
     |Im| above which a probed pair counts as split; pass the one that located
     ``ep`` (:attr:`BandTrack.split_tolerance`).
 
-    Probes climb the ``FIT_*`` geometric ladder and stop once the pair
-    re-merges or stops being isolated; the fit uses the prefix of at least
-    ``FIT_MIN_POINTS`` probes with the best r^2, so a nearby second EP cannot
-    contaminate the scaling window.
+    Probes climb the ``FIT_*`` geometric ladder, one build and one probe of
+    the pair per value, and stop once the pair re-merges or stops being
+    isolated; the fit uses the prefix of at least ``FIT_MIN_POINTS`` probes
+    with the best r^2, so a nearby second EP cannot contaminate the scaling
+    window. Too few probes raise a ``ValueError`` that names the ladder's
+    first offset and why it stopped.
     """
     bracket_width = max(ep.bracket[1] - ep.bracket[0], FIT_MIN_BRACKET)
     pair = np.array([ep.lambda_star, np.conj(ep.lambda_star)])
@@ -437,9 +412,8 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float) -> FitResult
     deltas, ims = [], []
     d = FIT_START_WIDTHS * bracket_width
     while len(deltas) < FIT_MAX_POINTS:
-        [(p, is_pair, gap)] = grid.probe(ep.j_star + toward * d, [pair], tol_im)
-        split = abs(p[0] - p[1])
-        if not is_pair or split > gap:
+        p, is_pair, gap = grid.probe(grid.build(ep.j_star + toward * d), pair, tol_im)
+        if not is_pair or abs(p[0] - p[1]) > gap:
             break
         deltas.append(d)
         ims.append(0.5 * (abs(p[0].imag) + abs(p[1].imag)))
@@ -448,6 +422,8 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float) -> FitResult
     if len(deltas) < FIT_MIN_POINTS:
         raise ValueError(
             f"only {len(deltas)} valid probe points beyond the EP; need {FIT_MIN_POINTS}"
+            f" (the ladder starts at offset {FIT_START_WIDTHS * bracket_width:.3e}; at"
+            f" {d:.3e} the pair is no longer {'isolated' if is_pair else 'split'})"
         )
     deltas = np.array(deltas)
     ims = np.array(ims)

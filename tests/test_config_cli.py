@@ -732,16 +732,16 @@ class TestEpPipeline:
                ep={"start": 0.0, "stop": 0.1, "points": 11, "resolution": 1e-6, "max_eps": 2})
 
     def test_manifest_counts_ep_probes(self, tmp_path, monkeypatch):
-        guesses = []  # probe_counts counts guessed pairs, not probe calls
+        calls = []  # probe_counts counts probe calls, one guessed pair each
         original = SweepGrid.probe
         monkeypatch.setattr(SweepGrid, "probe",
-                            lambda *args: guesses.extend(args[2]) or original(*args))
+                            lambda *args: calls.append(args[2]) or original(*args))
         manifest = run_experiment(validate_config(self.RAW), tmp_path)
         assert not manifest["failures"]
         counts = manifest["ep_probes"]
         assert set(counts) == {"near", "full"}
         assert counts["near"] > 0
-        assert counts["near"] + counts["full"] == len(guesses)
+        assert counts["near"] + counts["full"] == len(calls)
 
 
     def test_failed_fit_leaves_empty_cells(self, tmp_path, monkeypatch):

@@ -6,7 +6,10 @@ from scipy.sparse.linalg import eigs
 from resetchannel import ep_analysis
 from resetchannel.channel import SuperoperatorMatrix
 from resetchannel.ep_analysis import (
+    FIT_MIN_POINTS,
+    FIT_START_WIDTHS,
     KRYLOV_MAX,
+    MAX_BISECTIONS,
     PROBE_MODES,
     EpRecord,
     JordanChainError,
@@ -62,21 +65,18 @@ def split_tol(lam):
     return relative_tolerance(lam, SPLIT_TOL_FACTOR)
 
 
-def assert_probe_matches_full_solve(grid, value, guesses, tol_im, exact=None):
-    """One ``grid.probe`` call answers each guessed pair as
-    :func:`_pair_probe` does on the full eigvals of ``exact(value)``
-    (default ``grid.build(value)``); returns the verdicts."""
+def assert_probe_matches_full_solve(grid, value, guess, tol_im, exact=None):
+    """``grid.probe`` of the matrix built at ``value`` answers the guessed
+    pair as :func:`_pair_probe` does on the full eigvals of ``exact(value)``
+    (default ``grid.build(value)``); returns the verdict."""
     full = np.linalg.eigvals((exact or grid.build)(value))
-    verdicts = []
-    for guess, (pair, is_pair, gap) in zip(guesses, grid.probe(value, guesses, tol_im),
-                                          strict=True):
-        want_pair, want_is_pair, want_gap = _pair_probe(full, guess, tol_im)
-        assert is_pair == want_is_pair
-        assert abs(gap - want_gap) <= 1e-10
-        assert min(np.max(np.abs(pair - want_pair)),
-                   np.max(np.abs(pair[::-1] - want_pair))) <= 1e-10
-        verdicts.append(is_pair)
-    return verdicts
+    pair, is_pair, gap = grid.probe(grid.build(value), guess, tol_im)
+    want_pair, want_is_pair, want_gap = _pair_probe(full, guess, tol_im)
+    assert is_pair == want_is_pair
+    assert abs(gap - want_gap) <= 1e-10
+    assert min(np.max(np.abs(pair - want_pair)),
+               np.max(np.abs(pair[::-1] - want_pair))) <= 1e-10
+    return is_pair
 
 
 class TestSweep:
@@ -265,6 +265,18 @@ class TestLocateEps:
         assert np.min(np.abs(above.imag)) > 1e-3
         assert abs(above[0] - np.conj(above[1])) < 1e-8
 
+    def test_bisection_that_runs_out_is_not_converged(self):
+        # below the float spacing at 0.05 the bracket stops shrinking at one
+        # ulp, so the bisection spends every one of its probes
+        grid = SweepGrid("j", np.linspace(0.03, 0.07, 5), analytic_family())
+        track = track_bands(sweep_spectrum(grid))
+        [rec] = locate_eps(grid, track, resolution=1e-300)
+        assert rec.converged is False
+        assert sum(grid.probe_counts.values()) == MAX_BISECTIONS
+        lo, hi = rec.bracket
+        assert hi - lo == np.spacing(lo)
+        assert abs(rec.j_star - 0.05) < 1e-9
+
     def test_no_flip_gives_empty_list(self):
         build = analytic_family(gap=0.5)  # EP far outside the grid
         grid = SweepGrid("j", np.linspace(0.01, 0.05, 5), build)
@@ -291,8 +303,8 @@ class TestLocateEps:
         # EPs of two and of three (level, j*) blocks in the grid interval
         # [0.05, 0.06], with real modes around them. In the three-block
         # family the middle pair (by band order) leaves the others' bracket
-        # after the first round and bisects elsewhere, so the outer two pairs
-        # probe a shared midpoint with another value probed in between.
+        # at the first midpoint and bisects on its own, while the outer two
+        # keep sharing their midpoints.
         fillers = [0.40, 0.42, 0.58, 0.60, 0.62, -0.3, -0.5]
         for blocks in (((0.5, 0.052), (0.3, 0.056)),
                        ((0.5, 0.052), (0.3, 0.058), (0.1, 0.053))):
@@ -312,6 +324,8 @@ class TestLocateEps:
             records = locate_eps(grid, track, resolution=1e-6)
             assert (sorted(round(rec.j_star, 4) for rec in records)
                     == sorted(gap for _, gap in blocks))
+            # band-pair order, though the middle pair's bisection parts ways
+            assert [rec.band_pair for rec in records] == sorted(rec.band_pair for rec in records)
             assert all(rec.converged for rec in records)
             assert all(0.05 <= rec.bracket[0] < rec.bracket[1] <= 0.06 for rec in records)
             assert probed and len(probed) == len(set(probed))
@@ -357,6 +371,25 @@ class TestLocateEps:
         assert abs(fit.exponent - 0.5) < 1e-6
         assert fit.r2 > 1 - 1e-12
 
+    def test_fit_failure_names_ladder_start_and_stop(self):
+        # a real pair complex only for 0.05 < j < 0.05015: a window narrower
+        # than the FIT_START_WIDTHS bracket widths the ladder starts at
+        window = 1.5e-4
+
+        def build(j):
+            return np.array([[0.5, 1.0], [(j - 0.05) * (j - 0.05 - window), 0.5]])
+
+        grid = SweepGrid("j", np.linspace(0.0499, 0.0501, 3), build)
+        track = track_bands(sweep_spectrum(grid))
+        [rec] = locate_eps(grid, track, resolution=1e-5)
+        start = FIT_START_WIDTHS * (rec.bracket[1] - rec.bracket[0])
+        assert rec.bracket[0] <= 0.05 < rec.bracket[1] and start > window
+        with pytest.raises(ValueError) as err:
+            fit_sqrt_exponent(grid, rec, track.split_tolerance)
+        assert str(err.value) == (
+            f"only 0 valid probe points beyond the EP; need {FIT_MIN_POINTS} (the ladder"
+            f" starts at offset {start:.3e}; at {start:.3e} the pair is no longer split)")
+
     def test_insufficient_points_raises(self):
         def build(j):
             return np.diag([0.5, 0.4]).astype(complex)  # never complex
@@ -392,8 +425,8 @@ class TestProbe:
                                  (0.0034303588867187502, 0.46350063105477501)):
             guess = np.array([lam_star, lam_star], dtype=complex)
             for d in (-1e-5, 3.7e-6, 1.5e-5, 6e-5):
-                verdicts += assert_probe_matches_full_solve(grid, j_star + d, [guess], 1e-6,
-                                                            exact)
+                verdicts.append(assert_probe_matches_full_solve(grid, j_star + d, guess, 1e-6,
+                                                                exact))
         assert any(verdicts) and not all(verdicts)
         assert grid.probe_counts == {"near": 8, "full": 0}
 
@@ -410,7 +443,7 @@ class TestProbe:
                 for guess in ([mu, np.conj(mu)], [mu, nearest]):
                     guess = np.array(guess) + 1e-3 * (rng.random(2) + 1j * rng.random(2))
                     grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
-                    verdicts += assert_probe_matches_full_solve(grid, j, [guess], 1e-6)
+                    verdicts.append(assert_probe_matches_full_solve(grid, j, guess, 1e-6))
                     counts = {k: counts[k] + grid.probe_counts[k] for k in counts}
         assert any(verdicts) and not all(verdicts)
         # widely split pairs cannot be certified from their midpoint
@@ -420,24 +453,8 @@ class TestProbe:
         build = random_family(n=PROBE_MODES + 2)
         grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
         lam = np.linalg.eigvals(build(0.5))
-        assert_probe_matches_full_solve(grid, 0.5, [lam[:2]], 1e-6)
+        assert_probe_matches_full_solve(grid, 0.5, lam[:2], 1e-6)
         assert grid.probe_counts == {"near": 0, "full": 1}
-
-    def test_guesses_in_one_call_share_one_full_solve(self, monkeypatch):
-        build = random_family(n=PROBE_MODES + 2)
-        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
-        lam = np.linalg.eigvals(build(0.5))
-        solved = []
-        eigvals = np.linalg.eigvals
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: solved.append(a) or eigvals(a))
-        results = grid.probe(0.5, [lam[:2], lam[2:4]], 1e-6)
-        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
-        assert len(solved) == 1
-        assert grid.probe_counts == {"near": 0, "full": 2}
-        for guess, (pair, is_pair, gap) in zip([lam[:2], lam[2:4]], results, strict=True):
-            want_pair, want_is_pair, want_gap = _pair_probe(lam, guess, 1e-6)
-            assert np.array_equal(pair, want_pair)
-            assert (is_pair, gap) == (want_is_pair, want_gap)
 
     def test_uncertified_guess_falls_back_to_full_solve(self):
         # a guess spanning the whole spectrum: its midpoint's nearest modes
@@ -446,7 +463,7 @@ class TestProbe:
         grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
         lam = np.linalg.eigvals(build(0.5))
         guess = np.array([lam[np.argmin(lam.real)], lam[np.argmax(lam.real)]])
-        assert_probe_matches_full_solve(grid, 0.5, [guess], 1e-6)
+        assert_probe_matches_full_solve(grid, 0.5, guess, 1e-6)
         assert grid.probe_counts == {"near": 0, "full": 1}
 
     def test_gap_neighbour_outside_solved_disc_falls_back(self):
@@ -458,7 +475,7 @@ class TestProbe:
         s = np.eye(lam.size) + 0.1 * rng.standard_normal((lam.size, lam.size))
         mat = s @ np.diag(lam) @ np.linalg.inv(s)
         grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), lambda j: mat)
-        [(_, is_pair, gap)] = grid.probe(0.5, [lam[:2] + 0.1], 1e-6)
+        _, is_pair, gap = grid.probe(mat, lam[:2] + 0.1, 1e-6)
         assert is_pair and abs(gap - 0.17) < 1e-10
         assert grid.probe_counts == {"near": 0, "full": 1}
 
@@ -484,7 +501,7 @@ class TestProbe:
         assert np.sum(np.abs(near - lam[5]) <= 1e-10) + np.sum(np.abs(near - lam[6]) <= 1e-10) == 1
 
         grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), lambda j: mat)
-        [(pair, is_pair, gap)] = grid.probe(0.5, [guess], 1e-6)
+        pair, is_pair, gap = grid.probe(mat, guess, 1e-6)
         assert grid.probe_counts == {"near": 1, "full": 0}
         want_pair, want_is_pair, want_gap = _pair_probe(np.linalg.eigvals(mat), guess, 1e-6)
         assert is_pair and want_is_pair
@@ -565,13 +582,13 @@ class TestNearSolve:
         lam = np.linalg.eigvals(build(0.5))
         guess = lam[np.argsort(np.abs(lam - 0.2))[:2]] + 1e-3
         grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
-        assert_probe_matches_full_solve(grid, 0.5, [guess], 1e-6)
+        assert_probe_matches_full_solve(grid, 0.5, guess, 1e-6)
         assert grid.probe_counts == {"near": 1, "full": 0}
         # too few steps for the Ritz values to converge
         monkeypatch.setattr(ep_analysis, "KRYLOV_MAX", PROBE_MODES + 2)
         assert _near_solve(build(0.5), complex(np.mean(guess))) is None
         grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), build)
-        assert_probe_matches_full_solve(grid, 0.5, [guess], 1e-6)
+        assert_probe_matches_full_solve(grid, 0.5, guess, 1e-6)
         assert grid.probe_counts == {"near": 0, "full": 1}
 
 
