@@ -82,10 +82,10 @@ class KrausSet:
 @dataclass
 class SuperoperatorMatrix:
     """Channel as a matrix on vectorized operators: the plain channel
-    action, or its :func:`reversal_form`."""
+    action, or its :func:`reversal_form`, with the bath dimension N_b."""
 
     mat: np.ndarray
-    meta: dict = field(default_factory=dict)
+    bath_dim: int
 
     @property
     def dim(self) -> int:
@@ -102,12 +102,10 @@ def propagate(h: np.ndarray, t: float) -> Propagator:
     return Propagator(*hermitian_eigensystem(h), t)
 
 
-@cache
 def joint_index_table(layout: ChainLayout) -> np.ndarray:
     """Joint-basis index of system state s with bath state b at entry
     [b, s] of a (dim_b, dim_s) table, or -1 where the pair breaks the
-    blockade at the system/bath cut (constrained layouts only). Made once
-    per layout and read-only."""
+    blockade at the system/bath cut (constrained layouts only)."""
 
     def states(n_sites: int) -> np.ndarray:
         return (np.array(ConstrainedBasis(n_sites).states) if layout.constrained
@@ -116,9 +114,7 @@ def joint_index_table(layout: ChainLayout) -> np.ndarray:
     joint = states(layout.n_h)
     bits = (states(layout.n_s)[None, :] << layout.n_b) | states(layout.n_b)[:, None]
     idx = np.minimum(np.searchsorted(joint, bits), len(joint) - 1)
-    table = np.where(joint[idx] == bits, idx, -1)
-    table.flags.writeable = False
-    return table
+    return np.where(joint[idx] == bits, idx, -1)
 
 
 def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:
@@ -170,7 +166,7 @@ def superoperator_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
     m = np.zeros((d * d, d * d), dtype=complex)
     for k in kraus.ops:
         m += np.kron(k, k.conj())
-    return SuperoperatorMatrix(m, meta={"bath_dim": kraus.layout.dim_b, **kraus.meta})
+    return SuperoperatorMatrix(m, kraus.layout.dim_b)
 
 
 def vec(rho: np.ndarray) -> np.ndarray:
@@ -199,7 +195,7 @@ def reversal_form(sop: SuperoperatorMatrix) -> SuperoperatorMatrix:
     """
     dim, d = sop.dim, sop.op_dim
     gathered = sop.mat.reshape(dim, d, d).transpose(0, 2, 1).reshape(dim, dim)
-    return SuperoperatorMatrix(gathered, meta=dict(sop.meta))
+    return SuperoperatorMatrix(gathered, sop.bath_dim)
 
 
 @cache

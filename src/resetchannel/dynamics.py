@@ -45,7 +45,6 @@ class TrajectoryRecord:
 @dataclass
 class ScarCandidates:
     indices: list[int]
-    energies: np.ndarray
     entropies: np.ndarray
     bulk_median_entropy: float
     states: np.ndarray  # columns are constrained-basis eigenvectors
@@ -109,7 +108,6 @@ def scar_candidates(energies: np.ndarray, eigenvectors: np.ndarray,
     picked = bulk[order]
     return ScarCandidates(
         indices=[int(k) for k in picked],
-        energies=energies[picked],
         entropies=entropies[order],
         bulk_median_entropy=float(np.median(entropies)),
         states=eigenvectors[:, picked],

@@ -53,7 +53,6 @@ from .hamiltonians import (
     hermitian_eigensystem,  # noqa: F401  (not called here; benchmarks/spans.py wraps it)
 )
 from .spectra import (
-    _bath_states,
     full_spectrum,
     magnitude_histogram,
     outlier_threshold,
@@ -255,12 +254,12 @@ def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers
     spectrum = eigensystem = sweep = None
     if analyses & {"spectrum", "histogram", "overlaps", "scar_overlaps"}:
         started = _time.perf_counter()
-        spectrum, eigensystem = _configured_spectrum(
+        spectrum, eigensystem, kraus_meta = _configured_spectrum(
             config, keep_hamiltonian=bool(analyses & {"overlaps", "scar_overlaps"}))
         manifest["runtimes"]["channel"] = round(_time.perf_counter() - started, 3)
         manifest["health"].update({
-            "completeness_residual": spectrum.meta["completeness_residual"],
-            "unitarity_deviation": spectrum.meta["unitarity_deviation"],
+            "completeness_residual": kraus_meta["completeness_residual"],
+            "unitarity_deviation": kraus_meta["unitarity_deviation"],
             "max_eigen_residual": float(np.max(spectrum.residuals)),
         })
     # one sweep of the configured grid feeds every analysis that reads it; it
@@ -280,13 +279,14 @@ def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers
 
 
 def _configured_spectrum(config: ExperimentConfig, keep_hamiltonian: bool):
-    """Spectrum of the configured channel, plus the eigensystem of its
-    Hamiltonian (as its propagator computed it) when ``keep_hamiltonian``."""
+    """Spectrum of the configured channel, the eigensystem of its
+    Hamiltonian (as its propagator computed it) when ``keep_hamiltonian``,
+    and its Kraus set's ``meta`` (the health of the build)."""
     kraus = build_channel(config)
     eigensystem = kraus.hamiltonian_eigensystem if keep_hamiltonian else None
-    sop = analysis_matrix(kraus)
+    sop, meta = analysis_matrix(kraus), kraus.meta
     del kraus  # the Hamiltonian's eigenvectors need not outlive the eigensolve's peak
-    return full_spectrum(sop), eigensystem
+    return full_spectrum(sop), eigensystem, meta
 
 
 def _sweep(config: ExperimentConfig, values: np.ndarray, manifest: dict, label: str,
@@ -315,7 +315,7 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, eigensystem,
              sweep: SweepResult | None, out: Path, manifest: dict,
              n_workers: int) -> list[str]:
     if analysis == "spectrum":
-        thr = outlier_threshold(_bath_states(spectrum))
+        thr = outlier_threshold(spectrum.bath_dim)
         tol = spectrum.real_tolerance()
         # builtin abs(complex) per value: np.abs may differ in the last bit
         rows = [[i, lam.real, lam.imag, abs(lam), residual, int(abs(lam.imag) <= tol),
@@ -441,12 +441,12 @@ def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict,
     track = track_bands(sweep, select="top_re_decile")
     records = locate_eps(sweep.grid, track, resolution=ep_cfg.resolution,
                          max_eps=ep_cfg.max_eps)
-    fits = {}
+    fits = []  # (j*, fit) in record order: two EPs may end in one bracket, at one j*
     for rec in records:
         try:
             fit = fit_sqrt_exponent(sweep.grid, rec, track.split_tolerance)
             rec.exponent, rec.fit_r2 = fit.exponent, fit.r2
-            fits[rec.j_star] = fit
+            fits.append((rec.j_star, fit))
         except ValueError as exc:
             manifest["failures"].append(
                 {"analysis": "ep", "j_star": rec.j_star, "error": str(exc)})
@@ -456,12 +456,12 @@ def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict,
                                     default=None),
         "ep_converged": {"converged": sum(r.converged for r in records),
                          "total": len(records)},
-        "ep_min_fit_r2": min((fit.r2 for fit in fits.values()), default=None),
+        "ep_min_fit_r2": min((fit.r2 for _, fit in fits), default=None),
     })
     # a failed fit leaves its exponent and r2 cells empty
     eps = [[r.j_star, r.lambda_star.real, r.exponent, r.fit_r2, *r.bracket, int(r.converged)]
            for r in records]
-    fit_points = [[j_star, delta, im] for j_star, fit in fits.items()
+    fit_points = [[j_star, delta, im] for j_star, fit in fits
                   for delta, im in zip(fit.deltas, fit.im_values)]
     return (_write_csv(out, "eps.csv", ["j_star", "re_lambda_star", "exponent", "r2",
                                         "bracket_lo", "bracket_hi", "converged"], eps)

@@ -7,7 +7,7 @@ cluster).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,7 +19,7 @@ from .channel import SuperoperatorMatrix
 # A factor is relative to the largest |lambda| of the eigenvalues classified
 # (:func:`relative_tolerance`); a conjugate match is relative to
 # max(1, |lambda|).
-REAL_TOL_FACTOR = 1e-8       # real: spectrum.csv is_real, histogram, outliers, cluster
+REAL_TOL_FACTOR = 1e-8       # real: spectrum.csv is_real, histogram real fraction
 SPLIT_TOL_FACTOR = 1e-6      # split: complex counts, EP onset and probes; splitting is gradual
 PROBE_PAIR_RTOL = 1e-4       # an EP probe's two modes form a conjugate pair
 BAND_PAIR_RTOL = 1e-6        # two bands turning complex together are conjugate partners
@@ -49,12 +49,13 @@ class Spectrum:
     |M r_k - lambda_k r_k|. ``left`` is the inverse of ``right``, computed on
     first use: row k is mode k's covector, so ``left @ right`` is the
     identity and a state decomposes as vec(rho) = right @ (left @ vec(rho)).
+    ``bath_dim`` is the channel's bath dimension N_b.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     residuals: np.ndarray
-    meta: dict = field(default_factory=dict)
+    bath_dim: int
 
     @property
     def dim(self) -> int:
@@ -162,7 +163,7 @@ def full_spectrum(sop: SuperoperatorMatrix) -> Spectrum:
     for j in range(0, vals.shape[0], RESIDUAL_BLOCK):
         cols = slice(j, j + RESIDUAL_BLOCK)
         residuals[cols] = np.linalg.norm(mat @ vecs[:, cols] - vecs[:, cols] * vals[cols], axis=0)
-    return Spectrum(vals, vecs, residuals, meta=dict(sop.meta))
+    return Spectrum(vals, vecs, residuals, sop.bath_dim)
 
 
 def decompose_state(spectrum: Spectrum, rho0: np.ndarray) -> np.ndarray:
@@ -195,35 +196,20 @@ def outlier_threshold(n_bath_states: int) -> float:
     return 1.0 / np.sqrt(n_bath_states)
 
 
-def find_outliers(spectrum: Spectrum) -> tuple[list[int], list[bool]]:
-    """Indices of modes beyond the bulk radius 1/sqrt(N_b), each annotated
-    with whether it is real within tolerance."""
-    thr = outlier_threshold(_bath_states(spectrum))
-    tol = spectrum.real_tolerance()
+def find_outliers(spectrum: Spectrum) -> list[int]:
+    """Indices of modes beyond the bulk radius 1/sqrt(N_b)."""
+    thr = outlier_threshold(spectrum.bath_dim)
     lam = spectrum.eigenvalues
-    idx = [i for i in range(len(lam)) if abs(lam[i]) > thr]
-    return idx, [abs(lam[i].imag) <= tol for i in idx]
+    return [i for i in range(len(lam)) if abs(lam[i]) > thr]
 
 
-@dataclass
-class ClusterMode:
-    index: int
-    magnitude: float
-    is_real: bool
-
-
-def minus_one_cluster(spectrum: Spectrum, window: float = 0.15) -> list[ClusterMode]:
-    """Modes within ``window`` of lambda = -1 (the period-doubling cluster),
-    reported with their magnitudes and realness."""
+def minus_one_cluster(spectrum: Spectrum, window: float = 0.15) -> list[int]:
+    """Indices of modes within ``window`` of lambda = -1 (the
+    period-doubling cluster)."""
     if not 0 < window < 0.5:
         raise ValueError(f"window must lie in (0, 0.5), got {window}")
     lam = spectrum.eigenvalues
-    tol = spectrum.real_tolerance()
-    return [
-        ClusterMode(i, float(abs(lam[i])), bool(abs(lam[i].imag) <= tol))
-        for i in range(len(lam))
-        if abs(lam[i] + 1.0) < window
-    ]
+    return [i for i in range(len(lam)) if abs(lam[i] + 1.0) < window]
 
 
 def ks_distance(samples: np.ndarray, law: TriangularLaw) -> float:
@@ -249,9 +235,8 @@ def magnitude_histogram(spectrum: Spectrum, bins: int = 60) -> SpectralStats:
     counts, _ = np.histogram(mags, bins=edges)
     widths = np.diff(edges)
     densities = counts / (counts.sum() * widths)
-    law = triangular_reference(_bath_states(spectrum))
-    out_idx, _ = find_outliers(spectrum)
-    bulk = np.delete(mags, out_idx)
+    law = triangular_reference(spectrum.bath_dim)
+    bulk = np.delete(mags, find_outliers(spectrum))
     tol = spectrum.real_tolerance()
     return SpectralStats(
         bin_edges=edges,
@@ -260,10 +245,3 @@ def magnitude_histogram(spectrum: Spectrum, bins: int = 60) -> SpectralStats:
         ks_distance=ks_distance(bulk, law),
         reference=law,
     )
-
-
-def _bath_states(spectrum: Spectrum) -> int:
-    nb = spectrum.meta.get("bath_dim")
-    if nb is None:
-        raise ValueError("bath dimension unknown: spectrum.meta has no 'bath_dim'")
-    return int(nb)

@@ -354,10 +354,15 @@ class TestRunner:
                 want.real.hex(), want.imag.hex(), abs(want).hex()]
 
     def test_manifest_records_channel_health(self, tmp_path):
-        manifest = run_experiment(validate_config(TINY_CONFIG), tmp_path)
+        config = validate_config(TINY_CONFIG)
+        manifest = run_experiment(config, tmp_path)
         health = manifest["health"]
         assert set(health) == {"completeness_residual", "unitarity_deviation",
                                "max_eigen_residual"}
+        # read off the configured channel's Kraus set, where they are made
+        meta = build_channel(config).meta
+        for key in ("completeness_residual", "unitarity_deviation"):
+            assert health[key] == meta[key]
         assert 0.0 <= health["completeness_residual"] < 1e-9
         assert 0.0 <= health["unitarity_deviation"] < 1e-9
         assert 0.0 <= health["max_eigen_residual"] < 1e-9
@@ -764,6 +769,35 @@ class TestEpPipeline:
             {"analysis": "ep", "j_star": failed[0], "error": "no sqrt window"}]
         fit_rows = _read_csv(tmp_path / "ep_fit_points.csv")
         assert fit_rows and {r["j_star"] for r in fit_rows} == {second["j_star"]}
+
+    def test_eps_sharing_a_j_star_keep_both_fits(self, tmp_path, monkeypatch):
+        # blocks [[a, j], [-j, b]] turn complex at j = |a - b| / 2: here at
+        # 0.05 and 0.05 + 1e-9, so both EPs end their bisection in one bracket
+        g = 0.05 + 1e-9
+        base = np.diag([0.9, 0.8, 0.7 + g, 0.7 - g, *np.linspace(0.05, 0.5, 36)])
+
+        def family(config, parameter, real=False):
+            def build(j):
+                mat = base.copy()
+                mat[0, 1] = mat[2, 3] = j
+                mat[1, 0] = mat[3, 2] = -j
+                return mat
+            return build
+
+        fits = []
+        original = runner.fit_sqrt_exponent
+        monkeypatch.setattr(runner, "spectral_matrix_factory", family)
+        monkeypatch.setattr(runner, "fit_sqrt_exponent",
+                            lambda *args: fits.append(original(*args)) or fits[-1])
+        raw = dict(self.RAW, ep={"start": 0.03, "stop": 0.07, "points": 5, "resolution": 2e-7})
+        manifest = run_experiment(validate_config(raw), tmp_path)
+        eps = _read_csv(tmp_path / "eps.csv")
+        assert len(eps) == len(fits) == 2 and not manifest["failures"]
+        assert eps[0]["j_star"] == eps[1]["j_star"]
+        assert sorted(round(float(r["re_lambda_star"]), 6) for r in eps) == [0.7, 0.85]
+        fit_rows = _read_csv(tmp_path / "ep_fit_points.csv")
+        assert [float(r["delta"]) for r in fit_rows] == [d for f in fits for d in f.deltas]
+        assert manifest["health"]["ep_min_fit_r2"] == min(f.r2 for f in fits)
 
     def test_manifest_records_ep_health(self, tmp_path):
         manifest = run_experiment(validate_config(self.RAW), tmp_path)

@@ -27,6 +27,7 @@ from resetchannel.ep_analysis import (
     _pair_probe,
 )
 from resetchannel.spectra import SPLIT_TOL_FACTOR, full_spectrum, relative_tolerance
+from resetchannel.spin_ops import ChainLayout
 
 
 def analytic_family(level=0.5, gap=0.05):
@@ -122,6 +123,7 @@ class TestSweep:
 
         config = preset_config(preset)
         factory = spectral_matrix_factory(config, config.sweep.parameter)
+        dim_b = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp")).dim_b
         built = {}
         values = config.sweep_values()
         grid = SweepGrid(config.sweep.parameter, values[[0, len(values) // 2, -1]],
@@ -129,7 +131,8 @@ class TestSweep:
         sweep = sweep_spectrum(grid)
         assert not sweep.failures
         for value, lam in zip(grid.values, sweep.eigenvalues):
-            assert np.array_equal(lam, full_spectrum(SuperoperatorMatrix(built[value])).eigenvalues)
+            sop = SuperoperatorMatrix(built[value], dim_b)
+            assert np.array_equal(lam, full_spectrum(sop).eigenvalues)
 
     def test_real_grid_spectrum_closed_under_conjugation(self):
         from resetchannel.config import preset_config
@@ -230,13 +233,11 @@ class TestPhysicalSweep:
 
 class TestCountComplex:
     def test_hand_built(self):
-        sop = SuperoperatorMatrix(np.diag([1.0, 0.5j, -0.5j, 0.1]).astype(complex),
-                                  meta={"bath_dim": 2})
+        sop = SuperoperatorMatrix(np.diag([1.0, 0.5j, -0.5j, 0.1]).astype(complex), 2)
         assert count_complex(full_spectrum(sop).eigenvalues) == 2
 
     def test_odd_count_warns(self):
-        sop = SuperoperatorMatrix(np.diag([1.0, 0.5j, 0.1, 0.1]).astype(complex),
-                                  meta={"bath_dim": 2})
+        sop = SuperoperatorMatrix(np.diag([1.0, 0.5j, 0.1, 0.1]).astype(complex), 2)
         with pytest.warns(RuntimeWarning, match="odd"):
             count_complex(full_spectrum(sop).eigenvalues)
 
