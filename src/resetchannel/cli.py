@@ -81,7 +81,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if args.command in ("run", "validate") else EXIT_NUMERICAL
+        return EXIT_NUMERICAL
     except Exception as exc:
         print(f"numerical error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

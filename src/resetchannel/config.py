@@ -198,6 +198,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
             "config.name", f"must be a non-empty string that is one path component, "
             f"got {config.name!r}")
     _expect(model in MODELS, "config.model", f"must be one of {MODELS}, got {model!r}")
+    _expect(model != "xxx" or config.n_s + config.n_b >= 3, "config.layout",
+            "model 'xxx' needs n_s + n_b >= 3 for its three-site term")
 
     # the model's parameter dataclass is the schema of its params
     _read(MODEL_PARAMS[model], config.params, "config.params")
@@ -254,14 +256,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a JSON config file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                              f"{exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                          f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: not UTF-8 text: {exc}") from exc
     return validate_config(raw)
 
 
@@ -278,10 +282,10 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             value = text
         node = out
         parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                node[part] = {}
-            node = node[part]
+        for i, part in enumerate(parts[:-1]):
+            node = node.setdefault(part, {})
+            _expect(isinstance(node, dict), f"override {item!r}",
+                    f"cannot descend into {'.'.join(parts[:i + 1])!r}, a {type(node).__name__}")
         node[parts[-1]] = value
     return out
 

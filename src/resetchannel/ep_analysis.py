@@ -32,9 +32,9 @@ KRYLOV_RTOL = 1e-12          # Ritz residual, relative to |mu|, that a probe acc
 KRYLOV_CHECK = 4             # Arnoldi steps between two Ritz solves
 # The sqrt fit's probe ladder: it starts FIT_START_WIDTHS EP bracket widths
 # above J*, so the localization error stays small against the offsets (or it
-# biases the fitted slope low), and grows by FIT_LADDER per probe.
-FIT_MIN_POINTS = 5
-FIT_MAX_POINTS = 16
+# biases the fitted slope low), and grows by FIT_LADDER per probe for
+# FIT_POINTS probes, all of which the fit reads.
+FIT_POINTS = 5
 FIT_LADDER = 1.6
 FIT_START_WIDTHS = 30.0
 FIT_MIN_BRACKET = 1e-12      # floor on the EP bracket width the ladder starts from
@@ -400,46 +400,39 @@ def fit_sqrt_exponent(grid: SweepGrid, ep: EpRecord, tol_im: float) -> FitResult
     ``ep`` (:attr:`BandTrack.split_tolerance`).
 
     Probes climb the ``FIT_*`` geometric ladder, one build and one probe of
-    the pair per value, and stop once the pair re-merges or stops being
-    isolated; the fit uses the prefix of at least ``FIT_MIN_POINTS`` probes
-    with the best r^2, so a nearby second EP cannot contaminate the scaling
-    window. Too few probes raise a ``ValueError`` that names the ladder's
-    first offset and why it stopped.
+    the pair per value, and stop after ``FIT_POINTS`` of them; the fit reads
+    exactly those, the window nearest the EP, so a nearby second EP cannot
+    contaminate it, and r^2 is that window's. A longer window could read a
+    higher r^2, but on the benchmark seeds and the test families none did.
+    A rung where the pair has re-merged or stopped being isolated raises a
+    ``ValueError`` that names the ladder's first offset and why it stopped.
     """
     bracket_width = max(ep.bracket[1] - ep.bracket[0], FIT_MIN_BRACKET)
     pair = np.array([ep.lambda_star, np.conj(ep.lambda_star)])
     toward = 1.0 if grid.values[-1] > grid.values[0] else -1.0
     deltas, ims = [], []
     d = FIT_START_WIDTHS * bracket_width
-    while len(deltas) < FIT_MAX_POINTS:
+    for _ in range(FIT_POINTS):
         p, is_pair, gap = grid.probe(grid.build(ep.j_star + toward * d), pair, tol_im)
         if not is_pair or abs(p[0] - p[1]) > gap:
-            break
+            raise ValueError(
+                f"only {len(deltas)} valid probe points beyond the EP; need {FIT_POINTS}"
+                f" (the ladder starts at offset {FIT_START_WIDTHS * bracket_width:.3e}; at"
+                f" {d:.3e} the pair is no longer {'isolated' if is_pair else 'split'})"
+            )
         deltas.append(d)
         ims.append(0.5 * (abs(p[0].imag) + abs(p[1].imag)))
         pair = p
         d *= FIT_LADDER
-    if len(deltas) < FIT_MIN_POINTS:
-        raise ValueError(
-            f"only {len(deltas)} valid probe points beyond the EP; need {FIT_MIN_POINTS}"
-            f" (the ladder starts at offset {FIT_START_WIDTHS * bracket_width:.3e}; at"
-            f" {d:.3e} the pair is no longer {'isolated' if is_pair else 'split'})"
-        )
     deltas = np.array(deltas)
     ims = np.array(ims)
-    best = None
-    for npts in range(FIT_MIN_POINTS, len(deltas) + 1):
-        x = np.log(deltas[:npts])
-        y = np.log(ims[:npts])
-        a = np.vstack([x, np.ones(npts)]).T
-        coef, *_ = np.linalg.lstsq(a, y, rcond=None)
-        pred = a @ coef
-        ss_res = float(np.sum((y - pred) ** 2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-        if best is None or r2 > best[1]:
-            best = (float(coef[0]), r2, npts)
-    return FitResult(best[0], best[1], deltas[:best[2]], ims[:best[2]])
+    x, y = np.log(deltas), np.log(ims)
+    a = np.vstack([x, np.ones(FIT_POINTS)]).T
+    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+    ss_res = float(np.sum((y - a @ coef) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
+    return FitResult(float(coef[0]), r2, deltas, ims)
 
 
 def jordan_chain(mat: np.ndarray, lam: complex, order: int) -> JordanChain:

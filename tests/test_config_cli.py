@@ -129,6 +129,13 @@ class TestValidation:
         assert config.params["jz"] == 5.0
         assert config.time == 20.0
 
+    @pytest.mark.parametrize("override, key", [("qmi.cases.0.jz=1", "qmi.cases"),
+                                               ("time.x=1", "time")])
+    def test_override_through_non_object_rejected(self, override, key):
+        with pytest.raises(ConfigError) as err:
+            preset_config("fig7", [override])
+        assert str(err.value).startswith(f"override {override!r}: cannot descend into {key!r}")
+
     def test_hash_is_stable_and_sensitive(self):
         c1 = validate_config(TINY_CONFIG)
         c2 = validate_config(json.loads(json.dumps(TINY_CONFIG)))
@@ -860,8 +867,8 @@ class TestEpPipeline:
             monkeypatch.setattr(runner, name, counting(name))
         manifest = run_experiment(preset_config("fig4"), tmp_path)
         assert not manifest["failures"]
-        assert calls == {"superoperator_matrix": 21, "real_reversal_form": 95}
-        assert manifest["ep_probes"] == {"near": 88, "full": 0}
+        assert calls == {"superoperator_matrix": 21, "real_reversal_form": 75}
+        assert manifest["ep_probes"] == {"near": 68, "full": 0}
 
     def test_each_grid_builds_each_value_once_in_its_own_form(self, tmp_path, monkeypatch):
         calls = []
@@ -914,6 +921,25 @@ class TestCli:
 
     def test_plots_on_empty_dir_fails(self, tmp_path, capsys):
         assert main(["plots", str(tmp_path)]) == 2
+
+    def test_xxx_chain_too_short_is_config_error(self, tmp_path, capsys):
+        # xxx's three-site term needs three sites; n_s + n_b = 3 is enough
+        raw = dict(TINY_CONFIG, model="xxx", params={"jzz": 0.1, "jz": 0.1})
+        validate_config(dict(raw, layout={"n_s": 2, "n_b": 1}))
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(dict(raw, layout={"n_s": 1, "n_b": 1})))
+        assert main(["validate", str(cfg)]) == 1
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("config.layout: model 'xxx' needs") == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "preset"])
+    def test_unwritable_out_is_runtime_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(TINY_CONFIG, analyses=["histogram"])))
+        source = str(cfg) if command == "run" else "fig3"
+        assert main([command, source, "--out", str(cfg / "x")]) == 2  # below a file
+        assert "Not a directory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_unreadable_config_is_config_error(self, tmp_path, capsys, command):

@@ -6,7 +6,8 @@ from scipy.sparse.linalg import eigs
 from resetchannel import ep_analysis
 from resetchannel.channel import SuperoperatorMatrix
 from resetchannel.ep_analysis import (
-    FIT_MIN_POINTS,
+    FIT_LADDER,
+    FIT_POINTS,
     FIT_START_WIDTHS,
     KRYLOV_MAX,
     MAX_BISECTIONS,
@@ -342,6 +343,25 @@ class TestLocateEps:
         assert abs(fit.exponent - 0.5) < 0.02
         assert fit.r2 > 0.999
 
+    def test_fit_builds_exactly_its_ladder(self):
+        built = []
+        build = analytic_family(gap=0.05)
+
+        def counting_build(j):
+            built.append(j)
+            return build(j)
+
+        grid = SweepGrid("j", np.linspace(0.03, 0.07, 5), counting_build)
+        track = track_bands(sweep_spectrum(grid))
+        rec = locate_eps(grid, track, resolution=1e-5)[0]
+        built.clear()
+        fit = fit_sqrt_exponent(grid, rec, split_tol(track.bands[0]))
+        width = rec.bracket[1] - rec.bracket[0]
+        offsets = FIT_START_WIDTHS * width * FIT_LADDER ** np.arange(FIT_POINTS)
+        assert len(built) == FIT_POINTS
+        np.testing.assert_allclose(np.array(built) - rec.j_star, offsets, rtol=1e-9)
+        np.testing.assert_allclose(fit.deltas, offsets, rtol=1e-12)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_grid_direction(self, sign):
         # EP at j = 0.05, complex below it: the decreasing grid meets it from
@@ -388,7 +408,7 @@ class TestLocateEps:
         with pytest.raises(ValueError) as err:
             fit_sqrt_exponent(grid, rec, track.split_tolerance)
         assert str(err.value) == (
-            f"only 0 valid probe points beyond the EP; need {FIT_MIN_POINTS} (the ladder"
+            f"only 0 valid probe points beyond the EP; need {FIT_POINTS} (the ladder"
             f" starts at offset {start:.3e}; at {start:.3e} the pair is no longer split)")
 
     def test_insufficient_points_raises(self):

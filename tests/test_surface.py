@@ -1,8 +1,9 @@
 """Surface guard: every public top-level function and class of the package,
-and every public method and property of those classes, is read somewhere
-besides its own definition: in the package, in the acceptance suite or in
-the benchmark. An export from ``__init__`` is not a read. A name that only
-unit tests read is surface to delete, or an oracle to move into the tests.
+every public method and property of those classes, and every module-level
+UPPER_CASE constant, is read somewhere besides its own definition: in the
+package, in the acceptance suite or in the benchmark. An export from
+``__init__`` is not a read. A name that only unit tests read is surface to
+delete, or an oracle to move into the tests.
 Every name a package module imports is used there, unless its line says
 ``noqa: F401``."""
 
@@ -33,12 +34,34 @@ def public_names() -> set[str]:
     return names
 
 
-def test_every_public_name_is_read():
+def constant_names() -> set[str]:
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names.update(target.id for target in targets if isinstance(target, ast.Name)
+                             and target.id.lstrip("_").isupper())
+    return names
+
+
+def _read_only_where_defined(names: set[str], definition: str) -> list[str]:
+    """The names that the readers mention only where the regex
+    ``definition``, formatted with the name, matches."""
     text = "\n".join(path.read_text() for path in READERS)
-    unread = sorted(name for name in public_names()
-                    if len(re.findall(rf"\b{name}\b", text))
-                    == len(re.findall(rf"\b(?:def|class)\s+{name}\b", text)))
+    return sorted(name for name in names
+                  if len(re.findall(rf"\b{name}\b", text))
+                  == len(re.findall(definition.format(name=name), text, re.MULTILINE)))
+
+
+def test_every_public_name_is_read():
+    unread = _read_only_where_defined(public_names(), r"\b(?:def|class)\s+{name}\b")
     assert not unread, f"read only where defined: {unread}"
+
+
+def test_every_constant_is_read():
+    unread = _read_only_where_defined(constant_names(), r"^{name}\s*[:=]")
+    assert not unread, f"constants read only where defined: {unread}"
 
 
 def _bound_imports(tree: ast.Module, lines: list[str]):
