@@ -49,18 +49,13 @@ class Propagator:
 
 @dataclass
 class KrausSet:
-    """System-space Kraus operators of the bath-reset channel.
-
-    ``hamiltonian_eigensystem`` holds the joint Hamiltonian's energies and
-    eigenvectors where the builder attaches them (``runner.build_channel``
-    does for the configured channel).
-    """
+    """System-space Kraus operators of the bath-reset channel, with the
+    joint propagator they were cut from (set by :func:`kraus_from_unitary`;
+    None for a set built from its operators alone)."""
 
     ops: list[np.ndarray]
     layout: ChainLayout
-    meta: dict = field(default_factory=dict)
-    hamiltonian_eigensystem: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False)
+    propagator: Propagator | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -134,12 +129,10 @@ def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:
     w = prop.columns(table[0])
     # a zero last row, read wherever the table holds -1
     w = np.vstack([w, np.zeros((1, layout.dim_s))])
-    kraus = KrausSet(list(w[table]), layout,
-                     meta={"unitarity_deviation": prop.unitarity_deviation})
+    kraus = KrausSet(list(w[table]), layout, prop)
     residual = kraus.completeness_residual()
     if not residual <= COMPLETENESS_ATOL:  # NaN fails too
         raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.2e}")
-    kraus.meta["completeness_residual"] = residual
     return kraus
 
 

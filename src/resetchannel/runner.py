@@ -28,6 +28,7 @@ from .channel import (
 )
 from .config import ExperimentConfig
 from .dynamics import (
+    UndefinedOverlapError,
     eigen_overlap,
     phase_scan,
     qmi_trajectory,
@@ -70,10 +71,8 @@ def build_hamiltonian(model: str, params: dict, n_sites: int):
 def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
                   real: bool = False) -> KrausSet:
     """Kraus set of the configured channel, optionally with some couplings
-    replaced (used by sweeps and scans). Without overrides it carries the
-    Hamiltonian's eigensystem from its propagator, which the overlap
-    analyses read; channels with overrides drop it, so that it does not
-    live on through a sweep or a channel iteration.
+    replaced (used by sweeps and scans), carrying the propagator it was cut
+    from.
 
     ``real`` marks a caller that accepts a channel exact to rounding rather
     than bit for bit (the EP pipeline and the iterated channels): an H whose
@@ -85,11 +84,8 @@ def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
         params.update(param_overrides)
     layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
     h = build_hamiltonian(config.model, params, layout.n_h)
-    prop = propagate(h.real if real and not np.any(h.imag) else h, config.time)
-    kraus = kraus_from_unitary(prop, layout)
-    if not param_overrides:
-        kraus.hamiltonian_eigensystem = (prop.vals, prop.vecs)
-    return kraus
+    return kraus_from_unitary(propagate(h.real if real and not np.any(h.imag) else h,
+                                        config.time), layout)
 
 
 def analysis_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
@@ -155,13 +151,12 @@ def _blas_runtime(libs: Path) -> dict:
 
 
 @contextmanager
-def _analysis_blas_threads(threads: int | None):
+def _analysis_blas_threads():
     """Numpy's OpenBLAS at one thread while the analyses run, so that their
     outputs do not depend on the core or worker count, and back at its
     previous count on exit; where one of ``BLAS_THREAD_VARS`` is set, that
-    choice stands and the library stays at ``threads``, its own count.
-    Yields the count the body runs with. Where the library cannot be set
-    and no variable is set, a ``RuntimeWarning`` says so."""
+    choice stands and the library keeps its own count. Where the library
+    cannot be set and no variable is set, a ``RuntimeWarning`` says so."""
     blas = None
     if not any(var in os.environ for var in BLAS_THREAD_VARS):
         try:
@@ -171,12 +166,12 @@ def _analysis_blas_threads(threads: int | None):
                 f"BLAS threads not pinned ({exc}): set one of {', '.join(BLAS_THREAD_VARS)}, "
                 "or outputs may depend on the core count", RuntimeWarning)
     if blas is None:
-        yield threads
+        yield
         return
     before = blas["get_num_threads"]()
     blas["set_num_threads"](1)
     try:
-        yield 1
+        yield
     finally:
         blas["set_num_threads"](before)
 
@@ -212,7 +207,8 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     issued again after the run. Numpy's OpenBLAS runs the analyses at one
     thread, whatever ``n_workers``, unless a BLAS thread variable is set
     (see :func:`_analysis_blas_threads`); ``"analysis_blas_threads"`` in
-    ``"environment"`` is the count the analyses ran with.
+    ``"environment"`` is the count the analyses ran with, read from the
+    library (None where it cannot be read).
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -235,9 +231,9 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     caught: list[warnings.WarningMessage] = []
     try:
         with warnings.catch_warnings(record=True) as caught:
-            environment = manifest["environment"]
-            with _analysis_blas_threads(environment["blas"]["runtime"]["threads"]) as threads:
-                environment["analysis_blas_threads"] = threads
+            with _analysis_blas_threads():
+                manifest["environment"]["analysis_blas_threads"] = (
+                    _blas_runtime(NUMPY_LIBS)["threads"])
                 _run_analyses(config, out, manifest, n_workers)
         manifest["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
         with open(out / "manifest.json", "w") as fh:
@@ -251,17 +247,13 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
 
 def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers: int) -> None:
     analyses = set(config.analyses)
-    spectrum = eigensystem = sweep = None
+    spectrum = kraus = sweep = None
     if analyses & {"spectrum", "histogram", "overlaps", "scar_overlaps"}:
         started = _time.perf_counter()
-        spectrum, eigensystem, kraus_meta = _configured_spectrum(
-            config, keep_hamiltonian=bool(analyses & {"overlaps", "scar_overlaps"}))
+        spectrum, health, kraus = _configured_spectrum(
+            config, keep_kraus=bool(analyses & {"overlaps", "scar_overlaps"}))
         manifest["runtimes"]["channel"] = round(_time.perf_counter() - started, 3)
-        manifest["health"].update({
-            "completeness_residual": kraus_meta["completeness_residual"],
-            "unitarity_deviation": kraus_meta["unitarity_deviation"],
-            "max_eigen_residual": float(np.max(spectrum.residuals)),
-        })
+        manifest["health"].update(health, max_eigen_residual=float(np.max(spectrum.residuals)))
     # one sweep of the configured grid feeds every analysis that reads it; it
     # keeps the complex path, whose bits the bands and complex counts pin
     if analyses & {"bands", "complex_count", "anisotropy_compare"}:
@@ -272,21 +264,26 @@ def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers
 
     for analysis in config.analyses:
         started = _time.perf_counter()
-        files = _run_one(analysis, config, spectrum, eigensystem, sweep, out, manifest,
-                         n_workers)
+        files = _run_one(analysis, config, spectrum, kraus, sweep, out, manifest, n_workers)
         manifest["runtimes"][analysis] = round(_time.perf_counter() - started, 3)
         manifest["outputs"].extend(files)
 
 
-def _configured_spectrum(config: ExperimentConfig, keep_hamiltonian: bool):
-    """Spectrum of the configured channel, the eigensystem of its
-    Hamiltonian (as its propagator computed it) when ``keep_hamiltonian``,
-    and its Kraus set's ``meta`` (the health of the build)."""
+def _health(kraus: KrausSet) -> dict:
+    """The health of one channel build: its Kraus completeness residual and
+    its propagator's unitarity deviation."""
+    return {"completeness_residual": kraus.completeness_residual(),
+            "unitarity_deviation": kraus.propagator.unitarity_deviation}
+
+
+def _configured_spectrum(config: ExperimentConfig, keep_kraus: bool):
+    """Spectrum of the configured channel, the :func:`_health` of its build,
+    and, when ``keep_kraus``, its Kraus set (None otherwise)."""
     kraus = build_channel(config)
-    eigensystem = kraus.hamiltonian_eigensystem if keep_hamiltonian else None
-    sop, meta = analysis_matrix(kraus), kraus.meta
-    del kraus  # the Hamiltonian's eigenvectors need not outlive the eigensolve's peak
-    return full_spectrum(sop), eigensystem, meta
+    health, sop = _health(kraus), analysis_matrix(kraus)
+    if not keep_kraus:
+        kraus = None  # its propagator need not outlive the eigensolve's peak
+    return full_spectrum(sop), health, kraus
 
 
 def _sweep(config: ExperimentConfig, values: np.ndarray, manifest: dict, label: str,
@@ -311,7 +308,7 @@ def _write_csv(out: Path, name: str, header: list[str], rows) -> list[str]:
     return [name]
 
 
-def _run_one(analysis: str, config: ExperimentConfig, spectrum, eigensystem,
+def _run_one(analysis: str, config: ExperimentConfig, spectrum, kraus: KrausSet | None,
              sweep: SweepResult | None, out: Path, manifest: dict,
              n_workers: int) -> list[str]:
     if analysis == "spectrum":
@@ -334,10 +331,10 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, eigensystem,
                           ["bin_left", "bin_right", "density", "reference_density"], rows)
 
     if analysis == "overlaps":
-        return _overlaps(config, spectrum, eigensystem[1], out)
+        return _overlaps(spectrum, kraus, out, manifest)
 
     if analysis == "scar_overlaps":
-        return _scar_overlaps(config, spectrum, *eigensystem, out)
+        return _scar_overlaps(spectrum, kraus, out)
 
     if analysis in ("complex_count", "anisotropy_compare"):
         return _complex_counts(analysis, config, sweep, out)
@@ -381,30 +378,35 @@ def _iterated_channel(config: ExperimentConfig, overrides: dict, manifest: dict)
     unitarity deviation over these builds."""
     kraus = build_channel(config, overrides, real=True)
     health = manifest["health"]
-    for key in ("completeness_residual", "unitarity_deviation"):
-        health[key] = max(health.get(key, 0.0), kraus.meta[key])
+    for key, value in _health(kraus).items():
+        health[key] = max(health.get(key, 0.0), value)
     return kraus
 
 
-def _overlaps(config: ExperimentConfig, spectrum, vecs: np.ndarray, out: Path) -> list[str]:
-    layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
+def _overlaps(spectrum, kraus: KrausSet, out: Path, manifest: dict) -> list[str]:
+    """Overlaps of every channel mode with three Hamiltonian eigenstates; a
+    reference with no weight on the bath reset configuration is a failure."""
+    vecs = kraus.propagator.vecs
     dim = vecs.shape[1]
     refs = {"ground": 0, "median": dim // 2, "top": dim - 1}
     # builtin abs(complex) per value: np.abs may differ in the last bit
     mags = [abs(lam) for lam in spectrum.eigenvalues.tolist()]
     rows = []
     for label, k in refs.items():
-        xis = eigen_overlap(spectrum.right, vecs[:, k], layout).tolist()
+        try:
+            xis = eigen_overlap(spectrum.right, vecs[:, k], kraus.layout).tolist()
+        except UndefinedOverlapError as exc:
+            manifest["failures"].append(
+                {"analysis": "overlaps", "reference": label, "error": str(exc)})
+            xis = [None] * len(mags)
         rows += [[i, mag, xi, label] for i, (mag, xi) in enumerate(zip(mags, xis))]
     return _write_csv(out, "overlaps.csv", OVERLAP_HEADER, rows)
 
 
-def _scar_overlaps(config: ExperimentConfig, spectrum, vals: np.ndarray, vecs: np.ndarray,
-                   out: Path) -> list[str]:
-    layout = ChainLayout(config.n_s, config.n_b, constrained=True)
-    basis = ConstrainedBasis(layout.n_h)
-    scars = scar_candidates(vals, vecs, basis)
-    xis = scar_overlap_avg(spectrum.right, scars.states, layout).tolist()
+def _scar_overlaps(spectrum, kraus: KrausSet, out: Path) -> list[str]:
+    prop = kraus.propagator
+    scars = scar_candidates(prop.vals, prop.vecs, ConstrainedBasis(kraus.layout.n_h))
+    xis = scar_overlap_avg(spectrum.right, scars.states, kraus.layout).tolist()
     rows = [[i, abs(lam), xi, "scar_avg"]
             for i, (lam, xi) in enumerate(zip(spectrum.eigenvalues.tolist(), xis))]
     return _write_csv(out, "scar_overlaps.csv", OVERLAP_HEADER, rows)

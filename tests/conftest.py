@@ -1,5 +1,9 @@
-"""Shared fixtures: preset-parameter channels at desk scale and small random
-state helpers."""
+"""Shared fixtures: preset-parameter channels at desk scale, small random
+state helpers, and the loader of the benchmark's modules."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,17 @@ from resetchannel import (
 from resetchannel.channel import reversal_form, superoperator_matrix
 from resetchannel.spectra import full_spectrum
 from resetchannel.spin_ops import partial_trace, pauli_sum, site_signs
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def bench_module(name, monkeypatch):
+    """``benchmarks/<name>.py``, loaded by path."""
+    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_channel(n_s, n_b, t, jzz=0.0, jz=0.0, jxxx=0.0):
@@ -85,7 +100,7 @@ def haar_channel(n_s, n_b, seed):
     ds, db = layout.dim_s, layout.dim_b
     u4 = u.reshape(ds, db, ds, db)
     ops = [np.ascontiguousarray(u4[:, m, :, 0]) for m in range(db)]
-    return KrausSet(ops, layout, {"seed": seed})
+    return KrausSet(ops, layout)
 
 
 def ghz_coherence_eigenvalue(kraus):

@@ -451,7 +451,7 @@ def extend_with_ancilla(kraus):
     """Oracle: the doubled Kraus set 1 (x) K_m, an untouched ancilla qubit
     tensored onto each operator."""
     eye2 = np.eye(2, dtype=complex)
-    return KrausSet([np.kron(eye2, k) for k in kraus.ops], kraus.layout, dict(kraus.meta))
+    return KrausSet([np.kron(eye2, k) for k in kraus.ops], kraus.layout)
 
 
 class TestAncillaExtension:

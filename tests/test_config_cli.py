@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import re
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import resetchannel
+from conftest import BENCH_DIR, bench_module
 from resetchannel import cli, runner
 from resetchannel.cli import main
 from resetchannel.config import (
@@ -34,18 +34,6 @@ TINY_CONFIG = {
     "params": {"j2": 1.0, "jzz": 0.2, "jz": 0.3},
     "analyses": ["spectrum", "histogram"],
 }
-
-
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
-
-
-def _bench_module(name, monkeypatch):
-    """``benchmarks/<name>.py``, loaded by path."""
-    spec = importlib.util.spec_from_file_location(name, BENCH_DIR / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
-    spec.loader.exec_module(module)
-    return module
 
 
 # fig9's analyses on a 2+2 chain; at t=10 the isotropic point jyy = jxx is
@@ -146,7 +134,7 @@ class TestValidation:
     def test_benchmark_reference_hashes(self, monkeypatch):
         # the benchmark compares a run with its reference outputs only where
         # the config hashes agree, so a changed hash turns the check off
-        workloads = _bench_module("workloads", monkeypatch)
+        workloads = bench_module("workloads", monkeypatch)
         configs = {run.label: config for name in workloads.WORKLOADS
                    for run, config in workloads.generate(name, 0)}
         index = json.loads((BENCH_DIR / "reference" / "index.json").read_text())
@@ -366,10 +354,10 @@ class TestRunner:
         health = manifest["health"]
         assert set(health) == {"completeness_residual", "unitarity_deviation",
                                "max_eigen_residual"}
-        # read off the configured channel's Kraus set, where they are made
-        meta = build_channel(config).meta
-        for key in ("completeness_residual", "unitarity_deviation"):
-            assert health[key] == meta[key]
+        # read off the configured channel's Kraus set and its propagator
+        kraus = build_channel(config)
+        assert health["completeness_residual"] == kraus.completeness_residual()
+        assert health["unitarity_deviation"] == kraus.propagator.unitarity_deviation
         assert 0.0 <= health["completeness_residual"] < 1e-9
         assert 0.0 <= health["unitarity_deviation"] < 1e-9
         assert 0.0 <= health["max_eigen_residual"] < 1e-9
@@ -520,10 +508,27 @@ class TestRunner:
         # the overlaps reuse the eigensystem the channel's propagator computed
         assert len(builds) == 1
 
+    def test_undefined_overlap_reference_is_a_failure(self, tmp_path):
+        # fig3 conserves magnetization, and its median eigenstate lies in a
+        # sector with no weight on the all-|0> bath: that reference is
+        # recorded and left empty, and the run still writes the other two
+        config = preset_config("fig3", ['analyses=["overlaps"]'])
+        manifest = run_experiment(config, tmp_path)
+        assert manifest["failures"] == [{
+            "analysis": "overlaps", "reference": "median",
+            "error": "eigenstate has no weight on the bath reset configuration"}]
+        assert manifest["outputs"] == ["overlaps.csv"]
+        rows = _read_csv(tmp_path / "overlaps.csv")
+        assert [row["reference"] for row in rows] == [
+            label for label in ("ground", "median", "top") for _ in range(64)]
+        for row in rows:
+            assert (row["xi"] == "") == (row["reference"] == "median")
+            assert float(row["abs_lambda"]) >= 0.0
+
     def test_tracer_targets_resolve(self, monkeypatch):
         # the benchmark's traced run wraps these names; one missing name
         # fails every traced run before its first pass
-        spans = _bench_module("spans", monkeypatch)
+        spans = bench_module("spans", monkeypatch)
         targets = spans.program_targets()
         assert targets
         for module, attr, _, _ in targets:
@@ -531,7 +536,7 @@ class TestRunner:
 
     def test_tracer_targets_are_called(self, tmp_path, monkeypatch):
         # a traced name that no run calls is a span that always reads 0
-        spans = _bench_module("spans", monkeypatch)
+        spans = bench_module("spans", monkeypatch)
         calls = {}
         for module, attr, _, _ in spans.program_targets():
             name = f"{module.__name__.rsplit('.', 1)[1]}.{attr}"
@@ -571,7 +576,7 @@ class TestRunner:
                                                   ("fig8", "phase_scan.csv")])
     def test_iterated_channels_real_solve_matches_complex(self, preset, csv_name, tmp_path,
                                                           monkeypatch):
-        check = _bench_module("check", monkeypatch)
+        check = bench_module("check", monkeypatch)
         config = preset_config(preset)
         builds = []
         original = runner.build_channel
@@ -596,7 +601,8 @@ class TestRunner:
 
         def recording(*args, **kwargs):
             kraus = original(*args, **kwargs)
-            metas.append(kraus.meta)
+            metas.append({"completeness_residual": kraus.completeness_residual(),
+                          "unitarity_deviation": kraus.propagator.unitarity_deviation})
             return kraus
 
         monkeypatch.setattr(runner, "build_channel", recording)
@@ -667,7 +673,7 @@ def _reference_runs(runs, tmp_path, monkeypatch, blas_threads):
     every BLAS thread variable set to ``blas_threads`` (unset for None),
     check each run against its reference, and return the manifests and the
     printed thread counts, both by label."""
-    check = _bench_module("check", monkeypatch)
+    check = bench_module("check", monkeypatch)
     env = {k: v for k, v in os.environ.items() if k not in runner.BLAS_THREAD_VARS}
     if blas_threads is not None:
         env.update({var: blas_threads for var in runner.BLAS_THREAD_VARS})

@@ -54,7 +54,8 @@ def preset_spectrum(request):
     """Configured channel spectrum of a preset, with its layout and the
     Hamiltonian eigensystem."""
     kraus = build_channel(preset_config(request.param))
-    return full_spectrum(analysis_matrix(kraus)), kraus.layout, kraus.hamiltonian_eigensystem
+    prop = kraus.propagator
+    return full_spectrum(analysis_matrix(kraus)), kraus.layout, (prop.vals, prop.vecs)
 
 
 class TestEigenOverlap:
@@ -153,7 +154,7 @@ class TestScars:
         config = preset_config("fig6")
         kraus = build_channel(config)
         spectrum = full_spectrum(analysis_matrix(kraus))
-        vals, vecs = kraus.hamiltonian_eigensystem
+        vals, vecs = kraus.propagator.vals, kraus.propagator.vecs
         scars = scar_candidates(vals, vecs, ConstrainedBasis(kraus.layout.n_h))
         avg = scar_overlap_avg(spectrum.right, scars.states, kraus.layout)
         expected = np.mean([per_mode_overlaps(spectrum, psi, kraus.layout)

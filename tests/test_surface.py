@@ -5,11 +5,14 @@ package, in the acceptance suite or in the benchmark. An export from
 ``__init__`` is not a read. A name that only unit tests read is surface to
 delete, or an oracle to move into the tests.
 Every name a package module imports is used there, unless its line says
-``noqa: F401``."""
+``noqa: F401``; such a line is allowed only where the benchmark's tracer
+(``benchmarks/spans.py``) wraps that name in that module."""
 
 import ast
 import re
 from pathlib import Path
+
+from conftest import bench_module
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "resetchannel"
@@ -65,25 +68,40 @@ def test_every_constant_is_read():
 
 
 def _bound_imports(tree: ast.Module, lines: list[str]):
-    """(name, line) of each name an import binds, except ``__future__``
-    imports and names whose line carries ``noqa: F401``."""
+    """(name, line, marked) of each name an import binds, except
+    ``__future__`` imports; ``marked`` when its line carries ``noqa: F401``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                if "noqa: F401" not in lines[alias.lineno - 1]:
-                    yield (alias.asname or alias.name).split(".")[0], alias.lineno
+                yield ((alias.asname or alias.name).split(".")[0], alias.lineno,
+                       "noqa: F401" in lines[alias.lineno - 1])
 
 
-def test_every_import_is_used():
-    # the imports of __init__ are the package's exports
-    unused = []
+def _module_imports():
+    """(module path, tree, bound imports) of each package module; the
+    imports of ``__init__`` are the package's exports and are left out."""
     for path in sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}):
         source = path.read_text()
         tree = ast.parse(source)
+        yield path, tree, list(_bound_imports(tree, source.splitlines()))
+
+
+def test_every_import_is_used():
+    unused = []
+    for path, tree, imports in _module_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} {name}"
-                   for name, line in _bound_imports(tree, source.splitlines())
-                   if name not in used]
+        unused += [f"{path.name}:{line} {name}" for name, line, marked in imports
+                   if not marked and name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_unused_imports_are_traced_names(monkeypatch):
+    # an import kept only for the tracer goes when the tracer drops the name
+    traced = {(module.__name__.rsplit(".", 1)[1], attr)
+              for module, attr, _, _ in bench_module("spans", monkeypatch).program_targets()}
+    untraced = [f"{path.name}:{line} {name}" for path, _, imports in _module_imports()
+                for name, line, marked in imports
+                if marked and (path.stem, name) not in traced]
+    assert not untraced, f"noqa: F401 on a name the tracer does not wrap there: {untraced}"
