@@ -162,7 +162,8 @@ def _value(kind: str, value, path: str, bounds) -> object:
     if kind in _SECTIONS:
         return _SECTIONS[kind](**_read(_SECTIONS[kind], value, path))
     if kind.startswith("list["):
-        _expect(isinstance(value, list) and value, path, "must be a non-empty list")
+        _expect(isinstance(value, list) and value, path,
+                f"must be a non-empty list, got {value!r}")
         return [_value(kind[5:-1], v, f"{path}[{i}]", bounds) for i, v in enumerate(value)]
     if kind.startswith("dict[str, "):
         _expect(isinstance(value, dict), path, f"must be an object, got {type(value).__name__}")

@@ -58,6 +58,13 @@ def bath_vacuum_projection(psi: np.ndarray, layout: ChainLayout) -> np.ndarray:
     return psi[joint_index_table(layout)[0]]
 
 
+def bath_vacuum_weight(psi: np.ndarray, layout: ChainLayout) -> float:
+    """Weight |<s, 0_b|psi>|^2 summed over s: how much of a joint state the
+    bath reset configuration reaches."""
+    v = bath_vacuum_projection(psi, layout)
+    return float(np.real(v.conj() @ v))
+
+
 def eigen_overlap(right: np.ndarray, psi: np.ndarray, layout: ChainLayout) -> np.ndarray:
     """Rescaled overlaps xi_k = N_s |Tr(rho_psi right_k)| between every
     channel eigenmode (the columns of ``right``, row-stacked unit-norm
@@ -66,12 +73,13 @@ def eigen_overlap(right: np.ndarray, psi: np.ndarray, layout: ChainLayout) -> np
     rho_psi is the bath-vacuum projection of |psi><psi|, trace-normalized;
     it is formed once and contracted with all modes in one product. Bulk
     modes of scrambled dynamics sit near xi ~ 1; anomalously slow modes show
-    xi >> 1 against the states they are built from.
+    xi >> 1 against the states they are built from. A state whose
+    :func:`bath_vacuum_weight` is below ``OVERLAP_MIN_WEIGHT`` raises.
     """
-    v = bath_vacuum_projection(psi, layout)
-    norm2 = float(np.real(v.conj() @ v))
+    norm2 = bath_vacuum_weight(psi, layout)
     if norm2 < OVERLAP_MIN_WEIGHT:
         raise UndefinedOverlapError("eigenstate has no weight on the bath reset configuration")
+    v = bath_vacuum_projection(psi, layout)
     return layout.dim_s * np.abs(np.kron(v.conj(), v) @ right) / norm2
 
 

@@ -28,7 +28,8 @@ from .channel import (
 )
 from .config import ExperimentConfig
 from .dynamics import (
-    UndefinedOverlapError,
+    OVERLAP_MIN_WEIGHT,
+    bath_vacuum_weight,
     eigen_overlap,
     phase_scan,
     qmi_trajectory,
@@ -106,8 +107,6 @@ def spectral_matrix_factory(config: ExperimentConfig, parameter: str, real: bool
 
     return build
 
-
-OVERLAP_HEADER = ["mode", "abs_lambda", "xi", "reference"]
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # where a numpy wheel bundles its 64-bit-integer OpenBLAS
@@ -331,10 +330,20 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, kraus: KrausSet 
                           ["bin_left", "bin_right", "density", "reference_density"], rows)
 
     if analysis == "overlaps":
-        return _overlaps(spectrum, kraus, out, manifest)
+        # lowest, median and highest energy among the eigenstates the reset reaches
+        vecs = kraus.propagator.vecs
+        reached = [k for k in range(vecs.shape[1])
+                   if bath_vacuum_weight(vecs[:, k], kraus.layout) >= OVERLAP_MIN_WEIGHT]
+        refs = {"ground": reached[0], "median": reached[len(reached) // 2], "top": reached[-1]}
+        return _overlaps("overlaps.csv", spectrum, {
+            label: eigen_overlap(spectrum.right, vecs[:, k], kraus.layout)
+            for label, k in refs.items()}, out)
 
     if analysis == "scar_overlaps":
-        return _scar_overlaps(spectrum, kraus, out)
+        prop = kraus.propagator
+        scars = scar_candidates(prop.vals, prop.vecs, ConstrainedBasis(kraus.layout.n_h))
+        return _overlaps("scar_overlaps.csv", spectrum, {
+            "scar_avg": scar_overlap_avg(spectrum.right, scars.states, kraus.layout)}, out)
 
     if analysis in ("complex_count", "anisotropy_compare"):
         return _complex_counts(analysis, config, sweep, out)
@@ -383,33 +392,14 @@ def _iterated_channel(config: ExperimentConfig, overrides: dict, manifest: dict)
     return kraus
 
 
-def _overlaps(spectrum, kraus: KrausSet, out: Path, manifest: dict) -> list[str]:
-    """Overlaps of every channel mode with three Hamiltonian eigenstates; a
-    reference with no weight on the bath reset configuration is a failure."""
-    vecs = kraus.propagator.vecs
-    dim = vecs.shape[1]
-    refs = {"ground": 0, "median": dim // 2, "top": dim - 1}
+def _overlaps(name: str, spectrum, xis: dict, out: Path) -> list[str]:
+    """One row per reference label of ``xis`` and channel mode: the mode's
+    |lambda| and its overlap from that label's xi array."""
     # builtin abs(complex) per value: np.abs may differ in the last bit
     mags = [abs(lam) for lam in spectrum.eigenvalues.tolist()]
-    rows = []
-    for label, k in refs.items():
-        try:
-            xis = eigen_overlap(spectrum.right, vecs[:, k], kraus.layout).tolist()
-        except UndefinedOverlapError as exc:
-            manifest["failures"].append(
-                {"analysis": "overlaps", "reference": label, "error": str(exc)})
-            xis = [None] * len(mags)
-        rows += [[i, mag, xi, label] for i, (mag, xi) in enumerate(zip(mags, xis))]
-    return _write_csv(out, "overlaps.csv", OVERLAP_HEADER, rows)
-
-
-def _scar_overlaps(spectrum, kraus: KrausSet, out: Path) -> list[str]:
-    prop = kraus.propagator
-    scars = scar_candidates(prop.vals, prop.vecs, ConstrainedBasis(kraus.layout.n_h))
-    xis = scar_overlap_avg(spectrum.right, scars.states, kraus.layout).tolist()
-    rows = [[i, abs(lam), xi, "scar_avg"]
-            for i, (lam, xi) in enumerate(zip(spectrum.eigenvalues.tolist(), xis))]
-    return _write_csv(out, "scar_overlaps.csv", OVERLAP_HEADER, rows)
+    rows = [[i, mag, xi, label] for label, xi_k in xis.items()
+            for i, (mag, xi) in enumerate(zip(mags, xi_k.tolist()))]
+    return _write_csv(out, name, ["mode", "abs_lambda", "xi", "reference"], rows)
 
 
 def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,

@@ -21,6 +21,7 @@ from resetchannel.config import (
     preset_config,
     validate_config,
 )
+from resetchannel.dynamics import eigen_overlap
 from resetchannel.ep_analysis import SweepGrid, count_complex
 from resetchannel.plots import emit_plots
 from resetchannel.runner import analysis_matrix, build_channel, run_experiment
@@ -116,6 +117,14 @@ class TestValidation:
         config = validate_config(raw)
         assert config.params["jz"] == 5.0
         assert config.time == 20.0
+
+    @pytest.mark.parametrize("value", ["[overlaps]", []], ids=["string", "empty"])
+    def test_list_error_names_the_value(self, value):
+        # an unquoted override such as analyses=[overlaps] is not JSON and
+        # arrives as the string "[overlaps]"
+        with pytest.raises(ConfigError) as err:
+            validate_config(dict(TINY_CONFIG, analyses=value))
+        assert str(err.value) == f"config.analyses: must be a non-empty list, got {value!r}"
 
     @pytest.mark.parametrize("override, key", [("qmi.cases.0.jz=1", "qmi.cases"),
                                                ("time.x=1", "time")])
@@ -508,22 +517,44 @@ class TestRunner:
         # the overlaps reuse the eigensystem the channel's propagator computed
         assert len(builds) == 1
 
-    def test_undefined_overlap_reference_is_a_failure(self, tmp_path):
-        # fig3 conserves magnetization, and its median eigenstate lies in a
-        # sector with no weight on the all-|0> bath: that reference is
-        # recorded and left empty, and the run still writes the other two
-        config = preset_config("fig3", ['analyses=["overlaps"]'])
+    def test_overlap_references_are_reached_by_the_reset(self, tmp_path):
+        # the U(1) presets hold eigenstates in sectors the all-|0> bath never
+        # reaches; the references are picked among the others, so every
+        # preset's configured channel fills every xi cell
+        for preset in [f"fig{i}" for i in range(2, 10)]:
+            config = preset_config(preset, ['analyses=["overlaps"]'])
+            manifest = run_experiment(config, tmp_path / preset)
+            assert manifest["failures"] == [], preset
+            rows = _read_csv(tmp_path / preset / "overlaps.csv")
+            assert {row["reference"] for row in rows} == {"ground", "median", "top"}, preset
+            assert all(row["xi"] != "" for row in rows), preset
+        # fig2 reaches every eigenstate: its references are 0, dim/2 and dim-1
+        kraus = build_channel(preset_config("fig2"))
+        spectrum = full_spectrum(analysis_matrix(kraus))
+        rows = _read_csv(tmp_path / "fig2" / "overlaps.csv")
+        for label, k in {"ground": 0, "median": 128, "top": 255}.items():
+            xis = eigen_overlap(spectrum.right, kraus.propagator.vecs[:, k], kraus.layout)
+            written = [float(row["xi"]) for row in rows if row["reference"] == label]
+            assert np.allclose(written, xis, rtol=1e-9, atol=1e-9), label
+
+    def test_abs_lambda_agrees_across_csvs(self, tmp_path):
+        # spectrum.csv's abs and the overlap files' abs_lambda follow one
+        # rule (builtin abs per eigenvalue), string for string
+        for preset, name in (("fig2", "overlaps"), ("fig6", "scar_overlaps")):
+            config = preset_config(preset, [f'analyses=["spectrum", "{name}"]'])
+            run_experiment(config, tmp_path / preset)
+            mags = [row["abs"] for row in _read_csv(tmp_path / preset / "spectrum.csv")]
+            rows = _read_csv(tmp_path / preset / f"{name}.csv")
+            assert len(rows) == len(mags) * len({row["reference"] for row in rows})
+            for row in rows:
+                assert row["abs_lambda"] == mags[int(row["mode"])], (preset, row)
+
+    def test_linear_phase_grid(self, tmp_path):
+        config = preset_config("fig8", ["phase.log_grid=false"])
         manifest = run_experiment(config, tmp_path)
-        assert manifest["failures"] == [{
-            "analysis": "overlaps", "reference": "median",
-            "error": "eigenstate has no weight on the bath reset configuration"}]
-        assert manifest["outputs"] == ["overlaps.csv"]
-        rows = _read_csv(tmp_path / "overlaps.csv")
-        assert [row["reference"] for row in rows] == [
-            label for label in ("ground", "median", "top") for _ in range(64)]
-        for row in rows:
-            assert (row["xi"] == "") == (row["reference"] == "median")
-            assert float(row["abs_lambda"]) >= 0.0
+        assert manifest["failures"] == []
+        rows = _read_csv(tmp_path / "phase_scan.csv")
+        assert [row["jz"] for row in rows] == [f"{v:.17g}" for v in np.linspace(0.1, 5.0, 13)]
 
     def test_tracer_targets_resolve(self, monkeypatch):
         # the benchmark's traced run wraps these names; one missing name

@@ -14,8 +14,10 @@ from conftest import (
 from resetchannel.channel import KrausSet, apply_channel
 from resetchannel.config import preset_config
 from resetchannel.dynamics import (
+    OVERLAP_MIN_WEIGHT,
     UndefinedOverlapError,
     bath_vacuum_projection,
+    bath_vacuum_weight,
     eigen_overlap,
     half_chain_renyi2,
     imbalance,
@@ -86,6 +88,20 @@ class TestEigenOverlap:
         psi = np.array([0.0, 1.0, 0.0, 0.0])  # bath always |1>
         with pytest.raises(UndefinedOverlapError):
             eigen_overlap(pure_mode(np.array([1.0, 0.0])), psi, layout)
+
+    @pytest.mark.parametrize("weight", [0.5 * OVERLAP_MIN_WEIGHT, 2.0 * OVERLAP_MIN_WEIGHT])
+    def test_raises_exactly_below_min_weight(self, weight):
+        # amplitude sqrt(weight) on system |0>, bath |0>; the rest on bath |1>
+        layout = ChainLayout(1, 1)
+        psi = np.array([np.sqrt(weight), np.sqrt(1.0 - weight), 0.0, 0.0])
+        below = bath_vacuum_weight(psi, layout) < OVERLAP_MIN_WEIGHT
+        assert below == (weight < OVERLAP_MIN_WEIGHT)
+        mode = pure_mode(np.array([1.0, 0.0]))
+        if below:
+            with pytest.raises(UndefinedOverlapError):
+                eigen_overlap(mode, psi, layout)
+        else:
+            assert abs(eigen_overlap(mode, psi, layout)[0] - layout.dim_s) < 1e-9
 
     def test_chaotic_bulk_near_unity(self, chaotic_channel, chaotic_reversal_spectrum):
         from resetchannel.hamiltonians import XxxParams, build_xxx

@@ -1,6 +1,8 @@
 """The README's one Python example runs as written against the package,
-so the API it shows stays in step with the code."""
+so the API it shows stays in step with the code, and its tolerance table
+states the values the code holds."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -12,3 +14,15 @@ def test_python_api_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_tolerance_table_matches_the_code():
+    # each row's constant, bare in resetchannel.spectra or prefixed with
+    # its module, holds the value the row states
+    section = README.read_text().split("## Tolerance policy", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` \| ([^|]+) \|", section, flags=re.M)
+    assert rows
+    for name, value in rows:
+        module, _, constant = name.rpartition(".")
+        source = importlib.import_module(f"resetchannel.{module or 'spectra'}")
+        assert getattr(source, constant) == float(value), name
