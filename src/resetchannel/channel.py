@@ -97,10 +97,12 @@ def propagate(h: np.ndarray, t: float) -> Propagator:
     return Propagator(*hermitian_eigensystem(h), t)
 
 
+@cache
 def joint_index_table(layout: ChainLayout) -> np.ndarray:
     """Joint-basis index of system state s with bath state b at entry
     [b, s] of a (dim_b, dim_s) table, or -1 where the pair breaks the
-    blockade at the system/bath cut (constrained layouts only)."""
+    blockade at the system/bath cut (constrained layouts only). Made once
+    per layout and read-only, since every caller shares it."""
 
     def states(n_sites: int) -> np.ndarray:
         return (np.array(ConstrainedBasis(n_sites).states) if layout.constrained
@@ -109,7 +111,9 @@ def joint_index_table(layout: ChainLayout) -> np.ndarray:
     joint = states(layout.n_h)
     bits = (states(layout.n_s)[None, :] << layout.n_b) | states(layout.n_b)[:, None]
     idx = np.minimum(np.searchsorted(joint, bits), len(joint) - 1)
-    return np.where(joint[idx] == bits, idx, -1)
+    table = np.where(joint[idx] == bits, idx, -1)
+    table.flags.writeable = False
+    return table
 
 
 def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:

@@ -18,10 +18,13 @@ import numpy as np
 from .hamiltonians import GOLDEN_OMEGA, MODEL_PARAMS
 
 MODELS = tuple(MODEL_PARAMS)
-ANALYSES = (
-    "spectrum", "histogram", "overlaps", "scar_overlaps",
-    "bands", "ep", "complex_count", "anisotropy_compare", "qmi", "phase",
-)
+# each analysis and the config section it reads; None where it reads the
+# configured channel
+ANALYSES = {
+    "spectrum": None, "histogram": None, "overlaps": None, "scar_overlaps": None,
+    "bands": "sweep", "ep": "ep", "complex_count": "sweep", "anisotropy_compare": "sweep",
+    "qmi": "qmi", "phase": "phase",
+}
 
 
 class ConfigError(ValueError):
@@ -117,13 +120,6 @@ class ExperimentConfig:
         return np.linspace(self.phase.start, self.phase.stop, self.phase.points)
 
 
-# the config section each analysis reads
-_ANALYSIS_SECTION = {
-    "bands": "sweep", "complex_count": "sweep", "anisotropy_compare": "sweep",
-    "ep": "ep", "qmi": "qmi", "phase": "phase",
-}
-
-
 def _expect(cond: bool, path: str, msg: str) -> None:
     if not cond:
         raise ConfigError(f"{path}: {msg}")
@@ -204,7 +200,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     # the model's parameter dataclass is the schema of its params
     _read(MODEL_PARAMS[model], config.params, "config.params")
-    couplings = {f.name: f.metadata for f in fields(MODEL_PARAMS[model])}
+    # the couplings a sweep, a phase scan or a qmi case may vary
+    varied = {f.name for f in fields(MODEL_PARAMS[model]) if not f.metadata.get("fixed")}
 
     for a in analyses:
         _expect(a in ANALYSES, "config.analyses", f"unknown analysis {a!r}")
@@ -213,18 +210,20 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _expect(not {"complex_count", "anisotropy_compare"} <= set(analyses), "config.analyses",
             "complex_count and anisotropy_compare both write complex_count.csv")
 
-    if sweep is not None:
-        _expect(sweep.parameter in couplings and not couplings[sweep.parameter].get("fixed"),
-                "config.sweep.parameter", f"cannot sweep {sweep.parameter!r} for model {model!r}")
-        _expect(sweep.stop != sweep.start, "config.sweep.stop", "must differ from start")
-
-    if config.ep is not None:
-        _expect(config.ep.stop != config.ep.start, "config.ep.stop", "must differ from start")
-        _expect(sweep is not None, "config.ep",
-                "ep analysis needs a sweep section for the parameter name")
+    # every grid spans an interval, and ep varies the sweep's parameter
+    for key in ("sweep", "ep", "phase"):
+        grid = getattr(config, key)
+        if grid is None:
+            continue
+        if key != "ep":
+            _expect(grid.parameter in varied, f"config.{key}.parameter",
+                    f"cannot sweep {grid.parameter!r} for model {model!r}")
+        _expect(grid.stop != grid.start, f"config.{key}.stop", "must differ from start")
+    _expect(config.ep is None or sweep is not None, "config.ep",
+            "ep analysis needs a sweep section for the parameter name")
 
     if config.qmi is not None:
-        lacking = {"jxxx", "jz"} - couplings.keys()
+        lacking = {"jxxx", "jz"} - varied
         _expect(not lacking, "config.qmi",
                 f"cases set {sorted(lacking)}, which model {model!r} lacks")
         names = [case.name for case in config.qmi.cases]
@@ -232,14 +231,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
             _expect(name not in names[:i], f"config.qmi.cases[{i}].name",
                     f"duplicate case name {name!r}; qmi.csv keys its rows by name")
 
-    if config.phase is not None:
-        _expect(config.phase.parameter == "jz", "config.phase.parameter",
-                "only jz scans are supported")
-        _expect("jz" in couplings, "config.phase.parameter",
-                f"model {model!r} has no field 'jz' to scan")
-
     for a in analyses:
-        needed = _ANALYSIS_SECTION.get(a)
+        needed = ANALYSES[a]
         _expect(needed is None or getattr(config, needed) is not None, f"config.{needed}",
                 f"section missing; analysis {a!r} needs it")
     if "anisotropy_compare" in analyses:

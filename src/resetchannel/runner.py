@@ -26,7 +26,7 @@ from .channel import (
     reversal_form,
     superoperator_matrix,
 )
-from .config import ExperimentConfig
+from .config import ANALYSES, ExperimentConfig
 from .dynamics import (
     OVERLAP_MIN_WEIGHT,
     bath_vacuum_weight,
@@ -245,17 +245,17 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
 
 
 def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers: int) -> None:
-    analyses = set(config.analyses)
+    reads = {ANALYSES[a] for a in config.analyses}
     spectrum = kraus = sweep = None
-    if analyses & {"spectrum", "histogram", "overlaps", "scar_overlaps"}:
+    if None in reads:
         started = _time.perf_counter()
         spectrum, health, kraus = _configured_spectrum(
-            config, keep_kraus=bool(analyses & {"overlaps", "scar_overlaps"}))
+            config, keep_kraus=not {"overlaps", "scar_overlaps"}.isdisjoint(config.analyses))
         manifest["runtimes"]["channel"] = round(_time.perf_counter() - started, 3)
         manifest["health"].update(health, max_eigen_residual=float(np.max(spectrum.residuals)))
     # one sweep of the configured grid feeds every analysis that reads it; it
     # keeps the complex path, whose bits the bands and complex counts pin
-    if analyses & {"bands", "complex_count", "anisotropy_compare"}:
+    if "sweep" in reads:
         started = _time.perf_counter()
         sweep = _sweep(config, config.sweep_values(), manifest, "sweep", n_workers,
                        spectral_matrix_factory(config, config.sweep.parameter))
@@ -369,7 +369,7 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, kraus: KrausSet 
                                            "purity_s", "purity_as"], rows)
 
     if analysis == "phase":
-        factory = lambda jz: _iterated_channel(config, {"jz": jz}, manifest)
+        factory = lambda v: _iterated_channel(config, {config.phase.parameter: v}, manifest)
         points, failures = phase_scan(factory, config.phase_values(), config.phase.n_k)
         manifest["failures"].extend(
             {"analysis": "phase", "point": i, "error": err} for i, err in failures)
@@ -440,8 +440,8 @@ def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict,
             rec.exponent, rec.fit_r2 = fit.exponent, fit.r2
             fits.append((rec.j_star, fit))
         except ValueError as exc:
-            manifest["failures"].append(
-                {"analysis": "ep", "j_star": rec.j_star, "error": str(exc)})
+            manifest["failures"].append({"analysis": "ep", "j_star": rec.j_star,
+                                         "error": f"{type(exc).__name__}: {exc}"})
     manifest["ep_probes"] = dict(sweep.grid.probe_counts)
     manifest["health"].update({
         "ep_max_bracket_width": max((r.bracket[1] - r.bracket[0] for r in records),

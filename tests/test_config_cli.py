@@ -21,7 +21,7 @@ from resetchannel.config import (
     preset_config,
     validate_config,
 )
-from resetchannel.dynamics import eigen_overlap
+from resetchannel.dynamics import eigen_overlap, phase_scan
 from resetchannel.ep_analysis import SweepGrid, count_complex
 from resetchannel.plots import emit_plots
 from resetchannel.runner import analysis_matrix, build_channel, run_experiment
@@ -317,13 +317,22 @@ class TestValidation:
     @pytest.mark.parametrize("model", sorted(SWEEPABLE))
     @pytest.mark.parametrize("key", COUPLINGS)
     def test_sweep_varies_exactly_the_sweepable_couplings(self, model, key):
-        raw = dict(TINY_CONFIG, model=model, params={}, analyses=["bands"],
-                   sweep={"parameter": key, "start": 0.5, "stop": 0.7, "points": 3})
-        if key in self.SWEEPABLE[model]:
-            assert validate_config(raw).sweep.parameter == key
-        else:
-            with pytest.raises(ConfigError, match=r"^config\.sweep\.parameter: cannot sweep"):
-                validate_config(raw)
+        # a phase scan varies exactly the couplings a sweep does
+        for section in ("sweep", "phase"):
+            raw = dict(_section_config(section, parameter=key, start=0.5, stop=0.7),
+                       model=model, params={})
+            if key in self.SWEEPABLE[model]:
+                assert getattr(validate_config(raw), section).parameter == key
+            else:
+                with pytest.raises(ConfigError,
+                                   match=rf"^config\.{section}\.parameter: cannot sweep"):
+                    validate_config(raw)
+
+    @pytest.mark.parametrize("section", ["sweep", "ep", "phase"])
+    def test_grid_ends_must_differ(self, section):
+        with pytest.raises(ConfigError,
+                           match=rf"^config\.{section}\.stop: must differ from start$"):
+            validate_config(_section_config(section, start=0.2, stop=0.2))
 
     @pytest.mark.parametrize("model, key, value", [
         ("aah", "j2", 0), ("aah", "j2", -1), ("xxx", "j2", 0), ("xxx", "j2", -1),
@@ -556,6 +565,17 @@ class TestRunner:
         rows = _read_csv(tmp_path / "phase_scan.csv")
         assert [row["jz"] for row in rows] == [f"{v:.17g}" for v in np.linspace(0.1, 5.0, 13)]
 
+    def test_phase_scans_the_configured_coupling(self, tmp_path):
+        config = preset_config("fig8", ["phase.parameter=jzz", "phase.n_k=5"])
+        manifest = run_experiment(config, tmp_path)
+        assert manifest["failures"] == []
+        rows = (tmp_path / "phase_scan.csv").read_text().splitlines()
+        assert rows[0].startswith("jzz,")
+        points, _ = phase_scan(lambda v: build_channel(config, {"jzz": v}, real=True),
+                               config.phase_values(), config.phase.n_k)
+        assert rows[1:] == [f"{p.value:.17g},{p.qmi:.17g},{p.imbalance_plus_one:.17g}"
+                            for p in points]
+
     def test_tracer_targets_resolve(self, monkeypatch):
         # the benchmark's traced run wraps these names; one missing name
         # fails every traced run before its first pass
@@ -578,10 +598,9 @@ class TestRunner:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, attr, counted)
-        # every analysis, on small chains (the overlaps' reference eigenstates
-        # need weight on the bath reset configuration, which jxxx = 0 lacks)
+        # every analysis, on small chains
         raws = [
-            dict(SWEEP_CONFIG, params=dict(SWEEP_CONFIG["params"], jxxx=0.5),
+            dict(SWEEP_CONFIG,
                  analyses=["spectrum", "histogram", "overlaps", "complex_count", "bands", "qmi"],
                  qmi={"n_k": 2, "cases": [{"name": "c", "jxxx": 1.0, "jz": 0.1}]}),
             dict(TINY_CONFIG, analyses=["phase"],
@@ -810,7 +829,7 @@ class TestEpPipeline:
         assert (first["exponent"], first["r2"]) == ("", "")
         assert float(second["exponent"]) > 0 and float(second["r2"]) > 0
         assert manifest["failures"] == [
-            {"analysis": "ep", "j_star": failed[0], "error": "no sqrt window"}]
+            {"analysis": "ep", "j_star": failed[0], "error": "ValueError: no sqrt window"}]
         fit_rows = _read_csv(tmp_path / "ep_fit_points.csv")
         assert fit_rows and {r["j_star"] for r in fit_rows} == {second["j_star"]}
 

@@ -188,6 +188,12 @@ class TestConstrainedBasis:
         assert (table[pair.index(0b10), pair.index(0b10)]
                 == ConstrainedBasis(4).states.index(0b1010))
 
+    def test_joint_index_table_is_shared_and_read_only(self):
+        table = joint_index_table(ChainLayout(3, 4, True))
+        assert joint_index_table(ChainLayout(3, 4, True)) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
+
 
 class TestPxp:
     def test_two_site_constrained_hand_enumeration(self):

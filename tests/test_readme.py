@@ -1,10 +1,13 @@
 """The README's one Python example runs as written against the package,
-so the API it shows stays in step with the code, and its tolerance table
-states the values the code holds."""
+its JSON configs validate, so the API and schema it shows stay in step
+with the code, and its tolerance table states the values the code holds."""
 
 import importlib
+import json
 import re
 from pathlib import Path
+
+from resetchannel.config import validate_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,6 +17,13 @@ def test_python_api_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_json_configs_validate():
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks
+    for block in blocks:
+        validate_config(json.loads(block))
 
 
 def test_tolerance_table_matches_the_code():
