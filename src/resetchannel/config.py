@@ -200,7 +200,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
     # the model's parameter dataclass is the schema of its params
     _read(MODEL_PARAMS[model], config.params, "config.params")
-    # the couplings a sweep, a phase scan or a qmi case may vary
+    # the couplings that may vary: a sweep's, a phase scan's and the qmi cases'
     varied = {f.name for f in fields(MODEL_PARAMS[model]) if not f.metadata.get("fixed")}
 
     for a in analyses:
@@ -210,15 +210,17 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _expect(not {"complex_count", "anisotropy_compare"} <= set(analyses), "config.analyses",
             "complex_count and anisotropy_compare both write complex_count.csv")
 
+    # a sweep varies any coupling that may vary, a phase scan jz alone
+    for key, allowed in (("sweep", varied), ("phase", varied & {"jz"})):
+        grid = getattr(config, key)
+        if grid is not None:
+            _expect(grid.parameter in allowed, f"config.{key}.parameter",
+                    f"cannot sweep {grid.parameter!r} for model {model!r}")
     # every grid spans an interval, and ep varies the sweep's parameter
     for key in ("sweep", "ep", "phase"):
         grid = getattr(config, key)
-        if grid is None:
-            continue
-        if key != "ep":
-            _expect(grid.parameter in varied, f"config.{key}.parameter",
-                    f"cannot sweep {grid.parameter!r} for model {model!r}")
-        _expect(grid.stop != grid.start, f"config.{key}.stop", "must differ from start")
+        _expect(grid is None or grid.stop != grid.start, f"config.{key}.stop",
+                "must differ from start")
     _expect(config.ep is None or sweep is not None, "config.ep",
             "ep analysis needs a sweep section for the parameter name")
 

@@ -369,15 +369,13 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, kraus: KrausSet 
                                            "purity_s", "purity_as"], rows)
 
     if analysis == "phase":
-        factory = lambda v: _iterated_channel(config, {config.phase.parameter: v}, manifest)
+        factory = lambda jz: _iterated_channel(config, {"jz": jz}, manifest)
         points, failures = phase_scan(factory, config.phase_values(), config.phase.n_k)
         manifest["failures"].extend(
             {"analysis": "phase", "point": i, "error": err} for i, err in failures)
         return _write_csv(out, "phase_scan.csv",
                           [config.phase.parameter, "qmi", "imbalance_plus_one"],
                           [[p.value, p.qmi, p.imbalance_plus_one] for p in points])
-
-    raise ValueError(f"unknown analysis {analysis!r}")
 
 
 def _iterated_channel(config: ExperimentConfig, overrides: dict, manifest: dict) -> KrausSet:
