@@ -48,25 +48,6 @@ class JordanChainError(RuntimeError):
     """Requested chain extends past the numerical Jordan block."""
 
 
-def _certified_probe(lam: np.ndarray, radius: float, sigma: complex,
-                     guess: np.ndarray, tol_im: float):
-    """:func:`_pair_probe` on the eigenvalues ``lam`` nearest ``sigma``, all
-    within ``radius`` of it while every other eigenvalue lies at least
-    ``radius`` away; None when they cannot prove that the whole spectrum
-    gives the same answer.
-
-    The proof is geometric: every mode at least as close to ``guess[0]`` as
-    the chosen ``a`` (to ``guess[1]`` as ``b``, to the pair's midpoint as the
-    gap) lies inside the solved disc, so it was solved.
-    """
-    result = _pair_probe(lam, guess, tol_im)
-    (a, b), _, gap = result
-    certified = (abs(guess[0] - sigma) + abs(a - guess[0]) < radius
-                 and abs(guess[1] - sigma) + abs(b - guess[1]) < radius
-                 and abs(0.5 * (a + b) - sigma) + gap < radius)
-    return result if certified else None
-
-
 def _near_solve(mat: np.ndarray, sigma: complex) -> tuple[np.ndarray, float] | None:
     """The ``PROBE_MODES`` eigenvalues of ``mat`` nearest ``sigma``, by
     shift-invert Arnoldi, and the radius about ``sigma`` they lie within;
@@ -149,21 +130,34 @@ class SweepGrid:
         """:func:`_pair_probe` of the full spectrum of ``mat``, a matrix
         that :attr:`build` made, for the guessed pair ``guess``.
 
-        A shift-invert Arnoldi solve at sigma = mean(guess) answers when it
-        certifies the answer (:func:`_certified_probe`); otherwise, and when
-        that solve fails, the full ``eigvals`` of ``mat`` does. A real
-        matrix stays real: sigma is Re mean(guess), and both solves run in
-        real arithmetic, so the eigenvalues they return come in exact
-        conjugate pairs.
+        A shift-invert Arnoldi solve at sigma = mean(guess) answers when its
+        eigenvalues, all within a radius of sigma while every other
+        eigenvalue lies at least that radius away, prove that the whole
+        spectrum gives the same answer. The proof is geometric: every mode
+        at least as close to ``guess[0]`` as the chosen ``a`` (to
+        ``guess[1]`` as ``b``, to the pair's midpoint as the gap) lies
+        inside the solved disc, so it was solved. Otherwise, and when that
+        solve fails, the full ``eigvals`` of ``mat`` answers. A real matrix
+        stays real: sigma is Re mean(guess), and both solves run in real
+        arithmetic, so the eigenvalues they return come in exact conjugate
+        pairs.
         """
         mat = np.asarray(mat, dtype=complex if np.iscomplexobj(mat) else float)
         real = mat.dtype == float
         # a real shift keeps a real matrix's solve real
         sigma = float(np.mean(guess).real) if real else complex(np.mean(guess))
         near = _near_solve(mat, sigma)
-        result = None if near is None else _certified_probe(*near, sigma, guess, tol_im)
-        self.probe_counts["full" if result is None else "near"] += 1
-        return _pair_probe(np.linalg.eigvals(mat), guess, tol_im) if result is None else result
+        if near is not None:
+            lam, radius = near
+            result = _pair_probe(lam, guess, tol_im)
+            (a, b), _, gap = result
+            if (abs(guess[0] - sigma) + abs(a - guess[0]) < radius
+                    and abs(guess[1] - sigma) + abs(b - guess[1]) < radius
+                    and abs(0.5 * (a + b) - sigma) + gap < radius):
+                self.probe_counts["near"] += 1
+                return result
+        self.probe_counts["full"] += 1
+        return _pair_probe(np.linalg.eigvals(mat), guess, tol_im)
 
 
 @dataclass

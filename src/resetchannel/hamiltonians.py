@@ -75,6 +75,8 @@ MODEL_PARAMS = {"aah": AahParams, "xxx": XxxParams, "xx": XxParams, "pxp": PxpPa
 
 def _chain(n_sites: int, jxx: float, jyy: float, jzz: float, jz: float, omega: float,
            jxxx: float = 0.0) -> np.ndarray:
+    if n_sites < 2:
+        raise ValueError("chain needs at least 2 sites")
     bonds = [(coeff, axis * 2, (m, m + 1))
              for m in range(n_sites - 1)
              for coeff, axis in ((jxx, "x"), (jyy, "y"), (jzz, "z")) if coeff != 0.0]
@@ -88,8 +90,6 @@ def _chain(n_sites: int, jxx: float, jyy: float, jzz: float, jz: float, omega: f
 
 def build_aah(params: AahParams, n_sites: int) -> np.ndarray:
     """Quasiperiodic XY chain; commutes with total sigma^z."""
-    if n_sites < 2:
-        raise ValueError("chain needs at least 2 sites")
     return _chain(n_sites, params.j2, params.j2, params.jzz, params.jz, params.omega)
 
 
@@ -103,8 +103,6 @@ def build_xxx(params: XxxParams, n_sites: int) -> np.ndarray:
 
 def build_xx(params: XxParams, n_sites: int) -> np.ndarray:
     """Anisotropic chain; reduces to the AAH chain at jxx == jyy == j2."""
-    if n_sites < 2:
-        raise ValueError("chain needs at least 2 sites")
     return _chain(n_sites, params.jxx, params.jyy, params.jzz, params.jz, params.omega)
 
 

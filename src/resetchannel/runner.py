@@ -249,10 +249,11 @@ def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers
     spectrum = kraus = sweep = None
     if None in reads:
         started = _time.perf_counter()
-        spectrum, health, kraus = _configured_spectrum(
-            config, keep_kraus=not {"overlaps", "scar_overlaps"}.isdisjoint(config.analyses))
+        spectrum, kraus = _configured_spectrum(
+            config, manifest,
+            keep_kraus=not {"overlaps", "scar_overlaps"}.isdisjoint(config.analyses))
         manifest["runtimes"]["channel"] = round(_time.perf_counter() - started, 3)
-        manifest["health"].update(health, max_eigen_residual=float(np.max(spectrum.residuals)))
+        manifest["health"]["max_eigen_residual"] = float(np.max(spectrum.residuals))
     # one sweep of the configured grid feeds every analysis that reads it; it
     # keeps the complex path, whose bits the bands and complex counts pin
     if "sweep" in reads:
@@ -268,21 +269,24 @@ def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers
         manifest["outputs"].extend(files)
 
 
-def _health(kraus: KrausSet) -> dict:
-    """The health of one channel build: its Kraus completeness residual and
-    its propagator's unitarity deviation."""
-    return {"completeness_residual": kraus.completeness_residual(),
-            "unitarity_deviation": kraus.propagator.unitarity_deviation}
+def _record_health(manifest: dict, kraus: KrausSet) -> None:
+    """Keep in the manifest's health the worst Kraus completeness residual
+    and propagator unitarity deviation over every channel build recorded."""
+    health = manifest["health"]
+    for key, value in (("completeness_residual", kraus.completeness_residual()),
+                       ("unitarity_deviation", kraus.propagator.unitarity_deviation)):
+        health[key] = max(health.get(key, 0.0), value)
 
 
-def _configured_spectrum(config: ExperimentConfig, keep_kraus: bool):
-    """Spectrum of the configured channel, the :func:`_health` of its build,
-    and, when ``keep_kraus``, its Kraus set (None otherwise)."""
+def _configured_spectrum(config: ExperimentConfig, manifest: dict, keep_kraus: bool):
+    """Spectrum of the configured channel, whose health is recorded, and,
+    when ``keep_kraus``, its Kraus set (None otherwise)."""
     kraus = build_channel(config)
-    health, sop = _health(kraus), analysis_matrix(kraus)
+    _record_health(manifest, kraus)
+    sop = analysis_matrix(kraus)
     if not keep_kraus:
         kraus = None  # its propagator need not outlive the eigensolve's peak
-    return full_spectrum(sop), health, kraus
+    return full_spectrum(sop), kraus
 
 
 def _sweep(config: ExperimentConfig, values: np.ndarray, manifest: dict, label: str,
@@ -380,13 +384,10 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, kraus: KrausSet 
 
 def _iterated_channel(config: ExperimentConfig, overrides: dict, manifest: dict) -> KrausSet:
     """A channel that the QMI and phase analyses iterate, built from the real
-    solve (its outputs are checked within tolerances, not bit for bit); the
-    manifest's health keeps the worst Kraus completeness residual and
-    unitarity deviation over these builds."""
+    solve (its outputs are checked within tolerances, not bit for bit), whose
+    health is recorded."""
     kraus = build_channel(config, overrides, real=True)
-    health = manifest["health"]
-    for key, value in _health(kraus).items():
-        health[key] = max(health.get(key, 0.0), value)
+    _record_health(manifest, kraus)
     return kraus
 
 

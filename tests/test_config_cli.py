@@ -633,9 +633,9 @@ class TestRunner:
         assert real.read_bytes() != exact.read_bytes()  # the real solve did run
         assert not manifest["failures"]
 
-    @pytest.mark.parametrize("preset, n_builds", [("fig7", 3), ("fig8", 13)])
-    def test_manifest_records_iterated_channel_health(self, preset, n_builds, tmp_path,
-                                                      monkeypatch):
+    @staticmethod
+    def _record_builds(monkeypatch) -> list[dict]:
+        """The health of every ``runner.build_channel`` result, in build order."""
         metas = []
         original = runner.build_channel
 
@@ -646,12 +646,36 @@ class TestRunner:
             return kraus
 
         monkeypatch.setattr(runner, "build_channel", recording)
+        return metas
+
+    @pytest.mark.parametrize("preset, n_builds", [("fig7", 3), ("fig8", 13)])
+    def test_manifest_records_iterated_channel_health(self, preset, n_builds, tmp_path,
+                                                      monkeypatch):
+        metas = self._record_builds(monkeypatch)
         health = run_experiment(preset_config(preset), tmp_path)["health"]
         assert len(metas) == n_builds
         assert set(health) == {"completeness_residual", "unitarity_deviation"}
         for key in health:
             assert health[key] == max(meta[key] for meta in metas)
             assert 0.0 <= health[key] < 1e-9
+
+    def test_manifest_health_covers_configured_and_iterated_channels(self, tmp_path,
+                                                                    monkeypatch):
+        # the configured channel and each qmi case's iterated channel in one
+        # run: one rule keeps the worst value over all of their builds
+        raw = dict(SECTION_CONFIGS["qmi"], analyses=["spectrum", "qmi"],
+                   qmi={"n_k": 2, "cases": [{"name": "a", "jxxx": 1.0, "jz": 0.1},
+                                            {"name": "b", "jxxx": 0.0, "jz": 2.0}]})
+        metas = self._record_builds(monkeypatch)
+        manifest = run_experiment(validate_config(raw), tmp_path)
+        health = manifest["health"]
+        assert len(metas) == 3
+        assert set(health) == {"completeness_residual", "unitarity_deviation",
+                               "max_eigen_residual"}
+        for key in ("completeness_residual", "unitarity_deviation"):
+            assert health[key] == max(meta[key] for meta in metas)
+            assert 0.0 <= health[key] < 1e-9
+        assert not manifest["failures"]
 
     def test_presets_match_reference_outputs(self, tmp_path, monkeypatch):
         # fig6 is the only blockade (pxp) reference, fig2-ns5 the only

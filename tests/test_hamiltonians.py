@@ -388,3 +388,13 @@ class TestParamValidation:
     def test_rabi_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             PxpParams(omega_rabi=-1.0)
+
+    @pytest.mark.parametrize("build, params, n_sites, message", [
+        (build_aah, AahParams(), 1, "chain needs at least 2 sites"),
+        (build_xx, XxParams(), 1, "chain needs at least 2 sites"),
+        (build_xxx, XxxParams(), 2, "three-site coupling needs at least 3 sites"),
+        (build_pxp, PxpParams(), 1, "chain needs at least 2 sites"),
+    ], ids=["aah", "xx", "xxx", "pxp"])
+    def test_too_short_chain_names_its_minimum(self, build, params, n_sites, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(params, n_sites)
