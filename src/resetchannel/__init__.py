@@ -9,6 +9,7 @@ __version__ = "0.1.0"
 
 from .spin_ops import (
     ChainLayout,
+    ConstrainedBasis,
     ghz_state,
     neel_state,
     partial_trace,
@@ -16,7 +17,6 @@ from .spin_ops import (
 )
 from .hamiltonians import (
     AahParams,
-    ConstrainedBasis,
     GOLDEN_OMEGA,
     PxpParams,
     XxParams,

@@ -12,7 +12,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .hamiltonians import ConstrainedBasis, hermitian_eigensystem
+from .hamiltonians import hermitian_eigensystem
 from .spin_ops import ChainLayout, site_signs
 
 UNITARITY_ATOL = 1e-9
@@ -103,13 +103,8 @@ def joint_index_table(layout: ChainLayout) -> np.ndarray:
     [b, s] of a (dim_b, dim_s) table, or -1 where the pair breaks the
     blockade at the system/bath cut (constrained layouts only). Made once
     per layout and read-only, since every caller shares it."""
-
-    def states(n_sites: int) -> np.ndarray:
-        return (np.array(ConstrainedBasis(n_sites).states) if layout.constrained
-                else np.arange(2 ** n_sites))
-
-    joint = states(layout.n_h)
-    bits = (states(layout.n_s)[None, :] << layout.n_b) | states(layout.n_b)[:, None]
+    joint = layout.states(layout.n_h)
+    bits = (layout.states(layout.n_s)[None, :] << layout.n_b) | layout.states(layout.n_b)[:, None]
     idx = np.minimum(np.searchsorted(joint, bits), len(joint) - 1)
     table = np.where(joint[idx] == bits, idx, -1)
     table.flags.writeable = False
@@ -241,23 +236,17 @@ def real_reversal_form(kraus: KrausSet) -> np.ndarray:
     return np.vstack([y[:d].real, np.sqrt(2) * y[d:].real, np.sqrt(2) * y[d:].imag])
 
 
-def magnetization_grading(layout: ChainLayout) -> np.ndarray:
-    """Grading g(i, j) = S_z(i) + S_z(j) of each vectorized operator-basis
-    element |i><j|, in vec ordering."""
-    if layout.constrained:
-        raise ValueError("magnetization grading applies to the full qubit basis")
-    sz = site_signs(np.arange(layout.dim_s), layout.n_s).sum(axis=0)
-    return (sz[:, None] + sz[None, :]).reshape(-1)
-
-
 def magnetization_violation(sop: SuperoperatorMatrix, layout: ChainLayout) -> float:
     """Largest |M| element that moves weight away from the bath reset sector.
 
     The bath resets to the top-magnetization configuration, so the channel
-    can only raise the operator grading g = S_z(i) + S_z(j); entries with
+    can only raise the grading g = S_z(i) + S_z(j) of |i><j|; entries with
     output grading below input grading must vanish (block triangularity).
     """
-    g = magnetization_grading(layout)
+    if layout.constrained:
+        raise ValueError("magnetization grading applies to the full qubit basis")
+    sz = site_signs(layout.states(layout.n_s), layout.n_s).sum(axis=0)
+    g = (sz[:, None] + sz[None, :]).reshape(-1)
     lower = g[:, None] < g[None, :]  # g_out < g_in
     if not lower.any():
         return 0.0

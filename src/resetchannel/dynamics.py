@@ -12,9 +12,9 @@ from typing import Callable
 import numpy as np
 
 from .channel import KrausSet, apply_channel, joint_index_table
-from .hamiltonians import ConstrainedBasis
 from .spin_ops import (
     ChainLayout,
+    ConstrainedBasis,
     ghz_state,
     neel_state,
     partial_trace,  # noqa: F401  (not called here; benchmarks/spans.py wraps it)

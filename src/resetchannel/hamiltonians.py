@@ -1,6 +1,6 @@
 """Dense spin-chain Hamiltonians: quasiperiodic XY chain, its chaos-driving
 three-body extension, the anisotropic variant, and the blockade-constrained
-PXP model.
+PXP model on :class:`~resetchannel.spin_ops.ConstrainedBasis`.
 
 All couplings are dimensionless ratios to the XY scale (or to the Rabi scale
 for PXP); hbar = 1. Chains are open.
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .spin_ops import pauli_sum, site_signs
+from .spin_ops import ConstrainedBasis, pauli_sum, site_signs
 
 GOLDEN_OMEGA = 2 * np.pi * (np.sqrt(5) - 1) / 2  # inverse golden ratio modulation
 HERMITIAN_RTOL = 1e-10  # |H - H^dag| relative to max(|H|, 1)
@@ -106,28 +106,6 @@ def build_xx(params: XxParams, n_sites: int) -> np.ndarray:
     return _chain(n_sites, params.jxx, params.jyy, params.jzz, params.jz, params.omega)
 
 
-class ConstrainedBasis:
-    """Rydberg-blockade subspace of an ``n``-site chain: bit-strings with no
-    two adjacent 1s, sorted; dimension is the Fibonacci number F(n+2)."""
-
-    def __init__(self, n_sites: int):
-        if n_sites < 1:
-            raise ValueError("need at least one site")
-        self.n_sites = n_sites
-        self.states: list[int] = [b for b in range(1 << n_sites) if (b & (b >> 1)) == 0]
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-    def embed_vector(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Scatter constrained amplitudes, a (dim,) vector or the columns of a
-        (dim, k) block, into the full 2^n qubit space."""
-        full = np.zeros((2 ** self.n_sites, *np.shape(amplitudes)[1:]), dtype=complex)
-        full[self.states] = amplitudes
-        return full
-
-
 def build_pxp(params: PxpParams, n_sites: int) -> np.ndarray:
     """Blockaded spin-flip Hamiltonian with open boundaries (edge projectors
     replaced by identity), on the blockade subspace.
@@ -137,9 +115,8 @@ def build_pxp(params: PxpParams, n_sites: int) -> np.ndarray:
     """
     if n_sites < 2:
         raise ValueError("chain needs at least 2 sites")
-    cb = ConstrainedBasis(n_sites)
     terms = [(params.omega_rabi / 2, "x", (m,)) for m in range(n_sites)]
-    return pauli_sum(terms, n_sites, cb.states)
+    return pauli_sum(terms, n_sites, ConstrainedBasis(n_sites).states)
 
 
 def _sector_eigensystem(h: np.ndarray, n_sites: int):

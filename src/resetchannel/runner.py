@@ -46,7 +46,6 @@ from .ep_analysis import (
     track_bands,
 )
 from .hamiltonians import (
-    ConstrainedBasis,
     MODEL_PARAMS,
     build_aah,
     build_pxp,
@@ -60,7 +59,7 @@ from .spectra import (
     outlier_threshold,
     sorted_eigvals,
 )
-from .spin_ops import ChainLayout
+from .spin_ops import ChainLayout, ConstrainedBasis
 
 
 def build_hamiltonian(model: str, params: dict, n_sites: int):

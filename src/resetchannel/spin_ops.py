@@ -1,4 +1,4 @@
-"""Elementary qubit-chain operators and states: the Pauli-sum assembler that
+"""Qubit-chain layouts and their blockade basis, the Pauli-sum assembler that
 builds every operator, partial trace, and canonical initial states.
 
 Conventions, fixed package-wide:
@@ -11,7 +11,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -19,11 +19,8 @@ import numpy as np
 @dataclass(frozen=True)
 class ChainLayout:
     """System/bath split of a chain: ``n_s`` system qubits followed by
-    ``n_b`` bath qubits.
-
-    With ``constrained=True`` dimensions refer to the Rydberg-blockade
-    (Fibonacci) subspace instead of the full qubit space.
-    """
+    ``n_b`` bath qubits, on the Rydberg-blockade subspace when
+    ``constrained`` (see :meth:`states`)."""
 
     n_s: int
     n_b: int
@@ -37,24 +34,52 @@ class ChainLayout:
     def n_h(self) -> int:
         return self.n_s + self.n_b
 
+    def states(self, n_sites: int) -> np.ndarray:
+        """Sorted basis states of an ``n_sites``-site block: every bit string,
+        or the :class:`ConstrainedBasis` ones when ``constrained``. Made once
+        per (n_sites, constrained) and read-only, since every caller shares it."""
+        return _block_states(n_sites, self.constrained)
+
     @property
     def dim_s(self) -> int:
-        return _fibonacci(self.n_s + 2) if self.constrained else 2 ** self.n_s
+        return len(self.states(self.n_s))
 
     @property
     def dim_b(self) -> int:
-        return _fibonacci(self.n_b + 2) if self.constrained else 2 ** self.n_b
+        return len(self.states(self.n_b))
 
     @property
     def dim_joint(self) -> int:
-        return _fibonacci(self.n_h + 2) if self.constrained else 2 ** self.n_h
+        return len(self.states(self.n_h))
 
 
-def _fibonacci(k: int) -> int:
-    a, b = 1, 1
-    for _ in range(k - 2):
-        a, b = b, a + b
-    return b
+class ConstrainedBasis:
+    """Rydberg-blockade subspace of an ``n``-site chain: bit-strings with no
+    two adjacent 1s, sorted; dimension is the Fibonacci number F(n+2)."""
+
+    def __init__(self, n_sites: int):
+        if n_sites < 1:
+            raise ValueError("need at least one site")
+        self.n_sites = n_sites
+        self.states: list[int] = [b for b in range(1 << n_sites) if (b & (b >> 1)) == 0]
+
+    @property
+    def dim(self) -> int:
+        return len(self.states)
+
+    def embed_vector(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Scatter constrained amplitudes, a (dim,) vector or the columns of a
+        (dim, k) block, into the full 2^n qubit space."""
+        full = np.zeros((2 ** self.n_sites, *np.shape(amplitudes)[1:]), dtype=complex)
+        full[self.states] = amplitudes
+        return full
+
+
+@cache
+def _block_states(n_sites: int, constrained: bool) -> np.ndarray:
+    states = np.array(ConstrainedBasis(n_sites).states) if constrained else np.arange(2 ** n_sites)
+    states.flags.writeable = False
+    return states
 
 
 def site_signs(states, n_sites: int) -> np.ndarray:

@@ -17,7 +17,9 @@ from resetchannel.channel import (
     CompletenessError,
     KrausSet,
     Propagator,
+    SuperoperatorMatrix,
     apply_channel,
+    joint_index_table,
     kraus_from_unitary,
     magnetization_violation,
     propagate,
@@ -445,6 +447,63 @@ class TestMagnetizationStructure:
         kraus = make_channel(2, 2, 10.0, jzz=0.1, jz=0.1, jxxx=1.0)
         sop = superoperator_matrix(kraus)
         assert magnetization_violation(sop, kraus.layout) > 1e-3
+
+    def test_constrained_layout_raises(self):
+        with pytest.raises(ValueError, match="full qubit basis"):
+            magnetization_violation(SuperoperatorMatrix(np.eye(9), 3), ChainLayout(2, 2, True))
+
+
+def short_period_generators(config):
+    """L1 = -i[A, .] with A = <0_b|H|0_b>, and the Lindblad dissipator D of
+    the jumps L_k = <k_b|H|0_b> (k != 0), as row-stacking matrices read off
+    H's blocks; with half the spread of H's spectrum, the norm of H up to
+    the energy shift that no channel sees."""
+    layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
+    h = build_hamiltonian(config.model, config.params, layout.n_h)
+    table = joint_index_table(layout)
+    # block k holds <k_b|H|0_b>; a zero last row is read where the table holds -1
+    blocks = np.vstack([h, np.zeros((1, len(h)))])[table][:, :, table[0]]
+    a, jumps = blocks[0], blocks[1:]
+    eye = np.eye(layout.dim_s)
+    l1 = -1j * (np.kron(a, eye) - np.kron(eye, a.T))
+    rate = sum(jump.conj().T @ jump for jump in jumps)
+    dissipator = (sum(np.kron(jump, jump.conj()) for jump in jumps)
+                  - 0.5 * (np.kron(rate, eye) + np.kron(eye, rate.T)))
+    energies = np.linalg.eigvalsh(h)
+    return l1, dissipator, (energies[-1] - energies[0]) / 2, layout.dim_b
+
+
+class TestShortPeriodLimit:
+    """A reset channel is a collision model: at a short period tau its
+    matrix is M = I + tau L1 + tau^2 (L1^2 / 2 + D) + O(tau^3) (F.
+    Ciccarello, S. Lorenzo, V. Giovannetti and G. M. Palma, Phys. Rep. 954,
+    1 (2022)). The generators come from H's blocks and solve nothing, so the
+    whole path from config to channel is checked on every model: the time,
+    the sign of the evolution, the reset state, the Kraus cut and the
+    row-stacking convention."""
+
+    TAUS = (1e-2, 5e-3, 2.5e-3)
+
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig5", "fig6", "fig9"],
+                             ids=["xxx", "aah", "aah-n5", "pxp", "xx"])
+    def test_channel_matches_lindblad_expansion(self, preset):
+        l1, dissipator, spread, dim_b = short_period_generators(preset_config(preset))
+        second = 0.5 * l1 @ l1 + dissipator
+        errors = []
+        for tau in self.TAUS:
+            m = superoperator_matrix(build_channel(preset_config(preset, [f"time={tau}"]))).mat
+            errors.append(np.linalg.norm(m - np.eye(len(m)) - tau * l1 - tau ** 2 * second, 2))
+        # M = W exp(tau G) V: G = -i(H (x) 1 - 1 (x) conj H) has norm 2 spread, V puts
+        # the bath in its reset state and W, of norm sqrt(dim_b), sums over bath states.
+        # Consecutive Taylor terms shrink by 2 spread tau / (n + 1), so the error is
+        # c3 tau^3 + c4 tau^4 + ... with |c4 tau / c3| of order eps = spread tau (twice
+        # that factor at n = 3), and each halving of tau divides it by about 8
+        for tau, coarse, fine in zip(self.TAUS, errors, errors[1:]):
+            eps = spread * tau
+            assert 8 * (1 - eps) / (1 - eps / 2) <= coarse / fine <= 8 * (1 + eps) / (1 + eps / 2)
+        # the remainder from tau^3 on is at most sqrt(dim_b) sum_{n>=3} (2 spread tau)^n / n!
+        x = 2 * spread * self.TAUS[-1]
+        assert errors[-1] <= np.sqrt(dim_b) * x ** 3 / 6 * np.exp(x)
 
 
 def extend_with_ancilla(kraus):

@@ -153,14 +153,18 @@ class TestXx:
 
 
 class TestConstrainedBasis:
-    @pytest.mark.parametrize("n,dim", [(1, 2), (2, 3), (4, 8), (6, 21), (10, 144)])
+    # F(n + 2) for n = 1 ... 10
+    @pytest.mark.parametrize("n,dim", zip(range(1, 11), [2, 3, 5, 8, 13, 21, 34, 55, 89, 144]))
     def test_fibonacci_dimension(self, n, dim):
-        assert ConstrainedBasis(n).dim == dim
+        assert ConstrainedBasis(n).dim == len(ChainLayout(1, 1, True).states(n)) == dim
 
     def test_states_sorted_and_blockaded(self):
-        basis = ConstrainedBasis(5)
-        assert basis.states == sorted(basis.states)
-        assert all((b & (b >> 1)) == 0 for b in basis.states)
+        for n in range(1, 11):
+            basis, block = ConstrainedBasis(n).states, ChainLayout(1, 1, True).states(n)
+            assert block.tolist() == basis
+            for states in (basis, block):
+                assert np.all(np.diff(states) > 0)
+                assert all((b & (b >> 1)) == 0 for b in states)
 
     def test_joint_index_table_respects_boundary(self):
         for layout in (ChainLayout(2, 2, True), ChainLayout(3, 4, True), ChainLayout(5, 5, True),

@@ -1,6 +1,7 @@
 """The README's one Python example runs as written against the package,
 its JSON configs validate, so the API and schema it shows stay in step
-with the code, and its tolerance table states the values the code holds."""
+with the code, its tolerance table states the values the code holds, and
+its Layout block names every file of the package and no other."""
 
 import importlib
 import json
@@ -9,7 +10,9 @@ from pathlib import Path
 
 from resetchannel.config import validate_config
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+PACKAGE = ROOT / "src" / "resetchannel"
 
 
 def test_python_api_example_runs(capsys):
@@ -36,3 +39,12 @@ def test_tolerance_table_matches_the_code():
         module, _, constant = name.rpartition(".")
         source = importlib.import_module(f"resetchannel.{module or 'spectra'}")
         assert getattr(source, constant) == float(value), name
+
+
+def test_layout_block_names_every_package_file():
+    section = README.read_text().split("## Layout", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```\nsrc/resetchannel/\n(.*?)```", section, flags=re.S).group(1)
+    named = re.findall(r"^  (\S+)", block, flags=re.M)
+    files = sorted(path.relative_to(PACKAGE).as_posix() for path in PACKAGE.rglob("*")
+                   if path.is_file() and "__pycache__" not in path.parts)
+    assert sorted(named) == files

@@ -272,10 +272,20 @@ class TestLayout:
         layout = ChainLayout(3, 4)
         assert layout.n_h == 7
         assert (layout.dim_s, layout.dim_b, layout.dim_joint) == (8, 16, 128)
+        for n in range(1, 11):
+            assert np.array_equal(layout.states(n), np.arange(2 ** n))
 
     def test_constrained_dimensions_are_fibonacci(self):
         layout = ChainLayout(5, 5, constrained=True)
         assert (layout.dim_s, layout.dim_b, layout.dim_joint) == (13, 13, 144)
+        assert (len(layout.states(5)), len(layout.states(10))) == (13, 144)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_states_are_shared_and_read_only(self, constrained):
+        states = ChainLayout(2, 3, constrained).states(4)
+        assert ChainLayout(1, 1, constrained).states(4) is states
+        with pytest.raises(ValueError, match="read-only"):
+            states[0] = 1
 
     def test_invalid_layout(self):
         with pytest.raises(ValueError):
