@@ -68,7 +68,6 @@ from .dynamics import (
     TrajectoryRecord,
     UndefinedOverlapError,
     eigen_overlap,
-    imbalance,
     magnetization_trajectory,
     phase_scan,
     qmi_trajectory,

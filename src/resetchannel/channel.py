@@ -62,6 +62,13 @@ class KrausSet:
         return self.ops[0].shape[0]
 
     def completeness_residual(self) -> float:
+        """max |sum_m K_m^dag K_m - 1|, computed on the first call and kept:
+        :func:`kraus_from_unitary` checks it, and the run's health reads
+        the same value."""
+        return self._residual
+
+    @cached_property
+    def _residual(self) -> float:
         acc = sum(k.conj().T @ k for k in self.ops)
         return float(np.max(np.abs(acc - np.eye(self.dim))))
 
@@ -234,6 +241,34 @@ def real_reversal_form(kraus: KrausSet) -> np.ndarray:
     # each column of R T^dag is a Hermitian operator: its (j, i) row is the
     # conjugate of its (i, j) row, so T's rows reduce to real and imaginary parts
     return np.vstack([y[:d].real, np.sqrt(2) * y[d:].real, np.sqrt(2) * y[d:].imag])
+
+
+def real_channel_form(kraus: KrausSet) -> np.ndarray:
+    """The plain channel M as the real matrix T M T^dag in the Hermitian
+    operator basis of :func:`real_reversal_form`, acting on the
+    coefficients of :func:`hermitian_coefficients`.
+
+    M = R S with R the reversal form, and the transpose S is diagonal in
+    that basis: +1 on |i><i| and the symmetric elements, -1 on the
+    antisymmetric ones. So this is the real reversal form with its last
+    d(d - 1)/2 columns negated, and needs no assembly of its own.
+    """
+    mat = real_reversal_form(kraus)
+    d = kraus.dim
+    mat[:, d * (d + 1) // 2:] *= -1.0
+    return mat
+
+
+def hermitian_coefficients(x: np.ndarray) -> np.ndarray:
+    """Coefficients of a Hermitian (d, d) operator in the basis of
+    :func:`real_reversal_form`: its diagonal, then sqrt(2) Re and sqrt(2) Im
+    of its upper triangle in row-major order, as one real (d^2,) vector; a
+    (b, d, d) stack gives them as the columns of a (d^2, b) array."""
+    x = np.asarray(x)
+    rows, cols = np.triu_indices(x.shape[-1], 1)
+    upper = x[..., rows, cols]
+    diag = np.diagonal(x, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, np.sqrt(2) * upper.real, np.sqrt(2) * upper.imag], axis=-1).T
 
 
 def magnetization_violation(sop: SuperoperatorMatrix, layout: ChainLayout) -> float:

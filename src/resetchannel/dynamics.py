@@ -7,11 +7,18 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
 
-from .channel import KrausSet, apply_channel, joint_index_table
+from .channel import (
+    KrausSet,
+    apply_channel,  # noqa: F401  (not called here; benchmarks/spans.py wraps it)
+    hermitian_coefficients,
+    joint_index_table,
+    real_channel_form,
+)
 from .spin_ops import (
     ChainLayout,
     ConstrainedBasis,
@@ -130,55 +137,53 @@ def scar_overlap_avg(right: np.ndarray, scar_states: np.ndarray,
     return np.mean(xis, axis=0)
 
 
-def _site_sz(rhos: np.ndarray, n_sites: int) -> np.ndarray:
-    """Tr(rho S_m^z), S_m^z = sigma_m^z / 2, for every site m (last axis)
-    of one state or of each state in a stack."""
-    diags = np.real(np.diagonal(rhos, axis1=-2, axis2=-1))
+def _site_sz(diags: np.ndarray, n_sites: int) -> np.ndarray:
+    """Tr(rho S_m^z), S_m^z = sigma_m^z / 2, for every site m (last axis),
+    from the diagonal of rho (last axis), of one state or of each in a
+    stack."""
     return diags @ (0.5 * site_signs(np.arange(2 ** n_sites), n_sites)).T
 
 
-def imbalance(rho_t: np.ndarray, rho_0: np.ndarray, n_sites: int) -> float | np.ndarray:
-    """Memory diagnostic B = sum_i Tr(rho_t S_i^z) Tr(rho_0 S_i^z) with
-    S_i^z = sigma_i^z / 2; a (k, d, d) stack ``rho_t`` gives the k values."""
-    rho_t = np.asarray(rho_t, dtype=complex)
-    rho_0 = np.asarray(rho_0, dtype=complex)
-    dim = 2 ** n_sites
-    if rho_0.shape != (dim, dim) or rho_t.shape[-2:] != (dim, dim):
-        raise ValueError("state dimensions do not match the chain size")
-    b = _site_sz(rho_t, n_sites) @ _site_sz(rho_0, n_sites)
-    return float(b) if rho_t.ndim == 2 else b
-
-
-def _purities(rhos: np.ndarray) -> np.ndarray:
-    """Tr rho^2 = sum |rho_ij|^2 of each Hermitian rho in a stack."""
-    x = rhos.reshape(*rhos.shape[:-2], -1).view(np.float64)
-    return np.einsum("...k,...k->...", x, x)
-
-
-def _ghz_blocks(kraus: KrausSet) -> np.ndarray:
-    """The system blocks (rho_00, rho_01, rho_11), rho_ab = <a|rho|b> with
-    a and b ancilla states, of the (ancilla + system) GHZ state; rho_10 =
-    rho_01^dag, and the channel keeps it so."""
-    if kraus.layout.constrained:
-        raise ValueError("mutual-information trajectories assume the full qubit basis")
-    d = kraus.dim
-    psi = ghz_state(1 + kraus.layout.n_s)
-    rho = np.outer(psi, psi.conj())
-    return rho.reshape(2, d, 2, d).transpose(0, 2, 1, 3).reshape(4, d, d)[[0, 1, 3]]
+@cache
+def _initial_columns(n_s: int) -> np.ndarray:
+    """Coefficient columns (see :func:`hermitian_coefficients`) of the
+    states the dynamics start from, as one (d^2, 5) array: the system
+    blocks of the (ancilla + system) GHZ state, rho_00, rho_11, and the
+    Hermitian and anti-Hermitian parts (rho_01 + rho_01^dag) / 2 and
+    (rho_01 - rho_01^dag) / 2i of rho_01, where rho_ab = <a|rho|b> with a
+    and b ancilla states (rho_10 = rho_01^dag, and the channel keeps it
+    so); then the alternating product state. Made once per system size and
+    read-only."""
+    d = 2 ** n_s
+    psi = ghz_state(1 + n_s)
+    rho = np.outer(psi, psi.conj()).reshape(2, d, 2, d)
+    r01 = rho[0, :, 1]
+    neel = neel_state(n_s)
+    columns = hermitian_coefficients(np.array([
+        rho[0, :, 0], rho[1, :, 1], (r01 + r01.conj().T) / 2, (r01 - r01.conj().T) / 2j,
+        np.outer(neel, neel.conj())]))
+    columns.flags.writeable = False
+    return columns
 
 
 def _ghz_readout(traj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per round of a trajectory of GHZ blocks (rho_00, rho_01, rho_11): the
-    system marginal rho_s = rho_00 + rho_11, the mutual information, and the
-    purities of rho_a, rho_s and rho_as (rows), read off the blocks:
-    rho_a = [[tr rho_00, tr rho_01], [conj(tr rho_01), tr rho_11]] and
+    """Per round of a (n, d^2, 4) trajectory of the GHZ columns of
+    :func:`_initial_columns`: the diagonal of the system marginal rho_s =
+    rho_00 + rho_11, the mutual information, and the purities of rho_a,
+    rho_s and rho_as (rows).
+
+    A trace is the sum of the d diagonal coefficients, Tr X^2 of a
+    Hermitian X is |c|^2, and |rho_01|^2 is the sum of the two parts'.
+    So rho_a = [[tr rho_00, tr rho_01], [conj(tr rho_01), tr rho_11]] and
     Tr rho_as^2 = |rho_00|^2 + 2 |rho_01|^2 + |rho_11|^2."""
-    t00, t01, t11 = np.abs(np.trace(traj, axis1=-2, axis2=-1).T) ** 2
-    rho_s = traj[:, 0] + traj[:, 2]
-    p00, p01, p11 = _purities(traj).T
-    purities = np.array([t00 + 2 * t01 + t11, _purities(rho_s), p00 + 2 * p01 + p11])
+    d = int(round(np.sqrt(traj.shape[1])))
+    t00, t11, t_re, t_im = traj[:, :d].sum(axis=1).T
+    p00, p11, p_re, p_im = np.einsum("nkb,nkb->bn", traj, traj)
+    rho_s = traj[..., 0] + traj[..., 1]
+    purities = np.array([t00 ** 2 + 2 * (t_re ** 2 + t_im ** 2) + t11 ** 2,
+                         np.einsum("nk,nk->n", rho_s, rho_s), p00 + 2 * (p_re + p_im) + p11])
     qmi = -np.log(purities[0]) - np.log(purities[1]) + np.log(purities[2])
-    return rho_s, qmi, purities
+    return rho_s[:, :d], qmi, purities
 
 
 def _warn_on_qmi_rise(qmis: np.ndarray) -> None:
@@ -191,13 +196,19 @@ def _warn_on_qmi_rise(qmis: np.ndarray) -> None:
         )
 
 
-def _trajectory(kraus: KrausSet, x: np.ndarray, n_max: int) -> np.ndarray:
-    """The (b, d, d) stack ``x`` and its images after each of ``n_max``
-    channel applications, as one (n_max + 1, b, d, d) array."""
-    traj = np.empty((n_max + 1, *np.shape(x)), dtype=complex)
-    traj[0] = x
+def _trajectory(kraus: KrausSet, c: np.ndarray, n_max: int) -> np.ndarray:
+    """The real (d^2, b) coefficient columns ``c`` of b Hermitian operators
+    and their images after each of ``n_max`` channel rounds, as one
+    (n_max + 1, d^2, b) array: one real product with
+    :func:`real_channel_form` per round. The states iterated here live on
+    the full qubit basis, so a constrained layout raises."""
+    if kraus.layout.constrained:
+        raise ValueError("channel iterations assume the full qubit basis")
+    mat = real_channel_form(kraus)
+    traj = np.empty((n_max + 1, *c.shape))
+    traj[0] = c
     for n in range(n_max):
-        traj[n + 1] = apply_channel(kraus, traj[n])
+        np.matmul(mat, traj[n], out=traj[n + 1])
     return traj
 
 
@@ -206,24 +217,23 @@ def qmi_trajectory(kraus: KrausSet, n_max: int) -> list[TrajectoryRecord]:
     the ancilla untouched, recording mutual information, imbalance,
     magnetization, and purities at every step.
 
-    The state is kept as its system blocks (rho_00, rho_01, rho_11); the
-    channel maps them as one stack, and every record is read off the whole
-    trajectory at once. A rise of the mutual information is warned about.
+    The state is kept as the coefficients of its system blocks (see
+    :func:`_initial_columns`); the channel maps them as one real (d^2, 4)
+    array, and every record is read off the whole trajectory at once. A
+    rise of the mutual information is warned about.
     """
     n_s = kraus.layout.n_s
-    rho_s, qmi, purities = _ghz_readout(_trajectory(kraus, _ghz_blocks(kraus), n_max))
+    diags, qmi, purities = _ghz_readout(_trajectory(kraus, _initial_columns(n_s)[:, :4], n_max))
     _warn_on_qmi_rise(qmi)
-    columns = zip(qmi, imbalance(rho_s, rho_s[0], n_s), 2.0 * _site_sz(rho_s, n_s).sum(axis=-1),
-                  *purities)
+    sz = _site_sz(diags, n_s)
+    columns = zip(qmi, sz @ sz[0], 2.0 * sz.sum(axis=-1), *purities)
     return [TrajectoryRecord(n, *map(float, row)) for n, row in enumerate(columns)]
 
 
 def magnetization_trajectory(kraus: KrausSet, rho0: np.ndarray, n_steps: int) -> np.ndarray:
     """Total system magnetization <sum_m sigma_m^z> along the iteration."""
-    if kraus.layout.constrained:
-        raise ValueError("magnetization trajectories assume the full qubit basis")
-    traj = _trajectory(kraus, np.asarray(rho0)[None], n_steps)[:, 0]
-    return 2.0 * _site_sz(traj, kraus.layout.n_s).sum(axis=-1)
+    traj = _trajectory(kraus, hermitian_coefficients(rho0)[:, None], n_steps)[..., 0]
+    return 2.0 * _site_sz(traj[:, :kraus.dim], kraus.layout.n_s).sum(axis=-1)
 
 
 @dataclass
@@ -238,23 +248,24 @@ def phase_scan(channel_factory: Callable[[float], KrausSet], values: np.ndarray,
     """Final mutual information (from the GHZ protocol of
     :func:`qmi_trajectory`) and final imbalance + 1 (from the alternating
     product state) after ``n_k`` channel rounds, for each parameter value.
-    Each point iterates the GHZ blocks and the product state as one stack.
-    Per-point failures are recorded and skipped.
+    Each point iterates the GHZ columns and the product state's (see
+    :func:`_initial_columns`) as one real (d^2, 5) array. Per-point failures
+    are recorded and skipped.
     """
     points: list[PhaseScanPoint] = []
     failures: list[tuple[int, str]] = []
     for i, value in enumerate(np.asarray(values, dtype=float)):
         try:
             kraus = channel_factory(float(value))
-            psi = neel_state(kraus.layout.n_s)
-            rho0 = np.outer(psi, psi.conj())
-            traj = _trajectory(kraus, np.concatenate([_ghz_blocks(kraus), rho0[None]]), n_k)
-            qmi = _ghz_readout(traj[:, :3])[1]
+            n_s, d = kraus.layout.n_s, kraus.dim
+            traj = _trajectory(kraus, _initial_columns(n_s), n_k)
+            qmi = _ghz_readout(traj[..., :4])[1]
             _warn_on_qmi_rise(qmi)
+            sz_0, sz_n = _site_sz(traj[[0, -1], :d, 4], n_s)
             points.append(PhaseScanPoint(
                 value=float(value),
                 qmi=float(qmi[-1]),
-                imbalance_plus_one=1.0 + imbalance(traj[-1, 3], rho0, kraus.layout.n_s),
+                imbalance_plus_one=1.0 + float(sz_n @ sz_0),
             ))
         except Exception as exc:
             failures.append((i, f"{type(exc).__name__}: {exc}"))

@@ -9,6 +9,7 @@ for PXP); hbar = 1. Chains are open.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -119,17 +120,26 @@ def build_pxp(params: PxpParams, n_sites: int) -> np.ndarray:
     return pauli_sum(terms, n_sites, ConstrainedBasis(n_sites).states)
 
 
+@cache
+def _sectors(n_sites: int) -> tuple[np.ndarray, ...]:
+    """The total-S_z sectors of ``n_sites`` qubits: the states of each, in
+    ascending index, in ascending count of 1 bits. Made once per chain size
+    and read-only, since every real solve of that size shares them."""
+    ones = (n_sites - site_signs(np.arange(2 ** n_sites), n_sites).sum(axis=0)) // 2
+    members = tuple(np.flatnonzero(ones == k) for k in range(n_sites + 1))
+    for idx in members:
+        idx.flags.writeable = False
+    return members
+
+
 def _sector_eigensystem(h: np.ndarray, n_sites: int):
     """Eigensystem of a real symmetric ``h`` on the qubit basis of ``n_sites``
-    sites, solved one total-S_z sector at a time, or None when an entry
-    between two different sectors is not exactly zero.
+    sites, solved one total-S_z sector at a time (see :func:`_sectors`), or
+    None when an entry between two different sectors is not exactly zero.
 
-    Sectors go in ascending count of 1 bits, each with its states in
-    ascending index, and the stable sort keeps that order among equal
-    energies.
+    The stable sort keeps the sector order among equal energies.
     """
-    ones = (n_sites - site_signs(np.arange(len(h)), n_sites).sum(axis=0)) // 2
-    members = [np.flatnonzero(ones == k) for k in range(n_sites + 1)]
+    members = _sectors(n_sites)
     blocks = [h[np.ix_(idx, idx)] for idx in members]
     if np.count_nonzero(h) != sum(np.count_nonzero(b) for b in blocks):
         return None

@@ -72,6 +72,22 @@ def renyi2_qmi(rho_as, n_system_qubits):
     return -np.log(p_a) - np.log(p_s) + np.log(p_as)
 
 
+def imbalance(rho_t, rho_0, n_sites):
+    """Memory diagnostic B = sum_i Tr(rho_t S_i^z) Tr(rho_0 S_i^z), S_i^z =
+    sigma_i^z / 2, from explicit site operators: the oracle for the
+    imbalance columns of ``qmi_trajectory`` and ``phase_scan``, which read
+    it off diagonal coefficients. A (k, d, d) stack ``rho_t`` gives the k
+    values."""
+    rho_t = np.asarray(rho_t, dtype=complex)
+    rho_0 = np.asarray(rho_0, dtype=complex)
+    dim = 2 ** n_sites
+    if rho_0.shape != (dim, dim) or rho_t.shape[-2:] != (dim, dim):
+        raise ValueError("state dimensions do not match the chain size")
+    b = sum(np.trace(rho_t @ sz, axis1=-2, axis2=-1).real * np.trace(rho_0 @ sz).real
+            for sz in (0.5 * pauli_on_site("z", m, n_sites) for m in range(n_sites)))
+    return float(b) if rho_t.ndim == 2 else b
+
+
 def pure_density_matrix(psi):
     """|psi><psi| of a state vector."""
     return np.outer(psi, psi.conj())

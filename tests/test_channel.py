@@ -5,6 +5,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import (
     haar_channel,
+    imbalance,
     make_channel,
     pauli_on_site,
     pure_density_matrix,
@@ -21,8 +22,10 @@ from resetchannel.channel import (
     apply_channel,
     joint_index_table,
     kraus_from_unitary,
+    hermitian_coefficients,
     magnetization_violation,
     propagate,
+    real_channel_form,
     real_reversal_form,
     reversal_form,
     superoperator_matrix,
@@ -30,7 +33,7 @@ from resetchannel.channel import (
     vec,
 )
 from resetchannel.config import list_presets, preset_config
-from resetchannel.dynamics import imbalance, qmi_trajectory
+from resetchannel.dynamics import phase_scan, qmi_trajectory
 from resetchannel.hamiltonians import ConstrainedBasis, PxpParams, build_pxp, hermitian_eigensystem
 from resetchannel.runner import (
     analysis_matrix,
@@ -39,7 +42,7 @@ from resetchannel.runner import (
     spectral_matrix_factory,
 )
 from resetchannel.spectra import sorted_eig
-from resetchannel.spin_ops import ChainLayout, ghz_state, partial_trace
+from resetchannel.spin_ops import ChainLayout, ghz_state, neel_state, partial_trace
 
 
 def transpose_swap(op_dim):
@@ -437,6 +440,26 @@ class TestRealReversalForm:
         rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
         assert np.max(np.abs(got[rows] - want[cols])) <= 1e-12
 
+    @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig6", "fig7", "fig9"])
+    def test_plain_form_is_basis_changed_superoperator(self, preset):
+        # M = R S, and S is +1 on the diagonal and symmetric elements and -1
+        # on the antisymmetric ones: negating the reversal form's last
+        # d(d - 1)/2 columns gives T M T^dag, which the iteration powers
+        kraus = build_channel(preset_config(preset), real=True)
+        t = hermitian_basis(kraus.dim)
+        want = t @ superoperator_matrix(kraus).mat @ t.conj().T
+        got = real_channel_form(kraus)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-12
+        # states enter through the same T: c = T vec(X), for one X or a stack
+        rng = np.random.default_rng(13)
+        xs = np.array([random_density_matrix(rng, kraus.dim) for _ in range(3)])
+        coeffs = hermitian_coefficients(xs)
+        assert coeffs.shape == (kraus.dim ** 2, 3)
+        for x, c in zip(xs, coeffs.T):
+            assert np.max(np.abs(t @ vec(x) - c)) <= 1e-15
+            assert np.array_equal(hermitian_coefficients(x), c)
+
 
 class TestMagnetizationStructure:
     def test_symmetric_channel_is_block_triangular(self, ergodic_channel):
@@ -532,24 +555,32 @@ class TestAncillaExtension:
             assert abs(renyi2_qmi(rho, small_channel.layout.n_s)) < 1e-10
 
 
-    @pytest.mark.parametrize("case", ["small", "fig7-mbl", "fig7-chaotic"])
+    @pytest.mark.parametrize("case", ["small", "fig7-mbl", "fig7-chaotic", "fig8"])
     def test_qmi_trajectory_equals_extended_iteration(self, case, request):
         """Every record column, per round, against the doubled channel on
-        the full (ancilla + system) state with explicit partial traces."""
+        the full (ancilla + system) state with explicit partial traces; and
+        phase_scan's two columns after each round count against the same
+        GHZ state and explicit rounds of apply_channel on the Neel state."""
         overrides = {"fig7-mbl": {"jxxx": 0.0, "jz": 5.0},
-                     "fig7-chaotic": {"jxxx": 2.0, "jz": 0.1}}
+                     "fig7-chaotic": {"jxxx": 2.0, "jz": 0.1}, "fig8": {"jz": 0.7}}
         if case == "small":
             kraus = request.getfixturevalue("small_channel")
         else:
-            kraus = build_channel(preset_config("fig7"), overrides[case])
+            kraus = build_channel(preset_config(case[:4]), overrides[case], real=True)
         n_s, n_k = kraus.layout.n_s, 10
         sz_total = sum(pauli_on_site("z", m, n_s) for m in range(n_s))
         extended = extend_with_ancilla(kraus)
         rho = pure_density_matrix(ghz_state(1 + n_s))
+        neel0 = neel = pure_density_matrix(neel_state(n_s))
         records = qmi_trajectory(kraus, n_k)
         assert [r.n_k for r in records] == list(range(n_k + 1))
         rho_s0 = None
         for n in range(n_k + 1):
+            (point,), failures = phase_scan(lambda _: kraus, [0.0], n)
+            assert not failures
+            assert abs(point.qmi - renyi2_qmi(rho, n_s)) <= 1e-12, n
+            assert abs(point.imbalance_plus_one - 1.0 - imbalance(neel, neel0, n_s)) <= 1e-12, n
+            neel = apply_channel(kraus, neel)
             rho_a = partial_trace(rho, [0], 1 + n_s)
             rho_s = partial_trace(rho, list(range(1, 1 + n_s)), 1 + n_s)
             rho_s0 = rho_s if rho_s0 is None else rho_s0

@@ -11,7 +11,7 @@ import pytest
 
 import resetchannel
 from conftest import BENCH_DIR, bench_module
-from resetchannel import cli, runner
+from resetchannel import cli, dynamics, runner
 from resetchannel.cli import main
 from resetchannel.config import (
     ConfigError,
@@ -610,7 +610,7 @@ class TestRunner:
         # names kept only for the tracer: never called, so their spans read 0
         assert {name for name, n in calls.items() if not n} == {
             "ep_analysis.full_spectrum", "runner.hermitian_eigensystem",
-            "dynamics.partial_trace", "dynamics.qmi_trajectory"}
+            "dynamics.apply_channel", "dynamics.partial_trace", "dynamics.qmi_trajectory"}
 
     @pytest.mark.parametrize("preset, csv_name", [("fig7", "qmi.csv"),
                                                   ("fig8", "phase_scan.csv")])
@@ -632,6 +632,29 @@ class TestRunner:
         assert check.compare_csv(real, exact, config) == []
         assert real.read_bytes() != exact.read_bytes()  # the real solve did run
         assert not manifest["failures"]
+
+    @pytest.mark.parametrize("preset, n_channels", [("fig7", 3), ("fig8", 13)])
+    def test_iterated_channels_power_one_real_matrix(self, preset, n_channels, tmp_path,
+                                                     monkeypatch):
+        # each iterated channel (3 qmi cases, 13 phase points) builds its
+        # real Hermitian-basis matrix once and iterates it; a trajectory that
+        # goes back to rounds of apply_channel fails here
+        calls = {}
+
+        def counting(name):
+            original = getattr(dynamics, name)
+
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            return counted
+
+        for name in ("real_channel_form", "apply_channel"):
+            monkeypatch.setattr(dynamics, name, counting(name))
+        manifest = run_experiment(preset_config(preset), tmp_path)
+        assert not manifest["failures"]
+        assert calls == {"real_channel_form": n_channels}
 
     @staticmethod
     def _record_builds(monkeypatch) -> list[dict]:

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from conftest import (
     ghz_coherence_eigenvalue,
+    imbalance,
     make_channel,
     pauli_on_site,
     pure_density_matrix,
@@ -20,7 +21,6 @@ from resetchannel.dynamics import (
     bath_vacuum_weight,
     eigen_overlap,
     half_chain_renyi2,
-    imbalance,
     magnetization_trajectory,
     phase_scan,
     qmi_trajectory,
@@ -310,14 +310,21 @@ class TestMagnetization:
         assert np.allclose(traj, n_s, atol=1e-9)
 
     def test_matches_explicit_rounds(self, ergodic_channel):
-        n_s = ergodic_channel.layout.n_s
-        sz_total = sum(pauli_on_site("z", m, n_s) for m in range(n_s))
-        rho = random_product_density(np.random.default_rng(12), n_s)
-        traj = magnetization_trajectory(ergodic_channel, rho, 6)
-        assert traj.shape == (7,)
-        for n, value in enumerate(traj):
-            assert abs(value - np.trace(sz_total @ rho).real) <= 1e-12, n
-            rho = apply_channel(ergodic_channel, rho)
+        # the desk-scale ergodic channel, and the iterated channels of fig7
+        # (chaotic case) and fig8 as their runs build them
+        channels = [ergodic_channel,
+                    build_channel(preset_config("fig7"), {"jxxx": 2.0, "jz": 0.1}, real=True),
+                    build_channel(preset_config("fig8"), {"jz": 0.7}, real=True)]
+        rng = np.random.default_rng(12)
+        for kraus in channels:
+            n_s = kraus.layout.n_s
+            sz_total = sum(pauli_on_site("z", m, n_s) for m in range(n_s))
+            rho = random_product_density(rng, n_s)
+            traj = magnetization_trajectory(kraus, rho, 6)
+            assert traj.shape == (7,)
+            for n, value in enumerate(traj):
+                assert abs(value - np.trace(sz_total @ rho).real) <= 1e-12, (n_s, n)
+                rho = apply_channel(kraus, rho)
 
 
 class TestPhaseScan:

@@ -1,11 +1,13 @@
 """Noise-injection stability: the outputs of a preset that must not move when
 every matrix the run solves carries floating-point noise.
 
-Each matrix a run solves is made by one of two builders:
-``runner.analysis_matrix`` (the configured spectrum and the ``sweep`` grid)
-or ``runner.real_reversal_form`` (the ``ep`` grid and its probes). The
-helper wraps both and adds seeded noise of ``NOISE_RTOL`` times the largest
-entry, real noise on a real matrix and complex noise on a complex one. A
+Each matrix a run solves or iterates is made by one of three builders:
+``runner.analysis_matrix`` (the configured spectrum and the ``sweep`` grid),
+``runner.real_reversal_form`` (the ``ep`` grid and its probes) or
+``dynamics.real_channel_form`` (the channels that ``qmi`` and ``phase``
+iterate). The helper wraps all three and adds seeded noise of
+``NOISE_RTOL`` times the largest entry, real noise on a real matrix and
+complex noise on a complex one. A
 noisy run is compared with a clean one by the benchmark's own rules
 (``benchmarks/check.py``: 1e-10 relative, EP locations within the bracket
 resolution, fit exponents and r^2 within 1e-6).
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import bench_module
-from resetchannel import runner
+from resetchannel import dynamics, runner
 from resetchannel.channel import SuperoperatorMatrix
 from resetchannel.config import preset_config
 
@@ -35,6 +37,8 @@ STABLE = {
     "fig4": ["complex_count.csv", "eps.csv", "ep_fit_points.csv"],
     "fig5": ["histogram.csv"],
     "fig6": ["histogram.csv", "scar_overlaps.csv"],
+    "fig7": ["qmi.csv"],
+    "fig8": ["phase_scan.csv"],
     "fig9": ["complex_count.csv"],
 }
 
@@ -49,24 +53,28 @@ def add_noise(mat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def inject_noise(monkeypatch, seed: int) -> list:
-    """Wrap both matrix builders of the runner so that each matrix they make
-    carries seeded noise; returns the list of shapes made, one per matrix."""
+    """Wrap the three matrix builders so that each matrix they make carries
+    seeded noise; returns the list of shapes made, one per matrix."""
     rng = np.random.default_rng(seed)
     made = []
-    analysis_matrix, real_reversal_form = runner.analysis_matrix, runner.real_reversal_form
+    analysis_matrix = runner.analysis_matrix
 
     def noisy_analysis_matrix(kraus):
         sop = analysis_matrix(kraus)
         made.append(sop.mat.shape)
         return SuperoperatorMatrix(add_noise(sop.mat, rng), sop.bath_dim)
 
-    def noisy_real_reversal_form(kraus):
-        mat = real_reversal_form(kraus)
-        made.append(mat.shape)
-        return add_noise(mat, rng)
+    def noisy(real_form):
+        def wrapped(kraus):
+            mat = real_form(kraus)
+            made.append(mat.shape)
+            return add_noise(mat, rng)
+
+        return wrapped
 
     monkeypatch.setattr(runner, "analysis_matrix", noisy_analysis_matrix)
-    monkeypatch.setattr(runner, "real_reversal_form", noisy_real_reversal_form)
+    monkeypatch.setattr(runner, "real_reversal_form", noisy(runner.real_reversal_form))
+    monkeypatch.setattr(dynamics, "real_channel_form", noisy(dynamics.real_channel_form))
     return made
 
 
