@@ -12,7 +12,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .hamiltonians import hermitian_eigensystem
+from .hamiltonians import hermitian_eigensystem, require_hermitian
 from .spin_ops import ChainLayout, site_signs
 
 UNITARITY_ATOL = 1e-9
@@ -71,14 +71,6 @@ class KrausSet:
     def _residual(self) -> float:
         acc = sum(k.conj().T @ k for k in self.ops)
         return float(np.max(np.abs(acc - np.eye(self.dim))))
-
-    @cached_property
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """[K_0 ... K_{m-1}] and [K_0^dag ... K_{m-1}^dag], each side by side
-        as one (d, m d) matrix; made on first use by :func:`apply_channel`."""
-        ops = np.asarray(self.ops, dtype=complex)
-        adjoints = ops.conj().transpose(0, 2, 1)
-        return tuple(a.transpose(1, 0, 2).reshape(self.dim, -1) for a in (ops, adjoints))
 
 
 @dataclass
@@ -144,18 +136,12 @@ def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:
 
 def apply_channel(kraus: KrausSet, x: np.ndarray) -> np.ndarray:
     """One application X -> sum_m K_m X K_m^dag, of one (d, d) matrix or of
-    each matrix in a (b, d, d) stack, in two products: X [K_0^dag ...]
-    holds every X K_m^dag side by side, and [K_0 ...] times those blocks,
-    stacked, is the sum."""
+    each matrix in a (b, d, d) stack."""
     x = np.asarray(x, dtype=complex)
     d = kraus.dim
     if x.ndim not in (2, 3) or x.shape[-2:] != (d, d):
         raise ValueError(f"state shape {x.shape} does not match channel dim {d}")
-    k_row, kdag_row = kraus.stacked
-    b = 1 if x.ndim == 2 else x.shape[0]
-    y = (x.reshape(b * d, d) @ kdag_row).reshape(b, d, -1, d)
-    out = k_row @ y.transpose(2, 1, 0, 3).reshape(-1, b * d)
-    return out.reshape(d, b, d).transpose(1, 0, 2).reshape(x.shape)
+    return sum(k @ x @ k.conj().T for k in kraus.ops)
 
 
 def superoperator_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
@@ -228,8 +214,8 @@ def real_reversal_form(kraus: KrausSet) -> np.ndarray:
 
     The result is similar to the reversal form, so it has the same
     eigenvalues; its eigenvectors are coefficient vectors in that basis, not
-    row-stacked operators, so it is returned as a plain array and never as a
-    :class:`SuperoperatorMatrix`.
+    row-stacking vecs of operators, so it is returned as a plain array and
+    never as a :class:`SuperoperatorMatrix`.
     """
     d = kraus.dim
     n = d * (d - 1) // 2
@@ -263,8 +249,10 @@ def hermitian_coefficients(x: np.ndarray) -> np.ndarray:
     """Coefficients of a Hermitian (d, d) operator in the basis of
     :func:`real_reversal_form`: its diagonal, then sqrt(2) Re and sqrt(2) Im
     of its upper triangle in row-major order, as one real (d^2,) vector; a
-    (b, d, d) stack gives them as the columns of a (d^2, b) array."""
+    (b, d, d) stack gives them as the columns of a (d^2, b) array. No other
+    entry is read, so a non-Hermitian input raises (see require_hermitian)."""
     x = np.asarray(x)
+    require_hermitian(x)
     rows, cols = np.triu_indices(x.shape[-1], 1)
     upper = x[..., rows, cols]
     diag = np.diagonal(x, axis1=-2, axis2=-1).real
@@ -282,7 +270,4 @@ def magnetization_violation(sop: SuperoperatorMatrix, layout: ChainLayout) -> fl
         raise ValueError("magnetization grading applies to the full qubit basis")
     sz = site_signs(layout.states(layout.n_s), layout.n_s).sum(axis=0)
     g = (sz[:, None] + sz[None, :]).reshape(-1)
-    lower = g[:, None] < g[None, :]  # g_out < g_in
-    if not lower.any():
-        return 0.0
-    return float(np.max(np.abs(sop.mat[lower])))
+    return float(np.max(np.abs(sop.mat[g[:, None] < g[None, :]])))  # g_out < g_in

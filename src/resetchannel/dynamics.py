@@ -74,8 +74,8 @@ def bath_vacuum_weight(psi: np.ndarray, layout: ChainLayout) -> float:
 
 def eigen_overlap(right: np.ndarray, psi: np.ndarray, layout: ChainLayout) -> np.ndarray:
     """Rescaled overlaps xi_k = N_s |Tr(rho_psi right_k)| between every
-    channel eigenmode (the columns of ``right``, row-stacked unit-norm
-    eigenoperators) and one Hamiltonian eigenstate.
+    channel eigenmode (the columns of ``right``, row-stacking vecs of
+    unit-norm eigenoperators) and one Hamiltonian eigenstate.
 
     rho_psi is the bath-vacuum projection of |psi><psi|, trace-normalized;
     it is formed once and contracted with all modes in one product. Bulk

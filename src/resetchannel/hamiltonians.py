@@ -154,10 +154,18 @@ def _sector_eigensystem(h: np.ndarray, n_sites: int):
     return vals[ascending], out
 
 
+def require_hermitian(x: np.ndarray) -> None:
+    """Reject a square matrix, or a stack of them on the last two axes, unless
+    |X - X^dag| <= ``HERMITIAN_RTOL`` max(|X|, 1) for each (Frobenius norms)."""
+    for m in x.reshape(-1, *x.shape[-2:]):
+        scale = max(np.linalg.norm(m), 1.0)
+        if not np.linalg.norm(m - m.conj().T) <= HERMITIAN_RTOL * scale:  # NaN fails too
+            raise ValueError("operator is not Hermitian within tolerance")
+
+
 def hermitian_eigensystem(h: np.ndarray):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
-    matrix; rejects inputs that are not Hermitian within
-    ``HERMITIAN_RTOL``.
+    matrix; rejects others (see :func:`require_hermitian`).
 
     The dtype of ``h`` decides the arithmetic: a complex ``h`` takes the
     complex Hermitian ``eigh``, any other is cast to float64 and takes the
@@ -171,10 +179,7 @@ def hermitian_eigensystem(h: np.ndarray):
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"operator must be square, got shape {h.shape}")
-    scale = max(np.linalg.norm(h), 1.0)
-    # NaN fails too
-    if not np.linalg.norm(h - h.conj().T) <= HERMITIAN_RTOL * scale:
-        raise ValueError("operator is not Hermitian within tolerance")
+    require_hermitian(h)
     n_sites = len(h).bit_length() - 1
     if h.dtype == float and len(h) == 1 << n_sites:
         solved = _sector_eigensystem(h, n_sites)

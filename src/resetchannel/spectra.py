@@ -44,9 +44,9 @@ class Spectrum:
     """The eigen-data of a channel matrix as arrays, in :func:`sorted_eig`
     order (|lambda| descending).
 
-    ``right`` holds the unit-norm right eigenvectors as columns, each one a
-    row-stacked (d, d) operator, and ``residuals`` their eigen-residuals
-    |M r_k - lambda_k r_k|. ``left`` is the inverse of ``right``, computed on
+    ``right`` holds the unit-norm right eigenvectors as columns, each the
+    row-stacking vec of a (d, d) operator, and ``residuals`` their
+    eigen-residuals |M r_k - lambda_k r_k|. ``left`` is the inverse of ``right``, computed on
     first use: row k is mode k's covector, so ``left @ right`` is the
     identity and a state decomposes as vec(rho) = right @ (left @ vec(rho)).
     ``bath_dim`` is the channel's bath dimension N_b.

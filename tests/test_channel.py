@@ -251,19 +251,21 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="shape"):
             apply_channel(small_channel, np.zeros((2, 2, 4, 4)))
 
-    def test_stack_and_single_equal_operator_loop(self):
-        # operators that are neither unitary nor complete
+    def test_stack_and_single_equal_superoperator_action(self):
+        # operators that are neither unitary nor complete, checked against
+        # the kron form M = sum_m K_m (x) conj(K_m) acting on vec(X)
         rng = np.random.default_rng(11)
         ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(5)]
         kraus = KrausSet(ops, ChainLayout(2, 1))
+        mat = superoperator_matrix(kraus).mat
         xs = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-        loop = np.array([sum(k @ x @ k.conj().T for k in ops) for x in xs])
         stacked = apply_channel(kraus, xs)
         assert stacked.shape == (3, 4, 4)
-        assert np.max(np.abs(stacked - loop)) <= 1e-13
+        for x, out in zip(xs, stacked):
+            assert np.max(np.abs(vec(out) - mat @ vec(x))) <= 1e-13
         single = apply_channel(kraus, xs[1])
         assert single.shape == (4, 4)
-        assert np.max(np.abs(single - loop[1])) <= 1e-13
+        assert np.max(np.abs(vec(single) - mat @ vec(xs[1]))) <= 1e-13
 
 
 class TestSuperoperator:
@@ -459,6 +461,18 @@ class TestRealReversalForm:
         for x, c in zip(xs, coeffs.T):
             assert np.max(np.abs(t @ vec(x) - c)) <= 1e-15
             assert np.array_equal(hermitian_coefficients(x), c)
+
+    def test_coefficients_reject_non_hermitian_members(self):
+        # the coefficients read the diagonal and upper triangle only, so one
+        # bad member of a stack, or a NaN, raises instead of being misread
+        rng = np.random.default_rng(14)
+        xs = np.array([random_density_matrix(rng, 4) for _ in range(3)])
+        hermitian_coefficients(xs)
+        for value in (xs[1, 2, 0] + 1e-6, np.nan):
+            bad = xs.copy()
+            bad[1, 2, 0] = value
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian_coefficients(bad)
 
 
 class TestMagnetizationStructure:

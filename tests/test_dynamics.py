@@ -326,6 +326,15 @@ class TestMagnetization:
                 assert abs(value - np.trace(sz_total @ rho).real) <= 1e-12, (n_s, n)
                 rho = apply_channel(kraus, rho)
 
+    def test_non_hermitian_state_raises(self):
+        # the coefficients read only the diagonal and the upper triangle, so
+        # a non-Hermitian rho0 would otherwise iterate some other operator
+        kraus = build_channel(preset_config("fig7"), {"jxxx": 2.0, "jz": 0.1}, real=True)
+        rho = np.zeros((kraus.dim, kraus.dim), dtype=complex)
+        rho[0, 0], rho[0, 3], rho[3, 0] = 0.5, 0.5j, 0.2
+        with pytest.raises(ValueError, match="not Hermitian"):
+            magnetization_trajectory(kraus, rho, 1)
+
 
 class TestPhaseScan:
     def test_zero_rounds_give_initial_values(self):

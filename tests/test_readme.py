@@ -1,8 +1,10 @@
 """The README's one Python example runs as written against the package,
 its JSON configs validate, so the API and schema it shows stay in step
-with the code, its tolerance table states the values the code holds, and
-its Layout block names every file of the package and no other."""
+with the code, its tolerance table states the values the code holds, its
+Layout block names every file of the package and no other, and every
+attribute it names on a package class exists."""
 
+import dataclasses
 import importlib
 import json
 import re
@@ -48,3 +50,21 @@ def test_layout_block_names_every_package_file():
     files = sorted(path.relative_to(PACKAGE).as_posix() for path in PACKAGE.rglob("*")
                    if path.is_file() and "__pycache__" not in path.parts)
     assert sorted(named) == files
+
+
+def test_class_attributes_exist():
+    # each backticked `Class.attr` (or `module.Class.attr(...)`) whose Class
+    # is a public class of the package names a field, property or method
+    modules = [importlib.import_module(f"resetchannel.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    classes = {name: obj for module in modules for name, obj in vars(module).items()
+               if isinstance(obj, type) and obj.__module__ == module.__name__
+               and not name.startswith("_")}
+    refs = [(cls, attr) for cls, attr
+            in re.findall(r"`(?:[a-z_]\w*\.)*([A-Z]\w*)\.(\w+)", README.read_text())
+            if cls in classes]
+    assert refs
+    for cls, attr in refs:
+        fields = ({f.name for f in dataclasses.fields(classes[cls])}
+                  if dataclasses.is_dataclass(classes[cls]) else set())
+        assert attr in fields or hasattr(classes[cls], attr), f"{cls}.{attr}"
