@@ -288,7 +288,6 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
 
 def _preset_fig2() -> dict:
     return {
-        "name": "fig2",
         "model": "xxx",
         "layout": {"n_s": 4, "n_b": 4},
         "time": 100.0,
@@ -299,7 +298,6 @@ def _preset_fig2() -> dict:
 
 def _preset_fig3() -> dict:
     return {
-        "name": "fig3",
         "model": "aah",
         "layout": {"n_s": 3, "n_b": 4},
         "time": 100.0,
@@ -310,7 +308,6 @@ def _preset_fig3() -> dict:
 
 def _preset_fig4() -> dict:
     return {
-        "name": "fig4",
         "model": "xxx",
         "layout": {"n_s": 4, "n_b": 4},
         "time": 1000.0,
@@ -323,7 +320,6 @@ def _preset_fig4() -> dict:
 
 def _preset_fig5() -> dict:
     return {
-        "name": "fig5",
         "model": "aah",
         "layout": {"n_s": 3, "n_b": 5},
         "time": 200.0,
@@ -334,7 +330,6 @@ def _preset_fig5() -> dict:
 
 def _preset_fig6() -> dict:
     return {
-        "name": "fig6",
         "model": "pxp",
         "layout": {"n_s": 5, "n_b": 5},
         "time": 200.0,
@@ -345,7 +340,6 @@ def _preset_fig6() -> dict:
 
 def _preset_fig7() -> dict:
     return {
-        "name": "fig7",
         "model": "xxx",
         "layout": {"n_s": 4, "n_b": 4},
         "time": 100.0,
@@ -364,7 +358,6 @@ def _preset_fig7() -> dict:
 
 def _preset_fig8() -> dict:
     return {
-        "name": "fig8",
         "model": "aah",
         "layout": {"n_s": 3, "n_b": 4},
         "time": 100.0,
@@ -377,7 +370,6 @@ def _preset_fig8() -> dict:
 
 def _preset_fig9() -> dict:
     return {
-        "name": "fig9",
         "model": "xx",
         "layout": {"n_s": 4, "n_b": 4},
         "time": 1000.0,
@@ -411,10 +403,11 @@ PRESET_NOTES = {
 
 
 def preset_config(name: str, overrides: list[str] | None = None) -> ExperimentConfig:
-    """Named preset as a validated config; overrides use key.path=value."""
+    """Named preset as a validated config, named after its ``PRESETS`` key
+    unless an override sets ``name``; overrides use key.path=value."""
     if name not in PRESETS:
         raise ConfigError(f"preset: unknown preset {name!r}; available: {sorted(PRESETS)}")
-    raw = PRESETS[name]()
+    raw = {"name": name, **PRESETS[name]()}
     if overrides:
         raw = apply_overrides(raw, overrides)
     return validate_config(raw)

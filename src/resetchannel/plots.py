@@ -15,10 +15,8 @@ set terminal pngcairo size 900,650
 
 _SCRIPTS = {
     "histogram.csv": (
-        "histogram.gp",
-        _COMMON
-        + """set output 'histogram.png'
-set xlabel '|lambda|'
+        "histogram",
+        """set xlabel '|lambda|'
 set ylabel 'probability density'
 set style fill solid 0.4
 plot 'histogram.csv' using (0.5*($1+$2)):3:($2-$1) with boxes title 'spectrum', \\
@@ -26,20 +24,16 @@ plot 'histogram.csv' using (0.5*($1+$2)):3:($2-$1) with boxes title 'spectrum', 
 """,
     ),
     "spectrum.csv": (
-        "spectrum.gp",
-        _COMMON
-        + """set output 'spectrum.png'
-set xlabel 'Re lambda'
+        "spectrum",
+        """set xlabel 'Re lambda'
 set ylabel 'Im lambda'
 set size ratio -1
 plot 'spectrum.csv' using 2:3 with points pt 7 ps 0.6 title 'eigenvalues'
 """,
     ),
     "bands.csv": (
-        "bands.gp",
-        _COMMON
-        + """set output 'bands.png'
-set multiplot layout 2,1
+        "bands",
+        """set multiplot layout 2,1
 set xlabel ''
 set ylabel 'Re lambda'
 plot 'bands.csv' using 1:3 with points pt 7 ps 0.4 notitle
@@ -50,10 +44,8 @@ unset multiplot
 """,
     ),
     "ep_fit_points.csv": (
-        "ep_loglog.gp",
-        _COMMON
-        + """set output 'ep_loglog.png'
-set logscale xy
+        "ep_loglog",
+        """set logscale xy
 set xlabel 'parameter distance from the exceptional point'
 set ylabel '|Im lambda|'
 plot 'ep_fit_points.csv' using 2:3 with points pt 7 title 'splitting', \\
@@ -61,19 +53,15 @@ plot 'ep_fit_points.csv' using 2:3 with points pt 7 title 'splitting', \\
 """,
     ),
     "complex_count.csv": (
-        "complex_count.gp",
-        _COMMON
-        + """set output 'complex_count.png'
-set xlabel 'sweep parameter'
+        "complex_count",
+        """set xlabel 'sweep parameter'
 set ylabel 'number of complex eigenvalues'
 plot 'complex_count.csv' using 1:2 with linespoints pt 7 notitle
 """,
     ),
     "qmi.csv": (
-        "qmi.gp",
-        _COMMON
-        + """set output 'qmi.png'
-set logscale y
+        "qmi",
+        """set logscale y
 set xlabel 'channel applications'
 set ylabel 'mutual information'
 plot for [case in system("awk -F, 'NR>1 {print $1}' qmi.csv | sort -u")] \\
@@ -82,10 +70,8 @@ plot for [case in system("awk -F, 'NR>1 {print $1}' qmi.csv | sort -u")] \\
 """,
     ),
     "phase_scan.csv": (
-        "phase.gp",
-        _COMMON
-        + """set output 'phase.png'
-set logscale x
+        "phase",
+        """set logscale x
 set xlabel 'field strength'
 set ylabel 'final mutual information'
 set y2label 'imbalance + 1'
@@ -98,16 +84,17 @@ plot 'phase_scan.csv' using 1:2 with linespoints title 'mutual information', \\
 
 
 def emit_plots(output_dir) -> list[str]:
-    """Write a gnuplot script next to every known CSV in ``output_dir``.
+    """Write a gnuplot script ``<stem>.gp`` next to every known CSV in
+    ``output_dir``: ``_COMMON``, ``set output '<stem>.png'``, its template.
 
     Raises FileNotFoundError when none of the expected CSVs are present.
     """
     out = Path(output_dir)
     written = []
-    for csv_name, (script_name, body) in _SCRIPTS.items():
+    for csv_name, (stem, body) in _SCRIPTS.items():
         if (out / csv_name).exists():
-            (out / script_name).write_text(body)
-            written.append(script_name)
+            (out / f"{stem}.gp").write_text(f"{_COMMON}set output '{stem}.png'\n{body}")
+            written.append(f"{stem}.gp")
     if not written:
         raise FileNotFoundError(f"no recognized experiment CSVs in {out}")
     return sorted(written)

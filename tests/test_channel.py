@@ -442,6 +442,23 @@ class TestRealReversalForm:
         rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
         assert np.max(np.abs(got[rows] - want[cols])) <= 1e-12
 
+    @pytest.mark.parametrize("preset, overrides", [
+        ("fig2", {}), ("fig3", {}), ("fig5", {}), ("fig6", {}),
+        ("fig4", {"jxxx": 0.0025}), ("fig4", {"jxxx": 0.05}),
+        ("fig9", {"jxx": 0.98}), ("fig9", {"jxx": 0.9}),
+    ], ids=["fig2", "fig3", "fig5", "fig6", "fig4-0.0025", "fig4-0.05", "fig9-0.98", "fig9-0.9"])
+    def test_real_path_eigenvalues_are_members(self, preset, overrides):
+        # the membership gate of the real-path regeneration (ROADMAP item 2):
+        # the real form of a channel whose H is solved in real arithmetic has
+        # the eigenvalues of the complex analysis matrix, each used once
+        config = preset_config(preset)
+        got = np.linalg.eigvals(real_reversal_form(build_channel(config, overrides, real=True)))
+        want = np.linalg.eigvals(analysis_matrix(build_channel(config, overrides)).mat)
+        assert got.shape == want.shape
+        rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+        err = np.abs(got[rows] - want[cols]) / np.maximum(1.0, np.abs(want[cols]))
+        assert np.max(err) <= 1e-10
+
     @pytest.mark.parametrize("preset", ["fig2", "fig3", "fig6", "fig7", "fig9"])
     def test_plain_form_is_basis_changed_superoperator(self, preset):
         # M = R S, and S is +1 on the diagonal and symmetric elements and -1

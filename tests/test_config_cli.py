@@ -14,6 +14,7 @@ from conftest import BENCH_DIR, bench_module
 from resetchannel import cli, dynamics, runner
 from resetchannel.cli import main
 from resetchannel.config import (
+    PRESETS,
     ConfigError,
     apply_overrides,
     list_presets,
@@ -23,7 +24,7 @@ from resetchannel.config import (
 )
 from resetchannel.dynamics import eigen_overlap
 from resetchannel.ep_analysis import SweepGrid, count_complex
-from resetchannel.plots import emit_plots
+from resetchannel.plots import _COMMON, _SCRIPTS, emit_plots
 from resetchannel.runner import analysis_matrix, build_channel, run_experiment
 from resetchannel.spectra import full_spectrum
 
@@ -78,8 +79,11 @@ class TestValidation:
         names = [name for name, _ in list_presets()]
         assert len(names) == 8
         for name in names:
-            config = preset_config(name)
-            assert config.name == name
+            # the key is the one place a preset's name is written, and an
+            # override still renames it
+            assert "name" not in PRESETS[name]()
+            assert preset_config(name).name == name
+            assert preset_config(name, ["name=other"]).name == "other"
 
     def test_unknown_key_rejected(self):
         raw = dict(TINY_CONFIG, extra=1)
@@ -1124,3 +1128,13 @@ class TestPlots:
     def test_missing_csvs_raise(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             emit_plots(tmp_path)
+
+    def test_header_and_png_name_come_from_the_script_name(self, tmp_path):
+        for csv_name in _SCRIPTS:
+            (tmp_path / csv_name).write_text("")
+        written = emit_plots(tmp_path)
+        assert written == sorted(f"{stem}.gp" for stem, _ in _SCRIPTS.values())
+        for stem, body in _SCRIPTS.values():
+            text = (tmp_path / f"{stem}.gp").read_text()
+            assert text == _COMMON + f"set output '{stem}.png'\n" + body
+            assert "set output" not in body
