@@ -12,7 +12,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .hamiltonians import hermitian_eigensystem, require_hermitian
+from .hamiltonians import drop_zero_imag, hermitian_eigensystem, require_hermitian
 from .spin_ops import ChainLayout, site_signs
 
 UNITARITY_ATOL = 1e-9
@@ -29,7 +29,8 @@ class Propagator:
     held as the energies ``vals`` and eigenvectors ``vecs`` of the
     Hamiltonian; U itself is never formed (see :meth:`columns`). Its
     unitarity deviation is |V^dag V - I| (Frobenius norm) of the
-    eigenvectors."""
+    eigenvectors, in real arithmetic when V is exactly real (see
+    :func:`drop_zero_imag`)."""
 
     vals: np.ndarray
     vecs: np.ndarray = field(repr=False)
@@ -37,7 +38,8 @@ class Propagator:
     unitarity_deviation: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        dev = float(np.linalg.norm(self.vecs.conj().T @ self.vecs - np.eye(len(self.vals))))
+        vecs = drop_zero_imag(self.vecs)
+        dev = float(np.linalg.norm(vecs.conj().T @ vecs - np.eye(len(self.vals))))
         if not dev <= UNITARITY_ATOL:  # NaN fails too
             raise ValueError(f"propagator is not unitary: |V^dag V - I| = {dev:.2e}")
         self.unitarity_deviation = dev

@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, list_presets, load_config, preset_config
+from .config import PRESETS, ConfigError, list_presets, load_config, preset_config
 from .plots import emit_plots
 from .runner import run_experiment
 
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a JSON configuration")
 
     p_preset = sub.add_parser("preset", parents=[running], help="run a named preset")
-    p_preset.add_argument("name", nargs="?", help="preset name (fig2..fig9)")
+    p_preset.add_argument("name", nargs="?", help=f"preset name ({', '.join(sorted(PRESETS))})")
     p_preset.add_argument("--list", action="store_true", help="list available presets")
     p_preset.add_argument("--override", action="append", default=[],
                           metavar="KEY=VALUE", help="override a config entry (dotted path)")

@@ -7,11 +7,13 @@ scale); times are in units of the inverse energy scale.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -97,11 +99,8 @@ class ExperimentConfig:
     seed: int = field(default=7, metadata={"min": 0})
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("sweep", "ep", "qmi", "phase"):
-            if out[key] is None:
-                del out[key]
-        return out
+        # only the optional sections can be None, and an absent one is left out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -286,28 +285,24 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     return out
 
 
-def _preset_fig2() -> dict:
-    return {
+# Each preset's ``--list`` note and raw config, under its name. A preset is
+# named after its key (see preset_config), so no entry holds a "name".
+_PRESET_TABLE = {
+    "fig2": ("chaotic channel: bulk magnitude law plus real outliers and eigenstate overlaps", {
         "model": "xxx",
         "layout": {"n_s": 4, "n_b": 4},
         "time": 100.0,
         "params": {"j2": 1.0, "jzz": 0.1, "jz": 0.1, "jxxx": 2.0, "omega": GOLDEN_OMEGA},
         "analyses": ["spectrum", "histogram", "overlaps"],
-    }
-
-
-def _preset_fig3() -> dict:
-    return {
+    }),
+    "fig3": ("symmetry-constrained ergodic channel: all-real spectrum, heavy tail", {
         "model": "aah",
         "layout": {"n_s": 3, "n_b": 4},
         "time": 100.0,
         "params": {"j2": 1.0, "jzz": 0.3, "jz": 0.1, "omega": GOLDEN_OMEGA},
         "analyses": ["spectrum", "histogram"],
-    }
-
-
-def _preset_fig4() -> dict:
-    return {
+    }),
+    "fig4": ("chaos-parameter sweep: band coalescence, EP localization, sqrt scaling", {
         "model": "xxx",
         "layout": {"n_s": 4, "n_b": 4},
         "time": 1000.0,
@@ -315,31 +310,22 @@ def _preset_fig4() -> dict:
         "analyses": ["complex_count", "bands", "ep"],
         "sweep": {"parameter": "jxxx", "start": 0.0, "stop": 0.1, "points": 21},
         "ep": {"start": 0.0, "stop": 0.005, "points": 11, "resolution": 2e-7, "max_eps": 4},
-    }
-
-
-def _preset_fig5() -> dict:
-    return {
+    }),
+    "fig5": ("localized regime: discrete spectrum and the period-doubling cluster", {
         "model": "aah",
         "layout": {"n_s": 3, "n_b": 5},
         "time": 200.0,
         "params": {"j2": 1.0, "jzz": 0.0, "jz": 5.0, "omega": GOLDEN_OMEGA},
         "analyses": ["spectrum", "histogram"],
-    }
-
-
-def _preset_fig6() -> dict:
-    return {
+    }),
+    "fig6": ("blockaded chain: smooth bulk with slow scar-linked modes", {
         "model": "pxp",
         "layout": {"n_s": 5, "n_b": 5},
         "time": 200.0,
         "params": {"omega_rabi": 1.0},
         "analyses": ["spectrum", "histogram", "scar_overlaps"],
-    }
-
-
-def _preset_fig7() -> dict:
-    return {
+    }),
+    "fig7": ("mutual-information decay across chaotic/ergodic/localized channels", {
         "model": "xxx",
         "layout": {"n_s": 4, "n_b": 4},
         "time": 100.0,
@@ -353,11 +339,8 @@ def _preset_fig7() -> dict:
                 {"name": "mbl", "jxxx": 0.0, "jz": 5.0},
             ],
         },
-    }
-
-
-def _preset_fig8() -> dict:
-    return {
+    }),
+    "fig8": ("localization phase scan: retained information and imbalance vs field", {
         "model": "aah",
         "layout": {"n_s": 3, "n_b": 4},
         "time": 100.0,
@@ -365,41 +348,19 @@ def _preset_fig8() -> dict:
         "analyses": ["phase"],
         "phase": {"parameter": "jz", "start": 0.1, "stop": 5.0, "points": 13,
                   "n_k": 20, "log_grid": True},
-    }
-
-
-def _preset_fig9() -> dict:
-    return {
+    }),
+    "fig9": ("anisotropy sweep: EP count against the isotropic reference", {
         "model": "xx",
         "layout": {"n_s": 4, "n_b": 4},
         "time": 1000.0,
         "params": {"jxx": 1.0, "jyy": 1.0, "jzz": 0.1, "jz": 0.1, "omega": GOLDEN_OMEGA},
         "analyses": ["anisotropy_compare", "bands"],
         "sweep": {"parameter": "jxx", "start": 1.0, "stop": 0.8, "points": 11},
-    }
-
-
-PRESETS = {
-    "fig2": _preset_fig2,
-    "fig3": _preset_fig3,
-    "fig4": _preset_fig4,
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig6,
-    "fig7": _preset_fig7,
-    "fig8": _preset_fig8,
-    "fig9": _preset_fig9,
+    }),
 }
 
-PRESET_NOTES = {
-    "fig2": "chaotic channel: bulk magnitude law plus real outliers and eigenstate overlaps",
-    "fig3": "symmetry-constrained ergodic channel: all-real spectrum, heavy tail",
-    "fig4": "chaos-parameter sweep: band coalescence, EP localization, sqrt scaling",
-    "fig5": "localized regime: discrete spectrum and the period-doubling cluster",
-    "fig6": "blockaded chain: smooth bulk with slow scar-linked modes",
-    "fig7": "mutual-information decay across chaotic/ergodic/localized channels",
-    "fig8": "localization phase scan: retained information and imbalance vs field",
-    "fig9": "anisotropy sweep: EP count against the isotropic reference",
-}
+# each preset's raw config; every call returns a fresh copy
+PRESETS = {name: partial(copy.deepcopy, raw) for name, (_, raw) in _PRESET_TABLE.items()}
 
 
 def preset_config(name: str, overrides: list[str] | None = None) -> ExperimentConfig:
@@ -414,4 +375,4 @@ def preset_config(name: str, overrides: list[str] | None = None) -> ExperimentCo
 
 
 def list_presets() -> list[tuple[str, str]]:
-    return [(name, PRESET_NOTES[name]) for name in sorted(PRESETS)]
+    return [(name, _PRESET_TABLE[name][0]) for name in sorted(_PRESET_TABLE)]

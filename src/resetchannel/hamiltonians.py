@@ -154,10 +154,19 @@ def _sector_eigensystem(h: np.ndarray, n_sites: int):
     return vals[ascending], out
 
 
+def drop_zero_imag(x: np.ndarray) -> np.ndarray:
+    """The real part of ``x`` when ``x`` is complex with an imaginary part
+    that is exactly zero, so that a check on it runs in real arithmetic;
+    ``x`` itself otherwise. No tolerance decides it."""
+    return x.real if np.iscomplexobj(x) and not np.any(x.imag) else x
+
+
 def require_hermitian(x: np.ndarray) -> None:
     """Reject a square matrix, or a stack of them on the last two axes, unless
-    |X - X^dag| <= ``HERMITIAN_RTOL`` max(|X|, 1) for each (Frobenius norms)."""
-    for m in x.reshape(-1, *x.shape[-2:]):
+    |X - X^dag| <= ``HERMITIAN_RTOL`` max(|X|, 1) for each (Frobenius norms).
+    An exactly real complex ``x`` is checked as its real part (see
+    :func:`drop_zero_imag`), which gives the same norms."""
+    for m in drop_zero_imag(x).reshape(-1, *x.shape[-2:]):
         scale = max(np.linalg.norm(m), 1.0)
         if not np.linalg.norm(m - m.conj().T) <= HERMITIAN_RTOL * scale:  # NaN fails too
             raise ValueError("operator is not Hermitian within tolerance")

@@ -220,7 +220,6 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
             "python": platform.python_version(),
         },
         "environment": _environment(n_workers),
-        "seed": config.seed,
         "outputs": [],
         "runtimes": {},
         "failures": [],

@@ -138,6 +138,17 @@ class TestPropagate:
         with pytest.raises(ValueError, match="not unitary"):
             Propagator(vals, vecs, 10.0)
 
+    def test_exactly_real_complex_eigenvectors_are_checked_as_real(self):
+        # 5 sites: large enough for the complex V^dag V to round unlike the real one
+        h = build_hamiltonian("xxx", {"jzz": 0.1, "jz": 0.1, "jxxx": 0.5}, 5)
+        vals, vecs = hermitian_eigensystem(h.real)
+        assert vecs.dtype == float
+        dev = Propagator(vals, vecs, 10.0).unitarity_deviation
+        assert Propagator(vals, vecs.astype(complex), 10.0).unitarity_deviation == dev
+        vecs[:, 3] += 1e-6 * vecs[:, 4]
+        with pytest.raises(ValueError, match="not unitary"):
+            Propagator(vals, vecs.astype(complex), 10.0)
+
 
 class TestKrausExtraction:
     def test_identity_unitary(self):

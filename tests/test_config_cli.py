@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -14,6 +16,7 @@ from conftest import BENCH_DIR, bench_module
 from resetchannel import cli, dynamics, runner
 from resetchannel.cli import main
 from resetchannel.config import (
+    _PRESET_TABLE,
     PRESETS,
     ConfigError,
     apply_overrides,
@@ -84,6 +87,41 @@ class TestValidation:
             assert "name" not in PRESETS[name]()
             assert preset_config(name).name == name
             assert preset_config(name, ["name=other"]).name == "other"
+
+    # sha256 of each raw preset as canonical JSON (sorted keys), so that
+    # 1 and 1.0 differ; a moved digest means a preset's raw config moved
+    RAW_PRESET_DIGESTS = {
+        "fig2": "7a52bf3f67f5a883711784d8dbae747762b18707b20cabc16083e21c52032d46",
+        "fig3": "b55532cd551fec8df1fc54b37af58d511afef4fdc67fe1acb92eec604ffcedbc",
+        "fig4": "2c2dd6b750ef96ea39a5b8d64c25df3131f93827d49b9e06ebdee8e37ab95b50",
+        "fig5": "45a7657c4be0ec965370d6d68064cb3483bd7a3411bbefd1db15954237e616e3",
+        "fig6": "799776acfd8310550493a43209204ea3af5323fde43626cb6aa2578b521de883",
+        "fig7": "cbd77a0041dc739b5b69bb1099d05843b930a0415f66f95aa11cc961b2f47206",
+        "fig8": "7c35fad94adbdb4accf55a202a565e2139c5210737a2d7d5cb5adef43b1e329c",
+        "fig9": "6de2c9cb21ddfce339c7862a2b3af768ff8b60ddfcd61708fc0dcbcbdd5c2f53",
+    }
+
+    def test_raw_presets_are_pinned(self):
+        assert sorted(PRESETS) == sorted(self.RAW_PRESET_DIGESTS)
+        for name, digest in self.RAW_PRESET_DIGESTS.items():
+            blob = json.dumps(PRESETS[name](), sort_keys=True)
+            assert hashlib.sha256(blob.encode()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_each_preset_call_is_an_independent_copy(self, name):
+        want = json.dumps(PRESETS[name](), sort_keys=True)
+        want_hash = preset_config(name).config_hash()
+        raw = PRESETS[name]()
+        raw["params"]["jz"] = 99.0
+        raw["layout"]["n_s"] = 1
+        if "qmi" in raw:
+            raw["qmi"]["cases"][0]["jz"] = 99.0
+        assert json.dumps(PRESETS[name](), sort_keys=True) == want
+        assert preset_config(name).config_hash() == want_hash
+
+    def test_list_presets_gives_each_note_in_name_order(self):
+        assert list_presets() == [(name, _PRESET_TABLE[name][0]) for name in sorted(PRESETS)]
+        assert len(list_presets()) == 8 and all(note for _, note in list_presets())
 
     def test_unknown_key_rejected(self):
         raw = dict(TINY_CONFIG, extra=1)
@@ -291,6 +329,11 @@ class TestValidation:
         name, _, n_s = label.partition("@")
         config = preset_config(name, [f"layout.{n_s}"] if n_s else None)
         assert config.config_hash() == self.PRESET_HASHES[label]
+        # to_dict leaves out exactly the optional sections that are absent
+        sections = ("sweep", "ep", "qmi", "phase")
+        full = dataclasses.asdict(config)
+        assert config.to_dict() == {key: value for key, value in full.items()
+                                    if key not in sections or value is not None}
 
     # the coupling keys each model takes and the ones a sweep may vary,
     # written out apart from the parameter dataclasses that declare them

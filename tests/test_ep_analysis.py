@@ -598,6 +598,19 @@ class TestNearSolve:
         assert max(np.min(np.abs(want - x)) for x in lam) <= 1e-12
         assert abs(radius - np.max(np.abs(want - sigma))) <= 1e-12
 
+    def test_singular_shift_falls_back_to_full_solve(self):
+        # the shift is an eigenvalue, so mat - sigma cannot be inverted
+        lam = np.linspace(-0.9, 0.9, PROBE_MODES + 6)
+        mat = np.diag(lam)
+        guess = np.array([lam[4] + 0.01j, lam[4] - 0.01j])
+        assert _near_solve(mat, lam[4]) is None
+        grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), lambda j: mat)
+        pair, is_pair, gap = grid.probe(mat, guess, 1e-6)
+        assert grid.probe_counts == {"near": 0, "full": 1}
+        want_pair, want_is_pair, want_gap = _pair_probe(np.linalg.eigvals(mat), guess, 1e-6)
+        assert np.array_equal(pair, want_pair)
+        assert (is_pair, gap) == (want_is_pair, want_gap)
+
     def test_unconverged_solve_falls_back_to_full_solve(self, monkeypatch):
         build = random_family()
         lam = np.linalg.eigvals(build(0.5))

@@ -1,6 +1,7 @@
 """The README's one Python example runs as written against the package,
 its JSON configs validate, so the API and schema it shows stay in step
 with the code, its tolerance table states the values the code holds, its
+preset table states every preset's ``--list`` note and no other, its
 Layout block names every file of the package and no other, and every
 attribute it names on a package class exists."""
 
@@ -10,7 +11,7 @@ import json
 import re
 from pathlib import Path
 
-from resetchannel.config import validate_config
+from resetchannel.config import list_presets, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -41,6 +42,12 @@ def test_tolerance_table_matches_the_code():
         module, _, constant = name.rpartition(".")
         source = importlib.import_module(f"resetchannel.{module or 'spectra'}")
         assert getattr(source, constant) == float(value), name
+
+
+def test_preset_table_states_every_preset_note():
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = section.split("| preset | what it computes |\n", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"^\| (\S+) +\| (.*) \|$", table, flags=re.M) == list_presets()
 
 
 def test_layout_block_names_every_package_file():
