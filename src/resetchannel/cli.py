@@ -1,7 +1,8 @@
 """Command-line interface: run experiments, inspect presets, validate
 configurations, and emit plot scripts.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical/runtime error.
+Exit codes: 0 success, 1 configuration error (a usage error among them),
+2 numerical/runtime error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import sys
 
 from .config import PRESETS, ConfigError, list_presets, load_config, preset_config
 from .plots import emit_plots
-from .runner import run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -49,7 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse prints a usage error and exits 2, which would read as a
+        # numerical error here; after --help it exits 0
+        if exc.code == 0:
+            raise
+        return EXIT_CONFIG
     try:
         if args.command == "preset" and (args.list or not args.name):
             for name, note in list_presets():
@@ -57,6 +64,9 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command in ("run", "preset"):
+            # imported here: it loads numpy, which no other command needs
+            from .runner import run_experiment
+
             config = (load_config(args.config) if args.command == "run"
                       else preset_config(args.name, args.override))
             out = args.out or os.path.join("runs", config.name)

@@ -10,15 +10,68 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 
-import numpy as np
+GOLDEN_OMEGA = 2 * math.pi * (math.sqrt(5) - 1) / 2  # inverse golden ratio modulation
 
-from .hamiltonians import GOLDEN_OMEGA, MODEL_PARAMS
 
+# The parameter dataclasses are the schema of a config's ``params``: a
+# field's name is its key and its default the value an absent key takes.
+# Metadata "positive" bounds a field, checked on construction and by validation;
+# "fixed" keeps it out of every sweep (the energy unit, the field frequency).
+@dataclass(frozen=True)
+class AahParams:
+    """Quasiperiodic XY chain couplings: XY scale ``j2``, Ising ``jzz``,
+    on-site cosine field amplitude ``jz`` with frequency ``omega``."""
+
+    j2: float = field(default=1.0, metadata={"positive": True, "fixed": True})
+    jzz: float = 0.0
+    jz: float = 0.0
+    omega: float = field(default=GOLDEN_OMEGA, metadata={"fixed": True})
+
+    def __post_init__(self):
+        _check_positive(self)
+
+
+@dataclass(frozen=True)
+class XxxParams(AahParams):
+    """AAH chain plus a three-site XXX coupling that breaks U(1)."""
+
+    jxxx: float = 0.0
+
+
+@dataclass(frozen=True)
+class XxParams:
+    """Anisotropic chain: unequal XX/YY couplings break U(1)."""
+
+    jxx: float = 1.0
+    jyy: float = 1.0
+    jzz: float = 0.0
+    jz: float = 0.0
+    omega: float = field(default=GOLDEN_OMEGA, metadata={"fixed": True})
+
+
+@dataclass(frozen=True)
+class PxpParams:
+    """Blockaded spin-flip model; ``omega_rabi`` sets the energy scale."""
+
+    omega_rabi: float = field(default=1.0, metadata={"positive": True, "fixed": True})
+
+    def __post_init__(self):
+        _check_positive(self)
+
+
+def _check_positive(params) -> None:
+    for f in fields(params):
+        if f.metadata.get("positive") and not getattr(params, f.name) > 0:
+            raise ValueError(f"{f.name} sets the energy unit and must be positive")
+
+
+MODEL_PARAMS = {"aah": AahParams, "xxx": XxxParams, "xx": XxParams, "pxp": PxpParams}
 MODELS = tuple(MODEL_PARAMS)
 # each analysis and the config section it reads; None where it reads the
 # configured channel
@@ -37,8 +90,8 @@ class ConfigError(ValueError):
 # field's key is its name, a field without a default is required, its
 # annotation is its type, and its metadata holds its bounds ("min" for an
 # integer, "positive" for a number; "in" names the object that holds it).
-# The model's parameter dataclass in hamiltonians.py is read the same way
-# for ``params``; its "fixed" fields are the ones no sweep may vary.
+# The model's parameter dataclass above is read the same way for
+# ``params``; its "fixed" fields are the ones no sweep may vary.
 @dataclass
 class SweepSection:
     parameter: str
@@ -106,12 +159,17 @@ class ExperimentConfig:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
-    def sweep_values(self) -> np.ndarray:
+    # numpy is imported here, not at the top: validating a config needs none
+    def sweep_values(self):
+        import numpy as np
+
         if self.sweep is None:
             raise ConfigError("sweep: section missing")
         return np.linspace(self.sweep.start, self.sweep.stop, self.sweep.points)
 
-    def phase_values(self) -> np.ndarray:
+    def phase_values(self):
+        import numpy as np
+
         if self.phase is None:
             raise ConfigError("phase: section missing")
         if self.phase.log_grid:

@@ -8,70 +8,14 @@ for PXP); hbar = 1. Chains are open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
 
+from .config import AahParams, PxpParams, XxParams, XxxParams
 from .spin_ops import ConstrainedBasis, pauli_sum, site_signs
 
-GOLDEN_OMEGA = 2 * np.pi * (np.sqrt(5) - 1) / 2  # inverse golden ratio modulation
 HERMITIAN_RTOL = 1e-10  # |H - H^dag| relative to max(|H|, 1)
-
-
-# The parameter dataclasses are the schema of a config's ``params``: a
-# field's name is its key and its default the value an absent key takes.
-# Metadata "positive" bounds a field, checked here and by config validation;
-# "fixed" keeps it out of every sweep (the energy unit, the field frequency).
-@dataclass(frozen=True)
-class AahParams:
-    """Quasiperiodic XY chain couplings: XY scale ``j2``, Ising ``jzz``,
-    on-site cosine field amplitude ``jz`` with frequency ``omega``."""
-
-    j2: float = field(default=1.0, metadata={"positive": True, "fixed": True})
-    jzz: float = 0.0
-    jz: float = 0.0
-    omega: float = field(default=GOLDEN_OMEGA, metadata={"fixed": True})
-
-    def __post_init__(self):
-        _check_positive(self)
-
-
-@dataclass(frozen=True)
-class XxxParams(AahParams):
-    """AAH chain plus a three-site XXX coupling that breaks U(1)."""
-
-    jxxx: float = 0.0
-
-
-@dataclass(frozen=True)
-class XxParams:
-    """Anisotropic chain: unequal XX/YY couplings break U(1)."""
-
-    jxx: float = 1.0
-    jyy: float = 1.0
-    jzz: float = 0.0
-    jz: float = 0.0
-    omega: float = field(default=GOLDEN_OMEGA, metadata={"fixed": True})
-
-
-@dataclass(frozen=True)
-class PxpParams:
-    """Blockaded spin-flip model; ``omega_rabi`` sets the energy scale."""
-
-    omega_rabi: float = field(default=1.0, metadata={"positive": True, "fixed": True})
-
-    def __post_init__(self):
-        _check_positive(self)
-
-
-def _check_positive(params) -> None:
-    for f in fields(params):
-        if f.metadata.get("positive") and not getattr(params, f.name) > 0:
-            raise ValueError(f"{f.name} sets the energy unit and must be positive")
-
-
-MODEL_PARAMS = {"aah": AahParams, "xxx": XxxParams, "xx": XxParams, "pxp": PxpParams}
 
 
 def _chain(n_sites: int, jxx: float, jyy: float, jzz: float, jz: float, omega: float,

@@ -26,7 +26,7 @@ from .channel import (
     reversal_form,
     superoperator_matrix,
 )
-from .config import ANALYSES, ExperimentConfig
+from .config import ANALYSES, MODEL_PARAMS, ExperimentConfig
 from .dynamics import (
     OVERLAP_MIN_WEIGHT,
     bath_vacuum_weight,
@@ -46,7 +46,6 @@ from .ep_analysis import (
     track_bands,
 )
 from .hamiltonians import (
-    MODEL_PARAMS,
     build_aah,
     build_pxp,
     build_xx,

@@ -9,19 +9,17 @@ import numpy as np
 import pytest
 from scipy.stats import unitary_group
 
-from resetchannel import (
-    AahParams,
-    ChainLayout,
+from resetchannel.channel import (
     KrausSet,
-    XxxParams,
-    build_aah,
-    build_xxx,
     kraus_from_unitary,
     propagate,
+    reversal_form,
+    superoperator_matrix,
 )
-from resetchannel.channel import reversal_form, superoperator_matrix
+from resetchannel.config import AahParams, XxxParams
+from resetchannel.hamiltonians import build_aah, build_xxx
 from resetchannel.spectra import full_spectrum
-from resetchannel.spin_ops import partial_trace, pauli_sum, site_signs
+from resetchannel.spin_ops import ChainLayout, partial_trace, pauli_sum, site_signs
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 

@@ -1,9 +1,14 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from conftest import (
+    BENCH_DIR,
+    bench_module,
     haar_channel,
     imbalance,
     make_channel,
@@ -32,9 +37,10 @@ from resetchannel.channel import (
     unvec,
     vec,
 )
-from resetchannel.config import list_presets, preset_config
+from resetchannel.config import PxpParams, list_presets, preset_config
 from resetchannel.dynamics import phase_scan, qmi_trajectory
-from resetchannel.hamiltonians import ConstrainedBasis, PxpParams, build_pxp, hermitian_eigensystem
+from resetchannel.ep_analysis import count_complex
+from resetchannel.hamiltonians import ConstrainedBasis, build_pxp, hermitian_eigensystem
 from resetchannel.runner import (
     analysis_matrix,
     build_channel,
@@ -501,6 +507,58 @@ class TestRealReversalForm:
             bad[1, 2, 0] = value
             with pytest.raises(ValueError, match="not Hermitian"):
                 hermitian_coefficients(bad)
+
+
+def reference_run(label, monkeypatch):
+    """The config of the benchmark run ``label``, checked to be the one its
+    stored reference was written from, and the reader of its reference CSVs."""
+    workloads = bench_module("workloads", monkeypatch).WORKLOADS
+    runs = {run.label: run for workload in workloads.values() for run in workload}
+    config = preset_config(runs[label].preset, list(runs[label].overrides))
+    reference = BENCH_DIR / "reference"
+    assert json.loads((reference / "index.json").read_text())[label]["config_hash"] \
+        == config.config_hash()
+
+    def read(name):
+        with open(reference / label / name, newline="") as fh:
+            return list(csv.reader(fh))
+
+    return config, read
+
+
+class TestRealPathMatchesReferences:
+    """The gates of the real-path regeneration (ROADMAP items 2 and 20),
+    against the references the complex path wrote: the real path (H solved
+    in real arithmetic, its real reversal form, eigenvalues only) reproduces
+    every stored spectrum and every stored complex count."""
+
+    @pytest.mark.parametrize("label", ["fig2-ns5", "fig5-ns5", "fig6"])
+    def test_spectrum(self, label, monkeypatch):
+        config, read = reference_run(label, monkeypatch)
+        header, *body = read("spectrum.csv")
+        re_col, im_col = header.index("re"), header.index("im")
+        want = np.array([complex(float(row[re_col]), float(row[im_col])) for row in body])
+        got = np.linalg.eigvals(real_reversal_form(build_channel(config, real=True)))
+        assert got.shape == want.shape
+        # one to one: each stored eigenvalue is matched by a distinct one
+        rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
+        err = np.abs(got[rows] - want[cols]) / np.maximum(1.0, np.abs(want[cols]))
+        assert np.max(err) <= 1e-10
+
+    @pytest.mark.parametrize("label", ["fig4", "fig9"])
+    def test_complex_counts(self, label, monkeypatch):
+        config, read = reference_run(label, monkeypatch)
+        parameter = config.sweep.parameter
+        build = spectral_matrix_factory(config, parameter, real=True)
+        header, *body = read("complex_count.csv")
+        got = [[value, count_complex(np.linalg.eigvals(build(value)))]
+               for value in config.sweep_values().tolist()]
+        if header[-1] == "n_complex_isotropic":
+            # the swept coupling set equal to the other one, as the runner does
+            other = "jyy" if parameter == "jxx" else "jxx"
+            iso = count_complex(np.linalg.eigvals(build(config.params[other])))
+            got = [row + [iso] for row in got]
+        assert [[float(row[0]), *map(int, row[1:])] for row in body] == got
 
 
 class TestMagnetizationStructure:

@@ -13,7 +13,7 @@ import pytest
 
 import resetchannel
 from conftest import BENCH_DIR, bench_module
-from resetchannel import cli, dynamics, runner
+from resetchannel import dynamics, runner
 from resetchannel.cli import main
 from resetchannel.config import (
     _PRESET_TABLE,
@@ -1131,6 +1131,17 @@ class TestCli:
     def test_unknown_preset_is_config_error(self, capsys):
         assert main(["preset", "fig99"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["preset", "fig3", "--threads", "abc"], "argument --threads: invalid int value: 'abc'"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ])
+    def test_usage_error_is_config_error(self, capsys, argv, message):
+        # exit 2 is a numerical error here, so a usage error exits 1, with
+        # argparse's usage line and message
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: resetchannel") and f"error: {message}" in err
+
     def test_thread_count_below_one_counts_as_one(self, tmp_path, monkeypatch):
         workers = []
 
@@ -1138,7 +1149,8 @@ class TestCli:
             workers.append(n_workers)
             return {"outputs": []}
 
-        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        # the CLI imports it from the runner when a run starts
+        monkeypatch.setattr(runner, "run_experiment", run_experiment)
         for raw in ("0", "-3", "3"):
             assert main(["preset", "fig3", "--threads", raw, "--out", str(tmp_path)]) == 0
         assert main(["preset", "fig3", "--out", str(tmp_path)]) == 0

@@ -27,7 +27,8 @@ from resetchannel.dynamics import (
     scar_candidates,
     scar_overlap_avg,
 )
-from resetchannel.hamiltonians import ConstrainedBasis, PxpParams, build_pxp, hermitian_eigensystem
+from resetchannel.config import PxpParams
+from resetchannel.hamiltonians import ConstrainedBasis, build_pxp, hermitian_eigensystem
 from resetchannel.runner import analysis_matrix, build_channel, build_hamiltonian
 from resetchannel.spectra import full_spectrum
 from resetchannel.spin_ops import ChainLayout, ghz_state, neel_state, product_state
@@ -104,7 +105,8 @@ class TestEigenOverlap:
             assert abs(eigen_overlap(mode, psi, layout)[0] - layout.dim_s) < 1e-9
 
     def test_chaotic_bulk_near_unity(self, chaotic_channel, chaotic_reversal_spectrum):
-        from resetchannel.hamiltonians import XxxParams, build_xxx
+        from resetchannel.config import XxxParams
+        from resetchannel.hamiltonians import build_xxx
 
         h = build_xxx(XxxParams(jzz=0.1, jz=0.1, jxxx=2.0), 8)
         _, vecs = hermitian_eigensystem(h)

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import projector0_on_site, total_sz
+from resetchannel.config import AahParams, PxpParams, XxParams, XxxParams
 from resetchannel.hamiltonians import (
-    AahParams,
     ConstrainedBasis,
-    PxpParams,
-    XxParams,
-    XxxParams,
     build_aah,
     build_pxp,
     build_xx,

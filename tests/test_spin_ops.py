@@ -3,12 +3,9 @@ import pytest
 
 from conftest import pauli_on_site, projector0_on_site, pure_density_matrix, total_sz
 from resetchannel import hamiltonians
+from resetchannel.config import AahParams, PxpParams, XxParams, XxxParams
 from resetchannel.hamiltonians import (
-    AahParams,
     ConstrainedBasis,
-    PxpParams,
-    XxParams,
-    XxxParams,
     build_aah,
     build_pxp,
     build_xx,

@@ -1,8 +1,10 @@
-"""Start-up footprint: importing the package and running any analysis, the
-EP probes included, loads no scipy module at all.
+"""Start-up footprint: importing the package, validating every preset and
+the CLI commands that compute nothing load no numpy; running any analysis,
+the EP probes included, loads no scipy module at all.
 
 Each check runs in a fresh interpreter, because this test session has
-already imported ``scipy.stats`` (and with it the modules checked here).
+already imported numpy and ``scipy.stats`` (and with it the modules checked
+here).
 """
 
 import json
@@ -17,28 +19,51 @@ import resetchannel
 
 SRC = Path(resetchannel.__file__).resolve().parents[1]
 
-# loads the package, runs each named config in order and prints, after the
-# import and after each run, which scipy modules are loaded; then imports
-# the modules named in argv[2], the positive control
+# loads the package, validates every preset and runs the CLI commands that
+# compute nothing, then runs each named config in order; it prints, after
+# each step, which scipy modules are loaded and whether numpy is; then it
+# imports the modules named in argv[2], the positive control
 PROBE = """
-import importlib, json, sys, tempfile
-import resetchannel
-from resetchannel.config import validate_config
-from resetchannel.runner import run_experiment
+import contextlib, importlib, io, json, sys, tempfile
 
 def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-report = {"import": {"loaded": scipy_loaded()}}
+def step():
+    return {"loaded": scipy_loaded(), "numpy": "numpy" in sys.modules}
+
+report = {}
+import resetchannel
+report["import"] = step()
+from resetchannel.config import PRESETS, preset_config, validate_config
+for name in PRESETS:
+    preset_config(name)
+report["presets"] = step()
+from resetchannel.cli import main
+with tempfile.TemporaryDirectory() as tmp:
+    with open(f"{tmp}/tiny.json", "w") as fh:
+        json.dump(json.loads(sys.argv[1])[0][1], fh)
+    open(f"{tmp}/spectrum.csv", "w").close()  # plots fails where it finds no known CSV
+    for label, argv in (("validate", ["validate", f"{tmp}/tiny.json"]),
+                        ("preset --list", ["preset", "--list"]), ("plots", ["plots", tmp])):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        report[label] = dict(step(), code=code)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["--help"])
+    except SystemExit as exc:
+        report["--help"] = dict(step(), code=exc.code)
+
+from resetchannel.runner import run_experiment
 with tempfile.TemporaryDirectory() as tmp:
     for label, raw in json.loads(sys.argv[1]):
         manifest = run_experiment(validate_config(raw), f"{tmp}/{label}")
-        report[label] = {"loaded": scipy_loaded(),
-                         "ep_probes": manifest.get("ep_probes"),
-                         "failures": manifest["failures"]}
+        report[label] = dict(step(), ep_probes=manifest.get("ep_probes"),
+                             failures=manifest["failures"])
 for module in json.loads(sys.argv[2]):
     importlib.import_module(module)
-report["control"] = {"loaded": scipy_loaded()}
+report["control"] = step()
 print(json.dumps(report))
 """
 
@@ -75,6 +100,18 @@ def report():
 
 def test_import_loads_no_deferred_scipy_module(report):
     assert report["import"]["loaded"] == []
+
+
+@pytest.mark.parametrize("label", ["import", "presets", "validate", "preset --list", "plots",
+                                   "--help"])
+def test_steps_that_compute_nothing_load_no_numpy(report, label):
+    assert report[label]["numpy"] is False
+    assert report[label].get("code", 0) == 0  # the CLI steps exit 0
+
+
+def test_probe_reports_numpy_once_a_run_loads_it(report):
+    # positive control: the first run of the probe loads numpy
+    assert report[NO_EP_RUNS[0][0]]["numpy"] is True
 
 
 @pytest.mark.parametrize("label", [label for label, _ in NO_EP_RUNS])
