@@ -98,18 +98,15 @@ def propagate(h: np.ndarray, t: float) -> Propagator:
     return Propagator(*hermitian_eigensystem(h), t)
 
 
-@cache
 def joint_index_table(layout: ChainLayout) -> np.ndarray:
     """Joint-basis index of system state s with bath state b at entry
     [b, s] of a (dim_b, dim_s) table, or -1 where the pair breaks the
-    blockade at the system/bath cut (constrained layouts only). Made once
-    per layout and read-only, since every caller shares it."""
+    blockade at the system/bath cut (constrained layouts only). Computed
+    per call: a few searches over at most 2^n_h states."""
     joint = layout.states(layout.n_h)
     bits = (layout.states(layout.n_s)[None, :] << layout.n_b) | layout.states(layout.n_b)[:, None]
     idx = np.minimum(np.searchsorted(joint, bits), len(joint) - 1)
-    table = np.where(joint[idx] == bits, idx, -1)
-    table.flags.writeable = False
-    return table
+    return np.where(joint[idx] == bits, idx, -1)
 
 
 def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:

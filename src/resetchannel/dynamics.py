@@ -58,18 +58,20 @@ class ScarCandidates:
 
 
 def bath_vacuum_projection(psi: np.ndarray, layout: ChainLayout) -> np.ndarray:
-    """System-space amplitudes <s, 0_b|psi> of a joint state."""
+    """System-space amplitudes <s, 0_b|psi> of a joint state, or of each column of a block."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape[0] != layout.dim_joint:
         raise ValueError(f"state dim {psi.shape[0]} != joint dim {layout.dim_joint}")
     return psi[joint_index_table(layout)[0]]
 
 
-def bath_vacuum_weight(psi: np.ndarray, layout: ChainLayout) -> float:
+def bath_vacuum_weight(psi: np.ndarray, layout: ChainLayout) -> float | np.ndarray:
     """Weight |<s, 0_b|psi>|^2 summed over s: how much of a joint state the
-    bath reset configuration reaches."""
-    v = bath_vacuum_projection(psi, layout)
-    return float(np.real(v.conj() @ v))
+    bath reset configuration reaches; of a (dim_joint, k) block, one weight
+    per column, with that column's own bits (one stacked row product each)."""
+    v = bath_vacuum_projection(psi, layout).T
+    weights = np.real(v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
+    return float(weights) if weights.ndim == 0 else weights
 
 
 def eigen_overlap(right: np.ndarray, psi: np.ndarray, layout: ChainLayout) -> np.ndarray:

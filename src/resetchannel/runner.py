@@ -50,6 +50,7 @@ from .hamiltonians import (
     build_pxp,
     build_xx,
     build_xxx,
+    drop_zero_imag,
     hermitian_eigensystem,  # noqa: F401  (not called here; benchmarks/spans.py wraps it)
 )
 from .spectra import (
@@ -83,8 +84,7 @@ def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
         params.update(param_overrides)
     layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
     h = build_hamiltonian(config.model, params, layout.n_h)
-    return kraus_from_unitary(propagate(h.real if real and not np.any(h.imag) else h,
-                                        config.time), layout)
+    return kraus_from_unitary(propagate(drop_zero_imag(h) if real else h, config.time), layout)
 
 
 def analysis_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
@@ -231,39 +231,48 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
                 manifest["environment"]["analysis_blas_threads"] = (
                     _blas_runtime(NUMPY_LIBS)["threads"])
                 _run_analyses(config, out, manifest, n_workers)
+    finally:
+        # also when the run fails: the manifest is written, the warnings issued again
         manifest["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
-    finally:
-        # issued again, from where they were raised, also when the run fails
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     return manifest
+
+
+@contextmanager
+def _stage(manifest: dict, name: str):
+    """Time a stage into the manifest's runtimes; one that raises goes to its failures."""
+    started = _time.perf_counter()
+    try:
+        yield
+    except Exception as exc:
+        manifest["failures"].append({"analysis": name, "error": f"{type(exc).__name__}: {exc}"})
+        raise
+    manifest["runtimes"][name] = round(_time.perf_counter() - started, 3)
 
 
 def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers: int) -> None:
     reads = {ANALYSES[a] for a in config.analyses}
     spectrum = kraus = sweep = None
     if None in reads:
-        started = _time.perf_counter()
-        spectrum, kraus = _configured_spectrum(
-            config, manifest,
-            keep_kraus=not {"overlaps", "scar_overlaps"}.isdisjoint(config.analyses))
-        manifest["runtimes"]["channel"] = round(_time.perf_counter() - started, 3)
+        with _stage(manifest, "channel"):
+            spectrum, kraus = _configured_spectrum(
+                config, manifest,
+                keep_kraus=not {"overlaps", "scar_overlaps"}.isdisjoint(config.analyses))
         manifest["health"]["max_eigen_residual"] = float(np.max(spectrum.residuals))
     # one sweep of the configured grid feeds every analysis that reads it; it
     # keeps the complex path, whose bits the bands and complex counts pin
     if "sweep" in reads:
-        started = _time.perf_counter()
-        sweep = _sweep(config, config.sweep_values(), manifest, "sweep", n_workers,
-                       spectral_matrix_factory(config, config.sweep.parameter))
-        manifest["runtimes"]["sweep"] = round(_time.perf_counter() - started, 3)
+        with _stage(manifest, "sweep"):
+            sweep = _sweep(config, config.sweep_values(), manifest, "sweep", n_workers,
+                           spectral_matrix_factory(config, config.sweep.parameter))
 
     for analysis in config.analyses:
-        started = _time.perf_counter()
-        files = _run_one(analysis, config, spectrum, kraus, sweep, out, manifest, n_workers)
-        manifest["runtimes"][analysis] = round(_time.perf_counter() - started, 3)
-        manifest["outputs"].extend(files)
+        with _stage(manifest, analysis):
+            manifest["outputs"] += _run_one(analysis, config, spectrum, kraus, sweep, out,
+                                            manifest, n_workers)
 
 
 def _record_health(manifest: dict, kraus: KrausSet) -> None:
@@ -333,8 +342,7 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, kraus: KrausSet 
     if analysis == "overlaps":
         # lowest, median and highest energy among the eigenstates the reset reaches
         vecs = kraus.propagator.vecs
-        reached = [k for k in range(vecs.shape[1])
-                   if bath_vacuum_weight(vecs[:, k], kraus.layout) >= OVERLAP_MIN_WEIGHT]
+        reached = np.flatnonzero(bath_vacuum_weight(vecs, kraus.layout) >= OVERLAP_MIN_WEIGHT)
         refs = {"ground": reached[0], "median": reached[len(reached) // 2], "top": reached[-1]}
         return _overlaps("overlaps.csv", spectrum, {
             label: eigen_overlap(spectrum.right, vecs[:, k], kraus.layout)

@@ -186,18 +186,19 @@ def reconstruct_state(spectrum: Spectrum, coeffs: np.ndarray, power: int = 0) ->
     return (spectrum.right @ (spectrum.eigenvalues ** power * coeffs)).reshape(d, d)
 
 
-def triangular_reference(n_bath_states: int) -> TriangularLaw:
-    """Magnitude law of Haar-random reset dynamics: uniform disk of radius
-    1/sqrt(N_b) projected onto |lambda|."""
-    return TriangularLaw(1.0 / np.sqrt(n_bath_states))
-
-
 def outlier_threshold(n_bath_states: int) -> float:
+    """The bulk radius 1/sqrt(N_b) of Haar-random reset dynamics."""
     return 1.0 / np.sqrt(n_bath_states)
 
 
+def triangular_reference(n_bath_states: int) -> TriangularLaw:
+    """Magnitude law of Haar-random reset dynamics: uniform disk of radius
+    :func:`outlier_threshold` projected onto |lambda|."""
+    return TriangularLaw(outlier_threshold(n_bath_states))
+
+
 def find_outliers(spectrum: Spectrum) -> list[int]:
-    """Indices of modes beyond the bulk radius 1/sqrt(N_b)."""
+    """Indices of modes beyond the bulk radius :func:`outlier_threshold`."""
     thr = outlier_threshold(spectrum.bath_dim)
     lam = spectrum.eigenvalues
     return [i for i in range(len(lam)) if abs(lam[i]) > thr]

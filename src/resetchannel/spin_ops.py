@@ -11,7 +11,7 @@ Conventions, fixed package-wide:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,9 +36,11 @@ class ChainLayout:
 
     def states(self, n_sites: int) -> np.ndarray:
         """Sorted basis states of an ``n_sites``-site block: every bit string,
-        or the :class:`ConstrainedBasis` ones when ``constrained``. Made once
-        per (n_sites, constrained) and read-only, since every caller shares it."""
-        return _block_states(n_sites, self.constrained)
+        or the :class:`ConstrainedBasis` ones when ``constrained``; a new
+        array per call."""
+        if self.constrained:
+            return np.array(ConstrainedBasis(n_sites).states)
+        return np.arange(2 ** n_sites)
 
     @property
     def dim_s(self) -> int:
@@ -55,13 +57,15 @@ class ChainLayout:
 
 class ConstrainedBasis:
     """Rydberg-blockade subspace of an ``n``-site chain: bit-strings with no
-    two adjacent 1s, sorted; dimension is the Fibonacci number F(n+2)."""
+    two adjacent 1s, as a sorted list of ints, picked by one mask over all
+    2^n of them; dimension is the Fibonacci number F(n+2)."""
 
     def __init__(self, n_sites: int):
         if n_sites < 1:
             raise ValueError("need at least one site")
         self.n_sites = n_sites
-        self.states: list[int] = [b for b in range(1 << n_sites) if (b & (b >> 1)) == 0]
+        bits = np.arange(1 << n_sites)
+        self.states: list[int] = bits[(bits & (bits >> 1)) == 0].tolist()
 
     @property
     def dim(self) -> int:
@@ -73,13 +77,6 @@ class ConstrainedBasis:
         full = np.zeros((2 ** self.n_sites, *np.shape(amplitudes)[1:]), dtype=complex)
         full[self.states] = amplitudes
         return full
-
-
-@cache
-def _block_states(n_sites: int, constrained: bool) -> np.ndarray:
-    states = np.array(ConstrainedBasis(n_sites).states) if constrained else np.arange(2 ** n_sites)
-    states.flags.writeable = False
-    return states
 
 
 def site_signs(states, n_sites: int) -> np.ndarray:

@@ -47,7 +47,7 @@ from resetchannel.runner import (
     build_hamiltonian,
     spectral_matrix_factory,
 )
-from resetchannel.spectra import sorted_eig
+from resetchannel.spectra import Spectrum, sorted_eig, sorted_eigvals
 from resetchannel.spin_ops import ChainLayout, ghz_state, neel_state, partial_trace
 
 
@@ -530,7 +530,7 @@ class TestRealPathMatchesReferences:
     """The gates of the real-path regeneration (ROADMAP items 2 and 20),
     against the references the complex path wrote: the real path (H solved
     in real arithmetic, its real reversal form, eigenvalues only) reproduces
-    every stored spectrum and every stored complex count."""
+    every stored spectrum, histogram and complex count."""
 
     @pytest.mark.parametrize("label", ["fig2-ns5", "fig5-ns5", "fig6"])
     def test_spectrum(self, label, monkeypatch):
@@ -544,6 +544,19 @@ class TestRealPathMatchesReferences:
         rows, cols = linear_sum_assignment(np.abs(got[:, None] - want[None, :]))
         err = np.abs(got[rows] - want[cols]) / np.maximum(1.0, np.abs(want[cols]))
         assert np.max(err) <= 1e-10
+
+    @pytest.mark.parametrize("label", ["fig2-ns5", "fig5-ns5", "fig6"])
+    def test_histogram(self, label, monkeypatch, tmp_path):
+        # written by the runner's own histogram branch from the real path's
+        # eigenvalues, and checked as the benchmark checks its outputs
+        config, _ = reference_run(label, monkeypatch)
+        kraus = build_channel(config, real=True)
+        spectrum = Spectrum(sorted_eigvals(real_reversal_form(kraus)), None, None,
+                            kraus.layout.dim_b)
+        runner._run_one("histogram", config, spectrum, None, None, tmp_path, {}, 1)
+        check = bench_module("check", monkeypatch)
+        assert check.compare_csv(tmp_path / "histogram.csv",
+                                 BENCH_DIR / "reference" / label / "histogram.csv", config) == []
 
     @pytest.mark.parametrize("label", ["fig4", "fig9"])
     def test_complex_counts(self, label, monkeypatch):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -593,6 +594,47 @@ class TestRunner:
             xis = eigen_overlap(spectrum.right, kraus.propagator.vecs[:, k], kraus.layout)
             written = [float(row["xi"]) for row in rows if row["reference"] == label]
             assert np.allclose(written, xis, rtol=1e-9, atol=1e-9), label
+
+    def test_overlap_references_match_the_per_state_loop(self, tmp_path, monkeypatch):
+        # the picker weighs every eigenstate in one call; the loop of one
+        # call per eigenstate that it replaced is the oracle
+        picked = []
+        monkeypatch.setattr(runner, "eigen_overlap",
+                            lambda right, psi, layout: picked.append(psi) or np.zeros(1))
+        spectrum = SimpleNamespace(eigenvalues=np.zeros(1), right=None)
+        for name in PRESETS:
+            config = preset_config(name, ['analyses=["overlaps"]'])
+            kraus = build_channel(config)
+            vecs, layout = kraus.propagator.vecs, kraus.layout
+            reached = [k for k in range(vecs.shape[1]) if dynamics.bath_vacuum_weight(
+                vecs[:, k], layout) >= dynamics.OVERLAP_MIN_WEIGHT]
+            picked.clear()
+            runner._run_one("overlaps", config, spectrum, kraus, None, tmp_path, {}, 1)
+            want = [reached[0], reached[len(reached) // 2], reached[-1]]
+            assert len(picked) == 3, name
+            for psi, k in zip(picked, want):
+                assert np.array_equal(psi, vecs[:, k]), name
+
+    def test_raising_stage_still_writes_the_manifest(self, tmp_path, capsys):
+        # the last sweep point overflows; bands cannot track across it
+        raw = {"model": "aah", "layout": {"n_s": 2, "n_b": 2}, "time": 100.0,
+               "params": {"j2": 1.0, "jzz": 0.1, "jz": 0.1},
+               "analyses": ["complex_count", "bands"],
+               "sweep": {"parameter": "jz", "start": 0.1, "stop": 1e307, "points": 3}}
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(raw))
+        with pytest.warns(RuntimeWarning) as reissued:
+            assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert "cannot track bands across failed sweep points" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["warnings"] == [f"RuntimeWarning: {w.message}" for w in reissued]
+        failures = manifest["failures"]
+        assert [(f["analysis"], f.get("point")) for f in failures] == [
+            ("sweep", 1), ("sweep", 2), ("bands", None)]
+        assert failures[-1]["error"] == (
+            "ValueError: cannot track bands across failed sweep points")
+        assert manifest["outputs"] == ["complex_count.csv"]
+        assert "bands" not in manifest["runtimes"] and "complex_count" in manifest["runtimes"]
 
     def test_abs_lambda_agrees_across_csvs(self, tmp_path):
         # spectrum.csv's abs and the overlap files' abs_lambda follow one

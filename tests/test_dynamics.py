@@ -12,7 +12,7 @@ from conftest import (
     random_product_density,
     renyi2_qmi,
 )
-from resetchannel.channel import KrausSet, apply_channel
+from resetchannel.channel import KrausSet, apply_channel, joint_index_table
 from resetchannel.config import preset_config
 from resetchannel.dynamics import (
     OVERLAP_MIN_WEIGHT,
@@ -50,6 +50,24 @@ def per_mode_overlaps(spectrum, psi, layout):
     d = layout.dim_s
     return np.array([d * abs(v.conj() @ spectrum.right[:, k].reshape(d, d) @ v) / norm2
                      for k in range(spectrum.dim)])
+
+
+class TestBathVacuumWeight:
+    @pytest.mark.parametrize("preset", ["fig2", "fig5", "fig6"])
+    def test_block_equals_per_state_calls(self, preset):
+        kraus = build_channel(preset_config(preset))
+        vecs, layout = kraus.propagator.vecs, kraus.layout
+        # the per-state formula, one eigenstate at a time: the oracle
+        rows = joint_index_table(layout)[0]
+        want = np.array([float(np.real(vecs[rows, k].conj() @ vecs[rows, k]))
+                         for k in range(vecs.shape[1])])
+        got = bath_vacuum_weight(vecs, layout)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        # one state still gives a float, with the formula's bits
+        for k, weight in enumerate(want):
+            single = bath_vacuum_weight(vecs[:, k], layout)
+            assert type(single) is float and single == weight
 
 
 @pytest.fixture(scope="module", params=["fig2", "fig6"])

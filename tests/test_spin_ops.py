@@ -278,11 +278,14 @@ class TestLayout:
         assert (len(layout.states(5)), len(layout.states(10))) == (13, 144)
 
     @pytest.mark.parametrize("constrained", [False, True])
-    def test_states_are_shared_and_read_only(self, constrained):
-        states = ChainLayout(2, 3, constrained).states(4)
-        assert ChainLayout(1, 1, constrained).states(4) is states
-        with pytest.raises(ValueError, match="read-only"):
-            states[0] = 1
+    def test_states_equal_the_comprehension(self, constrained):
+        # the rule applied one integer at a time is the oracle for the mask
+        for n in range(1, 13):
+            want = [b for b in range(1 << n) if not constrained or (b & (b >> 1)) == 0]
+            assert ChainLayout(1, 1, constrained).states(n).tolist() == want
+            if constrained:
+                basis = ConstrainedBasis(n).states
+                assert basis == want and all(type(b) is int for b in basis)
 
     def test_invalid_layout(self):
         with pytest.raises(ValueError):

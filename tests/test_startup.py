@@ -1,6 +1,7 @@
 """Start-up footprint: importing the package, validating every preset and
 the CLI commands that compute nothing load no numpy; running any analysis,
-the EP probes included, loads no scipy module at all.
+the EP probes included, loads no scipy module at all. And a whole preset
+run raises no warning in Python's development mode.
 
 Each check runs in a fresh interpreter, because this test session has
 already imported numpy and ``scipy.stats`` (and with it the modules checked
@@ -84,11 +85,16 @@ EP_RUN = ("ep", dict(CHAIN, layout={"n_s": 3, "n_b": 3}, time=50.0, analyses=["e
                                       "resolution": 1e-6, "max_eps": 2}))
 
 
-def _probe(runs, control) -> dict:
+def _run(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-c", PROBE, json.dumps(runs), json.dumps(control)],
-                         env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def _probe(runs, control) -> dict:
+    res = _run("-c", PROBE, json.dumps(runs), json.dumps(control))
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout.splitlines()[-1])
 
@@ -130,3 +136,12 @@ def test_ep_run_loads_no_scipy_module(report):
 def test_probe_reports_an_imported_scipy_module(report):
     # positive control: the probe notices a scipy module the process imports
     assert "scipy.sparse.linalg" in report["control"]["loaded"]
+
+
+def test_preset_run_is_clean_in_development_mode(tmp_path):
+    # every warning an error, with the development-mode checks on: an
+    # unclosed file, a resource or a deprecation warning fails the run
+    res = _run("-X", "dev", "-W", "error", "-m", "resetchannel.cli", "preset", "fig3",
+               "--out", str(tmp_path / "fig3"))
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
