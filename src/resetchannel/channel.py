@@ -134,11 +134,10 @@ def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:
 
 
 def apply_channel(kraus: KrausSet, x: np.ndarray) -> np.ndarray:
-    """One application X -> sum_m K_m X K_m^dag, of one (d, d) matrix or of
-    each matrix in a (b, d, d) stack."""
+    """One application X -> sum_m K_m X K_m^dag of a (d, d) matrix."""
     x = np.asarray(x, dtype=complex)
     d = kraus.dim
-    if x.ndim not in (2, 3) or x.shape[-2:] != (d, d):
+    if x.shape != (d, d):
         raise ValueError(f"state shape {x.shape} does not match channel dim {d}")
     return sum(k @ x @ k.conj().T for k in kraus.ops)
 

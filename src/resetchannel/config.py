@@ -81,6 +81,15 @@ ANALYSES = {
     "qmi": "qmi", "phase": "phase",
 }
 
+# The largest |coupling| x max(1, time) a config may set. A layout that
+# fits in memory has fewer than 64 sites, so H is a sum of fewer than 1e3
+# Pauli strings, each of entries of modulus 1 times a coupling: |H_ij|,
+# ||H|| and |E| t stay below 1e3 times this bound, 1e103. Every product a
+# run forms from them (E t, its phase, |H_ij|^2 summed over < 2^64
+# entries) is then below 1e103^2 x 2e19 < 1e226, far from float64's
+# 1.8e308, while the bound is far above the presets' 5 x 1000.
+MAX_COUPLING_TIME = 1e100
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending field."""
@@ -281,6 +290,21 @@ def validate_config(raw: dict) -> ExperimentConfig:
     _expect(config.ep is None or sweep is not None, "config.ep",
             "ep analysis needs a sweep section for the parameter name")
 
+    # every coupling a run can set, by the field that sets it, stays below
+    # float64 overflow once multiplied by the time
+    couplings = {f"config.params.{key}": value for key, value in config.params.items()}
+    for key in ("sweep", "ep", "phase"):
+        grid = getattr(config, key)
+        if grid is not None:
+            couplings |= {f"config.{key}.start": grid.start, f"config.{key}.stop": grid.stop}
+    for i, case in enumerate(config.qmi.cases if config.qmi is not None else []):
+        couplings |= {f"config.qmi.cases[{i}].jxxx": case.jxxx,
+                      f"config.qmi.cases[{i}].jz": case.jz}
+    for path, value in couplings.items():
+        _expect(abs(value) * max(1.0, config.time) <= MAX_COUPLING_TIME, path,
+                f"|{value!r}| x max(1, time = {config.time!r}) exceeds {MAX_COUPLING_TIME:g},"
+                f" past which energies times time can overflow")
+
     if config.qmi is not None:
         lacking = {"jxxx", "jz"} - varied
         _expect(not lacking, "config.qmi",
@@ -301,6 +325,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if "scar_overlaps" in analyses:
         _expect(model == "pxp", "config.model",
                 f"scar_overlaps needs the blockaded model 'pxp', got {model!r}")
+        # dynamics.scar_candidates picks SCAR_COUNT = 4 states from the middle
+        # of the joint spectrum, SCAR_EDGE_FRACTION = 1/6 of it left out at
+        # each edge; a 2-site blockade chain has 3 states, 3 sites have 5
+        _expect(config.n_s + config.n_b >= 3, "config.layout",
+                "scar_overlaps needs n_s + n_b >= 3 for enough mid-spectrum states")
 
     _expect(config.cluster_window < 0.5, "config.cluster_window",
             f"must lie in (0, 0.5), got {config.cluster_window}")

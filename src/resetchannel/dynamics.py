@@ -65,13 +65,13 @@ def bath_vacuum_projection(psi: np.ndarray, layout: ChainLayout) -> np.ndarray:
     return psi[joint_index_table(layout)[0]]
 
 
-def bath_vacuum_weight(psi: np.ndarray, layout: ChainLayout) -> float | np.ndarray:
+def bath_vacuum_weight(psi: np.ndarray, layout: ChainLayout) -> np.ndarray:
     """Weight |<s, 0_b|psi>|^2 summed over s: how much of a joint state the
-    bath reset configuration reaches; of a (dim_joint, k) block, one weight
-    per column, with that column's own bits (one stacked row product each)."""
+    bath reset configuration reaches, as a 0-d array; of a (dim_joint, k)
+    block, one weight per column, with that column's own bits (one stacked
+    row product each)."""
     v = bath_vacuum_projection(psi, layout).T
-    weights = np.real(v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
-    return float(weights) if weights.ndim == 0 else weights
+    return np.real(v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def eigen_overlap(right: np.ndarray, psi: np.ndarray, layout: ChainLayout) -> np.ndarray:
@@ -92,17 +92,16 @@ def eigen_overlap(right: np.ndarray, psi: np.ndarray, layout: ChainLayout) -> np
     return layout.dim_s * np.abs(np.kron(v.conj(), v) @ right) / norm2
 
 
-def half_chain_renyi2(vec: np.ndarray, basis: ConstrainedBasis) -> float | np.ndarray:
-    """Renyi-2 entanglement entropy of the left half-chain for a
-    constrained-basis pure state, or for each column of a (dim, k) block of
-    them in one batched SVD."""
-    full = basis.embed_vector(np.asarray(vec, dtype=complex))
+def half_chain_renyi2(vecs: np.ndarray, basis: ConstrainedBasis) -> np.ndarray:
+    """Renyi-2 entanglement entropy of the left half-chain for each column
+    of a (dim, k) block of constrained-basis pure states, in one batched
+    SVD."""
+    full = basis.embed_vector(np.asarray(vecs, dtype=complex))
     n = basis.n_sites
     half = n // 2
     amps = np.moveaxis(full.reshape(2 ** half, 2 ** (n - half), -1), -1, 0)
     svals = np.linalg.svd(amps, compute_uv=False)
-    entropies = -np.log(np.sum(svals ** 4, axis=-1))
-    return entropies if full.ndim == 2 else float(entropies[0])
+    return -np.log(np.sum(svals ** 4, axis=-1))
 
 
 def scar_candidates(energies: np.ndarray, eigenvectors: np.ndarray,

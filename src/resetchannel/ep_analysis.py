@@ -48,7 +48,7 @@ class JordanChainError(RuntimeError):
     """Requested chain extends past the numerical Jordan block."""
 
 
-def _near_solve(mat: np.ndarray, sigma: complex) -> tuple[np.ndarray, float] | None:
+def _near_solve(mat: np.ndarray, sigma: float) -> tuple[np.ndarray, float] | None:
     """The ``PROBE_MODES`` eigenvalues of ``mat`` nearest ``sigma``, by
     shift-invert Arnoldi, and the radius about ``sigma`` they lie within;
     None when the matrix is too small for a probe, ``mat - sigma`` is
@@ -61,8 +61,8 @@ def _near_solve(mat: np.ndarray, sigma: complex) -> tuple[np.ndarray, float] | N
     Ritz pair's residual |h_{m+1,m} y_m| is at most ``KRYLOV_RTOL`` |mu|
     (ARPACK's test), and give lambda = sigma + 1/mu. A space that reaches
     the full dimension, or breaks down earlier, is invariant and its Ritz
-    values are exact. A real ``mat`` with a real ``sigma`` stays in real
-    arithmetic, so the Ritz values come in exact conjugate pairs.
+    values are exact. A real ``mat`` stays in real arithmetic, so the Ritz
+    values come in exact conjugate pairs.
     """
     n = mat.shape[0]
     if n <= PROBE_MODES + 2:
@@ -71,8 +71,7 @@ def _near_solve(mat: np.ndarray, sigma: complex) -> tuple[np.ndarray, float] | N
         op = np.linalg.inv(mat - sigma * np.eye(n))
     except np.linalg.LinAlgError:
         return None
-    start = np.random.default_rng(0).standard_normal((2, n))
-    start = start[0] + 1j * start[1] if np.iscomplexobj(op) else start[0]
+    start = np.random.default_rng(0).standard_normal(n)
     steps = min(KRYLOV_MAX, n)
     basis = np.zeros((steps + 1, n), dtype=op.dtype)    # orthonormal rows
     hess = np.zeros((steps + 1, steps), dtype=op.dtype)
@@ -130,22 +129,19 @@ class SweepGrid:
         """:func:`_pair_probe` of the full spectrum of ``mat``, a matrix
         that :attr:`build` made, for the guessed pair ``guess``.
 
-        A shift-invert Arnoldi solve at sigma = mean(guess) answers when its
-        eigenvalues, all within a radius of sigma while every other
-        eigenvalue lies at least that radius away, prove that the whole
-        spectrum gives the same answer. The proof is geometric: every mode
-        at least as close to ``guess[0]`` as the chosen ``a`` (to
-        ``guess[1]`` as ``b``, to the pair's midpoint as the gap) lies
-        inside the solved disc, so it was solved. Otherwise, and when that
-        solve fails, the full ``eigvals`` of ``mat`` answers. A real matrix
-        stays real: sigma is Re mean(guess), and both solves run in real
-        arithmetic, so the eigenvalues they return come in exact conjugate
-        pairs.
+        One shift rule for every matrix, real or complex: sigma =
+        Re mean(guess), a real number. A shift-invert Arnoldi solve at sigma
+        answers when its eigenvalues, all within a radius of sigma while
+        every other eigenvalue lies at least that radius away, prove that
+        the whole spectrum gives the same answer. The proof is geometric and
+        holds for any sigma: every mode at least as close to ``guess[0]`` as
+        the chosen ``a`` (to ``guess[1]`` as ``b``, to the pair's midpoint
+        as the gap) lies inside the solved disc, so it was solved.
+        Otherwise, and when that solve fails, the full ``eigvals`` of
+        ``mat`` answers. The real shift keeps a real matrix's solves real,
+        so the eigenvalues they return come in exact conjugate pairs.
         """
-        mat = np.asarray(mat, dtype=complex if np.iscomplexobj(mat) else float)
-        real = mat.dtype == float
-        # a real shift keeps a real matrix's solve real
-        sigma = float(np.mean(guess).real) if real else complex(np.mean(guess))
+        sigma = float(np.mean(guess).real)
         near = _near_solve(mat, sigma)
         if near is not None:
             lam, radius = near

@@ -267,22 +267,10 @@ class TestApplyChannel:
             apply_channel(small_channel, np.zeros((3, 4, 3)))
         with pytest.raises(ValueError, match="shape"):
             apply_channel(small_channel, np.zeros((2, 2, 4, 4)))
-
-    def test_stack_and_single_equal_superoperator_action(self):
-        # operators that are neither unitary nor complete, checked against
-        # the kron form M = sum_m K_m (x) conj(K_m) acting on vec(X)
-        rng = np.random.default_rng(11)
-        ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(5)]
-        kraus = KrausSet(ops, ChainLayout(2, 1))
-        mat = superoperator_matrix(kraus).mat
-        xs = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-        stacked = apply_channel(kraus, xs)
-        assert stacked.shape == (3, 4, 4)
-        for x, out in zip(xs, stacked):
-            assert np.max(np.abs(vec(out) - mat @ vec(x))) <= 1e-13
-        single = apply_channel(kraus, xs[1])
-        assert single.shape == (4, 4)
-        assert np.max(np.abs(vec(single) - mat @ vec(xs[1]))) <= 1e-13
+        # one matrix per call: a (b, d, d) stack is rejected
+        d = small_channel.dim
+        with pytest.raises(ValueError, match="shape"):
+            apply_channel(small_channel, np.zeros((3, d, d)))
 
 
 class TestSuperoperator:
@@ -530,7 +518,7 @@ class TestRealPathMatchesReferences:
     """The gates of the real-path regeneration (ROADMAP items 2 and 20),
     against the references the complex path wrote: the real path (H solved
     in real arithmetic, its real reversal form, eigenvalues only) reproduces
-    every stored spectrum, histogram and complex count."""
+    every stored spectrum, histogram, complex count and overlap file."""
 
     @pytest.mark.parametrize("label", ["fig2-ns5", "fig5-ns5", "fig6"])
     def test_spectrum(self, label, monkeypatch):
@@ -557,6 +545,41 @@ class TestRealPathMatchesReferences:
         check = bench_module("check", monkeypatch)
         assert check.compare_csv(tmp_path / "histogram.csv",
                                  BENCH_DIR / "reference" / label / "histogram.csv", config) == []
+
+    @pytest.mark.parametrize("label, analysis", [("fig2-ns5", "overlaps"),
+                                                 ("fig6", "scar_overlaps")])
+    def test_overlaps(self, label, analysis, monkeypatch, tmp_path):
+        # the real path's eigenvectors, mapped back to row-stacking vecs
+        # through T^dag and normalized, written by the runner's own overlap
+        # branch: each reference's (|lambda|, xi) rows are matched one to one,
+        # within check.py's 1e-10 relative to max(1, |reference|)
+        config, read = reference_run(label, monkeypatch)
+        kraus = build_channel(config, real=True)
+        vals, coeffs = np.linalg.eig(real_reversal_form(kraus))
+        right = hermitian_basis(kraus.dim).conj().T @ coeffs
+        right /= np.linalg.norm(right, axis=0, keepdims=True)
+        spectrum = Spectrum(vals, right, None, kraus.layout.dim_b)
+        runner._run_one(analysis, config, spectrum, kraus, None, tmp_path, {}, 1)
+
+        def by_reference(rows):
+            header, *body = rows
+            cols = [header.index(c) for c in ("abs_lambda", "xi", "reference")]
+            table = {}
+            for row in body:
+                mag, xi, ref = (row[c] for c in cols)
+                table.setdefault(ref, []).append((float(mag), float(xi)))
+            return {ref: np.array(pairs) for ref, pairs in table.items()}
+
+        with open(tmp_path / f"{analysis}.csv", newline="") as fh:
+            got = by_reference(list(csv.reader(fh)))
+        want = by_reference(read(f"{analysis}.csv"))
+        assert set(got) == set(want)
+        for ref, pairs in want.items():
+            assert got[ref].shape == pairs.shape
+            cost = np.max(np.abs(got[ref][:, None] - pairs[None, :])
+                          / np.maximum(1.0, np.abs(pairs[None, :])), axis=-1)
+            rows, cols = linear_sum_assignment(cost)
+            assert np.max(cost[rows, cols]) <= 1e-10, ref
 
     @pytest.mark.parametrize("label", ["fig4", "fig9"])
     def test_complex_counts(self, label, monkeypatch):

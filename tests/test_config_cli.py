@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -15,11 +16,16 @@ import pytest
 import resetchannel
 from conftest import BENCH_DIR, bench_module
 from resetchannel import dynamics, runner
+from resetchannel.channel import CompletenessError
 from resetchannel.cli import main
 from resetchannel.config import (
     _PRESET_TABLE,
+    ANALYSES,
+    MAX_COUPLING_TIME,
+    MODELS,
     PRESETS,
     ConfigError,
+    PxpParams,
     apply_overrides,
     list_presets,
     load_config,
@@ -28,6 +34,7 @@ from resetchannel.config import (
 )
 from resetchannel.dynamics import eigen_overlap
 from resetchannel.ep_analysis import SweepGrid, count_complex
+from resetchannel.hamiltonians import ConstrainedBasis, build_pxp, hermitian_eigensystem
 from resetchannel.plots import _COMMON, _SCRIPTS, emit_plots
 from resetchannel.runner import analysis_matrix, build_channel, run_experiment
 from resetchannel.spectra import full_spectrum
@@ -392,6 +399,83 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^config\.params\.{key}: must be positive"):
             validate_config(raw)
 
+    @pytest.mark.parametrize("section, key", [
+        ("params", "j2"), ("params", "jz"), ("params", "omega"), ("sweep", "start"),
+        ("sweep", "stop"), ("ep", "start"), ("ep", "stop"), ("phase", "start"),
+        ("phase", "stop"), ("qmi", "jxxx"), ("qmi", "jz")])
+    @pytest.mark.parametrize("time", [0.5, 100.0])
+    def test_coupling_times_time_is_bounded(self, section, key, time):
+        # every coupling a run can set: accepted up to the bound over
+        # max(1, time), rejected past it with the field that sets it
+        def raw_with(value):
+            raw = json.loads(json.dumps(SECTION_CONFIGS.get(section, TINY_CONFIG)))
+            raw["time"] = time
+            (raw["qmi"]["cases"][0] if section == "qmi" else raw[section])[key] = value
+            return raw
+
+        path = (f"config.qmi.cases[0].{key}" if section == "qmi"
+                else f"config.{section}.{key}")
+        inside = MAX_COUPLING_TIME / max(1.0, time)
+        validate_config(raw_with(inside))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: .* exceeds 1e\+100"):
+            validate_config(raw_with(inside * (1 + 1e-9)))
+
+    @pytest.mark.parametrize("n_sites", range(2, 7))
+    def test_scar_overlaps_layout_rule_matches_scar_candidates(self, n_sites):
+        # validation accepts a blockade chain exactly where its spectrum
+        # holds more than SCAR_COUNT states past SCAR_EDGE_FRACTION of
+        # each edge, which is where scar_candidates succeeds
+        raw = {"model": "pxp", "layout": {"n_s": 1, "n_b": n_sites - 1}, "time": 10.0,
+               "params": {}, "analyses": ["scar_overlaps"]}
+        try:
+            validate_config(raw)
+            accepted = True
+        except ConfigError as exc:
+            assert str(exc).startswith("config.layout: scar_overlaps needs n_s + n_b >= 3")
+            accepted = False
+        vals, vecs = hermitian_eigensystem(build_pxp(PxpParams(), n_sites))
+        edge = int(len(vals) * dynamics.SCAR_EDGE_FRACTION)
+        assert accepted == (len(vals) - 2 * edge > dynamics.SCAR_COUNT)
+        if accepted:
+            dynamics.scar_candidates(vals, vecs, ConstrainedBasis(n_sites))
+        else:
+            with pytest.raises(ValueError, match="spectrum too small"):
+                dynamics.scar_candidates(vals, vecs, ConstrainedBasis(n_sites))
+
+    def test_every_accepted_config_runs(self, tmp_path):
+        # each model, layout of 1 or 2 + 1 or 2 sites and single analysis,
+        # with the sections it reads at their smallest: whatever validation
+        # accepts runs without raising (a grid point may still fail)
+        sections = {
+            "sweep": lambda model: {"parameter": "jxx" if model == "xx" else "jz",
+                                    "start": 0.8, "stop": 1.0, "points": 3},
+            "ep": lambda model: {"start": 0.8, "stop": 1.0, "points": 3},
+            "qmi": lambda model: {"n_k": 2, "cases": [{"name": "a", "jxxx": 1.0, "jz": 0.1}]},
+            "phase": lambda model: {"parameter": "jz", "start": 0.1, "stop": 1.0, "points": 3,
+                                    "n_k": 2},
+        }
+        accepted, raised = set(), []
+        for model, n_s, n_b, analysis in itertools.product(MODELS, (1, 2), (1, 2), ANALYSES):
+            raw = {"model": model, "layout": {"n_s": n_s, "n_b": n_b}, "time": 10.0,
+                   "params": {}, "analyses": [analysis]}
+            # ep takes its parameter from the sweep section
+            for section in ("sweep", "ep") if analysis == "ep" else [ANALYSES[analysis]]:
+                if section is not None:
+                    raw[section] = sections[section](model)
+            try:
+                config = validate_config(raw)
+            except ConfigError:
+                continue
+            accepted.add(analysis)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    run_experiment(config, tmp_path / f"{model}-{n_s}-{n_b}-{analysis}")
+            except Exception as exc:
+                raised.append((model, n_s, n_b, analysis, f"{type(exc).__name__}: {exc}"))
+        assert raised == []
+        assert accepted == set(ANALYSES)
+
 
 class TestRunner:
     def test_tiny_run_produces_outputs(self, tmp_path):
@@ -615,12 +699,22 @@ class TestRunner:
             for psi, k in zip(picked, want):
                 assert np.array_equal(psi, vecs[:, k]), name
 
-    def test_raising_stage_still_writes_the_manifest(self, tmp_path, capsys):
-        # the last sweep point overflows; bands cannot track across it
+    def test_raising_stage_still_writes_the_manifest(self, tmp_path, capsys, monkeypatch):
+        # the sweep points past jz = 1 warn and then fail their completeness
+        # check; bands cannot track across them
         raw = {"model": "aah", "layout": {"n_s": 2, "n_b": 2}, "time": 100.0,
                "params": {"j2": 1.0, "jzz": 0.1, "jz": 0.1},
                "analyses": ["complex_count", "bands"],
-               "sweep": {"parameter": "jz", "start": 0.1, "stop": 1e307, "points": 3}}
+               "sweep": {"parameter": "jz", "start": 0.1, "stop": 10.0, "points": 3}}
+        original = runner.build_channel
+
+        def failing_past_one(config, overrides=None, real=False):
+            if overrides and overrides["jz"] > 1.0:
+                warnings.warn(f"jz = {overrides['jz']} is past 1", RuntimeWarning)
+                raise CompletenessError("sum K^dag K deviates from identity by nan")
+            return original(config, overrides, real)
+
+        monkeypatch.setattr(runner, "build_channel", failing_past_one)
         cfg, out = tmp_path / "cfg.json", tmp_path / "out"
         cfg.write_text(json.dumps(raw))
         with pytest.warns(RuntimeWarning) as reissued:
@@ -1052,6 +1146,27 @@ class TestEpPipeline:
         assert calls == {"superoperator_matrix": 21, "real_reversal_form": 75}
         assert manifest["ep_probes"] == {"near": 68, "full": 0}
 
+    def test_fig4_ep_solves_only_real_arrays(self, tmp_path, monkeypatch):
+        # the EP grid, every bisection probe and the sqrt fit hand numpy.linalg
+        # real arrays only, so a complex shift or start vector fails here
+        names = ("eig", "eigvals", "eigh", "inv", "lstsq")
+        kinds = {name: set() for name in names}
+
+        def recording(name):
+            original = getattr(np.linalg, name)
+
+            def recorded(*args, **kwargs):
+                kinds[name].update(a.dtype.kind for a in args if isinstance(a, np.ndarray))
+                return original(*args, **kwargs)
+
+            return recorded
+
+        for name in names:
+            monkeypatch.setattr(np.linalg, name, recording(name))
+        manifest = run_experiment(preset_config("fig4", ['analyses=["ep"]']), tmp_path)
+        assert not manifest["failures"] and manifest["ep_probes"]["near"] > 0
+        assert kinds == {name: {"f"} for name in names}
+
     def test_each_grid_builds_each_value_once_in_its_own_form(self, tmp_path, monkeypatch):
         calls = []
         original = runner.build_channel
@@ -1103,6 +1218,50 @@ class TestCli:
 
     def test_plots_on_empty_dir_fails(self, tmp_path, capsys):
         assert main(["plots", str(tmp_path)]) == 2
+
+    def test_overflowing_coupling_is_config_error(self, tmp_path, capsys):
+        # jz = 1e307 at t = 100 overflows E t; neither validate nor run accepts it
+        raw = {"model": "aah", "layout": {"n_s": 2, "n_b": 2}, "time": 100.0,
+               "params": {"j2": 1.0, "jzz": 0.1, "jz": 0.1}, "analyses": ["complex_count"],
+               "sweep": {"parameter": "jz", "start": 0.1, "stop": 1e307, "points": 3}}
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(raw))
+        assert main(["validate", str(cfg)]) == 1
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("config.sweep.stop: |1e+307| x max(1, ") == 2
+        assert not out.exists()
+
+    def test_coupling_at_the_bound_runs_without_runtime_warnings(self, tmp_path):
+        # the same sweep ending at the bound: every product stays finite, so
+        # a run with RuntimeWarnings as errors succeeds and records nothing
+        raw = {"model": "aah", "layout": {"n_s": 2, "n_b": 2}, "time": 100.0,
+               "params": {"j2": 1.0, "jzz": 0.1, "jz": 0.1},
+               "analyses": ["complex_count", "bands"],
+               "sweep": {"parameter": "jz", "start": 0.1, "stop": MAX_COUPLING_TIME / 100.0,
+                         "points": 3}}
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(raw))
+        src = str(Path(resetchannel.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                              "resetchannel.cli", "run", str(cfg), "--out", str(out)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [] and manifest["warnings"] == []
+        assert manifest["outputs"] == ["complex_count.csv", "bands.csv"]
+
+    def test_two_site_blockade_chain_cannot_take_scar_overlaps(self, tmp_path, capsys):
+        raw = {"model": "pxp", "layout": {"n_s": 1, "n_b": 1}, "time": 10.0,
+               "params": {"omega_rabi": 1.0}, "analyses": ["scar_overlaps"]}
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(raw))
+        assert main(["validate", str(cfg)]) == 1
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count(
+            "config.layout: scar_overlaps needs n_s + n_b >= 3") == 2
+        assert not out.exists()
 
     def test_xxx_chain_too_short_is_config_error(self, tmp_path, capsys):
         # xxx's three-site term needs three sites; n_s + n_b = 3 is enough

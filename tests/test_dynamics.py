@@ -64,10 +64,9 @@ class TestBathVacuumWeight:
         got = bath_vacuum_weight(vecs, layout)
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-15 * want)
-        # one state still gives a float, with the formula's bits
+        # one state gives the formula's bits too
         for k, weight in enumerate(want):
-            single = bath_vacuum_weight(vecs[:, k], layout)
-            assert type(single) is float and single == weight
+            assert bath_vacuum_weight(vecs[:, k], layout) == weight
 
 
 @pytest.fixture(scope="module", params=["fig2", "fig6"])
@@ -170,13 +169,16 @@ class TestScars:
         basis = ConstrainedBasis(4)
         vec = np.zeros(basis.dim)
         vec[basis.states.index(0b0101)] = 1.0
-        assert abs(half_chain_renyi2(vec, basis)) < 1e-12
+        entropy = half_chain_renyi2(vec[:, None], basis)
+        assert entropy.shape == (1,) and abs(entropy[0]) < 1e-12
 
     def test_block_entropies_equal_per_state_calls(self, pxp_eigensystem):
         _, vecs, basis = pxp_eigensystem
         block = half_chain_renyi2(vecs[:, 10:20], basis)
         assert block.shape == (10,)
-        assert list(block) == [half_chain_renyi2(vecs[:, k], basis) for k in range(10, 20)]
+        singles = [half_chain_renyi2(vecs[:, k:k + 1], basis) for k in range(10, 20)]
+        assert all(single.shape == (1,) for single in singles)
+        assert list(block) == [single[0] for single in singles]
 
     def test_scar_average_of_equal_overlaps(self):
         layout = ChainLayout(1, 1)
