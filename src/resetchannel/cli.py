@@ -11,7 +11,14 @@ import argparse
 import os
 import sys
 
-from .config import PRESETS, ConfigError, list_presets, load_config, preset_config
+from .config import (
+    BLAS_THREAD_VARS,
+    PRESETS,
+    ConfigError,
+    list_presets,
+    load_config,
+    preset_config,
+)
 from .plots import emit_plots
 
 EXIT_OK = 0
@@ -49,8 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "preset" and not args.name and (args.override or args.out is not None):
+            parser.error(f"argument {'--override' if args.override else '--out'}: "
+                         "needs a preset NAME")
     except SystemExit as exc:
         # argparse prints a usage error and exits 2, which would read as a
         # numerical error here; after --help it exits 0
@@ -64,6 +75,10 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.command in ("run", "preset"):
+            # numpy's BLAS reads these once, when it loads: start it at one
+            # thread unless the caller chose a count
+            if "numpy" not in sys.modules and not any(v in os.environ for v in BLAS_THREAD_VARS):
+                os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
             # imported here: it loads numpy, which no other command needs
             from .runner import run_experiment
 

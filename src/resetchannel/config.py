@@ -73,6 +73,9 @@ def _check_positive(params) -> None:
 
 MODEL_PARAMS = {"aah": AahParams, "xxx": XxxParams, "xx": XxParams, "pxp": PxpParams}
 MODELS = tuple(MODEL_PARAMS)
+# the variables a BLAS reads for its thread count when numpy loads; the
+# reference outputs hold at one thread, where the CLI starts a run
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # each analysis and the config section it reads; None where it reads the
 # configured channel
 ANALYSES = {

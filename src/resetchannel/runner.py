@@ -26,7 +26,7 @@ from .channel import (
     reversal_form,
     superoperator_matrix,
 )
-from .config import ANALYSES, MODEL_PARAMS, ExperimentConfig
+from .config import ANALYSES, BLAS_THREAD_VARS, MODEL_PARAMS, ExperimentConfig
 from .dynamics import (
     OVERLAP_MIN_WEIGHT,
     bath_vacuum_weight,
@@ -106,78 +106,40 @@ def spectral_matrix_factory(config: ExperimentConfig, parameter: str, real: bool
     return build
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # where a numpy wheel bundles its 64-bit-integer OpenBLAS
 NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
 
 
-def _openblas(libs: Path) -> dict:
-    """The ``get_num_threads``, ``set_num_threads`` and ``get_config`` of the
-    OpenBLAS ``lib<prefix>64_*`` in ``libs``, typed, from the loaded library;
-    raises OSError where there is none or it does not load, and
-    AttributeError where it lacks one of them."""
-    found = sorted(libs.glob("lib*openblas64_*"))
-    if not found:
-        raise OSError(f"no lib*openblas64_* in {libs}")
-    lib = ctypes.CDLL(str(found[0]))
-    prefix = found[0].name[len("lib"):found[0].name.index("64_")]
-    handle = {}
-    for name, argtypes, restype in (("get_num_threads", [], ctypes.c_int),
-                                    ("set_num_threads", [ctypes.c_int], None),
-                                    ("get_config", [], ctypes.c_char_p)):
-        function = handle[name] = getattr(lib, f"{prefix}_{name}64_")
-        function.argtypes, function.restype = argtypes, restype
-    return handle
-
-
 def _blas_runtime(libs: Path) -> dict:
     """The thread count and configuration string (whose kernel is the one
-    picked on this machine, not the build's) of the OpenBLAS in ``libs``,
-    read from the loaded library; None for both, with the reason under
-    ``"unread"``, where there is none or it lacks the symbols."""
+    picked on this machine, not the build's) of the OpenBLAS
+    ``lib<prefix>64_*`` in ``libs``, read from the loaded library; None for
+    both, with the reason under ``"unread"``, where there is none, it does
+    not load or it lacks the symbols."""
     found = sorted(libs.glob("lib*openblas64_*"))
     record = {"library": found[0].name if found else None, "threads": None,
               "config": None, "unread": None}
     try:
-        blas = _openblas(libs)
+        if not found:
+            raise OSError(f"no lib*openblas64_* in {libs}")
+        lib = ctypes.CDLL(str(found[0]))
+        prefix = found[0].name[len("lib"):found[0].name.index("64_")]
+        threads, config = (getattr(lib, f"{prefix}_{name}64_")
+                           for name in ("get_num_threads", "get_config"))
     except (OSError, AttributeError) as exc:
         record["unread"] = f"{type(exc).__name__}: {exc}"
         return record
-    record.update(threads=blas["get_num_threads"](), config=blas["get_config"]().decode())
+    threads.argtypes = config.argtypes = []
+    threads.restype, config.restype = ctypes.c_int, ctypes.c_char_p
+    record.update(threads=threads(), config=config().decode())
     return record
-
-
-@contextmanager
-def _analysis_blas_threads():
-    """Numpy's OpenBLAS at one thread while the analyses run, so that their
-    outputs do not depend on the core or worker count, and back at its
-    previous count on exit; where one of ``BLAS_THREAD_VARS`` is set, that
-    choice stands and the library keeps its own count. Where the library
-    cannot be set and no variable is set, a ``RuntimeWarning`` says so."""
-    blas = None
-    if not any(var in os.environ for var in BLAS_THREAD_VARS):
-        try:
-            blas = _openblas(NUMPY_LIBS)
-        except (OSError, AttributeError) as exc:
-            warnings.warn(
-                f"BLAS threads not pinned ({exc}): set one of {', '.join(BLAS_THREAD_VARS)}, "
-                "or outputs may depend on the core count", RuntimeWarning)
-    if blas is None:
-        yield
-        return
-    before = blas["get_num_threads"]()
-    blas["set_num_threads"](1)
-    try:
-        yield
-    finally:
-        blas["set_num_threads"](before)
 
 
 def _environment(n_workers: int) -> dict:
     """The settings that decide whether a run reproduces bit for bit: the
     BLAS that numpy links, as built and as it runs (:func:`_blas_runtime`),
     the BLAS thread variables as set (None when unset) and the sweep worker
-    count. :func:`run_experiment` adds ``"analysis_blas_threads"``."""
+    count."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
@@ -201,11 +163,11 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     and the bracket widths, convergence and fit r^2 of ``ep``.
     ``"environment"`` holds the reproducibility settings and ``"warnings"``
     the warnings the run raised, as ``"Category: message"``; they are
-    issued again after the run. Numpy's OpenBLAS runs the analyses at one
-    thread, whatever ``n_workers``, unless a BLAS thread variable is set
-    (see :func:`_analysis_blas_threads`); ``"analysis_blas_threads"`` in
-    ``"environment"`` is the count the analyses ran with, read from the
-    library (None where it cannot be read).
+    issued again after the run. Numpy's BLAS runs the analyses at the
+    thread count it loaded with, whatever ``n_workers``: the one under
+    ``"environment"``. A run started with none of ``BLAS_THREAD_VARS`` set
+    warns, as its outputs may then depend on the core count; the CLI sets
+    them to one before numpy loads.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -227,10 +189,11 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     caught: list[warnings.WarningMessage] = []
     try:
         with warnings.catch_warnings(record=True) as caught:
-            with _analysis_blas_threads():
-                manifest["environment"]["analysis_blas_threads"] = (
-                    _blas_runtime(NUMPY_LIBS)["threads"])
-                _run_analyses(config, out, manifest, n_workers)
+            if not any(var in os.environ for var in BLAS_THREAD_VARS):
+                warnings.warn(f"BLAS threads not pinned: set one of {', '.join(BLAS_THREAD_VARS)} "
+                              "before numpy loads, or outputs may depend on the core count",
+                              RuntimeWarning)
+            _run_analyses(config, out, manifest, n_workers)
     finally:
         # also when the run fails: the manifest is written, the warnings issued again
         manifest["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]

@@ -2,11 +2,22 @@
 state helpers, and the loader of the benchmark's modules."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+
+from resetchannel.config import BLAS_THREAD_VARS, AahParams, XxxParams
+
+# The reference outputs hold at one BLAS thread. As the CLI does, start the
+# BLAS there unless a variable is set; numpy reads them once, when it loads,
+# and so do the fresh interpreters the tests start, which inherit them.
+assert "numpy" not in sys.modules, "numpy loaded before the BLAS thread variables were set"
+if not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+import numpy as np
 from scipy.stats import unitary_group
 
 from resetchannel.channel import (
@@ -16,7 +27,6 @@ from resetchannel.channel import (
     reversal_form,
     superoperator_matrix,
 )
-from resetchannel.config import AahParams, XxxParams
 from resetchannel.hamiltonians import build_aah, build_xxx
 from resetchannel.spectra import full_spectrum
 from resetchannel.spin_ops import ChainLayout, partial_trace, pauli_sum, site_signs

@@ -21,6 +21,7 @@ from resetchannel.cli import main
 from resetchannel.config import (
     _PRESET_TABLE,
     ANALYSES,
+    BLAS_THREAD_VARS,
     MAX_COUPLING_TIME,
     MODELS,
     PRESETS,
@@ -518,7 +519,7 @@ class TestRunner:
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         manifest = run_experiment(validate_config(TINY_CONFIG), tmp_path, n_workers=2)
         env = manifest["environment"]
-        assert set(env) == {"blas", "blas_threads", "n_workers", "analysis_blas_threads"}
+        assert set(env) == {"blas", "blas_threads", "n_workers"}
         assert set(env["blas"]) == {"name", "version", "runtime"}
         runtime = env["blas"]["runtime"]
         assert set(runtime) == {"library", "threads", "config", "unread"}
@@ -534,9 +535,6 @@ class TestRunner:
         assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
         assert env["blas_threads"]["MKL_NUM_THREADS"] is None
         assert env["n_workers"] == 2
-        # a set variable leaves the library at its own count; set here, after
-        # the library loaded, it did not choose that count
-        assert env["analysis_blas_threads"] == runtime["threads"]
         assert manifest["warnings"] == []
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk["environment"] == env and on_disk["warnings"] == []
@@ -571,63 +569,26 @@ class TestRunner:
         assert [f"RuntimeWarning: {w.message}" for w in reissued] == expected
 
     def test_thread_policy_warning(self, tmp_path, monkeypatch):
+        # a run started with no BLAS thread variable set warns, whatever the
+        # worker count, and leaves the library at the count it loaded with;
+        # any one variable set is a choice, and the run does not warn
         config = validate_config(TINY_CONFIG)
-        for var in runner.BLAS_THREAD_VARS:
+        for var in BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
-        before = runner._blas_runtime(runner.NUMPY_LIBS)
-        during = []
-        run_analyses = runner._run_analyses
-        monkeypatch.setattr(runner, "_run_analyses", lambda *args: during.append(
-            runner._blas_runtime(runner.NUMPY_LIBS)["threads"]) or run_analyses(*args))
-        if before["unread"] is None:
-            # a settable library and no variable set: the analyses run it at
-            # one thread whatever the worker count, with no warning, and it is
-            # back at its own count afterwards
-            for n_workers in (1, 2):
-                during.clear()
-                manifest = run_experiment(config, tmp_path / f"a{n_workers}", n_workers)
-                assert manifest["warnings"] == [] and during == [1]
-                assert manifest["environment"]["analysis_blas_threads"] == 1
-                assert runner._blas_runtime(runner.NUMPY_LIBS)["threads"] == before["threads"]
-        # a set variable is an explicit choice: the library is left as it is
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        for n_workers in (1, 2):
-            during.clear()
-            manifest = run_experiment(config, tmp_path / f"b{n_workers}", n_workers)
-            assert manifest["warnings"] == [] and during == [before["threads"]]
-            assert manifest["environment"]["analysis_blas_threads"] == before["threads"]
-        # no library to set: the warning fires, whatever the worker count,
-        # unless a variable is set
-        monkeypatch.setattr(runner, "NUMPY_LIBS", tmp_path / "empty")
-        runner.NUMPY_LIBS.mkdir()
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        before = runner._blas_runtime(runner.NUMPY_LIBS)["threads"]
         for n_workers in (1, 2):
             with pytest.warns(RuntimeWarning, match="BLAS threads not pinned") as reissued:
-                manifest = run_experiment(config, tmp_path / f"c{n_workers}", n_workers)
+                manifest = run_experiment(config, tmp_path / f"a{n_workers}", n_workers)
             assert len(manifest["warnings"]) == 1
             assert manifest["warnings"][0].startswith("RuntimeWarning: BLAS threads not pinned")
+            assert all(var in manifest["warnings"][0] for var in BLAS_THREAD_VARS)
             assert [f"RuntimeWarning: {w.message}" for w in reissued] == manifest["warnings"]
-            assert manifest["environment"]["analysis_blas_threads"] is None
-        monkeypatch.setenv("OMP_NUM_THREADS", "4")
-        assert run_experiment(config, tmp_path / "d", n_workers=2)["warnings"] == []
-
-    def test_blas_threads_restored_when_run_raises(self, tmp_path, monkeypatch):
-        for var in runner.BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        before = runner._blas_runtime(runner.NUMPY_LIBS)
-        if before["unread"] is not None:
-            pytest.skip(f"numpy's OpenBLAS cannot be set: {before['unread']}")
-        during = []
-
-        def failing(*args):
-            during.append(runner._blas_runtime(runner.NUMPY_LIBS)["threads"])
-            raise FloatingPointError("analysis failed")
-
-        monkeypatch.setattr(runner, "_run_analyses", failing)
-        with pytest.raises(FloatingPointError, match="analysis failed"):
-            run_experiment(validate_config(TINY_CONFIG), tmp_path)
-        assert during == [1]
-        assert runner._blas_runtime(runner.NUMPY_LIBS)["threads"] == before["threads"]
+            assert manifest["environment"]["blas"]["runtime"]["threads"] == before
+            assert runner._blas_runtime(runner.NUMPY_LIBS)["threads"] == before
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "2")
+            assert run_experiment(config, tmp_path / var, n_workers=2)["warnings"] == []
+            monkeypatch.delenv(var)
 
     def test_fig2_reads_no_inverse_or_svd(self, tmp_path, monkeypatch):
         # spectrum, histogram and overlaps read eigenvalues, right
@@ -894,25 +855,37 @@ class TestRunner:
         runs = {"fig2-ns5": ["fig2", ["layout.n_s=5"]], "fig4": ["fig4", []],
                 "fig6": ["fig6", []], "fig7": ["fig7", []], "fig8": ["fig8", []],
                 "fig9": ["fig9", []]}
-        manifests, _ = _reference_runs(runs, tmp_path, monkeypatch, blas_threads="1")
+        manifests = _reference_runs(runs, tmp_path, monkeypatch,
+                                    dict.fromkeys(BLAS_THREAD_VARS, "1"))
         for manifest in manifests.values():
             runtime = manifest["environment"]["blas"]["runtime"]
             # the thread count the library runs with, as pinned at start-up
             assert runtime["threads"] == 1 or runtime["unread"] is not None
 
     def test_default_run_reproduces_reference(self, tmp_path, monkeypatch):
-        # with the BLAS thread variables unset the library starts at one
-        # thread per core; the run pins it to one thread for its analyses and
-        # then restores it. On a one-core machine it starts at one thread and
-        # this test passes trivially; on more cores fig9's bands move when
-        # the library is left at its own count.
-        if runner._blas_runtime(runner.NUMPY_LIBS)["unread"] is not None:
-            pytest.skip("numpy's OpenBLAS cannot be set")
-        manifests, threads = _reference_runs({"fig9": ["fig9", []]}, tmp_path, monkeypatch,
-                                             blas_threads=None)
-        assert manifests["fig9"]["environment"]["analysis_blas_threads"] == 1
-        before, after = threads["fig9"]
-        assert after == before == manifests["fig9"]["environment"]["blas"]["runtime"]["threads"]
+        # with the BLAS thread variables unset the library would start at one
+        # thread per core, and on more than one core fig9's bands move; the
+        # CLI sets all three to one before numpy loads
+        manifest = _reference_runs({"fig9": ["fig9", []]}, tmp_path, monkeypatch, {})["fig9"]
+        runtime = manifest["environment"]["blas"]["runtime"]
+        assert runtime["threads"] == 1 or runtime["unread"] is not None
+        assert manifest["environment"]["blas_threads"] == dict.fromkeys(BLAS_THREAD_VARS, "1")
+        assert manifest["warnings"] == []
+
+    def test_cli_keeps_a_chosen_thread_count(self, tmp_path):
+        # one variable set is the caller's choice: the CLI sets none of the
+        # others, the library runs at that count (capped at the cores it
+        # may use) and the run does not warn
+        cfg, out = tmp_path / "tiny.json", tmp_path / "out"
+        cfg.write_text(json.dumps(TINY_CONFIG))
+        _cli(["run", str(cfg), "--out", str(out)], {"OPENBLAS_NUM_THREADS": "2"})
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"]["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+        runtime = manifest["environment"]["blas"]["runtime"]
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert runtime["threads"] == min(2, cores) or runtime["unread"] is not None
+        assert manifest["warnings"] == []
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = validate_config(TINY_CONFIG)
@@ -922,44 +895,32 @@ class TestRunner:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-# runs each preset of the JSON {label: [preset, overrides]} in argv[2] into
-# <argv[1]>/<label> with one sweep worker; prints {label: [the library's
-# thread count before the run, after it]}
-REFERENCE_RUNS = """
-import json, sys
-from resetchannel.config import preset_config
-from resetchannel.runner import NUMPY_LIBS, _blas_runtime, run_experiment
-threads = {}
-for label, (name, overrides) in json.loads(sys.argv[2]).items():
-    before = _blas_runtime(NUMPY_LIBS)["threads"]
-    run_experiment(preset_config(name, overrides), f"{sys.argv[1]}/{label}", 1)
-    threads[label] = [before, _blas_runtime(NUMPY_LIBS)["threads"]]
-print(json.dumps(threads))
-"""
+def _cli(argv, blas_threads):
+    """``resetchannel.cli`` on ``argv`` in a fresh interpreter whose BLAS
+    thread variables are exactly ``blas_threads``; asserts exit 0."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(blas_threads)
+    src = str(Path(resetchannel.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-m", "resetchannel.cli", *argv],
+                         env=env, capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
 
 
 def _reference_runs(runs, tmp_path, monkeypatch, blas_threads):
-    """Run ``runs`` through ``REFERENCE_RUNS`` in a fresh interpreter with
-    every BLAS thread variable set to ``blas_threads`` (unset for None),
-    check each run against its reference, and return the manifests and the
-    printed thread counts, both by label."""
+    """Run each preset of ``runs`` ({label: [preset, overrides]}) into
+    ``tmp_path/<label>`` through the CLI (see :func:`_cli`), check each run
+    against its reference, and return the manifests by label."""
     check = bench_module("check", monkeypatch)
-    env = {k: v for k, v in os.environ.items() if k not in runner.BLAS_THREAD_VARS}
-    if blas_threads is not None:
-        env.update({var: blas_threads for var in runner.BLAS_THREAD_VARS})
-    src = str(Path(resetchannel.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-c", REFERENCE_RUNS, str(tmp_path),
-                          json.dumps(runs)],
-                         env=env, capture_output=True, text=True, timeout=600)
-    assert res.returncode == 0, res.stderr
     index, manifests = check.load_index(), {}
     for label, (name, overrides) in runs.items():
         config, out = preset_config(name, overrides), tmp_path / label
+        _cli(["preset", name, "--out", str(out),
+              *(arg for o in overrides for arg in ("--override", o))], blas_threads)
         assert index[label]["config_hash"] == config.config_hash(), label
         manifests[label] = json.loads((out / "manifest.json").read_text())
         assert check.check_run(label, config, out, manifests[label], index) == [], label
-    return manifests, json.loads(res.stdout)
+    return manifests
 
 
 SWEEP_CONFIG = {
@@ -1183,14 +1144,21 @@ class TestEpPipeline:
         assert ep_builds[:11] == ep_values and len(ep_builds) > 11  # grid, then probes
         assert all(ep_builds.count(v) == 1 for v in ep_values)
 
-    @pytest.mark.parametrize("analyses, n_workers", [(["bands", "ep"], 1), (["ep"], 2)],
-                             ids=["after-bands", "two-workers"])
-    def test_ep_outputs_independent_of_sweep_and_workers(self, tmp_path, analyses, n_workers):
-        run_experiment(validate_config(self.RAW), tmp_path / "ep")
-        run_experiment(validate_config(dict(self.RAW, analyses=analyses)),
+    # each output of the base analyses at one worker, against a run of the
+    # variant analyses; the sweep grid's bit-pinned files at two workers too
+    @pytest.mark.parametrize("base, variant, n_workers", [
+        (["ep"], ["bands", "ep"], 1), (["ep"], ["ep"], 2),
+        (["complex_count", "bands"], ["complex_count", "bands"], 2),
+    ], ids=["after-bands", "two-workers", "sweep-two-workers"])
+    def test_ep_outputs_independent_of_sweep_and_workers(self, tmp_path, base, variant,
+                                                          n_workers):
+        outputs = run_experiment(validate_config(dict(self.RAW, analyses=base)),
+                                 tmp_path / "base")["outputs"]
+        run_experiment(validate_config(dict(self.RAW, analyses=variant)),
                        tmp_path / "variant", n_workers=n_workers)
-        for name in ("eps.csv", "ep_fit_points.csv"):
-            assert (tmp_path / "ep" / name).read_bytes() == (
+        assert len(outputs) == 2
+        for name in outputs:
+            assert (tmp_path / "base" / name).read_bytes() == (
                 tmp_path / "variant" / name).read_bytes()
 
 
@@ -1321,6 +1289,8 @@ class TestCli:
         assert main(["preset", "--list"]) == 0
         out = capsys.readouterr().out
         assert out.count(":") >= 8 and "fig2" in out
+        assert main(["preset"]) == 0  # no NAME and no run option: the list too
+        assert capsys.readouterr().out == out
         # run and preset share --out and --threads, with their help texts
         for command in ("preset", "run"):
             with pytest.raises(SystemExit) as exited:
@@ -1335,13 +1305,18 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["preset", "fig3", "--threads", "abc"], "argument --threads: invalid int value: 'abc'"),
         (["bogus"], "argument command: invalid choice: 'bogus'"),
+        # a run option with no preset to run: neither listed nor dropped
+        (["preset", "--override", "time=5"], "argument --override: needs a preset NAME"),
+        (["preset", "--out", "runs/x"], "argument --out: needs a preset NAME"),
     ])
     def test_usage_error_is_config_error(self, capsys, argv, message):
         # exit 2 is a numerical error here, so a usage error exits 1, with
         # argparse's usage line and message
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage: resetchannel") and f"error: {message}" in err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: resetchannel")
+        assert f"error: {message}" in captured.err
 
     def test_thread_count_below_one_counts_as_one(self, tmp_path, monkeypatch):
         workers = []
