@@ -26,10 +26,12 @@ class CompletenessError(RuntimeError):
 @dataclass
 class Propagator:
     """Evolution operator U = V exp(-i E t) V^dag for one Floquet period,
-    held as the energies ``vals`` and eigenvectors ``vecs`` of the
-    Hamiltonian; U itself is never formed (see :meth:`columns`). Its
-    unitarity deviation is |V^dag V - I| (Frobenius norm) of the
-    eigenvectors, in real arithmetic when V is exactly real (see
+    held as m energies ``vals`` and eigenvectors ``vecs`` of the
+    Hamiltonian, a (dim, m) isometry: all dim eigenvectors, or, from a
+    solve narrowed by a reach (see :func:`propagate`), those of the
+    sectors whose columns of U are read. U itself is never formed (see
+    :meth:`columns`). Its unitarity deviation is |V^dag V - I_m|
+    (Frobenius norm), in real arithmetic when V is exactly real (see
     :func:`drop_zero_imag`)."""
 
     vals: np.ndarray
@@ -45,7 +47,8 @@ class Propagator:
         self.unitarity_deviation = dev
 
     def columns(self, idx) -> np.ndarray:
-        """U[:, idx], and only those columns of U."""
+        """U[:, idx], and only those columns of U; exact where each state of
+        ``idx`` lies in the range of ``vecs``."""
         return (self.vecs * np.exp(-1j * self.vals * self.t)) @ self.vecs[idx].conj().T
 
 
@@ -92,10 +95,13 @@ class SuperoperatorMatrix:
         return int(round(np.sqrt(self.mat.shape[0])))
 
 
-def propagate(h: np.ndarray, t: float) -> Propagator:
+def propagate(h: np.ndarray, t: float, reach=None) -> Propagator:
     """exp(-i H t) as the Hermitian eigensystem of H, solved in the
-    arithmetic of H's dtype (see :func:`hermitian_eigensystem`)."""
-    return Propagator(*hermitian_eigensystem(h), t)
+    arithmetic of H's dtype (see :func:`hermitian_eigensystem`). With
+    ``reach``, basis-state indices, a sector solve keeps only the sectors
+    holding them, and the propagator is the isometry onto those sectors:
+    its :meth:`Propagator.columns` at ``reach`` are still U's."""
+    return Propagator(*hermitian_eigensystem(h, reach), t)
 
 
 def joint_index_table(layout: ChainLayout) -> np.ndarray:
@@ -109,20 +115,23 @@ def joint_index_table(layout: ChainLayout) -> np.ndarray:
     return np.where(joint[idx] == bits, idx, -1)
 
 
-def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:
+def kraus_from_unitary(prop: Propagator, layout: ChainLayout,
+                       table: np.ndarray | None = None) -> KrausSet:
     """Extract the bath-reset Kraus set K_m = <m|U|0...0> from a joint
     propagator: the bath resets to all |0>.
 
     Only the d_s columns of U with the bath in its reset state are formed
-    (row 0 of :func:`joint_index_table`; the all-|0> bath never breaks the
-    blockade). For a constrained layout, joint configurations whose
-    system/bath boundary violates the blockade carry zero amplitude; the
-    Kraus list runs over the constrained bath configurations.
+    (row 0 of :func:`joint_index_table`, passed as ``table`` by a caller
+    that has it; the all-|0> bath never breaks the blockade). For a
+    constrained layout, joint configurations whose system/bath boundary
+    violates the blockade carry zero amplitude; the Kraus list runs over
+    the constrained bath configurations.
     """
-    if len(prop.vals) != layout.dim_joint:
-        raise ValueError(f"propagator dim {len(prop.vals)} does not match layout "
+    if len(prop.vecs) != layout.dim_joint:
+        raise ValueError(f"propagator dim {len(prop.vecs)} does not match layout "
                          f"joint dim {layout.dim_joint}")
-    table = joint_index_table(layout)
+    if table is None:
+        table = joint_index_table(layout)
     w = prop.columns(table[0])
     # a zero last row, read wherever the table holds -1
     w = np.vstack([w, np.zeros((1, layout.dim_s))])

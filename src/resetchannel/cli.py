@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     running = argparse.ArgumentParser(add_help=False)  # the options of run and preset
     running.add_argument("--out", default=None, help="output directory (default: runs/<name>)")
-    running.add_argument("--threads", type=int, default=1,
+    running.add_argument("--threads", type=int, default=None,
                          help="worker threads for sweeps (default: 1)")
 
     p_run = sub.add_parser("run", parents=[running], help="run an experiment from a JSON config")
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset = sub.add_parser("preset", parents=[running], help="run a named preset")
     p_preset.add_argument("name", nargs="?", help=f"preset name ({', '.join(sorted(PRESETS))})")
     p_preset.add_argument("--list", action="store_true", help="list available presets")
-    p_preset.add_argument("--override", action="append", default=[],
+    p_preset.add_argument("--override", action="append", default=None,
                           metavar="KEY=VALUE", help="override a config entry (dotted path)")
 
     p_val = sub.add_parser("validate", help="validate a JSON config")
@@ -59,9 +59,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "preset" and not args.name and (args.override or args.out is not None):
-            parser.error(f"argument {'--override' if args.override else '--out'}: "
-                         "needs a preset NAME")
+        if args.command in ("run", "preset") and args.threads is not None and args.threads < 1:
+            parser.error(f"argument --threads: must be at least 1, got {args.threads}")
+        if args.command == "preset" and not args.name:
+            # a run option with no preset to run: neither listed nor dropped
+            given = [opt for opt in ("--override", "--out", "--threads")
+                     if getattr(args, opt[2:]) is not None]
+            if given:
+                parser.error(f"argument {given[0]}: needs a preset NAME")
     except SystemExit as exc:
         # argparse prints a usage error and exits 2, which would read as a
         # numerical error here; after --help it exits 0
@@ -85,7 +90,7 @@ def main(argv=None) -> int:
             config = (load_config(args.config) if args.command == "run"
                       else preset_config(args.name, args.override))
             out = args.out or os.path.join("runs", config.name)
-            manifest = run_experiment(config, out, max(1, args.threads))
+            manifest = run_experiment(config, out, args.threads or 1)
             print(f"{config.name}: wrote {len(manifest['outputs'])} files to {out}")
             return EXIT_OK
 

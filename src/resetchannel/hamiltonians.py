@@ -76,10 +76,13 @@ def _sectors(n_sites: int) -> tuple[np.ndarray, ...]:
     return members
 
 
-def _sector_eigensystem(h: np.ndarray, n_sites: int):
+def _sector_eigensystem(h: np.ndarray, n_sites: int, reach=None):
     """Eigensystem of a real symmetric ``h`` on the qubit basis of ``n_sites``
     sites, solved one total-S_z sector at a time (see :func:`_sectors`), or
     None when an entry between two different sectors is not exactly zero.
+    With ``reach``, basis-state indices, only the sectors holding one of
+    them are solved, and the eigenvectors are the (dim, m) columns of an
+    isometry onto those sectors.
 
     The stable sort keeps the sector order among equal energies.
     """
@@ -87,11 +90,15 @@ def _sector_eigensystem(h: np.ndarray, n_sites: int):
     blocks = [h[np.ix_(idx, idx)] for idx in members]
     if np.count_nonzero(h) != sum(np.count_nonzero(b) for b in blocks):
         return None
+    if reach is not None:
+        reached = {int(s).bit_count() for s in reach}  # sector k: the states with k 1 bits
+        members = [idx for k, idx in enumerate(members) if k in reached]
+        blocks = [b for k, b in enumerate(blocks) if k in reached]
     solved = [np.linalg.eigh(b) for b in blocks]
     vals = np.concatenate([w for w, _ in solved])  # in sector order
     ascending = np.argsort(vals, kind="stable")
     column = np.argsort(ascending)  # where each sector-order pair lands
-    out, lo = np.zeros(h.shape), 0
+    out, lo = np.zeros((len(h), len(vals))), 0
     for idx, (_, v) in zip(members, solved):
         out[np.ix_(idx, column[lo:lo + len(idx)])] = v
         lo += len(idx)
@@ -116,7 +123,7 @@ def require_hermitian(x: np.ndarray) -> None:
             raise ValueError("operator is not Hermitian within tolerance")
 
 
-def hermitian_eigensystem(h: np.ndarray):
+def hermitian_eigensystem(h: np.ndarray, reach=None):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
     matrix; rejects others (see :func:`require_hermitian`).
 
@@ -128,6 +135,12 @@ def hermitian_eigensystem(h: np.ndarray):
     solved one sector at a time, with the eigenvectors embedded in the full
     basis; no tolerance decides that, so the split is exact for any matrix
     that passes it.
+
+    ``reach``, basis-state indices or None for all, narrows that sector
+    solve to the sectors holding those states: the eigenvectors are then
+    the m orthonormal columns of a (dim, m) isometry, m the summed size of
+    those sectors, enough for the columns of exp(-i H t) at ``reach`` and
+    no more. The full solves ignore it and return every eigenvector.
     """
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -135,7 +148,7 @@ def hermitian_eigensystem(h: np.ndarray):
     require_hermitian(h)
     n_sites = len(h).bit_length() - 1
     if h.dtype == float and len(h) == 1 << n_sites:
-        solved = _sector_eigensystem(h, n_sites)
+        solved = _sector_eigensystem(h, n_sites, reach)
         if solved is not None:
             return solved
     return np.linalg.eigh(h)

@@ -20,6 +20,7 @@ from . import __version__
 from .channel import (
     KrausSet,
     SuperoperatorMatrix,
+    joint_index_table,
     kraus_from_unitary,
     propagate,
     real_reversal_form,
@@ -78,13 +79,19 @@ def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
     than bit for bit (the EP pipeline and the iterated channels): an H whose
     imaginary part is exactly zero then goes to :func:`propagate` as its
     real part, which is solved in real arithmetic. No other function
-    chooses the arithmetic of an H solve."""
+    chooses the arithmetic of an H solve. The real solve also narrows to
+    the states the Kraus extraction reads, row 0 of
+    :func:`joint_index_table` (see :func:`propagate`), so its propagator
+    may hold only the sectors the bath reset reaches."""
     params = dict(config.params)
     if param_overrides:
         params.update(param_overrides)
     layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
     h = build_hamiltonian(config.model, params, layout.n_h)
-    return kraus_from_unitary(propagate(drop_zero_imag(h) if real else h, config.time), layout)
+    table = joint_index_table(layout)
+    prop = (propagate(drop_zero_imag(h), config.time, table[0]) if real
+            else propagate(h, config.time))
+    return kraus_from_unitary(prop, layout, table)
 
 
 def analysis_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
@@ -162,8 +169,9 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     largest eigen-residual, the largest band-matching step of ``bands``,
     and the bracket widths, convergence and fit r^2 of ``ep``.
     ``"environment"`` holds the reproducibility settings and ``"warnings"``
-    the warnings the run raised, as ``"Category: message"``; they are
-    issued again after the run. Numpy's BLAS runs the analyses at the
+    every warning the run raised, whatever the caller's warning filters, as
+    ``"Category: message"``; they are issued again after the run, under
+    those filters. Numpy's BLAS runs the analyses at the
     thread count it loaded with, whatever ``n_workers``: the one under
     ``"environment"``. A run started with none of ``BLAS_THREAD_VARS`` set
     warns, as its outputs may then depend on the core count; the CLI sets
@@ -189,6 +197,7 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     caught: list[warnings.WarningMessage] = []
     try:
         with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             if not any(var in os.environ for var in BLAS_THREAD_VARS):
                 warnings.warn(f"BLAS threads not pinned: set one of {', '.join(BLAS_THREAD_VARS)} "
                               "before numpy loads, or outputs may depend on the core count",

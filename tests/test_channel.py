@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -420,6 +421,63 @@ class TestRealProbeBuilds:
         propagate(h, 10.0)
         with pytest.raises(ValueError, match="not unitary"):
             propagate(h.real, 10.0)
+
+
+# the S_z-conserving point of each chain model: aah (fig8), xxx at jxxx = 0
+# (fig7's configured point) and xx at jxx = jyy (fig9's)
+REACH_PRESETS = {"aah": "fig8", "xxx": "fig7", "xx": "fig9"}
+
+
+class TestReachedSectorBuild:
+    """A real build solves only the magnetization sectors that hold the
+    columns Kraus extraction reads, those with at most n_s 1 bits; the
+    configured channel keeps every eigenstate."""
+
+    @pytest.mark.parametrize("n_s, n_b", [(3, 4), (4, 4), (2, 5), (5, 2)],
+                             ids=["3+4", "4+4", "2+5", "5+2"])
+    @pytest.mark.parametrize("model", REACH_PRESETS)
+    def test_matches_all_sector_solve(self, model, n_s, n_b):
+        config = preset_config(REACH_PRESETS[model], [f"layout.n_s={n_s}", f"layout.n_b={n_b}"])
+        layout = ChainLayout(n_s, n_b)
+        h = build_hamiltonian(config.model, config.params, layout.n_h).real
+        every = kraus_from_unitary(propagate(h, config.time), layout)
+        reached = build_channel(config, real=True)
+        n_reached = sum(math.comb(layout.n_h, k) for k in range(n_s + 1))
+        assert every.propagator.vecs.shape == (layout.dim_joint, layout.dim_joint)
+        assert reached.propagator.vecs.shape == (layout.dim_joint, n_reached)
+        assert max(np.max(np.abs(k - e)) for k, e in zip(reached.ops, every.ops)) <= 1e-12
+        assert np.max(np.abs(real_channel_form(reached) - real_channel_form(every))) <= 1e-12
+
+    @pytest.mark.parametrize("preset, overrides, columns", [
+        ("fig8", {}, 64),  # 1 + 7 + 21 + 35 of 128 states
+        ("fig7", {}, 163),  # 1 + 8 + 28 + 56 + 70 of 256
+        ("fig7", {"jxxx": 2.0}, 256),  # the chaotic case breaks S_z: one full solve
+    ], ids=["fig8", "fig7", "fig7-chaotic"])
+    def test_solved_columns(self, preset, overrides, columns, monkeypatch):
+        sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(len(a)) or eigh(a))
+        config = preset_config(preset)
+        prop = build_channel(config, overrides, real=True).propagator
+        assert sum(sizes) == len(prop.vals) == columns
+        assert prop.vecs.shape == (2 ** (config.n_s + config.n_b), columns)
+
+    @pytest.mark.parametrize("preset, overrides, analysis", [
+        ("fig2", ["params.jxxx=0"], "overlaps"),  # an S_z-conserving H
+        ("fig6", [], "scar_overlaps"),
+    ])
+    def test_configured_channel_keeps_every_eigenstate(self, preset, overrides, analysis,
+                                                       monkeypatch, tmp_path):
+        config = preset_config(preset, overrides + [f"analyses=[\"{analysis}\"]"])
+        dim = len(build_channel(config).propagator.vals)
+        shapes = []  # of the eigenvectors, the second-to-last argument of both
+        for name in ("bath_vacuum_weight", "scar_candidates"):
+            original = getattr(runner, name)
+            monkeypatch.setattr(runner, name, lambda *args, f=original: (
+                shapes.append(args[-2].shape) or f(*args)))
+        runner.run_experiment(config, tmp_path)
+        assert shapes == [(dim, dim)]
+        assert dim == ChainLayout(config.n_s, config.n_b, config.model == "pxp").dim_joint
 
 
 class TestRealReversalForm:

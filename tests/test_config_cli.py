@@ -590,6 +590,20 @@ class TestRunner:
             assert run_experiment(config, tmp_path / var, n_workers=2)["warnings"] == []
             monkeypatch.delenv(var)
 
+    def test_manifest_records_warnings_the_caller_ignores(self, tmp_path, monkeypatch):
+        # the caller's filters decide what is issued again after the run,
+        # not what the manifest lists
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        with warnings.catch_warnings(record=True) as reissued:
+            warnings.simplefilter("ignore")
+            manifest = run_experiment(validate_config(TINY_CONFIG), tmp_path)
+        assert reissued == []
+        assert len(manifest["warnings"]) == 1
+        assert manifest["warnings"][0].startswith("RuntimeWarning: BLAS threads not pinned")
+        assert json.loads((tmp_path / "manifest.json").read_text())["warnings"] == \
+            manifest["warnings"]
+
     def test_fig2_reads_no_inverse_or_svd(self, tmp_path, monkeypatch):
         # spectrum, histogram and overlaps read eigenvalues, right
         # eigenoperators and residuals only: the left side stays unbuilt
@@ -1308,6 +1322,10 @@ class TestCli:
         # a run option with no preset to run: neither listed nor dropped
         (["preset", "--override", "time=5"], "argument --override: needs a preset NAME"),
         (["preset", "--out", "runs/x"], "argument --out: needs a preset NAME"),
+        (["preset", "--threads", "4"], "argument --threads: needs a preset NAME"),
+        (["preset", "fig3", "--threads", "0"], "argument --threads: must be at least 1, got 0"),
+        (["run", "cfg.json", "--threads", "-3"],
+         "argument --threads: must be at least 1, got -3"),
     ])
     def test_usage_error_is_config_error(self, capsys, argv, message):
         # exit 2 is a numerical error here, so a usage error exits 1, with
@@ -1318,7 +1336,7 @@ class TestCli:
         assert captured.err.startswith("usage: resetchannel")
         assert f"error: {message}" in captured.err
 
-    def test_thread_count_below_one_counts_as_one(self, tmp_path, monkeypatch):
+    def test_thread_count_reaches_the_run(self, tmp_path, monkeypatch):
         workers = []
 
         def run_experiment(config, out, n_workers):
@@ -1328,9 +1346,10 @@ class TestCli:
         # the CLI imports it from the runner when a run starts
         monkeypatch.setattr(runner, "run_experiment", run_experiment)
         for raw in ("0", "-3", "3"):
-            assert main(["preset", "fig3", "--threads", raw, "--out", str(tmp_path)]) == 0
+            expected = 0 if raw == "3" else 1  # below one is a usage error, and no run
+            assert main(["preset", "fig3", "--threads", raw, "--out", str(tmp_path)]) == expected
         assert main(["preset", "fig3", "--out", str(tmp_path)]) == 0
-        assert workers == [1, 1, 3, 1]
+        assert workers == [3, 1]
 
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys, command):

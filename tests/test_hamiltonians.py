@@ -267,14 +267,14 @@ class TestEigensystem:
             hermitian_eigensystem(h.real if real else h)
 
 
-def solve_shapes(monkeypatch, h):
-    """The eigensystem of ``h``, solved in the arithmetic of its dtype, and
-    the shapes of the arrays that ``np.linalg.eigh`` was called on to get
-    it."""
+def solve_shapes(monkeypatch, h, reach=None):
+    """The eigensystem of ``h`` (narrowed to ``reach``), solved in the
+    arithmetic of its dtype, and the shapes of the arrays that
+    ``np.linalg.eigh`` was called on to get it."""
     shapes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
-    result = hermitian_eigensystem(h)
+    result = hermitian_eigensystem(h, reach)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     return result, shapes
 
@@ -309,6 +309,27 @@ class TestSectorEigensystem:
         u = Propagator(vals, vecs, 100.0).columns(cols)
         u_full = Propagator(full_vals, full_vecs, 100.0).columns(cols)
         assert np.max(np.abs(u - u_full)) < 1e-12
+
+    @pytest.mark.parametrize("case", SECTOR_CASES)
+    def test_reach_of_every_sector_is_bit_for_bit(self, case):
+        h = SECTOR_CASES[case]().real
+        n_sites = len(h).bit_length() - 1
+        every = [(1 << k) - 1 for k in range(n_sites + 1)]  # one state per count of 1 bits
+        vals, vecs = hermitian_eigensystem(h)
+        reached_vals, reached_vecs = hermitian_eigensystem(h, every)
+        assert np.array_equal(reached_vals, vals) and np.array_equal(reached_vecs, vecs)
+
+    def test_reach_solves_only_its_sectors(self, monkeypatch):
+        h = SECTOR_CASES["aah-7"]().real
+        reach = [0, 3, 5]  # |0000000>, |0000011>, |0000101>: no 1 bits, then two
+        (vals, vecs), shapes = solve_shapes(monkeypatch, h, reach)
+        assert shapes == [(1, 1), (21, 21)]
+        assert vecs.shape == (len(h), 22) and np.all(np.diff(vals) >= 0)
+        assert np.linalg.norm(vecs.T @ vecs - np.eye(22)) < 1e-12
+        full_vals, full_vecs = hermitian_eigensystem(h)
+        assert np.isin(vals, full_vals).all()  # each sector's own eigh, bit for bit
+        u = Propagator(vals, vecs, 100.0).columns(reach)
+        assert np.max(np.abs(u - Propagator(full_vals, full_vecs, 100.0).columns(reach))) < 1e-12
 
     def test_dtype_decides_the_solve(self, monkeypatch):
         # the builders return a complex H; its real part takes the sector
@@ -351,6 +372,9 @@ class TestSectorEigensystem:
         assert shapes == [(len(h), len(h))]
         recon = (vecs * vals) @ vecs.conj().T
         assert np.linalg.norm(recon - h) < 1e-12 * np.linalg.norm(h)
+        # a full solve ignores a reach and returns every eigenvector
+        (r_vals, r_vecs), r_shapes = solve_shapes(monkeypatch, h, [0])
+        assert r_shapes == shapes and np.array_equal(r_vals, vals) and np.array_equal(r_vecs, vecs)
 
     def test_blockade_hamiltonian_of_qubit_dimension_is_exact(self):
         # 4 blockade sites span F(6) = 8 states, the dimension of 3 qubits,
