@@ -29,7 +29,7 @@ class Propagator:
     held as m energies ``vals`` and eigenvectors ``vecs`` of the
     Hamiltonian, a (dim, m) isometry: all dim eigenvectors, or, from a
     solve narrowed by a reach (see :func:`propagate`), those of the
-    sectors whose columns of U are read. U itself is never formed (see
+    blocks of H whose columns of U are read. U itself is never formed (see
     :meth:`columns`). Its unitarity deviation is |V^dag V - I_m|
     (Frobenius norm), in real arithmetic when V is exactly real (see
     :func:`drop_zero_imag`)."""
@@ -98,9 +98,10 @@ class SuperoperatorMatrix:
 def propagate(h: np.ndarray, t: float, reach=None) -> Propagator:
     """exp(-i H t) as the Hermitian eigensystem of H, solved in the
     arithmetic of H's dtype (see :func:`hermitian_eigensystem`). With
-    ``reach``, basis-state indices, a sector solve keeps only the sectors
-    holding them, and the propagator is the isometry onto those sectors:
-    its :meth:`Propagator.columns` at ``reach`` are still U's."""
+    ``reach``, basis-state indices, a real solve keeps only the blocks of H
+    (the connected components of its nonzero entries) holding them, and
+    the propagator is the isometry onto those blocks: its
+    :meth:`Propagator.columns` at ``reach`` are still U's."""
     return Propagator(*hermitian_eigensystem(h, reach), t)
 
 

@@ -61,12 +61,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command in ("run", "preset") and args.threads is not None and args.threads < 1:
             parser.error(f"argument --threads: must be at least 1, got {args.threads}")
-        if args.command == "preset" and not args.name:
-            # a run option with no preset to run: neither listed nor dropped
-            given = [opt for opt in ("--override", "--out", "--threads")
-                     if getattr(args, opt[2:]) is not None]
+        if args.command == "preset" and (args.list or not args.name):
+            # a NAME or a run option with nothing to run: neither listed nor dropped
+            given = [opt for opt, value in (("name", args.name or None),
+                                            ("--override", args.override),
+                                            ("--out", args.out), ("--threads", args.threads))
+                     if value is not None]
             if given:
-                parser.error(f"argument {given[0]}: needs a preset NAME")
+                why = "not allowed with argument --list" if args.list else "needs a preset NAME"
+                parser.error(f"argument {given[0]}: {why}")
     except SystemExit as exc:
         # argparse prints a usage error and exits 2, which would read as a
         # numerical error here; after --help it exits 0

@@ -8,12 +8,10 @@ for PXP); hbar = 1. Chains are open.
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
 from .config import AahParams, PxpParams, XxParams, XxxParams
-from .spin_ops import ConstrainedBasis, pauli_sum, site_signs
+from .spin_ops import ConstrainedBasis, pauli_sum
 
 HERMITIAN_RTOL = 1e-10  # |H - H^dag| relative to max(|H|, 1)
 
@@ -64,45 +62,25 @@ def build_pxp(params: PxpParams, n_sites: int) -> np.ndarray:
     return pauli_sum(terms, n_sites, ConstrainedBasis(n_sites).states)
 
 
-@cache
-def _sectors(n_sites: int) -> tuple[np.ndarray, ...]:
-    """The total-S_z sectors of ``n_sites`` qubits: the states of each, in
-    ascending index, in ascending count of 1 bits. Made once per chain size
-    and read-only, since every real solve of that size shares them."""
-    ones = (n_sites - site_signs(np.arange(2 ** n_sites), n_sites).sum(axis=0)) // 2
-    members = tuple(np.flatnonzero(ones == k) for k in range(n_sites + 1))
-    for idx in members:
-        idx.flags.writeable = False
-    return members
-
-
-def _sector_eigensystem(h: np.ndarray, n_sites: int, reach=None):
-    """Eigensystem of a real symmetric ``h`` on the qubit basis of ``n_sites``
-    sites, solved one total-S_z sector at a time (see :func:`_sectors`), or
-    None when an entry between two different sectors is not exactly zero.
-    With ``reach``, basis-state indices, only the sectors holding one of
-    them are solved, and the eigenvectors are the (dim, m) columns of an
-    isometry onto those sectors.
-
-    The stable sort keeps the sector order among equal energies.
-    """
-    members = _sectors(n_sites)
-    blocks = [h[np.ix_(idx, idx)] for idx in members]
-    if np.count_nonzero(h) != sum(np.count_nonzero(b) for b in blocks):
-        return None
-    if reach is not None:
-        reached = {int(s).bit_count() for s in reach}  # sector k: the states with k 1 bits
-        members = [idx for k, idx in enumerate(members) if k in reached]
-        blocks = [b for k, b in enumerate(blocks) if k in reached]
-    solved = [np.linalg.eigh(b) for b in blocks]
-    vals = np.concatenate([w for w, _ in solved])  # in sector order
-    ascending = np.argsort(vals, kind="stable")
-    column = np.argsort(ascending)  # where each sector-order pair lands
-    out, lo = np.zeros((len(h), len(vals))), 0
-    for idx, (_, v) in zip(members, solved):
-        out[np.ix_(idx, column[lo:lo + len(idx)])] = v
-        lo += len(idx)
-    return vals[ascending], out
+def _components(h: np.ndarray, reach=None) -> list[np.ndarray]:
+    """The connected components of the graph whose edges are the nonzero
+    entries of ``h``, each as its states in ascending index, in ascending
+    order of their first state: all of them, or with ``reach``, basis-state
+    indices, those that hold one of its states. No nonzero entry links two
+    components, so ``h`` is exactly block diagonal on them."""
+    linked = h != 0
+    unseen = np.ones(len(h), dtype=bool)
+    found = []
+    for seed in (range(len(h)) if reach is None else reach):
+        if unseen[seed]:
+            before = unseen.copy()
+            unseen[seed] = False
+            level = [seed]
+            while len(level):  # breadth first: the unseen neighbours of a level
+                level = np.flatnonzero(np.logical_or.reduce(linked[level]) & unseen)
+                unseen[level] = False
+            found.append(np.flatnonzero(before != unseen))
+    return sorted(found, key=lambda idx: idx[0])
 
 
 def drop_zero_imag(x: np.ndarray) -> np.ndarray:
@@ -127,28 +105,38 @@ def hermitian_eigensystem(h: np.ndarray, reach=None):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
     matrix; rejects others (see :func:`require_hermitian`).
 
-    The dtype of ``h`` decides the arithmetic: a complex ``h`` takes the
+    The dtype of ``h`` decides the arithmetic: a complex ``h`` takes one
     complex Hermitian ``eigh``, any other is cast to float64 and takes the
     real symmetric one, which agrees with the complex solve to rounding, not
-    bit for bit. A real ``2**n``-dimensional matrix whose entries between
-    different total-S_z sectors of ``n`` qubits are all exactly zero is
-    solved one sector at a time, with the eigenvectors embedded in the full
-    basis; no tolerance decides that, so the split is exact for any matrix
-    that passes it.
+    bit for bit. A real ``h`` is solved one block at a time, a block being a
+    connected component of its nonzero entries (see :func:`_components`),
+    with the eigenvectors embedded in the full basis; a stable sort of the
+    energies keeps the block order among equal ones. No tolerance decides
+    the split: it is exact because no nonzero entry links two blocks. A
+    real ``h`` of one block takes one ``eigh``.
 
-    ``reach``, basis-state indices or None for all, narrows that sector
-    solve to the sectors holding those states: the eigenvectors are then
-    the m orthonormal columns of a (dim, m) isometry, m the summed size of
-    those sectors, enough for the columns of exp(-i H t) at ``reach`` and
-    no more. The full solves ignore it and return every eigenvector.
+    ``reach``, basis-state indices or None for all, narrows the real solve
+    to the blocks holding those states: the eigenvectors are then the m
+    orthonormal columns of a (dim, m) isometry, m the summed size of those
+    blocks, enough for the columns of exp(-i H t) at ``reach`` and no more.
+    A complex ``h``, or a reach whose blocks cover every state, gives every
+    eigenvector.
     """
     h = np.asarray(h, dtype=complex if np.iscomplexobj(h) else float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"operator must be square, got shape {h.shape}")
     require_hermitian(h)
-    n_sites = len(h).bit_length() - 1
-    if h.dtype == float and len(h) == 1 << n_sites:
-        solved = _sector_eigensystem(h, n_sites, reach)
-        if solved is not None:
-            return solved
-    return np.linalg.eigh(h)
+    if h.dtype == complex:
+        return np.linalg.eigh(h)
+    blocks = _components(h, reach)
+    if len(blocks[0]) == len(h):
+        return np.linalg.eigh(h)
+    solved = [np.linalg.eigh(h[np.ix_(idx, idx)]) for idx in blocks]
+    vals = np.concatenate([w for w, _ in solved])  # in block order
+    ascending = np.argsort(vals, kind="stable")
+    column = np.argsort(ascending)  # where each block-order pair lands
+    out, lo = np.zeros((len(h), len(vals))), 0
+    for idx, (_, v) in zip(blocks, solved):
+        out[np.ix_(idx, column[lo:lo + len(idx)])] = v
+        lo += len(idx)
+    return vals[ascending], out

@@ -82,7 +82,7 @@ def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
     chooses the arithmetic of an H solve. The real solve also narrows to
     the states the Kraus extraction reads, row 0 of
     :func:`joint_index_table` (see :func:`propagate`), so its propagator
-    may hold only the sectors the bath reset reaches."""
+    may hold only the blocks of H the bath reset reaches."""
     params = dict(config.params)
     if param_overrides:
         params.update(param_overrides)

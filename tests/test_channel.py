@@ -429,9 +429,9 @@ REACH_PRESETS = {"aah": "fig8", "xxx": "fig7", "xx": "fig9"}
 
 
 class TestReachedSectorBuild:
-    """A real build solves only the magnetization sectors that hold the
-    columns Kraus extraction reads, those with at most n_s 1 bits; the
-    configured channel keeps every eigenstate."""
+    """A real build solves only the blocks of H that hold the columns Kraus
+    extraction reads: for a U(1) H, the magnetization sectors with at most
+    n_s 1 bits. The configured channel keeps every eigenstate."""
 
     @pytest.mark.parametrize("n_s, n_b", [(3, 4), (4, 4), (2, 5), (5, 2)],
                              ids=["3+4", "4+4", "2+5", "5+2"])
@@ -447,6 +447,17 @@ class TestReachedSectorBuild:
         assert reached.propagator.vecs.shape == (layout.dim_joint, n_reached)
         assert max(np.max(np.abs(k - e)) for k, e in zip(reached.ops, every.ops)) <= 1e-12
         assert np.max(np.abs(real_channel_form(reached) - real_channel_form(every))) <= 1e-12
+
+    def test_parity_blocks_match_full_solve(self):
+        # fig9 off jxx = jyy: H splits into two parity blocks of 128 states,
+        # both reached by the bath reset
+        config = preset_config("fig9")
+        layout = ChainLayout(config.n_s, config.n_b)
+        h = build_hamiltonian(config.model, {**config.params, "jxx": 0.9}, layout.n_h).real
+        full = kraus_from_unitary(Propagator(*np.linalg.eigh(h), config.time), layout)
+        blocks = build_channel(config, {"jxx": 0.9}, real=True)
+        assert blocks.propagator.vecs.shape == (256, 256)
+        assert max(np.max(np.abs(k - f)) for k, f in zip(blocks.ops, full.ops)) <= 1e-12
 
     @pytest.mark.parametrize("preset, overrides, columns", [
         ("fig8", {}, 64),  # 1 + 7 + 21 + 35 of 128 states

@@ -1313,6 +1313,14 @@ class TestCli:
             usage = capsys.readouterr().out
             assert "worker threads for sweeps" in usage and "output directory" in usage
 
+    def test_list_with_a_name_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "fig4"
+        assert main(["preset", "--list", "fig4", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument name: not allowed with argument --list" in captured.err
+        assert not out.exists()
+
     def test_unknown_preset_is_config_error(self, capsys):
         assert main(["preset", "fig99"]) == 1
 
@@ -1326,6 +1334,13 @@ class TestCli:
         (["preset", "fig3", "--threads", "0"], "argument --threads: must be at least 1, got 0"),
         (["run", "cfg.json", "--threads", "-3"],
          "argument --threads: must be at least 1, got -3"),
+        # --list runs nothing, so it takes no NAME and no run option either
+        (["preset", "--list", "fig4", "--out", "runs/x"],
+         "argument name: not allowed with argument --list"),
+        (["preset", "--list", "--threads", "2"],
+         "argument --threads: not allowed with argument --list"),
+        (["preset", "--override", "time=5", "--list"],
+         "argument --override: not allowed with argument --list"),
     ])
     def test_usage_error_is_config_error(self, capsys, argv, message):
         # exit 2 is a numerical error here, so a usage error exits 1, with

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import projector0_on_site, total_sz
-from resetchannel.config import AahParams, PxpParams, XxParams, XxxParams
+from resetchannel.config import AahParams, PxpParams, XxParams, XxxParams, preset_config
 from resetchannel.hamiltonians import (
     ConstrainedBasis,
     build_aah,
@@ -12,6 +12,7 @@ from resetchannel.hamiltonians import (
     hermitian_eigensystem,
 )
 from resetchannel.channel import Propagator, joint_index_table
+from resetchannel.runner import build_hamiltonian
 from resetchannel.spin_ops import ChainLayout
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -289,11 +290,46 @@ SECTOR_CASES = {
     "aah-8": lambda: build_aah(AahParams(jzz=0.3, jz=0.1), 8),
     "xxx-jxxx-0": lambda: build_xxx(XxxParams(jzz=0.1, jz=0.1, jxxx=0.0), 8),
 }
+# the bath-reset columns a real build reads on each chain (see build_channel)
+BATH_LAYOUTS = {7: ChainLayout(3, 4), 8: ChainLayout(4, 4), 10: ChainLayout(5, 5)}
+
+
+def sector_eigensystem(h, reach=None):
+    """The total-S_z rule the component solve replaced, kept as its oracle:
+    a real ``h`` on n qubits with no entry between different numbers of 1
+    bits, solved one such sector at a time in ascending count, each with
+    its states in ascending index; with ``reach``, only the sectors holding
+    one of its states. Embedded as :func:`hermitian_eigensystem` embeds."""
+    ones = np.array([bin(state).count("1") for state in range(len(h))])
+    assert not np.any(h[ones[:, None] != ones[None, :]])  # the rule's zero test
+    counts = range(ones.max() + 1) if reach is None else sorted(set(ones[reach]))
+    members = [np.flatnonzero(ones == k) for k in counts]
+    solved = [np.linalg.eigh(h[np.ix_(idx, idx)]) for idx in members]
+    vals = np.concatenate([w for w, _ in solved])
+    ascending = np.argsort(vals, kind="stable")
+    column = np.argsort(ascending)
+    out, lo = np.zeros((len(h), len(vals))), 0
+    for idx, (_, v) in zip(members, solved):
+        out[np.ix_(idx, column[lo:lo + len(idx)])] = v
+        lo += len(idx)
+    return vals[ascending], out
 
 
 class TestSectorEigensystem:
-    """A real solve of an H that conserves total S_z exactly goes sector by
-    sector; anything else takes one full solve."""
+    """A real solve goes block by block, a block being a connected component
+    of H's nonzero entries: the total-S_z sectors of a U(1) H, the parity
+    blocks of the xx model. An H of one block, or a complex H, takes one
+    full solve."""
+
+    @pytest.mark.parametrize("bath", [False, True], ids=["every", "bath"])
+    @pytest.mark.parametrize("case", [*SECTOR_CASES, "aah-10"])
+    def test_matches_sector_oracle_bit_for_bit(self, case, bath):
+        h = (build_aah(AahParams(jzz=0.3, jz=0.1), 10) if case == "aah-10"
+             else SECTOR_CASES[case]()).real
+        reach = joint_index_table(BATH_LAYOUTS[len(h).bit_length() - 1])[0] if bath else None
+        vals, vecs = hermitian_eigensystem(h, reach)
+        want_vals, want_vecs = sector_eigensystem(h, reach)
+        assert np.array_equal(vals, want_vals) and np.array_equal(vecs, want_vecs)
 
     @pytest.mark.parametrize("case", SECTOR_CASES)
     def test_matches_full_real_solve(self, case, monkeypatch):
@@ -346,17 +382,16 @@ class TestSectorEigensystem:
         u = Propagator(vals, vecs, 1.0).columns(cols)
         assert np.max(np.abs(u - Propagator(c_vals, c_vecs, 1.0).columns(cols))) < 1e-12
 
-    def test_equal_energies_keep_sector_order(self, monkeypatch):
-        # 3 sites; each energy is unique within its sector, and E = 0 sits on
-        # |100> (one 1 bit) and |011> (two), so count order and index order
-        # disagree there
+    def test_equal_energies_keep_component_order(self, monkeypatch):
+        # a diagonal H links no two states, so each state is its own block,
+        # and equal energies go in ascending state index; E = 0 sits on
+        # |011> and |100>, whose numbers of 1 bits order them the other way
         energies = [1.0, 2.0, 1.0, 0.0, 0.0, 1.0, 2.0, 1.0]
         h = np.diag(energies)
         (vals, vecs), shapes = solve_shapes(monkeypatch, h)
-        assert shapes and all(max(shape) < len(h) for shape in shapes)  # sector path
+        assert shapes == [(1, 1)] * len(h)
         assert vals.tolist() == sorted(energies)
-        # among equal energies, the columns go in ascending 1-bit count
-        assert np.argmax(np.abs(vecs), axis=0).tolist() == [4, 3, 0, 2, 5, 7, 1, 6]
+        assert np.argmax(np.abs(vecs), axis=0).tolist() == [3, 4, 0, 2, 5, 7, 1, 6]
 
     @pytest.mark.parametrize("case", ["xxx-jxxx-2", "pxp", "complex"])
     def test_other_hamiltonians_take_one_full_solve(self, case, monkeypatch):
@@ -377,9 +412,9 @@ class TestSectorEigensystem:
         assert r_shapes == shapes and np.array_equal(r_vals, vals) and np.array_equal(r_vecs, vecs)
 
     def test_blockade_hamiltonian_of_qubit_dimension_is_exact(self):
-        # 4 blockade sites span F(6) = 8 states, the dimension of 3 qubits,
-        # so the real path tries the sector split on a basis that is not a
-        # qubit basis; whichever solve answers, the eigensystem is exact
+        # 4 blockade sites span F(6) = 8 states, the dimension of 3 qubits;
+        # the component rule reads no qubit structure, so this basis is like
+        # any other: one block, one full solve, an exact eigensystem
         h = build_pxp(PxpParams(), 4).real
         assert len(h) == 8
         vals, vecs = hermitian_eigensystem(h)
@@ -387,16 +422,36 @@ class TestSectorEigensystem:
         assert np.linalg.norm(recon - h) <= 1e-12 * np.linalg.norm(h)
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(8)) < 1e-12
 
-    def test_planted_off_sector_entry_forces_full_solve(self, monkeypatch):
-        # no tolerance decides the path: one entry of 1e-300 between two
-        # sectors is enough to leave it
+    def test_planted_entry_merges_two_blocks(self, monkeypatch):
+        # no tolerance decides the blocks: one entry of 1e-300 links the
+        # sector with no 1 bits to the one with two, and merges those two
         h = build_aah(AahParams(jzz=0.3, jz=0.1), 7).real
         i, j = 0, 3  # |0000000> (no 1 bits) and |0000011> (two)
         assert h[i, j] == 0.0
         h[i, j] = h[j, i] = 1e-300
         (vals, vecs), shapes = solve_shapes(monkeypatch, h)
-        assert shapes == [(len(h), len(h))]
+        # blocks by first state: 0 (1 + 21 states), then 1, 7, 15, 31, 63, 127
+        assert shapes == [(22, 22), (7, 7), (35, 35), (35, 35), (21, 21), (7, 7), (1, 1)]
         assert np.linalg.norm(vecs.T @ vecs - np.eye(len(h))) < 1e-12
+        recon = (vecs * vals) @ vecs.T
+        assert np.linalg.norm(recon - h) < 1e-12 * np.linalg.norm(h)
+
+    def test_xx_parity_blocks(self, monkeypatch):
+        # every xx term flips 0 or 2 spins, so off jxx = jyy fig9's H splits
+        # into the states of even and of odd 1-bit count; the bath reset
+        # reaches both
+        config = preset_config("fig9")
+        layout = ChainLayout(config.n_s, config.n_b)
+        h = build_hamiltonian(config.model, {**config.params, "jxx": 0.9}, layout.n_h).real
+        reach = joint_index_table(layout)[0]
+        for narrowed in (None, reach):
+            (vals, vecs), shapes = solve_shapes(monkeypatch, h, narrowed)
+            assert shapes == [(128, 128), (128, 128)]
+            assert vecs.shape == (256, 256)
+            even = np.array([bin(state).count("1") % 2 == 0 for state in range(256)])
+            assert np.all(np.all(vecs[even] == 0.0, axis=0) | np.all(vecs[~even] == 0.0, axis=0))
+            recon = (vecs * vals) @ vecs.T
+            assert np.linalg.norm(recon - h) < 1e-12 * np.linalg.norm(h)
 
 
 class TestParamValidation:

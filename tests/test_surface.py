@@ -6,7 +6,9 @@ package, in the acceptance suite or in the benchmark. An export from
 delete, or an oracle to move into the tests.
 Every name a package module imports is used there, unless its line says
 ``noqa: F401``; such a line is allowed only where the benchmark's tracer
-(``benchmarks/spans.py``) wraps that name in that module."""
+(``benchmarks/spans.py``) wraps that name in that module.
+Every module-level cache (``functools.cache`` or ``lru_cache`` on a
+top-level function) is named in ``CACHES``."""
 
 import ast
 import re
@@ -19,6 +21,11 @@ PACKAGE = ROOT / "src" / "resetchannel"
 READERS = [*sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
            ROOT / "tests" / "test_acceptance.py",
            *sorted((ROOT / "benchmarks").rglob("*.py"))]
+
+# the cache rule (ROADMAP item 10): a module-level cache stays when its
+# uncached cost is at least 1% of some workload's pass; a new one is
+# measured against it and named here
+CACHES = {"_pauli_structure", "_initial_columns", "_hermitian_basis_gather"}
 
 
 def _public(nodes):
@@ -105,3 +112,18 @@ def test_unused_imports_are_traced_names(monkeypatch):
                 for name, line, marked in imports
                 if marked and (path.stem, name) not in traced]
     assert not untraced, f"noqa: F401 on a name the tracer does not wrap there: {untraced}"
+
+
+def _is_cache(decorator) -> bool:
+    """Whether ``decorator`` is ``cache`` or ``lru_cache``, called or not,
+    bare or as an attribute of ``functools``."""
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in ("cache", "lru_cache")
+
+
+def test_module_level_caches_are_named():
+    cached = {node.name for path in PACKAGE.glob("*.py")
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.FunctionDef) and any(map(_is_cache, node.decorator_list))}
+    assert cached == CACHES, f"module-level caches: {sorted(cached)}"
