@@ -8,7 +8,7 @@ the channel matrix is M = sum_m K_m (x) conj(K_m).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -32,7 +32,8 @@ class Propagator:
     blocks of H whose columns of U are read. U itself is never formed (see
     :meth:`columns`). Its unitarity deviation is |V^dag V - I_m|
     (Frobenius norm), in real arithmetic when V is exactly real (see
-    :func:`drop_zero_imag`)."""
+    :func:`drop_zero_imag`): also after a complex solve of every preset's
+    H, whose complex ``eigh`` returns exactly real eigenvectors."""
 
     vals: np.ndarray
     vecs: np.ndarray = field(repr=False)
@@ -54,28 +55,24 @@ class Propagator:
 
 @dataclass
 class KrausSet:
-    """System-space Kraus operators of the bath-reset channel, with the
-    joint propagator they were cut from (set by :func:`kraus_from_unitary`;
-    None for a set built from its operators alone)."""
+    """System-space Kraus operators of the bath-reset channel, stacked as
+    one (m, d, d) array ``ops``, with the joint propagator they were cut
+    from (set by :func:`kraus_from_unitary`; None for a set built from its
+    operators alone)."""
 
-    ops: list[np.ndarray]
+    ops: np.ndarray
     layout: ChainLayout
     propagator: Propagator | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[-1]
 
     def completeness_residual(self) -> float:
-        """max |sum_m K_m^dag K_m - 1|, computed on the first call and kept:
-        :func:`kraus_from_unitary` checks it, and the run's health reads
-        the same value."""
-        return self._residual
-
-    @cached_property
-    def _residual(self) -> float:
-        acc = sum(k.conj().T @ k for k in self.ops)
-        return float(np.max(np.abs(acc - np.eye(self.dim))))
+        """max |sum_m K_m^dag K_m - 1|, as the one product A^dag A of the
+        operators stacked row-wise, A = ``ops.reshape(-1, d)``."""
+        a = self.ops.reshape(-1, self.dim)
+        return float(np.max(np.abs(a.conj().T @ a - np.eye(self.dim))))
 
 
 @dataclass
@@ -116,27 +113,24 @@ def joint_index_table(layout: ChainLayout) -> np.ndarray:
     return np.where(joint[idx] == bits, idx, -1)
 
 
-def kraus_from_unitary(prop: Propagator, layout: ChainLayout,
-                       table: np.ndarray | None = None) -> KrausSet:
+def kraus_from_unitary(prop: Propagator, layout: ChainLayout) -> KrausSet:
     """Extract the bath-reset Kraus set K_m = <m|U|0...0> from a joint
     propagator: the bath resets to all |0>.
 
     Only the d_s columns of U with the bath in its reset state are formed
-    (row 0 of :func:`joint_index_table`, passed as ``table`` by a caller
-    that has it; the all-|0> bath never breaks the blockade). For a
-    constrained layout, joint configurations whose system/bath boundary
-    violates the blockade carry zero amplitude; the Kraus list runs over
-    the constrained bath configurations.
+    (row 0 of :func:`joint_index_table`; the all-|0> bath never breaks the
+    blockade). For a constrained layout, joint configurations whose
+    system/bath boundary violates the blockade carry zero amplitude; the
+    Kraus set runs over the constrained bath configurations.
     """
     if len(prop.vecs) != layout.dim_joint:
         raise ValueError(f"propagator dim {len(prop.vecs)} does not match layout "
                          f"joint dim {layout.dim_joint}")
-    if table is None:
-        table = joint_index_table(layout)
+    table = joint_index_table(layout)
     w = prop.columns(table[0])
     # a zero last row, read wherever the table holds -1
     w = np.vstack([w, np.zeros((1, layout.dim_s))])
-    kraus = KrausSet(list(w[table]), layout, prop)
+    kraus = KrausSet(w[table], layout, prop)
     residual = kraus.completeness_residual()
     if not residual <= COMPLETENESS_ATOL:  # NaN fails too
         raise CompletenessError(f"sum K^dag K deviates from identity by {residual:.2e}")
@@ -227,7 +221,7 @@ def real_reversal_form(kraus: KrausSet) -> np.ndarray:
     """
     d = kraus.dim
     n = d * (d - 1) // 2
-    a = np.asarray(kraus.ops).reshape(len(kraus.ops), d * d).T
+    a = kraus.ops.reshape(len(kraus.ops), d * d).T
     r = (a @ a.conj().T).ravel()[_hermitian_basis_gather(d)]
     upper, lower = r[:, d:d + n], r[:, d + n:]
     # R T^dag, on the rows of the diagonal and the upper elements

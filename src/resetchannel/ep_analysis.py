@@ -13,9 +13,8 @@ from typing import Callable
 import numpy as np
 
 from .spectra import (
-    BAND_PAIR_RTOL,
     DEFECTIVITY_THRESHOLD,
-    PROBE_PAIR_RTOL,
+    PAIR_RTOL,
     SPLIT_TOL_FACTOR,
     relative_tolerance,
     sorted_eig,
@@ -311,7 +310,7 @@ def _pair_probe(lam: np.ndarray, guess: np.ndarray, tol_im: float):
     is_pair = (
         abs(a.imag) > tol_im
         and abs(b.imag) > tol_im
-        and abs(a - np.conj(b)) < PROBE_PAIR_RTOL * max(1.0, abs(a))
+        and abs(a - np.conj(b)) < PAIR_RTOL * max(1.0, abs(a))
     )
     others = np.delete(lam, [i0, i1])
     gap = float(np.min(np.abs(others - 0.5 * (a + b)))) if others.size else np.inf
@@ -343,7 +342,7 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float,
                 break
             partner = None if k in paired else next(
                 (j for j in newly if j != k and j not in paired
-                 and abs(lam[j] - np.conj(lam[k])) < BAND_PAIR_RTOL * max(1.0, abs(lam[k]))),
+                 and abs(lam[j] - np.conj(lam[k])) < PAIR_RTOL * max(1.0, abs(lam[k]))),
                 None)
             if partner is not None:
                 paired |= {k, partner}

@@ -79,19 +79,17 @@ def build_channel(config: ExperimentConfig, param_overrides: dict | None = None,
     than bit for bit (the EP pipeline and the iterated channels): an H whose
     imaginary part is exactly zero then goes to :func:`propagate` as its
     real part, which is solved in real arithmetic. No other function
-    chooses the arithmetic of an H solve. The real solve also narrows to
-    the states the Kraus extraction reads, row 0 of
-    :func:`joint_index_table` (see :func:`propagate`), so its propagator
-    may hold only the blocks of H the bath reset reaches."""
+    chooses the arithmetic of an H solve. Every build passes the states the
+    Kraus extraction reads, row 0 of :func:`joint_index_table`, as the
+    reach (see :func:`propagate`): a real solve narrows to the blocks of H
+    the bath reset reaches, and a complex one ignores it."""
     params = dict(config.params)
     if param_overrides:
         params.update(param_overrides)
     layout = ChainLayout(config.n_s, config.n_b, constrained=(config.model == "pxp"))
     h = build_hamiltonian(config.model, params, layout.n_h)
-    table = joint_index_table(layout)
-    prop = (propagate(drop_zero_imag(h), config.time, table[0]) if real
-            else propagate(h, config.time))
-    return kraus_from_unitary(prop, layout, table)
+    prop = propagate(drop_zero_imag(h) if real else h, config.time, joint_index_table(layout)[0])
+    return kraus_from_unitary(prop, layout)
 
 
 def analysis_matrix(kraus: KrausSet) -> SuperoperatorMatrix:

@@ -21,8 +21,7 @@ from .channel import SuperoperatorMatrix
 # max(1, |lambda|).
 REAL_TOL_FACTOR = 1e-8       # real: spectrum.csv is_real, histogram real fraction
 SPLIT_TOL_FACTOR = 1e-6      # split: complex counts, EP onset and probes; splitting is gradual
-PROBE_PAIR_RTOL = 1e-4       # an EP probe's two modes form a conjugate pair
-BAND_PAIR_RTOL = 1e-6        # two bands turning complex together are conjugate partners
+PAIR_RTOL = 1e-6             # conjugate pair: an EP probe's two modes, two bands turning complex together
 DEFECTIVITY_THRESHOLD = 1e6  # eigenvalue condition number beyond which a mode is defective
 # Eigen-residuals are matrix products over blocks of this many columns; one
 # full-width product was no faster at dimension 1024 and raised the peak

@@ -123,8 +123,7 @@ def haar_channel(n_s, n_b, seed):
     u = unitary_group.rvs(layout.dim_joint, random_state=np.random.default_rng(seed))
     ds, db = layout.dim_s, layout.dim_b
     u4 = u.reshape(ds, db, ds, db)
-    ops = [np.ascontiguousarray(u4[:, m, :, 0]) for m in range(db)]
-    return KrausSet(ops, layout)
+    return KrausSet(np.ascontiguousarray(u4[:, :, :, 0].transpose(1, 0, 2)), layout)
 
 
 def ghz_coherence_eigenvalue(kraus):

@@ -183,6 +183,23 @@ class TestKrausExtraction:
         assert kraus.completeness_residual() < 1e-9
         assert len(kraus.ops) == layout.dim_b
 
+    @pytest.mark.parametrize("preset", ["fig7", "fig6"])  # fig6's pxp table holds -1 entries
+    def test_stacked_ops_and_one_product_residual(self, preset):
+        kraus = build_channel(preset_config(preset))
+        d, m = kraus.layout.dim_s, kraus.layout.dim_b
+        assert isinstance(kraus.ops, np.ndarray) and kraus.ops.shape == (m, d, d)
+        oracle = sum(k.conj().T @ k for k in kraus.ops)  # one operator at a time
+        assert abs(kraus.completeness_residual() - np.max(np.abs(oracle - np.eye(d)))) <= 1e-15
+
+    def test_extraction_derives_its_table(self):
+        config = preset_config("fig6")
+        layout = ChainLayout(config.n_s, config.n_b, constrained=True)
+        prop = build_channel(config).propagator
+        table = joint_index_table(layout)
+        assert np.any(table < 0)
+        w = np.vstack([prop.columns(table[0]), np.zeros((1, layout.dim_s))])
+        assert np.array_equal(kraus_from_unitary(prop, layout).ops, w[table])
+
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("preset", ["fig3", "fig2", "fig9", "fig6"],
                              ids=["aah", "xxx", "xx", "pxp"])
@@ -210,7 +227,7 @@ class TestKrausExtraction:
 
     def test_completeness_violation_raises(self):
         layout = ChainLayout(1, 1)
-        bad = KrausSet([np.eye(2) * 0.5], layout)
+        bad = KrausSet(0.5 * np.eye(2)[None], layout)
         assert bad.completeness_residual() > 0.5
         prop = Propagator(np.zeros(4), np.eye(4), 0.0)
         with pytest.raises(ValueError):
@@ -234,7 +251,7 @@ class TestKrausExtraction:
 
 class TestApplyChannel:
     def test_identity_kraus(self):
-        kraus = KrausSet([np.eye(2)], ChainLayout(1, 1))
+        kraus = KrausSet(np.eye(2)[None], ChainLayout(1, 1))
         rho = random_density_matrix(np.random.default_rng(0), 2)
         assert np.allclose(apply_channel(kraus, rho), rho)
 
@@ -276,7 +293,7 @@ class TestApplyChannel:
 
 class TestSuperoperator:
     def test_identity_channel(self):
-        sop = superoperator_matrix(KrausSet([np.eye(2)], ChainLayout(1, 1)))
+        sop = superoperator_matrix(KrausSet(np.eye(2)[None], ChainLayout(1, 1)))
         assert np.allclose(sop.mat, np.eye(4))
 
     def test_swap_reset_eigenvalues(self):
@@ -738,12 +755,12 @@ def extend_with_ancilla(kraus):
     """Oracle: the doubled Kraus set 1 (x) K_m, an untouched ancilla qubit
     tensored onto each operator."""
     eye2 = np.eye(2, dtype=complex)
-    return KrausSet([np.kron(eye2, k) for k in kraus.ops], kraus.layout)
+    return KrausSet(np.array([np.kron(eye2, k) for k in kraus.ops]), kraus.layout)
 
 
 class TestAncillaExtension:
     def test_identity_extends_to_identity(self):
-        kraus = KrausSet([np.eye(2)], ChainLayout(1, 1))
+        kraus = KrausSet(np.eye(2)[None], ChainLayout(1, 1))
         assert np.allclose(extend_with_ancilla(kraus).ops[0], np.eye(4))
 
     def test_completeness_preserved(self, small_channel):

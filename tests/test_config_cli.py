@@ -933,7 +933,10 @@ def _reference_runs(runs, tmp_path, monkeypatch, blas_threads):
               *(arg for o in overrides for arg in ("--override", o))], blas_threads)
         assert index[label]["config_hash"] == config.config_hash(), label
         manifests[label] = json.loads((out / "manifest.json").read_text())
-        assert check.check_run(label, config, out, manifests[label], index) == [], label
+        # the references hold on the OpenBLAS kernel that wrote them; the
+        # message names the one this run picked
+        kernel = manifests[label]["environment"]["blas"]["runtime"]["config"]
+        assert check.check_run(label, config, out, manifests[label], index) == [], (label, kernel)
     return manifests
 
 

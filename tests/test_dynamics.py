@@ -218,7 +218,7 @@ class TestRenyiQmi:
 
 class TestQmiTrajectory:
     def test_identity_channel_keeps_qmi(self):
-        kraus = KrausSet([np.eye(4)], ChainLayout(2, 1))
+        kraus = KrausSet(np.eye(4)[None], ChainLayout(2, 1))
         records = qmi_trajectory(kraus, 4)
         assert all(abs(r.qmi - 2 * np.log(2)) < 1e-12 for r in records)
 
@@ -239,7 +239,7 @@ class TestQmiTrajectory:
     def test_qmi_rise_warns(self):
         # X -> X / 4 is no channel; it divides every purity by 16, so the
         # mutual information rises by ln 16 per round
-        kraus = KrausSet([0.5 * np.eye(4)], ChainLayout(2, 1))
+        kraus = KrausSet(0.5 * np.eye(4)[None], ChainLayout(2, 1))
         with pytest.warns(RuntimeWarning, match="mutual information rose") as caught:
             qmi_trajectory(kraus, 2)
         assert [str(w.message) for w in caught] == [
@@ -385,7 +385,7 @@ class TestPhaseScan:
                        - (1.0 + imbalance(rho, rho0, config.n_s))) <= 1e-12, value
 
     def test_qmi_rise_warns(self):
-        factory = lambda jz: KrausSet([0.5 * np.eye(4)], ChainLayout(2, 1))
+        factory = lambda jz: KrausSet(0.5 * np.eye(4)[None], ChainLayout(2, 1))
         with pytest.warns(RuntimeWarning, match="mutual information rose") as caught:
             points, failures = phase_scan(factory, np.array([0.1, 0.2]), 1)
         assert not failures and len(points) == 2

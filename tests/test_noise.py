@@ -15,9 +15,15 @@ resolution, fit exponents and r^2 within 1e-6).
 ``STABLE`` lists the outputs that held on every noise seed measured. The
 others are pinned to the noise today, and the README's Determinism section
 names them with the change that will make each stable; such a change moves
-its outputs into ``STABLE``.
+its outputs into ``STABLE``. Another BLAS kernel rounds differently too,
+and ``STABLE`` must hold under it as well.
 """
 
+import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +36,10 @@ from resetchannel.config import preset_config
 
 NOISE_RTOL = 1e-15
 NOISE_SEED = 1
+# an OpenBLAS kernel every x86-64 machine can run; OPENBLAS_CORETYPE picks
+# it at load time in a DYNAMIC_ARCH build
+OTHER_KERNEL = "Nehalem"
+BLAS_CONFIG = (runner._blas_runtime(runner.NUMPY_LIBS)["config"] or "").split()
 
 STABLE = {
     "fig2": ["histogram.csv", "overlaps.csv"],
@@ -105,3 +115,29 @@ def test_noise_reaches_a_pinned_output(tmp_path, monkeypatch):
     # would pass without checking anything
     problems = noise_problems("fig3", tmp_path, monkeypatch, NOISE_SEED, ["spectrum.csv"])
     assert problems["spectrum.csv"]
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or "DYNAMIC_ARCH" not in BLAS_CONFIG or OTHER_KERNEL in BLAS_CONFIG,
+                    reason=f"needs numpy on a DYNAMIC_ARCH OpenBLAS on x86-64 whose "
+                           f"default kernel is not {OTHER_KERNEL}")
+@pytest.mark.parametrize("preset", ["fig6", "fig9"])
+def test_stable_outputs_hold_under_another_blas_kernel(preset, tmp_path, monkeypatch):
+    # another kernel rounds differently, as noise does: the outputs pinned
+    # to the noise move (fig6's spectrum.csv, fig9's bands.csv), and the
+    # stable ones must hold
+    check = bench_module("check", monkeypatch)
+    config = preset_config(preset)
+    default, other = tmp_path / "default", tmp_path / OTHER_KERNEL
+    assert not runner.run_experiment(config, default)["failures"]
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=OTHER_KERNEL,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "resetchannel.cli", "preset", preset,
+                          "--out", str(other)], env=env, capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    manifest = json.loads((other / "manifest.json").read_text())
+    assert OTHER_KERNEL in manifest["environment"]["blas"]["runtime"]["config"].split()
+    problems = {name: check.compare_csv(other / name, default / name, config)
+                for name in STABLE[preset]}
+    assert problems == {name: [] for name in STABLE[preset]}
