@@ -272,16 +272,19 @@ class TestTolerancePolicy:
 
     @pytest.mark.parametrize("factor, matched", [(IN, True), (OUT, False)],
                              ids=["inside", "outside"])
-    def test_conjugate_pair_match(self, factor, matched):
-        # one tolerance, relative to max(1, |lambda|) = 1, decides both the
-        # EP probe's pair and the bands' partners
-        d = factor * PAIR_RTOL
+    def test_probe_conjugate_match(self, factor, matched):
+        d = factor * PAIR_RTOL  # relative to max(1, |a|) = 1
         lam = np.array([0.5 + 0.01j, 0.5 + d - 0.01j, 0.1])
         _, is_pair, _ = _pair_probe(lam, lam[:2], 1e-6)
         assert is_pair == matched
+
+    @pytest.mark.parametrize("factor, matched", [(IN, True), (OUT, False)],
+                             ids=["inside", "outside"])
+    def test_band_partner_match(self, factor, matched):
+        d = factor * PAIR_RTOL  # relative to max(1, |lambda|) = 1
         s = 1j * SPLIT_TOL_FACTOR
         bands = np.array([[1.0, 0.5, 0.5, 0.3, 0.3],
-                          [1.0, *lam[:2],
+                          [1.0, 0.5 + 0.01j, 0.5 + d - 0.01j,
                            0.3 + self.IN * s, 0.3 - self.IN * s]])  # the last two stay real
         track = BandTrack("j", np.array([0.0, 1.0]), bands, np.zeros(1))
         grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), lambda j: pytest.fail("probed"))
