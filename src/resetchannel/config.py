@@ -259,10 +259,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     model, analyses, sweep = config.model, config.analyses, config.sweep
 
     # cli writes to runs/<name> by default, so the name must stay inside runs/
-    _expect(config.name not in ("", ".", "..")
+    # and be printable: a path with a NUL fails, one with a newline misleads
+    _expect(config.name not in ("", ".", "..") and config.name.isprintable()
             and not any(sep and sep in config.name for sep in (os.sep, os.altsep)),
-            "config.name", f"must be a non-empty string that is one path component, "
-            f"got {config.name!r}")
+            "config.name", f"must be a non-empty printable string that is one path "
+            f"component, got {config.name!r}")
     _expect(model in MODELS, "config.model", f"must be one of {MODELS}, got {model!r}")
     _expect(model != "xxx" or config.n_s + config.n_b >= 3, "config.layout",
             "model 'xxx' needs n_s + n_b >= 3 for its three-site term")

@@ -157,13 +157,14 @@ class SweepGrid:
 
 @dataclass
 class SweepResult:
-    """Eigenvalues per grid point, in :func:`sorted_eig` order (that of
-    :func:`full_spectrum`); ``None`` where the point failed. A complex
-    point holds :func:`sorted_eig`'s bits, a real one
-    :func:`sorted_eigvals`'."""
+    """The grid values of the points that solved and their eigenvalues, in
+    :func:`sorted_eig` order (that of :func:`full_spectrum`): a complex
+    point's are :func:`sorted_eig`'s bits, a real one's :func:`sorted_eigvals`'.
+    A point that failed is only in ``failures``, as (grid index, error)."""
 
     grid: SweepGrid
-    eigenvalues: list[np.ndarray | None]
+    values: np.ndarray
+    eigenvalues: list[np.ndarray]
     failures: list[tuple[int, str]] = field(default_factory=list)
 
 
@@ -220,11 +221,11 @@ class JordanChain:
 
 
 def sweep_spectrum(grid: SweepGrid, n_workers: int = 1) -> SweepResult:
-    """Eigenvalues at every grid point; per-point failures are recorded and
-    the sweep continues. A real matrix is solved by ``eigvals`` alone, in
-    real arithmetic, so its eigenvalues come in exact conjugate pairs. A
-    complex one keeps :func:`sorted_eig`, whose bits the ``sweep`` grid's
-    outputs pin."""
+    """Eigenvalues at every grid point; a point that fails is recorded, has
+    no entry in ``values`` or ``eigenvalues``, and the sweep continues. A
+    real matrix is solved by ``eigvals`` alone, in real arithmetic, so its
+    eigenvalues come in exact conjugate pairs. A complex one keeps
+    :func:`sorted_eig`, whose bits the ``sweep`` grid's outputs pin."""
 
     def one(value: float):
         try:
@@ -239,8 +240,9 @@ def sweep_spectrum(grid: SweepGrid, n_workers: int = 1) -> SweepResult:
             results = list(pool.map(one, values))
     else:  # no pool for one worker: through one, fig4's peak RSS rose from 46.7 to 50 MB
         results = list(map(one, values))
-    failures = [(i, err) for i, (_, err) in enumerate(results) if err]
-    return SweepResult(grid, [lam for lam, _ in results], failures)
+    solved = [i for i, (_, err) in enumerate(results) if err is None]
+    return SweepResult(grid, grid.values[solved], [results[i][0] for i in solved],
+                       [(i, err) for i, (_, err) in enumerate(results) if err is not None])
 
 
 def _match_step(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
@@ -258,7 +260,7 @@ def _match_step(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
 
 
 def track_bands(sweep: SweepResult, select: str = "all") -> BandTrack:
-    """Match eigenvalues between consecutive sweep points into bands.
+    """Match eigenvalues between consecutive solved sweep points into bands.
 
     Bands are labeled by their ordering at the first point (descending
     Re lambda). ``select="top_re_decile"`` restricts to the top decile by
@@ -266,8 +268,6 @@ def track_bands(sweep: SweepResult, select: str = "all") -> BandTrack:
     is visible); large matching distances are recorded, not raised.
     """
     spectra = sweep.eigenvalues
-    if any(lam is None for lam in spectra):
-        raise ValueError("cannot track bands across failed sweep points")
     if len(spectra) < 2:
         raise ValueError("band tracking needs at least 2 sweep points")
     lam0 = spectra[0]
@@ -285,7 +285,7 @@ def track_bands(sweep: SweepResult, select: str = "all") -> BandTrack:
         cols = _match_step(bands[g - 1], cur)
         bands[g] = cur[cols]
         dists[g - 1] = float(np.max(np.abs(bands[g] - bands[g - 1])))
-    return BandTrack(sweep.grid.parameter, sweep.grid.values.copy(), bands, dists)
+    return BandTrack(sweep.grid.parameter, sweep.values, bands, dists)
 
 
 def count_complex(lam: np.ndarray) -> int:

@@ -164,8 +164,8 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     worst Kraus completeness residual and propagator unitarity deviation
     over the configured channel, when its spectrum is computed, and the
     channels that ``qmi`` and ``phase`` iterate; the configured channel's
-    largest eigen-residual, the largest band-matching step of ``bands``,
-    and the bracket widths, convergence and fit r^2 of ``ep``.
+    largest eigen-residual; the largest band-matching step of ``bands``
+    and ``ep``, and the bracket widths, convergence and fit r^2 of ``ep``.
     ``"environment"`` holds the reproducibility settings and ``"warnings"``
     every warning the run raised, whatever the caller's warning filters, as
     ``"Category: message"``; they are issued again after the run, under
@@ -267,8 +267,8 @@ def _configured_spectrum(config: ExperimentConfig, manifest: dict, keep_kraus: b
 
 def _sweep(config: ExperimentConfig, values: np.ndarray, manifest: dict, label: str,
            n_workers: int, build) -> SweepResult:
-    """Eigenvalues of the matrices ``build`` makes on ``values``; failed
-    points are recorded in the manifest under ``label``."""
+    """Eigenvalues of the matrices ``build`` makes on ``values``; a failed
+    point is recorded in the manifest under ``label``, and has no CSV row."""
     sweep = sweep_spectrum(SweepGrid(config.sweep.parameter, values, build), n_workers)
     manifest["failures"].extend(
         {"analysis": label, "point": i, "error": err} for i, err in sweep.failures)
@@ -378,15 +378,15 @@ def _overlaps(name: str, spectrum, xis: dict, out: Path) -> list[str]:
 
 def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,
                     out: Path) -> list[str]:
-    counts = [count_complex(lam) if lam is not None else -1 for lam in sweep.eigenvalues]
+    counts = [count_complex(lam) for lam in sweep.eigenvalues]
     header = [config.sweep.parameter, "n_complex"]
-    rows = [[v, c] for v, c in zip(sweep.grid.values, counts)]
+    rows = [[v, c] for v, c in zip(sweep.values, counts)]
     if analysis == "anisotropy_compare":
         # isotropic reference: the swept coupling set equal to the other one
         # (validation admits only jxx/jyy sweeps of the xx model)
         other = "jyy" if config.sweep.parameter == "jxx" else "jxx"
         iso_value = getattr(MODEL_PARAMS[config.model](**config.params), other)
-        on_grid = np.flatnonzero(sweep.grid.values == iso_value)
+        on_grid = np.flatnonzero(sweep.values == iso_value)
         if on_grid.size:
             iso_count = counts[on_grid[0]]
         else:
@@ -418,6 +418,7 @@ def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict,
                                          "error": f"{type(exc).__name__}: {exc}"})
     manifest["ep_probes"] = dict(sweep.grid.probe_counts)
     manifest["health"].update({
+        "ep_max_band_step": float(np.max(track.step_distances)),
         "ep_max_bracket_width": max((r.bracket[1] - r.bracket[0] for r in records),
                                     default=None),
         "ep_converged": {"converged": sum(r.converged for r in records),

@@ -34,7 +34,7 @@ from resetchannel.config import (
     validate_config,
 )
 from resetchannel.dynamics import eigen_overlap
-from resetchannel.ep_analysis import SweepGrid, count_complex
+from resetchannel.ep_analysis import SweepGrid, count_complex, sweep_spectrum, track_bands
 from resetchannel.hamiltonians import ConstrainedBasis, build_pxp, hermitian_eigensystem
 from resetchannel.plots import _COMMON, _SCRIPTS, emit_plots
 from resetchannel.runner import analysis_matrix, build_channel, run_experiment
@@ -260,6 +260,8 @@ class TestValidation:
         (dict(TINY_CONFIG, name="../x"), "config.name"),
         (dict(TINY_CONFIG, name="/tmp/abs"), "config.name"),
         (dict(TINY_CONFIG, name="a/b"), "config.name"),
+        (dict(TINY_CONFIG, name="a\x00b"), "config.name"),
+        (dict(TINY_CONFIG, name="a\nb"), "config.name"),
         (dict(XX_CONFIG, analyses=["complex_count", "anisotropy_compare"]), "config.analyses"),
         (dict(TINY_CONFIG, analyses=["spectrum", "spectrum", "histogram"]), "config.analyses"),
         (_section_config("sweep", points=True), "config.sweep.points"),
@@ -276,7 +278,8 @@ class TestValidation:
             "time-infinite", "time-beyond-float", "params-jz-nan", "sweep-stop-infinite",
             "sweep-parameter-list", "name-object", "name-int", "name-null", "name-empty",
             "name-dot", "name-dotdot", "name-parent-path", "name-absolute-path",
-            "name-two-components", "two-writers-of-complex-count", "analysis-twice",
+            "name-two-components", "name-nul", "name-newline",
+            "two-writers-of-complex-count", "analysis-twice",
             "sweep-points-bool", "qmi-n-k-float", "phase-log-grid-int", "qmi-case-name-int"])
     def test_config_that_cannot_run_is_rejected(self, raw, path):
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
@@ -332,6 +335,15 @@ class TestValidation:
         "fig2@n_s=5": "cadeb310a0dc883b73f75c6c831c2dee1cf5adfd4d085ab7b464c99a1e2b71d0",
         "fig5@n_s=5": "162b86c5652657341a52aec971e08a8e89119451978cfd7e17d19cd9418859f5",
     }
+
+    # a name with a space or a letter beyond ASCII is printable: it validates,
+    # with a pinned config_hash
+    @pytest.mark.parametrize("name, digest", [
+        ("fig 3 \u00e9", "8d216b6887c412c6603ccb50363541ec902768866e204d8aaee578bceff3592a"),
+        ("\u03a9-run_2", "be202c9eb3c49a450e80522afc1a78f2e046ef2772f5fd4b912f0919c7e7827d"),
+    ])
+    def test_printable_name_keeps_its_hash(self, name, digest):
+        assert preset_config("fig3", [f"name={json.dumps(name)}"]).config_hash() == digest
 
     @pytest.mark.parametrize("label", sorted(PRESET_HASHES))
     def test_preset_hash_is_pinned(self, label):
@@ -676,7 +688,7 @@ class TestRunner:
 
     def test_raising_stage_still_writes_the_manifest(self, tmp_path, capsys, monkeypatch):
         # the sweep points past jz = 1 warn and then fail their completeness
-        # check; bands cannot track across them
+        # check; bands has one solved point left, too few to track
         raw = {"model": "aah", "layout": {"n_s": 2, "n_b": 2}, "time": 100.0,
                "params": {"j2": 1.0, "jzz": 0.1, "jz": 0.1},
                "analyses": ["complex_count", "bands"],
@@ -694,15 +706,17 @@ class TestRunner:
         cfg.write_text(json.dumps(raw))
         with pytest.warns(RuntimeWarning) as reissued:
             assert main(["run", str(cfg), "--out", str(out)]) == 2
-        assert "cannot track bands across failed sweep points" in capsys.readouterr().err
+        assert "band tracking needs at least 2 sweep points" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["warnings"] == [f"RuntimeWarning: {w.message}" for w in reissued]
         failures = manifest["failures"]
         assert [(f["analysis"], f.get("point")) for f in failures] == [
             ("sweep", 1), ("sweep", 2), ("bands", None)]
         assert failures[-1]["error"] == (
-            "ValueError: cannot track bands across failed sweep points")
+            "ValueError: band tracking needs at least 2 sweep points")
         assert manifest["outputs"] == ["complex_count.csv"]
+        rows = _read_csv(out / "complex_count.csv")
+        assert [row["jz"] for row in rows] == ["0.10000000000000001"]
         assert "bands" not in manifest["runtimes"] and "complex_count" in manifest["runtimes"]
 
     def test_abs_lambda_agrees_across_csvs(self, tmp_path):
@@ -992,6 +1006,63 @@ def _read_csv(path):
     return [dict(zip(header, row.split(","))) for row in rows[1:]]
 
 
+def _failing_builds(monkeypatch, lo, hi):
+    """Make every channel build whose swept coupling lies strictly between
+    ``lo`` and ``hi`` fail its completeness check."""
+    original = runner.build_channel
+
+    def build(config, overrides=None, real=False):
+        if overrides and lo < overrides[config.sweep.parameter] < hi:
+            raise CompletenessError("sum K^dag K deviates from identity by nan")
+        return original(config, overrides, real)
+
+    monkeypatch.setattr(runner, "build_channel", build)
+
+
+class TestFailedGridPoint:
+    # a 3-point aah sweep whose middle point, jz = 0.3, fails to build
+    RAW = {"name": "failing", "model": "aah", "layout": {"n_s": 2, "n_b": 2}, "time": 10.0,
+           "params": {"j2": 1.0, "jzz": 0.1, "jz": 0.1},
+           "analyses": ["complex_count", "bands"],
+           "sweep": {"parameter": "jz", "start": 0.1, "stop": 0.5, "points": 3}}
+    FAILURE = {"analysis": "sweep", "point": 1,
+               "error": "CompletenessError: sum K^dag K deviates from identity by nan"}
+
+    def _runs(self, tmp_path, monkeypatch):
+        """The run with every point solved, then the CLI run with the
+        middle point failed: (config, output dir, manifest) of each."""
+        config = validate_config(self.RAW)
+        full = run_experiment(config, tmp_path / "full")
+        _failing_builds(monkeypatch, 0.2, 0.4)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(self.RAW))
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        failed = json.loads((out / "manifest.json").read_text())
+        return config, (tmp_path / "full", full), (out, failed)
+
+    def test_failed_sweep_point_has_no_row(self, tmp_path, monkeypatch):
+        _, (full_dir, full), (out, failed) = self._runs(tmp_path, monkeypatch)
+        assert full["failures"] == [] and failed["failures"] == [self.FAILURE]
+        assert failed["outputs"] == ["complex_count.csv", "bands.csv"]
+        # the solved points keep their rows; the failed one has none
+        counts = _read_csv(full_dir / "complex_count.csv")
+        assert _read_csv(out / "complex_count.csv") == [counts[0], counts[2]]
+        bands = _read_csv(out / "bands.csv")
+        assert [row["jz"] for row in bands] == ["0.10000000000000001"] * 2 + ["0.5"] * 2
+        assert bands[:2] == _read_csv(full_dir / "bands.csv")[:2]
+        assert failed["health"]["max_band_step"] > 0
+
+    def test_benchmark_check_reports_the_failed_point(self, tmp_path, monkeypatch):
+        check = bench_module("check", monkeypatch)
+        config, (full_dir, full), (out, failed) = self._runs(tmp_path, monkeypatch)
+        ref = check.reference_entry(config, full_dir, full)
+        assert ref["files"] == ["bands.csv", "complex_count.csv"]
+        assert check.invariant_problems(out, failed, ref) == [
+            f"failure recorded: {failed['failures'][0]}"]
+        assert check.compare_csv(out / "complex_count.csv", full_dir / "complex_count.csv",
+                                 config) == ["complex_count.csv: 2 rows, reference has 3"]
+
+
 class TestEpPipeline:
     # a 3+3 chain whose EP grid holds two EPs with sqrt fits
     RAW = dict(SWEEP_CONFIG, layout={"n_s": 3, "n_b": 3}, time=50.0, analyses=["ep"],
@@ -1009,6 +1080,17 @@ class TestEpPipeline:
         assert counts["near"] > 0
         assert counts["near"] + counts["full"] == len(calls)
 
+    def test_eps_located_over_the_solved_points(self, tmp_path, monkeypatch):
+        # the grid's EPs lie in (0, 0.01) and (0.06, 0.07); the point at
+        # jxxx = 0.04 fails, and the EP track steps over it
+        full = run_experiment(validate_config(self.RAW), tmp_path / "full")
+        _failing_builds(monkeypatch, 0.035, 0.045)
+        failed = run_experiment(validate_config(self.RAW), tmp_path / "out")
+        assert [(f["analysis"], f["point"]) for f in failed["failures"]] == [("ep", 4)]
+        for name in ("eps.csv", "ep_fit_points.csv"):
+            assert (tmp_path / "out" / name).read_text() == (tmp_path / "full" / name).read_text()
+        step = failed["health"]["ep_max_band_step"]
+        assert step >= full["health"]["ep_max_band_step"] > 0
 
     def test_failed_fit_leaves_empty_cells(self, tmp_path, monkeypatch):
         failed = []
@@ -1061,9 +1143,16 @@ class TestEpPipeline:
         assert manifest["health"]["ep_min_fit_r2"] == min(f.r2 for f in fits)
 
     def test_manifest_records_ep_health(self, tmp_path):
-        manifest = run_experiment(validate_config(self.RAW), tmp_path)
+        config = validate_config(self.RAW)
+        manifest = run_experiment(config, tmp_path)
         health = manifest["health"]
-        assert set(health) == {"ep_max_bracket_width", "ep_converged", "ep_min_fit_r2"}
+        assert set(health) == {"ep_max_band_step", "ep_max_bracket_width", "ep_converged",
+                               "ep_min_fit_r2"}
+        # the worst matching step of the track that picks the pairs to bisect
+        grid = SweepGrid("jxxx", np.linspace(0.0, 0.1, 11),
+                         runner.spectral_matrix_factory(config, "jxxx", real=True))
+        track = track_bands(sweep_spectrum(grid), select="top_re_decile")
+        assert health["ep_max_band_step"] == np.max(track.step_distances) > 0
         eps = _read_csv(tmp_path / "eps.csv")
         assert len(eps) == 2
         assert health["ep_converged"] == {"converged": 2, "total": 2}
@@ -1275,9 +1364,11 @@ class TestCli:
         assert "Is a directory" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name", ["../escaped", "absolute", ""])
+    @pytest.mark.parametrize("name", ["../escaped", "absolute", "", "a\x00b", "a\nb"])
     def test_name_outside_runs_is_config_error(self, tmp_path, monkeypatch, capsys, name):
-        # without --out the run goes to runs/<name>, which must stay below runs/
+        # without --out the run goes to runs/<name>, which must stay below
+        # runs/ and be a file name: the OS rejects a NUL, and a newline
+        # would name a directory runs/a<newline>b
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)

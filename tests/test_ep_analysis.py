@@ -104,9 +104,13 @@ class TestSweep:
 
         grid = SweepGrid("j", np.linspace(0.0, 0.1, 11), build)
         result = sweep_spectrum(grid)
-        assert len(result.failures) == 1
-        assert result.failures[0][0] == 5
-        assert sum(s is None for s in result.eigenvalues) == 1
+        assert result.failures == [(5, "RuntimeError: boom")]
+        # the failed point is in failures alone; every other point solved
+        solved = np.delete(grid.values, 5)
+        assert np.array_equal(result.values, solved)
+        assert len(result.eigenvalues) == 10
+        for value, lam in zip(result.values, result.eigenvalues):
+            assert np.array_equal(lam, np.full(4, value, dtype=complex))
 
     def test_non_finite_matrix_recorded_as_failure(self):
         def build(j):
@@ -114,8 +118,30 @@ class TestSweep:
 
         result = sweep_spectrum(SweepGrid("j", np.linspace(0.0, 1.0, 3), build))
         assert result.failures == [(1, "ValueError: channel matrix contains non-finite entries")]
-        assert result.eigenvalues[1] is None
-        assert result.eigenvalues[0] is not None and result.eigenvalues[2] is not None
+        assert result.values.tolist() == [0.0, 1.0]
+        assert [lam.tolist() for lam in result.eigenvalues] == [[0.0] * 4, [1.0] * 4]
+
+    def test_bands_track_across_a_failed_point(self):
+        # the analytic family's EP at J = 0.05 lies between solved points
+        # 0.04 and 0.06 once the sweep's solve at 0.05 fails; the bisection
+        # builds 0.05 again, once the failure has passed
+        family, failed = analytic_family(), []
+
+        def build(j):
+            if j == 0.05 and not failed:
+                failed.append(j)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return family(j)
+
+        grid = SweepGrid("j", np.linspace(0.0, 0.1, 11), build)
+        sweep = sweep_spectrum(grid)
+        assert sweep.failures == [(5, "LinAlgError: Eigenvalues did not converge")]
+        track = track_bands(sweep)
+        assert np.array_equal(track.grid_values, np.delete(grid.values, 5))
+        assert track.bands.shape == (10, 2) and track.step_distances.shape == (9,)
+        (ep,) = locate_eps(grid, track, resolution=1e-9)
+        assert ep.bracket[0] >= 0.04 and ep.bracket[1] <= 0.06
+        assert abs(ep.j_star - 0.05) < 1e-9
 
     @pytest.mark.parametrize("preset", ["fig4", "fig9"])
     def test_eigenvalues_match_full_spectrum_on_preset_grid(self, preset):
