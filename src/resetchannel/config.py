@@ -293,6 +293,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
                 "must differ from start")
     _expect(config.ep is None or sweep is not None, "config.ep",
             "ep analysis needs a sweep section for the parameter name")
+    if config.ep is not None:  # below the float spacing no bisection closes its bracket
+        spacing = math.ulp(max(abs(config.ep.start), abs(config.ep.stop)))
+        _expect(config.ep.resolution >= spacing, "config.ep.resolution", f"must be at least "
+                f"the float spacing {spacing!r} at the grid's ends, got {config.ep.resolution!r}")
 
     # every coupling a run can set, by the field that sets it, stays below
     # float64 overflow once multiplied by the time

@@ -19,6 +19,7 @@ from .channel import (
     joint_index_table,
     real_channel_form,
 )
+from .ep_analysis import attempt
 from .spin_ops import (
     ChainLayout,
     ConstrainedBasis,
@@ -250,24 +251,19 @@ def phase_scan(channel_factory: Callable[[float], KrausSet], values: np.ndarray,
     :func:`qmi_trajectory`) and final imbalance + 1 (from the alternating
     product state) after ``n_k`` channel rounds, for each parameter value.
     Each point iterates the GHZ columns and the product state's (see
-    :func:`_initial_columns`) as one real (d^2, 5) array. Per-point failures
-    are recorded and skipped.
+    :func:`_initial_columns`) as one real (d^2, 5) array. A point that fails
+    (see :func:`attempt`) is only in the failures, as (index, error).
     """
-    points: list[PhaseScanPoint] = []
-    failures: list[tuple[int, str]] = []
-    for i, value in enumerate(np.asarray(values, dtype=float)):
-        try:
-            kraus = channel_factory(float(value))
-            n_s, d = kraus.layout.n_s, kraus.dim
-            traj = _trajectory(kraus, _initial_columns(n_s), n_k)
-            qmi = _ghz_readout(traj[..., :4])[1]
-            _warn_on_qmi_rise(qmi)
-            sz_0, sz_n = _site_sz(traj[[0, -1], :d, 4], n_s)
-            points.append(PhaseScanPoint(
-                value=float(value),
-                qmi=float(qmi[-1]),
-                imbalance_plus_one=1.0 + float(sz_n @ sz_0),
-            ))
-        except Exception as exc:
-            failures.append((i, f"{type(exc).__name__}: {exc}"))
-    return points, failures
+
+    def point(value: float) -> PhaseScanPoint:
+        kraus = channel_factory(value)
+        n_s, d = kraus.layout.n_s, kraus.dim
+        traj = _trajectory(kraus, _initial_columns(n_s), n_k)
+        qmi = _ghz_readout(traj[..., :4])[1]
+        _warn_on_qmi_rise(qmi)
+        sz_0, sz_n = _site_sz(traj[[0, -1], :d, 4], n_s)
+        return PhaseScanPoint(value, float(qmi[-1]), 1.0 + float(sz_n @ sz_0))
+
+    results = [attempt(point, float(v)) for v in values]
+    return ([p for p, err in results if err is None],
+            [(i, err) for i, (_, err) in enumerate(results) if err is not None])

@@ -47,6 +47,16 @@ class JordanChainError(RuntimeError):
     """Requested chain extends past the numerical Jordan block."""
 
 
+def attempt(fn: Callable, value) -> tuple:
+    """``(fn(value), None)``, or ``(None, "Type: message")`` when it raises:
+    the one failure rule of every grid point, bisection midpoint and sqrt
+    fit, whose caller records the error and goes on without the result."""
+    try:
+        return fn(value), None
+    except Exception as exc:  # one bad build must not sink the stage
+        return None, f"{type(exc).__name__}: {exc}"
+
+
 def _near_solve(mat: np.ndarray, sigma: float) -> tuple[np.ndarray, float] | None:
     """The ``PROBE_MODES`` eigenvalues of ``mat`` nearest ``sigma``, by
     shift-invert Arnoldi, and the radius about ``sigma`` they lie within;
@@ -107,7 +117,8 @@ class SweepGrid:
     and probed (the reversal-form channel matrix for the physical presets;
     the runner's EP grid builds its real Hermitian-basis form).
     ``probe_counts`` tallies the :meth:`probe` calls answered by a
-    shift-invert solve (``"near"``) and by a full spectrum (``"full"``).
+    shift-invert solve (``"near"``) and by a full spectrum (``"full"``),
+    ``failures`` the bisection midpoints that failed, as (value, error).
     """
 
     parameter: str
@@ -115,6 +126,7 @@ class SweepGrid:
     build: Callable[[float], np.ndarray]
     probe_counts: dict[str, int] = field(
         default_factory=lambda: {"near": 0, "full": 0}, init=False, repr=False)
+    failures: list[tuple[float, str]] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -227,19 +239,16 @@ def sweep_spectrum(grid: SweepGrid, n_workers: int = 1) -> SweepResult:
     eigenvalues come in exact conjugate pairs. A complex one keeps
     :func:`sorted_eig`, whose bits the ``sweep`` grid's outputs pin."""
 
-    def one(value: float):
-        try:
-            mat = grid.build(value)
-            return (sorted_eig(mat)[0] if np.iscomplexobj(mat) else sorted_eigvals(mat)), None
-        except Exception as exc:  # sweep robustness: record and move on
-            return None, f"{type(exc).__name__}: {exc}"
+    def solve(value: float) -> np.ndarray:
+        mat = grid.build(value)
+        return sorted_eig(mat)[0] if np.iscomplexobj(mat) else sorted_eigvals(mat)
 
     values = [float(v) for v in grid.values]
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(one, values))
+            results = list(pool.map(lambda v: attempt(solve, v), values))
     else:  # no pool for one worker: through one, fig4's peak RSS rose from 46.7 to 50 MB
-        results = list(map(one, values))
+        results = [attempt(solve, v) for v in values]
     solved = [i for i, (_, err) in enumerate(results) if err is None]
     return SweepResult(grid, grid.values[solved], [results[i][0] for i in solved],
                        [(i, err) for i, (_, err) in enumerate(results) if err is not None])
@@ -350,8 +359,6 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float,
         found = _bisect_pairs(grid, float(track.grid_values[g]), float(track.grid_values[g + 1]),
                               {bp: lam[list(bp)] for bp in band_pairs}, tol_im, resolution)
         records += [found[bp] for bp in band_pairs]
-        if max_eps is not None and len(records) >= max_eps:
-            return records
     return records
 
 
@@ -366,18 +373,25 @@ def _bisect_pairs(grid: SweepGrid, lo: float, hi: float,
     The matrix at the midpoint is built once and probes every pair; those
     split there go on toward ``lo``, the others toward ``hi``. A bracket
     is recorded as (min, max), converged unless it took the last of the
-    ``MAX_BISECTIONS`` probes."""
+    ``MAX_BISECTIONS`` probes or ends at a midpoint that failed (see
+    :func:`attempt`), which goes to ``grid.failures``."""
+
+    def probe_pairs(value: float) -> dict:
+        mat = grid.build(value)
+        return {bp: grid.probe(mat, pair, tol_im) for bp, pair in pairs.items()}
+
+    error = None
     if rounds and abs(hi - lo) > resolution and pairs:
         mid = 0.5 * (lo + hi)
-        mat = grid.build(mid)
-        probes = {bp: grid.probe(mat, pair, tol_im) for bp, pair in pairs.items()}
-        del mat  # or every level of the recursion below keeps its matrix alive
-        split = {bp: p for bp, (p, is_pair, _) in probes.items() if is_pair}
-        merged = {bp: pairs[bp] for bp, (_, is_pair, _) in probes.items() if not is_pair}
-        return {**_bisect_pairs(grid, lo, mid, split, tol_im, resolution, rounds - 1),
-                **_bisect_pairs(grid, mid, hi, merged, tol_im, resolution, rounds - 1)}
+        probes, error = attempt(probe_pairs, mid)
+        if error is None:
+            split = {bp: p for bp, (p, is_pair, _) in probes.items() if is_pair}
+            merged = {bp: pairs[bp] for bp, (_, is_pair, _) in probes.items() if not is_pair}
+            return {**_bisect_pairs(grid, lo, mid, split, tol_im, resolution, rounds - 1),
+                    **_bisect_pairs(grid, mid, hi, merged, tol_im, resolution, rounds - 1)}
+        grid.failures.append((mid, error))
     return {bp: EpRecord(0.5 * (lo + hi), complex(pair.mean()), bp,
-                         (min(lo, hi), max(lo, hi)), converged=rounds > 0)
+                         (min(lo, hi), max(lo, hi)), converged=rounds > 0 and error is None)
             for bp, pair in pairs.items()}
 
 

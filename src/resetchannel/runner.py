@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import hashlib
 import json
 import os
 import platform
@@ -40,6 +41,7 @@ from .dynamics import (
 from .ep_analysis import (
     SweepGrid,
     SweepResult,
+    attempt,
     count_complex,
     fit_sqrt_exponent,
     locate_eps,
@@ -166,6 +168,7 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     channels that ``qmi`` and ``phase`` iterate; the configured channel's
     largest eigen-residual; the largest band-matching step of ``bands``
     and ``ep``, and the bracket widths, convergence and fit r^2 of ``ep``.
+    ``"output_sha256"`` maps each file of ``"outputs"`` to its sha256.
     ``"environment"`` holds the reproducibility settings and ``"warnings"``
     every warning the run raised, whatever the caller's warning filters, as
     ``"Category: message"``; they are issued again after the run, under
@@ -204,6 +207,8 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     finally:
         # also when the run fails: the manifest is written, the warnings issued again
         manifest["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+        manifest["output_sha256"] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                                     for name in manifest["outputs"]}
         with open(out / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
         for w in caught:
@@ -407,15 +412,16 @@ def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict,
     track = track_bands(sweep, select="top_re_decile")
     records = locate_eps(sweep.grid, track, resolution=ep_cfg.resolution,
                          max_eps=ep_cfg.max_eps)
+    manifest["failures"].extend(
+        {"analysis": "ep", "value": v, "error": err} for v, err in sweep.grid.failures)
     fits = []  # (j*, fit) in record order: two EPs may end in one bracket, at one j*
-    for rec in records:
-        try:
-            fit = fit_sqrt_exponent(sweep.grid, rec, track.split_tolerance)
+    for rec in [rec for rec in records if rec.converged]:  # an unconverged one is not fitted
+        fit, err = attempt(lambda r: fit_sqrt_exponent(sweep.grid, r, track.split_tolerance), rec)
+        if err is None:
             rec.exponent, rec.fit_r2 = fit.exponent, fit.r2
             fits.append((rec.j_star, fit))
-        except ValueError as exc:
-            manifest["failures"].append({"analysis": "ep", "j_star": rec.j_star,
-                                         "error": f"{type(exc).__name__}: {exc}"})
+        else:
+            manifest["failures"].append({"analysis": "ep", "j_star": rec.j_star, "error": err})
     manifest["ep_probes"] = dict(sweep.grid.probe_counts)
     manifest["health"].update({
         "ep_max_band_step": float(np.max(track.step_distances)),

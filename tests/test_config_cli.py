@@ -285,6 +285,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^{re.escape(path)}:"):
             validate_config(raw)
 
+    @pytest.mark.parametrize("start, stop", [(0.0, 0.005), (-3.0, 0.5), (2.0, -1e-3)])
+    def test_ep_resolution_reaches_down_to_the_float_spacing(self, start, stop):
+        # the spacing at the grid's larger end: one a bisection can reach, and
+        # below it a bracket that never closes
+        spacing = float(np.spacing(max(abs(start), abs(stop))))
+        raw_with = lambda resolution: dict(SWEEP_CONFIG, analyses=["ep"], ep={
+            "start": start, "stop": stop, "points": 5, "resolution": resolution})
+        assert validate_config(raw_with(spacing)).ep.resolution == spacing
+        with pytest.raises(ConfigError, match=r"^config\.ep\.resolution: must be at least "
+                           rf"the float spacing {re.escape(repr(spacing))} .* got 5e-324$"):
+            validate_config(raw_with(5e-324))
+
     @pytest.mark.parametrize("model, params, sweep", [
         ("xxx", {"jxxx": 0.0}, {"parameter": "jxxx", "start": 0.0, "stop": 0.2, "points": 3}),
         ("xx", {"jxx": 0.8}, {"parameter": "jz", "start": 0.1, "stop": 0.3, "points": 3}),
@@ -424,6 +436,8 @@ class TestValidation:
             raw = json.loads(json.dumps(SECTION_CONFIGS.get(section, TINY_CONFIG)))
             raw["time"] = time
             (raw["qmi"]["cases"][0] if section == "qmi" else raw[section])[key] = value
+            if section == "ep":  # a resolution that the float spacing at the value admits
+                raw["ep"]["resolution"] = value
             return raw
 
         path = (f"config.qmi.cases[0].{key}" if section == "qmi"
@@ -511,6 +525,14 @@ class TestRunner:
             # builtin abs, not np.abs; hex compares the bits, signed zeros too
             assert [float(x).hex() for x in (re, im, mag)] == [
                 want.real.hex(), want.imag.hex(), abs(want).hex()]
+
+    def test_manifest_hashes_each_output(self, tmp_path):
+        manifest = run_experiment(validate_config(TINY_CONFIG), tmp_path)
+        assert manifest["output_sha256"] == {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in manifest["outputs"]}
+        assert json.loads((tmp_path / "manifest.json").read_text())["output_sha256"] == (
+            manifest["output_sha256"])
 
     def test_manifest_records_channel_health(self, tmp_path):
         config = validate_config(TINY_CONFIG)
@@ -1092,6 +1114,50 @@ class TestEpPipeline:
         step = failed["health"]["ep_max_band_step"]
         assert step >= full["health"]["ep_max_band_step"] > 0
 
+    ERROR = "CompletenessError: sum K^dag K deviates from identity by nan"
+
+    def _fault_runs(self, tmp_path, monkeypatch, lo, hi):
+        """The eps.csv and ep_fit_points.csv rows of the run with every build
+        solved, then those and the manifest of the CLI run whose builds in
+        (lo, hi) fail."""
+        run_experiment(validate_config(self.RAW), tmp_path / "full")
+        _failing_builds(monkeypatch, lo, hi)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(self.RAW))
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        read = lambda run: tuple(_read_csv(tmp_path / run / name)
+                                 for name in ("eps.csv", "ep_fit_points.csv"))
+        return read("full"), (*read("out"), json.loads((out / "manifest.json").read_text()))
+
+    def test_failed_midpoint_ends_its_bracket(self, tmp_path, monkeypatch):
+        # the builds at jxxx in (0.005, 0.015) fail: grid point 1 (0.01), so
+        # the EP near 0.0073 is bracketed by (0, 0.02), and then that
+        # bracket's first midpoint, 0.01 again
+        (full, full_fits), (eps, fits, manifest) = self._fault_runs(
+            tmp_path, monkeypatch, 0.005, 0.015)
+        assert manifest["failures"] == [
+            {"analysis": "ep", "point": 1, "error": self.ERROR},
+            {"analysis": "ep", "value": 0.01, "error": self.ERROR}]
+        first, second = eps
+        assert [float(first[c]) for c in ("j_star", "bracket_lo", "bracket_hi")] == [
+            0.01, 0.0, np.linspace(0.0, 0.1, 11)[2]]
+        assert (first["exponent"], first["r2"], first["converged"]) == ("", "", "0")
+        # the other EP keeps its row and its fit points
+        assert second == full[1]
+        assert fits == [row for row in full_fits if row["j_star"] == full[1]["j_star"]]
+        assert manifest["health"]["ep_converged"] == {"converged": 1, "total": 2}
+
+    def test_failed_ladder_build_empties_its_cells(self, tmp_path, monkeypatch):
+        # the fourth rung of the first EP's sqrt-fit ladder, near jxxx =
+        # 0.00736, fails to build; the bisection never builds there
+        (full, full_fits), (eps, fits, manifest) = self._fault_runs(
+            tmp_path, monkeypatch, 0.00735, 0.0074)
+        assert manifest["failures"] == [
+            {"analysis": "ep", "j_star": float(full[0]["j_star"]), "error": self.ERROR}]
+        assert eps[0] == dict(full[0], exponent="", r2="")
+        assert eps[1] == full[1]
+        assert fits == [row for row in full_fits if row["j_star"] == full[1]["j_star"]]
+
     def test_failed_fit_leaves_empty_cells(self, tmp_path, monkeypatch):
         failed = []
         original = runner.fit_sqrt_exponent
@@ -1380,6 +1446,17 @@ class TestCli:
         assert "config.name" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "cwd"]
         assert not any(cwd.iterdir())
+
+    def test_resolution_below_float_spacing_is_config_error(self, tmp_path, capsys):
+        # no bisection closes a bracket below the float spacing, so such a
+        # run would spend every probe and fit from the bracket floor
+        out = tmp_path / "out"
+        assert main(["preset", "fig4", "--override", 'analyses=["ep"]',
+                     "--override", "ep.resolution=1e-300", "--out", str(out)]) == 1
+        assert "config.ep.resolution: must be at least the float spacing" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+        assert preset_config("fig4").ep.resolution == 2e-7
 
     def test_custom_sweep_config(self, tmp_path):
         cfg = tmp_path / "sweep.json"

@@ -305,6 +305,31 @@ class TestLocateEps:
         assert hi - lo == np.spacing(lo)
         assert abs(rec.j_star - 0.05) < 1e-9
 
+    def test_failed_midpoint_ends_its_bracket_unconverged(self):
+        # the pair turns complex between the grid points 0.05 and 0.06: the
+        # midpoint 0.055 is split, and at 0.0525 the matrix holds a NaN,
+        # whose full-spectrum probe raises
+        build, built = analytic_family(), []
+
+        def nan_near_ep(j):
+            built.append(j)
+            mat = build(j)
+            mat[0, 0] *= np.nan if 0.051 < j < 0.054 else 1.0
+            return mat
+
+        grid = SweepGrid("j", np.linspace(0.03, 0.07, 5), nan_near_ep)
+        track = track_bands(sweep_spectrum(grid))
+        [rec] = locate_eps(grid, track, resolution=1e-5)
+        lo, hi = grid.values[2:4]
+        split = 0.5 * (lo + hi)
+        failed = 0.5 * (lo + split)
+        assert grid.failures == [(failed, "LinAlgError: Array must not contain infs or NaNs")]
+        assert rec.converged is False
+        assert rec.bracket == (lo, split) and rec.j_star == failed
+        assert built[5:] == [split, failed]  # the bisection stops at the failure
+        # the pair as the last solved midpoint probed it
+        assert abs(rec.lambda_star - 0.5) < 1e-12
+
     def test_no_flip_gives_empty_list(self):
         build = analytic_family(gap=0.5)  # EP far outside the grid
         grid = SweepGrid("j", np.linspace(0.01, 0.05, 5), build)

@@ -8,7 +8,8 @@ Every name a package module imports is used there, unless its line says
 ``noqa: F401``; such a line is allowed only where the benchmark's tracer
 (``benchmarks/spans.py``) wraps that name in that module.
 Every module-level cache (``functools.cache`` or ``lru_cache`` on a
-top-level function) is named in ``CACHES``."""
+top-level function) is named in ``CACHES``. A handler that catches every
+``Exception`` stands only where ``BROAD_HANDLERS`` names it."""
 
 import ast
 import re
@@ -26,6 +27,11 @@ READERS = [*sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
 # uncached cost is at least 1% of some workload's pass; a new one is
 # measured against it and named here
 CACHES = {"_pauli_structure", "_initial_columns", "_hermitian_basis_gather"}
+
+# the one failure rule of every grid build and sqrt fit (``attempt``), the
+# stage timer that records a stage's failure and the CLI's exit code: the
+# only functions that catch every Exception
+BROAD_HANDLERS = ["cli.main", "ep_analysis.attempt", "runner._stage"]
 
 
 def _public(nodes):
@@ -127,3 +133,21 @@ def test_module_level_caches_are_named():
               for node in ast.parse(path.read_text()).body
               if isinstance(node, ast.FunctionDef) and any(map(_is_cache, node.decorator_list))}
     assert cached == CACHES, f"module-level caches: {sorted(cached)}"
+
+
+def _broad_handlers(node, owner: str):
+    """The dotted name of the innermost function around each handler under
+    ``node`` that catches ``Exception`` or ``BaseException``, or is bare."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler) and (child.type is None or any(
+                getattr(n, "id", None) in ("Exception", "BaseException")
+                for n in ast.walk(child.type))):
+            yield owner
+        inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _broad_handlers(child, f"{owner}.{child.name}" if inner else owner)
+
+
+def test_broad_handlers_are_named():
+    found = sorted(name for path in PACKAGE.glob("*.py")
+                   for name in _broad_handlers(ast.parse(path.read_text()), path.stem))
+    assert found == BROAD_HANDLERS, f"handlers that catch every Exception: {found}"
