@@ -163,8 +163,9 @@ class SweepGrid:
                     and abs(0.5 * (a + b) - sigma) + gap < radius):
                 self.probe_counts["near"] += 1
                 return result
-        self.probe_counts["full"] += 1
-        return _pair_probe(np.linalg.eigvals(mat), guess, tol_im)
+        lam = np.linalg.eigvals(mat)
+        self.probe_counts["full"] += 1  # once it answered: a solve that raises is not counted
+        return _pair_probe(lam, guess, tol_im)
 
 
 @dataclass

@@ -99,18 +99,29 @@ def analysis_matrix(kraus: KrausSet) -> SuperoperatorMatrix:
     return reversal_form(superoperator_matrix(kraus))
 
 
-def spectral_matrix_factory(config: ExperimentConfig, parameter: str, real: bool = False):
-    """Analysis matrix as a function of ``parameter``. With ``real`` (the EP
-    grid and its probes) it is the :func:`real_reversal_form` of a channel built with
-    ``real=True`` (see :func:`build_channel`): a real matrix similar to the
-    analysis matrix, in another basis."""
+def spectral_matrix_factory(config: ExperimentConfig, parameter: str, real: bool = False,
+                            builds: list | None = None):
+    """Analysis matrix as a function of ``parameter``, each build recorded in
+    ``builds`` (a list of its own when None; see :func:`_recorded`). With
+    ``real`` (the EP grid and its probes) it is the :func:`real_reversal_form`
+    of a channel built with ``real=True`` (see :func:`build_channel`): a real
+    matrix similar to the analysis matrix, in another basis."""
+    builds = [] if builds is None else builds
 
     def build(value: float) -> np.ndarray:
-        if real:
-            return real_reversal_form(build_channel(config, {parameter: value}, real=True))
-        return analysis_matrix(build_channel(config, {parameter: value})).mat
+        kraus = _recorded(builds, build_channel(config, {parameter: value}, real))
+        return real_reversal_form(kraus) if real else analysis_matrix(kraus).mat
 
     return build
+
+
+def _recorded(builds: list, kraus: KrausSet) -> KrausSet:
+    """``kraus``, its Kraus completeness residual and propagator unitarity
+    deviation appended to ``builds``: the one rule by which a run records
+    each channel it builds. One list append is atomic under the GIL, so the
+    sweep's worker threads share ``builds`` with no lock."""
+    builds.append((kraus.completeness_residual(), kraus.propagator.unitarity_deviation))
+    return kraus
 
 
 # where a numpy wheel bundles its 64-bit-integer OpenBLAS
@@ -162,12 +173,11 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
     CSV outputs are deterministic for a fixed config; the manifest includes
     the config hash, library versions, and runtimes per analysis plus the
     shared stages ``"channel"`` (the configured channel's spectrum) and
-    ``"sweep"`` (the spectra of the ``sweep`` grid). ``"health"`` holds the
-    worst Kraus completeness residual and propagator unitarity deviation
-    over the configured channel, when its spectrum is computed, and the
-    channels that ``qmi`` and ``phase`` iterate; the configured channel's
-    largest eigen-residual; the largest band-matching step of ``bands``
-    and ``ep``, and the bracket widths, convergence and fit r^2 of ``ep``.
+    ``"sweep"`` (the spectra of the ``sweep`` grid). ``"health"`` holds,
+    under ``"builds"``, each stage's channel builds (see :func:`_stage`); the
+    configured channel's largest eigen-residual; the largest band-matching
+    step of ``bands`` and ``ep``, and the bracket widths, convergence and
+    fit r^2 of ``ep``.
     ``"output_sha256"`` maps each file of ``"outputs"`` to its sha256.
     ``"environment"`` holds the reproducibility settings and ``"warnings"``
     every warning the run raised, whatever the caller's warning filters, as
@@ -193,7 +203,7 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
         "outputs": [],
         "runtimes": {},
         "failures": [],
-        "health": {},
+        "health": {"builds": {}},
     }
     caught: list[warnings.WarningMessage] = []
     try:
@@ -217,57 +227,50 @@ def run_experiment(config: ExperimentConfig, output_dir, n_workers: int = 1) -> 
 
 
 @contextmanager
-def _stage(manifest: dict, name: str):
-    """Time a stage into the manifest's runtimes; one that raises goes to its failures."""
-    started = _time.perf_counter()
+def _stage(manifest: dict, name: str, builds: list):
+    """Time a stage into the manifest's runtimes; one that raises goes to its
+    failures. Either way, the channels it built (those appended to ``builds``
+    while it ran) go to ``health["builds"][name]``: their count and the worst
+    of each scalar :func:`_recorded` keeps."""
+    started, first = _time.perf_counter(), len(builds)
     try:
         yield
     except Exception as exc:
         manifest["failures"].append({"analysis": name, "error": f"{type(exc).__name__}: {exc}"})
         raise
+    finally:
+        if made := builds[first:]:
+            residuals, deviations = zip(*made)
+            manifest["health"]["builds"][name] = {
+                "count": len(made), "completeness_residual": max(residuals),
+                "unitarity_deviation": max(deviations)}
     manifest["runtimes"][name] = round(_time.perf_counter() - started, 3)
 
 
 def _run_analyses(config: ExperimentConfig, out: Path, manifest: dict, n_workers: int) -> None:
     reads = {ANALYSES[a] for a in config.analyses}
     spectrum = kraus = sweep = None
+    builds: list = []  # (completeness residual, unitarity deviation) of every channel built
     if None in reads:
-        with _stage(manifest, "channel"):
-            spectrum, kraus = _configured_spectrum(
-                config, manifest,
-                keep_kraus=not {"overlaps", "scar_overlaps"}.isdisjoint(config.analyses))
+        with _stage(manifest, "channel", builds):
+            kraus = _recorded(builds, build_channel(config))
+            sop = analysis_matrix(kraus)
+            if {"overlaps", "scar_overlaps"}.isdisjoint(config.analyses):
+                kraus = None  # its propagator need not outlive the eigensolve's peak
+            spectrum = full_spectrum(sop)
+            del sop  # the analyses after it read the spectrum only
         manifest["health"]["max_eigen_residual"] = float(np.max(spectrum.residuals))
     # one sweep of the configured grid feeds every analysis that reads it; it
     # keeps the complex path, whose bits the bands and complex counts pin
     if "sweep" in reads:
-        with _stage(manifest, "sweep"):
+        with _stage(manifest, "sweep", builds):
             sweep = _sweep(config, config.sweep_values(), manifest, "sweep", n_workers,
-                           spectral_matrix_factory(config, config.sweep.parameter))
+                           spectral_matrix_factory(config, config.sweep.parameter, False, builds))
 
     for analysis in config.analyses:
-        with _stage(manifest, analysis):
+        with _stage(manifest, analysis, builds):
             manifest["outputs"] += _run_one(analysis, config, spectrum, kraus, sweep, out,
-                                            manifest, n_workers)
-
-
-def _record_health(manifest: dict, kraus: KrausSet) -> None:
-    """Keep in the manifest's health the worst Kraus completeness residual
-    and propagator unitarity deviation over every channel build recorded."""
-    health = manifest["health"]
-    for key, value in (("completeness_residual", kraus.completeness_residual()),
-                       ("unitarity_deviation", kraus.propagator.unitarity_deviation)):
-        health[key] = max(health.get(key, 0.0), value)
-
-
-def _configured_spectrum(config: ExperimentConfig, manifest: dict, keep_kraus: bool):
-    """Spectrum of the configured channel, whose health is recorded, and,
-    when ``keep_kraus``, its Kraus set (None otherwise)."""
-    kraus = build_channel(config)
-    _record_health(manifest, kraus)
-    sop = analysis_matrix(kraus)
-    if not keep_kraus:
-        kraus = None  # its propagator need not outlive the eigensolve's peak
-    return full_spectrum(sop), kraus
+                                            manifest, builds, n_workers)
 
 
 def _sweep(config: ExperimentConfig, values: np.ndarray, manifest: dict, label: str,
@@ -293,7 +296,7 @@ def _write_csv(out: Path, name: str, header: list[str], rows) -> list[str]:
 
 
 def _run_one(analysis: str, config: ExperimentConfig, spectrum, kraus: KrausSet | None,
-             sweep: SweepResult | None, out: Path, manifest: dict,
+             sweep: SweepResult | None, out: Path, manifest: dict, builds: list,
              n_workers: int) -> list[str]:
     if analysis == "spectrum":
         thr = outlier_threshold(spectrum.bath_dim)
@@ -330,7 +333,7 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, kraus: KrausSet 
             "scar_avg": scar_overlap_avg(spectrum.right, scars.states, kraus.layout)}, out)
 
     if analysis in ("complex_count", "anisotropy_compare"):
-        return _complex_counts(analysis, config, sweep, out)
+        return _complex_counts(analysis, config, sweep, out, manifest)
 
     if analysis == "bands":
         track = track_bands(sweep, select="top_re_decile")
@@ -341,34 +344,26 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, kraus: KrausSet 
         return _write_csv(out, "bands.csv", [track.parameter, "band", "re", "im"], rows)
 
     if analysis == "ep":
-        return _ep_pipeline(config, out, manifest, n_workers)
+        return _ep_pipeline(config, out, manifest, builds, n_workers)
 
     if analysis == "qmi":
         rows = []
         for case in config.qmi.cases:
-            kraus = _iterated_channel(config, {"jxxx": case.jxxx, "jz": case.jz}, manifest)
+            kraus = _recorded(builds, build_channel(config, {"jxxx": case.jxxx, "jz": case.jz},
+                                                    real=True))
             rows += [[case.name, r.n_k, r.qmi, r.imbalance, r.sz, r.purity_a, r.purity_s,
                       r.purity_as] for r in qmi_trajectory(kraus, config.qmi.n_k)]
         return _write_csv(out, "qmi.csv", ["case", "n_k", "qmi", "imbalance", "sz", "purity_a",
                                            "purity_s", "purity_as"], rows)
 
     if analysis == "phase":
-        factory = lambda jz: _iterated_channel(config, {"jz": jz}, manifest)
+        factory = lambda jz: _recorded(builds, build_channel(config, {"jz": jz}, real=True))
         points, failures = phase_scan(factory, config.phase_values(), config.phase.n_k)
         manifest["failures"].extend(
             {"analysis": "phase", "point": i, "error": err} for i, err in failures)
         return _write_csv(out, "phase_scan.csv",
                           [config.phase.parameter, "qmi", "imbalance_plus_one"],
                           [[p.value, p.qmi, p.imbalance_plus_one] for p in points])
-
-
-def _iterated_channel(config: ExperimentConfig, overrides: dict, manifest: dict) -> KrausSet:
-    """A channel that the QMI and phase analyses iterate, built from the real
-    solve (its outputs are checked within tolerances, not bit for bit), whose
-    health is recorded."""
-    kraus = build_channel(config, overrides, real=True)
-    _record_health(manifest, kraus)
-    return kraus
 
 
 def _overlaps(name: str, spectrum, xis: dict, out: Path) -> list[str]:
@@ -382,7 +377,7 @@ def _overlaps(name: str, spectrum, xis: dict, out: Path) -> list[str]:
 
 
 def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,
-                    out: Path) -> list[str]:
+                    out: Path, manifest: dict) -> list[str]:
     counts = [count_complex(lam) for lam in sweep.eigenvalues]
     header = [config.sweep.parameter, "n_complex"]
     rows = [[v, c] for v, c in zip(sweep.values, counts)]
@@ -394,21 +389,25 @@ def _complex_counts(analysis: str, config: ExperimentConfig, sweep: SweepResult,
         on_grid = np.flatnonzero(sweep.values == iso_value)
         if on_grid.size:
             iso_count = counts[on_grid[0]]
-        else:
-            iso_count = count_complex(sorted_eigvals(sweep.grid.build(iso_value)))
+        else:  # a failed build or solve leaves the isotropic cells empty
+            iso_count, err = attempt(lambda v: count_complex(sorted_eigvals(sweep.grid.build(v))),
+                                     iso_value)
+            if err is not None:
+                manifest["failures"].append({"analysis": analysis, "value": iso_value,
+                                             "error": err})
         header.append("n_complex_isotropic")
         rows = [row + [iso_count] for row in rows]
     return _write_csv(out, "complex_count.csv", header, rows)
 
 
-def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict,
+def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict, builds: list,
                  n_workers: int) -> list[str]:
     ep_cfg = config.ep
     values = np.linspace(ep_cfg.start, ep_cfg.stop, ep_cfg.points)
     # the grid, the bisection and the sqrt fit all solve the real
     # Hermitian-basis form; their outputs are checked within tolerances
     sweep = _sweep(config, values, manifest, "ep", n_workers,
-                   spectral_matrix_factory(config, config.sweep.parameter, real=True))
+                   spectral_matrix_factory(config, config.sweep.parameter, True, builds))
     track = track_bands(sweep, select="top_re_decile")
     records = locate_eps(sweep.grid, track, resolution=ep_cfg.resolution,
                          max_eps=ep_cfg.max_eps)

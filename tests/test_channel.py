@@ -627,7 +627,7 @@ class TestRealPathMatchesReferences:
         kraus = build_channel(config, real=True)
         spectrum = Spectrum(sorted_eigvals(real_reversal_form(kraus)), None, None,
                             kraus.layout.dim_b)
-        runner._run_one("histogram", config, spectrum, None, None, tmp_path, {}, 1)
+        runner._run_one("histogram", config, spectrum, None, None, tmp_path, {}, [], 1)
         check = bench_module("check", monkeypatch)
         assert check.compare_csv(tmp_path / "histogram.csv",
                                  BENCH_DIR / "reference" / label / "histogram.csv", config) == []
@@ -645,7 +645,7 @@ class TestRealPathMatchesReferences:
         right = hermitian_basis(kraus.dim).conj().T @ coeffs
         right /= np.linalg.norm(right, axis=0, keepdims=True)
         spectrum = Spectrum(vals, right, None, kraus.layout.dim_b)
-        runner._run_one(analysis, config, spectrum, kraus, None, tmp_path, {}, 1)
+        runner._run_one(analysis, config, spectrum, kraus, None, tmp_path, {}, [], 1)
 
         def by_reference(rows):
             header, *body = rows

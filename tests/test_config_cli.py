@@ -16,7 +16,7 @@ import pytest
 import resetchannel
 from conftest import BENCH_DIR, bench_module
 from resetchannel import dynamics, runner
-from resetchannel.channel import CompletenessError
+from resetchannel.channel import COMPLETENESS_ATOL, UNITARITY_ATOL, CompletenessError
 from resetchannel.cli import main
 from resetchannel.config import (
     _PRESET_TABLE,
@@ -538,14 +538,14 @@ class TestRunner:
         config = validate_config(TINY_CONFIG)
         manifest = run_experiment(config, tmp_path)
         health = manifest["health"]
-        assert set(health) == {"completeness_residual", "unitarity_deviation",
-                               "max_eigen_residual"}
+        assert set(health) == {"builds", "max_eigen_residual"}
         # read off the configured channel's Kraus set and its propagator
         kraus = build_channel(config)
-        assert health["completeness_residual"] == kraus.completeness_residual()
-        assert health["unitarity_deviation"] == kraus.propagator.unitarity_deviation
-        assert 0.0 <= health["completeness_residual"] < 1e-9
-        assert 0.0 <= health["unitarity_deviation"] < 1e-9
+        assert health["builds"] == {"channel": {
+            "count": 1, "completeness_residual": kraus.completeness_residual(),
+            "unitarity_deviation": kraus.propagator.unitarity_deviation}}
+        assert 0.0 <= kraus.completeness_residual() < COMPLETENESS_ATOL
+        assert 0.0 <= kraus.propagator.unitarity_deviation < UNITARITY_ATOL
         assert 0.0 <= health["max_eigen_residual"] < 1e-9
 
     def test_manifest_records_environment(self, tmp_path, monkeypatch):
@@ -702,7 +702,7 @@ class TestRunner:
             reached = [k for k in range(vecs.shape[1]) if dynamics.bath_vacuum_weight(
                 vecs[:, k], layout) >= dynamics.OVERLAP_MIN_WEIGHT]
             picked.clear()
-            runner._run_one("overlaps", config, spectrum, kraus, None, tmp_path, {}, 1)
+            runner._run_one("overlaps", config, spectrum, kraus, None, tmp_path, {}, [], 1)
             want = [reached[0], reached[len(reached) // 2], reached[-1]]
             assert len(picked) == 3, name
             for psi, k in zip(picked, want):
@@ -851,6 +851,13 @@ class TestRunner:
         assert calls == {"real_channel_form": n_channels}
 
     @staticmethod
+    def _worst(metas: list[dict]) -> dict:
+        """The build record of a stage that made the builds ``metas``."""
+        return {"count": len(metas), **{key: max(meta[key] for meta in metas)
+                                        for key in ("completeness_residual",
+                                                    "unitarity_deviation")}}
+
+    @staticmethod
     def _record_builds(monkeypatch) -> list[dict]:
         """The health of every ``runner.build_channel`` result, in build order."""
         metas = []
@@ -871,15 +878,34 @@ class TestRunner:
         metas = self._record_builds(monkeypatch)
         health = run_experiment(preset_config(preset), tmp_path)["health"]
         assert len(metas) == n_builds
-        assert set(health) == {"completeness_residual", "unitarity_deviation"}
-        for key in health:
-            assert health[key] == max(meta[key] for meta in metas)
-            assert 0.0 <= health[key] < 1e-9
+        stage = {"fig7": "qmi", "fig8": "phase"}[preset]
+        assert health == {"builds": {stage: self._worst(metas)}}
+        assert 0.0 <= health["builds"][stage]["completeness_residual"] < COMPLETENESS_ATOL
+        assert 0.0 <= health["builds"][stage]["unitarity_deviation"] < UNITARITY_ATOL
+
+    @pytest.mark.parametrize("preset, counts", [("fig4", {"sweep": 21, "ep": 75}),
+                                                ("fig9", {"sweep": 11})], ids=["fig4", "fig9"])
+    def test_manifest_records_grid_builds(self, preset, counts, tmp_path, monkeypatch):
+        # every build of the sweep grid, the EP grid, its bisection midpoints
+        # and its sqrt-fit rungs, in the stage that made it; the stages run in
+        # turn, so at one worker each stage's builds follow the last stage's
+        metas = self._record_builds(monkeypatch)
+        config = preset_config(preset)
+        builds = run_experiment(config, tmp_path / "one")["health"]["builds"]
+        assert len(metas) == sum(counts.values())
+        ends = np.cumsum([0, *counts.values()]).tolist()
+        assert builds == {stage: self._worst(metas[lo:hi])
+                          for stage, lo, hi in zip(counts, ends, ends[1:])}
+        for record in builds.values():
+            assert 0.0 <= record["completeness_residual"] < COMPLETENESS_ATOL
+            assert 0.0 <= record["unitarity_deviation"] < UNITARITY_ATOL
+        # the worker pool's threads append to one list: the same record
+        assert run_experiment(config, tmp_path / "two", n_workers=2)["health"]["builds"] == builds
 
     def test_manifest_health_covers_configured_and_iterated_channels(self, tmp_path,
                                                                     monkeypatch):
         # the configured channel and each qmi case's iterated channel in one
-        # run: one rule keeps the worst value over all of their builds
+        # run: one rule records each stage's builds
         raw = dict(SECTION_CONFIGS["qmi"], analyses=["spectrum", "qmi"],
                    qmi={"n_k": 2, "cases": [{"name": "a", "jxxx": 1.0, "jz": 0.1},
                                             {"name": "b", "jxxx": 0.0, "jz": 2.0}]})
@@ -887,11 +913,9 @@ class TestRunner:
         manifest = run_experiment(validate_config(raw), tmp_path)
         health = manifest["health"]
         assert len(metas) == 3
-        assert set(health) == {"completeness_residual", "unitarity_deviation",
-                               "max_eigen_residual"}
-        for key in ("completeness_residual", "unitarity_deviation"):
-            assert health[key] == max(meta[key] for meta in metas)
-            assert 0.0 <= health[key] < 1e-9
+        assert set(health) == {"builds", "max_eigen_residual"}
+        assert health["builds"] == {"channel": self._worst(metas[:1]),
+                                    "qmi": self._worst(metas[1:])}
         assert not manifest["failures"]
 
     def test_presets_match_reference_outputs(self, tmp_path, monkeypatch):
@@ -1015,6 +1039,24 @@ class TestSharedSweep:
         assert all(row.split(",")[2] == "0" for row in rows)
         assert any(int(row.split(",")[1]) > 0 for row in rows)
 
+    def test_failed_isotropic_build_empties_its_cells(self, tmp_path, monkeypatch):
+        # the isotropic point jyy = jxx = 0.8 lies off the grid, and its build
+        # fails: the failure is recorded, the isotropic cells are empty and
+        # every other cell is kept
+        config = validate_config(XX_CONFIG)
+        run_experiment(config, tmp_path / "full")
+        _failing_builds(monkeypatch, 0.79, 0.81)
+        manifest = run_experiment(config, tmp_path / "out")
+        assert manifest["failures"] == [{
+            "analysis": "anisotropy_compare", "value": 0.8,
+            "error": "CompletenessError: sum K^dag K deviates from identity by nan"}]
+        full = _read_csv(tmp_path / "full" / "complex_count.csv")
+        assert _read_csv(tmp_path / "out" / "complex_count.csv") == [
+            dict(row, n_complex_isotropic="") for row in full]
+        assert manifest["outputs"] == ["complex_count.csv", "bands.csv"]
+        assert {stage: r["count"] for stage, r in manifest["health"]["builds"].items()} == {
+            "sweep": 5}
+
     def test_manifest_times_shared_stages(self, tmp_path):
         raw = dict(SWEEP_CONFIG, analyses=["spectrum", "complex_count", "bands"])
         manifest = run_experiment(validate_config(raw), tmp_path)
@@ -1102,6 +1144,20 @@ class TestEpPipeline:
         assert counts["near"] > 0
         assert counts["near"] + counts["full"] == len(calls)
 
+    def test_raising_stage_records_its_builds(self, tmp_path, monkeypatch):
+        # every EP-grid build below jxxx = 0.095 fails: the one point left is
+        # too few to track, and the stage raises after its one build
+        _failing_builds(monkeypatch, -1.0, 0.095)
+        with pytest.raises(ValueError, match="band tracking needs at least 2 sweep points"):
+            run_experiment(validate_config(self.RAW), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failures"][-1] == {
+            "analysis": "ep", "error": "ValueError: band tracking needs at least 2 sweep points"}
+        kraus = build_channel(validate_config(self.RAW), {"jxxx": 0.1}, real=True)
+        assert manifest["health"]["builds"] == {"ep": {
+            "count": 1, "completeness_residual": kraus.completeness_residual(),
+            "unitarity_deviation": kraus.propagator.unitarity_deviation}}
+
     def test_eps_located_over_the_solved_points(self, tmp_path, monkeypatch):
         # the grid's EPs lie in (0, 0.01) and (0.06, 0.07); the point at
         # jxxx = 0.04 fails, and the EP track steps over it
@@ -1185,7 +1241,7 @@ class TestEpPipeline:
         g = 0.05 + 1e-9
         base = np.diag([0.9, 0.8, 0.7 + g, 0.7 - g, *np.linspace(0.05, 0.5, 36)])
 
-        def family(config, parameter, real=False):
+        def family(config, parameter, real=False, builds=None):
             def build(j):
                 mat = base.copy()
                 mat[0, 1] = mat[2, 3] = j
@@ -1212,8 +1268,8 @@ class TestEpPipeline:
         config = validate_config(self.RAW)
         manifest = run_experiment(config, tmp_path)
         health = manifest["health"]
-        assert set(health) == {"ep_max_band_step", "ep_max_bracket_width", "ep_converged",
-                               "ep_min_fit_r2"}
+        assert set(health) == {"builds", "ep_max_band_step", "ep_max_bracket_width",
+                               "ep_converged", "ep_min_fit_r2"}
         # the worst matching step of the track that picks the pairs to bisect
         grid = SweepGrid("jxxx", np.linspace(0.0, 0.1, 11),
                          runner.spectral_matrix_factory(config, "jxxx", real=True))
@@ -1230,7 +1286,7 @@ class TestEpPipeline:
     def test_manifest_records_max_band_step(self, tmp_path):
         manifest = run_experiment(validate_config(dict(SWEEP_CONFIG, analyses=["bands"])),
                                   tmp_path)
-        assert set(manifest["health"]) == {"max_band_step"}
+        assert set(manifest["health"]) == {"builds", "max_band_step"}
         rows = _read_csv(tmp_path / "bands.csv")
         lam = np.array([complex(float(r["re"]), float(r["im"])) for r in rows])
         bands = lam.reshape(SWEEP_CONFIG["sweep"]["points"], -1)
@@ -1243,7 +1299,8 @@ class TestEpPipeline:
         # the exact pipeline: grid, bisection and fit on the complex matrix
         original = runner.spectral_matrix_factory
         monkeypatch.setattr(runner, "spectral_matrix_factory",
-                            lambda config, parameter, real=False: original(config, parameter))
+                            lambda config, parameter, real=False, builds=None:
+                            original(config, parameter, builds=builds))
         run_experiment(config, tmp_path / "exact")
         for name, same, close in (
                 ("eps.csv", ("j_star", "bracket_lo", "bracket_hi", "converged"),

@@ -327,6 +327,7 @@ class TestLocateEps:
         assert rec.converged is False
         assert rec.bracket == (lo, split) and rec.j_star == failed
         assert built[5:] == [split, failed]  # the bisection stops at the failure
+        assert grid.probe_counts == {"near": 0, "full": 1}  # the failed probe answered none
         # the pair as the last solved midpoint probed it
         assert abs(rec.lambda_star - 0.5) < 1e-12
 

@@ -37,7 +37,7 @@ def runner_csv(analysis, spectrum, out):
     (default histogram settings)."""
     config = validate_config({"model": "aah", "layout": {"n_s": 2, "n_b": 2}, "time": 1.0,
                               "params": {}, "analyses": [analysis]})
-    [name] = _run_one(analysis, config, spectrum, None, None, out, {}, 1)
+    [name] = _run_one(analysis, config, spectrum, None, None, out, {}, [], 1)
     return (out / name).read_text().splitlines()
 
 

@@ -7,6 +7,8 @@ delete, or an oracle to move into the tests.
 Every name a package module imports is used there, unless its line says
 ``noqa: F401``; such a line is allowed only where the benchmark's tracer
 (``benchmarks/spans.py``) wraps that name in that module.
+Every ``build_channel`` call of the runner is recorded: it is the argument
+of ``_recorded``, the one rule that records a channel build.
 Every module-level cache (``functools.cache`` or ``lru_cache`` on a
 top-level function) is named in ``CACHES``. A handler that catches every
 ``Exception`` stands only where ``BROAD_HANDLERS`` names it."""
@@ -151,3 +153,16 @@ def test_broad_handlers_are_named():
     found = sorted(name for path in PACKAGE.glob("*.py")
                    for name in _broad_handlers(ast.parse(path.read_text()), path.stem))
     assert found == BROAD_HANDLERS, f"handlers that catch every Exception: {found}"
+
+
+def _calls(tree, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == name]
+
+
+def test_every_runner_build_is_recorded():
+    tree = ast.parse((PACKAGE / "runner.py").read_text())
+    recorded = {id(arg) for call in _calls(tree, "_recorded") for arg in call.args}
+    builds = _calls(tree, "build_channel")
+    unrecorded = [call.lineno for call in builds if id(call) not in recorded]
+    assert builds and not unrecorded, f"runner.py lines with an unrecorded build: {unrecorded}"
