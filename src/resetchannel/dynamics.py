@@ -19,7 +19,7 @@ from .channel import (
     joint_index_table,
     real_channel_form,
 )
-from .ep_analysis import attempt
+from .ep_analysis import attempt_each
 from .spin_ops import (
     ChainLayout,
     ConstrainedBasis,
@@ -252,7 +252,7 @@ def phase_scan(channel_factory: Callable[[float], KrausSet], values: np.ndarray,
     product state) after ``n_k`` channel rounds, for each parameter value.
     Each point iterates the GHZ columns and the product state's (see
     :func:`_initial_columns`) as one real (d^2, 5) array. A point that fails
-    (see :func:`attempt`) is only in the failures, as (index, error).
+    (see :func:`attempt_each`) is only in the failures, as (index, error).
     """
 
     def point(value: float) -> PhaseScanPoint:
@@ -264,6 +264,4 @@ def phase_scan(channel_factory: Callable[[float], KrausSet], values: np.ndarray,
         sz_0, sz_n = _site_sz(traj[[0, -1], :d, 4], n_s)
         return PhaseScanPoint(value, float(qmi[-1]), 1.0 + float(sz_n @ sz_0))
 
-    results = [attempt(point, float(v)) for v in values]
-    return ([p for p, err in results if err is None],
-            [(i, err) for i, (_, err) in enumerate(results) if err is not None])
+    return attempt_each(point, [float(v) for v in values])[1:]

@@ -14,8 +14,8 @@ import numpy as np
 
 from .spectra import (
     DEFECTIVITY_THRESHOLD,
-    PAIR_RTOL,
     SPLIT_TOL_FACTOR,
+    conjugate_pair,
     relative_tolerance,
     sorted_eig,
     sorted_eigvals,
@@ -49,12 +49,29 @@ class JordanChainError(RuntimeError):
 
 def attempt(fn: Callable, value) -> tuple:
     """``(fn(value), None)``, or ``(None, "Type: message")`` when it raises:
-    the one failure rule of every grid point, bisection midpoint and sqrt
-    fit, whose caller records the error and goes on without the result."""
+    the one failure rule of every point a stage tries (see :func:`attempt_each`),
+    whose caller records the error and goes on without the result."""
     try:
         return fn(value), None
     except Exception as exc:  # one bad build must not sink the stage
         return None, f"{type(exc).__name__}: {exc}"
+
+
+def attempt_each(fn: Callable, values, n_workers: int = 1) -> tuple[list, list, list]:
+    """:func:`attempt` of ``fn`` at each of ``values``, through a pool of
+    ``n_workers`` threads when there are more than one: the one place a
+    stage tries many points. Returns the indices of the points that solved,
+    their results, and ``(index, "Type: message")`` of each point that
+    raised, each in index order."""
+    values = list(values)
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            results = list(pool.map(lambda v: attempt(fn, v), values))
+    else:  # no pool for one worker: through one, fig4's peak RSS rose from 46.7 to 50 MB
+        results = [attempt(fn, v) for v in values]
+    solved = [i for i, (_, err) in enumerate(results) if err is None]
+    return (solved, [results[i][0] for i in solved],
+            [(i, err) for i, (_, err) in enumerate(results) if err is not None])
 
 
 def _near_solve(mat: np.ndarray, sigma: float) -> tuple[np.ndarray, float] | None:
@@ -244,15 +261,9 @@ def sweep_spectrum(grid: SweepGrid, n_workers: int = 1) -> SweepResult:
         mat = grid.build(value)
         return sorted_eig(mat)[0] if np.iscomplexobj(mat) else sorted_eigvals(mat)
 
-    values = [float(v) for v in grid.values]
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda v: attempt(solve, v), values))
-    else:  # no pool for one worker: through one, fig4's peak RSS rose from 46.7 to 50 MB
-        results = [attempt(solve, v) for v in values]
-    solved = [i for i, (_, err) in enumerate(results) if err is None]
-    return SweepResult(grid, grid.values[solved], [results[i][0] for i in solved],
-                       [(i, err) for i, (_, err) in enumerate(results) if err is not None])
+    solved, eigenvalues, failures = attempt_each(
+        solve, [float(v) for v in grid.values], n_workers)
+    return SweepResult(grid, grid.values[solved], eigenvalues, failures)
 
 
 def _match_step(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
@@ -317,11 +328,7 @@ def _pair_probe(lam: np.ndarray, guess: np.ndarray, tol_im: float):
     dist1[i0] = np.inf
     i1 = int(np.argmin(dist1))
     a, b = lam[i0], lam[i1]
-    is_pair = (
-        abs(a.imag) > tol_im
-        and abs(b.imag) > tol_im
-        and abs(a - np.conj(b)) < PAIR_RTOL * max(1.0, abs(a))
-    )
+    is_pair = abs(a.imag) > tol_im and abs(b.imag) > tol_im and conjugate_pair(a, b)
     others = np.delete(lam, [i0, i1])
     gap = float(np.min(np.abs(others - 0.5 * (a + b)))) if others.size else np.inf
     return np.array([a, b]), is_pair, gap
@@ -352,8 +359,7 @@ def locate_eps(grid: SweepGrid, track: BandTrack, resolution: float,
                 break
             partner = None if k in paired else next(
                 (j for j in newly if j != k and j not in paired
-                 and abs(lam[j] - np.conj(lam[k])) < PAIR_RTOL * max(1.0, abs(lam[k]))),
-                None)
+                 and conjugate_pair(lam[k], lam[j])), None)
             if partner is not None:
                 paired |= {k, partner}
                 band_pairs.append((k, partner))

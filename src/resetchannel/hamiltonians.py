@@ -8,6 +8,8 @@ for PXP); hbar = 1. Chains are open.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .config import AahParams, PxpParams, XxParams, XxxParams
@@ -62,16 +64,23 @@ def build_pxp(params: PxpParams, n_sites: int) -> np.ndarray:
     return pauli_sum(terms, n_sites, ConstrainedBasis(n_sites).states)
 
 
-def _components(h: np.ndarray, reach=None) -> list[np.ndarray]:
+@lru_cache(maxsize=64)
+def _components(pattern: bytes, shape: tuple[int, int],
+                reach: tuple[int, ...] | None) -> tuple[np.ndarray, ...]:
     """The connected components of the graph whose edges are the nonzero
-    entries of ``h``, each as its states in ascending index, in ascending
-    order of their first state: all of them, or with ``reach``, basis-state
-    indices, those that hold one of its states. No nonzero entry links two
-    components, so ``h`` is exactly block diagonal on them."""
-    linked = h != 0
-    unseen = np.ones(len(h), dtype=bool)
+    entries of a matrix ``h``, given as ``pattern``, the packed bits of
+    ``h != 0``, and its ``shape``: each as its states in ascending index, in
+    ascending order of their first state, all of them or, with ``reach``,
+    basis-state indices, those that hold one of its states. No nonzero entry
+    links two components, so ``h`` is exactly block diagonal on them. The
+    index arrays are read-only and cached: builds that vary only couplings
+    already nonzero share one pattern (fig8's 13 phase points, fig4's EP
+    builds at jxxx > 0), so the breadth-first search runs once for them."""
+    linked = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8),
+                           count=shape[0] * shape[1]).reshape(shape).astype(bool)
+    unseen = np.ones(shape[0], dtype=bool)
     found = []
-    for seed in (range(len(h)) if reach is None else reach):
+    for seed in (range(shape[0]) if reach is None else reach):
         if unseen[seed]:
             before = unseen.copy()
             unseen[seed] = False
@@ -80,7 +89,8 @@ def _components(h: np.ndarray, reach=None) -> list[np.ndarray]:
                 level = np.flatnonzero(np.logical_or.reduce(linked[level]) & unseen)
                 unseen[level] = False
             found.append(np.flatnonzero(before != unseen))
-    return sorted(found, key=lambda idx: idx[0])
+            found[-1].flags.writeable = False
+    return tuple(sorted(found, key=lambda idx: idx[0]))
 
 
 def drop_zero_imag(x: np.ndarray) -> np.ndarray:
@@ -128,7 +138,9 @@ def hermitian_eigensystem(h: np.ndarray, reach=None):
     require_hermitian(h)
     if h.dtype == complex:
         return np.linalg.eigh(h)
-    blocks = _components(h, reach)
+    linked = h != 0
+    blocks = _components(np.packbits(linked).tobytes(), linked.shape,
+                         None if reach is None else tuple(np.asarray(reach).tolist()))
     if len(blocks[0]) == len(h):
         return np.linalg.eigh(h)
     solved = [np.linalg.eigh(h[np.ix_(idx, idx)]) for idx in blocks]

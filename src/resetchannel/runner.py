@@ -42,6 +42,7 @@ from .ep_analysis import (
     SweepGrid,
     SweepResult,
     attempt,
+    attempt_each,
     count_complex,
     fit_sqrt_exponent,
     locate_eps,
@@ -347,12 +348,14 @@ def _run_one(analysis: str, config: ExperimentConfig, spectrum, kraus: KrausSet 
         return _ep_pipeline(config, out, manifest, builds, n_workers)
 
     if analysis == "qmi":
-        rows = []
-        for case in config.qmi.cases:
-            kraus = _recorded(builds, build_channel(config, {"jxxx": case.jxxx, "jz": case.jz},
-                                                    real=True))
-            rows += [[case.name, r.n_k, r.qmi, r.imbalance, r.sz, r.purity_a, r.purity_s,
-                      r.purity_as] for r in qmi_trajectory(kraus, config.qmi.n_k)]
+        cases = config.qmi.cases
+        trajectory = lambda case: qmi_trajectory(_recorded(builds, build_channel(
+            config, {"jxxx": case.jxxx, "jz": case.jz}, real=True)), config.qmi.n_k)
+        solved, trajectories, failures = attempt_each(trajectory, cases)
+        manifest["failures"].extend(
+            {"analysis": "qmi", "case": cases[i].name, "error": err} for i, err in failures)
+        rows = [[cases[i].name, r.n_k, r.qmi, r.imbalance, r.sz, r.purity_a, r.purity_s,
+                 r.purity_as] for i, records in zip(solved, trajectories) for r in records]
         return _write_csv(out, "qmi.csv", ["case", "n_k", "qmi", "imbalance", "sz", "purity_a",
                                            "purity_s", "purity_as"], rows)
 
@@ -413,14 +416,15 @@ def _ep_pipeline(config: ExperimentConfig, out: Path, manifest: dict, builds: li
                          max_eps=ep_cfg.max_eps)
     manifest["failures"].extend(
         {"analysis": "ep", "value": v, "error": err} for v, err in sweep.grid.failures)
+    converged = [rec for rec in records if rec.converged]  # an unconverged one is not fitted
+    fitted, results, failures = attempt_each(
+        lambda r: fit_sqrt_exponent(sweep.grid, r, track.split_tolerance), converged)
+    manifest["failures"].extend({"analysis": "ep", "j_star": converged[i].j_star, "error": err}
+                                for i, err in failures)
     fits = []  # (j*, fit) in record order: two EPs may end in one bracket, at one j*
-    for rec in [rec for rec in records if rec.converged]:  # an unconverged one is not fitted
-        fit, err = attempt(lambda r: fit_sqrt_exponent(sweep.grid, r, track.split_tolerance), rec)
-        if err is None:
-            rec.exponent, rec.fit_r2 = fit.exponent, fit.r2
-            fits.append((rec.j_star, fit))
-        else:
-            manifest["failures"].append({"analysis": "ep", "j_star": rec.j_star, "error": err})
+    for i, fit in zip(fitted, results):
+        converged[i].exponent, converged[i].fit_r2 = fit.exponent, fit.r2
+        fits.append((converged[i].j_star, fit))
     manifest["ep_probes"] = dict(sweep.grid.probe_counts)
     manifest["health"].update({
         "ep_max_band_step": float(np.max(track.step_distances)),

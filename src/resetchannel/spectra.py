@@ -34,6 +34,13 @@ def relative_tolerance(lam: np.ndarray, factor: float) -> float:
     return factor * float(np.max(np.abs(lam)))
 
 
+def conjugate_pair(a: complex, b: complex) -> bool:
+    """Whether ``b`` is the conjugate of ``a``: |a - conj(b)| below
+    ``PAIR_RTOL`` max(1, |a|). The one conjugate match of an EP probe's two
+    modes and of two bands turning complex together."""
+    return abs(a - np.conj(b)) < PAIR_RTOL * max(1.0, abs(a))
+
+
 class DefectiveSpectrumError(RuntimeError):
     """Eigenbasis too ill-conditioned for a plain mode expansion."""
 

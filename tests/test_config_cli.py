@@ -1127,6 +1127,33 @@ class TestFailedGridPoint:
                                  config) == ["complex_count.csv: 2 rows, reference has 3"]
 
 
+class TestFailedQmiCase:
+    def test_failed_case_has_no_rows(self, tmp_path, monkeypatch):
+        # fig7 with the build of its mbl case (jz = 5) raising: the case is
+        # recorded once, and the chaotic and ergodic rows are still written
+        run_experiment(preset_config("fig7"), tmp_path / "full")
+        original = runner.build_channel
+
+        def build(config, overrides=None, real=False):
+            if overrides and overrides["jz"] == 5.0:
+                raise CompletenessError("sum K^dag K deviates from identity by nan")
+            return original(config, overrides, real)
+
+        monkeypatch.setattr(runner, "build_channel", build)
+        out = tmp_path / "out"
+        assert main(["preset", "fig7", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [{
+            "analysis": "qmi", "case": "mbl",
+            "error": "CompletenessError: sum K^dag K deviates from identity by nan"}]
+        assert manifest["health"]["builds"]["qmi"]["count"] == 2
+        full = (tmp_path / "full" / "qmi.csv").read_text().splitlines()
+        rows = (out / "qmi.csv").read_text().splitlines()
+        assert rows == [line for line in full if not line.startswith("mbl,")]
+        assert [row["case"] for row in _read_csv(out / "qmi.csv")] == (
+            ["chaotic"] * 31 + ["ergodic"] * 31)
+
+
 class TestEpPipeline:
     # a 3+3 chain whose EP grid holds two EPs with sqrt fits
     RAW = dict(SWEEP_CONFIG, layout={"n_s": 3, "n_b": 3}, time=50.0, analyses=["ep"],

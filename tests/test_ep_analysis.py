@@ -15,6 +15,7 @@ from resetchannel.ep_analysis import (
     EpRecord,
     JordanChainError,
     SweepGrid,
+    attempt_each,
     count_complex,
     decompose_generalized,
     fit_sqrt_exponent,
@@ -79,6 +80,20 @@ def assert_probe_matches_full_solve(grid, value, guess, tol_im, exact=None):
     assert min(np.max(np.abs(pair - want_pair)),
                np.max(np.abs(pair[::-1] - want_pair))) <= 1e-10
     return is_pair
+
+
+class TestAttemptEach:
+    @staticmethod
+    def square_or_raise(v):
+        if v in (1, 4):
+            raise ValueError(f"bad point {v}")
+        return v * v
+
+    def test_serial_and_pooled_give_one_triple(self):
+        serial = attempt_each(self.square_or_raise, range(6))
+        assert serial == ([0, 2, 3, 5], [0, 4, 9, 25],
+                          [(1, "ValueError: bad point 1"), (4, "ValueError: bad point 4")])
+        assert attempt_each(self.square_or_raise, range(6), n_workers=2) == serial
 
 
 class TestSweep:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,10 @@ from resetchannel.hamiltonians import (
     build_xx,
     build_xxx,
     hermitian_eigensystem,
+    _components,
 )
 from resetchannel.channel import Propagator, joint_index_table
+from resetchannel.ep_analysis import attempt_each
 from resetchannel.runner import build_hamiltonian
 from resetchannel.spin_ops import ChainLayout
 
@@ -345,6 +349,35 @@ class TestSectorEigensystem:
         u = Propagator(vals, vecs, 100.0).columns(cols)
         u_full = Propagator(full_vals, full_vecs, 100.0).columns(cols)
         assert np.max(np.abs(u - u_full)) < 1e-12
+
+    def test_block_search_runs_once_per_zero_pattern(self):
+        # two fields share one zero pattern: the second solve reuses the
+        # first's read-only blocks, bit for bit what a fresh search gives
+        h_a, h_b = (build_aah(AahParams(jzz=0.3, jz=jz), 7).real for jz in (0.1, 0.7))
+        _components.cache_clear()
+        hermitian_eigensystem(h_a, [0, 3])
+        cached = hermitian_eigensystem(h_b, [0, 3])
+        assert _components.cache_info()[:2] == (1, 1)  # (hits, misses)
+        key = (np.packbits(h_b != 0).tobytes(), h_b.shape, (0, 3))
+        assert not any(block.flags.writeable for block in _components(*key))
+        _components.cache_clear()
+        fresh = hermitian_eigensystem(h_b, [0, 3])
+        assert all(np.array_equal(x, y) for x, y in zip(cached, fresh))
+
+    def test_block_search_shared_by_worker_threads(self):
+        # a pooled EP grid solves real H on worker threads that share the cache
+        hs = [build_aah(AahParams(jzz=0.3, jz=jz), 7).real for jz in np.linspace(0.1, 1.0, 16)]
+        serial = [hermitian_eigensystem(h, [0, 3]) for h in hs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _components.cache_clear()
+            _, pooled, failures = attempt_each(lambda h: hermitian_eigensystem(h, [0, 3]), hs,
+                                               n_workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        assert all(np.array_equal(x, y) for s, p in zip(serial, pooled) for x, y in zip(s, p))
 
     @pytest.mark.parametrize("case", SECTOR_CASES)
     def test_reach_of_every_sector_is_bit_for_bit(self, case):

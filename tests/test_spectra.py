@@ -18,6 +18,7 @@ from resetchannel.spectra import (
     SPLIT_TOL_FACTOR,
     DefectiveSpectrumError,
     Spectrum,
+    conjugate_pair,
     decompose_state,
     find_outliers,
     full_spectrum,
@@ -275,6 +276,7 @@ class TestTolerancePolicy:
     def test_probe_conjugate_match(self, factor, matched):
         d = factor * PAIR_RTOL  # relative to max(1, |a|) = 1
         lam = np.array([0.5 + 0.01j, 0.5 + d - 0.01j, 0.1])
+        assert conjugate_pair(lam[0], lam[1]) == matched
         _, is_pair, _ = _pair_probe(lam, lam[:2], 1e-6)
         assert is_pair == matched
 
@@ -286,6 +288,7 @@ class TestTolerancePolicy:
         bands = np.array([[1.0, 0.5, 0.5, 0.3, 0.3],
                           [1.0, 0.5 + 0.01j, 0.5 + d - 0.01j,
                            0.3 + self.IN * s, 0.3 - self.IN * s]])  # the last two stay real
+        assert conjugate_pair(bands[1, 1], bands[1, 2]) == matched
         track = BandTrack("j", np.array([0.0, 1.0]), bands, np.zeros(1))
         grid = SweepGrid("j", np.linspace(0.0, 1.0, 3), lambda j: pytest.fail("probed"))
         # a resolution wider than the interval: the pair is matched, never probed

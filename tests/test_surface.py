@@ -11,7 +11,9 @@ Every ``build_channel`` call of the runner is recorded: it is the argument
 of ``_recorded``, the one rule that records a channel build.
 Every module-level cache (``functools.cache`` or ``lru_cache`` on a
 top-level function) is named in ``CACHES``. A handler that catches every
-``Exception`` stands only where ``BROAD_HANDLERS`` names it."""
+``Exception`` stands only where ``BROAD_HANDLERS`` names it. A worker pool
+is started, and ``attempt`` called, only where ``POOL_OWNERS`` and
+``ATTEMPT_CALLERS`` name."""
 
 import ast
 import re
@@ -28,12 +30,19 @@ READERS = [*sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
 # the cache rule (ROADMAP item 10): a module-level cache stays when its
 # uncached cost is at least 1% of some workload's pass; a new one is
 # measured against it and named here
-CACHES = {"_pauli_structure", "_initial_columns", "_hermitian_basis_gather"}
+CACHES = {"_pauli_structure", "_initial_columns", "_hermitian_basis_gather", "_components"}
 
-# the one failure rule of every grid build and sqrt fit (``attempt``), the
+# the one failure rule of every point a stage tries (``attempt``), the
 # stage timer that records a stage's failure and the CLI's exit code: the
 # only functions that catch every Exception
 BROAD_HANDLERS = ["cli.main", "ep_analysis.attempt", "runner._stage"]
+
+# the one map over many points (``attempt_each``) owns the worker pool; only
+# it and the two single-shot tries (a bisection midpoint, the off-grid
+# isotropic reference) call ``attempt``
+POOL_OWNERS = {"ep_analysis.attempt_each"}
+ATTEMPT_CALLERS = {"ep_analysis.attempt_each", "ep_analysis._bisect_pairs",
+                   "runner._complex_counts"}
 
 
 def _public(nodes):
@@ -137,22 +146,43 @@ def test_module_level_caches_are_named():
     assert cached == CACHES, f"module-level caches: {sorted(cached)}"
 
 
-def _broad_handlers(node, owner: str):
-    """The dotted name of the innermost function around each handler under
-    ``node`` that catches ``Exception`` or ``BaseException``, or is bare."""
+def _owners(node, owner: str, match):
+    """The dotted name of the innermost function around each node under
+    ``node`` that ``match`` accepts."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.ExceptHandler) and (child.type is None or any(
-                getattr(n, "id", None) in ("Exception", "BaseException")
-                for n in ast.walk(child.type))):
+        if match(child):
             yield owner
         inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-        yield from _broad_handlers(child, f"{owner}.{child.name}" if inner else owner)
+        yield from _owners(child, f"{owner}.{child.name}" if inner else owner, match)
+
+
+def _package_owners(match) -> list[str]:
+    return sorted(name for path in PACKAGE.glob("*.py")
+                  for name in _owners(ast.parse(path.read_text()), path.stem, match))
+
+
+def _is_broad_handler(node) -> bool:
+    """A handler that catches ``Exception`` or ``BaseException``, or is bare."""
+    return isinstance(node, ast.ExceptHandler) and (node.type is None or any(
+        getattr(n, "id", None) in ("Exception", "BaseException") for n in ast.walk(node.type)))
 
 
 def test_broad_handlers_are_named():
-    found = sorted(name for path in PACKAGE.glob("*.py")
-                   for name in _broad_handlers(ast.parse(path.read_text()), path.stem))
+    found = _package_owners(_is_broad_handler)
     assert found == BROAD_HANDLERS, f"handlers that catch every Exception: {found}"
+
+
+def _calls_named(name: str):
+    """A predicate on nodes: a call of ``name``, bare or as an attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_one_map_over_many_points():
+    pools = set(_package_owners(_calls_named("ThreadPoolExecutor")))
+    assert pools == POOL_OWNERS, f"functions that start a worker pool: {sorted(pools)}"
+    callers = set(_package_owners(_calls_named("attempt")))
+    assert callers == ATTEMPT_CALLERS, f"functions that call attempt: {sorted(callers)}"
 
 
 def _calls(tree, name: str) -> list[ast.Call]:
